@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dedup import DedupConfig, run_dedup
-from .endpoint import ChatClient, EndpointConfig, OfflineTransport, ResponseArchive
+from .dedup import DedupConfig
+from .endpoint import ChatClient, EndpointConfig, OfflineTransport
 from .errors import (
     BudgetExhausted,
     ConfigError,
@@ -24,25 +24,23 @@ from .errors import (
     UnknownSchema,
     UnknownTokenizer,
 )
-from .evalharness import (
-    EvalRunConfig,
-    best_of_settings,
-    load_dataset,
-    run_eval,
-    sweep_report,
+from .evalharness import sweep_report
+from .filters import FilterConfig
+from .ingest import SOURCE_KINDS
+from .jsonl import read_json, read_jsonl
+from .mixer import MODE_MIP, emit_trainer_config
+from .pipeline import (
+    mix_plan,
+    run_dedup_stage,
+    run_eval_stage,
+    run_filter_stage,
+    run_gen_stage,
+    run_ingest_stage,
+    run_mix_stage,
+    run_pipeline,
+    summarize_artifact,
 )
-from .filters import FilterConfig, run_filters
-from .ingest import (
-    SOURCE_KINDS,
-    ingest_stream,
-    read_documents,
-    records_from_path,
-    write_documents,
-)
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
-from .mixer import MixPlan, build_mip, emit_trainer_config, mix, record_tokens
-from .pipeline import run_pipeline, summarize_artifact
-from .sftgen import batch_generate, load_template, read_instruction_samples, term_frequency_report
+from .sftgen import term_frequency_report
 from .tokenizers import DEFAULT_TOKENIZER
 
 EXIT_OK = 0
@@ -50,7 +48,9 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 EXIT_BUDGET = 4
 
-_VALIDATION_ERRORS = (ConfigError, SchemaError, UnknownSchema, UnknownTokenizer, LexiconMissing, ValueError)
+# OSError covers unreadable input and config files named on the command line;
+# inside `run` those surface as StageFailure instead.
+_VALIDATION_ERRORS = (ConfigError, SchemaError, UnknownSchema, UnknownTokenizer, LexiconMissing, ValueError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tokenizer", default=DEFAULT_TOKENIZER)
     p.add_argument("--stats", help="where to write ingest stats JSON")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("filter", help="apply sensitive/language/length filters")
     p.add_argument("--in", dest="input", required=True)
@@ -114,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", required=True)
     p.add_argument("--shots", default="0,5", help="comma-separated shot counts")
     p.add_argument("--out", required=True, help="best-setting report JSON")
-    p.add_argument("--extraction", default="letter_regex", choices=("letter_regex", "option_logprob"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label-model", help="model label for sweep tables")
     p.add_argument("--label-ratio", help="data-ratio label for sweep tables")
@@ -142,13 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    records = []
-    for path in args.inputs:
-        records.extend(records_from_path(path, args.kind))
-    docs, stats = ingest_stream(records, tokenizer=args.tokenizer, workers=args.workers)
-    write_documents(args.out, docs)
-    if args.stats:
-        write_json(args.stats, stats.to_dict())
+    stats = run_ingest_stage([(path, args.kind) for path in args.inputs], args.out, args.stats, args.tokenizer)
     print(f"ingested {stats.total_documents} docs, {stats.total_tokens} tokens ({stats.tokenizer}); "
           f"failures: {sum(stats.failures.values())}")
     return EXIT_OK
@@ -156,10 +148,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_filter(args) -> int:
     cfg = FilterConfig.from_dict(read_json(args.config)) if args.config else FilterConfig()
-    docs = read_documents(args.input)
-    kept, report = run_filters(docs, cfg)
-    write_documents(args.out, kept)
-    write_json(args.report, report.to_dict())
+    report = run_filter_stage(args.input, cfg, args.out, args.report)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops})")
     return EXIT_OK
@@ -167,47 +156,26 @@ def _cmd_filter(args) -> int:
 
 def _cmd_dedup(args) -> int:
     cfg = DedupConfig.from_dict(read_json(args.config)) if args.config else DedupConfig()
-    docs = read_documents(args.input)
-    unique, pairs, report = run_dedup(docs, cfg, tokenizer=args.tokenizer)
-    write_documents(args.out, unique)
-    write_jsonl(args.pairs, (p.to_dict() for p in pairs))
+    report = run_dedup_stage(args.input, cfg, args.out, args.pairs, None, args.tokenizer)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops}); {report.pairs} near-dup pairs")
     return EXIT_OK
 
 
 def _cmd_mix(args) -> int:
-    domain = [obj for _, obj in read_jsonl(args.domain)]
-    if args.mode == "mip":
+    if args.mode == MODE_MIP:
         if args.general:
             raise ConfigError("mip mode takes no general data")
         if not args.instructions:
             raise ConfigError("mip mode requires --instructions")
-        instructions = [s.to_dict() for s in read_instruction_samples(args.instructions)]
-        mixed = build_mip(domain, instructions, seed=args.seed)
-        write_jsonl(args.out, mixed)
-        if args.report:
-            write_json(args.report, {
-                "mode": "mip",
-                "seed": args.seed,
-                "pretrain_count": len(domain),
-                "instruction_count": len(instructions),
-                "total_tokens": sum(record_tokens(r, args.tokenizer) for r in mixed),
-                "tokenizer": args.tokenizer,
-            })
-        print(f"mip set: {len(mixed)} records")
-        return EXIT_OK
-    ratio_domain, ratio_general = MixPlan.parse_ratio(args.ratio)
-    if ratio_domain != 1:
-        raise ConfigError("ratio must have domain part 1")
-    plan = MixPlan(ratio_general=ratio_general, mode=args.mode, seed=args.seed, unit=args.unit)
-    general = [obj for _, obj in read_jsonl(args.general)] if args.general else []
-    mixed, report = mix(domain, general, plan, tokenizer=args.tokenizer, allow_short=args.allow_short)
-    write_jsonl(args.out, mixed)
-    if args.report:
-        write_json(args.report, report.to_dict())
-    print(f"mixed {report.domain_count} domain + {report.general_count} general "
-          f"(achieved ratio {report.achieved_ratio:.4f}, target 1:{ratio_general})")
+    plan = mix_plan(args.ratio, args.mode, args.seed, args.unit)
+    report = run_mix_stage(args.domain, plan, args.out, args.report, general_path=args.general,
+                           instructions_path=args.instructions, tokenizer=args.tokenizer, allow_short=args.allow_short)
+    if plan.mode == MODE_MIP:
+        print(f"mip set: {report['pretrain_count'] + report['instruction_count']} records")
+    else:
+        print(f"mixed {report['domain_count']} domain + {report['general_count']} general "
+              f"(achieved ratio {report['achieved_ratio']:.4f}, target 1:{report['ratio_general']})")
     return EXIT_OK
 
 
@@ -218,23 +186,10 @@ def _cmd_emit_config(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    kind = args.kind.replace("-", "_")
-    endpoint = EndpointConfig.from_json(args.endpoint)
-    transport = OfflineTransport() if args.replay_only else None
-    client = ChatClient(endpoint, transport)
-    docs = read_documents(args.knowledge)
-    archive = ResponseArchive(args.archive or f"{args.out}.archive")
-    template = load_template(kind, body_path=args.template, categories_path=args.categories)
-    items, report = batch_generate(
-        docs, [kind], client,
-        budget=args.budget,
-        archive=archive,
-        templates={kind: template},
-        lenient=args.lenient,
-    )
-    write_jsonl(args.out, (it.to_dict() for it in items))
-    if args.report:
-        write_json(args.report, report.to_dict())
+    client = ChatClient(EndpointConfig.from_json(args.endpoint), OfflineTransport() if args.replay_only else None)
+    report = run_gen_stage(args.knowledge, args.kind.replace("-", "_"), client, args.budget,
+                           args.archive or f"{args.out}.archive", args.out, args.report,
+                           template=args.template, categories=args.categories, lenient=args.lenient)
     print(f"accepted {report.accepted}, rejected {report.rejected_total}, "
           f"sent {report.requests_sent}, replayed {report.replayed}")
     if report.budget_exhausted:
@@ -243,26 +198,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    dataset = load_dataset(args.dataset)
-    endpoint = EndpointConfig.from_json(args.endpoint)
     labels = {}
     if args.label_model:
         labels["model"] = args.label_model
     if args.label_ratio:
         labels["ratio"] = args.label_ratio
-    reports = []
-    for shots_text in args.shots.split(","):
-        cfg = EvalRunConfig(
-            shots=int(shots_text),
-            extraction=args.extraction,
-            seed=args.seed,
-            endpoint=endpoint,
-        )
-        report = run_eval(dataset, cfg, labels=labels)
-        print(f"shots={cfg.shots}: micro={report.overall_micro} macro={report.overall_macro}")
-        reports.append(report)
-    best = best_of_settings(reports)
-    best.save(args.out)
+    shots = [int(text) for text in args.shots.split(",")]
+    best, reports = run_eval_stage(args.dataset, EndpointConfig.from_json(args.endpoint), shots, args.seed, args.out,
+                                   labels=labels)
+    for report in reports:
+        print(f"shots={report.config['shots']}: micro={report.overall_micro} macro={report.overall_macro}")
     print(f"best setting: shots={best.config['shots']} micro={best.overall_micro}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,6 +65,9 @@ class DedupConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DedupConfig":
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown dedup config keys: {sorted(unknown)}")
         return cls(**obj)
 
 

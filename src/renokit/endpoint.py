@@ -12,14 +12,14 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 import requests
 
-from .errors import EndpointError, LogprobUnsupported
+from .errors import EndpointError
 from .jsonl import read_json, write_json
 
 Message = dict  # {"role": ..., "content": ...}
@@ -45,6 +45,9 @@ class EndpointConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EndpointConfig":
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown endpoint config keys: {sorted(unknown)}")
         return cls(**obj)
 
     @classmethod
@@ -144,12 +147,6 @@ class ChatClient:
 
     def complete(self, messages: Sequence[Message]) -> Completion:
         return self.transport.complete(self.cfg.model_name, messages, self.cfg.temperature)
-
-    def score_options(self, messages: Sequence[Message], options: Sequence[str]) -> dict[str, float]:
-        scorer = getattr(self.transport, "score_options", None)
-        if scorer is None:
-            raise LogprobUnsupported(f"transport {type(self.transport).__name__} cannot score options")
-        return scorer(self.cfg.model_name, messages, options)
 
 
 def request_id(model: str, messages: Sequence[Message], temperature: float) -> str:

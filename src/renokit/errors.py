@@ -113,10 +113,6 @@ class ExemplarLeakage(RenokitError):
     """The scored item appeared among its own exemplars."""
 
 
-class LogprobUnsupported(RenokitError):
-    """Endpoint cannot score options; option_logprob extraction unavailable."""
-
-
 class DatasetMismatch(RenokitError):
     """Reports being compared were not produced from the same dataset."""
 

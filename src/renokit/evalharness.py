@@ -20,15 +20,12 @@ from .errors import (
     EndpointError,
     ExemplarLeakage,
     ExemplarShortfall,
-    LogprobUnsupported,
     SchemaError,
 )
 from .jsonl import read_jsonl, write_json
 from .sftgen import MCQItem
 
 EXTRACT_LETTER = "letter_regex"
-EXTRACT_LOGPROB = "option_logprob"
-EXTRACTIONS = (EXTRACT_LETTER, EXTRACT_LOGPROB)
 
 SPLIT_DEV = "dev"
 SPLIT_TEST = "test"
@@ -156,29 +153,14 @@ def _standalone_at(raw: str, i: int) -> bool:
     return not embedded
 
 
-def extract_answer(
-    raw: str,
-    options: dict[str, str],
-    mode: str = EXTRACT_LETTER,
-    scores: dict[str, float] | None = None,
-) -> str | None:
-    """Option letter or None (abstain).
-
-    letter_regex: first option-key letter scanning left to right that is not
-    embedded in a longer ASCII word. option_logprob: argmax of the supplied
-    per-option scores.
-    """
-    if mode == EXTRACT_LETTER:
-        keys = set(options)
-        for i, ch in enumerate(raw):
-            if ch in keys and _standalone_at(raw, i):
-                return ch
-        return None
-    if mode == EXTRACT_LOGPROB:
-        if scores is None:
-            raise LogprobUnsupported("no per-option scores supplied")
-        return max(sorted(options), key=lambda letter: scores.get(letter, float("-inf")))
-    raise ValueError(f"unknown extraction mode {mode!r}")
+def extract_answer(raw: str, options: dict[str, str]) -> str | None:
+    """Option letter or None (abstain): the first option-key letter scanning
+    left to right that is not embedded in a longer ASCII word."""
+    keys = set(options)
+    for i, ch in enumerate(raw):
+        if ch in keys and _standalone_at(raw, i):
+            return ch
+    return None
 
 
 # --- evaluation run ----------------------------------------------------------------
@@ -188,7 +170,6 @@ def extract_answer(
 class EvalRunConfig:
     shots: int = 5
     exemplar_source: str = SPLIT_DEV
-    extraction: str = EXTRACT_LETTER
     seed: int = 0
     endpoint: EndpointConfig | None = None
     header: str = DEFAULT_HEADER
@@ -196,14 +177,12 @@ class EvalRunConfig:
     def __post_init__(self):
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
-        if self.extraction not in EXTRACTIONS:
-            raise ValueError(f"extraction must be one of {EXTRACTIONS}")
 
     def echo(self) -> dict:
         return {
             "shots": self.shots,
             "exemplar_source": self.exemplar_source,
-            "extraction": self.extraction,
+            "extraction": EXTRACT_LETTER,
             "seed": self.seed,
             "model": self.endpoint.model_name if self.endpoint else None,
         }
@@ -288,25 +267,13 @@ def run_eval(
         exemplars = select_exemplars(dataset, entry, cfg.shots, cfg.exemplar_source) if cfg.shots else []
         messages = build_prompt(entry.item, exemplars, cfg.shots, header=cfg.header)
         error = None
-        raw = ""
         extracted = None
-        if cfg.extraction == EXTRACT_LOGPROB:
-            try:
-                option_scores = client.score_options(messages, sorted(entry.item.options))
-                extracted = extract_answer(raw, entry.item.options, EXTRACT_LOGPROB, option_scores)
-                raw = f"<option scores: {option_scores}>"
-            except EndpointError as exc:
-                error = str(exc)
-        else:
-            try:
-                completion = client.complete(messages)
-                raw = completion.text
-                extracted = extract_answer(raw, entry.item.options)
-            except EndpointError as exc:
-                error = str(exc)
-        if error is not None:
+        try:
+            raw = client.complete(messages).text
+            extracted = extract_answer(raw, entry.item.options)
+        except EndpointError as exc:
+            error = str(exc)
             raw = f"<endpoint error: {error}>"
-            extracted = None
         return {
             "item_id": entry.item_id,
             "raw_response": raw,

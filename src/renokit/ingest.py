@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import html
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
@@ -295,44 +294,39 @@ class PipelineStats:
 def ingest_stream(
     records: Iterable[RawRecord],
     tokenizer: str = DEFAULT_TOKENIZER,
-    workers: int = 1,
 ) -> tuple[list[Document], PipelineStats]:
     """Extract every record, collecting per-record failures instead of raising.
 
-    Output is sorted by doc_id, so the result is identical for any worker
-    count or input order of the same record multiset.
+    Output is sorted by doc_id, so the result is identical for any input
+    order of the same record multiset.
     """
-
-    def one(record: RawRecord):
-        try:
-            return extract_text(record, tokenizer)
-        except DecodeError:
-            return "decode_error"
-        except EmptyAfterExtraction:
-            return "empty_after_extraction"
-
-    records = list(records)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, records))
-    else:
-        results = [one(r) for r in records]
-
     stats = PipelineStats(tokenizer=tokenizer)
     docs: list[Document] = []
-    for outcome in results:
-        if isinstance(outcome, Document):
-            docs.append(outcome)
-            stats.add_document(outcome)
-        else:
-            stats.add_failure(outcome)
+    for record in records:
+        try:
+            doc = extract_text(record, tokenizer)
+        except DecodeError:
+            stats.add_failure("decode_error")
+            continue
+        except EmptyAfterExtraction:
+            stats.add_failure("empty_after_extraction")
+            continue
+        docs.append(doc)
+        stats.add_document(doc)
     docs.sort(key=lambda d: d.doc_id)
     return docs, stats
 
 
 # --- file readers / writers --------------------------------------------------
 
-_HTML_SUFFIXES = {".html", ".htm", ".xhtml"}
+
+def source_files(path: str | Path) -> list[Path]:
+    """The files `records_from_path` reads for `path`: the path itself, or
+    every file under a directory in sorted order, dotfiles skipped."""
+    path = Path(path)
+    if not path.is_dir():
+        return [path]
+    return [f for child in sorted(path.iterdir()) if not child.name.startswith(".") for f in source_files(child)]
 
 
 def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
@@ -341,25 +335,20 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
     JSONL files carry one record per line ({"id","text","kind","uri"}, kind
     optional); anything else is read whole as a single record.
     """
-    path = Path(path)
-    if path.is_dir():
-        for child in sorted(path.iterdir()):
-            if not child.name.startswith("."):
-                yield from records_from_path(child, kind)
-        return
-    if path.suffix.lower() == ".jsonl":
-        for lineno, obj in read_jsonl(path):
-            text = obj.get("text")
-            if not isinstance(text, str):
-                raise SchemaError(f"{path}: line {lineno}: missing 'text'", line=lineno)
-            yield RawRecord(
-                source_id=str(obj.get("id") or f"{path.name}:{lineno}"),
-                source_kind=obj.get("kind") or kind,
-                payload=text.encode("utf-8"),
-                uri=obj.get("uri"),
-            )
-    else:
-        yield RawRecord(source_id=path.name, source_kind=kind, payload=path.read_bytes())
+    for file in source_files(path):
+        if file.suffix.lower() == ".jsonl":
+            for lineno, obj in read_jsonl(file):
+                text = obj.get("text")
+                if not isinstance(text, str):
+                    raise SchemaError(f"{file}: line {lineno}: missing 'text'", line=lineno)
+                yield RawRecord(
+                    source_id=str(obj.get("id") or f"{file.name}:{lineno}"),
+                    source_kind=obj.get("kind") or kind,
+                    payload=text.encode("utf-8"),
+                    uri=obj.get("uri"),
+                )
+        else:
+            yield RawRecord(source_id=file.name, source_kind=kind, payload=file.read_bytes())
 
 
 def write_documents(path: str | Path, docs: Sequence[Document]) -> int:

@@ -1,9 +1,11 @@
-"""End-to-end pipeline runner with a digest-chained manifest.
+"""End-to-end pipeline runner with a digest-chained manifest, and the one
+implementation of each stage that both the runner and the CLI call.
 
 Each stage records the sha256 of its inputs, outputs, and config in an
 append-only manifest. A resumed run re-verifies those digests: a matching
-stage is skipped, a tampered intermediate file is an error rather than a
-silent recompute.
+stage is skipped, a file that a later run of an earlier stage rewrote is
+stale and recomputed, and a file that matches no recorded output is an error
+rather than a silent recompute.
 """
 
 from __future__ import annotations
@@ -12,25 +14,27 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import __version__
-from .dedup import DedupConfig, run_dedup
+from .dedup import DedupConfig, DedupReport, run_dedup
 from .errors import BudgetExhausted, ConfigError, StageFailure, UnknownSchema
 from .endpoint import ChatClient, EndpointConfig, ResponseArchive, utc_now_iso
-from .evalharness import EvalRunConfig, best_of_settings, load_dataset, run_eval
-from .filters import FilterConfig, run_filters
+from .evalharness import EvalReport, EvalRunConfig, best_of_settings, load_dataset, run_eval
+from .filters import FilterConfig, FilterReport, run_filters
 from .ingest import (
     DOMAIN_KINDS,
     SOURCE_KINDS,
+    PipelineStats,
     ingest_stream,
     read_documents,
     records_from_path,
+    source_files,
     write_documents,
 )
 from .jsonl import read_json, read_jsonl, write_json, write_jsonl
-from .mixer import MixPlan, build_mip, emit_trainer_config, mix, record_tokens
-from .sftgen import DIFFICULTIES, batch_generate, load_template, read_instruction_samples
+from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, record_tokens
+from .sftgen import DIFFICULTIES, GenReport, batch_generate, load_template, read_instruction_samples
 from .tokenizers import DEFAULT_TOKENIZER
 
 STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
@@ -46,6 +50,113 @@ def file_digest(path: str | Path) -> str:
 
 def config_digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+# --- stages -------------------------------------------------------------------
+# PipelineRunner.stage_<x> and the CLI subcommand <x> both call run_<x>_stage:
+# it reads the inputs, calls the layer, writes the artifacts, returns the report.
+
+
+def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path, stats_path, tokenizer: str) -> PipelineStats:
+    """Ingest (path, kind) sources into one document file sorted by doc_id."""
+    records = [r for path, kind in sources for r in records_from_path(path, kind)]
+    docs, stats = ingest_stream(records, tokenizer=tokenizer)
+    write_documents(docs_path, docs)
+    if stats_path:
+        write_json(stats_path, stats.to_dict())
+    return stats
+
+
+def run_filter_stage(docs_path, cfg: FilterConfig, kept_path, report_path) -> FilterReport:
+    kept, report = run_filters(read_documents(docs_path), cfg)
+    write_documents(kept_path, kept)
+    write_json(report_path, report.to_dict())
+    return report
+
+
+def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report_path, tokenizer: str) -> DedupReport:
+    unique, pairs, report = run_dedup(read_documents(kept_path), cfg, tokenizer=tokenizer)
+    write_documents(unique_path, unique)
+    write_jsonl(pairs_path, (p.to_dict() for p in pairs))
+    if report_path:
+        write_json(report_path, report.to_dict())
+    return report
+
+
+def mix_plan(ratio: str, mode: str, seed: int, unit: str) -> MixPlan:
+    """MixPlan for a "1:k" ratio string; the domain part must be 1."""
+    ratio_domain, ratio_general = MixPlan.parse_ratio(ratio)
+    if ratio_domain != 1:
+        raise ConfigError("mix ratio must have domain part 1")
+    return MixPlan(ratio_general=ratio_general, mode=mode, seed=seed, unit=unit)
+
+
+def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, general_path=None,
+                  instructions_path=None, tokenizer: str, allow_short: bool = False) -> dict:
+    """Build one training set and return its report.
+
+    Records of `domain_path` with source_kind "general" join the general pool,
+    followed by every record of `general_path`; all others are domain data.
+    MIP mode unions the domain records with the instruction samples and uses
+    no general data.
+    """
+    domain: list[dict] = []
+    general: list[dict] = []
+    for _, rec in read_jsonl(domain_path):
+        (general if rec.get("source_kind") == "general" else domain).append(rec)
+    if plan.mode == MODE_MIP:
+        instructions = [s.to_dict() for s in read_instruction_samples(instructions_path)]
+        mixed = build_mip(domain, instructions, seed=plan.seed)
+        report = {
+            "mode": MODE_MIP,
+            "seed": plan.seed,
+            "pretrain_count": len(domain),
+            "instruction_count": len(instructions),
+            "total_tokens": sum(record_tokens(r, tokenizer) for r in mixed),
+            "tokenizer": tokenizer,
+        }
+    else:
+        if general_path:
+            general.extend(rec for _, rec in read_jsonl(general_path))
+        mixed, mix_report = mix(domain, general, plan, tokenizer=tokenizer, allow_short=allow_short)
+        report = mix_report.to_dict()
+    write_jsonl(train_path, mixed)
+    if report_path:
+        write_json(report_path, report)
+    return report
+
+
+def run_gen_stage(knowledge_path, kind: str, client: ChatClient, budget: int, archive_dir, sft_path, report_path, *,
+                  template=None, categories=None, lenient: bool = False) -> GenReport:
+    """Generate `kind` samples from the domain documents of `knowledge_path`.
+
+    On budget exhaustion the partial output is still written and the report
+    has `budget_exhausted` set; the caller decides how to fail.
+    """
+    docs = [d for d in read_documents(knowledge_path) if d.source_kind in DOMAIN_KINDS]
+    templates = {kind: load_template(kind, body_path=template, categories_path=categories)}
+    items, report = batch_generate(docs, [kind], client, budget=budget, archive=ResponseArchive(archive_dir),
+                                   templates=templates, lenient=lenient)
+    write_jsonl(sft_path, (it.to_dict() for it in items))
+    if report_path:
+        write_json(report_path, report.to_dict())
+    return report
+
+
+def run_eval_stage(dataset_path, endpoint: EndpointConfig, shots: Sequence[int], seed: int, report_path, *,
+                   transport=None, labels: dict | None = None) -> tuple[EvalReport, list[EvalReport]]:
+    """Evaluate at each shot count and save the best report; returns it and the per-setting reports."""
+    dataset = load_dataset(dataset_path)
+    reports = [
+        run_eval(dataset, EvalRunConfig(shots=int(k), seed=seed, endpoint=endpoint), transport=transport, labels=labels)
+        for k in shots
+    ]
+    best = best_of_settings(reports)
+    best.save(report_path)
+    return best, reports
+
+
+# --- manifest -----------------------------------------------------------------
 
 
 @dataclass
@@ -112,10 +223,6 @@ class PipelineManifest:
         return merged
 
 
-def _doc_records(path: Path) -> list[dict]:
-    return [obj for _, obj in read_jsonl(path)]
-
-
 class PipelineRunner:
     """Executes ingest -> filter -> dedup -> mix (plus optional gen/eval)
     from one JSON config.
@@ -148,6 +255,12 @@ class PipelineRunner:
         p = Path(rel)
         return p if p.is_absolute() else self.config_dir / p
 
+    def _resolve_opt(self, rel: str | None) -> str | None:
+        return str(self._resolve(rel)) if rel else None
+
+    def _out(self, *names: str) -> list[Path]:
+        return [self.out_dir / name for name in names]
+
     def _stage_digest(self, stage: str) -> str:
         scoped = {
             "stage_config": self.config.get(stage if stage != "filter" else "filters", {}),
@@ -157,27 +270,37 @@ class PipelineRunner:
         }
         return config_digest(scoped)
 
-    def _can_skip(self, stage: str, digest: str) -> bool:
+    def _can_skip(self, stage: str, digest: str, inputs: list[Path]) -> bool:
+        """On resume, skip a stage whose config, input files and recorded digests
+        are unchanged. A file holding the latest output the manifest records for
+        its path was rewritten by an earlier stage's rerun: it is stale and the
+        stage reruns. A file matching no recorded output is refused."""
         if not self.resume:
             return False
         record = self.manifest.latest(stage)
-        if record is None or record.config_digest != digest:
+        if record is None or record.config_digest != digest or set(record.inputs) != {str(p) for p in inputs}:
             return False
+        latest_outputs = self.manifest.output_digests()
+        fresh = True
         for path_str, want in {**record.inputs, **record.outputs}.items():
             path = Path(path_str)
             if not path.exists():
                 return False
-            if file_digest(path) != want:
+            have = file_digest(path)
+            if have == want:
+                continue
+            if have != latest_outputs.get(path_str):
                 raise StageFailure(stage, f"digest mismatch for {path} (file changed since last run)")
-        return True
+            fresh = False
+        return fresh
 
-    def _run_stage(self, stage: str, inputs: list[Path], action: Callable[[], list[Path]]) -> None:
+    def _run_stage(self, stage: str, inputs: list[Path], outputs: list[Path], action: Callable[[], object]) -> None:
         digest = self._stage_digest(stage)
-        if self._can_skip(stage, digest):
+        if self._can_skip(stage, digest, inputs):
             return
         started = utc_now_iso()
         try:
-            outputs = action()
+            action()
         except (StageFailure, BudgetExhausted):
             raise
         except Exception as exc:
@@ -200,118 +323,51 @@ class PipelineRunner:
         cfg = self.config.get("ingest")
         if not cfg or not cfg.get("inputs"):
             raise ConfigError("config.ingest.inputs is required")
-        input_paths = []
+        sources = []
         for spec in cfg["inputs"]:
             kind = spec.get("kind")
             if kind not in SOURCE_KINDS:
                 raise ConfigError(f"ingest input kind must be one of {SOURCE_KINDS}, got {kind!r}")
             if "path" not in spec:
                 raise ConfigError("every ingest input needs a 'path'")
-            input_paths.append(self._resolve(spec["path"]))
-
-        def action() -> list[Path]:
-            records = []
-            for spec, path in zip(cfg["inputs"], input_paths):
-                records.extend(records_from_path(path, spec["kind"]))
-            docs, stats = ingest_stream(records, tokenizer=self.tokenizer, workers=int(cfg.get("workers", 1)))
-            docs_path = self.out_dir / "docs.jsonl"
-            stats_path = self.out_dir / "ingest_stats.json"
-            write_documents(docs_path, docs)
-            write_json(stats_path, stats.to_dict())
-            return [docs_path, stats_path]
-
-        self._run_stage("ingest", input_paths, action)
+            sources.append((self._resolve(spec["path"]), kind))
+        files = [f for path, _ in sources for f in source_files(path)]
+        docs, stats = outputs = self._out("docs.jsonl", "ingest_stats.json")
+        self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(sources, docs, stats, self.tokenizer))
 
     def stage_filter(self) -> None:
         cfg = self.config.get("filters", {})
         filter_cfg = FilterConfig.from_dict(
             {**cfg, "sensitive_word_list": self._resolve_opt(cfg.get("sensitive_word_list"))}
         )
-        docs_path = self.out_dir / "docs.jsonl"
-
-        def action() -> list[Path]:
-            docs = read_documents(docs_path)
-            kept, report = run_filters(docs, filter_cfg)
-            kept_path = self.out_dir / "kept.jsonl"
-            report_path = self.out_dir / "filter_report.json"
-            write_documents(kept_path, kept)
-            write_json(report_path, report.to_dict())
-            return [kept_path, report_path]
-
-        self._run_stage("filter", [docs_path], action)
-
-    def _resolve_opt(self, rel: str | None) -> str | None:
-        return str(self._resolve(rel)) if rel else None
+        docs, kept, report = self._out("docs.jsonl", "kept.jsonl", "filter_report.json")
+        self._run_stage("filter", [docs], [kept, report], lambda: run_filter_stage(docs, filter_cfg, kept, report))
 
     def stage_dedup(self) -> None:
         cfg = DedupConfig.from_dict(self.config.get("dedup", {}))
-        kept_path = self.out_dir / "kept.jsonl"
-
-        def action() -> list[Path]:
-            docs = read_documents(kept_path)
-            unique, pairs, report = run_dedup(docs, cfg, tokenizer=self.tokenizer)
-            unique_path = self.out_dir / "unique.jsonl"
-            pairs_path = self.out_dir / "dup_pairs.jsonl"
-            report_path = self.out_dir / "dedup_report.json"
-            write_documents(unique_path, unique)
-            write_jsonl(pairs_path, (p.to_dict() for p in pairs))
-            write_json(report_path, report.to_dict())
-            return [unique_path, pairs_path, report_path]
-
-        self._run_stage("dedup", [kept_path], action)
+        kept, *outputs = self._out("kept.jsonl", "unique.jsonl", "dup_pairs.jsonl", "dedup_report.json")
+        self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, cfg, *outputs, self.tokenizer))
 
     def stage_mix(self) -> None:
         cfg = self.config.get("mix")
         if not cfg:
             return
-        ratio_domain, ratio_general = MixPlan.parse_ratio(cfg.get("ratio", "1:0"))
-        if ratio_domain != 1:
-            raise ConfigError("mix ratio must have domain part 1")
-        plan = MixPlan(
-            ratio_general=ratio_general,
-            mode=cfg.get("mode", "dapt"),
-            seed=int(cfg.get("seed", self.seed)),
-            unit=cfg.get("unit", "tokens"),
-        )
-        unique_path = self.out_dir / "unique.jsonl"
-        inputs = [unique_path]
-        instructions_path = self._resolve_opt(cfg.get("instructions"))
-        if plan.mode == "mip":
-            if not instructions_path:
+        plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), int(cfg.get("seed", self.seed)),
+                        cfg.get("unit", "tokens"))
+        unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
+        inputs = [unique]
+        instructions = self._resolve_opt(cfg.get("instructions"))
+        if plan.mode == MODE_MIP:
+            if not instructions:
                 raise ConfigError("mix.instructions is required in mip mode")
-            inputs.append(Path(instructions_path))
+            inputs.append(Path(instructions))
 
-        def action() -> list[Path]:
-            records = _doc_records(unique_path)
-            domain = [r for r in records if r.get("source_kind") in DOMAIN_KINDS]
-            general = [r for r in records if r.get("source_kind") == "general"]
-            train_path = self.out_dir / "train.jsonl"
-            report_path = self.out_dir / "mix_report.json"
-            trainer_path = self.out_dir / "trainer_config.json"
-            if plan.mode == "mip":
-                instructions = [s.to_dict() for s in read_instruction_samples(instructions_path)]
-                mixed = build_mip(domain, instructions, seed=plan.seed)
-                report = {
-                    "mode": "mip",
-                    "seed": plan.seed,
-                    "pretrain_count": len(domain),
-                    "instruction_count": len(instructions),
-                    "total_tokens": sum(record_tokens(r, self.tokenizer) for r in mixed),
-                    "tokenizer": self.tokenizer,
-                }
-            else:
-                mixed, mix_report = mix(
-                    domain, general, plan,
-                    tokenizer=self.tokenizer,
-                    allow_short=bool(cfg.get("allow_short", False)),
-                )
-                report = mix_report.to_dict()
-            write_jsonl(train_path, mixed)
-            write_json(report_path, report)
-            emit_trainer_config(plan.mode, trainer_path)
-            return [train_path, report_path, trainer_path]
+        def action() -> None:
+            run_mix_stage(unique, plan, train, report, instructions_path=instructions, tokenizer=self.tokenizer,
+                          allow_short=bool(cfg.get("allow_short", False)))
+            emit_trainer_config(plan.mode, trainer)
 
-        self._run_stage("mix", inputs, action)
+        self._run_stage("mix", inputs, [train, report, trainer], action)
 
     def stage_gen(self) -> None:
         cfg = self.config.get("gen")
@@ -323,36 +379,18 @@ class PipelineRunner:
         endpoint_path = self._resolve(cfg["endpoint"])
         endpoint = EndpointConfig.from_json(endpoint_path)
         kind = str(cfg.get("kind", "one_turn")).replace("-", "_")
-        unique_path = self.out_dir / "unique.jsonl"
+        unique, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
 
-        def action() -> list[Path]:
-            docs = read_documents(unique_path)
-            domain_docs = [d for d in docs if d.source_kind in DOMAIN_KINDS]
-            client = ChatClient(endpoint, self.gen_transport)
-            archive = ResponseArchive(self.out_dir / "gen_archive")
-            template = load_template(
-                kind,
-                body_path=self._resolve_opt(cfg.get("template")),
-                categories_path=self._resolve_opt(cfg.get("categories")),
+        def action() -> None:
+            gen_report = run_gen_stage(
+                unique, kind, ChatClient(endpoint, self.gen_transport), int(cfg["budget"]), self.out_dir / "gen_archive",
+                sft, report, template=self._resolve_opt(cfg.get("template")),
+                categories=self._resolve_opt(cfg.get("categories")), lenient=bool(cfg.get("lenient", False)),
             )
-            items, report = batch_generate(
-                domain_docs, [kind], client,
-                budget=int(cfg["budget"]),
-                archive=archive,
-                templates={kind: template},
-                lenient=bool(cfg.get("lenient", False)),
-            )
-            sft_path = self.out_dir / "sft.jsonl"
-            report_path = self.out_dir / "gen_report.json"
-            write_jsonl(sft_path, (it.to_dict() for it in items))
-            write_json(report_path, report.to_dict())
-            if report.budget_exhausted:
-                raise BudgetExhausted(
-                    "generation budget exhausted; partial sft.jsonl written, archive is resumable"
-                )
-            return [sft_path, report_path]
+            if gen_report.budget_exhausted:
+                raise BudgetExhausted("generation budget exhausted; partial sft.jsonl written, archive is resumable")
 
-        self._run_stage("gen", [unique_path, endpoint_path], action)
+        self._run_stage("gen", [unique, endpoint_path], [sft, report], action)
 
     def stage_eval(self) -> None:
         cfg = self.config.get("eval")
@@ -364,27 +402,10 @@ class PipelineRunner:
         dataset_path = self._resolve(cfg["dataset"])
         endpoint_path = self._resolve(cfg["endpoint"])
         endpoint = EndpointConfig.from_json(endpoint_path)
-        shots_list = cfg.get("shots", [0, 5])
-
-        def action() -> list[Path]:
-            dataset = load_dataset(dataset_path)
-            reports = []
-            for shots in shots_list:
-                run_cfg = EvalRunConfig(
-                    shots=int(shots),
-                    extraction=cfg.get("extraction", "letter_regex"),
-                    seed=self.seed,
-                    endpoint=endpoint,
-                )
-                reports.append(
-                    run_eval(dataset, run_cfg, transport=self.eval_transport, labels=cfg.get("labels", {}))
-                )
-            best = best_of_settings(reports)
-            report_path = self.out_dir / "eval_report.json"
-            best.save(report_path)
-            return [report_path]
-
-        self._run_stage("eval", [dataset_path, endpoint_path], action)
+        report = self.out_dir / "eval_report.json"
+        self._run_stage("eval", [dataset_path, endpoint_path], [report], lambda: run_eval_stage(
+            dataset_path, endpoint, cfg.get("shots", [0, 5]), self.seed, report,
+            transport=self.eval_transport, labels=cfg.get("labels", {})))
 
     def run(self) -> PipelineManifest:
         self.stage_ingest()

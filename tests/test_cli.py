@@ -26,6 +26,15 @@ def corpus_dir(tmp_path):
     return raw
 
 
+def _directory_config(tmp_path):
+    """The pipeline fixture with its whole raw/ directory as one ingest input."""
+    config_path = write_pipeline_fixture(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["ingest"]["inputs"] = [{"path": "raw", "kind": "domain_book"}]
+    config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    return config_path
+
+
 class TestStageCommands:
     def test_ingest_filter_dedup_mix_chain(self, tmp_path, corpus_dir):
         docs = tmp_path / "docs.jsonl"
@@ -167,6 +176,32 @@ class TestPipelineRun:
         with pytest.raises(StageFailure, match="digest mismatch"):
             run_pipeline(config, tmp_path / "out", resume=True)
 
+    def test_directory_input_runs_and_resumes(self, tmp_path):
+        config = _directory_config(tmp_path)
+        m1 = run_pipeline(config, tmp_path / "out")
+        raw_files = sorted(str(p) for p in (tmp_path / "raw").iterdir())
+        assert sorted(m1.latest("ingest").inputs) == raw_files
+        n_records = len(m1.records)
+        m2 = run_pipeline(config, tmp_path / "out", resume=True)
+        assert len(m2.records) == n_records
+        # a file added to the directory changes the input set: ingest reruns
+        (tmp_path / "raw" / "extra.txt").write_text("新增的一篇装修文章，介绍吊顶的安装步骤与验收要点。" * 3, encoding="utf-8")
+        m3 = run_pipeline(config, tmp_path / "out", resume=True)
+        assert str(tmp_path / "raw" / "extra.txt") in m3.latest("ingest").inputs
+
+    def test_resume_recomputes_stale_files(self, tmp_path):
+        config_path = write_pipeline_fixture(tmp_path)
+        run_pipeline(config_path, tmp_path / "out")
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["filters"]["min_effective_chars"] = 160
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        resumed = run_pipeline(config_path, tmp_path / "out", resume=True)
+        assert [r.stage for r in resumed.records] == ["ingest", "filter", "dedup", "mix", "filter", "dedup", "mix"]
+        run_pipeline(config_path, tmp_path / "fresh")
+        for name in ("kept.jsonl", "filter_report.json", "unique.jsonl", "dup_pairs.jsonl",
+                     "dedup_report.json", "train.jsonl", "mix_report.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
     def test_cli_run_and_exit_codes(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
         assert run_cli("run", "--config", config, "--out-dir", tmp_path / "out") == 0
@@ -236,6 +271,69 @@ class TestPipelineRun:
         # unreachable endpoint is irrelevant: budget dies first on fresh requests
         assert run_cli("run", "--config", config_path, "--out-dir", tmp_path / "out") == 4
         assert (tmp_path / "out" / "sft.jsonl").exists()
+
+
+class TestCliMatchesRun:
+    def test_stage_commands_write_what_run_writes(self, tmp_path):
+        config_path = _directory_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        run_pipeline(config_path, tmp_path / "run")
+
+        cli = tmp_path / "cli"
+        cli.mkdir()
+        tok = config["tokenizer"]
+        filters = tmp_path / "filters.json"
+        filters.write_text(json.dumps({**config["filters"], "sensitive_word_list": str(tmp_path / "lexicon.txt")}),
+                           encoding="utf-8")
+        dedup = tmp_path / "dedup.json"
+        dedup.write_text(json.dumps(config["dedup"]), encoding="utf-8")
+        mix = config["mix"]
+        assert run_cli("ingest", "--in", tmp_path / "raw", "--kind", "domain_book", "--out", cli / "docs.jsonl",
+                       "--stats", cli / "ingest_stats.json", "--tokenizer", tok) == 0
+        assert run_cli("filter", "--in", cli / "docs.jsonl", "--out", cli / "kept.jsonl",
+                       "--report", cli / "filter_report.json", "--config", filters) == 0
+        assert run_cli("dedup", "--in", cli / "kept.jsonl", "--out", cli / "unique.jsonl",
+                       "--pairs", cli / "dup_pairs.jsonl", "--config", dedup, "--tokenizer", tok) == 0
+        assert run_cli("mix", "--domain", cli / "unique.jsonl", "--ratio", mix["ratio"], "--mode", mix["mode"],
+                       "--unit", mix["unit"], "--seed", mix["seed"], "--tokenizer", tok,
+                       "--out", cli / "train.jsonl", "--report", cli / "mix_report.json") == 0
+        for name in ("docs.jsonl", "ingest_stats.json", "kept.jsonl", "filter_report.json", "unique.jsonl",
+                     "dup_pairs.jsonl", "train.jsonl", "mix_report.json"):
+            assert (cli / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
+def _exit_code_inputs(tmp_path):
+    write_jsonl(tmp_path / "docs.jsonl", [{
+        "doc_id": "k1", "text": "知识内容样例。", "source_kind": "domain_book",
+        "token_count": 6, "char_count": 7, "status": "retained", "reason": None,
+    }])
+    EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,)).to_json(tmp_path / "ep.json")
+    (tmp_path / "ep_typo.json").write_text('{"base_url": "http://localhost:9", "model": "m"}', encoding="utf-8")
+    (tmp_path / "dedup_typo.json").write_text('{"ngrams": 5}', encoding="utf-8")
+    (tmp_path / "run_missing.json").write_text(json.dumps({
+        "ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]},
+    }), encoding="utf-8")
+
+
+_GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("emit-config", "--mode", "dapt", "--out", "{tmp}/trainer.json"), 0),
+    (("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl",
+      "--config", "{tmp}/dedup_typo.json"), 2),
+    (("dedup", "--in", "{tmp}/missing.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl"), 2),
+    (("ingest", "--in", "{tmp}/missing.txt", "--kind", "domain_book", "--out", "{tmp}/d.jsonl"), 2),
+    (_GEN + ("--endpoint", "{tmp}/ep_typo.json", "--budget", "1"), 2),
+    (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/out"), 3),
+    (_GEN + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
+], ids=["ok", "dedup-config-typo", "dedup-missing-input", "ingest-missing-input", "endpoint-config-typo",
+        "run-stage-failure", "gen-budget-exhausted"])
+def test_exit_codes(tmp_path, capsys, argv, code):
+    _exit_code_inputs(tmp_path)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert (err == "") if code == 0 else err.startswith("error: ")
 
 
 class TestEvalAndSweepCommands:

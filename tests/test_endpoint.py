@@ -12,7 +12,7 @@ from renokit.endpoint import (
     ResponseArchive,
     request_id,
 )
-from renokit.errors import EndpointError, LogprobUnsupported
+from renokit.errors import EndpointError
 
 from mocks import ScriptedTransport
 
@@ -118,11 +118,6 @@ class TestChatClient:
         client = ChatClient(cfg(temperature=0.3), ScriptedTransport(script))
         client.complete([{"role": "user", "content": "x"}])
         assert seen["messages"] == [{"role": "user", "content": "x"}]
-
-    def test_score_options_unsupported(self):
-        client = ChatClient(cfg(), ScriptedTransport(lambda m: "x"))
-        with pytest.raises(LogprobUnsupported):
-            client.score_options([{"role": "user", "content": "x"}], ["A", "B"])
 
 
 class TestRequestId:

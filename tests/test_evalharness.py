@@ -9,7 +9,6 @@ from renokit.errors import (
     DatasetMismatch,
     ExemplarLeakage,
     ExemplarShortfall,
-    LogprobUnsupported,
     SchemaError,
 )
 from renokit.evalharness import (
@@ -124,14 +123,6 @@ class TestExtractAnswer:
 
     def test_restricted_key_set(self):
         assert extract_answer("C还是A？", {"A": "对", "B": "错"}) == "A"
-
-    def test_logprob_argmax(self):
-        scores = {"A": -2.0, "B": -0.5, "C": -1.0, "D": -3.0}
-        assert extract_answer("", self.OPTS, mode="option_logprob", scores=scores) == "B"
-
-    def test_logprob_without_scores(self):
-        with pytest.raises(LogprobUnsupported):
-            extract_answer("", self.OPTS, mode="option_logprob")
 
 
 class TestRunEval:

