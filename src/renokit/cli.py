@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .dedup import DedupConfig
-from .endpoint import ChatClient, EndpointConfig, OfflineTransport
+from .endpoint import EndpointConfig, OfflineTransport
 from .errors import (
     BudgetExhausted,
     ConfigError,
@@ -22,7 +22,6 @@ from .errors import (
     SchemaError,
     StageFailure,
     UnknownSchema,
-    UnknownTokenizer,
 )
 from .evalharness import sweep_report
 from .filters import FilterConfig
@@ -41,7 +40,7 @@ from .pipeline import (
     summarize_artifact,
 )
 from .sftgen import term_frequency_report
-from .tokenizers import DEFAULT_TOKENIZER
+from .tokenizers import TOKENIZER
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,7 +49,7 @@ EXIT_BUDGET = 4
 
 # OSError covers unreadable input and config files named on the command line;
 # inside `run` those surface as StageFailure instead.
-_VALIDATION_ERRORS = (ConfigError, SchemaError, UnknownSchema, UnknownTokenizer, LexiconMissing, ValueError, OSError)
+_VALIDATION_ERRORS = (ConfigError, SchemaError, UnknownSchema, LexiconMissing, ValueError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--kind", choices=SOURCE_KINDS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tokenizer", default=DEFAULT_TOKENIZER)
     p.add_argument("--stats", help="where to write ingest stats JSON")
 
     p = sub.add_parser("filter", help="apply sensitive/language/length filters")
@@ -76,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--config", help="dedup config JSON")
-    p.add_argument("--tokenizer", default=DEFAULT_TOKENIZER)
 
     p = sub.add_parser("mix", help="build a ratio-controlled training set")
     p.add_argument("--domain", required=True)
@@ -89,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--allow-short", action="store_true")
-    p.add_argument("--tokenizer", default=DEFAULT_TOKENIZER)
 
     p = sub.add_parser("emit-config", help="write trainer hyperparameters for a mode")
     p.add_argument("--mode", required=True, choices=("dapt", "sft", "mip"))
@@ -140,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    stats = run_ingest_stage([(path, args.kind) for path in args.inputs], args.out, args.stats, args.tokenizer)
-    print(f"ingested {stats.total_documents} docs, {stats.total_tokens} tokens ({stats.tokenizer}); "
+    stats = run_ingest_stage([(path, args.kind) for path in args.inputs], args.out, args.stats)
+    print(f"ingested {stats.total_documents} docs, {stats.total_tokens} tokens ({TOKENIZER}); "
           f"failures: {sum(stats.failures.values())}")
     return EXIT_OK
 
@@ -156,7 +152,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_dedup(args) -> int:
     cfg = DedupConfig.from_dict(read_json(args.config)) if args.config else DedupConfig()
-    report = run_dedup_stage(args.input, cfg, args.out, args.pairs, None, args.tokenizer)
+    report = run_dedup_stage(args.input, cfg, args.out, args.pairs, None)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops}); {report.pairs} near-dup pairs")
     return EXIT_OK
@@ -170,7 +166,7 @@ def _cmd_mix(args) -> int:
             raise ConfigError("mip mode requires --instructions")
     plan = mix_plan(args.ratio, args.mode, args.seed, args.unit)
     report = run_mix_stage(args.domain, plan, args.out, args.report, general_path=args.general,
-                           instructions_path=args.instructions, tokenizer=args.tokenizer, allow_short=args.allow_short)
+                           instructions_path=args.instructions, allow_short=args.allow_short)
     if plan.mode == MODE_MIP:
         print(f"mip set: {report['pretrain_count'] + report['instruction_count']} records")
     else:
@@ -186,8 +182,8 @@ def _cmd_emit_config(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    client = ChatClient(EndpointConfig.from_json(args.endpoint), OfflineTransport() if args.replay_only else None)
-    report = run_gen_stage(args.knowledge, args.kind.replace("-", "_"), client, args.budget,
+    report = run_gen_stage(args.knowledge, args.kind.replace("-", "_"), EndpointConfig.from_json(args.endpoint),
+                           OfflineTransport() if args.replay_only else None, args.budget,
                            args.archive or f"{args.out}.archive", args.out, args.report,
                            template=args.template, categories=args.categories, lenient=args.lenient)
     print(f"accepted {report.accepted}, rejected {report.rejected_total}, "

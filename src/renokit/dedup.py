@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyShingleSet
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
-from .tokenizers import DEFAULT_TOKENIZER, count_tokens
+from .jsonl import config_from_dict
+from .tokenizers import count_tokens
 
 REASON_EXACT = "exact"
 REASON_NEAR = "near"
@@ -65,10 +66,7 @@ class DedupConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DedupConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown dedup config keys: {sorted(unknown)}")
-        return cls(**obj)
+        return config_from_dict(cls, obj, "dedup config")
 
 
 @dataclass(frozen=True)
@@ -263,11 +261,7 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENTENCE_BOUNDARY.split(text) if part]
 
 
-def sentence_dedup(
-    docs: Sequence[Document],
-    cfg: DedupConfig,
-    tokenizer: str = DEFAULT_TOKENIZER,
-) -> list[Document]:
+def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]:
     """Cap repeats of a normalized sentence across (or within) documents.
 
     Documents are walked in doc_id order; occurrences of a sentence beyond
@@ -297,7 +291,7 @@ def sentence_dedup(
         if changed:
             doc.text = normalize_whitespace("".join(kept_parts))
             doc.char_count = len(doc.text)
-            doc.token_count = count_tokens(doc.text, tokenizer)
+            doc.token_count = count_tokens(doc.text)
         if not doc.text:
             doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)
         else:
@@ -328,11 +322,7 @@ class DedupReport:
         }
 
 
-def run_dedup(
-    docs: Sequence[Document],
-    cfg: DedupConfig,
-    tokenizer: str = DEFAULT_TOKENIZER,
-) -> tuple[list[Document], list[DupPair], DedupReport]:
+def run_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], list[DupPair], DedupReport]:
     """Exact, near, then sentence dedup; survivors become status=retained."""
     report = DedupReport(input=len(docs), tokens_in=sum(d.token_count for d in docs))
     stage1 = exact_dedup(docs)
@@ -340,18 +330,13 @@ def run_dedup(
     stage2, pairs = near_dedup(stage1, cfg)
     report.dropped[REASON_NEAR] = len(stage1) - len(stage2)
     report.pairs = len(pairs)
-    stage3 = sentence_dedup(stage2, cfg, tokenizer)
+    stage3 = sentence_dedup(stage2, cfg)
     report.dropped[REASON_SENTENCE] = len(stage2) - len(stage3)
     for doc in stage3:
         doc.mark(STATUS_RETAINED)
     report.retained = len(stage3)
     report.tokens_out = sum(d.token_count for d in stage3)
     return stage3, pairs, report
-
-
-def lsh_detection_probability(similarity: float, bands: int, rows: int) -> float:
-    """S-curve 1 - (1 - s^rows)^bands for tuning band/row splits."""
-    return 1.0 - (1.0 - similarity**rows) ** bands
 
 
 def estimate_recall(found: Iterable[DupPair], oracle: Iterable[DupPair]) -> float:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -20,7 +20,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .errors import EndpointError
-from .jsonl import read_json, write_json
+from .jsonl import config_from_dict, read_json, write_json
 
 Message = dict  # {"role": ..., "content": ...}
 
@@ -45,10 +45,7 @@ class EndpointConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EndpointConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown endpoint config keys: {sorted(unknown)}")
-        return cls(**obj)
+        return config_from_dict(cls, obj, "endpoint config")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "EndpointConfig":
@@ -92,8 +89,14 @@ class HttpTransport:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
+        self._owns_session = session is None
         self.session = session or requests.Session()
         self.sleep = sleep
+
+    def close(self) -> None:
+        """Close the session if this transport created it; a caller's session stays open."""
+        if self._owns_session:
+            self.session.close()
 
     def _headers(self) -> dict:
         key = os.environ.get(self.cfg.api_key_env, "")
@@ -143,7 +146,13 @@ class OfflineTransport:
 class ChatClient:
     def __init__(self, cfg: EndpointConfig, transport: Transport | None = None):
         self.cfg = cfg
+        self._owns_transport = transport is None
         self.transport = transport or HttpTransport(cfg)
+
+    def close(self) -> None:
+        """Close the transport if this client created it; a caller's transport stays open."""
+        if self._owns_transport:
+            self.transport.close()
 
     def complete(self, messages: Sequence[Message]) -> Completion:
         return self.transport.complete(self.cfg.model_name, messages, self.cfg.temperature)

@@ -18,10 +18,6 @@ class EmptyAfterExtraction(RenokitError):
     """Record carries no usable text once markup, tables, and URLs are gone."""
 
 
-class UnknownTokenizer(RenokitError):
-    """Requested tokenizer name is not registered."""
-
-
 # --- filters --------------------------------------------------------------
 
 

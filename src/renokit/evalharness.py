@@ -10,6 +10,7 @@ round(10000 * correct / total) / 100.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,7 @@ SPLIT_TEST = "test"
 
 ABSTAIN = "abstain"
 
-DEFAULT_HEADER = "以下是选择题，请从给定选项中选出唯一正确的答案。"
+HEADER = "以下是选择题，请从给定选项中选出唯一正确的答案。"
 
 _CONVENTION_NOTES = (
     "answer extraction: first standalone option letter (convention, not prescribed)",
@@ -114,12 +115,7 @@ def format_item_block(item: MCQItem, answer: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def build_prompt(
-    item: MCQItem,
-    exemplars: Sequence[MCQItem],
-    k: int,
-    header: str = DEFAULT_HEADER,
-) -> list[dict]:
+def build_prompt(item: MCQItem, exemplars: Sequence[MCQItem], k: int) -> list[dict]:
     """Instruction header, k worked exemplar blocks, then the target block."""
     if k < 0:
         raise ValueError("shot count must be >= 0")
@@ -129,15 +125,15 @@ def build_prompt(
     for ex in chosen:
         if ex.question == item.question and ex.options == item.options:
             raise ExemplarLeakage(f"scored item appears among exemplars: {item.question[:40]!r}")
-    blocks = [header]
+    blocks = [HEADER]
     blocks.extend(format_item_block(ex, ex.correct_option) for ex in chosen)
     blocks.append(format_item_block(item))
     return [{"role": "user", "content": "\n\n".join(blocks)}]
 
 
-def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int, source_split: str = SPLIT_DEV) -> list[MCQItem]:
-    """First k source-split items in dataset order, skipping the scored item."""
-    pool = [e.item for e in dataset.split_entries(source_split) if e.item_id != entry.item_id]
+def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:
+    """First k dev-split items in dataset order, skipping the scored item."""
+    pool = [e.item for e in dataset.split_entries(SPLIT_DEV) if e.item_id != entry.item_id]
     if len(pool) < k:
         raise ExemplarShortfall(f"dev pool has {len(pool)} items, need {k}")
     return pool[:k]
@@ -169,10 +165,8 @@ def extract_answer(raw: str, options: dict[str, str]) -> str | None:
 @dataclass
 class EvalRunConfig:
     shots: int = 5
-    exemplar_source: str = SPLIT_DEV
     seed: int = 0
     endpoint: EndpointConfig | None = None
-    header: str = DEFAULT_HEADER
 
     def __post_init__(self):
         if self.shots < 0:
@@ -181,7 +175,7 @@ class EvalRunConfig:
     def echo(self) -> dict:
         return {
             "shots": self.shots,
-            "exemplar_source": self.exemplar_source,
+            "exemplar_source": SPLIT_DEV,
             "extraction": EXTRACT_LETTER,
             "seed": self.seed,
             "model": self.endpoint.model_name if self.endpoint else None,
@@ -261,11 +255,10 @@ def run_eval(
     """
     if cfg.endpoint is None:
         raise ValueError("run_eval needs cfg.endpoint")
-    client = ChatClient(cfg.endpoint, transport)
 
     def score(entry: DatasetEntry) -> dict:
-        exemplars = select_exemplars(dataset, entry, cfg.shots, cfg.exemplar_source) if cfg.shots else []
-        messages = build_prompt(entry.item, exemplars, cfg.shots, header=cfg.header)
+        exemplars = select_exemplars(dataset, entry, cfg.shots) if cfg.shots else []
+        messages = build_prompt(entry.item, exemplars, cfg.shots)
         error = None
         extracted = None
         try:
@@ -282,12 +275,9 @@ def run_eval(
             "error": error,
         }
 
-    workers = max(1, cfg.endpoint.concurrency_limit)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(score, dataset.entries))
-    else:
-        rows = [score(e) for e in dataset.entries]
+    with closing(ChatClient(cfg.endpoint, transport)) as client, \
+            ThreadPoolExecutor(max_workers=cfg.endpoint.concurrency_limit) as pool:
+        rows = list(pool.map(score, dataset.entries))
     degraded = any(r["error"] is not None for r in rows)
     for row in rows:
         row.pop("error")

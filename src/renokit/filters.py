@@ -14,6 +14,7 @@ from typing import Iterable
 
 from .errors import LexiconMissing
 from .ingest import Document, STATUS_FILTERED_OUT
+from .jsonl import config_from_dict
 from .tokenizers import is_cjk
 
 REASON_SENSITIVE = "sensitive"
@@ -40,11 +41,7 @@ class FilterConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FilterConfig":
-        allowed = {"sensitive_word_list", "min_effective_chars", "target_language", "min_language_ratio"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown filter config keys: {sorted(unknown)}")
-        return cls(**obj)
+        return config_from_dict(cls, obj, "filter config")
 
 
 @dataclass(frozen=True)

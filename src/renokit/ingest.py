@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DecodeError, EmptyAfterExtraction, SchemaError
 from .jsonl import read_jsonl, write_jsonl
-from .tokenizers import DEFAULT_TOKENIZER, count_tokens
+from .tokenizers import TOKENIZER, count_tokens
 
 SOURCE_KINDS = ("national_standard", "domain_book", "domain_website", "general")
 DOMAIN_KINDS = ("national_standard", "domain_book", "domain_website")
@@ -221,7 +221,7 @@ def clean_text(text: str) -> str:
     return normalize_whitespace(text)
 
 
-def extract_text(record: RawRecord, tokenizer: str = DEFAULT_TOKENIZER) -> Document:
+def extract_text(record: RawRecord) -> Document:
     """Extract the clean article text of one raw record.
 
     Raises DecodeError for invalid UTF-8 and EmptyAfterExtraction when no
@@ -238,7 +238,7 @@ def extract_text(record: RawRecord, tokenizer: str = DEFAULT_TOKENIZER) -> Docum
         doc_id=doc_id_for(text, record.source_kind),
         text=text,
         source_kind=record.source_kind,
-        token_count=count_tokens(text, tokenizer),
+        token_count=count_tokens(text),
         char_count=len(text),
         status=STATUS_INGESTED,
     )
@@ -249,9 +249,8 @@ def extract_text(record: RawRecord, tokenizer: str = DEFAULT_TOKENIZER) -> Docum
 
 @dataclass
 class PipelineStats:
-    """Commutative accumulator for per-kind document/token counts and failures."""
+    """Accumulator for per-kind document/token counts and failures."""
 
-    tokenizer: str = DEFAULT_TOKENIZER
     documents: dict[str, int] = field(default_factory=dict)
     tokens: dict[str, int] = field(default_factory=dict)
     failures: dict[str, int] = field(default_factory=dict)
@@ -263,15 +262,6 @@ class PipelineStats:
     def add_failure(self, reason: str) -> None:
         self.failures[reason] = self.failures.get(reason, 0) + 1
 
-    def merge(self, other: "PipelineStats") -> "PipelineStats":
-        for kind, n in other.documents.items():
-            self.documents[kind] = self.documents.get(kind, 0) + n
-        for kind, n in other.tokens.items():
-            self.tokens[kind] = self.tokens.get(kind, 0) + n
-        for reason, n in other.failures.items():
-            self.failures[reason] = self.failures.get(reason, 0) + n
-        return self
-
     @property
     def total_documents(self) -> int:
         return sum(self.documents.values())
@@ -282,7 +272,7 @@ class PipelineStats:
 
     def to_dict(self) -> dict:
         return {
-            "tokenizer": self.tokenizer,
+            "tokenizer": TOKENIZER,
             "documents": dict(sorted(self.documents.items())),
             "tokens": dict(sorted(self.tokens.items())),
             "failures": dict(sorted(self.failures.items())),
@@ -291,20 +281,17 @@ class PipelineStats:
         }
 
 
-def ingest_stream(
-    records: Iterable[RawRecord],
-    tokenizer: str = DEFAULT_TOKENIZER,
-) -> tuple[list[Document], PipelineStats]:
+def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], PipelineStats]:
     """Extract every record, collecting per-record failures instead of raising.
 
     Output is sorted by doc_id, so the result is identical for any input
     order of the same record multiset.
     """
-    stats = PipelineStats(tokenizer=tokenizer)
+    stats = PipelineStats()
     docs: list[Document] = []
     for record in records:
         try:
-            doc = extract_text(record, tokenizer)
+            doc = extract_text(record)
         except DecodeError:
             stats.add_failure("decode_error")
             continue

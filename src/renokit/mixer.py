@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData
 from .jsonl import read_json, write_json
-from .tokenizers import DEFAULT_TOKENIZER, count_tokens
+from .tokenizers import TOKENIZER, count_tokens
 
 MODE_DAPT = "dapt"
 MODE_SFT = "sft"
@@ -36,13 +36,10 @@ class MixPlan:
     ratio_general: int
     mode: str
     seed: int
-    ratio_domain: int = 1
     unit: str = UNIT_TOKENS
 
     def __post_init__(self):
         self.mode = self.mode.lower()
-        if self.ratio_domain != 1:
-            raise ValueError("ratio_domain is fixed at 1")
         if self.ratio_general < 0:
             raise ValueError("ratio_general must be >= 0")
         if self.mode not in MODES:
@@ -66,13 +63,13 @@ def record_id(rec: dict) -> str:
     return hashlib.md5(canonical.encode("utf-8")).hexdigest()
 
 
-def record_tokens(rec: dict, tokenizer: str = DEFAULT_TOKENIZER) -> int:
+def record_tokens(rec: dict) -> int:
     if "token_count" in rec:
         return int(rec["token_count"])
     if "turns" in rec:
-        return sum(count_tokens(t.get("content", ""), tokenizer) for t in rec["turns"])
+        return sum(count_tokens(t.get("content", "")) for t in rec["turns"])
     if "text" in rec:
-        return count_tokens(rec["text"], tokenizer)
+        return count_tokens(rec["text"])
     return 0
 
 
@@ -87,7 +84,6 @@ class MixReport:
     domain_tokens: int
     general_tokens: int
     achieved_ratio: float
-    tokenizer: str
     shortfall: int = 0
 
     def to_dict(self) -> dict:
@@ -101,7 +97,7 @@ class MixReport:
             "domain_tokens": self.domain_tokens,
             "general_tokens": self.general_tokens,
             "achieved_ratio": self.achieved_ratio,
-            "tokenizer": self.tokenizer,
+            "tokenizer": TOKENIZER,
             "shortfall": self.shortfall,
         }
 
@@ -110,7 +106,6 @@ def mix(
     domain: Sequence[dict],
     general: Sequence[dict],
     plan: MixPlan,
-    tokenizer: str = DEFAULT_TOKENIZER,
     allow_short: bool = False,
 ) -> tuple[list[dict], MixReport]:
     """Combine all domain records with a seeded general sample at ratio 1:k."""
@@ -121,7 +116,7 @@ def mix(
         raise InsufficientGeneralData("general pool is empty but ratio requires general data")
 
     rng = random.Random(plan.seed)
-    domain_tokens = sum(record_tokens(r, tokenizer) for r in domain)
+    domain_tokens = sum(record_tokens(r) for r in domain)
 
     if plan.unit == UNIT_TOKENS:
         target = k * domain_tokens
@@ -137,7 +132,7 @@ def mix(
             break
         rec = general[idx]
         picked.append(rec)
-        general_total += record_tokens(rec, tokenizer) if plan.unit == UNIT_TOKENS else 1
+        general_total += record_tokens(rec) if plan.unit == UNIT_TOKENS else 1
 
     shortfall = max(0, target - general_total)
     if shortfall and not allow_short:
@@ -149,7 +144,7 @@ def mix(
     combined = list(domain) + picked
     rng.shuffle(combined)
 
-    general_token_sum = sum(record_tokens(r, tokenizer) for r in picked)
+    general_token_sum = sum(record_tokens(r) for r in picked)
     if plan.unit == UNIT_TOKENS:
         achieved = general_token_sum / domain_tokens if domain_tokens else 0.0
     else:
@@ -164,7 +159,6 @@ def mix(
         domain_tokens=domain_tokens,
         general_tokens=general_token_sum,
         achieved_ratio=achieved,
-        tokenizer=tokenizer,
         shortfall=shortfall,
     )
     return combined, report

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -32,10 +33,10 @@ from .ingest import (
     source_files,
     write_documents,
 )
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import check_keys, read_json, read_jsonl, write_json, write_jsonl
 from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, record_tokens
 from .sftgen import DIFFICULTIES, GenReport, batch_generate, load_template, read_instruction_samples
-from .tokenizers import DEFAULT_TOKENIZER
+from .tokenizers import TOKENIZER
 
 STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
 
@@ -57,10 +58,10 @@ def config_digest(obj) -> str:
 # it reads the inputs, calls the layer, writes the artifacts, returns the report.
 
 
-def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path, stats_path, tokenizer: str) -> PipelineStats:
+def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path, stats_path) -> PipelineStats:
     """Ingest (path, kind) sources into one document file sorted by doc_id."""
     records = [r for path, kind in sources for r in records_from_path(path, kind)]
-    docs, stats = ingest_stream(records, tokenizer=tokenizer)
+    docs, stats = ingest_stream(records)
     write_documents(docs_path, docs)
     if stats_path:
         write_json(stats_path, stats.to_dict())
@@ -74,8 +75,8 @@ def run_filter_stage(docs_path, cfg: FilterConfig, kept_path, report_path) -> Fi
     return report
 
 
-def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report_path, tokenizer: str) -> DedupReport:
-    unique, pairs, report = run_dedup(read_documents(kept_path), cfg, tokenizer=tokenizer)
+def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report_path) -> DedupReport:
+    unique, pairs, report = run_dedup(read_documents(kept_path), cfg)
     write_documents(unique_path, unique)
     write_jsonl(pairs_path, (p.to_dict() for p in pairs))
     if report_path:
@@ -92,7 +93,7 @@ def mix_plan(ratio: str, mode: str, seed: int, unit: str) -> MixPlan:
 
 
 def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, general_path=None,
-                  instructions_path=None, tokenizer: str, allow_short: bool = False) -> dict:
+                  instructions_path=None, allow_short: bool = False) -> dict:
     """Build one training set and return its report.
 
     Records of `domain_path` with source_kind "general" join the general pool,
@@ -112,13 +113,13 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
             "seed": plan.seed,
             "pretrain_count": len(domain),
             "instruction_count": len(instructions),
-            "total_tokens": sum(record_tokens(r, tokenizer) for r in mixed),
-            "tokenizer": tokenizer,
+            "total_tokens": sum(record_tokens(r) for r in mixed),
+            "tokenizer": TOKENIZER,
         }
     else:
         if general_path:
             general.extend(rec for _, rec in read_jsonl(general_path))
-        mixed, mix_report = mix(domain, general, plan, tokenizer=tokenizer, allow_short=allow_short)
+        mixed, mix_report = mix(domain, general, plan, allow_short=allow_short)
         report = mix_report.to_dict()
     write_jsonl(train_path, mixed)
     if report_path:
@@ -126,17 +127,19 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
     return report
 
 
-def run_gen_stage(knowledge_path, kind: str, client: ChatClient, budget: int, archive_dir, sft_path, report_path, *,
-                  template=None, categories=None, lenient: bool = False) -> GenReport:
+def run_gen_stage(knowledge_path, kind: str, endpoint: EndpointConfig, transport, budget: int, archive_dir, sft_path,
+                  report_path, *, template=None, categories=None, lenient: bool = False) -> GenReport:
     """Generate `kind` samples from the domain documents of `knowledge_path`.
 
-    On budget exhaustion the partial output is still written and the report
-    has `budget_exhausted` set; the caller decides how to fail.
+    With `transport` None requests go over HTTP. On budget exhaustion the
+    partial output is still written and the report has `budget_exhausted`
+    set; the caller decides how to fail.
     """
     docs = [d for d in read_documents(knowledge_path) if d.source_kind in DOMAIN_KINDS]
     templates = {kind: load_template(kind, body_path=template, categories_path=categories)}
-    items, report = batch_generate(docs, [kind], client, budget=budget, archive=ResponseArchive(archive_dir),
-                                   templates=templates, lenient=lenient)
+    with closing(ChatClient(endpoint, transport)) as client:
+        items, report = batch_generate(docs, [kind], client, budget=budget, archive=ResponseArchive(archive_dir),
+                                       templates=templates, lenient=lenient)
     write_jsonl(sft_path, (it.to_dict() for it in items))
     if report_path:
         write_json(report_path, report.to_dict())
@@ -223,6 +226,27 @@ class PipelineManifest:
         return merged
 
 
+# The keys PipelineRunner reads from each config section; FilterConfig and
+# DedupConfig check the filters and dedup sections.
+_PIPELINE_KEYS = ("seed", "tokenizer", "ingest", "filters", "dedup", "mix", "gen", "eval")
+_SECTION_KEYS = {
+    "ingest": ("inputs",),
+    "mix": ("ratio", "mode", "unit", "seed", "instructions", "allow_short"),
+    "gen": ("endpoint", "budget", "kind", "template", "categories", "lenient"),
+    "eval": ("dataset", "endpoint", "shots", "labels"),
+}
+
+
+def _check_config(config: dict) -> None:
+    """Refuse a key the runner does not read, and a tokenizer other than TOKENIZER."""
+    check_keys(config, _PIPELINE_KEYS, "pipeline config")
+    if config.get("tokenizer", TOKENIZER) != TOKENIZER:
+        raise ConfigError(f"tokenizer must be {TOKENIZER!r}, got {config['tokenizer']!r}")
+    for section, keys in _SECTION_KEYS.items():
+        if config.get(section):
+            check_keys(config[section], keys, f"{section} config")
+
+
 class PipelineRunner:
     """Executes ingest -> filter -> dedup -> mix (plus optional gen/eval)
     from one JSON config.
@@ -244,8 +268,8 @@ class PipelineRunner:
         self.config_dir = config_dir
         self.out_dir = Path(out_dir)
         self.resume = resume
+        _check_config(config)
         self.seed = int(config.get("seed", 0))
-        self.tokenizer = config.get("tokenizer", DEFAULT_TOKENIZER)
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +289,7 @@ class PipelineRunner:
         scoped = {
             "stage_config": self.config.get(stage if stage != "filter" else "filters", {}),
             "seed": self.seed,
-            "tokenizer": self.tokenizer,
+            "tokenizer": TOKENIZER,
             "version": __version__,
         }
         return config_digest(scoped)
@@ -325,6 +349,7 @@ class PipelineRunner:
             raise ConfigError("config.ingest.inputs is required")
         sources = []
         for spec in cfg["inputs"]:
+            check_keys(spec, ("path", "kind"), "ingest input")
             kind = spec.get("kind")
             if kind not in SOURCE_KINDS:
                 raise ConfigError(f"ingest input kind must be one of {SOURCE_KINDS}, got {kind!r}")
@@ -333,20 +358,18 @@ class PipelineRunner:
             sources.append((self._resolve(spec["path"]), kind))
         files = [f for path, _ in sources for f in source_files(path)]
         docs, stats = outputs = self._out("docs.jsonl", "ingest_stats.json")
-        self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(sources, docs, stats, self.tokenizer))
+        self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(sources, docs, stats))
 
     def stage_filter(self) -> None:
-        cfg = self.config.get("filters", {})
-        filter_cfg = FilterConfig.from_dict(
-            {**cfg, "sensitive_word_list": self._resolve_opt(cfg.get("sensitive_word_list"))}
-        )
+        cfg = FilterConfig.from_dict(self.config.get("filters", {}))
+        cfg.sensitive_word_list = self._resolve_opt(cfg.sensitive_word_list)
         docs, kept, report = self._out("docs.jsonl", "kept.jsonl", "filter_report.json")
-        self._run_stage("filter", [docs], [kept, report], lambda: run_filter_stage(docs, filter_cfg, kept, report))
+        self._run_stage("filter", [docs], [kept, report], lambda: run_filter_stage(docs, cfg, kept, report))
 
     def stage_dedup(self) -> None:
         cfg = DedupConfig.from_dict(self.config.get("dedup", {}))
         kept, *outputs = self._out("kept.jsonl", "unique.jsonl", "dup_pairs.jsonl", "dedup_report.json")
-        self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, cfg, *outputs, self.tokenizer))
+        self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, cfg, *outputs))
 
     def stage_mix(self) -> None:
         cfg = self.config.get("mix")
@@ -363,7 +386,7 @@ class PipelineRunner:
             inputs.append(Path(instructions))
 
         def action() -> None:
-            run_mix_stage(unique, plan, train, report, instructions_path=instructions, tokenizer=self.tokenizer,
+            run_mix_stage(unique, plan, train, report, instructions_path=instructions,
                           allow_short=bool(cfg.get("allow_short", False)))
             emit_trainer_config(plan.mode, trainer)
 
@@ -383,7 +406,7 @@ class PipelineRunner:
 
         def action() -> None:
             gen_report = run_gen_stage(
-                unique, kind, ChatClient(endpoint, self.gen_transport), int(cfg["budget"]), self.out_dir / "gen_archive",
+                unique, kind, endpoint, self.gen_transport, int(cfg["budget"]), self.out_dir / "gen_archive",
                 sft, report, template=self._resolve_opt(cfg.get("template")),
                 categories=self._resolve_opt(cfg.get("categories")), lenient=bool(cfg.get("lenient", False)),
             )

@@ -332,12 +332,7 @@ _QUESTION_TYPE_MAP = {
 }
 
 
-def parse_mcq_response(
-    raw: str,
-    category: str = "未分类",
-    subclass: str = "未分类",
-    difficulty: str = "expertise",
-) -> MCQItem:
+def parse_mcq_response(raw: str) -> MCQItem:
     value = extract_json_value(raw)
     if not isinstance(value, dict):
         raise MalformedResponse("expected a JSON object")
@@ -362,9 +357,9 @@ def parse_mcq_response(
         options=options,
         correct_option=str(correct).strip().upper(),
         reason=str(reason),
-        category=str(value.get("category", category)),
-        subclass=str(value.get("subclass", subclass)),
-        difficulty=str(value.get("difficulty", difficulty)),
+        category=str(value.get("category", "未分类")),
+        subclass=str(value.get("subclass", "未分类")),
+        difficulty=str(value.get("difficulty", "expertise")),
     )
     return item.validate()
 
@@ -423,18 +418,9 @@ def gen_multi_turn(
     return sample.validate()
 
 
-def gen_mcq(
-    knowledge: Document,
-    complete: Completer,
-    template: PromptTemplate,
-    model_name: str,
-    category: str = "未分类",
-    subclass: str = "未分类",
-    difficulty: str = "expertise",
-) -> MCQItem:
+def gen_mcq(knowledge: Document, complete: Completer, template: PromptTemplate, model_name: str) -> MCQItem:
     resp = complete([{"role": "user", "content": template.render(knowledge.text)}])
-    item = parse_mcq_response(resp.text, category=category, subclass=subclass, difficulty=difficulty)
-    return item
+    return parse_mcq_response(resp.text)
 
 
 # --- batched generation ------------------------------------------------------------
@@ -546,7 +532,6 @@ def batch_generate(
     archive: ResponseArchive,
     templates: dict[str, PromptTemplate] | None = None,
     lenient: bool = False,
-    mcq_defaults: dict | None = None,
 ) -> tuple[list, GenReport]:
     """Generate for every (doc, kind) job under the endpoint's concurrency limit.
 
@@ -561,7 +546,6 @@ def batch_generate(
     templates = dict(templates or {})
     for kind in kinds:
         templates.setdefault(kind, load_template(kind))
-    mcq_defaults = mcq_defaults or {}
 
     completer = ArchivedCompleter(client, archive, RequestBudget(budget))
     report = GenReport()
@@ -574,7 +558,7 @@ def batch_generate(
             return gen_one_turn(doc, completer, templates[kind], client.cfg.model_name, lenient=lenient)
         if kind == KIND_MULTI_TURN:
             return [gen_multi_turn(doc, completer, templates[kind], client.cfg.model_name)]
-        return [gen_mcq(doc, completer, templates[kind], client.cfg.model_name, **mcq_defaults)]
+        return [gen_mcq(doc, completer, templates[kind], client.cfg.model_name)]
 
     results: dict[tuple[str, str], list] = {}
     report.jobs_total = len(jobs)

@@ -1,18 +1,15 @@
-"""Approximate token counting with a named-tokenizer registry.
+"""Approximate token counting.
 
 Counts are heuristic and only comparable between outputs produced under the
-same tokenizer label, so every report that carries token totals also carries
-the tokenizer name.
+same tokenizer, so every report that carries token totals also carries the
+label TOKENIZER.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
-from .errors import UnknownTokenizer
-
-DEFAULT_TOKENIZER = "approx-cjk-v1"
+TOKENIZER = "approx-cjk-v1"
 
 # CJK unified ideographs (base, extension A, compatibility, extension B+).
 # Kana, hangul, and CJK punctuation are intentionally not included.
@@ -31,7 +28,7 @@ def is_cjk(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
-def approx_cjk_v1(text: str) -> int:
+def count_tokens(text: str) -> int:
     """One token per CJK ideograph, one per contiguous ASCII word."""
     cjk = 0
     rest: list[str] = []
@@ -42,21 +39,3 @@ def approx_cjk_v1(text: str) -> int:
         else:
             rest.append(ch)
     return cjk + len(_WORD_RE.findall("".join(rest)))
-
-
-_REGISTRY: dict[str, Callable[[str], int]] = {DEFAULT_TOKENIZER: approx_cjk_v1}
-
-
-def register_tokenizer(name: str, fn: Callable[[str], int]) -> None:
-    _REGISTRY[name] = fn
-
-
-def get_tokenizer(name: str) -> Callable[[str], int]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownTokenizer(f"unknown tokenizer {name!r}; registered: {sorted(_REGISTRY)}") from None
-
-
-def count_tokens(text: str, tokenizer: str = DEFAULT_TOKENIZER) -> int:
-    return get_tokenizer(tokenizer)(text)

@@ -281,7 +281,6 @@ class TestCliMatchesRun:
 
         cli = tmp_path / "cli"
         cli.mkdir()
-        tok = config["tokenizer"]
         filters = tmp_path / "filters.json"
         filters.write_text(json.dumps({**config["filters"], "sensitive_word_list": str(tmp_path / "lexicon.txt")}),
                            encoding="utf-8")
@@ -289,13 +288,13 @@ class TestCliMatchesRun:
         dedup.write_text(json.dumps(config["dedup"]), encoding="utf-8")
         mix = config["mix"]
         assert run_cli("ingest", "--in", tmp_path / "raw", "--kind", "domain_book", "--out", cli / "docs.jsonl",
-                       "--stats", cli / "ingest_stats.json", "--tokenizer", tok) == 0
+                       "--stats", cli / "ingest_stats.json") == 0
         assert run_cli("filter", "--in", cli / "docs.jsonl", "--out", cli / "kept.jsonl",
                        "--report", cli / "filter_report.json", "--config", filters) == 0
         assert run_cli("dedup", "--in", cli / "kept.jsonl", "--out", cli / "unique.jsonl",
-                       "--pairs", cli / "dup_pairs.jsonl", "--config", dedup, "--tokenizer", tok) == 0
+                       "--pairs", cli / "dup_pairs.jsonl", "--config", dedup) == 0
         assert run_cli("mix", "--domain", cli / "unique.jsonl", "--ratio", mix["ratio"], "--mode", mix["mode"],
-                       "--unit", mix["unit"], "--seed", mix["seed"], "--tokenizer", tok,
+                       "--unit", mix["unit"], "--seed", mix["seed"],
                        "--out", cli / "train.jsonl", "--report", cli / "mix_report.json") == 0
         for name in ("docs.jsonl", "ingest_stats.json", "kept.jsonl", "filter_report.json", "unique.jsonl",
                      "dup_pairs.jsonl", "train.jsonl", "mix_report.json"):
@@ -309,26 +308,37 @@ def _exit_code_inputs(tmp_path):
     }])
     EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,)).to_json(tmp_path / "ep.json")
     (tmp_path / "ep_typo.json").write_text('{"base_url": "http://localhost:9", "model": "m"}', encoding="utf-8")
+    (tmp_path / "ep_no_model.json").write_text('{"base_url": "http://localhost:9"}', encoding="utf-8")
     (tmp_path / "dedup_typo.json").write_text('{"ngrams": 5}', encoding="utf-8")
-    (tmp_path / "run_missing.json").write_text(json.dumps({
-        "ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]},
-    }), encoding="utf-8")
+    (tmp_path / "dedup_ngram_str.json").write_text('{"ngram": "5"}', encoding="utf-8")
+    (tmp_path / "dedup_seed_str.json").write_text('{"seed": "1"}', encoding="utf-8")
+    run = {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]}}
+    for name, extra in (("run_missing", {}), ("run_mix_typo", {"mix": {"ratoi": "1:3"}}),
+                        ("run_tokenizer", {"tokenizer": "other"})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**run, **extra}), encoding="utf-8")
 
 
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
+_DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")
 
 
 @pytest.mark.parametrize("argv, code", [
     (("emit-config", "--mode", "dapt", "--out", "{tmp}/trainer.json"), 0),
-    (("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl",
-      "--config", "{tmp}/dedup_typo.json"), 2),
+    (_DEDUP + ("--config", "{tmp}/dedup_typo.json"), 2),
+    (_DEDUP + ("--config", "{tmp}/dedup_ngram_str.json"), 2),
+    (_DEDUP + ("--config", "{tmp}/dedup_seed_str.json"), 2),
     (("dedup", "--in", "{tmp}/missing.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl"), 2),
     (("ingest", "--in", "{tmp}/missing.txt", "--kind", "domain_book", "--out", "{tmp}/d.jsonl"), 2),
+    (("mix", "--domain", "{tmp}/docs.jsonl", "--ratio", "2:5", "--out", "{tmp}/t.jsonl"), 2),
     (_GEN + ("--endpoint", "{tmp}/ep_typo.json", "--budget", "1"), 2),
+    (_GEN + ("--endpoint", "{tmp}/ep_no_model.json", "--budget", "1"), 2),
+    (("run", "--config", "{tmp}/run_mix_typo.json", "--out-dir", "{tmp}/out"), 2),
+    (("run", "--config", "{tmp}/run_tokenizer.json", "--out-dir", "{tmp}/out"), 2),
     (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/out"), 3),
     (_GEN + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
-], ids=["ok", "dedup-config-typo", "dedup-missing-input", "ingest-missing-input", "endpoint-config-typo",
-        "run-stage-failure", "gen-budget-exhausted"])
+], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
+        "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
+        "run-config-typo", "run-other-tokenizer", "run-stage-failure", "gen-budget-exhausted"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code

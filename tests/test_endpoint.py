@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import closing
 
 import pytest
 import requests
@@ -165,11 +166,12 @@ def test_http_transport_against_local_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        transport = HttpTransport(cfg(base_url=f"http://127.0.0.1:{server.server_port}"))
-        completion = transport.complete("m1", [{"role": "user", "content": "问题"}], 0.0)
+        with closing(HttpTransport(cfg(base_url=f"http://127.0.0.1:{server.server_port}"))) as transport:
+            completion = transport.complete("m1", [{"role": "user", "content": "问题"}], 0.0)
         assert completion.text == "服务端回答"
         assert seen["path"] == "/chat/completions"
         assert seen["body"]["messages"] == [{"role": "user", "content": "问题"}]
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

@@ -41,10 +41,6 @@ class TestMixPlan:
         with pytest.raises(ValueError):
             MixPlan.parse_ratio("2-5")
 
-    def test_domain_part_fixed(self):
-        with pytest.raises(ValueError):
-            MixPlan(ratio_general=1, mode="dapt", seed=0, ratio_domain=2)
-
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             MixPlan(ratio_general=1, mode="pretrain", seed=0)
