@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,18 +71,6 @@ class DedupConfig:
 
 
 @dataclass(frozen=True)
-class ShingleSet:
-    doc_id: str
-    shingles: frozenset[int]
-
-
-@dataclass(frozen=True)
-class MinHashSignature:
-    doc_id: str
-    sig: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DupPair:
     a: str
     b: str
@@ -95,28 +84,27 @@ def _hash64(gram: str) -> int:
     return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def shingle(doc: Document, ngram: int = 5) -> ShingleSet:
-    """Character n-gram shingles of the whitespace-normalized text.
+def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
+    """Sorted, unique uint64 hashes of the character n-grams of the
+    whitespace-normalized text.
 
     Texts shorter than the n-gram width contribute a single whole-text
-    shingle so any non-empty document always has a non-empty set.
+    shingle so any non-empty document always has a non-empty array.
     """
     norm = normalize_for_dedup(doc.text)
-    if not norm:
-        return ShingleSet(doc.doc_id, frozenset())
-    if len(norm) < ngram:
-        grams: Iterable[str] = (norm,)
-    else:
-        grams = (norm[i : i + ngram] for i in range(len(norm) - ngram + 1))
-    return ShingleSet(doc.doc_id, frozenset(_hash64(g) for g in grams))
+    width = min(ngram, len(norm))
+    hashes = {_hash64(norm[i : i + width]) for i in range(len(norm) - width + 1)} if norm else set()
+    shingles = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
+    shingles.sort()
+    return shingles
 
 
-def jaccard(a: ShingleSet, b: ShingleSet) -> float:
-    if not a.shingles or not b.shingles:
-        raise EmptyShingleSet(f"{a.doc_id if not a.shingles else b.doc_id}")
-    inter = len(a.shingles & b.shingles)
-    union = len(a.shingles | b.shingles)
-    return inter / union
+def jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact Jaccard similarity of two shingle arrays from `shingle`."""
+    if not a.size or not b.size:
+        raise EmptyShingleSet("jaccard of an empty shingle array")
+    inter = len(np.intersect1d(a, b, assume_unique=True))
+    return inter / (len(a) + len(b) - inter)
 
 
 # --- exact pass ---------------------------------------------------------------
@@ -144,44 +132,29 @@ def exact_dedup(docs: Sequence[Document]) -> list[Document]:
 # --- MinHash / LSH pass --------------------------------------------------------
 
 
-def _perm_coeffs(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
+def compute_signatures(shingle_sets: Sequence[np.ndarray], cfg: DedupConfig) -> np.ndarray:
+    """MinHash signatures: one row of cfg.num_perm values per shingle array."""
+    rng = np.random.default_rng(cfg.seed)
     # a < 2^31 and folded shingles < 2^32 keep a*x + b < 2^64 (no wraparound).
-    a = rng.integers(1, 1 << 31, size=num_perm, dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE61, size=num_perm, dtype=np.uint64)
-    return a, b
+    a = rng.integers(1, 1 << 31, size=(cfg.num_perm, 1), dtype=np.uint64)
+    b = rng.integers(0, _MERSENNE61, size=(cfg.num_perm, 1), dtype=np.uint64)
+    signatures = np.empty((len(shingle_sets), cfg.num_perm), dtype=np.uint64)
+    for row, xs in zip(signatures, shingle_sets):
+        if not xs.size:
+            raise EmptyShingleSet("cannot sign an empty shingle array")
+        row[:] = ((a * (xs & np.uint64(0xFFFFFFFF)) + b) % np.uint64(_MERSENNE61)).min(axis=1)
+    return signatures
 
 
-def minhash_signature(shingles: ShingleSet, coeffs: tuple[np.ndarray, np.ndarray]) -> MinHashSignature:
-    if not shingles.shingles:
-        raise EmptyShingleSet(shingles.doc_id)
-    a, b = coeffs
-    xs = np.fromiter(shingles.shingles, dtype=np.uint64, count=len(shingles.shingles))
-    xs &= np.uint64(0xFFFFFFFF)
-    vals = (a[:, None] * xs[None, :] + b[:, None]) % np.uint64(_MERSENNE61)
-    return MinHashSignature(shingles.doc_id, tuple(int(v) for v in vals.min(axis=1)))
-
-
-def compute_signatures(shingle_sets: Sequence[ShingleSet], cfg: DedupConfig) -> list[MinHashSignature]:
-    coeffs = _perm_coeffs(cfg.num_perm, cfg.seed)
-    return [minhash_signature(s, coeffs) for s in shingle_sets]
-
-
-def _lsh_candidates(signatures: Sequence[MinHashSignature], cfg: DedupConfig) -> set[tuple[str, str]]:
+def _lsh_candidates(doc_ids: Sequence[str], signatures: np.ndarray, cfg: DedupConfig) -> set[tuple[str, str]]:
+    """Pairs of the sorted `doc_ids`, which name the signature rows, that share a whole band."""
     candidates: set[tuple[str, str]] = set()
-    for band in range(cfg.lsh_bands):
-        lo = band * cfg.lsh_rows
-        hi = lo + cfg.lsh_rows
-        buckets: dict[tuple[int, ...], list[str]] = {}
-        for sig in signatures:
-            buckets.setdefault(sig.sig[lo:hi], []).append(sig.doc_id)
+    for band in np.hsplit(signatures, cfg.lsh_bands):
+        buckets: dict[bytes, list[str]] = {}
+        for doc_id, row in zip(doc_ids, band):
+            buckets.setdefault(row.tobytes(), []).append(doc_id)
         for members in buckets.values():
-            if len(members) < 2:
-                continue
-            members.sort()
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    candidates.add((members[i], members[j]))
+            candidates.update(combinations(members, 2))
     return candidates
 
 
@@ -215,11 +188,11 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
     """
     docs = sorted(docs, key=lambda d: d.doc_id)
     shingle_sets = {d.doc_id: shingle(d, cfg.ngram) for d in docs}
-    usable = [s for s in shingle_sets.values() if s.shingles]
-    signatures = compute_signatures(usable, cfg)
+    usable = [doc_id for doc_id, shingles in shingle_sets.items() if shingles.size]
+    signatures = compute_signatures([shingle_sets[doc_id] for doc_id in usable], cfg)
     pairs: list[DupPair] = []
     uf = _UnionFind()
-    for a, b in sorted(_lsh_candidates(signatures, cfg)):
+    for a, b in sorted(_lsh_candidates(usable, signatures, cfg)):
         j = jaccard(shingle_sets[a], shingle_sets[b])
         if j >= cfg.jaccard_threshold:
             pairs.append(DupPair(a, b, j))
@@ -236,18 +209,12 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
 
 def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPair]:
     """All-pairs exact-Jaccard oracle; quadratic, for verification only."""
-    docs = sorted(docs, key=lambda d: d.doc_id)
-    shingle_sets = [shingle(d, cfg.ngram) for d in docs]
+    shingle_sets = [(d.doc_id, shingle(d, cfg.ngram)) for d in sorted(docs, key=lambda d: d.doc_id)]
     pairs: list[DupPair] = []
-    for i in range(len(docs)):
-        if not shingle_sets[i].shingles:
-            continue
-        for k in range(i + 1, len(docs)):
-            if not shingle_sets[k].shingles:
-                continue
-            j = jaccard(shingle_sets[i], shingle_sets[k])
-            if j >= cfg.jaccard_threshold:
-                pairs.append(DupPair(shingle_sets[i].doc_id, shingle_sets[k].doc_id, j))
+    for (id_a, a), (id_b, b) in combinations([(i, s) for i, s in shingle_sets if s.size], 2):
+        j = jaccard(a, b)
+        if j >= cfg.jaccard_threshold:
+            pairs.append(DupPair(id_a, id_b, j))
     return pairs
 
 

@@ -17,10 +17,12 @@ from typing import Sequence
 
 from .endpoint import ChatClient, EndpointConfig, Transport
 from .errors import (
+    ArityError,
     DatasetMismatch,
     EndpointError,
     ExemplarLeakage,
     ExemplarShortfall,
+    OptionMismatch,
     SchemaError,
 )
 from .jsonl import read_jsonl, write_json
@@ -87,21 +89,21 @@ class MCQDataset:
         }
 
 
-def load_dataset(path: str | Path, name: str | None = None) -> MCQDataset:
-    """Load and validate an MCQ JSONL file; schema errors carry line numbers."""
+def load_dataset(path: str | Path) -> MCQDataset:
+    """Load and validate an MCQ JSONL file; a bad row raises SchemaError with its line number."""
     path = Path(path)
     entries: list[DatasetEntry] = []
     for lineno, obj in read_jsonl(path):
         try:
             item = MCQItem.from_dict(obj)
-        except SchemaError as exc:
+        except (SchemaError, ArityError, OptionMismatch) as exc:
             raise SchemaError(f"{path}: line {lineno}: {exc}", line=lineno) from None
         split = obj.get("split")
         if split not in (None, SPLIT_DEV, SPLIT_TEST):
             raise SchemaError(f"{path}: line {lineno}: bad split {split!r}", line=lineno)
         item_id = str(obj.get("id") or f"{path.stem}-{lineno:04d}")
         entries.append(DatasetEntry(item_id=item_id, item=item, split=split))
-    return MCQDataset(name=name or path.stem, entries=entries)
+    return MCQDataset(name=path.stem, entries=entries)
 
 
 # --- prompt construction -------------------------------------------------------

@@ -246,15 +246,15 @@ class TrainerConfig:
         return cls(**obj)
 
 
-def trainer_config_for_mode(mode: str | MixPlan) -> TrainerConfig:
-    mode = (mode.mode if isinstance(mode, MixPlan) else mode).lower()
+def trainer_config_for_mode(mode: str) -> TrainerConfig:
+    mode = mode.lower()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     max_length = MAX_LENGTH_SFT if mode == MODE_SFT else MAX_LENGTH_PRETRAIN
     return TrainerConfig(max_length=max_length)
 
 
-def emit_trainer_config(mode: str | MixPlan, path: str | Path) -> TrainerConfig:
+def emit_trainer_config(mode: str, path: str | Path) -> TrainerConfig:
     cfg = trainer_config_for_mode(mode)
     write_json(path, cfg.to_dict())
     return cfg

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ from . import __version__
 from .dedup import DedupConfig, DedupReport, run_dedup
 from .errors import BudgetExhausted, ConfigError, StageFailure, UnknownSchema
 from .endpoint import ChatClient, EndpointConfig, ResponseArchive, utc_now_iso
-from .evalharness import EvalReport, EvalRunConfig, best_of_settings, load_dataset, run_eval
+from .evalharness import EvalReport, EvalRunConfig, MCQDataset, best_of_settings, load_dataset, run_eval
 from .filters import FilterConfig, FilterReport, run_filters
 from .ingest import (
     DOMAIN_KINDS,
@@ -151,7 +152,7 @@ def run_eval_stage(dataset_path, endpoint: EndpointConfig, shots: Sequence[int],
     """Evaluate at each shot count and save the best report; returns it and the per-setting reports."""
     dataset = load_dataset(dataset_path)
     reports = [
-        run_eval(dataset, EvalRunConfig(shots=int(k), seed=seed, endpoint=endpoint), transport=transport, labels=labels)
+        run_eval(dataset, EvalRunConfig(shots=k, seed=seed, endpoint=endpoint), transport=transport, labels=labels)
         for k in shots
     ]
     best = best_of_settings(reports)
@@ -226,25 +227,40 @@ class PipelineManifest:
         return merged
 
 
-# The keys PipelineRunner reads from each config section; FilterConfig and
-# DedupConfig check the filters and dedup sections.
-_PIPELINE_KEYS = ("seed", "tokenizer", "ingest", "filters", "dedup", "mix", "gen", "eval")
+# The keys PipelineRunner reads from each config section, with the JSON type
+# checked up front where the runner uses the value as is (None: checked where
+# it is used); FilterConfig and DedupConfig check the filters and dedup sections.
+_PIPELINE_KEYS = {"seed": int, "tokenizer": None, "ingest": None, "filters": None, "dedup": None, "mix": None,
+                  "gen": None, "eval": None}
 _SECTION_KEYS = {
-    "ingest": ("inputs",),
-    "mix": ("ratio", "mode", "unit", "seed", "instructions", "allow_short"),
-    "gen": ("endpoint", "budget", "kind", "template", "categories", "lenient"),
-    "eval": ("dataset", "endpoint", "shots", "labels"),
+    "ingest": {"inputs": None},
+    "mix": {"ratio": None, "mode": None, "unit": None, "seed": int, "instructions": None, "allow_short": bool},
+    "gen": {"endpoint": None, "budget": int, "kind": None, "template": None, "categories": None, "lenient": bool},
+    "eval": {"dataset": None, "endpoint": None, "shots": list, "labels": dict},
 }
+_REQUIRED_KEYS = {"gen": ("endpoint", "budget"), "eval": ("dataset", "endpoint")}
 
 
 def _check_config(config: dict) -> None:
-    """Refuse a key the runner does not read, and a tokenizer other than TOKENIZER."""
-    check_keys(config, _PIPELINE_KEYS, "pipeline config")
+    """Refuse, before any stage runs, a key the runner does not read, a missing
+    required key, a value of the wrong type and a tokenizer other than TOKENIZER."""
+    for name, keys in {"pipeline": _PIPELINE_KEYS, **_SECTION_KEYS}.items():
+        section = config if name == "pipeline" else config.get(name)
+        if not section:
+            continue
+        check_keys(section, keys, f"{name} config")
+        for key in _REQUIRED_KEYS.get(name, ()):
+            if key not in section:
+                raise ConfigError(f"{name}.{key} is required")
+        for key, want in keys.items():
+            # type(), not isinstance(): JSON true/false must not pass as an int
+            if want is not None and key in section and type(section[key]) is not want:
+                raise ConfigError(f"{name}.{key} must be a JSON {want.__name__}, got {section[key]!r}")
     if config.get("tokenizer", TOKENIZER) != TOKENIZER:
         raise ConfigError(f"tokenizer must be {TOKENIZER!r}, got {config['tokenizer']!r}")
-    for section, keys in _SECTION_KEYS.items():
-        if config.get(section):
-            check_keys(config[section], keys, f"{section} config")
+    shots = (config.get("eval") or {}).get("shots", [0])
+    if not shots or not all(type(k) is int and k >= 0 for k in shots):
+        raise ConfigError(f"eval.shots must be a non-empty list of ints >= 0, got {shots!r}")
 
 
 class PipelineRunner:
@@ -269,7 +285,7 @@ class PipelineRunner:
         self.out_dir = Path(out_dir)
         self.resume = resume
         _check_config(config)
-        self.seed = int(config.get("seed", 0))
+        self.seed = config.get("seed", 0)
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,7 +391,7 @@ class PipelineRunner:
         cfg = self.config.get("mix")
         if not cfg:
             return
-        plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), int(cfg.get("seed", self.seed)),
+        plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), cfg.get("seed", self.seed),
                         cfg.get("unit", "tokens"))
         unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
         inputs = [unique]
@@ -387,7 +403,7 @@ class PipelineRunner:
 
         def action() -> None:
             run_mix_stage(unique, plan, train, report, instructions_path=instructions,
-                          allow_short=bool(cfg.get("allow_short", False)))
+                          allow_short=cfg.get("allow_short", False))
             emit_trainer_config(plan.mode, trainer)
 
         self._run_stage("mix", inputs, [train, report, trainer], action)
@@ -396,9 +412,6 @@ class PipelineRunner:
         cfg = self.config.get("gen")
         if not cfg:
             return
-        for key in ("endpoint", "budget"):
-            if key not in cfg:
-                raise ConfigError(f"gen.{key} is required")
         endpoint_path = self._resolve(cfg["endpoint"])
         endpoint = EndpointConfig.from_json(endpoint_path)
         kind = str(cfg.get("kind", "one_turn")).replace("-", "_")
@@ -406,9 +419,9 @@ class PipelineRunner:
 
         def action() -> None:
             gen_report = run_gen_stage(
-                unique, kind, endpoint, self.gen_transport, int(cfg["budget"]), self.out_dir / "gen_archive",
+                unique, kind, endpoint, self.gen_transport, cfg["budget"], self.out_dir / "gen_archive",
                 sft, report, template=self._resolve_opt(cfg.get("template")),
-                categories=self._resolve_opt(cfg.get("categories")), lenient=bool(cfg.get("lenient", False)),
+                categories=self._resolve_opt(cfg.get("categories")), lenient=cfg.get("lenient", False),
             )
             if gen_report.budget_exhausted:
                 raise BudgetExhausted("generation budget exhausted; partial sft.jsonl written, archive is resumable")
@@ -419,9 +432,6 @@ class PipelineRunner:
         cfg = self.config.get("eval")
         if not cfg:
             return
-        for key in ("dataset", "endpoint"):
-            if key not in cfg:
-                raise ConfigError(f"eval.{key} is required")
         dataset_path = self._resolve(cfg["dataset"])
         endpoint_path = self._resolve(cfg["endpoint"])
         endpoint = EndpointConfig.from_json(endpoint_path)
@@ -484,22 +494,13 @@ def _summarize_documents(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _summarize_mcq(rows: list[dict]) -> str:
-    per: dict[str, dict] = {}
-    types: dict[str, int] = {}
-    for r in rows:
-        bucket = per.setdefault(r["difficulty"], {"questions": 0, "subclasses": set()})
-        bucket["questions"] += 1
-        bucket["subclasses"].add(r["subclass"])
-        types[r["question_type"]] = types.get(r["question_type"], 0) + 1
-    canonical = [d for d in DIFFICULTIES if d in per] + sorted(set(per) - set(DIFFICULTIES))
+def _summarize_mcq(dataset: MCQDataset) -> str:
+    stats = dataset.stats()
+    per = stats["per_difficulty"]
     lines = [f"{'category':<20}{'subclasses':>12}{'questions':>12}"]
-    total_sub = 0
-    for diff in canonical:
-        n_sub = len(per[diff]["subclasses"])
-        total_sub += n_sub
-        lines.append(f"{diff:<20}{n_sub:>12}{per[diff]['questions']:>12}")
-    lines.append(f"{'TOTAL':<20}{total_sub:>12}{len(rows):>12}")
+    lines.extend(f"{d:<20}{per[d]['subclasses']:>12}{per[d]['questions']:>12}" for d in DIFFICULTIES if d in per)
+    lines.append(f"{'TOTAL':<20}{stats['subclasses']:>12}{stats['total']:>12}")
+    types = Counter(entry.item.question_type for entry in dataset.entries)
     lines.append("question types: " + ", ".join(f"{k}={v}" for k, v in sorted(types.items())))
     return "\n".join(lines)
 
@@ -534,7 +535,7 @@ def summarize_artifact(path: str | Path) -> str:
         if {"doc_id", "text", "source_kind"} <= first.keys():
             return _summarize_documents(rows)
         if {"question", "options", "correct_option"} <= first.keys():
-            return _summarize_mcq(rows)
+            return _summarize_mcq(load_dataset(path))
         if {"kind", "turns"} <= first.keys():
             return _summarize_instructions(rows)
         if {"a", "b", "jaccard"} <= first.keys():

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from threading import Lock
+from threading import Event, Lock
 from typing import Callable, Sequence
 
 from .endpoint import ChatClient, Completion, ResponseArchive, request_id
@@ -426,64 +426,66 @@ def gen_mcq(knowledge: Document, complete: Completer, template: PromptTemplate, 
 # --- batched generation ------------------------------------------------------------
 
 
-class RequestBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.sent = 0
-        self._lock = Lock()
-
-    def take(self) -> None:
-        with self._lock:
-            if self.sent >= self.limit:
-                raise BudgetExhausted(f"request budget of {self.limit} exhausted")
-            self.sent += 1
-
-
 class ArchivedCompleter:
     """Completer that consults the archive first and records every outcome.
 
     Archived entries are replayed without consuming budget; fresh requests
-    take budget, hit the client, and are written back as either a response
-    or a classified endpoint error. Replayed errors re-raise, so a replayed
-    run reproduces the original accept/reject decisions exactly.
+    take one of `budget` requests, hit the client, and are written back as
+    either a response or a classified endpoint error. A request whose id is
+    already in flight on another thread waits for that entry and counts as
+    replayed, so identical concurrent requests are sent and paid for once.
+    Replayed errors re-raise, so a replayed run reproduces the original
+    accept/reject decisions exactly.
     """
 
-    def __init__(self, client: ChatClient, archive: ResponseArchive, budget: RequestBudget):
+    def __init__(self, client: ChatClient, archive: ResponseArchive, budget: int):
         self.client = client
         self.archive = archive
         self.budget = budget
+        self.sent = 0
         self.replayed = 0
         self._lock = Lock()
+        self._in_flight: dict[str, Event] = {}
 
     def __call__(self, messages: Sequence[dict]) -> Completion:
         rid = request_id(self.client.cfg.model_name, messages, self.client.cfg.temperature)
-        if self.archive.has(rid):
-            with self._lock:
+        with self._lock:
+            pending = self._in_flight.get(rid)
+            fresh = pending is None and not self.archive.has(rid)
+            if not fresh:
                 self.replayed += 1
-            entry = self.archive.load(rid)
-        else:
-            self.budget.take()
-            entry = {
-                "request_id": rid,
-                "request": {
-                    "model": self.client.cfg.model_name,
-                    "messages": list(messages),
-                    "temperature": self.client.cfg.temperature,
-                },
-            }
+            elif self.sent >= self.budget:
+                raise BudgetExhausted(f"request budget of {self.budget} exhausted")
+            else:
+                self.sent += 1
+                self._in_flight[rid] = Event()
+        if fresh:
             try:
-                completion = self.client.complete(messages)
-                entry["response"] = completion.text
-                entry["timestamp"] = completion.timestamp
-                entry["error"] = None
-            except EndpointError as exc:
-                entry["response"] = None
-                entry["timestamp"] = None
-                entry["error"] = str(exc)
-            self.archive.store(rid, entry)
+                entry = self._send(rid, messages)
+                self.archive.store(rid, entry)
+            finally:
+                with self._lock:
+                    self._in_flight.pop(rid).set()
+        else:
+            if pending is not None:
+                pending.wait()
+            entry = self.archive.load(rid)
         if entry.get("error") is not None:
             raise EndpointError(entry["error"])
         return Completion(text=entry["response"], timestamp=entry.get("timestamp") or "")
+
+    def _send(self, rid: str, messages: Sequence[dict]) -> dict:
+        cfg = self.client.cfg
+        entry = {
+            "request_id": rid,
+            "request": {"model": cfg.model_name, "messages": list(messages), "temperature": cfg.temperature},
+        }
+        try:
+            completion = self.client.complete(messages)
+            entry.update(response=completion.text, timestamp=completion.timestamp, error=None)
+        except EndpointError as exc:
+            entry.update(response=None, timestamp=None, error=str(exc))
+        return entry
 
 
 @dataclass
@@ -547,7 +549,7 @@ def batch_generate(
     for kind in kinds:
         templates.setdefault(kind, load_template(kind))
 
-    completer = ArchivedCompleter(client, archive, RequestBudget(budget))
+    completer = ArchivedCompleter(client, archive, budget)
     report = GenReport()
     usable = [d for d in sorted(docs, key=lambda d: d.doc_id) if d.status in ("ingested", "retained")]
     jobs = [(doc, kind) for doc in usable for kind in kinds]
@@ -578,7 +580,7 @@ def batch_generate(
             except GenerationError as exc:
                 report.reject(type(exc).__name__)
 
-    report.requests_sent = completer.budget.sent
+    report.requests_sent = completer.sent
     report.replayed = completer.replayed
     ordered: list = []
     for doc in usable:

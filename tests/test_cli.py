@@ -106,6 +106,15 @@ class TestStatsCommand:
         assert "113" in out
         assert "25" in out
         assert "TOTAL" in out
+        # difficulty and subclass are optional fields with defaults
+        minimal = {"question": "台面高度合适吗？", "question_type": "judgment", "options": {"A": "是", "B": "否"},
+                   "correct_option": "A"}
+        write_jsonl(tmp_path / "minimal.jsonl", [minimal])
+        assert run_cli("stats", tmp_path / "minimal.jsonl") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{'expertise':<20}{1:>12}{1:>12}", f"{'TOTAL':<20}{1:>12}{1:>12}", "question types: judgment=1"]
+        write_jsonl(tmp_path / "bad.jsonl", [{**minimal, "correct_option": "C"}])
+        assert run_cli("stats", tmp_path / "bad.jsonl") == 2
 
     def test_unknown_schema_exit_code(self, tmp_path):
         weird = tmp_path / "w.jsonl"
@@ -314,10 +323,26 @@ def _exit_code_inputs(tmp_path):
     (tmp_path / "dedup_seed_str.json").write_text('{"seed": "1"}', encoding="utf-8")
     run = {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]}}
     for name, extra in (("run_missing", {}), ("run_mix_typo", {"mix": {"ratoi": "1:3"}}),
-                        ("run_tokenizer", {"tokenizer": "other"})):
+                        ("run_tokenizer", {"tokenizer": "other"}), *_RUN_CONFIG_ERRORS.items()):
         (tmp_path / f"{name}.json").write_text(json.dumps({**run, **extra}), encoding="utf-8")
 
 
+_EVAL = {"dataset": "evalhome.jsonl", "endpoint": "ep.json"}
+# Run configs refused before any stage runs. Each also names a missing ingest
+# input, so a value checked only when its stage runs would exit 3.
+_RUN_CONFIG_ERRORS = {
+    "run-seed-str": {"seed": "1"},
+    "run-mix-seed-float": {"mix": {"seed": 1.5}},
+    "run-allow-short-str": {"mix": {"allow_short": "no"}},
+    "run-gen-budget-str": {"gen": {"endpoint": "ep.json", "budget": "many"}},
+    "run-gen-no-budget": {"gen": {"endpoint": "ep.json"}},
+    "run-eval-no-dataset": {"eval": {"endpoint": "ep.json"}},
+    "run-eval-shots-int": {"eval": {**_EVAL, "shots": 5}},
+    "run-eval-shots-negative": {"eval": {**_EVAL, "shots": [0, -5]}},
+    "run-eval-shots-str": {"eval": {**_EVAL, "shots": ["5"]}},
+    "run-eval-shots-empty": {"eval": {**_EVAL, "shots": []}},
+    "run-eval-labels-list": {"eval": {**_EVAL, "labels": ["base"]}},
+}
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
 _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")
 
@@ -334,11 +359,13 @@ _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pair
     (_GEN + ("--endpoint", "{tmp}/ep_no_model.json", "--budget", "1"), 2),
     (("run", "--config", "{tmp}/run_mix_typo.json", "--out-dir", "{tmp}/out"), 2),
     (("run", "--config", "{tmp}/run_tokenizer.json", "--out-dir", "{tmp}/out"), 2),
+    *((("run", "--config", f"{{tmp}}/{name}.json", "--out-dir", "{tmp}/out"), 2) for name in _RUN_CONFIG_ERRORS),
     (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/out"), 3),
     (_GEN + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
 ], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
-        "run-config-typo", "run-other-tokenizer", "run-stage-failure", "gen-budget-exhausted"])
+        "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
+        "run-stage-failure", "gen-budget-exhausted"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from renokit.dedup import (
     DedupConfig,
-    ShingleSet,
+    _hash64,
     brute_force_pairs,
     compute_signatures,
     estimate_recall,
@@ -65,26 +66,61 @@ class TestExact:
         assert ids1 == ids2
 
 
+def shingles(*values: int) -> np.ndarray:
+    return np.array(sorted(values), dtype=np.uint64)
+
+
+def reference_shingles(text: str, ngram: int) -> set[int]:
+    """Reference: the gram hashes collected into a Python set by a plain loop."""
+    norm = " ".join(text.split())
+    if not norm:
+        return set()
+    if len(norm) < ngram:
+        return {_hash64(norm)}
+    return {_hash64(norm[i : i + ngram]) for i in range(len(norm) - ngram + 1)}
+
+
+def edited(rng: random.Random, text: str) -> str:
+    chars = list(text)
+    for _ in range(rng.randrange(0, 4)):
+        pos = rng.randrange(0, len(chars) + 1)
+        chars[pos:pos + rng.randrange(0, 2)] = rng.choice(["", " ", "\t\n", cjk_text(rng, 1)])
+    return "".join(chars)
+
+
 class TestJaccard:
     def test_identical(self):
-        s = ShingleSet("a", frozenset({1, 2, 3}))
-        assert jaccard(s, ShingleSet("b", s.shingles)) == 1.0
+        s = shingles(1, 2, 3)
+        assert jaccard(s, s.copy()) == 1.0
 
     def test_disjoint(self):
-        assert jaccard(ShingleSet("a", frozenset({1})), ShingleSet("b", frozenset({2}))) == 0.0
+        assert jaccard(shingles(1), shingles(2)) == 0.0
 
     def test_three_of_five(self):
-        a = ShingleSet("a", frozenset({1, 2, 3, 4}))
-        b = ShingleSet("b", frozenset({1, 2, 3, 5}))
-        assert jaccard(a, b) == 0.6
+        assert jaccard(shingles(1, 2, 3, 4), shingles(1, 2, 3, 5)) == 0.6
 
     def test_empty_raises(self):
         with pytest.raises(EmptyShingleSet):
-            jaccard(ShingleSet("a", frozenset()), ShingleSet("b", frozenset({1})))
+            jaccard(shingles(), shingles(1))
 
     def test_short_text_still_shingles(self):
         doc = make_doc("短文")
-        assert len(shingle(doc, ngram=5).shingles) == 1
+        assert len(shingle(doc, ngram=5)) == 1
+
+    def test_arrays_match_python_sets(self):
+        # random CJK texts and near copies, many shorter than the n-gram width
+        rng = random.Random(23)
+        for _ in range(300):
+            ngram = rng.choice((1, 3, 5))
+            text_a = cjk_text(rng, rng.randrange(0, 12))
+            text_b = edited(rng, text_a)
+            set_a, set_b = reference_shingles(text_a, ngram), reference_shingles(text_b, ngram)
+            arr_a, arr_b = shingle(make_doc(text_a), ngram), shingle(make_doc(text_b), ngram)
+            assert arr_a.dtype == np.uint64
+            assert arr_a.tolist() == sorted(set_a)
+            assert arr_b.tolist() == sorted(set_b)
+            if set_a and set_b:
+                assert jaccard(arr_a, arr_b) == len(set_a & set_b) / len(set_a | set_b)
 
 
 class TestSignatures:
@@ -92,10 +128,21 @@ class TestSignatures:
         docs = [make_doc(cjk_text(random.Random(1), 100)) for _ in range(3)]
         cfg = DedupConfig(seed=5)
         sets = [shingle(d) for d in docs]
-        sigs1 = compute_signatures(sets, cfg)
-        sigs2 = compute_signatures(sets, cfg)
-        assert [s.sig for s in sigs1] == [s.sig for s in sigs2]
-        assert all(len(s.sig) == cfg.num_perm for s in sigs1)
+        sigs = compute_signatures(sets, cfg)
+        assert sigs.shape == (3, cfg.num_perm)
+        assert sigs.dtype == np.uint64
+        assert np.array_equal(sigs, compute_signatures(sets, cfg))
+
+    def test_matches_python_reference(self):
+        # the seeded universal-hash permutations, evaluated with Python ints
+        cfg = DedupConfig(seed=9)
+        sets = [shingle(make_doc(cjk_text(random.Random(i), 40))) for i in range(3)]
+        rng = np.random.default_rng(cfg.seed)
+        a = rng.integers(1, 1 << 31, size=cfg.num_perm, dtype=np.uint64).tolist()
+        b = rng.integers(0, (1 << 61) - 1, size=cfg.num_perm, dtype=np.uint64).tolist()
+        want = [[min((ak * (x & 0xFFFFFFFF) + bk) % ((1 << 61) - 1) for x in s.tolist()) for ak, bk in zip(a, b)]
+                for s in sets]
+        assert compute_signatures(sets, cfg).tolist() == want
 
     def test_agreement_approximates_jaccard(self):
         # overlapping shingle sets at several target similarities
@@ -103,13 +150,11 @@ class TestSignatures:
         cfg = DedupConfig(num_perm=128, seed=3)
         for shared in (50, 150, 300, 360):
             total = 400
-            common = frozenset(rng.randrange(1 << 62) for _ in range(shared))
-            only_a = frozenset(rng.randrange(1 << 62) for _ in range(total - shared))
-            only_b = frozenset(rng.randrange(1 << 62) for _ in range(total - shared))
-            a = ShingleSet("a", common | only_a)
-            b = ShingleSet("b", common | only_b)
+            common = {rng.randrange(1 << 62) for _ in range(shared)}
+            a = shingles(*common, *(rng.randrange(1 << 62) for _ in range(total - shared)))
+            b = shingles(*common, *(rng.randrange(1 << 62) for _ in range(total - shared)))
             sig_a, sig_b = compute_signatures([a, b], cfg)
-            agreement = sum(1 for x, y in zip(sig_a.sig, sig_b.sig) if x == y) / cfg.num_perm
+            agreement = np.count_nonzero(sig_a == sig_b) / cfg.num_perm
             assert abs(agreement - jaccard(a, b)) <= 0.1
 
 

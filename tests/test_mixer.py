@@ -182,10 +182,6 @@ class TestTrainerConfig:
         emitted = emit_trainer_config("sft", path)
         assert load_trainer_config(path) == emitted
 
-    def test_accepts_mix_plan(self, tmp_path):
-        plan = MixPlan(ratio_general=5, mode="sft", seed=0)
-        assert emit_trainer_config(plan, tmp_path / "t.json").max_length == 1536
-
 
 class TestRecordHelpers:
     def test_token_count_priority(self):

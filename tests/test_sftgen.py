@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,6 +18,7 @@ from renokit.errors import (
     SchemaError,
 )
 from renokit.sftgen import (
+    ArchivedCompleter,
     InstructionSample,
     MCQItem,
     PromptTemplate,
@@ -339,6 +343,48 @@ class TestBatchGenerate:
         items1, _, _ = self.run_batch(tmp_path / "a")
         items2, _, _ = self.run_batch(tmp_path / "b")
         assert [i.to_dict() for i in items1] == [i.to_dict() for i in items2]
+
+
+class TestArchivedCompleter:
+    def test_identical_concurrent_requests_spend_budget_once(self, tmp_path):
+        def held_reply(messages):
+            # hold the first request until the identical second one has arrived
+            deadline = time.monotonic() + 5
+            while completer.replayed == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return "答复"
+
+        transport = ScriptedTransport(held_reply)
+        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), transport)
+        completer = ArchivedCompleter(client, ResponseArchive(tmp_path / "arch"), budget=1)
+        messages = [{"role": "user", "content": "同一个问题"}]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(completer, messages) for _ in range(2)]
+            replies = [f.result(timeout=10) for f in futures]
+        assert [r.text for r in replies] == ["答复", "答复"]
+        assert transport.calls == 1
+        assert (completer.sent, completer.replayed) == (1, 1)
+
+    def test_many_threads_send_each_request_once(self, tmp_path):
+        def slow_echo(messages):
+            time.sleep(0.02)
+            return messages[0]["content"]
+
+        transport = ScriptedTransport(slow_echo)
+        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), transport)
+        completer = ArchivedCompleter(client, ResponseArchive(tmp_path / "arch"), budget=4)
+        questions = [f"问题{i % 4}" for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(completer, [{"role": "user", "content": q}]) for q in questions]
+                replies = [f.result(timeout=30).text for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == questions
+        assert transport.calls == completer.sent == 4
+        assert completer.replayed == 60
 
 
 class TestTermFrequency:
