@@ -17,7 +17,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -305,10 +305,3 @@ def run_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document
     report.tokens_out = sum(d.token_count for d in stage3)
     return stage3, pairs, report
 
-
-def estimate_recall(found: Iterable[DupPair], oracle: Iterable[DupPair]) -> float:
-    truth = {(p.a, p.b) for p in oracle}
-    if not truth:
-        return 1.0
-    hits = sum(1 for p in found if (p.a, p.b) in truth)
-    return hits / len(truth)

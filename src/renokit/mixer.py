@@ -168,7 +168,6 @@ def mix(
 
 USER_MARKER = "<user>"
 ASSISTANT_MARKER = "<assistant>"
-_MARKERS = {USER_MARKER: "user", ASSISTANT_MARKER: "assistant"}
 
 
 def render_instruction_text(turns: Sequence[dict]) -> str:
@@ -178,23 +177,6 @@ def render_instruction_text(turns: Sequence[dict]) -> str:
         marker = USER_MARKER if turn["role"] == "user" else ASSISTANT_MARKER
         parts.append(f"{marker}\n{turn['content']}")
     return "\n".join(parts)
-
-
-def parse_rendered_text(text: str) -> list[dict]:
-    """Recover (role, content) turns from rendered training text."""
-    turns: list[dict] = []
-    content: list[str] | None = None
-    for line in text.split("\n"):
-        if line in _MARKERS:
-            if turns and content is not None:
-                turns[-1]["content"] = "\n".join(content)
-            turns.append({"role": _MARKERS[line], "content": ""})
-            content = []
-        elif content is not None:
-            content.append(line)
-    if turns and content is not None:
-        turns[-1]["content"] = "\n".join(content)
-    return turns
 
 
 def build_mip(

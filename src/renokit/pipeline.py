@@ -36,8 +36,8 @@ from .ingest import (
 )
 from .jsonl import check_keys, read_json, read_jsonl, write_json, write_jsonl
 from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, record_tokens
-from .sftgen import DIFFICULTIES, GenReport, batch_generate, load_template, read_instruction_samples
-from .tokenizers import TOKENIZER
+from .sftgen import DIFFICULTIES, GEN_KINDS, GenReport, batch_generate, load_template, read_instruction_samples
+from .tokenizers import TOKENIZER, count_tokens
 
 STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
 
@@ -109,12 +109,15 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
     if plan.mode == MODE_MIP:
         instructions = [s.to_dict() for s in read_instruction_samples(instructions_path)]
         mixed = build_mip(domain, instructions, seed=plan.seed)
+        # The pretrain records carry their token counts; only the rendered
+        # instructions are counted here.
+        instruction_tokens = sum(count_tokens(r["text"]) for r in mixed if r["origin"] == "instruction")
         report = {
             "mode": MODE_MIP,
             "seed": plan.seed,
             "pretrain_count": len(domain),
             "instruction_count": len(instructions),
-            "total_tokens": sum(record_tokens(r) for r in mixed),
+            "total_tokens": sum(record_tokens(r) for r in domain) + instruction_tokens,
             "tokenizer": TOKENIZER,
         }
     else:
@@ -229,14 +232,17 @@ class PipelineManifest:
 
 # The keys PipelineRunner reads from each config section, with the JSON type
 # checked up front where the runner uses the value as is (None: checked where
-# it is used); FilterConfig and DedupConfig check the filters and dedup sections.
+# it is used; a tuple: any of its types); FilterConfig and DedupConfig check
+# the filters and dedup sections.
+_OPTIONAL_PATH = (str, type(None))
 _PIPELINE_KEYS = {"seed": int, "tokenizer": None, "ingest": None, "filters": None, "dedup": None, "mix": None,
                   "gen": None, "eval": None}
 _SECTION_KEYS = {
     "ingest": {"inputs": None},
-    "mix": {"ratio": None, "mode": None, "unit": None, "seed": int, "instructions": None, "allow_short": bool},
-    "gen": {"endpoint": None, "budget": int, "kind": None, "template": None, "categories": None, "lenient": bool},
-    "eval": {"dataset": None, "endpoint": None, "shots": list, "labels": dict},
+    "mix": {"ratio": str, "mode": str, "unit": str, "seed": int, "instructions": _OPTIONAL_PATH, "allow_short": bool},
+    "gen": {"endpoint": str, "budget": int, "kind": str, "template": _OPTIONAL_PATH, "categories": _OPTIONAL_PATH,
+            "lenient": bool},
+    "eval": {"dataset": str, "endpoint": str, "shots": list, "labels": dict},
 }
 _REQUIRED_KEYS = {"gen": ("endpoint", "budget"), "eval": ("dataset", "endpoint")}
 
@@ -253,9 +259,11 @@ def _check_config(config: dict) -> None:
             if key not in section:
                 raise ConfigError(f"{name}.{key} is required")
         for key, want in keys.items():
+            wants = want if isinstance(want, tuple) else (want,)
             # type(), not isinstance(): JSON true/false must not pass as an int
-            if want is not None and key in section and type(section[key]) is not want:
-                raise ConfigError(f"{name}.{key} must be a JSON {want.__name__}, got {section[key]!r}")
+            if want is not None and key in section and type(section[key]) not in wants:
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in wants)
+                raise ConfigError(f"{name}.{key} must be a JSON {names}, got {section[key]!r}")
     if config.get("tokenizer", TOKENIZER) != TOKENIZER:
         raise ConfigError(f"tokenizer must be {TOKENIZER!r}, got {config['tokenizer']!r}")
     shots = (config.get("eval") or {}).get("shots", [0])
@@ -286,10 +294,34 @@ class PipelineRunner:
         self.resume = resume
         _check_config(config)
         self.seed = config.get("seed", 0)
+        # Values a stage would otherwise refuse only when it starts, after the
+        # stages before it have written their files.
+        self.plan = self._mix_plan()
+        gen = config.get("gen")
+        self.gen_kind = gen.get("kind", "one_turn").replace("-", "_") if gen else None
+        if gen and self.gen_kind not in GEN_KINDS:
+            raise ConfigError(f"gen.kind must be one of {GEN_KINDS}, got {gen['kind']!r}")
+        for stage, key in (("gen", "endpoint"), ("eval", "endpoint"), ("eval", "dataset")):
+            section = config.get(stage)
+            if section and not self._resolve(section[key]).is_file():
+                raise ConfigError(f"{stage}.{key}: no such file {self._resolve(section[key])}")
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = PipelineManifest.load_or_create(self.out_dir / "manifest.json")
+
+    def _mix_plan(self) -> MixPlan | None:
+        cfg = self.config.get("mix")
+        if not cfg:
+            return None
+        try:
+            plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), cfg.get("seed", self.seed),
+                            cfg.get("unit", "tokens"))
+        except ValueError as exc:
+            raise ConfigError(f"mix: {exc}") from None
+        if plan.mode == MODE_MIP and not cfg.get("instructions"):
+            raise ConfigError("mix.instructions is required in mip mode")
+        return plan
 
     def _resolve(self, rel: str) -> Path:
         p = Path(rel)
@@ -369,8 +401,8 @@ class PipelineRunner:
             kind = spec.get("kind")
             if kind not in SOURCE_KINDS:
                 raise ConfigError(f"ingest input kind must be one of {SOURCE_KINDS}, got {kind!r}")
-            if "path" not in spec:
-                raise ConfigError("every ingest input needs a 'path'")
+            if type(spec.get("path")) is not str:
+                raise ConfigError("every ingest input needs a 'path' string")
             sources.append((self._resolve(spec["path"]), kind))
         files = [f for path, _ in sources for f in source_files(path)]
         docs, stats = outputs = self._out("docs.jsonl", "ingest_stats.json")
@@ -388,17 +420,13 @@ class PipelineRunner:
         self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, cfg, *outputs))
 
     def stage_mix(self) -> None:
-        cfg = self.config.get("mix")
-        if not cfg:
+        cfg, plan = self.config.get("mix"), self.plan
+        if plan is None:
             return
-        plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), cfg.get("seed", self.seed),
-                        cfg.get("unit", "tokens"))
         unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
         inputs = [unique]
         instructions = self._resolve_opt(cfg.get("instructions"))
         if plan.mode == MODE_MIP:
-            if not instructions:
-                raise ConfigError("mix.instructions is required in mip mode")
             inputs.append(Path(instructions))
 
         def action() -> None:
@@ -414,12 +442,11 @@ class PipelineRunner:
             return
         endpoint_path = self._resolve(cfg["endpoint"])
         endpoint = EndpointConfig.from_json(endpoint_path)
-        kind = str(cfg.get("kind", "one_turn")).replace("-", "_")
         unique, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
 
         def action() -> None:
             gen_report = run_gen_stage(
-                unique, kind, endpoint, self.gen_transport, cfg["budget"], self.out_dir / "gen_archive",
+                unique, self.gen_kind, endpoint, self.gen_transport, cfg["budget"], self.out_dir / "gen_archive",
                 sft, report, template=self._resolve_opt(cfg.get("template")),
                 categories=self._resolve_opt(cfg.get("categories")), lenient=cfg.get("lenient", False),
             )

@@ -435,7 +435,9 @@ class ArchivedCompleter:
     already in flight on another thread waits for that entry and counts as
     replayed, so identical concurrent requests are sent and paid for once.
     Replayed errors re-raise, so a replayed run reproduces the original
-    accept/reject decisions exactly.
+    accept/reject decisions exactly. An entry that does not parse, or holds
+    neither a response nor an error, counts as missing: a warning is logged,
+    the request is sent again and its new entry replaces the old one.
     """
 
     def __init__(self, client: ChatClient, archive: ResponseArchive, budget: int):
@@ -451,7 +453,8 @@ class ArchivedCompleter:
         rid = request_id(self.client.cfg.model_name, messages, self.client.cfg.temperature)
         with self._lock:
             pending = self._in_flight.get(rid)
-            fresh = pending is None and not self.archive.has(rid)
+            entry = self._archived(rid) if pending is None else None
+            fresh = pending is None and entry is None
             if not fresh:
                 self.replayed += 1
             elif self.sent >= self.budget:
@@ -466,13 +469,27 @@ class ArchivedCompleter:
             finally:
                 with self._lock:
                     self._in_flight.pop(rid).set()
-        else:
-            if pending is not None:
-                pending.wait()
+        elif pending is not None:
+            pending.wait()
             entry = self.archive.load(rid)
         if entry.get("error") is not None:
             raise EndpointError(entry["error"])
         return Completion(text=entry["response"], timestamp=entry.get("timestamp") or "")
+
+    def _archived(self, rid: str) -> dict | None:
+        """The usable archive entry for `rid`, or None."""
+        if not self.archive.has(rid):
+            return None
+        try:
+            entry = self.archive.load(rid)
+        except (OSError, ValueError) as exc:
+            log.warning("archive entry %s is unreadable, treating it as missing: %s", rid, exc)
+            return None
+        if not isinstance(entry, dict) or not (isinstance(entry.get("response"), str)
+                                               or isinstance(entry.get("error"), str)):
+            log.warning("archive entry %s holds neither a response nor an error, treating it as missing", rid)
+            return None
+        return entry
 
     def _send(self, rid: str, messages: Sequence[dict]) -> dict:
         cfg = self.client.cfg

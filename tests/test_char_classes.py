@@ -1,0 +1,190 @@
+"""The compiled character classes of `tokenizers` and `filters` against the
+per-character loops they replaced, kept here as oracles."""
+
+from __future__ import annotations
+
+import random
+import re
+import unicodedata
+
+import pytest
+
+from renokit import filters
+from renokit.filters import FilterConfig, Lexicon, filter_language, filter_sensitive
+from renokit.tokenizers import _WORD_RE, char_class, count_cjk, count_tokens
+
+from fixture_data import make_doc
+
+# --- oracles: the per-character bodies the classes replaced -------------------------
+
+# The ideograph ranges of tokenizer approx-cjk-v1, restated so that the oracle
+# does not read them from the code it checks.
+CJK_RANGES = ((0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF), (0x20000, 0x2FA1F))
+
+
+def is_cjk(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in CJK_RANGES)
+
+
+def is_countable(ch: str) -> bool:
+    return not ch.isspace() and not unicodedata.category(ch).startswith("P")
+
+
+def oracle_count_tokens(text: str) -> int:
+    cjk = 0
+    rest: list[str] = []
+    for ch in text:
+        if is_cjk(ch):
+            cjk += 1
+            rest.append(" ")
+        else:
+            rest.append(ch)
+    return cjk + len(_WORD_RE.findall("".join(rest)))
+
+
+def oracle_language_ratio(text: str, target_language: str) -> float | None:
+    """The ratio filter_language compares with its floor; None when nothing counts."""
+    countable = [ch for ch in text if is_countable(ch)]
+    if not countable:
+        return None
+    if target_language == "zh":
+        hits = sum(1 for ch in countable if is_cjk(ch))
+    else:
+        hits = sum(1 for ch in countable if ch.isascii() and ch.isalpha())
+    return hits / len(countable)
+
+
+def noncount_ranges_from_unicodedata() -> list[tuple[int, int]]:
+    ranges: list[tuple[int, int]] = []
+    start = None
+    for cp in range(0x110000):
+        if not is_countable(chr(cp)):
+            if start is None:
+                start = cp
+        elif start is not None:
+            ranges.append((start, cp - 1))
+            start = None
+    if start is not None:
+        ranges.append((start, 0x10FFFF))
+    return ranges
+
+
+def committed_noncount_ranges() -> list[tuple[int, int]]:
+    body = filters._NONCOUNT_BMP + filters._NONCOUNT_ASTRAL
+    return [(int(lo, 16), int(hi, 16)) for lo, hi in re.findall(r"\\[uU]([0-9a-f]+)-\\[uU]([0-9a-f]+)", body)]
+
+
+# The oracle reads the running interpreter's Unicode tables; the committed class
+# is those of NONCOUNT_UNICODE_VERSION. They can agree only on that version.
+same_unicode = pytest.mark.skipif(
+    unicodedata.unidata_version != filters.NONCOUNT_UNICODE_VERSION,
+    reason=f"committed table is Unicode {filters.NONCOUNT_UNICODE_VERSION}, "
+           f"this interpreter has {unicodedata.unidata_version}",
+)
+
+
+def edge_chars(ranges) -> list[str]:
+    cps = {cp for lo, hi in ranges for cp in (lo - 1, lo, hi, hi + 1) if 0 <= cp <= 0x10FFFF}
+    return [chr(cp) for cp in sorted(cps)]
+
+
+ASTRAL = ["\U00020000", "\U0002A6DF", "\U0002FA1F", "\U0002FA20", "\U0001F600", "\U0001F3E0", "\U00010100",
+          "\U0001E95F", "\U000E0020"]
+
+
+def assert_language_matches(text: str) -> None:
+    for target in ("zh", "en"):
+        ratio = oracle_language_ratio(text, target)
+        if ratio is None:
+            assert not filter_language(make_doc(text), FilterConfig(target_language=target, min_language_ratio=0.0))
+            continue
+        # passing at the oracle's ratio and failing just above it pins the ratio exactly
+        at = FilterConfig(target_language=target, min_language_ratio=ratio)
+        assert filter_language(make_doc(text), at), (text, target, ratio)
+        if ratio < 1.0:
+            above = FilterConfig(target_language=target, min_language_ratio=min(1.0, ratio * (1 + 1e-12) + 1e-15))
+            assert not filter_language(make_doc(text), above), (text, target, ratio)
+
+
+# --- tests ----------------------------------------------------------------------
+
+
+@same_unicode
+def test_committed_noncount_table_matches_unicodedata():
+    rebuilt = noncount_ranges_from_unicodedata()
+    assert len(rebuilt) == 193
+    assert committed_noncount_ranges() == rebuilt
+    assert char_class(r for r in rebuilt if r[1] <= 0xFFFF) == f"[{filters._NONCOUNT_BMP}]"
+    assert char_class(r for r in rebuilt if r[0] > 0xFFFF) == f"[{filters._NONCOUNT_ASTRAL}]"
+
+
+def test_cjk_range_edges():
+    for ch in edge_chars(CJK_RANGES) + ASTRAL:
+        assert count_cjk(ch) == int(is_cjk(ch)), hex(ord(ch))
+        for text in (ch, f"ab{ch}cd", f"{ch}{ch} x1_{ch}", f"word{ch}"):
+            assert count_tokens(text) == oracle_count_tokens(text), ascii(text)
+
+
+@same_unicode
+def test_noncount_range_edges():
+    pattern = filters._noncount_re()
+    chars = edge_chars(committed_noncount_ranges()) + edge_chars(CJK_RANGES) + ASTRAL
+    for ch in chars:
+        assert (pattern.fullmatch(ch) is None) == is_countable(ch), hex(ord(ch))
+    for ch in chars:
+        assert_language_matches(f"家装{ch}")
+        assert_language_matches(f"abc{ch}{ch}")
+    assert_language_matches("".join(chars))
+
+
+def _random_text(rng: random.Random, alphabet: list[str]) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+
+
+@same_unicode
+def test_random_mixed_texts():
+    rng = random.Random(20231)
+    alphabet = (
+        [chr(rng.randint(0x4E00, 0x9FFF)) for _ in range(20)]
+        + [chr(rng.randint(0x3400, 0x4DBF)) for _ in range(3)]
+        + list("abcXYZ019_")
+        + list("，。！？、；：“”（）《》…—,.!?;:'\"()-[]{}#%&*@/\\")
+        + [" ", "\t", "\n", "\r", "　", "\xa0", "\x1c", "\x85", " "]
+        + list("ぁアｶ한€$+=<>|~^`") + ASTRAL
+        + edge_chars(committed_noncount_ranges())[:40]
+    )
+    for _ in range(2000):
+        text = _random_text(rng, alphabet)
+        assert count_tokens(text) == oracle_count_tokens(text), ascii(text)
+        assert count_cjk(text) == sum(map(is_cjk, text))
+        assert_language_matches(text)
+
+
+def test_lexicon_index_matches_plain_scan():
+    rng = random.Random(7)
+    han = [chr(cp) for cp in range(0x4E00, 0x4E40)]
+    words = {"装", "修", "a", "\U00020001"}  # one-character words are always scanned
+    words |= {"水电", "水电改造", "水电费", "水泥"}  # shared prefixes
+    words |= {"aba", "bab", "abab"}  # overlapping matches
+    words |= {"\U00020000\U00020001", "\U0001F600装修", "房\U0002A6DF"}  # astral words
+    while len(words) < filters.INDEX_MIN_WORDS + 50:
+        words.add("".join(rng.choice(han) for _ in range(rng.randint(2, 4))))
+    lexicon = Lexicon(words)
+    assert len(lexicon._codes), "the lexicon is large enough to be indexed"
+    alphabet = han + list("水电改造费泥装修房ab \n") + ["\U00020000", "\U00020001", "\U0002A6DF", "\U0001F600"]
+    texts = ["", "a", "ababab", "整段结尾是水电改造", "末尾\U00020000\U00020001", "\U0001F600装修"]
+    texts += [_random_text(rng, alphabet) for _ in range(500)]
+    for text in texts:
+        plain = tuple(sorted(w for w in words if w in text))
+        assert lexicon.find(text) == plain, ascii(text)
+        assert filter_sensitive(make_doc(text), lexicon).matched_words == plain
+    assert lexicon.find("末尾是水电改造") == ("水电", "水电改造")
+    # a lone surrogate (a JSON escape can make one) is a code point like any other
+    assert lexicon.find("\ud800水电\udfff") == ("水电",)
+
+
+def test_lexicon_of_short_words_only():
+    words = {chr(cp) for cp in range(0x4E00, 0x4E00 + filters.INDEX_MIN_WORDS)}
+    text = "".join(sorted(words)[::7])
+    assert Lexicon(words).find(text) == tuple(sorted(w for w in words if w in text))

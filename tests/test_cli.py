@@ -321,6 +321,7 @@ def _exit_code_inputs(tmp_path):
     (tmp_path / "dedup_typo.json").write_text('{"ngrams": 5}', encoding="utf-8")
     (tmp_path / "dedup_ngram_str.json").write_text('{"ngram": "5"}', encoding="utf-8")
     (tmp_path / "dedup_seed_str.json").write_text('{"seed": "1"}', encoding="utf-8")
+    (tmp_path / "evalhome.jsonl").write_text("", encoding="utf-8")  # run checks only that it exists
     run = {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]}}
     for name, extra in (("run_missing", {}), ("run_mix_typo", {"mix": {"ratoi": "1:3"}}),
                         ("run_tokenizer", {"tokenizer": "other"}), *_RUN_CONFIG_ERRORS.items()):
@@ -342,6 +343,19 @@ _RUN_CONFIG_ERRORS = {
     "run-eval-shots-str": {"eval": {**_EVAL, "shots": ["5"]}},
     "run-eval-shots-empty": {"eval": {**_EVAL, "shots": []}},
     "run-eval-labels-list": {"eval": {**_EVAL, "labels": ["base"]}},
+    "run-gen-kind": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": "poem"}},
+    "run-gen-endpoint-missing": {"gen": {"endpoint": "missing_ep.json", "budget": 1}},
+    "run-eval-endpoint-missing": {"eval": {**_EVAL, "endpoint": "missing_ep.json"}},
+    "run-eval-dataset-missing": {"eval": {**_EVAL, "dataset": "missing.jsonl"}},
+    "run-mix-mode": {"mix": {"mode": "pretrain"}},
+    "run-mix-ratio": {"mix": {"ratio": "1-3"}},
+    "run-mix-ratio-domain-part": {"mix": {"ratio": "2:5"}},
+    "run-mix-unit": {"mix": {"unit": "chars"}},
+    "run-mix-ratio-null": {"mix": {"ratio": None}},
+    "run-mix-mip-no-instructions": {"mix": {"mode": "mip"}},
+    "run-mix-instructions-int": {"mix": {"mode": "mip", "instructions": 5}},
+    "run-gen-template-int": {"gen": {"endpoint": "ep.json", "budget": 1, "template": 5}},
+    "run-ingest-path-int": {"ingest": {"inputs": [{"path": 5, "kind": "domain_book"}]}},
 }
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
 _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")

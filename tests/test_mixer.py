@@ -5,18 +5,37 @@ import pytest
 from renokit.errors import EmptyDomain, EmptyInput, InsufficientGeneralData
 from renokit.jsonl import write_jsonl
 from renokit.mixer import (
+    ASSISTANT_MARKER,
+    USER_MARKER,
     MixPlan,
     TrainerConfig,
     build_mip,
     emit_trainer_config,
     load_trainer_config,
     mix,
-    parse_rendered_text,
     record_id,
     record_tokens,
     render_instruction_text,
     trainer_config_for_mode,
 )
+
+
+def parse_rendered_text(text: str) -> list[dict]:
+    """Recover (role, content) turns from rendered training text."""
+    markers = {USER_MARKER: "user", ASSISTANT_MARKER: "assistant"}
+    turns: list[dict] = []
+    content: list[str] | None = None
+    for line in text.split("\n"):
+        if line in markers:
+            if turns and content is not None:
+                turns[-1]["content"] = "\n".join(content)
+            turns.append({"role": markers[line], "content": ""})
+            content = []
+        elif content is not None:
+            content.append(line)
+    if turns and content is not None:
+        turns[-1]["content"] = "\n".join(content)
+    return turns
 
 
 def doc_rec(i: int, tokens: int, kind: str = "domain_book") -> dict:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -317,6 +318,27 @@ class TestBatchGenerate:
         assert [i.to_dict() for i in items1] == [i.to_dict() for i in items2]
         assert sum(r.requests_sent for r in reports2) == 0
         assert sum(r.replayed for r in reports2) == 100
+
+    def test_unreadable_archive_entries_count_as_missing(self, tmp_path, caplog):
+        items1, _, archive = self.run_batch(tmp_path / "arch")
+        first, second = archive.ids()[:2]
+
+        def corrupt():
+            (archive.root / f"{first}.json").write_text('{"response": "cut sho', encoding="utf-8")
+            (archive.root / f"{second}.json").write_text('{"request_id": "neither"}', encoding="utf-8")
+
+        corrupt()
+        with caplog.at_level(logging.WARNING, logger="renokit.sftgen"):
+            items2, reports2, _ = self.run_batch(tmp_path / "arch")
+        assert [i.to_dict() for i in items2] == [i.to_dict() for i in items1]
+        assert sum(r.requests_sent for r in reports2) == 2
+        assert sum("treating it as missing" in r.getMessage() for r in caplog.records) == 2
+        # offline, the two are sent, fail and are rejected; replay does not crash
+        corrupt()
+        items3, reports3, _ = self.run_batch(tmp_path / "arch", transport=OfflineTransport())
+        assert sum(r.replayed for r in reports3) == 98
+        assert sum(r.rejected.get("EndpointError", 0) for r in reports3) == 2
+        assert len(items3) == len(items1) - 2
 
     def test_budget_exhaustion_flushes_partial(self, tmp_path):
         docs = build_gen_docs()[:20]
