@@ -2,72 +2,3 @@
 for domain-adapted chat models."""
 
 __version__ = "0.1.0"
-
-from .dedup import DedupConfig, DupPair, jaccard, near_dedup, exact_dedup, sentence_dedup
-from .endpoint import ChatClient, EndpointConfig, ResponseArchive
-from .evalharness import (
-    EvalReport,
-    EvalRunConfig,
-    MCQDataset,
-    best_of_settings,
-    build_prompt,
-    extract_answer,
-    load_dataset,
-    run_eval,
-)
-from .filters import FilterConfig, run_filters
-from .ingest import Document, PipelineStats, RawRecord, extract_text, ingest_stream
-from .mixer import MixPlan, TrainerConfig, build_mip, emit_trainer_config, mix
-from .sftgen import (
-    InstructionSample,
-    MCQItem,
-    PromptTemplate,
-    batch_generate,
-    gen_mcq,
-    gen_multi_turn,
-    gen_one_turn,
-    term_frequency_report,
-)
-from .tokenizers import count_tokens
-
-__all__ = [
-    "__version__",
-    "ChatClient",
-    "DedupConfig",
-    "Document",
-    "DupPair",
-    "EndpointConfig",
-    "EvalReport",
-    "EvalRunConfig",
-    "FilterConfig",
-    "InstructionSample",
-    "MCQDataset",
-    "MCQItem",
-    "MixPlan",
-    "PipelineStats",
-    "PromptTemplate",
-    "RawRecord",
-    "ResponseArchive",
-    "TrainerConfig",
-    "batch_generate",
-    "best_of_settings",
-    "build_mip",
-    "build_prompt",
-    "count_tokens",
-    "emit_trainer_config",
-    "exact_dedup",
-    "extract_answer",
-    "extract_text",
-    "gen_mcq",
-    "gen_multi_turn",
-    "gen_one_turn",
-    "ingest_stream",
-    "jaccard",
-    "load_dataset",
-    "mix",
-    "near_dedup",
-    "run_eval",
-    "run_filters",
-    "sentence_dedup",
-    "term_frequency_report",
-]

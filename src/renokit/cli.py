@@ -23,7 +23,7 @@ from .errors import (
     StageFailure,
     UnknownSchema,
 )
-from .evalharness import sweep_report
+from .evalharness import load_dataset, sweep_report
 from .filters import FilterConfig
 from .ingest import SOURCE_KINDS
 from .jsonl import read_json, read_jsonl
@@ -39,7 +39,7 @@ from .pipeline import (
     run_pipeline,
     summarize_artifact,
 )
-from .sftgen import term_frequency_report
+from .sftgen import load_template, term_frequency_report
 from .tokenizers import TOKENIZER
 
 EXIT_OK = 0
@@ -182,10 +182,10 @@ def _cmd_emit_config(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    report = run_gen_stage(args.knowledge, args.kind.replace("-", "_"), EndpointConfig.from_json(args.endpoint),
+    template = load_template(args.kind.replace("-", "_"), body_path=args.template, categories_path=args.categories)
+    report = run_gen_stage(args.knowledge, template, EndpointConfig.from_json(args.endpoint),
                            OfflineTransport() if args.replay_only else None, args.budget,
-                           args.archive or f"{args.out}.archive", args.out, args.report,
-                           template=args.template, categories=args.categories, lenient=args.lenient)
+                           args.archive or f"{args.out}.archive", args.out, args.report, lenient=args.lenient)
     print(f"accepted {report.accepted}, rejected {report.rejected_total}, "
           f"sent {report.requests_sent}, replayed {report.replayed}")
     if report.budget_exhausted:
@@ -200,8 +200,8 @@ def _cmd_eval(args) -> int:
     if args.label_ratio:
         labels["ratio"] = args.label_ratio
     shots = [int(text) for text in args.shots.split(",")]
-    best, reports = run_eval_stage(args.dataset, EndpointConfig.from_json(args.endpoint), shots, args.seed, args.out,
-                                   labels=labels)
+    best, reports = run_eval_stage(load_dataset(args.dataset), EndpointConfig.from_json(args.endpoint), shots,
+                                   args.seed, args.out, labels=labels)
     for report in reports:
         print(f"shots={report.config['shots']}: micro={report.overall_micro} macro={report.overall_macro}")
     print(f"best setting: shots={best.config['shots']} micro={best.overall_micro}")
@@ -212,6 +212,10 @@ def _cmd_sweep_report(args) -> int:
     rows = []
     for path in args.runs:
         obj = read_json(path)
+        if (not isinstance(obj, dict) or not {"dataset", "overall_micro"} <= obj.keys()
+                or not all(isinstance(obj.get(key, {}), dict) for key in ("labels", "config"))):
+            raise SchemaError(f"{path}: an eval report needs 'dataset' and 'overall_micro', "
+                              "and its 'labels' and 'config' must be objects")
         rows.append({
             "model_label": obj.get("labels", {}).get("model") or obj.get("config", {}).get("model") or "model",
             "ratio_label": obj.get("labels", {}).get("ratio") or "-",

@@ -36,7 +36,6 @@ class RawRecord:
     source_id: str
     source_kind: str
     payload: bytes
-    uri: str | None = None
 
     def __post_init__(self):
         if self.source_kind not in SOURCE_KINDS:
@@ -84,6 +83,8 @@ class Document:
             )
         except KeyError as exc:
             raise SchemaError(f"document record missing field {exc}") from None
+        except TypeError as exc:
+            raise SchemaError(f"document record has a field of the wrong type: {exc}") from None
         if doc.source_kind not in SOURCE_KINDS:
             raise SchemaError(f"document {doc.doc_id}: bad source_kind {doc.source_kind!r}")
         if doc.status not in _STATUSES:
@@ -319,7 +320,7 @@ def source_files(path: str | Path) -> list[Path]:
 def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
     """Yield raw records from a file or directory.
 
-    JSONL files carry one record per line ({"id","text","kind","uri"}, kind
+    JSONL files carry one record per line ({"id","text","kind"}, kind
     optional); anything else is read whole as a single record.
     """
     for file in source_files(path):
@@ -332,7 +333,6 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
                     source_id=str(obj.get("id") or f"{file.name}:{lineno}"),
                     source_kind=obj.get("kind") or kind,
                     payload=text.encode("utf-8"),
-                    uri=obj.get("uri"),
                 )
         else:
             yield RawRecord(source_id=file.name, source_kind=kind, payload=file.read_bytes())

@@ -3,9 +3,10 @@ implementation of each stage that both the runner and the CLI call.
 
 Each stage records the sha256 of its inputs, outputs, and config in an
 append-only manifest. A resumed run re-verifies those digests: a matching
-stage is skipped, a file that a later run of an earlier stage rewrote is
-stale and recomputed, and a file that matches no recorded output is an error
-rather than a silent recompute.
+stage is skipped, and a changed source file, or a file that a later run of
+an earlier stage rewrote, is stale and recomputed. A file the pipeline wrote
+that matches no digest recorded for it is an error rather than a silent
+recompute.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,6 +28,7 @@ from .filters import FilterConfig, FilterReport, run_filters
 from .ingest import (
     DOMAIN_KINDS,
     SOURCE_KINDS,
+    Document,
     PipelineStats,
     ingest_stream,
     read_documents,
@@ -36,7 +38,16 @@ from .ingest import (
 )
 from .jsonl import check_keys, read_json, read_jsonl, write_json, write_jsonl
 from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, record_tokens
-from .sftgen import DIFFICULTIES, GEN_KINDS, GenReport, batch_generate, load_template, read_instruction_samples
+from .sftgen import (
+    DIFFICULTIES,
+    GEN_KINDS,
+    GenReport,
+    InstructionSample,
+    PromptTemplate,
+    batch_generate,
+    load_template,
+    read_instruction_samples,
+)
 from .tokenizers import TOKENIZER, count_tokens
 
 STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
@@ -131,29 +142,28 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
     return report
 
 
-def run_gen_stage(knowledge_path, kind: str, endpoint: EndpointConfig, transport, budget: int, archive_dir, sft_path,
-                  report_path, *, template=None, categories=None, lenient: bool = False) -> GenReport:
-    """Generate `kind` samples from the domain documents of `knowledge_path`.
+def run_gen_stage(knowledge_path, template: PromptTemplate, endpoint: EndpointConfig, transport, budget: int,
+                  archive_dir, sft_path, report_path, *, lenient: bool = False) -> GenReport:
+    """Generate `template.kind` samples from the domain documents of `knowledge_path`.
 
     With `transport` None requests go over HTTP. On budget exhaustion the
     partial output is still written and the report has `budget_exhausted`
     set; the caller decides how to fail.
     """
     docs = [d for d in read_documents(knowledge_path) if d.source_kind in DOMAIN_KINDS]
-    templates = {kind: load_template(kind, body_path=template, categories_path=categories)}
     with closing(ChatClient(endpoint, transport)) as client:
-        items, report = batch_generate(docs, [kind], client, budget=budget, archive=ResponseArchive(archive_dir),
-                                       templates=templates, lenient=lenient)
+        items, report = batch_generate(docs, [template.kind], client, budget=budget,
+                                       archive=ResponseArchive(archive_dir), templates={template.kind: template},
+                                       lenient=lenient)
     write_jsonl(sft_path, (it.to_dict() for it in items))
     if report_path:
         write_json(report_path, report.to_dict())
     return report
 
 
-def run_eval_stage(dataset_path, endpoint: EndpointConfig, shots: Sequence[int], seed: int, report_path, *,
+def run_eval_stage(dataset: MCQDataset, endpoint: EndpointConfig, shots: Sequence[int], seed: int, report_path, *,
                    transport=None, labels: dict | None = None) -> tuple[EvalReport, list[EvalReport]]:
     """Evaluate at each shot count and save the best report; returns it and the per-setting reports."""
-    dataset = load_dataset(dataset_path)
     reports = [
         run_eval(dataset, EvalRunConfig(shots=k, seed=seed, endpoint=endpoint), transport=transport, labels=labels)
         for k in shots
@@ -238,7 +248,7 @@ _OPTIONAL_PATH = (str, type(None))
 _PIPELINE_KEYS = {"seed": int, "tokenizer": None, "ingest": None, "filters": None, "dedup": None, "mix": None,
                   "gen": None, "eval": None}
 _SECTION_KEYS = {
-    "ingest": {"inputs": None},
+    "ingest": {"inputs": list},
     "mix": {"ratio": str, "mode": str, "unit": str, "seed": int, "instructions": _OPTIONAL_PATH, "allow_short": bool},
     "gen": {"endpoint": str, "budget": int, "kind": str, "template": _OPTIONAL_PATH, "categories": _OPTIONAL_PATH,
             "lenient": bool},
@@ -271,9 +281,22 @@ def _check_config(config: dict) -> None:
         raise ConfigError(f"eval.shots must be a non-empty list of ints >= 0, got {shots!r}")
 
 
+@contextmanager
+def _config_error(what: str):
+    """Re-raise a ValueError or ConfigError as a ConfigError that names `what`."""
+    try:
+        yield
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 class PipelineRunner:
     """Executes ingest -> filter -> dedup -> mix (plus optional gen/eval)
     from one JSON config.
+
+    Every config value, and every file the config names, is checked and read
+    here, before the first stage runs, so that a config error never comes
+    after the files of the stages before it.
 
     `gen_transport` / `eval_transport` override the HTTP transport for the
     endpoint-backed stages; tests inject deterministic mocks there.
@@ -294,41 +317,83 @@ class PipelineRunner:
         self.resume = resume
         _check_config(config)
         self.seed = config.get("seed", 0)
-        # Values a stage would otherwise refuse only when it starts, after the
-        # stages before it have written their files.
+        self.sources = self._ingest_sources()
+        with _config_error("filters"):
+            self.filter_cfg = FilterConfig.from_dict(config.get("filters", {}))
+        self.filter_cfg.sensitive_word_list = self._file("filters", "sensitive_word_list")
+        with _config_error("dedup"):
+            self.dedup_cfg = DedupConfig.from_dict(config.get("dedup", {}))
         self.plan = self._mix_plan()
-        gen = config.get("gen")
-        self.gen_kind = gen.get("kind", "one_turn").replace("-", "_") if gen else None
-        if gen and self.gen_kind not in GEN_KINDS:
-            raise ConfigError(f"gen.kind must be one of {GEN_KINDS}, got {gen['kind']!r}")
-        for stage, key in (("gen", "endpoint"), ("eval", "endpoint"), ("eval", "dataset")):
-            section = config.get(stage)
-            if section and not self._resolve(section[key]).is_file():
-                raise ConfigError(f"{stage}.{key}: no such file {self._resolve(section[key])}")
+        self.instructions = self._file("mix", "instructions") if self.plan and self.plan.mode == MODE_MIP else None
+        self.gen_template = self._gen_template()
+        self.gen_endpoint = self._endpoint("gen")
+        self.eval_endpoint = self._endpoint("eval")
+        dataset_path = self._file("eval", "dataset")
+        self.eval_dataset = (dataset_path, load_dataset(dataset_path)) if dataset_path else None
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = PipelineManifest.load_or_create(self.out_dir / "manifest.json")
 
+    def _ingest_sources(self) -> list[tuple[Path, str]]:
+        cfg = self.config.get("ingest")
+        if not cfg or not cfg.get("inputs"):
+            raise ConfigError("config.ingest.inputs is required")
+        sources = []
+        for spec in cfg["inputs"]:
+            check_keys(spec, ("path", "kind"), "ingest input")
+            kind = spec.get("kind")
+            if kind not in SOURCE_KINDS:
+                raise ConfigError(f"ingest input kind must be one of {SOURCE_KINDS}, got {kind!r}")
+            if type(spec.get("path")) is not str:
+                raise ConfigError("every ingest input needs a 'path' string")
+            sources.append((self._resolve(spec["path"]), kind))
+        return sources
+
     def _mix_plan(self) -> MixPlan | None:
         cfg = self.config.get("mix")
         if not cfg:
             return None
-        try:
+        with _config_error("mix"):
             plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), cfg.get("seed", self.seed),
                             cfg.get("unit", "tokens"))
-        except ValueError as exc:
-            raise ConfigError(f"mix: {exc}") from None
         if plan.mode == MODE_MIP and not cfg.get("instructions"):
             raise ConfigError("mix.instructions is required in mip mode")
         return plan
+
+    def _gen_template(self) -> PromptTemplate | None:
+        cfg = self.config.get("gen")
+        if not cfg:
+            return None
+        kind = cfg.get("kind", "one_turn").replace("-", "_")
+        if kind not in GEN_KINDS:
+            raise ConfigError(f"gen.kind must be one of {GEN_KINDS}, got {cfg['kind']!r}")
+        body, categories = self._file("gen", "template"), self._file("gen", "categories")
+        with _config_error("gen.template"):
+            return load_template(kind, body_path=body, categories_path=categories)
+
+    def _endpoint(self, stage: str) -> tuple[str, EndpointConfig] | None:
+        """The endpoint file named by the gen or eval section, and its config."""
+        path = self._file(stage, "endpoint")
+        if path is None:
+            return None
+        with _config_error(f"{stage}.endpoint"):
+            return path, EndpointConfig.from_json(path)
 
     def _resolve(self, rel: str) -> Path:
         p = Path(rel)
         return p if p.is_absolute() else self.config_dir / p
 
-    def _resolve_opt(self, rel: str | None) -> str | None:
-        return str(self._resolve(rel)) if rel else None
+    def _file(self, section: str, key: str) -> str | None:
+        """The resolved path of the file that `section.key` names, None when the
+        key is unset; a missing file is a ConfigError."""
+        rel = (self.config.get(section) or {}).get(key)
+        if not rel:
+            return None
+        path = self._resolve(rel)
+        if not path.is_file():
+            raise ConfigError(f"{section}.{key}: no such file {path}")
+        return str(path)
 
     def _out(self, *names: str) -> list[Path]:
         return [self.out_dir / name for name in names]
@@ -342,17 +407,18 @@ class PipelineRunner:
         }
         return config_digest(scoped)
 
-    def _can_skip(self, stage: str, digest: str, inputs: list[Path]) -> bool:
+    def _can_skip(self, stage: str, digest: str, inputs: Sequence[str | Path]) -> bool:
         """On resume, skip a stage whose config, input files and recorded digests
-        are unchanged. A file holding the latest output the manifest records for
-        its path was rewritten by an earlier stage's rerun: it is stale and the
-        stage reruns. A file matching no recorded output is refused."""
+        are unchanged. A changed file is stale, and the stage reruns, when no
+        record lists it as an output (a source file) or when it holds the latest
+        output recorded for its path (an earlier stage's rerun rewrote it). A
+        file the pipeline wrote that matches neither is refused."""
         if not self.resume:
             return False
         record = self.manifest.latest(stage)
         if record is None or record.config_digest != digest or set(record.inputs) != {str(p) for p in inputs}:
             return False
-        latest_outputs = self.manifest.output_digests()
+        written = self.manifest.output_digests()
         fresh = True
         for path_str, want in {**record.inputs, **record.outputs}.items():
             path = Path(path_str)
@@ -361,12 +427,13 @@ class PipelineRunner:
             have = file_digest(path)
             if have == want:
                 continue
-            if have != latest_outputs.get(path_str):
+            if path_str in written and have != written[path_str]:
                 raise StageFailure(stage, f"digest mismatch for {path} (file changed since last run)")
             fresh = False
         return fresh
 
-    def _run_stage(self, stage: str, inputs: list[Path], outputs: list[Path], action: Callable[[], object]) -> None:
+    def _run_stage(self, stage: str, inputs: Sequence[str | Path], outputs: Sequence[Path],
+                   action: Callable[[], object]) -> None:
         digest = self._stage_digest(stage)
         if self._can_skip(stage, digest, inputs):
             return
@@ -392,79 +459,58 @@ class PipelineRunner:
     # --- stages -----------------------------------------------------------
 
     def stage_ingest(self) -> None:
-        cfg = self.config.get("ingest")
-        if not cfg or not cfg.get("inputs"):
-            raise ConfigError("config.ingest.inputs is required")
-        sources = []
-        for spec in cfg["inputs"]:
-            check_keys(spec, ("path", "kind"), "ingest input")
-            kind = spec.get("kind")
-            if kind not in SOURCE_KINDS:
-                raise ConfigError(f"ingest input kind must be one of {SOURCE_KINDS}, got {kind!r}")
-            if type(spec.get("path")) is not str:
-                raise ConfigError("every ingest input needs a 'path' string")
-            sources.append((self._resolve(spec["path"]), kind))
-        files = [f for path, _ in sources for f in source_files(path)]
+        files = [f for path, _ in self.sources for f in source_files(path)]
         docs, stats = outputs = self._out("docs.jsonl", "ingest_stats.json")
-        self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(sources, docs, stats))
+        self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(self.sources, docs, stats))
 
     def stage_filter(self) -> None:
-        cfg = FilterConfig.from_dict(self.config.get("filters", {}))
-        cfg.sensitive_word_list = self._resolve_opt(cfg.sensitive_word_list)
         docs, kept, report = self._out("docs.jsonl", "kept.jsonl", "filter_report.json")
-        self._run_stage("filter", [docs], [kept, report], lambda: run_filter_stage(docs, cfg, kept, report))
+        lexicon = self.filter_cfg.sensitive_word_list
+        self._run_stage("filter", [docs, lexicon] if lexicon else [docs], [kept, report],
+                        lambda: run_filter_stage(docs, self.filter_cfg, kept, report))
 
     def stage_dedup(self) -> None:
-        cfg = DedupConfig.from_dict(self.config.get("dedup", {}))
         kept, *outputs = self._out("kept.jsonl", "unique.jsonl", "dup_pairs.jsonl", "dedup_report.json")
-        self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, cfg, *outputs))
+        self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, self.dedup_cfg, *outputs))
 
     def stage_mix(self) -> None:
-        cfg, plan = self.config.get("mix"), self.plan
+        plan = self.plan
         if plan is None:
             return
         unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
-        inputs = [unique]
-        instructions = self._resolve_opt(cfg.get("instructions"))
-        if plan.mode == MODE_MIP:
-            inputs.append(Path(instructions))
+        inputs = [unique, self.instructions] if self.instructions else [unique]
 
         def action() -> None:
-            run_mix_stage(unique, plan, train, report, instructions_path=instructions,
-                          allow_short=cfg.get("allow_short", False))
+            run_mix_stage(unique, plan, train, report, instructions_path=self.instructions,
+                          allow_short=self.config["mix"].get("allow_short", False))
             emit_trainer_config(plan.mode, trainer)
 
         self._run_stage("mix", inputs, [train, report, trainer], action)
 
     def stage_gen(self) -> None:
-        cfg = self.config.get("gen")
-        if not cfg:
+        if self.gen_endpoint is None:
             return
-        endpoint_path = self._resolve(cfg["endpoint"])
-        endpoint = EndpointConfig.from_json(endpoint_path)
+        cfg = self.config["gen"]
+        endpoint_path, endpoint = self.gen_endpoint
         unique, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
 
         def action() -> None:
-            gen_report = run_gen_stage(
-                unique, self.gen_kind, endpoint, self.gen_transport, cfg["budget"], self.out_dir / "gen_archive",
-                sft, report, template=self._resolve_opt(cfg.get("template")),
-                categories=self._resolve_opt(cfg.get("categories")), lenient=cfg.get("lenient", False),
-            )
+            gen_report = run_gen_stage(unique, self.gen_template, endpoint, self.gen_transport, cfg["budget"],
+                                       self.out_dir / "gen_archive", sft, report, lenient=cfg.get("lenient", False))
             if gen_report.budget_exhausted:
                 raise BudgetExhausted("generation budget exhausted; partial sft.jsonl written, archive is resumable")
 
-        self._run_stage("gen", [unique, endpoint_path], [sft, report], action)
+        template_files = [p for p in (self._file("gen", "template"), self._file("gen", "categories")) if p]
+        self._run_stage("gen", [unique, endpoint_path, *template_files], [sft, report], action)
 
     def stage_eval(self) -> None:
-        cfg = self.config.get("eval")
-        if not cfg:
+        if self.eval_endpoint is None:
             return
-        dataset_path = self._resolve(cfg["dataset"])
-        endpoint_path = self._resolve(cfg["endpoint"])
-        endpoint = EndpointConfig.from_json(endpoint_path)
+        cfg = self.config["eval"]
+        (endpoint_path, endpoint), (dataset_path, dataset) = self.eval_endpoint, self.eval_dataset
         report = self.out_dir / "eval_report.json"
         self._run_stage("eval", [dataset_path, endpoint_path], [report], lambda: run_eval_stage(
-            dataset_path, endpoint, cfg.get("shots", [0, 5]), self.seed, report,
+            dataset, endpoint, cfg.get("shots", [0, 5]), self.seed, report,
             transport=self.eval_transport, labels=cfg.get("labels", {})))
 
     def run(self) -> PipelineManifest:
@@ -505,15 +551,13 @@ def run_pipeline(
 # --- artifact summaries -------------------------------------------------------
 
 
-def _summarize_documents(rows: list[dict]) -> str:
-    by_kind: dict[str, int] = {}
-    by_status: dict[str, int] = {}
-    tokens: dict[str, int] = {}
-    for r in rows:
-        by_kind[r["source_kind"]] = by_kind.get(r["source_kind"], 0) + 1
-        by_status[r["status"]] = by_status.get(r["status"], 0) + 1
-        tokens[r["source_kind"]] = tokens.get(r["source_kind"], 0) + int(r["token_count"])
-    lines = [f"documents: {len(rows)}"]
+def _summarize_documents(docs: list[Document]) -> str:
+    by_kind = Counter(d.source_kind for d in docs)
+    by_status = Counter(d.status for d in docs)
+    tokens: Counter[str] = Counter()
+    for d in docs:
+        tokens[d.source_kind] += d.token_count
+    lines = [f"documents: {len(docs)}"]
     for kind in sorted(by_kind):
         lines.append(f"  {kind}: {by_kind[kind]} docs, {tokens[kind]} tokens")
     lines.append("status: " + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items())))
@@ -532,16 +576,11 @@ def _summarize_mcq(dataset: MCQDataset) -> str:
     return "\n".join(lines)
 
 
-def _summarize_instructions(rows: list[dict]) -> str:
-    kinds: dict[str, int] = {}
-    turns_total = 0
-    categories: dict[str, int] = {}
-    for r in rows:
-        kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
-        turns_total += len(r["turns"])
-        if r.get("category"):
-            categories[r["category"]] = categories.get(r["category"], 0) + 1
-    lines = [f"instruction samples: {len(rows)}"]
+def _summarize_instructions(samples: list[InstructionSample]) -> str:
+    kinds = Counter(s.kind for s in samples)
+    turns_total = sum(len(s.turns) for s in samples)
+    categories = Counter(s.category for s in samples if s.category)
+    lines = [f"instruction samples: {len(samples)}"]
     for kind in sorted(kinds):
         lines.append(f"  {kind}: {kinds[kind]}")
     lines.append(f"turns total: {turns_total}")
@@ -560,11 +599,11 @@ def summarize_artifact(path: str | Path) -> str:
             raise UnknownSchema(f"{path}: empty file")
         first = rows[0]
         if {"doc_id", "text", "source_kind"} <= first.keys():
-            return _summarize_documents(rows)
+            return _summarize_documents(read_documents(path))
         if {"question", "options", "correct_option"} <= first.keys():
             return _summarize_mcq(load_dataset(path))
         if {"kind", "turns"} <= first.keys():
-            return _summarize_instructions(rows)
+            return _summarize_instructions(read_instruction_samples(path))
         if {"a", "b", "jaccard"} <= first.keys():
             return f"duplicate pairs: {len(rows)}"
         if {"id", "text"} <= first.keys():

@@ -69,15 +69,12 @@ def _read_data_file(name: str) -> str:
 
 
 def load_categories(path: str | Path | None = None) -> tuple[str, ...]:
-    """Category list, one per line; '#' lines are comments. Warns when != 40."""
+    """Category list, one per line; '#' lines are comments."""
     if path is None:
         text = _read_data_file("categories.txt")
     else:
         text = Path(path).read_text(encoding="utf-8")
-    cats = tuple(line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#"))
-    if len(cats) != 40:
-        log.warning("category list has %d entries, expected 40", len(cats))
-    return cats
+    return tuple(line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#"))
 
 
 @dataclass(frozen=True)
@@ -127,6 +124,8 @@ class InstructionSample:
     def validate(self) -> "InstructionSample":
         if self.kind not in (KIND_ONE_TURN, KIND_MULTI_TURN):
             raise SchemaError(f"bad sample kind {self.kind!r}")
+        if not all(isinstance(t, dict) for t in self.turns):
+            raise SchemaError("every turn must be a JSON object")
         roles = [t.get("role") for t in self.turns]
         contents = [t.get("content") for t in self.turns]
         if any(not isinstance(c, str) or not c.strip() for c in contents):
@@ -564,7 +563,8 @@ def batch_generate(
             raise ValueError(f"unknown generation kind {kind!r}")
     templates = dict(templates or {})
     for kind in kinds:
-        templates.setdefault(kind, load_template(kind))
+        if kind not in templates:
+            templates[kind] = load_template(kind)
 
     completer = ArchivedCompleter(client, archive, budget)
     report = GenReport()
@@ -623,6 +623,9 @@ def term_frequency_report(
     counts: dict[str, int] = {}
     for sample in samples:
         turns = sample.turns if isinstance(sample, InstructionSample) else sample.get("turns", [])
+        if not isinstance(turns, list) or not all(isinstance(t, dict) and isinstance(t.get("content", ""), str)
+                                                  for t in turns):
+            raise SchemaError(f"turns must be a list of objects with string content, got {turns!r}")
         for turn in turns:
             for term in _TERM_RE.findall(turn.get("content", "")):
                 if term in stop:

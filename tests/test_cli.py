@@ -211,6 +211,29 @@ class TestPipelineRun:
                      "dedup_report.json", "train.jsonl", "mix_report.json"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
+    def test_resume_reruns_after_source_edit(self, tmp_path):
+        config = write_pipeline_fixture(tmp_path)
+        run_pipeline(config, tmp_path / "out")
+        raw = tmp_path / "raw" / "book1.txt"
+        raw.write_text(raw.read_text(encoding="utf-8") + "新增一句关于墙面找平的说明。", encoding="utf-8")
+        resumed = run_pipeline(config, tmp_path / "out", resume=True)
+        assert [r.stage for r in resumed.records] == ["ingest", "filter", "dedup", "mix"] * 2
+        run_pipeline(config, tmp_path / "fresh")
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in (tmp_path / "out").iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_resume_reruns_after_lexicon_edit(self, tmp_path):
+        config = write_pipeline_fixture(tmp_path)
+        run_pipeline(config, tmp_path / "out")
+        (tmp_path / "lexicon.txt").write_text("", encoding="utf-8")
+        resumed = run_pipeline(config, tmp_path / "out", resume=True)
+        assert [r.stage for r in resumed.records][4:] == ["filter", "dedup", "mix"]
+        run_pipeline(config, tmp_path / "fresh")
+        for name in ("kept.jsonl", "filter_report.json", "unique.jsonl", "train.jsonl"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
     def test_cli_run_and_exit_codes(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
         assert run_cli("run", "--config", config, "--out-dir", tmp_path / "out") == 0
@@ -321,7 +344,18 @@ def _exit_code_inputs(tmp_path):
     (tmp_path / "dedup_typo.json").write_text('{"ngrams": 5}', encoding="utf-8")
     (tmp_path / "dedup_ngram_str.json").write_text('{"ngram": "5"}', encoding="utf-8")
     (tmp_path / "dedup_seed_str.json").write_text('{"seed": "1"}', encoding="utf-8")
-    (tmp_path / "evalhome.jsonl").write_text("", encoding="utf-8")  # run checks only that it exists
+    mcq = {"question": "台面高度合适吗？", "question_type": "judgment", "options": {"A": "是", "B": "否"},
+           "correct_option": "A"}
+    write_jsonl(tmp_path / "evalhome.jsonl", [mcq])
+    write_jsonl(tmp_path / "evalhome_bad.jsonl", [mcq, {**mcq, "correct_option": "C"}])
+    (tmp_path / "template_no_slot.txt").write_text("没有知识槽位的模板。", encoding="utf-8")
+    (tmp_path / "report_no_dataset.json").write_text('{"overall_micro": 50.0}', encoding="utf-8")
+    (tmp_path / "report_labels_list.json").write_text('{"dataset": "e", "overall_micro": 50.0, "labels": ["base"]}',
+                                                      encoding="utf-8")
+    doc = {"doc_id": "d1", "text": "知识内容样例。", "source_kind": "domain_book", "token_count": 6, "char_count": 7}
+    write_jsonl(tmp_path / "doc_no_status.jsonl", [doc])
+    write_jsonl(tmp_path / "doc_tokens_null.jsonl", [{**doc, "token_count": None, "status": "retained"}])
+    write_jsonl(tmp_path / "sft_turns_str.jsonl", [{"kind": "one_turn", "turns": "地板", "knowledge_id": "k"}])
     run = {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]}}
     for name, extra in (("run_missing", {}), ("run_mix_typo", {"mix": {"ratoi": "1:3"}}),
                         ("run_tokenizer", {"tokenizer": "other"}), *_RUN_CONFIG_ERRORS.items()):
@@ -356,6 +390,17 @@ _RUN_CONFIG_ERRORS = {
     "run-mix-instructions-int": {"mix": {"mode": "mip", "instructions": 5}},
     "run-gen-template-int": {"gen": {"endpoint": "ep.json", "budget": 1, "template": 5}},
     "run-ingest-path-int": {"ingest": {"inputs": [{"path": 5, "kind": "domain_book"}]}},
+    "run-ingest-inputs-int": {"ingest": {"inputs": 5}},
+    "run-filters-min-chars-negative": {"filters": {"min_effective_chars": -1}},
+    "run-lexicon-missing": {"filters": {"sensitive_word_list": "missing_words.txt"}},
+    "run-dedup-num-perm": {"dedup": {"num_perm": 100}},
+    "run-mix-instructions-missing": {"mix": {"mode": "mip", "instructions": "missing_sft.jsonl"}},
+    "run-gen-endpoint-typo": {"gen": {"endpoint": "ep_typo.json", "budget": 1}},
+    "run-gen-template-missing": {"gen": {"endpoint": "ep.json", "budget": 1, "template": "missing.txt"}},
+    "run-gen-template-no-slot": {"gen": {"endpoint": "ep.json", "budget": 1, "template": "template_no_slot.txt"}},
+    "run-gen-categories-missing": {"gen": {"endpoint": "ep.json", "budget": 1, "categories": "missing.txt"}},
+    "run-eval-endpoint-typo": {"eval": {**_EVAL, "endpoint": "ep_typo.json"}},
+    "run-eval-dataset-bad-row": {"eval": {**_EVAL, "dataset": "evalhome_bad.jsonl"}},
 }
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
 _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")
@@ -376,10 +421,19 @@ _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pair
     *((("run", "--config", f"{{tmp}}/{name}.json", "--out-dir", "{tmp}/out"), 2) for name in _RUN_CONFIG_ERRORS),
     (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/out"), 3),
     (_GEN + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
+    (("sweep-report", "--runs", "{tmp}/report_no_dataset.json", "--out", "{tmp}/sweep.csv"), 2),
+    (("sweep-report", "--runs", "{tmp}/report_labels_list.json", "--out", "{tmp}/sweep.csv"), 2),
+    # a document row without a status reads as ingested, as in every stage
+    (("stats", "{tmp}/doc_no_status.jsonl"), 0),
+    (("stats", "{tmp}/doc_tokens_null.jsonl"), 2),
+    (("stats", "{tmp}/sft_turns_str.jsonl"), 2),
+    (("term-freq", "--in", "{tmp}/sft_turns_str.jsonl", "--out", "{tmp}/terms.csv"), 2),
 ], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
         "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
-        "run-stage-failure", "gen-budget-exhausted"])
+        "run-stage-failure", "gen-budget-exhausted", "sweep-report-no-dataset", "sweep-report-labels-list",
+        "stats-doc-no-status",
+        "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code

@@ -74,6 +74,14 @@ class TestTemplates:
         with pytest.raises(ValueError):
             PromptTemplate(kind="mcq", body="无槽位模板")
 
+    def test_short_category_list_warns_once(self, tmp_path, caplog):
+        categories = tmp_path / "categories.txt"
+        categories.write_text("行业标准\n安装工程\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="renokit.sftgen"):
+            template = load_template("one_turn", categories_path=categories)
+        assert template.category_list == ("行业标准", "安装工程")
+        assert [r.getMessage() for r in caplog.records] == ["one-turn template has 2 categories, expected 40"]
+
 
 class TestJsonExtraction:
     def test_prose_wrapped(self):
@@ -300,6 +308,17 @@ class TestBatchGenerate:
             "CategoryOutOfSet": 1,
             "CountOutOfRange": 1,
         }
+
+    def test_supplied_templates_are_not_reloaded(self, tmp_path, monkeypatch):
+        def refuse(kind, *args, **kwargs):
+            raise AssertionError(f"default {kind} template loaded")
+
+        templates = {kind: load_template(kind) for kind in ("mcq", "multi_turn")}
+        monkeypatch.setattr("renokit.sftgen.load_template", refuse)
+        client = make_client(gen_script(CATEGORIES))
+        _, report = batch_generate(build_gen_docs()[:2], ["mcq", "multi_turn"], client, budget=100,
+                                   archive=ResponseArchive(tmp_path / "arch"), templates=templates)
+        assert report.jobs_total == 4
 
     def test_archive_completeness(self, tmp_path):
         _, reports, archive = self.run_batch(tmp_path / "arch")
