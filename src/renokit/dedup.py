@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyShingleSet
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
-from .jsonl import config_from_dict
+from .jsonl import Record, config_from_dict
 from .tokenizers import count_tokens
 
 REASON_EXACT = "exact"
@@ -71,13 +71,10 @@ class DedupConfig:
 
 
 @dataclass(frozen=True)
-class DupPair:
+class DupPair(Record):
     a: str
     b: str
     jaccard: float
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "jaccard": self.jaccard}
 
 
 def _hash64(gram: str) -> int:
@@ -270,23 +267,13 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
 
 
 @dataclass
-class DedupReport:
+class DedupReport(Record):
     input: int = 0
     retained: int = 0
     dropped: dict[str, int] = field(default_factory=lambda: {REASON_EXACT: 0, REASON_NEAR: 0, REASON_SENTENCE: 0})
     tokens_in: int = 0
     tokens_out: int = 0
     pairs: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "retained": self.retained,
-            "dropped": dict(self.dropped),
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
-            "pairs": self.pairs,
-        }
 
 
 def run_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], list[DupPair], DedupReport]:

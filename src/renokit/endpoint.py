@@ -20,7 +20,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .errors import EndpointError
-from .jsonl import config_from_dict, read_json, write_json
+from .jsonl import Record, config_from_dict, read_json, write_json
 
 Message = dict  # {"role": ..., "content": ...}
 
@@ -28,7 +28,7 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
 @dataclass
-class EndpointConfig:
+class EndpointConfig(Record):
     base_url: str
     model_name: str
     api_key_env: str = "OPENAI_API_KEY"
@@ -52,17 +52,7 @@ class EndpointConfig:
         return cls.from_dict(read_json(path))
 
     def to_json(self, path: str | Path) -> None:
-        obj = {
-            "base_url": self.base_url,
-            "model_name": self.model_name,
-            "api_key_env": self.api_key_env,
-            "temperature": self.temperature,
-            "max_retries": self.max_retries,
-            "backoff": list(self.backoff),
-            "concurrency_limit": self.concurrency_limit,
-            "timeout": self.timeout,
-        }
-        write_json(path, obj)
+        write_json(path, self.to_dict())
 
 
 @dataclass(frozen=True)

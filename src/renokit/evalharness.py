@@ -18,6 +18,7 @@ from typing import Sequence
 from .endpoint import ChatClient, EndpointConfig, Transport
 from .errors import (
     ArityError,
+    ConfigError,
     DatasetMismatch,
     EndpointError,
     ExemplarLeakage,
@@ -25,7 +26,7 @@ from .errors import (
     OptionMismatch,
     SchemaError,
 )
-from .jsonl import read_jsonl, write_json
+from .jsonl import Record, read_jsonl, write_json
 from .sftgen import MCQItem
 
 EXTRACT_LETTER = "letter_regex"
@@ -133,6 +134,17 @@ def build_prompt(item: MCQItem, exemplars: Sequence[MCQItem], k: int) -> list[di
     return [{"role": "user", "content": "\n\n".join(blocks)}]
 
 
+def check_shots(shots: Sequence[int], dataset: MCQDataset) -> None:
+    """Raise ConfigError unless `shots` is a non-empty list of ints >= 0 that
+    the dev pool can serve at every count. Dev items are scored too and are
+    never their own exemplar, so k shots need k + 1 dev items when k > 0."""
+    if not shots or not all(type(k) is int and k >= 0 for k in shots):
+        raise ConfigError(f"shots must be a non-empty list of ints >= 0, got {shots!r}")
+    dev = len(dataset.split_entries(SPLIT_DEV))
+    if max(shots) > max(dev - 1, 0):
+        raise ConfigError(f"{max(shots)} shots need {max(shots) + 1} dev items; dataset {dataset.name!r} has {dev}")
+
+
 def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:
     """First k dev-split items in dataset order, skipping the scored item."""
     pool = [e.item for e in dataset.split_entries(SPLIT_DEV) if e.item_id != entry.item_id]
@@ -184,32 +196,18 @@ class EvalRunConfig:
         }
 
 
-@dataclass
-class EvalReport:
+@dataclass(kw_only=True)
+class EvalReport(Record):
     dataset: str
     items_total: int
     config: dict
-    per_item: list[dict]
-    per_category: dict[str, dict]
+    labels: dict = field(default_factory=dict)
+    notes: tuple[str, ...] = _CONVENTION_NOTES
     overall_micro: float
     overall_macro: float
     degraded: bool = False
-    labels: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = _CONVENTION_NOTES
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "items_total": self.items_total,
-            "config": self.config,
-            "labels": dict(self.labels),
-            "notes": list(self.notes),
-            "overall_micro": self.overall_micro,
-            "overall_macro": self.overall_macro,
-            "degraded": self.degraded,
-            "per_category": self.per_category,
-            "per_item": self.per_item,
-        }
+    per_category: dict[str, dict]
+    per_item: list[dict]
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

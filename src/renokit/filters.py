@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LexiconMissing
 from .ingest import Document, STATUS_FILTERED_OUT
-from .jsonl import config_from_dict
+from .jsonl import Record, config_from_dict
 from .tokenizers import count_cjk
 
 REASON_SENSITIVE = "sensitive"
@@ -200,13 +200,10 @@ def filter_length(doc: Document, cfg: FilterConfig) -> Verdict:
 
 
 @dataclass
-class FilterReport:
+class FilterReport(Record):
     input: int = 0
     retained: int = 0
     dropped: dict[str, int] = field(default_factory=lambda: {r: 0 for r in FILTER_ORDER})
-
-    def to_dict(self) -> dict:
-        return {"input": self.input, "retained": self.retained, "dropped": dict(self.dropped)}
 
 
 def run_filters(

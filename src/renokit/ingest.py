@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DecodeError, EmptyAfterExtraction, SchemaError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import Record, read_jsonl, write_jsonl
 from .tokenizers import TOKENIZER, count_tokens
 
 SOURCE_KINDS = ("national_standard", "domain_book", "domain_website", "general")
@@ -43,7 +43,7 @@ class RawRecord:
 
 
 @dataclass
-class Document:
+class Document(Record):
     doc_id: str
     text: str
     source_kind: str
@@ -57,17 +57,6 @@ class Document:
             raise ValueError(f"unknown status {status!r}")
         self.status = status
         self.reason = reason
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "text": self.text,
-            "source_kind": self.source_kind,
-            "token_count": self.token_count,
-            "char_count": self.char_count,
-            "status": self.status,
-            "reason": self.reason,
-        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Document":

@@ -13,6 +13,14 @@ from typing import Any, Iterable, Iterator, TextIO
 from .errors import ConfigError, SchemaError
 
 
+class Record:
+    """Mixin for a dataclass whose artifact is its fields in declaration order:
+    to_dict() maps each field name to its value, without copying the value."""
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+
 def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
@@ -76,7 +84,7 @@ def write_json(path: str | Path, obj: Any) -> None:
 # JSON value types accepted for each field annotation the config dataclasses
 # use; their modules postpone annotations, so field types are these strings.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),),
-               "tuple[float, ...]": (list,)}
+               "tuple[float, ...]": (list,), "dict[str, str]": (dict,)}
 
 
 def check_keys(obj: Any, allowed: Iterable[str], what: str) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData
-from .jsonl import read_json, write_json
+from .jsonl import Record, read_json, write_json
 from .tokenizers import TOKENIZER, count_tokens
 
 MODE_DAPT = "dapt"
@@ -203,7 +203,7 @@ MAX_LENGTH_SFT = 1536
 
 
 @dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(Record):
     precision: str = "fp16"
     epochs: int = 4
     batch_size: int = 64
@@ -211,17 +211,6 @@ class TrainerConfig:
     warmup_ratio: float = 0.1
     lr_scheduler: str = "cosine"
     max_length: int = MAX_LENGTH_PRETRAIN
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "warmup_ratio": self.warmup_ratio,
-            "lr_scheduler": self.lr_scheduler,
-            "max_length": self.max_length,
-        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainerConfig":

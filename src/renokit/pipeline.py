@@ -23,7 +23,7 @@ from . import __version__
 from .dedup import DedupConfig, DedupReport, run_dedup
 from .errors import BudgetExhausted, ConfigError, StageFailure, UnknownSchema
 from .endpoint import ChatClient, EndpointConfig, ResponseArchive, utc_now_iso
-from .evalharness import EvalReport, EvalRunConfig, MCQDataset, best_of_settings, load_dataset, run_eval
+from .evalharness import EvalReport, EvalRunConfig, MCQDataset, best_of_settings, check_shots, load_dataset, run_eval
 from .filters import FilterConfig, FilterReport, run_filters
 from .ingest import (
     DOMAIN_KINDS,
@@ -36,7 +36,7 @@ from .ingest import (
     source_files,
     write_documents,
 )
-from .jsonl import check_keys, read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import Record, check_keys, config_from_dict, read_json, read_jsonl, write_json, write_jsonl
 from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, record_tokens
 from .sftgen import (
     DIFFICULTIES,
@@ -164,6 +164,7 @@ def run_gen_stage(knowledge_path, template: PromptTemplate, endpoint: EndpointCo
 def run_eval_stage(dataset: MCQDataset, endpoint: EndpointConfig, shots: Sequence[int], seed: int, report_path, *,
                    transport=None, labels: dict | None = None) -> tuple[EvalReport, list[EvalReport]]:
     """Evaluate at each shot count and save the best report; returns it and the per-setting reports."""
+    check_shots(shots, dataset)
     reports = [
         run_eval(dataset, EvalRunConfig(shots=k, seed=seed, endpoint=endpoint), transport=transport, labels=labels)
         for k in shots
@@ -177,7 +178,7 @@ def run_eval_stage(dataset: MCQDataset, endpoint: EndpointConfig, shots: Sequenc
 
 
 @dataclass
-class StageRecord:
+class StageRecord(Record):
     stage: str
     config_digest: str
     seed: int
@@ -185,21 +186,6 @@ class StageRecord:
     outputs: dict[str, str]
     started: str
     finished: str
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "started": self.started,
-            "finished": self.finished,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "StageRecord":
-        return cls(**obj)
 
 
 @dataclass
@@ -213,10 +199,12 @@ class PipelineManifest:
         path = Path(path)
         if path.exists():
             obj = read_json(path)
+            if not isinstance(obj, dict) or not isinstance(obj.get("stages"), list):
+                raise ConfigError(f"{path}: a manifest must be a JSON object with a 'stages' list")
             return cls(
                 path=path,
                 version=obj.get("version", __version__),
-                records=[StageRecord.from_dict(r) for r in obj.get("stages", [])],
+                records=[config_from_dict(StageRecord, r, f"{path} stage record") for r in obj["stages"]],
             )
         return cls(path=path)
 
@@ -276,9 +264,6 @@ def _check_config(config: dict) -> None:
                 raise ConfigError(f"{name}.{key} must be a JSON {names}, got {section[key]!r}")
     if config.get("tokenizer", TOKENIZER) != TOKENIZER:
         raise ConfigError(f"tokenizer must be {TOKENIZER!r}, got {config['tokenizer']!r}")
-    shots = (config.get("eval") or {}).get("shots", [0])
-    if not shots or not all(type(k) is int and k >= 0 for k in shots):
-        raise ConfigError(f"eval.shots must be a non-empty list of ints >= 0, got {shots!r}")
 
 
 @contextmanager
@@ -330,6 +315,10 @@ class PipelineRunner:
         self.eval_endpoint = self._endpoint("eval")
         dataset_path = self._file("eval", "dataset")
         self.eval_dataset = (dataset_path, load_dataset(dataset_path)) if dataset_path else None
+        self.eval_shots = (config.get("eval") or {}).get("shots", [0, 5])
+        if self.eval_dataset:
+            with _config_error("eval.shots"):
+                check_shots(self.eval_shots, self.eval_dataset[1])
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -510,7 +499,7 @@ class PipelineRunner:
         (endpoint_path, endpoint), (dataset_path, dataset) = self.eval_endpoint, self.eval_dataset
         report = self.out_dir / "eval_report.json"
         self._run_stage("eval", [dataset_path, endpoint_path], [report], lambda: run_eval_stage(
-            dataset, endpoint, cfg.get("shots", [0, 5]), self.seed, report,
+            dataset, endpoint, self.eval_shots, self.seed, report,
             transport=self.eval_transport, labels=cfg.get("labels", {})))
 
     def run(self) -> PipelineManifest:
@@ -613,37 +602,49 @@ def summarize_artifact(path: str | Path) -> str:
         obj = read_json(path)
         if not isinstance(obj, dict):
             raise UnknownSchema(f"{path}: expected a JSON object")
-        if "stages" in obj:
-            stages = ", ".join(r["stage"] for r in obj["stages"])
-            return f"manifest: {len(obj['stages'])} stage records ({stages})"
-        if "overall_micro" in obj:
-            return (
-                f"eval report: {obj.get('dataset')} items={obj.get('items_total')} "
-                f"micro={obj.get('overall_micro')} macro={obj.get('overall_macro')}"
-            )
-        if "pairs" in obj and "dropped" in obj:
-            dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
-            return (
-                f"dedup report: input={obj['input']} retained={obj['retained']} dropped: {dropped}; "
-                f"tokens {obj['tokens_in']} -> {obj['tokens_out']}; {obj['pairs']} near-dup pairs"
-            )
-        if "dropped" in obj and "retained" in obj:
-            dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
-            return f"filter report: input={obj['input']} retained={obj['retained']} dropped: {dropped}"
-        if "requests_sent" in obj and "accepted" in obj:
-            rejected = ", ".join(f"{k}={v}" for k, v in obj.get("rejected", {}).items()) or "none"
-            return (
-                f"generation report: accepted={obj['accepted']} rejected: {rejected}; "
-                f"sent={obj['requests_sent']} replayed={obj.get('replayed', 0)}"
-            )
-        if "achieved_ratio" in obj:
-            return (
-                f"mix report: mode={obj.get('mode')} ratio=1:{obj.get('ratio_general')} "
-                f"achieved={obj.get('achieved_ratio'):.4f} seed={obj.get('seed')}"
-            )
-        if "max_length" in obj and "precision" in obj:
-            return "trainer config: " + ", ".join(f"{k}={v}" for k, v in obj.items())
-        if "tokenizer" in obj and "documents" in obj:
-            return "ingest stats: " + json.dumps(obj, ensure_ascii=False)
-        raise UnknownSchema(f"{path}: unrecognized JSON schema (keys: {sorted(obj)})")
+        try:
+            summary = _summarize_report(obj)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            # matched a schema by its keys, but lacks or mistypes a key its summary prints
+            raise UnknownSchema(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
+        if summary is None:
+            raise UnknownSchema(f"{path}: unrecognized JSON schema (keys: {sorted(obj)})")
+        return summary
     raise UnknownSchema(f"{path}: expected .json or .jsonl")
+
+
+def _summarize_report(obj: dict) -> str | None:
+    """Summary of a JSON report, chosen by its keys; None for an unknown schema."""
+    if "stages" in obj:
+        stages = ", ".join(r["stage"] for r in obj["stages"])
+        return f"manifest: {len(obj['stages'])} stage records ({stages})"
+    if "overall_micro" in obj:
+        return (
+            f"eval report: {obj.get('dataset')} items={obj.get('items_total')} "
+            f"micro={obj.get('overall_micro')} macro={obj.get('overall_macro')}"
+        )
+    if "pairs" in obj and "dropped" in obj:
+        dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
+        return (
+            f"dedup report: input={obj['input']} retained={obj['retained']} dropped: {dropped}; "
+            f"tokens {obj['tokens_in']} -> {obj['tokens_out']}; {obj['pairs']} near-dup pairs"
+        )
+    if "dropped" in obj and "retained" in obj:
+        dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
+        return f"filter report: input={obj['input']} retained={obj['retained']} dropped: {dropped}"
+    if "requests_sent" in obj and "accepted" in obj:
+        rejected = ", ".join(f"{k}={v}" for k, v in obj.get("rejected", {}).items()) or "none"
+        return (
+            f"generation report: accepted={obj['accepted']} rejected: {rejected}; "
+            f"sent={obj['requests_sent']} replayed={obj.get('replayed', 0)}"
+        )
+    if "achieved_ratio" in obj:
+        return (
+            f"mix report: mode={obj.get('mode')} ratio=1:{obj.get('ratio_general')} "
+            f"achieved={obj.get('achieved_ratio'):.4f} seed={obj.get('seed')}"
+        )
+    if "max_length" in obj and "precision" in obj:
+        return "trainer config: " + ", ".join(f"{k}={v}" for k, v in obj.items())
+    if "tokenizer" in obj and "documents" in obj:
+        return "ingest stats: " + json.dumps(obj, ensure_ascii=False)
+    return None

@@ -37,7 +37,7 @@ from .errors import (
     SchemaError,
 )
 from .ingest import Document
-from .jsonl import read_jsonl
+from .jsonl import Record, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -113,12 +113,12 @@ def load_template(
 # --- sample schemas -----------------------------------------------------------
 
 
-@dataclass
-class InstructionSample:
+@dataclass(kw_only=True)
+class InstructionSample(Record):
     kind: str
     turns: list[dict]
-    knowledge_id: str
     category: str | None = None
+    knowledge_id: str
     gen_meta: dict = field(default_factory=dict)
 
     def validate(self) -> "InstructionSample":
@@ -139,15 +139,6 @@ class InstructionSample:
             raise SchemaError("multi-turn samples have at least 4 turns")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "turns": self.turns,
-            "category": self.category,
-            "knowledge_id": self.knowledge_id,
-            "gen_meta": self.gen_meta,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "InstructionSample":
         try:
@@ -164,7 +155,7 @@ class InstructionSample:
 
 
 @dataclass
-class MCQItem:
+class MCQItem(Record):
     question: str
     question_type: str
     options: dict[str, str]
@@ -192,18 +183,6 @@ class MCQItem:
         if self.difficulty not in DIFFICULTIES:
             raise SchemaError(f"difficulty must be one of {DIFFICULTIES}")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "question_type": self.question_type,
-            "options": self.options,
-            "correct_option": self.correct_option,
-            "reason": self.reason,
-            "category": self.category,
-            "subclass": self.subclass,
-            "difficulty": self.difficulty,
-        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MCQItem":
@@ -579,30 +558,27 @@ def batch_generate(
             return [gen_multi_turn(doc, completer, templates[kind], client.cfg.model_name)]
         return [gen_mcq(doc, completer, templates[kind], client.cfg.model_name)]
 
-    results: dict[tuple[str, str], list] = {}
+    # Futures are read in job order, so the output is in (doc_id, kind) order
+    # whatever order the jobs finish in.
+    ordered: list = []
     report.jobs_total = len(jobs)
     with ThreadPoolExecutor(max_workers=client.cfg.concurrency_limit) as pool:
-        futures = {pool.submit(run_job, job): job for job in jobs}
-        for future, job in futures.items():
-            doc, kind = job
+        futures = [(pool.submit(run_job, job), job[1]) for job in jobs]
+        for future, kind in futures:
             try:
-                results[(doc.doc_id, kind)] = future.result()
-                report.jobs_accepted += 1
-                report.accepted += len(results[(doc.doc_id, kind)])
-                report.accepted_per_kind[kind] = report.accepted_per_kind.get(kind, 0) + len(
-                    results[(doc.doc_id, kind)]
-                )
+                produced = future.result()
             except BudgetExhausted:
                 report.budget_exhausted = True
             except GenerationError as exc:
                 report.reject(type(exc).__name__)
+            else:
+                ordered.extend(produced)
+                report.jobs_accepted += 1
+                report.accepted += len(produced)
+                report.accepted_per_kind[kind] = report.accepted_per_kind.get(kind, 0) + len(produced)
 
     report.requests_sent = completer.sent
     report.replayed = completer.replayed
-    ordered: list = []
-    for doc in usable:
-        for kind in kinds:
-            ordered.extend(results.get((doc.doc_id, kind), ()))
     return ordered, report
 
 

@@ -356,6 +356,11 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "doc_no_status.jsonl", [doc])
     write_jsonl(tmp_path / "doc_tokens_null.jsonl", [{**doc, "token_count": None, "status": "retained"}])
     write_jsonl(tmp_path / "sft_turns_str.jsonl", [{"kind": "one_turn", "turns": "地板", "knowledge_id": "k"}])
+    for name, report in _PARTIAL_REPORTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
+    for name, manifest in _BAD_MANIFESTS.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     run = {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}]}}
     for name, extra in (("run_missing", {}), ("run_mix_typo", {"mix": {"ratoi": "1:3"}}),
                         ("run_tokenizer", {"tokenizer": "other"}), *_RUN_CONFIG_ERRORS.items()):
@@ -376,6 +381,8 @@ _RUN_CONFIG_ERRORS = {
     "run-eval-shots-negative": {"eval": {**_EVAL, "shots": [0, -5]}},
     "run-eval-shots-str": {"eval": {**_EVAL, "shots": ["5"]}},
     "run-eval-shots-empty": {"eval": {**_EVAL, "shots": []}},
+    # evalhome.jsonl has no dev items, so it can serve no exemplar
+    "run-eval-shots-shortfall": {"eval": {**_EVAL, "shots": [0, 5]}},
     "run-eval-labels-list": {"eval": {**_EVAL, "labels": ["base"]}},
     "run-gen-kind": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": "poem"}},
     "run-gen-endpoint-missing": {"gen": {"endpoint": "missing_ep.json", "budget": 1}},
@@ -401,6 +408,21 @@ _RUN_CONFIG_ERRORS = {
     "run-gen-categories-missing": {"gen": {"endpoint": "ep.json", "budget": 1, "categories": "missing.txt"}},
     "run-eval-endpoint-typo": {"eval": {**_EVAL, "endpoint": "ep_typo.json"}},
     "run-eval-dataset-bad-row": {"eval": {**_EVAL, "dataset": "evalhome_bad.jsonl"}},
+}
+# Reports that match a schema by their keys but lack or mistype a key that
+# `stats` prints.
+_PARTIAL_REPORTS = {
+    "stats-dedup-partial": {"pairs": 1, "dropped": {}},
+    "stats-filter-no-input": {"dropped": {"length": 1}, "retained": 3},
+    "stats-manifest-no-stage": {"stages": [{"x": 1}]},
+    "stats-gen-rejected-list": {"requests_sent": 1, "accepted": 0, "rejected": []},
+    "stats-filter-dropped-list": {"dropped": [], "retained": 1, "input": 1},
+}
+# Out dirs holding a malformed manifest.json.
+_BAD_MANIFESTS = {
+    "run-manifest-record-partial": {"stages": [{"stage": "ingest"}]},
+    "run-manifest-list": ["x"],
+    "run-manifest-stages-int": {"stages": 5},
 }
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
 _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")
@@ -428,12 +450,18 @@ _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pair
     (("stats", "{tmp}/doc_tokens_null.jsonl"), 2),
     (("stats", "{tmp}/sft_turns_str.jsonl"), 2),
     (("term-freq", "--in", "{tmp}/sft_turns_str.jsonl", "--out", "{tmp}/terms.csv"), 2),
+    *((("stats", f"{{tmp}}/{name}.json"), 2) for name in _PARTIAL_REPORTS),
+    *((("run", "--config", "{tmp}/run_missing.json", "--out-dir", f"{{tmp}}/{name}"), 2) for name in _BAD_MANIFESTS),
+    (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/run-manifest-list", "--resume"), 2),
+    (("eval", "--dataset", "{tmp}/evalhome.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0,5",
+      "--out", "{tmp}/report.json"), 2),
 ], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
         "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
         "run-stage-failure", "gen-budget-exhausted", "sweep-report-no-dataset", "sweep-report-labels-list",
         "stats-doc-no-status",
-        "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str"])
+        "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str", *_PARTIAL_REPORTS, *_BAD_MANIFESTS,
+        "run-manifest-list-resume", "eval-shots-shortfall"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code

@@ -6,6 +6,7 @@ import pytest
 
 from renokit.endpoint import EndpointConfig
 from renokit.errors import (
+    ConfigError,
     DatasetMismatch,
     ExemplarLeakage,
     ExemplarShortfall,
@@ -15,6 +16,7 @@ from renokit.evalharness import (
     EvalRunConfig,
     best_of_settings,
     build_prompt,
+    check_shots,
     extract_answer,
     load_dataset,
     round_pct,
@@ -23,9 +25,10 @@ from renokit.evalharness import (
     sweep_report,
 )
 from renokit.jsonl import write_jsonl
+from renokit.pipeline import run_eval_stage
 
 from fixture_data import build_evalhome_rows
-from mocks import ConstantTransport, FailingTransport, GoldAnswerTransport
+from mocks import ConstantTransport, FailingTransport, GoldAnswerTransport, ScriptedTransport
 
 
 def endpoint_cfg(concurrency: int = 4) -> EndpointConfig:
@@ -258,3 +261,22 @@ def test_report_json_roundtrip(evalhome, tmp_path):
     assert loaded["overall_micro"] == 53.98
     assert loaded["labels"] == {"model": "m", "ratio": "1:10"}
     assert len(loaded["per_item"]) == 113
+
+
+# evalhome has 6 dev items: a dev item is scored too and has 5 others to draw on.
+@pytest.mark.parametrize("shots", [[0, -5], [0, 6], [], [0, "5"]], ids=["negative", "shortfall", "empty", "str"])
+def test_eval_stage_checks_shots_before_first_request(evalhome, tmp_path, shots):
+    transport = ScriptedTransport(lambda messages: "答案：A")
+    with pytest.raises(ConfigError):
+        run_eval_stage(evalhome, endpoint_cfg(), shots, 0, tmp_path / "report.json", transport=transport)
+    assert transport.calls == 0
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_check_shots_limit_is_dev_items_minus_one(evalhome, tmp_path):
+    check_shots([0, 5], evalhome)
+    path = tmp_path / "one_dev.jsonl"
+    write_jsonl(path, [{**build_evalhome_rows()[0], "split": "dev"}])
+    check_shots([0], load_dataset(path))
+    with pytest.raises(ConfigError):
+        check_shots([1], load_dataset(path))
