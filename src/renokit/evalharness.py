@@ -94,6 +94,7 @@ def load_dataset(path: str | Path) -> MCQDataset:
     """Load and validate an MCQ JSONL file; a bad row raises SchemaError with its line number."""
     path = Path(path)
     entries: list[DatasetEntry] = []
+    seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
         try:
             item = MCQItem.from_dict(obj)
@@ -103,6 +104,10 @@ def load_dataset(path: str | Path) -> MCQDataset:
         if split not in (None, SPLIT_DEV, SPLIT_TEST):
             raise SchemaError(f"{path}: line {lineno}: bad split {split!r}", line=lineno)
         item_id = str(obj.get("id") or f"{path.stem}-{lineno:04d}")
+        if item_id in seen:
+            # an item is never its own exemplar by id, so ids must be unique
+            raise SchemaError(f"{path}: line {lineno}: duplicate id {item_id!r}", line=lineno)
+        seen.add(item_id)
         entries.append(DatasetEntry(item_id=item_id, item=item, split=split))
     return MCQDataset(name=path.stem, entries=entries)
 

@@ -604,18 +604,28 @@ def summarize_artifact(path: str | Path) -> str:
             raise UnknownSchema(f"{path}: expected a JSON object")
         try:
             summary = _summarize_report(obj)
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            # matched a schema by its keys, but lacks or mistypes a key its summary prints
-            raise UnknownSchema(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
+        except UnknownSchema as exc:
+            raise UnknownSchema(f"{path}: {exc}") from None
         if summary is None:
             raise UnknownSchema(f"{path}: unrecognized JSON schema (keys: {sorted(obj)})")
         return summary
     raise UnknownSchema(f"{path}: expected .json or .jsonl")
 
 
+def _require(obj: dict, kinds: dict[str, type | tuple[type, ...]]) -> None:
+    """UnknownSchema unless each key is in `obj` with a value of its kind: a
+    report that matched a schema by its keys still lacks a key it prints."""
+    for key, kind in kinds.items():
+        if key not in obj or not isinstance(obj[key], kind):
+            raise UnknownSchema(f"malformed report: {key!r} is missing or has the wrong type")
+
+
 def _summarize_report(obj: dict) -> str | None:
     """Summary of a JSON report, chosen by its keys; None for an unknown schema."""
     if "stages" in obj:
+        _require(obj, {"stages": list})
+        for r in obj["stages"]:
+            _require(r if isinstance(r, dict) else {}, {"stage": str})
         stages = ", ".join(r["stage"] for r in obj["stages"])
         return f"manifest: {len(obj['stages'])} stage records ({stages})"
     if "overall_micro" in obj:
@@ -624,21 +634,26 @@ def _summarize_report(obj: dict) -> str | None:
             f"micro={obj.get('overall_micro')} macro={obj.get('overall_macro')}"
         )
     if "pairs" in obj and "dropped" in obj:
+        _require(obj, {"dropped": dict, "input": object, "retained": object, "tokens_in": object,
+                       "tokens_out": object})
         dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
         return (
             f"dedup report: input={obj['input']} retained={obj['retained']} dropped: {dropped}; "
             f"tokens {obj['tokens_in']} -> {obj['tokens_out']}; {obj['pairs']} near-dup pairs"
         )
     if "dropped" in obj and "retained" in obj:
+        _require(obj, {"dropped": dict, "input": object})
         dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
         return f"filter report: input={obj['input']} retained={obj['retained']} dropped: {dropped}"
     if "requests_sent" in obj and "accepted" in obj:
+        _require({"rejected": {}, **obj}, {"rejected": dict})
         rejected = ", ".join(f"{k}={v}" for k, v in obj.get("rejected", {}).items()) or "none"
         return (
             f"generation report: accepted={obj['accepted']} rejected: {rejected}; "
             f"sent={obj['requests_sent']} replayed={obj.get('replayed', 0)}"
         )
     if "achieved_ratio" in obj:
+        _require(obj, {"achieved_ratio": (int, float)})
         return (
             f"mix report: mode={obj.get('mode')} ratio=1:{obj.get('ratio_general')} "
             f"achieved={obj.get('achieved_ratio'):.4f} seed={obj.get('seed')}"

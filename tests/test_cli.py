@@ -348,6 +348,7 @@ def _exit_code_inputs(tmp_path):
            "correct_option": "A"}
     write_jsonl(tmp_path / "evalhome.jsonl", [mcq])
     write_jsonl(tmp_path / "evalhome_bad.jsonl", [mcq, {**mcq, "correct_option": "C"}])
+    write_jsonl(tmp_path / "evalhome_dup_id.jsonl", [{**mcq, "split": "dev", "id": "d"}] * 2)
     (tmp_path / "template_no_slot.txt").write_text("没有知识槽位的模板。", encoding="utf-8")
     (tmp_path / "report_no_dataset.json").write_text('{"overall_micro": 50.0}', encoding="utf-8")
     (tmp_path / "report_labels_list.json").write_text('{"dataset": "e", "overall_micro": 50.0, "labels": ["base"]}',
@@ -367,7 +368,9 @@ def _exit_code_inputs(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps({**run, **extra}), encoding="utf-8")
 
 
-_EVAL = {"dataset": "evalhome.jsonl", "endpoint": "ep.json"}
+# One shot count the one-item evalhome.jsonl can serve, so that each eval row
+# below fails for its own reason, not for a shot shortfall.
+_EVAL = {"dataset": "evalhome.jsonl", "endpoint": "ep.json", "shots": [0]}
 # Run configs refused before any stage runs. Each also names a missing ingest
 # input, so a value checked only when its stage runs would exit 3.
 _RUN_CONFIG_ERRORS = {
@@ -455,13 +458,15 @@ _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pair
     (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/run-manifest-list", "--resume"), 2),
     (("eval", "--dataset", "{tmp}/evalhome.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0,5",
       "--out", "{tmp}/report.json"), 2),
+    (("eval", "--dataset", "{tmp}/evalhome_dup_id.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0,1",
+      "--out", "{tmp}/report.json"), 2),
 ], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
         "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
         "run-stage-failure", "gen-budget-exhausted", "sweep-report-no-dataset", "sweep-report-labels-list",
         "stats-doc-no-status",
         "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str", *_PARTIAL_REPORTS, *_BAD_MANIFESTS,
-        "run-manifest-list-resume", "eval-shots-shortfall"])
+        "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code

@@ -280,3 +280,14 @@ def test_check_shots_limit_is_dev_items_minus_one(evalhome, tmp_path):
     check_shots([0], load_dataset(path))
     with pytest.raises(ConfigError):
         check_shots([1], load_dataset(path))
+
+
+def test_load_dataset_rejects_repeated_id(tmp_path):
+    # a dev item skips every exemplar that shares its id, so a repeated dev id
+    # would pass the up-front shot check and fall short mid-run
+    row = {**build_evalhome_rows()[0], "split": "dev", "id": "dup"}
+    path = tmp_path / "dup.jsonl"
+    write_jsonl(path, [row, {**row, "question": "另一道题？"}])
+    with pytest.raises(SchemaError) as err:
+        load_dataset(path)
+    assert err.value.line == 2
