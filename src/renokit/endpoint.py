@@ -41,15 +41,15 @@ class EndpointConfig(Record):
     def __post_init__(self):
         if self.concurrency_limit < 1:
             raise ValueError("concurrency_limit must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not all(type(x) in (int, float) for x in self.backoff):
+            raise ValueError(f"every backoff entry must be a number, got {list(self.backoff)!r}")
         self.backoff = tuple(float(x) for x in self.backoff)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "EndpointConfig":
-        return config_from_dict(cls, obj, "endpoint config")
-
-    @classmethod
     def from_json(cls, path: str | Path) -> "EndpointConfig":
-        return cls.from_dict(read_json(path))
+        return config_from_dict(cls, read_json(path), "endpoint config")
 
     def to_json(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

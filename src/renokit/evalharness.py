@@ -26,7 +26,7 @@ from .errors import (
     OptionMismatch,
     SchemaError,
 )
-from .jsonl import Record, read_jsonl, write_json
+from .jsonl import Record, line_error, read_jsonl, write_json
 from .sftgen import MCQItem
 
 EXTRACT_LETTER = "letter_regex"
@@ -99,14 +99,14 @@ def load_dataset(path: str | Path) -> MCQDataset:
         try:
             item = MCQItem.from_dict(obj)
         except (SchemaError, ArityError, OptionMismatch) as exc:
-            raise SchemaError(f"{path}: line {lineno}: {exc}", line=lineno) from None
+            raise line_error(path, lineno, exc) from None
         split = obj.get("split")
         if split not in (None, SPLIT_DEV, SPLIT_TEST):
-            raise SchemaError(f"{path}: line {lineno}: bad split {split!r}", line=lineno)
+            raise line_error(path, lineno, f"bad split {split!r}")
         item_id = str(obj.get("id") or f"{path.stem}-{lineno:04d}")
         if item_id in seen:
             # an item is never its own exemplar by id, so ids must be unique
-            raise SchemaError(f"{path}: line {lineno}: duplicate id {item_id!r}", line=lineno)
+            raise line_error(path, lineno, f"duplicate id {item_id!r}")
         seen.add(item_id)
         entries.append(DatasetEntry(item_id=item_id, item=item, split=split))
     return MCQDataset(name=path.stem, entries=entries)

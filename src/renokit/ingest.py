@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DecodeError, EmptyAfterExtraction, SchemaError
-from .jsonl import Record, read_jsonl, write_jsonl
+from .jsonl import Record, line_error, read_jsonl, read_records, write_jsonl
 from .tokenizers import TOKENIZER, count_tokens
 
 SOURCE_KINDS = ("national_standard", "domain_book", "domain_website", "general")
@@ -58,27 +58,12 @@ class Document(Record):
         self.status = status
         self.reason = reason
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Document":
-        try:
-            doc = cls(
-                doc_id=obj["doc_id"],
-                text=obj["text"],
-                source_kind=obj["source_kind"],
-                token_count=int(obj["token_count"]),
-                char_count=int(obj["char_count"]),
-                status=obj.get("status", STATUS_INGESTED),
-                reason=obj.get("reason"),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"document record missing field {exc}") from None
-        except TypeError as exc:
-            raise SchemaError(f"document record has a field of the wrong type: {exc}") from None
-        if doc.source_kind not in SOURCE_KINDS:
-            raise SchemaError(f"document {doc.doc_id}: bad source_kind {doc.source_kind!r}")
-        if doc.status not in _STATUSES:
-            raise SchemaError(f"document {doc.doc_id}: bad status {doc.status!r}")
-        return doc
+    def validate(self) -> "Document":
+        if self.source_kind not in SOURCE_KINDS:
+            raise SchemaError(f"document {self.doc_id}: bad source_kind {self.source_kind!r}")
+        if self.status not in _STATUSES:
+            raise SchemaError(f"document {self.doc_id}: bad status {self.status!r}")
+        return self
 
 
 def doc_id_for(text: str, source_kind: str) -> str:
@@ -317,7 +302,7 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
             for lineno, obj in read_jsonl(file):
                 text = obj.get("text")
                 if not isinstance(text, str):
-                    raise SchemaError(f"{file}: line {lineno}: missing 'text'", line=lineno)
+                    raise line_error(file, lineno, "missing 'text'")
                 yield RawRecord(
                     source_id=str(obj.get("id") or f"{file.name}:{lineno}"),
                     source_kind=obj.get("kind") or kind,
@@ -332,4 +317,4 @@ def write_documents(path: str | Path, docs: Sequence[Document]) -> int:
 
 
 def read_documents(path: str | Path) -> list[Document]:
-    return [Document.from_dict(obj) for _, obj in read_jsonl(path)]
+    return read_records(Document, path)

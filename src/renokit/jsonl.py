@@ -1,9 +1,10 @@
 """JSON / JSONL file helpers with stable, byte-deterministic serialization,
-atomic writes, and checked construction of config objects from JSON."""
+atomic writes, and checked construction of records and config objects from JSON."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -15,14 +16,30 @@ from .errors import ConfigError, SchemaError
 
 class Record:
     """Mixin for a dataclass whose artifact is its fields in declaration order:
-    to_dict() maps each field name to its value, without copying the value."""
+    to_dict() maps each field name to its value, without copying the value,
+    and from_dict() reads such an object back."""
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
+    @classmethod
+    def from_dict(cls, obj: dict):
+        """The record built from the keys named like its fields (others are ignored), then
+        validated; a missing required key or a value of the wrong JSON type raises SchemaError."""
+        return _build(cls, obj, cls.__name__, SchemaError).validate()
+
+    def validate(self):
+        """Check what the JSON types of the fields do not; returns self."""
+        return self
+
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False)
+
+
+def line_error(path: str | Path, lineno: int, problem: Any) -> SchemaError:
+    """The SchemaError for a bad row: names the file and the line, and carries the line."""
+    return SchemaError(f"{path}: line {lineno}: {problem}", line=lineno)
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -35,10 +52,22 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: line {lineno}: invalid JSON: {exc}", line=lineno) from None
+                raise line_error(path, lineno, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise SchemaError(f"{path}: line {lineno}: expected a JSON object", line=lineno)
+                raise line_error(path, lineno, "expected a JSON object")
             yield lineno, obj
+
+
+def read_records(cls: type[Record], path: str | Path) -> list:
+    """Read every row of a JSONL file through cls.from_dict; a row it refuses
+    raises SchemaError with the row's line number."""
+    records = []
+    for lineno, obj in read_jsonl(path):
+        try:
+            records.append(cls.from_dict(obj))
+        except SchemaError as exc:
+            raise line_error(path, lineno, exc) from None
+    return records
 
 
 @contextmanager
@@ -79,12 +108,36 @@ def write_json(path: str | Path, obj: Any) -> None:
         fh.write("\n")
 
 
-# --- config objects ------------------------------------------------------------
+# --- checked construction -------------------------------------------------------
 
-# JSON value types accepted for each field annotation the config dataclasses
-# use; their modules postpone annotations, so field types are these strings.
+# JSON value types accepted for each field annotation of the records and configs
+# read from JSON; their modules postpone annotations, so field types are these strings.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),),
-               "tuple[float, ...]": (list,), "dict[str, str]": (dict,)}
+               "tuple[float, ...]": (list,), "list[dict]": (list,), "dict": (dict,), "dict[str, str]": (dict,)}
+
+
+@functools.cache
+def _field_table(cls: type) -> tuple[tuple[str, str, tuple[type, ...], bool], ...]:
+    """(name, annotation, JSON types, required) per field; once per class, as corpora have many rows."""
+    return tuple(
+        (f.name, f.type, sum((_JSON_TYPES[t] for t in f.type.split(" | ")), ()),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _build(cls: type, obj: dict, what: str, error: type[Exception]):
+    """`cls` from the keys of `obj` named like its fields; `error` if one is missing or mistyped."""
+    kwargs = {}
+    for name, annotation, types, required in _field_table(cls):
+        if name in obj:
+            value = obj[name]
+            if type(value) not in types:
+                raise error(f"{what} key {name!r} must be {annotation}, got {value!r}")
+            kwargs[name] = value
+        elif required:
+            raise error(f"{what} is missing required key {name!r}")
+    return cls(**kwargs)
 
 
 def check_keys(obj: Any, allowed: Iterable[str], what: str) -> None:
@@ -99,12 +152,5 @@ def check_keys(obj: Any, allowed: Iterable[str], what: str) -> None:
 def config_from_dict(cls: type, obj: Any, what: str):
     """Build the dataclass `cls` from a JSON object; an unknown key, a missing
     required key or a value of the wrong JSON type raises ConfigError."""
-    fields = dataclasses.fields(cls)
-    check_keys(obj, (f.name for f in fields), what)
-    for f in fields:
-        if f.name not in obj:
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"{what} is missing required key {f.name!r}")
-        elif type(obj[f.name]) not in sum((_JSON_TYPES[t] for t in f.type.split(" | ")), ()):
-            raise ConfigError(f"{what} key {f.name!r} must be {f.type}, got {obj[f.name]!r}")
-    return cls(**obj)
+    check_keys(obj, (name for name, *_ in _field_table(cls)), what)
+    return _build(cls, obj, what, ConfigError)

@@ -15,10 +15,10 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData
-from .jsonl import Record, read_json, write_json
+from .jsonl import Record, config_from_dict, line_error, read_json, read_jsonl, write_json
 from .tokenizers import TOKENIZER, count_tokens
 
 MODE_DAPT = "dapt"
@@ -71,6 +71,28 @@ def record_tokens(rec: dict) -> int:
     if "text" in rec:
         return count_tokens(rec["text"])
     return 0
+
+
+def text_turns(turns) -> bool:
+    """True when `turns` is a list of objects whose `content`, where given, is a string."""
+    return type(turns) is list and all(type(t) is dict and type(t.get("content", "")) is str for t in turns)
+
+
+def read_mix_records(path: str | Path, needs_text: bool = False) -> Iterator[dict]:
+    """Yield the rows of a JSONL file, each checked for what record_tokens reads and, with
+    `needs_text` (MIP mode), for the string `text` that build_mip reads; a bad row raises SchemaError."""
+    for lineno, rec in read_jsonl(path):
+        if "token_count" in rec:
+            if type(rec["token_count"]) is not int:
+                raise line_error(path, lineno, f"token_count must be an int, got {rec['token_count']!r}")
+        elif "turns" in rec:
+            if not text_turns(rec["turns"]):
+                raise line_error(path, lineno, "turns must be a list of objects with string content")
+        elif type(rec.get("text", "")) is not str:
+            raise line_error(path, lineno, "text must be a string")
+        if needs_text and type(rec.get("text")) is not str:
+            raise line_error(path, lineno, "a pretrain record needs a string text")
+        yield rec
 
 
 @dataclass
@@ -212,10 +234,6 @@ class TrainerConfig(Record):
     lr_scheduler: str = "cosine"
     max_length: int = MAX_LENGTH_PRETRAIN
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainerConfig":
-        return cls(**obj)
-
 
 def trainer_config_for_mode(mode: str) -> TrainerConfig:
     mode = mode.lower()
@@ -232,4 +250,4 @@ def emit_trainer_config(mode: str, path: str | Path) -> TrainerConfig:
 
 
 def load_trainer_config(path: str | Path) -> TrainerConfig:
-    return TrainerConfig.from_dict(read_json(path))
+    return config_from_dict(TrainerConfig, read_json(path), "trainer config")

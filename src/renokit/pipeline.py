@@ -36,18 +36,9 @@ from .ingest import (
     source_files,
     write_documents,
 )
-from .jsonl import Record, check_keys, config_from_dict, read_json, read_jsonl, write_json, write_jsonl
-from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, record_tokens
-from .sftgen import (
-    DIFFICULTIES,
-    GEN_KINDS,
-    GenReport,
-    InstructionSample,
-    PromptTemplate,
-    batch_generate,
-    load_template,
-    read_instruction_samples,
-)
+from .jsonl import Record, check_keys, config_from_dict, read_json, read_jsonl, read_records, write_json, write_jsonl
+from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, read_mix_records, record_tokens
+from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
 from .tokenizers import TOKENIZER, count_tokens
 
 STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
@@ -115,10 +106,10 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
     """
     domain: list[dict] = []
     general: list[dict] = []
-    for _, rec in read_jsonl(domain_path):
+    for rec in read_mix_records(domain_path, needs_text=plan.mode == MODE_MIP):
         (general if rec.get("source_kind") == "general" else domain).append(rec)
     if plan.mode == MODE_MIP:
-        instructions = [s.to_dict() for s in read_instruction_samples(instructions_path)]
+        instructions = [s.to_dict() for s in read_records(InstructionSample, instructions_path)]
         mixed = build_mip(domain, instructions, seed=plan.seed)
         # The pretrain records carry their token counts; only the rendered
         # instructions are counted here.
@@ -133,7 +124,7 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
         }
     else:
         if general_path:
-            general.extend(rec for _, rec in read_jsonl(general_path))
+            general.extend(read_mix_records(general_path))
         mixed, mix_report = mix(domain, general, plan, allow_short=allow_short)
         report = mix_report.to_dict()
     write_jsonl(train_path, mixed)
@@ -354,12 +345,10 @@ class PipelineRunner:
         cfg = self.config.get("gen")
         if not cfg:
             return None
-        kind = cfg.get("kind", "one_turn").replace("-", "_")
-        if kind not in GEN_KINDS:
-            raise ConfigError(f"gen.kind must be one of {GEN_KINDS}, got {cfg['kind']!r}")
         body, categories = self._file("gen", "template"), self._file("gen", "categories")
-        with _config_error("gen.template"):
-            return load_template(kind, body_path=body, categories_path=categories)
+        with _config_error("gen"):
+            return load_template(cfg.get("kind", "one_turn").replace("-", "_"), body_path=body,
+                                 categories_path=categories)
 
     def _endpoint(self, stage: str) -> tuple[str, EndpointConfig] | None:
         """The endpoint file named by the gen or eval section, and its config."""
@@ -592,7 +581,7 @@ def summarize_artifact(path: str | Path) -> str:
         if {"question", "options", "correct_option"} <= first.keys():
             return _summarize_mcq(load_dataset(path))
         if {"kind", "turns"} <= first.keys():
-            return _summarize_instructions(read_instruction_samples(path))
+            return _summarize_instructions(read_records(InstructionSample, path))
         if {"a", "b", "jaccard"} <= first.keys():
             return f"duplicate pairs: {len(rows)}"
         if {"id", "text"} <= first.keys():

@@ -37,7 +37,8 @@ from .errors import (
     SchemaError,
 )
 from .ingest import Document
-from .jsonl import Record, read_jsonl
+from .jsonl import Record
+from .mixer import text_turns
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +105,7 @@ def load_template(
     categories_path: str | Path | None = None,
 ) -> PromptTemplate:
     if kind not in GEN_KINDS:
-        raise ValueError(f"kind must be one of {GEN_KINDS}")
+        raise ValueError(f"kind must be one of {GEN_KINDS}, got {kind!r}")
     body = Path(body_path).read_text(encoding="utf-8") if body_path else _read_data_file(_TEMPLATE_FILES[kind])
     cats = load_categories(categories_path) if kind == KIND_ONE_TURN else ()
     return PromptTemplate(kind=kind, body=body, category_list=cats)
@@ -139,20 +140,6 @@ class InstructionSample(Record):
             raise SchemaError("multi-turn samples have at least 4 turns")
         return self
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "InstructionSample":
-        try:
-            sample = cls(
-                kind=obj["kind"],
-                turns=list(obj["turns"]),
-                knowledge_id=obj["knowledge_id"],
-                category=obj.get("category"),
-                gen_meta=dict(obj.get("gen_meta", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"instruction sample missing field: {exc}") from None
-        return sample.validate()
-
 
 @dataclass
 class MCQItem(Record):
@@ -160,13 +147,13 @@ class MCQItem(Record):
     question_type: str
     options: dict[str, str]
     correct_option: str
-    reason: str
-    category: str
-    subclass: str
-    difficulty: str
+    reason: str = ""
+    category: str = "未分类"
+    subclass: str = "未分类"
+    difficulty: str = "expertise"
 
     def validate(self) -> "MCQItem":
-        if not self.question or not self.question.strip():
+        if not self.question.strip():
             raise SchemaError("question must be non-empty")
         if self.question_type == QUESTION_SINGLE:
             expected_keys = ("A", "B", "C", "D")
@@ -178,38 +165,13 @@ class MCQItem(Record):
             raise ArityError(
                 f"{self.question_type} needs options {expected_keys}, got {sorted(self.options)}"
             )
+        if not all(type(text) is str for text in self.options.values()):
+            raise SchemaError("every option text must be a string")
         if self.correct_option not in self.options:
             raise OptionMismatch(f"correct option {self.correct_option!r} not in {sorted(self.options)}")
         if self.difficulty not in DIFFICULTIES:
             raise SchemaError(f"difficulty must be one of {DIFFICULTIES}")
         return self
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MCQItem":
-        try:
-            item = cls(
-                question=obj["question"],
-                question_type=obj["question_type"],
-                options={str(k): str(v) for k, v in obj["options"].items()},
-                correct_option=obj["correct_option"],
-                reason=obj.get("reason", ""),
-                category=obj.get("category", "未分类"),
-                subclass=obj.get("subclass", "未分类"),
-                difficulty=obj.get("difficulty", "expertise"),
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise SchemaError(f"mcq record missing field: {exc}") from None
-        return item.validate()
-
-
-def read_instruction_samples(path: str | Path) -> list[InstructionSample]:
-    samples = []
-    for lineno, obj in read_jsonl(path):
-        try:
-            samples.append(InstructionSample.from_dict(obj))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: line {lineno}: {exc}", line=lineno) from None
-    return samples
 
 
 # --- response parsing -----------------------------------------------------------
@@ -599,8 +561,7 @@ def term_frequency_report(
     counts: dict[str, int] = {}
     for sample in samples:
         turns = sample.turns if isinstance(sample, InstructionSample) else sample.get("turns", [])
-        if not isinstance(turns, list) or not all(isinstance(t, dict) and isinstance(t.get("content", ""), str)
-                                                  for t in turns):
+        if not text_turns(turns):
             raise SchemaError(f"turns must be a list of objects with string content, got {turns!r}")
         for turn in turns:
             for term in _TERM_RE.findall(turn.get("content", "")):

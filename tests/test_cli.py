@@ -341,6 +341,9 @@ def _exit_code_inputs(tmp_path):
     EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,)).to_json(tmp_path / "ep.json")
     (tmp_path / "ep_typo.json").write_text('{"base_url": "http://localhost:9", "model": "m"}', encoding="utf-8")
     (tmp_path / "ep_no_model.json").write_text('{"base_url": "http://localhost:9"}', encoding="utf-8")
+    ep = {"base_url": "http://localhost:9", "model_name": "m"}
+    (tmp_path / "ep_backoff_nested.json").write_text(json.dumps({**ep, "backoff": [[1]]}), encoding="utf-8")
+    (tmp_path / "ep_retries_negative.json").write_text(json.dumps({**ep, "max_retries": -1}), encoding="utf-8")
     (tmp_path / "dedup_typo.json").write_text('{"ngrams": 5}', encoding="utf-8")
     (tmp_path / "dedup_ngram_str.json").write_text('{"ngram": "5"}', encoding="utf-8")
     (tmp_path / "dedup_seed_str.json").write_text('{"seed": "1"}', encoding="utf-8")
@@ -349,6 +352,8 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "evalhome.jsonl", [mcq])
     write_jsonl(tmp_path / "evalhome_bad.jsonl", [mcq, {**mcq, "correct_option": "C"}])
     write_jsonl(tmp_path / "evalhome_dup_id.jsonl", [{**mcq, "split": "dev", "id": "d"}] * 2)
+    write_jsonl(tmp_path / "mcq_question_int.jsonl", [mcq, {**mcq, "question": 5}])
+    write_jsonl(tmp_path / "mcq_correct_option_list.jsonl", [mcq, {**mcq, "correct_option": ["A"]}])
     (tmp_path / "template_no_slot.txt").write_text("没有知识槽位的模板。", encoding="utf-8")
     (tmp_path / "report_no_dataset.json").write_text('{"overall_micro": 50.0}', encoding="utf-8")
     (tmp_path / "report_labels_list.json").write_text('{"dataset": "e", "overall_micro": 50.0, "labels": ["base"]}',
@@ -357,6 +362,12 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "doc_no_status.jsonl", [doc])
     write_jsonl(tmp_path / "doc_tokens_null.jsonl", [{**doc, "token_count": None, "status": "retained"}])
     write_jsonl(tmp_path / "sft_turns_str.jsonl", [{"kind": "one_turn", "turns": "地板", "knowledge_id": "k"}])
+    write_jsonl(tmp_path / "doc_text_int.jsonl", [doc, {**doc, "text": 5}])
+    write_jsonl(tmp_path / "doc_no_text.jsonl", [doc, {k: v for k, v in doc.items() if k != "text"}])
+    write_jsonl(tmp_path / "doc_tokens_null_mix.jsonl", [doc, {**doc, "token_count": None}])
+    write_jsonl(tmp_path / "turns_not_objects.jsonl", [doc, {"id": "s1", "turns": ["地板"]}])
+    turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+    write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": turns, "knowledge_id": "d1"}])
     for name, report in _PARTIAL_REPORTS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
     for name, manifest in _BAD_MANIFESTS.items():
@@ -411,6 +422,8 @@ _RUN_CONFIG_ERRORS = {
     "run-gen-categories-missing": {"gen": {"endpoint": "ep.json", "budget": 1, "categories": "missing.txt"}},
     "run-eval-endpoint-typo": {"eval": {**_EVAL, "endpoint": "ep_typo.json"}},
     "run-eval-dataset-bad-row": {"eval": {**_EVAL, "dataset": "evalhome_bad.jsonl"}},
+    "run-gen-endpoint-backoff-nested": {"gen": {"endpoint": "ep_backoff_nested.json", "budget": 1}},
+    "run-eval-endpoint-retries-negative": {"eval": {**_EVAL, "endpoint": "ep_retries_negative.json"}},
 }
 # Reports that match a schema by their keys but lack or mistype a key that
 # `stats` prints.
@@ -429,6 +442,7 @@ _BAD_MANIFESTS = {
 }
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
 _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")
+_MIX = ("mix", "--out", "{tmp}/t.jsonl", "--domain")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -460,13 +474,24 @@ _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pair
       "--out", "{tmp}/report.json"), 2),
     (("eval", "--dataset", "{tmp}/evalhome_dup_id.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0,1",
       "--out", "{tmp}/report.json"), 2),
+    (("stats", "{tmp}/mcq_question_int.jsonl"), 2),
+    (("eval", "--dataset", "{tmp}/mcq_correct_option_list.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0",
+      "--out", "{tmp}/report.json"), 2),
+    (("filter", "--in", "{tmp}/doc_text_int.jsonl", "--out", "{tmp}/kept.jsonl", "--report", "{tmp}/f.json"), 2),
+    (_GEN + ("--endpoint", "{tmp}/ep_backoff_nested.json", "--budget", "1"), 2),
+    (_GEN + ("--endpoint", "{tmp}/ep_retries_negative.json", "--budget", "1"), 2),
+    (_MIX + ("{tmp}/doc_no_text.jsonl", "--mode", "mip", "--instructions", "{tmp}/sft.jsonl"), 2),
+    (_MIX + ("{tmp}/turns_not_objects.jsonl",), 2),
+    (_MIX + ("{tmp}/doc_tokens_null_mix.jsonl",), 2),
 ], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
         "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
         "run-stage-failure", "gen-budget-exhausted", "sweep-report-no-dataset", "sweep-report-labels-list",
         "stats-doc-no-status",
         "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str", *_PARTIAL_REPORTS, *_BAD_MANIFESTS,
-        "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated"])
+        "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated", "stats-mcq-question-int",
+        "eval-mcq-correct-option-list", "filter-doc-text-int", "gen-endpoint-backoff-nested",
+        "gen-endpoint-retries-negative", "mix-mip-text-missing", "mix-turns-not-objects", "mix-token-count-null"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code

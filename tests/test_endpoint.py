@@ -51,6 +51,13 @@ def cfg(**kwargs) -> EndpointConfig:
     return EndpointConfig(**base)
 
 
+@pytest.mark.parametrize("kwargs", [{"max_retries": -1}, {"backoff": ([1],)}, {"backoff": ("1",)},
+                                    {"backoff": (True,)}, {"concurrency_limit": 0}])
+def test_config_refuses_a_schedule_that_cannot_run(kwargs):
+    with pytest.raises(ValueError):
+        cfg(**kwargs)
+
+
 def ok_response(text: str = "回答") -> FakeResponse:
     return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 

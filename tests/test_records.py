@@ -1,17 +1,23 @@
 """Each record's artifact is its fields in declaration order; the key lists
 are written out here so that a reordered or added field fails a test
-instead of silently changing an artifact."""
+instead of silently changing an artifact. Records read back from JSON go
+through from_dict, which checks each field's JSON type; every reader
+refuses a mistyped row with its line number."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from renokit.dedup import DedupReport, DupPair
 from renokit.endpoint import EndpointConfig
-from renokit.evalharness import EvalReport
+from renokit.errors import SchemaError
+from renokit.evalharness import EvalReport, load_dataset
 from renokit.filters import FilterReport
-from renokit.ingest import Document
-from renokit.mixer import TrainerConfig
+from renokit.ingest import Document, read_documents
+from renokit.jsonl import read_records, write_jsonl
+from renokit.mixer import TrainerConfig, read_mix_records
 from renokit.pipeline import StageRecord
 from renokit.sftgen import InstructionSample, MCQItem
 
@@ -43,3 +49,82 @@ _RECORDS = [
 @pytest.mark.parametrize("record, keys", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
 def test_artifact_key_order(record, keys):
     assert list(record.to_dict()) == keys
+
+
+_TURNS = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+_READ_BACK = [
+    Document(doc_id="d", text="t", source_kind="domain_book", token_count=1, char_count=1, status="retained",
+             reason="r"),
+    InstructionSample(kind="one_turn", turns=_TURNS, category="c", knowledge_id="k", gen_meta={"model_name": "m"}),
+    MCQItem(question="q", question_type="judgment", options={"A": "是", "B": "否"}, correct_option="B",
+            reason="r", category="c", subclass="s", difficulty="fundamentals"),
+    StageRecord(stage="ingest", config_digest="c", seed=3, inputs={"a": "1"}, outputs={"b": "2"}, started="s",
+                finished="f"),
+    TrainerConfig(precision="bf16", epochs=2, learning_rate=2e-5, max_length=1536),
+    EndpointConfig(base_url="http://localhost:9", model_name="m", temperature=0.5, max_retries=0, backoff=(0.5, 1)),
+]
+
+
+@pytest.mark.parametrize("record", _READ_BACK, ids=[type(r).__name__ for r in _READ_BACK])
+def test_from_dict_reads_back_to_dict(record):
+    assert type(record).from_dict(json.loads(json.dumps(record.to_dict(), ensure_ascii=False))) == record
+
+
+_DOC = {"doc_id": "d", "text": "t", "source_kind": "domain_book", "token_count": 1, "char_count": 1}
+_SAMPLE = {"kind": "one_turn", "turns": _TURNS, "knowledge_id": "k"}
+_MCQ = {"question": "q", "question_type": "judgment", "options": {"A": "是", "B": "否"}, "correct_option": "A"}
+_MISSING = object()  # the key is left out of the row
+
+
+def _read_samples(path):
+    return read_records(InstructionSample, path)
+
+
+def _read_mix(path):
+    return list(read_mix_records(path))
+
+
+def _read_mip(path):
+    return list(read_mix_records(path, needs_text=True))
+
+
+# (reader, a valid row, key, the value that breaks it)
+_MISTYPED = [
+    (read_documents, _DOC, "text", 5),
+    (read_documents, _DOC, "doc_id", _MISSING),
+    (read_documents, _DOC, "token_count", "1"),
+    (read_documents, _DOC, "token_count", 1.0),
+    (read_documents, _DOC, "char_count", True),
+    (read_documents, _DOC, "source_kind", "blog"),
+    (read_documents, _DOC, "status", None),
+    (read_documents, _DOC, "reason", 5),
+    (_read_samples, _SAMPLE, "turns", "地板"),
+    (_read_samples, _SAMPLE, "turns", ["地板"]),
+    (_read_samples, _SAMPLE, "knowledge_id", _MISSING),
+    (_read_samples, _SAMPLE, "category", 5),
+    (_read_samples, _SAMPLE, "gen_meta", []),
+    (load_dataset, _MCQ, "question", 5),
+    (load_dataset, _MCQ, "correct_option", ["A"]),
+    (load_dataset, _MCQ, "options", ["是", "否"]),
+    (load_dataset, _MCQ, "options", {"A": 1, "B": "否"}),
+    (load_dataset, _MCQ, "question_type", _MISSING),
+    (load_dataset, _MCQ, "difficulty", None),
+    (_read_mix, _DOC, "token_count", None),
+    (_read_mix, {"id": "s"}, "turns", ["地板"]),
+    (_read_mix, {"id": "s"}, "turns", [{"content": 5}]),
+    (_read_mix, {"id": "s"}, "text", 5),
+    (_read_mip, _DOC, "text", _MISSING),
+]
+
+
+@pytest.mark.parametrize("read, row, key, value", _MISTYPED,
+                         ids=[f"{r.__name__.lstrip('_')}-{key}-{i}" for i, (r, _, key, _) in enumerate(_MISTYPED)])
+def test_reader_refuses_mistyped_row_with_its_line(tmp_path, read, row, key, value):
+    bad = {k: v for k, v in row.items() if k != key}
+    if value is not _MISSING:
+        bad[key] = value
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [row, bad])
+    with pytest.raises(SchemaError, match="line 2: ") as info:
+        read(path)
+    assert info.value.line == 2
