@@ -26,7 +26,7 @@ from .errors import (
 from .evalharness import load_dataset, sweep_report
 from .filters import FilterConfig
 from .ingest import SOURCE_KINDS
-from .jsonl import read_json, read_jsonl
+from .jsonl import config_from_json, read_json, read_jsonl
 from .mixer import MODE_MIP, emit_trainer_config
 from .pipeline import (
     mix_plan,
@@ -143,7 +143,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    cfg = FilterConfig.from_dict(read_json(args.config)) if args.config else FilterConfig()
+    cfg = config_from_json(FilterConfig, args.config, "filter config") if args.config else FilterConfig()
     report = run_filter_stage(args.input, cfg, args.out, args.report)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops})")
@@ -151,7 +151,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_dedup(args) -> int:
-    cfg = DedupConfig.from_dict(read_json(args.config)) if args.config else DedupConfig()
+    cfg = config_from_json(DedupConfig, args.config, "dedup config") if args.config else DedupConfig()
     report = run_dedup_stage(args.input, cfg, args.out, args.pairs, None)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops}); {report.pairs} near-dup pairs")
@@ -159,12 +159,9 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_mix(args) -> int:
-    if args.mode == MODE_MIP:
-        if args.general:
-            raise ConfigError("mip mode takes no general data")
-        if not args.instructions:
-            raise ConfigError("mip mode requires --instructions")
-    plan = mix_plan(args.ratio, args.mode, args.seed, args.unit)
+    if args.mode == MODE_MIP and args.general:
+        raise ConfigError("mip mode takes no general data")
+    plan = mix_plan(args.ratio, args.mode, args.seed, args.unit, args.instructions)
     report = run_mix_stage(args.domain, plan, args.out, args.report, general_path=args.general,
                            instructions_path=args.instructions, allow_short=args.allow_short)
     if plan.mode == MODE_MIP:

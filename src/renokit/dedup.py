@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyShingleSet
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
-from .jsonl import Record, config_from_dict
+from .jsonl import Record
 from .tokenizers import count_tokens
 
 REASON_EXACT = "exact"
@@ -64,10 +64,6 @@ class DedupConfig:
             raise ValueError(f"unknown sentence_scope {self.sentence_scope!r}")
         if self.sentence_max_repeats is not None and self.sentence_max_repeats < 1:
             raise ValueError("sentence_max_repeats must be >= 1 or null")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DedupConfig":
-        return config_from_dict(cls, obj, "dedup config")
 
 
 @dataclass(frozen=True)

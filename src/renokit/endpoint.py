@@ -20,7 +20,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .errors import EndpointError
-from .jsonl import Record, config_from_dict, read_json, write_json
+from .jsonl import Record, config_from_json, read_json, write_json
 
 Message = dict  # {"role": ..., "content": ...}
 
@@ -49,7 +49,7 @@ class EndpointConfig(Record):
 
     @classmethod
     def from_json(cls, path: str | Path) -> "EndpointConfig":
-        return config_from_dict(cls, read_json(path), "endpoint config")
+        return config_from_json(cls, path, "endpoint config")
 
     def to_json(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LexiconMissing
 from .ingest import Document, STATUS_FILTERED_OUT
-from .jsonl import Record, config_from_dict
+from .jsonl import Record
 from .tokenizers import count_cjk
 
 REASON_SENSITIVE = "sensitive"
@@ -41,10 +41,6 @@ class FilterConfig:
             raise ValueError("min_language_ratio must be in [0, 1]")
         if self.target_language not in ("zh", "en"):
             raise ValueError(f"unsupported target_language {self.target_language!r}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FilterConfig":
-        return config_from_dict(cls, obj, "filter config")
 
 
 @dataclass(frozen=True)

@@ -110,24 +110,25 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 # --- checked construction -------------------------------------------------------
 
-# JSON value types accepted for each field annotation of the records and configs
-# read from JSON; their modules postpone annotations, so field types are these strings.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),),
-               "tuple[float, ...]": (list,), "list[dict]": (list,), "dict": (dict,), "dict[str, str]": (dict,)}
+# JSON value types accepted for a field, keyed by the outer type of its annotation;
+# the modules postpone annotations, so field types are strings such as "list[int]".
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,), "None": (type(None),),
+               "tuple": (list,), "list": (list,), "dict": (dict,)}
 
 
 @functools.cache
 def _field_table(cls: type) -> tuple[tuple[str, str, tuple[type, ...], bool], ...]:
     """(name, annotation, JSON types, required) per field; once per class, as corpora have many rows."""
     return tuple(
-        (f.name, f.type, sum((_JSON_TYPES[t] for t in f.type.split(" | ")), ()),
+        (f.name, f.type, sum((_JSON_TYPES[t.split("[")[0]] for t in f.type.split(" | ")), ()),
          f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
         for f in dataclasses.fields(cls)
     )
 
 
 def _build(cls: type, obj: dict, what: str, error: type[Exception]):
-    """`cls` from the keys of `obj` named like its fields; `error` if one is missing or mistyped."""
+    """`cls` from the keys of `obj` named like its fields; `error` if one is missing
+    or mistyped, or if the constructor refuses a value with a ValueError."""
     kwargs = {}
     for name, annotation, types, required in _field_table(cls):
         if name in obj:
@@ -137,20 +138,24 @@ def _build(cls: type, obj: dict, what: str, error: type[Exception]):
             kwargs[name] = value
         elif required:
             raise error(f"{what} is missing required key {name!r}")
-    return cls(**kwargs)
-
-
-def check_keys(obj: Any, allowed: Iterable[str], what: str) -> None:
-    """Raise ConfigError unless `obj` is a JSON object with no key outside `allowed`."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise error(f"{what}: {exc}") from None
 
 
 def config_from_dict(cls: type, obj: Any, what: str):
-    """Build the dataclass `cls` from a JSON object; an unknown key, a missing
-    required key or a value of the wrong JSON type raises ConfigError."""
-    check_keys(obj, (name for name, *_ in _field_table(cls)), what)
+    """Build the dataclass `cls` from a JSON object; a value that is not an object, an unknown
+    key, a missing required key, a value of the wrong JSON type or one the constructor refuses
+    raises ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = obj.keys() - {name for name, *_ in _field_table(cls)}
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
     return _build(cls, obj, what, ConfigError)
+
+
+def config_from_json(cls: type, path: str | Path, what: str):
+    """config_from_dict on the JSON file at `path`; every error names the file."""
+    return config_from_dict(cls, read_json(path), f"{what} {path}")

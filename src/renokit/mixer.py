@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData
-from .jsonl import Record, config_from_dict, line_error, read_json, read_jsonl, write_json
+from .jsonl import Record, config_from_json, line_error, read_jsonl, write_json
 from .tokenizers import TOKENIZER, count_tokens
 
 MODE_DAPT = "dapt"
@@ -250,4 +250,4 @@ def emit_trainer_config(mode: str, path: str | Path) -> TrainerConfig:
 
 
 def load_trainer_config(path: str | Path) -> TrainerConfig:
-    return config_from_dict(TrainerConfig, read_json(path), "trainer config")
+    return config_from_json(TrainerConfig, path, "trainer config")

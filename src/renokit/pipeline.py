@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -36,7 +36,7 @@ from .ingest import (
     source_files,
     write_documents,
 )
-from .jsonl import Record, check_keys, config_from_dict, read_json, read_jsonl, read_records, write_json, write_jsonl
+from .jsonl import Record, config_from_dict, read_json, read_jsonl, read_records, write_json, write_jsonl
 from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, read_mix_records, record_tokens
 from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
 from .tokenizers import TOKENIZER, count_tokens
@@ -87,12 +87,16 @@ def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report
     return report
 
 
-def mix_plan(ratio: str, mode: str, seed: int, unit: str) -> MixPlan:
-    """MixPlan for a "1:k" ratio string; the domain part must be 1."""
+def mix_plan(ratio: str, mode: str, seed: int, unit: str, instructions: str | None) -> MixPlan:
+    """MixPlan for a "1:k" ratio string; the domain part must be 1, and MIP
+    mode needs an instruction file."""
     ratio_domain, ratio_general = MixPlan.parse_ratio(ratio)
     if ratio_domain != 1:
         raise ConfigError("mix ratio must have domain part 1")
-    return MixPlan(ratio_general=ratio_general, mode=mode, seed=seed, unit=unit)
+    plan = MixPlan(ratio_general=ratio_general, mode=mode, seed=seed, unit=unit)
+    if plan.mode == MODE_MIP and not instructions:
+        raise ConfigError("mip mode requires instructions (--instructions, or mix.instructions in a run config)")
+    return plan
 
 
 def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, general_path=None,
@@ -219,51 +223,76 @@ class PipelineManifest:
         return merged
 
 
-# The keys PipelineRunner reads from each config section, with the JSON type
-# checked up front where the runner uses the value as is (None: checked where
-# it is used; a tuple: any of its types); FilterConfig and DedupConfig check
-# the filters and dedup sections.
-_OPTIONAL_PATH = (str, type(None))
-_PIPELINE_KEYS = {"seed": int, "tokenizer": None, "ingest": None, "filters": None, "dedup": None, "mix": None,
-                  "gen": None, "eval": None}
-_SECTION_KEYS = {
-    "ingest": {"inputs": list},
-    "mix": {"ratio": str, "mode": str, "unit": str, "seed": int, "instructions": _OPTIONAL_PATH, "allow_short": bool},
-    "gen": {"endpoint": str, "budget": int, "kind": str, "template": _OPTIONAL_PATH, "categories": _OPTIONAL_PATH,
-            "lenient": bool},
-    "eval": {"dataset": str, "endpoint": str, "shots": list, "labels": dict},
-}
-_REQUIRED_KEYS = {"gen": ("endpoint", "budget"), "eval": ("dataset", "endpoint")}
+# --- run config ---------------------------------------------------------------
+# A `run` config and its sections are built by config_from_dict, so each
+# section's keys, JSON types, required keys and defaults are its fields; the
+# filters and dedup sections build FilterConfig and DedupConfig.
 
 
-def _check_config(config: dict) -> None:
-    """Refuse, before any stage runs, a key the runner does not read, a missing
-    required key, a value of the wrong type and a tokenizer other than TOKENIZER."""
-    for name, keys in {"pipeline": _PIPELINE_KEYS, **_SECTION_KEYS}.items():
-        section = config if name == "pipeline" else config.get(name)
-        if not section:
-            continue
-        check_keys(section, keys, f"{name} config")
-        for key in _REQUIRED_KEYS.get(name, ()):
-            if key not in section:
-                raise ConfigError(f"{name}.{key} is required")
-        for key, want in keys.items():
-            wants = want if isinstance(want, tuple) else (want,)
-            # type(), not isinstance(): JSON true/false must not pass as an int
-            if want is not None and key in section and type(section[key]) not in wants:
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in wants)
-                raise ConfigError(f"{name}.{key} must be a JSON {names}, got {section[key]!r}")
-    if config.get("tokenizer", TOKENIZER) != TOKENIZER:
-        raise ConfigError(f"tokenizer must be {TOKENIZER!r}, got {config['tokenizer']!r}")
+@dataclass
+class RunConfig:
+    ingest: dict
+    seed: int = 0
+    tokenizer: str = TOKENIZER
+    filters: dict = field(default_factory=dict)
+    dedup: dict = field(default_factory=dict)
+    mix: dict | None = None
+    gen: dict | None = None
+    eval: dict | None = None
+
+    def __post_init__(self):
+        if self.tokenizer != TOKENIZER:
+            raise ValueError(f"tokenizer must be {TOKENIZER!r}, got {self.tokenizer!r}")
 
 
-@contextmanager
-def _config_error(what: str):
-    """Re-raise a ValueError or ConfigError as a ConfigError that names `what`."""
-    try:
-        yield
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+@dataclass
+class IngestSection:
+    inputs: list[dict]
+
+    def __post_init__(self):
+        if not self.inputs:
+            raise ValueError("inputs must list at least one source")
+
+
+@dataclass
+class IngestInput:
+    path: str
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in SOURCE_KINDS:
+            raise ValueError(f"kind must be one of {SOURCE_KINDS}, got {self.kind!r}")
+
+
+@dataclass
+class MixSection:
+    seed: int  # the run's seed unless the section sets its own
+    ratio: str = "1:0"
+    mode: str = "dapt"
+    unit: str = "tokens"
+    instructions: str | None = None
+    allow_short: bool = False
+
+    def __post_init__(self):
+        self.plan = mix_plan(self.ratio, self.mode, self.seed, self.unit, self.instructions)
+
+
+@dataclass
+class GenSection:
+    endpoint: str
+    budget: int
+    kind: str = "one_turn"
+    template: str | None = None
+    categories: str | None = None
+    lenient: bool = False
+
+
+@dataclass
+class EvalSection:
+    dataset: str
+    endpoint: str
+    shots: list[int] = field(default_factory=lambda: [0, 5])
+    labels: dict = field(default_factory=dict)
 
 
 class PipelineRunner:
@@ -291,86 +320,54 @@ class PipelineRunner:
         self.config_dir = config_dir
         self.out_dir = Path(out_dir)
         self.resume = resume
-        _check_config(config)
-        self.seed = config.get("seed", 0)
-        self.sources = self._ingest_sources()
-        with _config_error("filters"):
-            self.filter_cfg = FilterConfig.from_dict(config.get("filters", {}))
-        self.filter_cfg.sensitive_word_list = self._file("filters", "sensitive_word_list")
-        with _config_error("dedup"):
-            self.dedup_cfg = DedupConfig.from_dict(config.get("dedup", {}))
-        self.plan = self._mix_plan()
-        self.instructions = self._file("mix", "instructions") if self.plan and self.plan.mode == MODE_MIP else None
-        self.gen_template = self._gen_template()
-        self.gen_endpoint = self._endpoint("gen")
-        self.eval_endpoint = self._endpoint("eval")
-        dataset_path = self._file("eval", "dataset")
-        self.eval_dataset = (dataset_path, load_dataset(dataset_path)) if dataset_path else None
-        self.eval_shots = (config.get("eval") or {}).get("shots", [0, 5])
-        if self.eval_dataset:
-            with _config_error("eval.shots"):
-                check_shots(self.eval_shots, self.eval_dataset[1])
+        run = config_from_dict(RunConfig, config, "run config")
+        self.seed = run.seed
+        ingest = config_from_dict(IngestSection, run.ingest, "ingest section")
+        specs = [config_from_dict(IngestInput, obj, f"ingest input {i}") for i, obj in enumerate(ingest.inputs, 1)]
+        self.sources = [(self._resolve(spec.path), spec.kind) for spec in specs]
+        self.filter_cfg = config_from_dict(FilterConfig, run.filters, "filters section")
+        self.filter_cfg.sensitive_word_list = self._file(self.filter_cfg.sensitive_word_list,
+                                                         "filters.sensitive_word_list")
+        self.dedup_cfg = config_from_dict(DedupConfig, run.dedup, "dedup section")
+        self.mix = config_from_dict(MixSection, {"seed": run.seed, **run.mix}, "mix section") if run.mix else None
+        mip = self.mix is not None and self.mix.plan.mode == MODE_MIP
+        self.instructions = self._file(self.mix.instructions, "mix.instructions") if mip else None
+        self.gen = config_from_dict(GenSection, run.gen, "gen section") if run.gen else None
+        if self.gen:
+            template = self._file(self.gen.template, "gen.template")
+            categories = self._file(self.gen.categories, "gen.categories")
+            self.gen_files = [p for p in (template, categories) if p]
+            self.gen_template = load_template(self.gen.kind.replace("-", "_"), body_path=template,
+                                              categories_path=categories)
+            self.gen_endpoint = self._endpoint(self.gen.endpoint, "gen.endpoint")
+        self.eval = config_from_dict(EvalSection, run.eval, "eval section") if run.eval else None
+        if self.eval:
+            self.eval_endpoint = self._endpoint(self.eval.endpoint, "eval.endpoint")
+            dataset_path = self._file(self.eval.dataset, "eval.dataset")
+            self.eval_dataset = dataset_path, load_dataset(dataset_path)
+            check_shots(self.eval.shots, self.eval_dataset[1])
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = PipelineManifest.load_or_create(self.out_dir / "manifest.json")
 
-    def _ingest_sources(self) -> list[tuple[Path, str]]:
-        cfg = self.config.get("ingest")
-        if not cfg or not cfg.get("inputs"):
-            raise ConfigError("config.ingest.inputs is required")
-        sources = []
-        for spec in cfg["inputs"]:
-            check_keys(spec, ("path", "kind"), "ingest input")
-            kind = spec.get("kind")
-            if kind not in SOURCE_KINDS:
-                raise ConfigError(f"ingest input kind must be one of {SOURCE_KINDS}, got {kind!r}")
-            if type(spec.get("path")) is not str:
-                raise ConfigError("every ingest input needs a 'path' string")
-            sources.append((self._resolve(spec["path"]), kind))
-        return sources
-
-    def _mix_plan(self) -> MixPlan | None:
-        cfg = self.config.get("mix")
-        if not cfg:
-            return None
-        with _config_error("mix"):
-            plan = mix_plan(cfg.get("ratio", "1:0"), cfg.get("mode", "dapt"), cfg.get("seed", self.seed),
-                            cfg.get("unit", "tokens"))
-        if plan.mode == MODE_MIP and not cfg.get("instructions"):
-            raise ConfigError("mix.instructions is required in mip mode")
-        return plan
-
-    def _gen_template(self) -> PromptTemplate | None:
-        cfg = self.config.get("gen")
-        if not cfg:
-            return None
-        body, categories = self._file("gen", "template"), self._file("gen", "categories")
-        with _config_error("gen"):
-            return load_template(cfg.get("kind", "one_turn").replace("-", "_"), body_path=body,
-                                 categories_path=categories)
-
-    def _endpoint(self, stage: str) -> tuple[str, EndpointConfig] | None:
-        """The endpoint file named by the gen or eval section, and its config."""
-        path = self._file(stage, "endpoint")
-        if path is None:
-            return None
-        with _config_error(f"{stage}.endpoint"):
-            return path, EndpointConfig.from_json(path)
+    def _endpoint(self, rel: str, what: str) -> tuple[str, EndpointConfig]:
+        """The endpoint file that `rel` names, and its config."""
+        path = self._file(rel, what)
+        return path, EndpointConfig.from_json(path)
 
     def _resolve(self, rel: str) -> Path:
         p = Path(rel)
         return p if p.is_absolute() else self.config_dir / p
 
-    def _file(self, section: str, key: str) -> str | None:
-        """The resolved path of the file that `section.key` names, None when the
-        key is unset; a missing file is a ConfigError."""
-        rel = (self.config.get(section) or {}).get(key)
-        if not rel:
+    def _file(self, rel: str | None, what: str) -> str | None:
+        """The resolved path of the file that config value `what` names, None
+        when it is null; a path that names no file, "" included, is a ConfigError."""
+        if rel is None:
             return None
         path = self._resolve(rel)
         if not path.is_file():
-            raise ConfigError(f"{section}.{key}: no such file {path}")
+            raise ConfigError(f"{what}: no such file {path}")
         return str(path)
 
     def _out(self, *names: str) -> list[Path]:
@@ -452,44 +449,41 @@ class PipelineRunner:
         self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, self.dedup_cfg, *outputs))
 
     def stage_mix(self) -> None:
-        plan = self.plan
-        if plan is None:
+        if self.mix is None:
             return
+        plan = self.mix.plan
         unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
         inputs = [unique, self.instructions] if self.instructions else [unique]
 
         def action() -> None:
             run_mix_stage(unique, plan, train, report, instructions_path=self.instructions,
-                          allow_short=self.config["mix"].get("allow_short", False))
+                          allow_short=self.mix.allow_short)
             emit_trainer_config(plan.mode, trainer)
 
         self._run_stage("mix", inputs, [train, report, trainer], action)
 
     def stage_gen(self) -> None:
-        if self.gen_endpoint is None:
+        if self.gen is None:
             return
-        cfg = self.config["gen"]
         endpoint_path, endpoint = self.gen_endpoint
         unique, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
 
         def action() -> None:
-            gen_report = run_gen_stage(unique, self.gen_template, endpoint, self.gen_transport, cfg["budget"],
-                                       self.out_dir / "gen_archive", sft, report, lenient=cfg.get("lenient", False))
+            gen_report = run_gen_stage(unique, self.gen_template, endpoint, self.gen_transport, self.gen.budget,
+                                       self.out_dir / "gen_archive", sft, report, lenient=self.gen.lenient)
             if gen_report.budget_exhausted:
                 raise BudgetExhausted("generation budget exhausted; partial sft.jsonl written, archive is resumable")
 
-        template_files = [p for p in (self._file("gen", "template"), self._file("gen", "categories")) if p]
-        self._run_stage("gen", [unique, endpoint_path, *template_files], [sft, report], action)
+        self._run_stage("gen", [unique, endpoint_path, *self.gen_files], [sft, report], action)
 
     def stage_eval(self) -> None:
-        if self.eval_endpoint is None:
+        if self.eval is None:
             return
-        cfg = self.config["eval"]
         (endpoint_path, endpoint), (dataset_path, dataset) = self.eval_endpoint, self.eval_dataset
         report = self.out_dir / "eval_report.json"
         self._run_stage("eval", [dataset_path, endpoint_path], [report], lambda: run_eval_stage(
-            dataset, endpoint, self.eval_shots, self.seed, report,
-            transport=self.eval_transport, labels=cfg.get("labels", {})))
+            dataset, endpoint, self.eval.shots, self.seed, report,
+            transport=self.eval_transport, labels=self.eval.labels))
 
     def run(self) -> PipelineManifest:
         self.stage_ingest()
@@ -513,8 +507,6 @@ def run_pipeline(
         config = read_json(config_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read pipeline config {config_path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise ConfigError("pipeline config must be a JSON object")
     runner = PipelineRunner(
         config,
         config_path.parent,

@@ -424,6 +424,36 @@ _RUN_CONFIG_ERRORS = {
     "run-eval-dataset-bad-row": {"eval": {**_EVAL, "dataset": "evalhome_bad.jsonl"}},
     "run-gen-endpoint-backoff-nested": {"gen": {"endpoint": "ep_backoff_nested.json", "budget": 1}},
     "run-eval-endpoint-retries-negative": {"eval": {**_EVAL, "endpoint": "ep_retries_negative.json"}},
+    "run-mix-seed-null": {"mix": {"seed": None}},
+    "run-mix-mode-int": {"mix": {"mode": 5}},
+    "run-mix-unit-null": {"mix": {"unit": None}},
+    "run-gen-lenient-str": {"gen": {"endpoint": "ep.json", "budget": 1, "lenient": "yes"}},
+    "run-gen-kind-int": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": 5}},
+    "run-gen-categories-int": {"gen": {"endpoint": "ep.json", "budget": 1, "categories": 5}},
+    "run-gen-endpoint-int": {"gen": {"endpoint": 5, "budget": 1}},
+    "run-gen-budget-bool": {"gen": {"endpoint": "ep.json", "budget": True}},
+    "run-gen-no-endpoint": {"gen": {"budget": 1}},
+    "run-gen-typo": {"gen": {"endpoint": "ep.json", "budget": 1, "budgte": 2}},
+    "run-eval-no-endpoint": {"eval": {"dataset": "evalhome.jsonl", "shots": [0]}},
+    "run-eval-dataset-int": {"eval": {**_EVAL, "dataset": 5}},
+    "run-eval-typo": {"eval": {**_EVAL, "extraction": "regex"}},
+    "run-ingest-kind": {"ingest": {"inputs": [{"path": "missing.txt", "kind": "blog"}]}},
+    "run-ingest-input-typo": {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book", "workers": 4}]}},
+    "run-ingest-input-str": {"ingest": {"inputs": ["missing.txt"]}},
+    "run-ingest-typo": {"ingest": {"inputs": [{"path": "missing.txt", "kind": "domain_book"}], "workers": 4}},
+    "run-ingest-inputs-empty": {"ingest": {"inputs": []}},
+    "run-typo": {"sede": 1},
+    "run-tokenizer-int": {"tokenizer": 5},
+    "run-seed-bool": {"seed": True},
+    "run-filters-null": {"filters": None},
+    "run-dedup-list": {"dedup": []},
+    "run-mix-list": {"mix": ["x"]},
+    "run-gen-list": {"gen": ["x"]},
+    # an empty path names no file; null is the way to leave an optional file out
+    "run-eval-dataset-empty": {"eval": {**_EVAL, "dataset": ""}},
+    "run-gen-endpoint-empty": {"gen": {"endpoint": "", "budget": 1}},
+    "run-gen-template-empty": {"gen": {"endpoint": "ep.json", "budget": 1, "template": ""}},
+    "run-lexicon-empty": {"filters": {"sensitive_word_list": ""}},
 }
 # Reports that match a schema by their keys but lack or mistype a key that
 # `stats` prints.
@@ -497,6 +527,21 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     err = capsys.readouterr().err
     assert (err == "") if code == 0 else err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, path", [
+    (_GEN + ("--endpoint", "{tmp}/ep_typo.json", "--budget", "1"), "ep_typo.json"),
+    (_GEN + ("--endpoint", "{tmp}/ep_backoff_nested.json", "--budget", "1"), "ep_backoff_nested.json"),
+    (_DEDUP + ("--config", "{tmp}/dedup_typo.json"), "dedup_typo.json"),
+    (("filter", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/k.jsonl", "--report", "{tmp}/f.json",
+      "--config", "{tmp}/dedup_typo.json"), "dedup_typo.json"),
+    (("run", "--config", "{tmp}/run-gen-endpoint-typo.json", "--out-dir", "{tmp}/out"), "ep_typo.json"),
+], ids=["endpoint-config-typo", "gen-endpoint-backoff-nested", "dedup-config-typo", "filter-config-typo",
+        "run-gen-endpoint-typo"])
+def test_config_file_error_names_the_file(tmp_path, capsys, argv, path):
+    _exit_code_inputs(tmp_path)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert str(tmp_path / path) in capsys.readouterr().err
 
 
 class TestEvalAndSweepCommands:

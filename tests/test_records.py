@@ -6,17 +6,20 @@ refuses a mistyped row with its line number."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import renokit
 from renokit.dedup import DedupReport, DupPair
 from renokit.endpoint import EndpointConfig
 from renokit.errors import SchemaError
 from renokit.evalharness import EvalReport, load_dataset
 from renokit.filters import FilterReport
 from renokit.ingest import Document, read_documents
-from renokit.jsonl import read_records, write_jsonl
+from renokit.jsonl import Record, _field_table, read_records, write_jsonl
 from renokit.mixer import TrainerConfig, read_mix_records
 from renokit.pipeline import StageRecord
 from renokit.sftgen import InstructionSample, MCQItem
@@ -128,3 +131,22 @@ def test_reader_refuses_mistyped_row_with_its_line(tmp_path, read, row, key, val
     with pytest.raises(SchemaError, match="line 2: ") as info:
         read(path)
     assert info.value.line == 2
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_reads_back_through_from_dict():
+    """Every field of every record has a JSON type, so from_dict on any record
+    refuses a bad row with SchemaError, never a KeyError from the type table."""
+    for module in pkgutil.iter_modules(renokit.__path__):
+        importlib.import_module(f"renokit.{module.name}")
+    records = list(_subclasses(Record))
+    assert {DedupReport, EvalReport, FilterReport, StageRecord} <= set(records)
+    for cls in records:
+        assert _field_table(cls)
+    with pytest.raises(SchemaError, match="missing required key"):
+        EvalReport.from_dict({"dataset": "e"})
