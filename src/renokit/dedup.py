@@ -13,7 +13,6 @@ LSH path on small corpora.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -30,7 +29,9 @@ REASON_EXACT = "exact"
 REASON_NEAR = "near"
 REASON_SENTENCE = "sentence"
 
-_MERSENNE61 = (1 << 61) - 1
+# splitmix64's increment; also the (odd) base of the shingle polynomial
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_EMPTY_BIN = np.uint64((1 << 64) - 1)
 _WS_RE = re.compile(r"\s+")
 
 
@@ -42,9 +43,9 @@ def normalize_for_dedup(text: str) -> str:
 @dataclass
 class DedupConfig:
     ngram: int = 5
-    num_perm: int = 128
+    num_perm: int = 256
     jaccard_threshold: float = 0.8
-    lsh_bands: int = 16
+    lsh_bands: int = 32
     lsh_rows: int = 8
     sentence_max_repeats: int | None = 2
     sentence_scope: str = "corpus"  # or "document"
@@ -65,6 +66,11 @@ class DedupConfig:
         if self.sentence_max_repeats is not None and self.sentence_max_repeats < 1:
             raise ValueError("sentence_max_repeats must be >= 1 or null")
 
+    def candidate_prob(self, j: float) -> float:
+        """Chance that a pair of Jaccard similarity `j` shares at least one
+        whole band: the banding's S-curve 1 - (1 - j^rows)^bands."""
+        return 1.0 - (1.0 - j**self.lsh_rows) ** self.lsh_bands
+
 
 @dataclass(frozen=True)
 class DupPair(Record):
@@ -73,23 +79,33 @@ class DupPair(Record):
     jaccard: float
 
 
-def _hash64(gram: str) -> int:
-    return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each value, in wrapping uint64 arithmetic: a bijection
+    whose every output bit depends on every input bit."""
+    z = x + _GAMMA
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
 def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
     """Sorted, unique uint64 hashes of the character n-grams of the
     whitespace-normalized text.
 
-    Texts shorter than the n-gram width contribute a single whole-text
-    shingle so any non-empty document always has a non-empty array.
+    Each gram is a polynomial in its code points, evaluated at all positions
+    at once, then finished with splitmix64. The polynomial starts from the
+    gram width, so a leading U+0000 still changes the hash. Texts shorter
+    than the n-gram width contribute a single whole-text shingle so any
+    non-empty document always has a non-empty array.
     """
-    norm = normalize_for_dedup(doc.text)
-    width = min(ngram, len(norm))
-    hashes = {_hash64(norm[i : i + width]) for i in range(len(norm) - width + 1)} if norm else set()
-    shingles = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
-    shingles.sort()
-    return shingles
+    codes = np.frombuffer(normalize_for_dedup(doc.text).encode("utf-32-le"), np.uint32).astype(np.uint64)
+    width = min(ngram, len(codes))
+    grams = len(codes) - width + 1 if width else 0
+    hashes = np.full(grams, width, dtype=np.uint64)
+    for k in range(width):
+        hashes *= _GAMMA
+        hashes += codes[k : k + grams]
+    return np.unique(_mix64(hashes))
 
 
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,17 +142,36 @@ def exact_dedup(docs: Sequence[Document]) -> list[Document]:
 
 
 def compute_signatures(shingle_sets: Sequence[np.ndarray], cfg: DedupConfig) -> np.ndarray:
-    """MinHash signatures: one row of cfg.num_perm values per shingle array."""
-    rng = np.random.default_rng(cfg.seed)
-    # a < 2^31 and folded shingles < 2^32 keep a*x + b < 2^64 (no wraparound).
-    a = rng.integers(1, 1 << 31, size=(cfg.num_perm, 1), dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE61, size=(cfg.num_perm, 1), dtype=np.uint64)
-    signatures = np.empty((len(shingle_sets), cfg.num_perm), dtype=np.uint64)
+    """MinHash signatures: one row of cfg.num_perm values per shingle array.
+
+    One-permutation hashing (Li, Owen & Zhang, 2012): each shingle is hashed
+    once with the seed; the high 32 bits pick its bin by multiply-shift and
+    the low 32 bits are its value, and each bin keeps its minimum. Empty bins
+    are then filled by rotation (Shrivastava & Li, 2014; see `_densify`).
+    """
+    key = _mix64(np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+    signatures = np.full((len(shingle_sets), cfg.num_perm), _EMPTY_BIN, dtype=np.uint64)
     for row, xs in zip(signatures, shingle_sets):
         if not xs.size:
             raise EmptyShingleSet("cannot sign an empty shingle array")
-        row[:] = ((a * (xs & np.uint64(0xFFFFFFFF)) + b) % np.uint64(_MERSENNE61)).min(axis=1)
-    return signatures
+        hashes = _mix64(xs ^ key)
+        np.minimum.at(row, ((hashes >> 32) * cfg.num_perm) >> 32, hashes & 0xFFFFFFFF)
+    return _densify(signatures)
+
+
+def _densify(signatures: np.ndarray) -> np.ndarray:
+    """Each empty bin takes the value of the nearest non-empty bin to its
+    right, wrapping round the row, plus its distance << 32, so borrowed
+    values never equal values of their own."""
+    empty = signatures == _EMPTY_BIN
+    num_bins = signatures.shape[1]
+    bins = np.arange(num_bins)
+    # An empty bin points past the row end to the row's first non-empty bin;
+    # a running minimum from the right then finds the nearest one.
+    source = np.where(empty, (empty.argmin(axis=1) + num_bins)[:, None], bins)
+    source = np.minimum.accumulate(source[:, ::-1], axis=1)[:, ::-1]
+    distance = (source - bins).astype(np.uint64)
+    return np.take_along_axis(signatures, source % num_bins, axis=1) + (distance << 32)
 
 
 def _lsh_candidates(doc_ids: Sequence[str], signatures: np.ndarray, cfg: DedupConfig) -> set[tuple[str, str]]:
@@ -172,8 +207,9 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], list[DupPair]]:
-    """Collapse near-duplicate articles; returns survivors and verified pairs.
+def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], list[DupPair], int]:
+    """Collapse near-duplicate articles; returns survivors, verified pairs
+    and the number of LSH candidate pairs.
 
     Expects exact_dedup to have run already. Candidate pairs come from LSH
     banding and are kept only when their exact Jaccard reaches the
@@ -185,7 +221,8 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
     signatures = compute_signatures([shingle_sets[doc_id] for doc_id in usable], cfg)
     pairs: list[DupPair] = []
     uf = _UnionFind()
-    for a, b in sorted(_lsh_candidates(usable, signatures, cfg)):
+    candidates = _lsh_candidates(usable, signatures, cfg)
+    for a, b in sorted(candidates):
         j = jaccard(shingle_sets[a], shingle_sets[b])
         if j >= cfg.jaccard_threshold:
             pairs.append(DupPair(a, b, j))
@@ -197,7 +234,7 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
             doc.mark(STATUS_DEDUPED_OUT, REASON_NEAR)
         else:
             survivors.append(doc)
-    return survivors, pairs
+    return survivors, pairs, len(candidates)
 
 
 def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPair]:
@@ -270,14 +307,17 @@ class DedupReport(Record):
     tokens_in: int = 0
     tokens_out: int = 0
     pairs: int = 0
+    lsh_candidates: int = 0
+    candidate_prob_at_threshold: float = 0.0
 
 
 def run_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], list[DupPair], DedupReport]:
     """Exact, near, then sentence dedup; survivors become status=retained."""
-    report = DedupReport(input=len(docs), tokens_in=sum(d.token_count for d in docs))
+    report = DedupReport(input=len(docs), tokens_in=sum(d.token_count for d in docs),
+                         candidate_prob_at_threshold=cfg.candidate_prob(cfg.jaccard_threshold))
     stage1 = exact_dedup(docs)
     report.dropped[REASON_EXACT] = len(docs) - len(stage1)
-    stage2, pairs = near_dedup(stage1, cfg)
+    stage2, pairs, report.lsh_candidates = near_dedup(stage1, cfg)
     report.dropped[REASON_NEAR] = len(stage1) - len(stage2)
     report.pairs = len(pairs)
     stage3 = sentence_dedup(stage2, cfg)

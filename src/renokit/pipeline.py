@@ -275,6 +275,8 @@ class MixSection:
 
     def __post_init__(self):
         self.plan = mix_plan(self.ratio, self.mode, self.seed, self.unit, self.instructions)
+        if self.instructions is not None and self.mode != MODE_MIP:
+            raise ValueError(f"instructions are read only in mip mode, not in {self.mode!r} mode")
 
 
 @dataclass
@@ -616,11 +618,13 @@ def _summarize_report(obj: dict) -> str | None:
         )
     if "pairs" in obj and "dropped" in obj:
         _require(obj, {"dropped": dict, "input": object, "retained": object, "tokens_in": object,
-                       "tokens_out": object})
+                       "tokens_out": object, "lsh_candidates": object, "candidate_prob_at_threshold": (int, float)})
         dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
         return (
             f"dedup report: input={obj['input']} retained={obj['retained']} dropped: {dropped}; "
-            f"tokens {obj['tokens_in']} -> {obj['tokens_out']}; {obj['pairs']} near-dup pairs"
+            f"tokens {obj['tokens_in']} -> {obj['tokens_out']}; {obj['pairs']} near-dup pairs "
+            f"of {obj['lsh_candidates']} LSH candidates; a pair at the threshold is a candidate "
+            f"with probability {obj['candidate_prob_at_threshold']:.4f}"
         )
     if "dropped" in obj and "retained" in obj:
         _require(obj, {"dropped": dict, "input": object})

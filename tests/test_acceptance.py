@@ -116,7 +116,7 @@ def test_c4_dedup_oracle():
     shingles = {d.doc_id: shingle(d, cfg.ngram) for d in docs}
     for a, b in planted:  # planted pairs really are near-duplicates
         assert jaccard(shingles[a], shingles[b]) >= 0.85
-    _, pairs = near_dedup(docs, cfg)
+    _, pairs, _ = near_dedup(docs, cfg)
     oracle = brute_force_pairs(docs, cfg)
     found = {(p.a, p.b) for p in pairs}
     truth = {(p.a, p.b) for p in oracle}

@@ -129,7 +129,9 @@ class TestStatsCommand:
                      "trainer_config.json", "manifest.json", "ingest_stats.json",
                      "dup_pairs.jsonl"):
             assert summarize_artifact(tmp_path / "out" / name)
-        assert "dedup report" in summarize_artifact(tmp_path / "out" / "dedup_report.json")
+        dedup_summary = summarize_artifact(tmp_path / "out" / "dedup_report.json")
+        assert "dedup report" in dedup_summary
+        assert " LSH candidates; a pair at the threshold is a candidate with probability 0.9" in dedup_summary
 
     def test_unknown_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -416,6 +418,8 @@ _RUN_CONFIG_ERRORS = {
     "run-lexicon-missing": {"filters": {"sensitive_word_list": "missing_words.txt"}},
     "run-dedup-num-perm": {"dedup": {"num_perm": 100}},
     "run-mix-instructions-missing": {"mix": {"mode": "mip", "instructions": "missing_sft.jsonl"}},
+    # an instruction file that only mip mode would read
+    "run-mix-instructions-dapt": {"mix": {"mode": "dapt", "instructions": "sft.jsonl"}},
     "run-gen-endpoint-typo": {"gen": {"endpoint": "ep_typo.json", "budget": 1}},
     "run-gen-template-missing": {"gen": {"endpoint": "ep.json", "budget": 1, "template": "missing.txt"}},
     "run-gen-template-no-slot": {"gen": {"endpoint": "ep.json", "budget": 1, "template": "template_no_slot.txt"}},

@@ -7,7 +7,7 @@ import pytest
 
 from renokit.dedup import (
     DedupConfig,
-    _hash64,
+    _lsh_candidates,
     brute_force_pairs,
     compute_signatures,
     exact_dedup,
@@ -39,6 +39,12 @@ class TestConfig:
     def test_threshold_range(self):
         with pytest.raises(ValueError):
             DedupConfig(jaccard_threshold=0.0)
+
+    def test_candidate_prob_is_the_s_curve(self):
+        assert DedupConfig().candidate_prob(0.8) == pytest.approx(1 - (1 - 0.8**8) ** 32)
+        assert DedupConfig().candidate_prob(0.8) > 0.99
+        # 16 bands of 8 rows miss one pair in twenty at the threshold
+        assert DedupConfig(num_perm=128, lsh_bands=16, lsh_rows=8).candidate_prob(0.8) < 0.95
 
 
 class TestExact:
@@ -77,14 +83,49 @@ def shingles(*values: int) -> np.ndarray:
     return np.array(sorted(values), dtype=np.uint64)
 
 
+M64 = (1 << 64) - 1
+
+
+def reference_mix64(x: int) -> int:
+    """splitmix64 with Python ints."""
+    z = (x + 0x9E3779B97F4A7C15) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def reference_gram_hash(gram: str) -> int:
+    """The polynomial in the gram's code points, started from its width."""
+    h = len(gram)
+    for ch in gram:
+        h = (h * 0x9E3779B97F4A7C15 + ord(ch)) & M64
+    return reference_mix64(h)
+
+
 def reference_shingles(text: str, ngram: int) -> set[int]:
     """Reference: the gram hashes collected into a Python set by a plain loop."""
     norm = " ".join(text.split())
     if not norm:
         return set()
     if len(norm) < ngram:
-        return {_hash64(norm)}
-    return {_hash64(norm[i : i + ngram]) for i in range(len(norm) - ngram + 1)}
+        return {reference_gram_hash(norm)}
+    return {reference_gram_hash(norm[i : i + ngram]) for i in range(len(norm) - ngram + 1)}
+
+
+def reference_signature(shingle_values: list[int], num_perm: int, seed: int) -> list[int]:
+    """Reference: one-permutation MinHash and rotation densification with Python ints."""
+    key = reference_mix64(seed)
+    bins: list[int | None] = [None] * num_perm
+    for x in shingle_values:
+        h = reference_mix64(x ^ key)
+        b, v = ((h >> 32) * num_perm) >> 32, h & 0xFFFFFFFF
+        if bins[b] is None or v < bins[b]:
+            bins[b] = v
+    row = []
+    for j in range(num_perm):
+        distance = next(d for d in range(num_perm) if bins[(j + d) % num_perm] is not None)
+        row.append(bins[(j + distance) % num_perm] + (distance << 32))
+    return row
 
 
 def edited(rng: random.Random, text: str) -> str:
@@ -141,20 +182,33 @@ class TestSignatures:
         assert np.array_equal(sigs, compute_signatures(sets, cfg))
 
     def test_matches_python_reference(self):
-        # the seeded universal-hash permutations, evaluated with Python ints
+        # short texts leave most of the 256 bins empty, the long one few
         cfg = DedupConfig(seed=9)
-        sets = [shingle(make_doc(cjk_text(random.Random(i), 40))) for i in range(3)]
-        rng = np.random.default_rng(cfg.seed)
-        a = rng.integers(1, 1 << 31, size=cfg.num_perm, dtype=np.uint64).tolist()
-        b = rng.integers(0, (1 << 61) - 1, size=cfg.num_perm, dtype=np.uint64).tolist()
-        want = [[min((ak * (x & 0xFFFFFFFF) + bk) % ((1 << 61) - 1) for x in s.tolist()) for ak, bk in zip(a, b)]
-                for s in sets]
+        sets = [shingle(make_doc(cjk_text(random.Random(i), n))) for i, n in enumerate((3, 40, 40, 2000))]
+        want = [reference_signature(s.tolist(), cfg.num_perm, cfg.seed) for s in sets]
         assert compute_signatures(sets, cfg).tolist() == want
+
+    def test_one_shingle_fills_every_bin(self):
+        # 100 bins, not a power of two: multiply-shift still spreads the bins
+        cfg = DedupConfig(num_perm=100, lsh_bands=10, lsh_rows=10, seed=4)
+        one = shingle(make_doc("短文"))
+        sig = compute_signatures([one], cfg)
+        assert len(one) == 1
+        assert sig.tolist() == [reference_signature(one.tolist(), cfg.num_perm, cfg.seed)]
+        assert len(set(sig[0].tolist())) == cfg.num_perm  # each bin borrows from its own distance
+        assert np.array_equal(sig, compute_signatures([one.copy()], cfg))
+
+    def test_independent_of_shingle_order(self):
+        cfg = DedupConfig(seed=2)
+        s = shingle(make_doc(cjk_text(random.Random(5), 300)))
+        shuffled = np.random.default_rng(0).permutation(s)
+        assert not np.array_equal(s, shuffled)
+        assert np.array_equal(compute_signatures([s], cfg), compute_signatures([shuffled], cfg))
 
     def test_agreement_approximates_jaccard(self):
         # overlapping shingle sets at several target similarities
         rng = random.Random(17)
-        cfg = DedupConfig(num_perm=128, seed=3)
+        cfg = DedupConfig(num_perm=128, lsh_bands=16, seed=3)
         for shared in (50, 150, 300, 360):
             total = 400
             common = {rng.randrange(1 << 62) for _ in range(shared)}
@@ -172,7 +226,7 @@ class TestNearDedup:
         near = base + "末尾追加的一句。"
         others = [make_doc(cjk_text(rng, 200)) for _ in range(10)]
         docs = [make_doc(base), make_doc(near), *others]
-        survivors, pairs = near_dedup(docs, DedupConfig())
+        survivors, pairs, _ = near_dedup(docs, DedupConfig())
         assert len(pairs) == 1
         assert pairs[0].jaccard >= 0.9
         assert len(survivors) == len(docs) - 1
@@ -180,21 +234,21 @@ class TestNearDedup:
     def test_disjoint_corpus_no_pairs(self):
         rng = random.Random(6)
         docs = [make_doc(cjk_text(rng, 150)) for _ in range(30)]
-        survivors, pairs = near_dedup(docs, DedupConfig())
+        survivors, pairs, _ = near_dedup(docs, DedupConfig())
         assert pairs == []
         assert len(survivors) == 30
 
     def test_reported_pairs_meet_threshold(self):
         docs, _ = build_dedup_docs(n_docs=120, n_pairs=12)
         cfg = DedupConfig()
-        _, pairs = near_dedup(docs, cfg)
+        _, pairs, _ = near_dedup(docs, cfg)
         assert pairs
         assert all(p.jaccard >= cfg.jaccard_threshold for p in pairs)
 
     def test_recall_against_oracle_small(self):
         docs, planted = build_dedup_docs(n_docs=200, n_pairs=20)
         cfg = DedupConfig()
-        _, pairs = near_dedup(docs, cfg)
+        _, pairs, _ = near_dedup(docs, cfg)
         oracle = brute_force_pairs(docs, cfg)
         found = {(p.a, p.b) for p in pairs}
         truth = {(p.a, p.b) for p in oracle}
@@ -202,18 +256,41 @@ class TestNearDedup:
         assert estimate_recall(pairs, oracle) >= 0.95
         assert set(planted) <= truth
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_candidate_recall_at_the_threshold(self, seed):
+        # 300 planted pairs of shingle arrays with J in [0.80, 0.82), where
+        # the banding is least likely to propose a true duplicate. Arrays of
+        # 900-2,000 shingles leave few bins empty; borrowed bins agree more
+        # often than their own, so small arrays would be easier to catch.
+        rng = np.random.default_rng(seed)
+        cfg = DedupConfig()
+        arrays, planted = {}, []
+        for i in range(300):
+            own = int(rng.integers(100, 200))
+            shared = 8 * own + int(rng.integers(0, own + 1))  # J = shared / (shared + 2 own) in [0.8, 9/11]
+            values = rng.integers(0, 1 << 63, size=shared + 2 * own, dtype=np.uint64)
+            a, b = f"p{i:03d}a", f"p{i:03d}b"
+            arrays[a] = np.unique(values[: shared + own])
+            arrays[b] = np.unique(np.concatenate([values[:shared], values[shared + own :]]))
+            assert 0.80 <= jaccard(arrays[a], arrays[b]) < 0.82
+            planted.append((a, b))
+        ids = sorted(arrays)
+        candidates = _lsh_candidates(ids, compute_signatures([arrays[i] for i in ids], cfg), cfg)
+        recall = len(candidates & set(planted)) / len(planted)
+        assert recall >= 0.95
+
     def test_component_collapse_keeps_smallest(self):
         rng = random.Random(8)
         base = cjk_text(rng, 200)
         variants = [base, base + "尾巴一。", base + "尾巴二。"]
         docs = sorted((make_doc(t) for t in variants), key=lambda d: d.doc_id)
-        survivors, _ = near_dedup(docs, DedupConfig())
+        survivors, _, _ = near_dedup(docs, DedupConfig())
         assert [d.doc_id for d in survivors] == [docs[0].doc_id]
 
     def test_permutation_invariant(self):
         docs, _ = build_dedup_docs(n_docs=60, n_pairs=6)
-        s1, p1 = near_dedup(list(docs), DedupConfig())
-        s2, p2 = near_dedup(list(reversed(docs)), DedupConfig())
+        s1, p1, _ = near_dedup(list(docs), DedupConfig())
+        s2, p2, _ = near_dedup(list(reversed(docs)), DedupConfig())
         assert [d.doc_id for d in s1] == [d.doc_id for d in s2]
         assert [(p.a, p.b) for p in p1] == [(p.a, p.b) for p in p2]
 
@@ -286,4 +363,5 @@ class TestRunDedup:
         assert all(d.status == "retained" for d in survivors)
         assert report.dropped["exact"] >= 1
         assert report.dropped["near"] >= 1
-        assert len(pairs) == report.pairs
+        assert len(pairs) == report.pairs <= report.lsh_candidates
+        assert report.candidate_prob_at_threshold == DedupConfig().candidate_prob(0.8)

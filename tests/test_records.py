@@ -30,7 +30,8 @@ _RECORDS = [
     (StageRecord(stage="ingest", config_digest="c", seed=0, inputs={}, outputs={}, started="s", finished="f"),
      ["stage", "config_digest", "seed", "inputs", "outputs", "started", "finished"]),
     (FilterReport(), ["input", "retained", "dropped"]),
-    (DedupReport(), ["input", "retained", "dropped", "tokens_in", "tokens_out", "pairs"]),
+    (DedupReport(), ["input", "retained", "dropped", "tokens_in", "tokens_out", "pairs", "lsh_candidates",
+                    "candidate_prob_at_threshold"]),
     (DupPair(a="a", b="b", jaccard=0.9), ["a", "b", "jaccard"]),
     (MCQItem(question="q", question_type="judgment", options={"A": "是", "B": "否"}, correct_option="A",
              reason="", category="c", subclass="s", difficulty="expertise"),
