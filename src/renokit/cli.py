@@ -165,10 +165,10 @@ def _cmd_mix(args) -> int:
     report = run_mix_stage(args.domain, plan, args.out, args.report, general_path=args.general,
                            instructions_path=args.instructions, allow_short=args.allow_short)
     if plan.mode == MODE_MIP:
-        print(f"mip set: {report['pretrain_count'] + report['instruction_count']} records")
+        print(f"mip set: {report.pretrain_count + report.instruction_count} records")
     else:
-        print(f"mixed {report['domain_count']} domain + {report['general_count']} general "
-              f"(achieved ratio {report['achieved_ratio']:.4f}, target 1:{report['ratio_general']})")
+        print(f"mixed {report.domain_count} domain + {report.general_count} general "
+              f"(achieved ratio {report.achieved_ratio:.4f}, target 1:{report.ratio_general})")
     return EXIT_OK
 
 
@@ -264,7 +264,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_run(args) -> int:
     manifest = run_pipeline(args.config, args.out_dir, resume=args.resume)
-    print(f"pipeline complete: {len(manifest.records)} stage records in {manifest.path}")
+    print(f"pipeline complete: {len(manifest.stages)} stage records in {Path(args.out_dir) / 'manifest.json'}")
     return EXIT_OK
 
 

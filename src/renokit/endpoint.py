@@ -51,9 +51,6 @@ class EndpointConfig(Record):
     def from_json(cls, path: str | Path) -> "EndpointConfig":
         return config_from_json(cls, path, "endpoint config")
 
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
-
 
 @dataclass(frozen=True)
 class Completion:

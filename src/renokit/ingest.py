@@ -223,12 +223,15 @@ def extract_text(record: RawRecord) -> Document:
 
 
 @dataclass
-class PipelineStats:
-    """Accumulator for per-kind document/token counts and failures."""
+class PipelineStats(Record):
+    """Per-kind document/token counts and failures of one ingest run."""
 
+    tokenizer: str = TOKENIZER
     documents: dict[str, int] = field(default_factory=dict)
     tokens: dict[str, int] = field(default_factory=dict)
     failures: dict[str, int] = field(default_factory=dict)
+    total_documents: int = 0
+    total_tokens: int = 0
 
     def add_document(self, doc: Document) -> None:
         self.documents[doc.source_kind] = self.documents.get(doc.source_kind, 0) + 1
@@ -236,24 +239,6 @@ class PipelineStats:
 
     def add_failure(self, reason: str) -> None:
         self.failures[reason] = self.failures.get(reason, 0) + 1
-
-    @property
-    def total_documents(self) -> int:
-        return sum(self.documents.values())
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.tokens.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "tokenizer": TOKENIZER,
-            "documents": dict(sorted(self.documents.items())),
-            "tokens": dict(sorted(self.tokens.items())),
-            "failures": dict(sorted(self.failures.items())),
-            "total_documents": self.total_documents,
-            "total_tokens": self.total_tokens,
-        }
 
 
 def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], PipelineStats]:
@@ -276,6 +261,10 @@ def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], Pipelin
         docs.append(doc)
         stats.add_document(doc)
     docs.sort(key=lambda d: d.doc_id)
+    stats.documents, stats.tokens, stats.failures = (
+        dict(sorted(counts.items())) for counts in (stats.documents, stats.tokens, stats.failures))
+    stats.total_documents = sum(stats.documents.values())
+    stats.total_tokens = sum(stats.tokens.values())
     return docs, stats
 
 

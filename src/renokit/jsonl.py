@@ -103,8 +103,9 @@ def read_json(path: str | Path) -> Any:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
+    """Write `obj` as indented JSON; a Record nested in it is written as its to_dict()."""
     with _atomic_write(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2)
+        json.dump(obj, fh, ensure_ascii=False, indent=2, default=Record.to_dict)
         fh.write("\n")
 
 
@@ -128,7 +129,8 @@ def _field_table(cls: type) -> tuple[tuple[str, str, tuple[type, ...], bool], ..
 
 def _build(cls: type, obj: dict, what: str, error: type[Exception]):
     """`cls` from the keys of `obj` named like its fields; `error` if one is missing
-    or mistyped, or if the constructor refuses a value with a ValueError."""
+    or mistyped, or if the constructor refuses a value with a ValueError or with the
+    ConfigError of a record it builds from a nested object."""
     kwargs = {}
     for name, annotation, types, required in _field_table(cls):
         if name in obj:
@@ -140,7 +142,7 @@ def _build(cls: type, obj: dict, what: str, error: type[Exception]):
             raise error(f"{what} is missing required key {name!r}")
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise error(f"{what}: {exc}") from None
 
 

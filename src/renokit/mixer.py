@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData
-from .jsonl import Record, config_from_json, line_error, read_jsonl, write_json
+from .jsonl import Record, line_error, read_jsonl, write_json
 from .tokenizers import TOKENIZER, count_tokens
 
 MODE_DAPT = "dapt"
@@ -96,7 +96,7 @@ def read_mix_records(path: str | Path, needs_text: bool = False) -> Iterator[dic
 
 
 @dataclass
-class MixReport:
+class MixReport(Record):
     mode: str
     unit: str
     seed: int
@@ -106,22 +106,20 @@ class MixReport:
     domain_tokens: int
     general_tokens: int
     achieved_ratio: float
+    tokenizer: str = TOKENIZER
     shortfall: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "unit": self.unit,
-            "seed": self.seed,
-            "ratio_general": self.ratio_general,
-            "domain_count": self.domain_count,
-            "general_count": self.general_count,
-            "domain_tokens": self.domain_tokens,
-            "general_tokens": self.general_tokens,
-            "achieved_ratio": self.achieved_ratio,
-            "tokenizer": TOKENIZER,
-            "shortfall": self.shortfall,
-        }
+
+@dataclass
+class MipReport(Record):
+    """The mix report of MIP mode: the pretrain and instruction records in the union and their tokens."""
+
+    mode: str
+    seed: int
+    pretrain_count: int
+    instruction_count: int
+    total_tokens: int
+    tokenizer: str = TOKENIZER
 
 
 def mix(
@@ -247,7 +245,3 @@ def emit_trainer_config(mode: str, path: str | Path) -> TrainerConfig:
     cfg = trainer_config_for_mode(mode)
     write_json(path, cfg.to_dict())
     return cfg
-
-
-def load_trainer_config(path: str | Path) -> TrainerConfig:
-    return config_from_json(TrainerConfig, path, "trainer config")

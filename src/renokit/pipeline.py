@@ -15,13 +15,13 @@ import hashlib
 import json
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .dedup import DedupConfig, DedupReport, run_dedup
-from .errors import BudgetExhausted, ConfigError, StageFailure, UnknownSchema
+from .dedup import DedupConfig, DedupReport, DupPair, run_dedup
+from .errors import BudgetExhausted, ConfigError, SchemaError, StageFailure, UnknownSchema
 from .endpoint import ChatClient, EndpointConfig, ResponseArchive, utc_now_iso
 from .evalharness import EvalReport, EvalRunConfig, MCQDataset, best_of_settings, check_shots, load_dataset, run_eval
 from .filters import FilterConfig, FilterReport, run_filters
@@ -36,8 +36,10 @@ from .ingest import (
     source_files,
     write_documents,
 )
-from .jsonl import Record, config_from_dict, read_json, read_jsonl, read_records, write_json, write_jsonl
-from .mixer import MODE_MIP, MixPlan, build_mip, emit_trainer_config, mix, read_mix_records, record_tokens
+from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records, write_json,
+                    write_jsonl)
+from .mixer import (MODE_MIP, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config, mix,
+                    read_mix_records, record_tokens)
 from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
 from .tokenizers import TOKENIZER, count_tokens
 
@@ -53,7 +55,8 @@ def file_digest(path: str | Path) -> str:
 
 
 def config_digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+    """sha256 of `obj` as canonical JSON; a path in it is hashed as its string."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, ensure_ascii=False, default=str).encode("utf-8")).hexdigest()
 
 
 # --- stages -------------------------------------------------------------------
@@ -100,7 +103,7 @@ def mix_plan(ratio: str, mode: str, seed: int, unit: str, instructions: str | No
 
 
 def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, general_path=None,
-                  instructions_path=None, allow_short: bool = False) -> dict:
+                  instructions_path=None, allow_short: bool = False) -> MixReport | MipReport:
     """Build one training set and return its report.
 
     Records of `domain_path` with source_kind "general" join the general pool,
@@ -118,22 +121,16 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
         # The pretrain records carry their token counts; only the rendered
         # instructions are counted here.
         instruction_tokens = sum(count_tokens(r["text"]) for r in mixed if r["origin"] == "instruction")
-        report = {
-            "mode": MODE_MIP,
-            "seed": plan.seed,
-            "pretrain_count": len(domain),
-            "instruction_count": len(instructions),
-            "total_tokens": sum(record_tokens(r) for r in domain) + instruction_tokens,
-            "tokenizer": TOKENIZER,
-        }
+        report = MipReport(mode=MODE_MIP, seed=plan.seed, pretrain_count=len(domain),
+                           instruction_count=len(instructions),
+                           total_tokens=sum(record_tokens(r) for r in domain) + instruction_tokens)
     else:
         if general_path:
             general.extend(read_mix_records(general_path))
-        mixed, mix_report = mix(domain, general, plan, allow_short=allow_short)
-        report = mix_report.to_dict()
+        mixed, report = mix(domain, general, plan, allow_short=allow_short)
     write_jsonl(train_path, mixed)
     if report_path:
-        write_json(report_path, report)
+        write_json(report_path, report.to_dict())
     return report
 
 
@@ -184,41 +181,30 @@ class StageRecord(Record):
 
 
 @dataclass
-class PipelineManifest:
-    path: Path
+class PipelineManifest(Record):
+    """manifest.json: the version that wrote it and every stage record, in run order."""
+
     version: str = __version__
-    records: list[StageRecord] = field(default_factory=list)
+    stages: list[StageRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        # Read back from JSON, each stage record is an object; every one must be complete.
+        self.stages = [config_from_dict(StageRecord, r, f"stage record {i}") for i, r in enumerate(self.stages, 1)]
 
     @classmethod
     def load_or_create(cls, path: str | Path) -> "PipelineManifest":
-        path = Path(path)
-        if path.exists():
-            obj = read_json(path)
-            if not isinstance(obj, dict) or not isinstance(obj.get("stages"), list):
-                raise ConfigError(f"{path}: a manifest must be a JSON object with a 'stages' list")
-            return cls(
-                path=path,
-                version=obj.get("version", __version__),
-                records=[config_from_dict(StageRecord, r, f"{path} stage record") for r in obj["stages"]],
-            )
-        return cls(path=path)
-
-    def save(self) -> None:
-        write_json(self.path, {"version": self.version, "stages": [r.to_dict() for r in self.records]})
-
-    def append(self, record: StageRecord) -> None:
-        self.records.append(record)
-        self.save()
+        """The manifest at `path`, or an empty one when there is none; a malformed one is a ConfigError."""
+        return config_from_json(cls, path, "manifest") if Path(path).exists() else cls()
 
     def latest(self, stage: str) -> StageRecord | None:
-        for record in reversed(self.records):
+        for record in reversed(self.stages):
             if record.stage == stage:
                 return record
         return None
 
     def output_digests(self) -> dict[str, str]:
         merged: dict[str, str] = {}
-        for record in self.records:
+        for record in self.stages:
             merged.update(record.outputs)
         return merged
 
@@ -318,7 +304,6 @@ class PipelineRunner:
         gen_transport=None,
         eval_transport=None,
     ):
-        self.config = config
         self.config_dir = config_dir
         self.out_dir = Path(out_dir)
         self.resume = resume
@@ -351,7 +336,8 @@ class PipelineRunner:
         self.gen_transport = gen_transport
         self.eval_transport = eval_transport
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest = PipelineManifest.load_or_create(self.out_dir / "manifest.json")
+        self.manifest_path = self.out_dir / "manifest.json"
+        self.manifest = PipelineManifest.load_or_create(self.manifest_path)
 
     def _endpoint(self, rel: str, what: str) -> tuple[str, EndpointConfig]:
         """The endpoint file that `rel` names, and its config."""
@@ -376,8 +362,11 @@ class PipelineRunner:
         return [self.out_dir / name for name in names]
 
     def _stage_digest(self, stage: str) -> str:
+        """The digest of the stage's built config, so that a default spelt out in the file changes nothing."""
+        built = {"filter": self.filter_cfg, "dedup": self.dedup_cfg, "mix": self.mix, "gen": self.gen,
+                 "eval": self.eval}
         scoped = {
-            "stage_config": self.config.get(stage if stage != "filter" else "filters", {}),
+            "stage_config": asdict(built[stage]) if stage in built else self.sources,
             "seed": self.seed,
             "tokenizer": TOKENIZER,
             "version": __version__,
@@ -421,7 +410,7 @@ class PipelineRunner:
             raise
         except Exception as exc:
             raise StageFailure(stage, str(exc)) from exc
-        self.manifest.append(
+        self.manifest.stages.append(
             StageRecord(
                 stage=stage,
                 config_digest=digest,
@@ -432,6 +421,7 @@ class PipelineRunner:
                 finished=utc_now_iso(),
             )
         )
+        write_json(self.manifest_path, self.manifest.to_dict())
 
     # --- stages -----------------------------------------------------------
 
@@ -562,6 +552,40 @@ def _summarize_instructions(samples: list[InstructionSample]) -> str:
     return "\n".join(lines)
 
 
+def _counts(counts: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in counts.items())
+
+
+# What `stats` prints for each JSON report; a file is read through from_dict of
+# the one class whose field names are exactly its keys.
+_REPORT_SUMMARIES: dict[type[Record], Callable] = {
+    PipelineManifest: lambda m: f"manifest: {len(m.stages)} stage records ({', '.join(r.stage for r in m.stages)})",
+    EvalReport: lambda r: (
+        f"eval report: {r.dataset} items={r.items_total} micro={r.overall_micro} macro={r.overall_macro}"
+    ),
+    DedupReport: lambda r: (
+        f"dedup report: input={r.input} retained={r.retained} dropped: {_counts(r.dropped)}; "
+        f"tokens {r.tokens_in} -> {r.tokens_out}; {r.pairs} near-dup pairs of {r.lsh_candidates} LSH candidates; "
+        f"a pair at the threshold is a candidate with probability {r.candidate_prob_at_threshold:.4f}"
+    ),
+    FilterReport: lambda r: f"filter report: input={r.input} retained={r.retained} dropped: {_counts(r.dropped)}",
+    GenReport: lambda r: (
+        f"generation report: accepted={r.accepted} rejected: {_counts(r.rejected) or 'none'}; "
+        f"sent={r.requests_sent} replayed={r.replayed}"
+    ),
+    MixReport: lambda r: (
+        f"mix report: mode={r.mode} ratio=1:{r.ratio_general} achieved={r.achieved_ratio:.4f} seed={r.seed}"
+    ),
+    MipReport: lambda r: (
+        f"mix report: mode={r.mode} pretrain={r.pretrain_count} instructions={r.instruction_count} "
+        f"total_tokens={r.total_tokens} seed={r.seed}"
+    ),
+    TrainerConfig: lambda c: "trainer config: " + _counts(c.to_dict()),
+    PipelineStats: lambda stats: "ingest stats: " + json.dumps(stats.to_dict(), ensure_ascii=False),
+}
+_REPORT_CLASSES = {frozenset(f.name for f in fields(cls)): cls for cls in _REPORT_SUMMARIES}
+
+
 def summarize_artifact(path: str | Path) -> str:
     """Human-readable summary of any toolkit artifact file."""
     path = Path(path)
@@ -577,7 +601,7 @@ def summarize_artifact(path: str | Path) -> str:
         if {"kind", "turns"} <= first.keys():
             return _summarize_instructions(read_records(InstructionSample, path))
         if {"a", "b", "jaccard"} <= first.keys():
-            return f"duplicate pairs: {len(rows)}"
+            return f"duplicate pairs: {len(read_records(DupPair, path))}"
         if {"id", "text"} <= first.keys():
             return f"training records: {len(rows)}"
         raise UnknownSchema(f"{path}: unrecognized JSONL schema (keys: {sorted(first)})")
@@ -585,66 +609,12 @@ def summarize_artifact(path: str | Path) -> str:
         obj = read_json(path)
         if not isinstance(obj, dict):
             raise UnknownSchema(f"{path}: expected a JSON object")
-        try:
-            summary = _summarize_report(obj)
-        except UnknownSchema as exc:
-            raise UnknownSchema(f"{path}: {exc}") from None
-        if summary is None:
+        cls = _REPORT_CLASSES.get(frozenset(obj))
+        if cls is None:
             raise UnknownSchema(f"{path}: unrecognized JSON schema (keys: {sorted(obj)})")
-        return summary
+        try:
+            report = cls.from_dict(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        return _REPORT_SUMMARIES[cls](report)
     raise UnknownSchema(f"{path}: expected .json or .jsonl")
-
-
-def _require(obj: dict, kinds: dict[str, type | tuple[type, ...]]) -> None:
-    """UnknownSchema unless each key is in `obj` with a value of its kind: a
-    report that matched a schema by its keys still lacks a key it prints."""
-    for key, kind in kinds.items():
-        if key not in obj or not isinstance(obj[key], kind):
-            raise UnknownSchema(f"malformed report: {key!r} is missing or has the wrong type")
-
-
-def _summarize_report(obj: dict) -> str | None:
-    """Summary of a JSON report, chosen by its keys; None for an unknown schema."""
-    if "stages" in obj:
-        _require(obj, {"stages": list})
-        for r in obj["stages"]:
-            _require(r if isinstance(r, dict) else {}, {"stage": str})
-        stages = ", ".join(r["stage"] for r in obj["stages"])
-        return f"manifest: {len(obj['stages'])} stage records ({stages})"
-    if "overall_micro" in obj:
-        return (
-            f"eval report: {obj.get('dataset')} items={obj.get('items_total')} "
-            f"micro={obj.get('overall_micro')} macro={obj.get('overall_macro')}"
-        )
-    if "pairs" in obj and "dropped" in obj:
-        _require(obj, {"dropped": dict, "input": object, "retained": object, "tokens_in": object,
-                       "tokens_out": object, "lsh_candidates": object, "candidate_prob_at_threshold": (int, float)})
-        dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
-        return (
-            f"dedup report: input={obj['input']} retained={obj['retained']} dropped: {dropped}; "
-            f"tokens {obj['tokens_in']} -> {obj['tokens_out']}; {obj['pairs']} near-dup pairs "
-            f"of {obj['lsh_candidates']} LSH candidates; a pair at the threshold is a candidate "
-            f"with probability {obj['candidate_prob_at_threshold']:.4f}"
-        )
-    if "dropped" in obj and "retained" in obj:
-        _require(obj, {"dropped": dict, "input": object})
-        dropped = ", ".join(f"{k}={v}" for k, v in obj["dropped"].items())
-        return f"filter report: input={obj['input']} retained={obj['retained']} dropped: {dropped}"
-    if "requests_sent" in obj and "accepted" in obj:
-        _require({"rejected": {}, **obj}, {"rejected": dict})
-        rejected = ", ".join(f"{k}={v}" for k, v in obj.get("rejected", {}).items()) or "none"
-        return (
-            f"generation report: accepted={obj['accepted']} rejected: {rejected}; "
-            f"sent={obj['requests_sent']} replayed={obj.get('replayed', 0)}"
-        )
-    if "achieved_ratio" in obj:
-        _require(obj, {"achieved_ratio": (int, float)})
-        return (
-            f"mix report: mode={obj.get('mode')} ratio=1:{obj.get('ratio_general')} "
-            f"achieved={obj.get('achieved_ratio'):.4f} seed={obj.get('seed')}"
-        )
-    if "max_length" in obj and "precision" in obj:
-        return "trainer config: " + ", ".join(f"{k}={v}" for k, v in obj.items())
-    if "tokenizer" in obj and "documents" in obj:
-        return "ingest stats: " + json.dumps(obj, ensure_ascii=False)
-    return None

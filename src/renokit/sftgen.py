@@ -446,41 +446,20 @@ class ArchivedCompleter:
 
 
 @dataclass
-class GenReport:
+class GenReport(Record):
     requests_sent: int = 0
     replayed: int = 0
     accepted: int = 0
     rejected: dict[str, int] = field(default_factory=dict)
+    rejected_total: int = 0
     accepted_per_kind: dict[str, int] = field(default_factory=dict)
     jobs_total: int = 0
     jobs_accepted: int = 0
+    jobs_skipped: int = 0  # jobs curtailed by budget exhaustion, neither accepted nor classified
     budget_exhausted: bool = False
 
     def reject(self, error_class: str) -> None:
         self.rejected[error_class] = self.rejected.get(error_class, 0) + 1
-
-    @property
-    def rejected_total(self) -> int:
-        return sum(self.rejected.values())
-
-    @property
-    def jobs_skipped(self) -> int:
-        # jobs curtailed by budget exhaustion, neither accepted nor classified
-        return self.jobs_total - self.jobs_accepted - self.rejected_total
-
-    def to_dict(self) -> dict:
-        return {
-            "requests_sent": self.requests_sent,
-            "replayed": self.replayed,
-            "accepted": self.accepted,
-            "rejected": dict(sorted(self.rejected.items())),
-            "rejected_total": self.rejected_total,
-            "accepted_per_kind": dict(sorted(self.accepted_per_kind.items())),
-            "jobs_total": self.jobs_total,
-            "jobs_accepted": self.jobs_accepted,
-            "jobs_skipped": self.jobs_skipped,
-            "budget_exhausted": self.budget_exhausted,
-        }
 
 
 def batch_generate(
@@ -541,6 +520,10 @@ def batch_generate(
 
     report.requests_sent = completer.sent
     report.replayed = completer.replayed
+    report.rejected = dict(sorted(report.rejected.items()))
+    report.accepted_per_kind = dict(sorted(report.accepted_per_kind.items()))
+    report.rejected_total = sum(report.rejected.values())
+    report.jobs_skipped = report.jobs_total - report.jobs_accepted - report.rejected_total
     return ordered, report
 
 

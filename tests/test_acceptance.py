@@ -17,8 +17,8 @@ from renokit.dedup import DedupConfig, brute_force_pairs, jaccard, near_dedup, s
 from renokit.endpoint import ChatClient, EndpointConfig, OfflineTransport, ResponseArchive
 from renokit.evalharness import EvalRunConfig, build_prompt, load_dataset, run_eval, select_exemplars
 from renokit.filters import FilterConfig, run_filters
-from renokit.jsonl import write_jsonl
-from renokit.mixer import MixPlan, emit_trainer_config, load_trainer_config, mix, record_tokens
+from renokit.jsonl import config_from_json, write_jsonl
+from renokit.mixer import MixPlan, TrainerConfig, emit_trainer_config, mix, record_tokens
 from renokit.pipeline import PipelineManifest
 from renokit.sftgen import batch_generate, load_categories
 
@@ -170,11 +170,11 @@ def test_c6_trainer_config_emission(tmp_path):
         "lr_scheduler": "cosine",
         "max_length": 1024,
     }
-    assert load_trainer_config(dapt_path) == dapt
+    assert config_from_json(TrainerConfig, dapt_path, "trainer config") == dapt
     sft_path = tmp_path / "sft.json"
     sft = emit_trainer_config("sft", sft_path)
     assert sft.max_length == 1536
-    assert load_trainer_config(sft_path) == sft
+    assert config_from_json(TrainerConfig, sft_path, "trainer config") == sft
     _report("C6", "trainer config exact values for dapt/sft with round-trip parse equality")
 
 
@@ -247,7 +247,7 @@ def test_c9_end_to_end_determinism(tmp_path):
     assert cli_main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out2")]) == 0
     m1 = PipelineManifest.load_or_create(tmp_path / "out1" / "manifest.json")
     m2 = PipelineManifest.load_or_create(tmp_path / "out2" / "manifest.json")
-    assert [r.stage for r in m1.records] == [r.stage for r in m2.records] == ["ingest", "filter", "dedup", "mix"]
+    assert [r.stage for r in m1.stages] == [r.stage for r in m2.stages] == ["ingest", "filter", "dedup", "mix"]
     d1 = {k.replace("out1", "{out}"): v for k, v in m1.output_digests().items()}
     d2 = {k.replace("out2", "{out}"): v for k, v in m2.output_digests().items()}
     assert d1 == d2, "manifest digests differ between identical runs"

@@ -6,7 +6,7 @@ import pytest
 
 from renokit.cli import main
 from renokit.endpoint import EndpointConfig
-from renokit.jsonl import read_json, read_jsonl, write_jsonl
+from renokit.jsonl import read_json, read_jsonl, write_json, write_jsonl
 from renokit.pipeline import PipelineManifest, run_pipeline, summarize_artifact
 from renokit.errors import StageFailure, UnknownSchema
 
@@ -157,9 +157,9 @@ class TestPipelineRun:
     def test_manifest_chain_and_counts(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
         manifest = run_pipeline(config, tmp_path / "out")
-        assert [r.stage for r in manifest.records] == ["ingest", "filter", "dedup", "mix"]
+        assert [r.stage for r in manifest.stages] == ["ingest", "filter", "dedup", "mix"]
         # chained: filter input digest equals ingest docs.jsonl output digest
-        by_stage = {r.stage: r for r in manifest.records}
+        by_stage = {r.stage: r for r in manifest.stages}
         docs_path = str(tmp_path / "out" / "docs.jsonl")
         assert by_stage["filter"].inputs[docs_path] == by_stage["ingest"].outputs[docs_path]
 
@@ -174,9 +174,9 @@ class TestPipelineRun:
     def test_resume_skips_everything(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
         m1 = run_pipeline(config, tmp_path / "out")
-        n_records = len(m1.records)
+        n_records = len(m1.stages)
         m2 = run_pipeline(config, tmp_path / "out", resume=True)
-        assert len(m2.records) == n_records
+        assert len(m2.stages) == n_records
         assert m2.output_digests() == m1.output_digests()
 
     def test_tampered_intermediate_detected_on_resume(self, tmp_path):
@@ -192,9 +192,9 @@ class TestPipelineRun:
         m1 = run_pipeline(config, tmp_path / "out")
         raw_files = sorted(str(p) for p in (tmp_path / "raw").iterdir())
         assert sorted(m1.latest("ingest").inputs) == raw_files
-        n_records = len(m1.records)
+        n_records = len(m1.stages)
         m2 = run_pipeline(config, tmp_path / "out", resume=True)
-        assert len(m2.records) == n_records
+        assert len(m2.stages) == n_records
         # a file added to the directory changes the input set: ingest reruns
         (tmp_path / "raw" / "extra.txt").write_text("新增的一篇装修文章，介绍吊顶的安装步骤与验收要点。" * 3, encoding="utf-8")
         m3 = run_pipeline(config, tmp_path / "out", resume=True)
@@ -207,11 +207,19 @@ class TestPipelineRun:
         config["filters"]["min_effective_chars"] = 160
         config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
         resumed = run_pipeline(config_path, tmp_path / "out", resume=True)
-        assert [r.stage for r in resumed.records] == ["ingest", "filter", "dedup", "mix", "filter", "dedup", "mix"]
+        assert [r.stage for r in resumed.stages] == ["ingest", "filter", "dedup", "mix", "filter", "dedup", "mix"]
         run_pipeline(config_path, tmp_path / "fresh")
         for name in ("kept.jsonl", "filter_report.json", "unique.jsonl", "dup_pairs.jsonl",
                      "dedup_report.json", "train.jsonl", "mix_report.json"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_resume_keys_on_the_built_config(self, tmp_path):
+        config_path = write_pipeline_fixture(tmp_path)
+        n_records = len(run_pipeline(config_path, tmp_path / "out").stages)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["dedup"]["seed"] = 1  # the default, spelt out
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        assert len(run_pipeline(config_path, tmp_path / "out", resume=True).stages) == n_records
 
     def test_resume_reruns_after_source_edit(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
@@ -219,7 +227,7 @@ class TestPipelineRun:
         raw = tmp_path / "raw" / "book1.txt"
         raw.write_text(raw.read_text(encoding="utf-8") + "新增一句关于墙面找平的说明。", encoding="utf-8")
         resumed = run_pipeline(config, tmp_path / "out", resume=True)
-        assert [r.stage for r in resumed.records] == ["ingest", "filter", "dedup", "mix"] * 2
+        assert [r.stage for r in resumed.stages] == ["ingest", "filter", "dedup", "mix"] * 2
         run_pipeline(config, tmp_path / "fresh")
         names = sorted(p.name for p in (tmp_path / "fresh").iterdir() if p.name != "manifest.json")
         assert names == sorted(p.name for p in (tmp_path / "out").iterdir() if p.name != "manifest.json")
@@ -231,7 +239,7 @@ class TestPipelineRun:
         run_pipeline(config, tmp_path / "out")
         (tmp_path / "lexicon.txt").write_text("", encoding="utf-8")
         resumed = run_pipeline(config, tmp_path / "out", resume=True)
-        assert [r.stage for r in resumed.records][4:] == ["filter", "dedup", "mix"]
+        assert [r.stage for r in resumed.stages][4:] == ["filter", "dedup", "mix"]
         run_pipeline(config, tmp_path / "fresh")
         for name in ("kept.jsonl", "filter_report.json", "unique.jsonl", "train.jsonl"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
@@ -254,39 +262,13 @@ class TestPipelineRun:
     def test_manifest_records_seed_and_version(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
         manifest = run_pipeline(config, tmp_path / "out")
-        assert all(r.seed == 42 for r in manifest.records)
+        assert all(r.seed == 42 for r in manifest.stages)
         loaded = PipelineManifest.load_or_create(tmp_path / "out" / "manifest.json")
-        assert [r.stage for r in loaded.records] == [r.stage for r in manifest.records]
-
-    def _full_config(self, tmp_path):
-        config_path = write_pipeline_fixture(tmp_path)
-        EndpointConfig(
-            base_url="http://mock.invalid", model_name="mock-model",
-            max_retries=0, backoff=(0.0,),
-        ).to_json(tmp_path / "ep.json")
-        write_evalhome(tmp_path / "evalhome.jsonl")
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-        config["gen"] = {"kind": "mcq", "endpoint": "ep.json", "budget": 100}
-        config["eval"] = {"dataset": "evalhome.jsonl", "endpoint": "ep.json", "shots": [0]}
-        config_path.write_text(json.dumps(config, ensure_ascii=False, indent=2), encoding="utf-8")
-        return config_path
+        assert [r.stage for r in loaded.stages] == [r.stage for r in manifest.stages]
 
     def test_optional_gen_and_eval_stages(self, tmp_path):
-        from mocks import ConstantTransport, ScriptedTransport
-
-        config_path = self._full_config(tmp_path)
-        mcq = json.dumps({
-            "question": "知识点判断？",
-            "question_type": "单选",
-            "candidate_options": {k: f"选{k}" for k in "ABCD"},
-            "answer": {"correct_option": "A", "reason": "依据"},
-        }, ensure_ascii=False)
-        manifest = run_pipeline(
-            config_path, tmp_path / "out",
-            gen_transport=ScriptedTransport(lambda m: mcq),
-            eval_transport=ConstantTransport("答案：A"),
-        )
-        assert [r.stage for r in manifest.records] == ["ingest", "filter", "dedup", "mix", "gen", "eval"]
+        manifest = _gen_and_eval_run(tmp_path)
+        assert [r.stage for r in manifest.stages] == ["ingest", "filter", "dedup", "mix", "gen", "eval"]
         sft_rows = [obj for _, obj in read_jsonl(tmp_path / "out" / "sft.jsonl")]
         domain_docs = [
             obj for _, obj in read_jsonl(tmp_path / "out" / "unique.jsonl")
@@ -297,7 +279,7 @@ class TestPipelineRun:
         assert report["items_total"] == 113
 
     def test_gen_budget_exhaustion_exit_code_4(self, tmp_path):
-        config_path = self._full_config(tmp_path)
+        config_path = _full_config(tmp_path)
         config = json.loads(config_path.read_text(encoding="utf-8"))
         config["gen"]["budget"] = 2
         del config["eval"]
@@ -305,6 +287,100 @@ class TestPipelineRun:
         # unreachable endpoint is irrelevant: budget dies first on fresh requests
         assert run_cli("run", "--config", config_path, "--out-dir", tmp_path / "out") == 4
         assert (tmp_path / "out" / "sft.jsonl").exists()
+
+
+def _full_config(tmp_path):
+    """The pipeline fixture with gen and eval stages against ep.json."""
+    config_path = write_pipeline_fixture(tmp_path)
+    endpoint = EndpointConfig(base_url="http://mock.invalid", model_name="mock-model", max_retries=0, backoff=(0.0,))
+    write_json(tmp_path / "ep.json", endpoint.to_dict())
+    write_evalhome(tmp_path / "evalhome.jsonl")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["gen"] = {"kind": "mcq", "endpoint": "ep.json", "budget": 100}
+    config["eval"] = {"dataset": "evalhome.jsonl", "endpoint": "ep.json", "shots": [0]}
+    config_path.write_text(json.dumps(config, ensure_ascii=False, indent=2), encoding="utf-8")
+    return config_path
+
+
+def _gen_and_eval_run(tmp_path):
+    """_full_config run into tmp_path/out, gen and eval answered by the test mocks."""
+    from mocks import ConstantTransport, ScriptedTransport
+
+    mcq = json.dumps({
+        "question": "知识点判断？",
+        "question_type": "单选",
+        "candidate_options": {k: f"选{k}" for k in "ABCD"},
+        "answer": {"correct_option": "A", "reason": "依据"},
+    }, ensure_ascii=False)
+    return run_pipeline(_full_config(tmp_path), tmp_path / "out", gen_transport=ScriptedTransport(lambda m: mcq),
+                        eval_transport=ConstantTransport("答案：A"))
+
+
+def _mip_run(tmp_path):
+    """The pipeline fixture in MIP mode, with three instruction samples, run into tmp_path/out."""
+    config_path = write_pipeline_fixture(tmp_path)
+    turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+    samples = [{"kind": "one_turn", "turns": turns, "knowledge_id": f"k{i}"} for i in range(3)]
+    write_jsonl(tmp_path / "sft.jsonl", samples)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["mix"] = {"mode": "mip", "instructions": "sft.jsonl"}
+    config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    return run_pipeline(config_path, tmp_path / "out")
+
+
+def _documents(total, book, website, general, standard, status):
+    """The summary of a document file of the pipeline fixture: (docs, tokens) per source kind."""
+    kinds = {"domain_book": book, "domain_website": website, "general": general, "national_standard": standard}
+    return "\n".join([f"documents: {total[0]}", *(f"  {k}: {d} docs, {t} tokens" for k, (d, t) in kinds.items()),
+                      f"status: {status}={total[0]}", f"total tokens: {total[1]}"])
+
+
+# What `stats` prints for every artifact of the two fixture runs.
+_STATS_COMMON = {
+    "docs.jsonl": _documents((20, 3966), (5, 836), (7, 776), (6, 2016), (2, 338), "ingested"),
+    "kept.jsonl": _documents((17, 3808), (5, 836), (4, 618), (6, 2016), (2, 338), "ingested"),
+    "unique.jsonl": _documents((16, 3620), (4, 668), (4, 598), (6, 2016), (2, 338), "retained"),
+    "dup_pairs.jsonl": "duplicate pairs: 1",
+    "ingest_stats.json": 'ingest stats: {"tokenizer": "approx-cjk-v1", "documents": {"domain_book": 5, '
+                         '"domain_website": 7, "general": 6, "national_standard": 2}, "tokens": {"domain_book": 836, '
+                         '"domain_website": 776, "general": 2016, "national_standard": 338}, "failures": {}, '
+                         '"total_documents": 20, "total_tokens": 3966}',
+    "filter_report.json": "filter report: input=20 retained=17 dropped: sensitive=1, language=1, length=1",
+    "dedup_report.json": "dedup report: input=17 retained=16 dropped: exact=0, near=1, sentence=0; tokens 3808 -> "
+                         "3620; 1 near-dup pairs of 2 LSH candidates; a pair at the threshold is a candidate with "
+                         "probability 0.9470",
+    "trainer_config.json": "trainer config: precision=fp16, epochs=4, batch_size=64, learning_rate=0.0001, "
+                           "warmup_ratio=0.1, lr_scheduler=cosine, max_length=1024",
+}
+_STATS_GOLDEN = {
+    _gen_and_eval_run: {
+        **_STATS_COMMON,
+        "train.jsonl": _documents((15, 3284), (4, 668), (4, 598), (5, 1680), (2, 338), "retained"),
+        "mix_report.json": "mix report: mode=dapt ratio=1:1 achieved=1.0474 seed=42",
+        "sft.jsonl": "\n".join([f"{'category':<20}{'subclasses':>12}{'questions':>12}",
+                                f"{'expertise':<20}{1:>12}{10:>12}", f"{'TOTAL':<20}{1:>12}{10:>12}",
+                                "question types: single_choice=10"]),
+        "gen_report.json": "generation report: accepted=10 rejected: none; sent=10 replayed=0",
+        "eval_report.json": "eval report: evalhome items=113 micro=27.43 macro=26.62",
+        "manifest.json": "manifest: 6 stage records (ingest, filter, dedup, mix, gen, eval)",
+    },
+    _mip_run: {
+        **_STATS_COMMON,
+        "train.jsonl": "training records: 13",
+        "mix_report.json": "mix report: mode=mip pretrain=10 instructions=3 total_tokens=1634 seed=42",
+        "manifest.json": "manifest: 4 stage records (ingest, filter, dedup, mix)",
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(_STATS_GOLDEN), ids=["gen-and-eval", "mip"])
+def test_stats_golden(tmp_path, run):
+    """`stats` on every JSON and JSONL file a fixture run writes: a new artifact
+    without a summary, or a summary that moved, fails here."""
+    run(tmp_path)
+    out = tmp_path / "out"
+    summaries = {p.name: summarize_artifact(p) for p in out.iterdir() if p.suffix in (".json", ".jsonl")}
+    assert summaries == _STATS_GOLDEN[run]
 
 
 class TestCliMatchesRun:
@@ -340,7 +416,8 @@ def _exit_code_inputs(tmp_path):
         "doc_id": "k1", "text": "知识内容样例。", "source_kind": "domain_book",
         "token_count": 6, "char_count": 7, "status": "retained", "reason": None,
     }])
-    EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,)).to_json(tmp_path / "ep.json")
+    endpoint = EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,))
+    write_json(tmp_path / "ep.json", endpoint.to_dict())
     (tmp_path / "ep_typo.json").write_text('{"base_url": "http://localhost:9", "model": "m"}', encoding="utf-8")
     (tmp_path / "ep_no_model.json").write_text('{"base_url": "http://localhost:9"}', encoding="utf-8")
     ep = {"base_url": "http://localhost:9", "model_name": "m"}
@@ -370,6 +447,8 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "turns_not_objects.jsonl", [doc, {"id": "s1", "turns": ["地板"]}])
     turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
     write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": turns, "knowledge_id": "d1"}])
+    write_jsonl(tmp_path / "pair_jaccard_str.jsonl", [{"a": "d1", "b": "d2", "jaccard": 0.9},
+                                                      {"a": "d1", "b": "d3", "jaccard": "0.9"}])
     for name, report in _PARTIAL_REPORTS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
     for name, manifest in _BAD_MANIFESTS.items():
@@ -459,14 +538,15 @@ _RUN_CONFIG_ERRORS = {
     "run-gen-template-empty": {"gen": {"endpoint": "ep.json", "budget": 1, "template": ""}},
     "run-lexicon-empty": {"filters": {"sensitive_word_list": ""}},
 }
-# Reports that match a schema by their keys but lack or mistype a key that
-# `stats` prints.
+# Reports that lack a key of their report class, or that have its keys but
+# mistype a value.
 _PARTIAL_REPORTS = {
     "stats-dedup-partial": {"pairs": 1, "dropped": {}},
     "stats-filter-no-input": {"dropped": {"length": 1}, "retained": 3},
     "stats-manifest-no-stage": {"stages": [{"x": 1}]},
     "stats-gen-rejected-list": {"requests_sent": 1, "accepted": 0, "rejected": []},
     "stats-filter-dropped-list": {"dropped": [], "retained": 1, "input": 1},
+    "stats-manifest-stage-partial": {"version": "0.1.0", "stages": [{"stage": "ingest"}]},
 }
 # Out dirs holding a malformed manifest.json.
 _BAD_MANIFESTS = {
@@ -509,6 +589,7 @@ _MIX = ("mix", "--out", "{tmp}/t.jsonl", "--domain")
     (("eval", "--dataset", "{tmp}/evalhome_dup_id.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0,1",
       "--out", "{tmp}/report.json"), 2),
     (("stats", "{tmp}/mcq_question_int.jsonl"), 2),
+    (("stats", "{tmp}/pair_jaccard_str.jsonl"), 2),
     (("eval", "--dataset", "{tmp}/mcq_correct_option_list.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0",
       "--out", "{tmp}/report.json"), 2),
     (("filter", "--in", "{tmp}/doc_text_int.jsonl", "--out", "{tmp}/kept.jsonl", "--report", "{tmp}/f.json"), 2),
@@ -524,6 +605,7 @@ _MIX = ("mix", "--out", "{tmp}/t.jsonl", "--domain")
         "stats-doc-no-status",
         "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str", *_PARTIAL_REPORTS, *_BAD_MANIFESTS,
         "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated", "stats-mcq-question-int",
+        "stats-pair-jaccard-str",
         "eval-mcq-correct-option-list", "filter-doc-text-int", "gen-endpoint-backoff-nested",
         "gen-endpoint-retries-negative", "mix-mip-text-missing", "mix-turns-not-objects", "mix-token-count-null"])
 def test_exit_codes(tmp_path, capsys, argv, code):
@@ -551,7 +633,8 @@ def test_config_file_error_names_the_file(tmp_path, capsys, argv, path):
 class TestEvalAndSweepCommands:
     def _endpoint_file(self, tmp_path):
         path = tmp_path / "ep.json"
-        EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,)).to_json(path)
+        endpoint = EndpointConfig(base_url="http://localhost:9", model_name="m", max_retries=0, backoff=(0.0,))
+        write_json(path, endpoint.to_dict())
         return path
 
     def test_eval_degrades_without_endpoint(self, tmp_path):
@@ -590,7 +673,7 @@ class TestGenCommand:
             "token_count": 6, "char_count": 7, "status": "retained", "reason": None,
         }])
         ep = tmp_path / "ep.json"
-        EndpointConfig(base_url="http://mock.invalid", model_name="m").to_json(ep)
+        write_json(ep, EndpointConfig(base_url="http://mock.invalid", model_name="m").to_dict())
         out = tmp_path / "sft.jsonl"
         report_path = tmp_path / "gen_report.json"
         assert run_cli("gen", "--kind", "mcq", "--knowledge", docs, "--endpoint", ep,

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from renokit.errors import EmptyDomain, EmptyInput, InsufficientGeneralData
-from renokit.jsonl import write_jsonl
+from renokit.jsonl import config_from_json, write_jsonl
 from renokit.mixer import (
     ASSISTANT_MARKER,
     USER_MARKER,
@@ -11,7 +11,6 @@ from renokit.mixer import (
     TrainerConfig,
     build_mip,
     emit_trainer_config,
-    load_trainer_config,
     mix,
     record_id,
     record_tokens,
@@ -199,7 +198,7 @@ class TestTrainerConfig:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "trainer.json"
         emitted = emit_trainer_config("sft", path)
-        assert load_trainer_config(path) == emitted
+        assert config_from_json(TrainerConfig, path, "trainer config") == emitted
 
 
 class TestRecordHelpers:

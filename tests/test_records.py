@@ -6,6 +6,7 @@ refuses a mistyped row with its line number."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -18,11 +19,11 @@ from renokit.endpoint import EndpointConfig
 from renokit.errors import SchemaError
 from renokit.evalharness import EvalReport, load_dataset
 from renokit.filters import FilterReport
-from renokit.ingest import Document, read_documents
+from renokit.ingest import Document, PipelineStats, read_documents
 from renokit.jsonl import Record, _field_table, read_records, write_jsonl
-from renokit.mixer import TrainerConfig, read_mix_records
-from renokit.pipeline import StageRecord
-from renokit.sftgen import InstructionSample, MCQItem
+from renokit.mixer import MipReport, MixReport, TrainerConfig, read_mix_records
+from renokit.pipeline import _REPORT_SUMMARIES, PipelineManifest, StageRecord
+from renokit.sftgen import GenReport, InstructionSample, MCQItem
 
 _RECORDS = [
     (Document(doc_id="d", text="t", source_kind="domain_book", token_count=1, char_count=1),
@@ -47,12 +48,28 @@ _RECORDS = [
     (EndpointConfig(base_url="http://localhost:9", model_name="m"),
      ["base_url", "model_name", "api_key_env", "temperature", "max_retries", "backoff", "concurrency_limit",
       "timeout"]),
+    (GenReport(), ["requests_sent", "replayed", "accepted", "rejected", "rejected_total", "accepted_per_kind",
+                   "jobs_total", "jobs_accepted", "jobs_skipped", "budget_exhausted"]),
+    (MixReport(mode="dapt", unit="tokens", seed=0, ratio_general=1, domain_count=1, general_count=1, domain_tokens=1,
+               general_tokens=1, achieved_ratio=1.0),
+     ["mode", "unit", "seed", "ratio_general", "domain_count", "general_count", "domain_tokens", "general_tokens",
+      "achieved_ratio", "tokenizer", "shortfall"]),
+    (MipReport(mode="mip", seed=0, pretrain_count=1, instruction_count=1, total_tokens=2),
+     ["mode", "seed", "pretrain_count", "instruction_count", "total_tokens", "tokenizer"]),
+    (PipelineStats(), ["tokenizer", "documents", "tokens", "failures", "total_documents", "total_tokens"]),
+    (PipelineManifest(), ["version", "stages"]),
 ]
 
 
 @pytest.mark.parametrize("record, keys", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
 def test_artifact_key_order(record, keys):
     assert list(record.to_dict()) == keys
+
+
+def test_stats_tells_every_report_class_by_its_keys():
+    """`stats` reads a JSON report as the one class whose fields are its keys."""
+    key_sets = [frozenset(f.name for f in dataclasses.fields(cls)) for cls in _REPORT_SUMMARIES]
+    assert len(set(key_sets)) == len(key_sets)
 
 
 _TURNS = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
@@ -146,7 +163,7 @@ def test_every_record_reads_back_through_from_dict():
     for module in pkgutil.iter_modules(renokit.__path__):
         importlib.import_module(f"renokit.{module.name}")
     records = list(_subclasses(Record))
-    assert {DedupReport, EvalReport, FilterReport, StageRecord} <= set(records)
+    assert {DedupReport, EvalReport, FilterReport, StageRecord, *_REPORT_SUMMARIES} <= set(records)
     for cls in records:
         assert _field_table(cls)
     with pytest.raises(SchemaError, match="missing required key"):
