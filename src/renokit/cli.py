@@ -27,9 +27,8 @@ from .evalharness import load_dataset, sweep_report
 from .filters import FilterConfig
 from .ingest import SOURCE_KINDS
 from .jsonl import config_from_json, read_json, read_jsonl
-from .mixer import MODE_MIP, emit_trainer_config
+from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config
 from .pipeline import (
-    mix_plan,
     run_dedup_stage,
     run_eval_stage,
     run_filter_stage,
@@ -78,17 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="build a ratio-controlled training set")
     p.add_argument("--domain", required=True)
     p.add_argument("--general")
-    p.add_argument("--instructions", help="instruction JSONL (mip mode)")
+    p.add_argument("--instructions", help="instruction JSONL (mip mode only)")
     p.add_argument("--ratio", default="1:0")
-    p.add_argument("--mode", default="dapt", choices=("dapt", "sft", "mip"))
-    p.add_argument("--unit", default="tokens", choices=("tokens", "examples"))
+    p.add_argument("--mode", default="dapt", choices=MODES)
+    p.add_argument("--unit", default="tokens", choices=UNITS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--allow-short", action="store_true")
 
     p = sub.add_parser("emit-config", help="write trainer hyperparameters for a mode")
-    p.add_argument("--mode", required=True, choices=("dapt", "sft", "mip"))
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gen", help="generate instruction data from knowledge docs")
@@ -161,9 +160,10 @@ def _cmd_dedup(args) -> int:
 def _cmd_mix(args) -> int:
     if args.mode == MODE_MIP and args.general:
         raise ConfigError("mip mode takes no general data")
-    plan = mix_plan(args.ratio, args.mode, args.seed, args.unit, args.instructions)
+    plan = MixPlan(seed=args.seed, ratio=args.ratio, mode=args.mode, unit=args.unit,
+                   instructions=args.instructions, allow_short=args.allow_short)
     report = run_mix_stage(args.domain, plan, args.out, args.report, general_path=args.general,
-                           instructions_path=args.instructions, allow_short=args.allow_short)
+                           instructions_path=args.instructions)
     if plan.mode == MODE_MIP:
         print(f"mip set: {report.pretrain_count + report.instruction_count} records")
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData
+from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData, SchemaError
 from .jsonl import Record, line_error, read_jsonl, write_json
 from .tokenizers import TOKENIZER, count_tokens
 
@@ -33,26 +33,35 @@ UNITS = (UNIT_TOKENS, UNIT_EXAMPLES)
 
 @dataclass
 class MixPlan:
-    ratio_general: int
-    mode: str
-    seed: int
+    """One mix config: the `mix` section of a run config, the flags of the `mix`
+    command, and what mix() reads. The constructor holds every mix rule."""
+
+    seed: int  # in a run config, the run's seed unless the section sets its own
+    ratio: str = "1:0"
+    mode: str = MODE_DAPT
     unit: str = UNIT_TOKENS
+    instructions: str | None = None
+    allow_short: bool = False
 
     def __post_init__(self):
-        self.mode = self.mode.lower()
-        if self.ratio_general < 0:
-            raise ValueError("ratio_general must be >= 0")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.unit not in UNITS:
-            raise ValueError(f"unit must be one of {UNITS}")
-
-    @staticmethod
-    def parse_ratio(text: str) -> tuple[int, int]:
-        m = re.fullmatch(r"\s*(\d+)\s*:\s*(\d+)\s*", text)
+        m = re.fullmatch(r"\s*(\d+)\s*:\s*\d+\s*", self.ratio)
         if not m:
-            raise ValueError(f"ratio must look like '1:5', got {text!r}")
-        return int(m.group(1)), int(m.group(2))
+            raise ValueError(f"ratio must look like '1:5', got {self.ratio!r}")
+        if int(m.group(1)) != 1:
+            raise ValueError(f"ratio must have domain part 1, got {self.ratio!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.unit not in UNITS:
+            raise ValueError(f"unit must be one of {UNITS}, got {self.unit!r}")
+        if self.mode == MODE_MIP and not self.instructions:
+            raise ValueError("mip mode requires instructions (--instructions, or mix.instructions in a run config)")
+        if self.instructions is not None and self.mode != MODE_MIP:
+            raise ValueError(f"instructions are read only in mip mode, not in {self.mode!r} mode")
+
+    @property
+    def ratio_general(self) -> int:
+        """k of the "1:k" ratio; derived, so that it stays out of the section's config digest."""
+        return int(self.ratio.split(":")[1])
 
 
 def record_id(rec: dict) -> str:
@@ -126,7 +135,6 @@ def mix(
     domain: Sequence[dict],
     general: Sequence[dict],
     plan: MixPlan,
-    allow_short: bool = False,
 ) -> tuple[list[dict], MixReport]:
     """Combine all domain records with a seeded general sample at ratio 1:k."""
     if not domain:
@@ -155,7 +163,7 @@ def mix(
         general_total += record_tokens(rec) if plan.unit == UNIT_TOKENS else 1
 
     shortfall = max(0, target - general_total)
-    if shortfall and not allow_short:
+    if shortfall and not plan.allow_short:
         raise InsufficientGeneralData(
             f"general pool short by {shortfall} {plan.unit} of the 1:{k} target",
             shortfall=shortfall,
@@ -199,21 +207,42 @@ def render_instruction_text(turns: Sequence[dict]) -> str:
     return "\n".join(parts)
 
 
+MIP_ORIGINS = ("pretrain", "instruction")
+
+
+@dataclass
+class MipRecord(Record):
+    """A row of a MIP training set: pretrain text or a rendered instruction sample."""
+
+    id: str
+    text: str
+    origin: str
+
+    def validate(self) -> "MipRecord":
+        if self.origin not in MIP_ORIGINS:
+            raise SchemaError(f"record {self.id}: origin must be one of {MIP_ORIGINS}, got {self.origin!r}")
+        return self
+
+
 def build_mip(
     domain_pretrain: Sequence[dict],
     domain_instructions: Sequence[dict],
     seed: int,
-) -> list[dict]:
+) -> tuple[list[dict], MipReport]:
     """Union pretrain text with rendered instruction text; no general data."""
     if not domain_pretrain or not domain_instructions:
         raise EmptyInput("instruction pretraining needs both pretrain docs and instruction samples")
-    records: list[dict] = []
-    for rec in domain_pretrain:
-        records.append({"id": record_id(rec), "text": rec["text"], "origin": "pretrain"})
-    for rec in domain_instructions:
-        records.append({"id": record_id(rec), "text": render_instruction_text(rec["turns"]), "origin": "instruction"})
+    pretrain = [MipRecord(record_id(rec), rec["text"], "pretrain") for rec in domain_pretrain]
+    instructions = [MipRecord(record_id(rec), render_instruction_text(rec["turns"]), "instruction")
+                    for rec in domain_instructions]
+    # The pretrain records carry their token counts; only the rendered
+    # instructions are counted here.
+    total_tokens = sum(record_tokens(r) for r in domain_pretrain) + sum(count_tokens(r.text) for r in instructions)
+    records = [r.to_dict() for r in pretrain + instructions]
     random.Random(seed).shuffle(records)
-    return records
+    report = MipReport(mode=MODE_MIP, seed=seed, pretrain_count=len(pretrain), instruction_count=len(instructions),
+                       total_tokens=total_tokens)
+    return records, report
 
 
 # --- trainer configuration -------------------------------------------------------
@@ -234,7 +263,6 @@ class TrainerConfig(Record):
 
 
 def trainer_config_for_mode(mode: str) -> TrainerConfig:
-    mode = mode.lower()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     max_length = MAX_LENGTH_SFT if mode == MODE_SFT else MAX_LENGTH_PRETRAIN

@@ -38,10 +38,10 @@ from .ingest import (
 )
 from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records, write_json,
                     write_jsonl)
-from .mixer import (MODE_MIP, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config, mix,
-                    read_mix_records, record_tokens)
+from .mixer import (MODE_MIP, MipRecord, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config,
+                    mix, read_mix_records)
 from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
-from .tokenizers import TOKENIZER, count_tokens
+from .tokenizers import TOKENIZER
 
 STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
 
@@ -90,20 +90,8 @@ def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report
     return report
 
 
-def mix_plan(ratio: str, mode: str, seed: int, unit: str, instructions: str | None) -> MixPlan:
-    """MixPlan for a "1:k" ratio string; the domain part must be 1, and MIP
-    mode needs an instruction file."""
-    ratio_domain, ratio_general = MixPlan.parse_ratio(ratio)
-    if ratio_domain != 1:
-        raise ConfigError("mix ratio must have domain part 1")
-    plan = MixPlan(ratio_general=ratio_general, mode=mode, seed=seed, unit=unit)
-    if plan.mode == MODE_MIP and not instructions:
-        raise ConfigError("mip mode requires instructions (--instructions, or mix.instructions in a run config)")
-    return plan
-
-
 def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, general_path=None,
-                  instructions_path=None, allow_short: bool = False) -> MixReport | MipReport:
+                  instructions_path=None) -> MixReport | MipReport:
     """Build one training set and return its report.
 
     Records of `domain_path` with source_kind "general" join the general pool,
@@ -117,17 +105,11 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
         (general if rec.get("source_kind") == "general" else domain).append(rec)
     if plan.mode == MODE_MIP:
         instructions = [s.to_dict() for s in read_records(InstructionSample, instructions_path)]
-        mixed = build_mip(domain, instructions, seed=plan.seed)
-        # The pretrain records carry their token counts; only the rendered
-        # instructions are counted here.
-        instruction_tokens = sum(count_tokens(r["text"]) for r in mixed if r["origin"] == "instruction")
-        report = MipReport(mode=MODE_MIP, seed=plan.seed, pretrain_count=len(domain),
-                           instruction_count=len(instructions),
-                           total_tokens=sum(record_tokens(r) for r in domain) + instruction_tokens)
+        mixed, report = build_mip(domain, instructions, seed=plan.seed)
     else:
         if general_path:
             general.extend(read_mix_records(general_path))
-        mixed, report = mix(domain, general, plan, allow_short=allow_short)
+        mixed, report = mix(domain, general, plan)
     write_jsonl(train_path, mixed)
     if report_path:
         write_json(report_path, report.to_dict())
@@ -251,21 +233,6 @@ class IngestInput:
 
 
 @dataclass
-class MixSection:
-    seed: int  # the run's seed unless the section sets its own
-    ratio: str = "1:0"
-    mode: str = "dapt"
-    unit: str = "tokens"
-    instructions: str | None = None
-    allow_short: bool = False
-
-    def __post_init__(self):
-        self.plan = mix_plan(self.ratio, self.mode, self.seed, self.unit, self.instructions)
-        if self.instructions is not None and self.mode != MODE_MIP:
-            raise ValueError(f"instructions are read only in mip mode, not in {self.mode!r} mode")
-
-
-@dataclass
 class GenSection:
     endpoint: str
     budget: int
@@ -316,16 +283,14 @@ class PipelineRunner:
         self.filter_cfg.sensitive_word_list = self._file(self.filter_cfg.sensitive_word_list,
                                                          "filters.sensitive_word_list")
         self.dedup_cfg = config_from_dict(DedupConfig, run.dedup, "dedup section")
-        self.mix = config_from_dict(MixSection, {"seed": run.seed, **run.mix}, "mix section") if run.mix else None
-        mip = self.mix is not None and self.mix.plan.mode == MODE_MIP
-        self.instructions = self._file(self.mix.instructions, "mix.instructions") if mip else None
+        self.mix = config_from_dict(MixPlan, {"seed": run.seed, **run.mix}, "mix section") if run.mix else None
+        self.instructions = self._file(self.mix.instructions, "mix.instructions") if self.mix else None
         self.gen = config_from_dict(GenSection, run.gen, "gen section") if run.gen else None
         if self.gen:
             template = self._file(self.gen.template, "gen.template")
             categories = self._file(self.gen.categories, "gen.categories")
             self.gen_files = [p for p in (template, categories) if p]
-            self.gen_template = load_template(self.gen.kind.replace("-", "_"), body_path=template,
-                                              categories_path=categories)
+            self.gen_template = load_template(self.gen.kind, body_path=template, categories_path=categories)
             self.gen_endpoint = self._endpoint(self.gen.endpoint, "gen.endpoint")
         self.eval = config_from_dict(EvalSection, run.eval, "eval section") if run.eval else None
         if self.eval:
@@ -443,14 +408,12 @@ class PipelineRunner:
     def stage_mix(self) -> None:
         if self.mix is None:
             return
-        plan = self.mix.plan
         unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
         inputs = [unique, self.instructions] if self.instructions else [unique]
 
         def action() -> None:
-            run_mix_stage(unique, plan, train, report, instructions_path=self.instructions,
-                          allow_short=self.mix.allow_short)
-            emit_trainer_config(plan.mode, trainer)
+            run_mix_stage(unique, self.mix, train, report, instructions_path=self.instructions)
+            emit_trainer_config(self.mix.mode, trainer)
 
         self._run_stage("mix", inputs, [train, report, trainer], action)
 
@@ -602,6 +565,8 @@ def summarize_artifact(path: str | Path) -> str:
             return _summarize_instructions(read_records(InstructionSample, path))
         if {"a", "b", "jaccard"} <= first.keys():
             return f"duplicate pairs: {len(read_records(DupPair, path))}"
+        if "origin" in first:
+            return f"training records: {len(read_records(MipRecord, path))}"
         if {"id", "text"} <= first.keys():
             return f"training records: {len(rows)}"
         raise UnknownSchema(f"{path}: unrecognized JSONL schema (keys: {sorted(first)})")

@@ -540,6 +540,8 @@ def term_frequency_report(
     """Top-k terms over instruction turn contents, after stop-word removal."""
     if not samples:
         raise ValueError("term frequency needs a non-empty dataset")
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     stop = set(stopwords)
     counts: dict[str, int] = {}
     for sample in samples:

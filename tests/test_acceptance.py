@@ -96,7 +96,7 @@ def test_c3_mix_ratios(tmp_path):
     ]
     max_item = max(record_tokens(r) for r in general)
     for k in (0, 1, 2, 5, 10):
-        plan = MixPlan(ratio_general=k, mode="dapt", seed=42)
+        plan = MixPlan(seed=42, ratio=f"1:{k}", mode="dapt")
         mixed, report = mix(domain, general, plan)
         assert report.domain_tokens == 10_000
         assert abs(report.achieved_ratio - k) <= max_item / report.domain_tokens, f"k={k}"
@@ -104,7 +104,7 @@ def test_c3_mix_ratios(tmp_path):
             assert report.general_count == 0
         out_a, out_b = tmp_path / f"mix{k}_a.jsonl", tmp_path / f"mix{k}_b.jsonl"
         write_jsonl(out_a, mixed)
-        write_jsonl(out_b, mix(domain, general, MixPlan(ratio_general=k, mode="dapt", seed=42))[0])
+        write_jsonl(out_b, mix(domain, general, MixPlan(seed=42, ratio=f"1:{k}", mode="dapt"))[0])
         assert out_a.read_bytes() == out_b.read_bytes(), f"k={k} not byte-identical"
     _report("C3", "mix ratios 1:0..1:10 within one item's tokens, byte-identical reruns")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from renokit.cli import main
 from renokit.endpoint import EndpointConfig
 from renokit.jsonl import read_json, read_jsonl, write_json, write_jsonl
-from renokit.pipeline import PipelineManifest, run_pipeline, summarize_artifact
+from renokit.mixer import MODES, MixPlan
+from renokit.pipeline import PipelineManifest, PipelineRunner, run_pipeline, summarize_artifact
 from renokit.errors import StageFailure, UnknownSchema
 
 from fixture_data import write_evalhome, write_pipeline_fixture
@@ -220,6 +222,18 @@ class TestPipelineRun:
         config["dedup"]["seed"] = 1  # the default, spelt out
         config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
         assert len(run_pipeline(config_path, tmp_path / "out", resume=True).stages) == n_records
+
+    def test_mix_digest_hashes_the_six_config_keys(self, tmp_path):
+        """The mix stage's config digest is the asdict of its MixPlan, so a derived
+        value such as ratio_general must stay a property, out of every resume key."""
+        config_path = write_pipeline_fixture(tmp_path)
+        write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": [], "knowledge_id": "k"}])
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        for mix in (config["mix"], {"mode": "mip", "instructions": "sft.jsonl"}):
+            runner = PipelineRunner({**config, "mix": mix}, tmp_path, tmp_path / "out")
+            assert isinstance(runner.mix, MixPlan)
+            assert list(dataclasses.asdict(runner.mix)) == ["seed", "ratio", "mode", "unit", "instructions",
+                                                            "allow_short"]
 
     def test_resume_reruns_after_source_edit(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
@@ -447,6 +461,7 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "turns_not_objects.jsonl", [doc, {"id": "s1", "turns": ["地板"]}])
     turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
     write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": turns, "knowledge_id": "d1"}])
+    write_jsonl(tmp_path / "mip_text_int.jsonl", [{"id": "r1", "text": 5, "origin": 7}])
     write_jsonl(tmp_path / "pair_jaccard_str.jsonl", [{"a": "d1", "b": "d2", "jaccard": 0.9},
                                                       {"a": "d1", "b": "d3", "jaccard": "0.9"}])
     for name, report in _PARTIAL_REPORTS.items():
@@ -480,10 +495,14 @@ _RUN_CONFIG_ERRORS = {
     "run-eval-shots-shortfall": {"eval": {**_EVAL, "shots": [0, 5]}},
     "run-eval-labels-list": {"eval": {**_EVAL, "labels": ["base"]}},
     "run-gen-kind": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": "poem"}},
+    # `run` takes one spelling per kind; only the CLI's --kind maps one-turn
+    "run-gen-kind-dash": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": "one-turn"}},
     "run-gen-endpoint-missing": {"gen": {"endpoint": "missing_ep.json", "budget": 1}},
     "run-eval-endpoint-missing": {"eval": {**_EVAL, "endpoint": "missing_ep.json"}},
     "run-eval-dataset-missing": {"eval": {**_EVAL, "dataset": "missing.jsonl"}},
     "run-mix-mode": {"mix": {"mode": "pretrain"}},
+    # modes and units are spelt exactly, in lower case
+    "run-mix-mode-upper": {"mix": {"mode": "DAPT"}},
     "run-mix-ratio": {"mix": {"ratio": "1-3"}},
     "run-mix-ratio-domain-part": {"mix": {"ratio": "2:5"}},
     "run-mix-unit": {"mix": {"unit": "chars"}},
@@ -557,6 +576,7 @@ _BAD_MANIFESTS = {
 _GEN = ("gen", "--kind", "mcq", "--knowledge", "{tmp}/docs.jsonl", "--out", "{tmp}/sft.jsonl", "--replay-only")
 _DEDUP = ("dedup", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl")
 _MIX = ("mix", "--out", "{tmp}/t.jsonl", "--domain")
+_TERM_FREQ = ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -598,6 +618,12 @@ _MIX = ("mix", "--out", "{tmp}/t.jsonl", "--domain")
     (_MIX + ("{tmp}/doc_no_text.jsonl", "--mode", "mip", "--instructions", "{tmp}/sft.jsonl"), 2),
     (_MIX + ("{tmp}/turns_not_objects.jsonl",), 2),
     (_MIX + ("{tmp}/doc_tokens_null_mix.jsonl",), 2),
+    # an instruction file that only mip mode would read, as in `run`
+    (_MIX + ("{tmp}/docs.jsonl", "--mode", "dapt", "--instructions", "{tmp}/sft.jsonl"), 2),
+    (("stats", "{tmp}/mip_text_int.jsonl"), 2),
+    (_TERM_FREQ + ("--top", "-1"), 2),
+    (_TERM_FREQ + ("--top", "0"), 2),
+    (_TERM_FREQ + ("--top", "1"), 0),
 ], ids=["ok", "dedup-config-typo", "dedup-config-wrong-type", "dedup-seed-wrong-type", "dedup-missing-input",
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
         "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
@@ -607,7 +633,9 @@ _MIX = ("mix", "--out", "{tmp}/t.jsonl", "--domain")
         "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated", "stats-mcq-question-int",
         "stats-pair-jaccard-str",
         "eval-mcq-correct-option-list", "filter-doc-text-int", "gen-endpoint-backoff-nested",
-        "gen-endpoint-retries-negative", "mix-mip-text-missing", "mix-turns-not-objects", "mix-token-count-null"])
+        "gen-endpoint-retries-negative", "mix-mip-text-missing", "mix-turns-not-objects", "mix-token-count-null",
+        "mix-dapt-instructions", "stats-mip-row-text-int", "term-freq-top-negative", "term-freq-top-zero",
+        "term-freq-top-one"])
 def test_exit_codes(tmp_path, capsys, argv, code):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
@@ -628,6 +656,12 @@ def test_config_file_error_names_the_file(tmp_path, capsys, argv, path):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert str(tmp_path / path) in capsys.readouterr().err
+
+
+def test_mix_mode_error_names_the_modes(tmp_path, capsys):
+    _exit_code_inputs(tmp_path)
+    assert main(["run", "--config", str(tmp_path / "run-mix-mode-upper.json"), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"mode must be one of {MODES}, got 'DAPT'" in capsys.readouterr().err
 
 
 class TestEvalAndSweepCommands:

@@ -7,6 +7,7 @@ from renokit.jsonl import config_from_json, write_jsonl
 from renokit.mixer import (
     ASSISTANT_MARKER,
     USER_MARKER,
+    MipRecord,
     MixPlan,
     TrainerConfig,
     build_mip,
@@ -54,21 +55,36 @@ def make_pools(domain_tokens: int = 10_000, general_items: int = 1200):
 
 class TestMixPlan:
     def test_parse_ratio(self):
-        assert MixPlan.parse_ratio("1:5") == (1, 5)
-        assert MixPlan.parse_ratio(" 1 : 10 ") == (1, 10)
+        assert MixPlan(seed=0, ratio="1:5").ratio_general == 5
+        assert MixPlan(seed=0, ratio=" 1 : 10 ").ratio_general == 10
         with pytest.raises(ValueError):
-            MixPlan.parse_ratio("2-5")
+            MixPlan(seed=0, ratio="2-5")
+        with pytest.raises(ValueError, match="domain part 1"):
+            MixPlan(seed=0, ratio="2:5")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            MixPlan(ratio_general=1, mode="pretrain", seed=0)
+            MixPlan(seed=0, ratio="1:1", mode="pretrain")
+
+    def test_mode_and_unit_spelt_exactly(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            MixPlan(seed=0, mode="DAPT")
+        with pytest.raises(ValueError, match="unit must be one of"):
+            MixPlan(seed=0, unit="Tokens")
+
+    def test_instructions_only_in_mip(self):
+        assert MixPlan(seed=0, mode="mip", instructions="sft.jsonl").instructions == "sft.jsonl"
+        with pytest.raises(ValueError, match="mip mode requires instructions"):
+            MixPlan(seed=0, mode="mip")
+        with pytest.raises(ValueError, match="read only in mip mode, not in 'dapt' mode"):
+            MixPlan(seed=0, mode="dapt", instructions="sft.jsonl")
 
 
 class TestMix:
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
     def test_token_ratio_within_one_item(self, k):
         domain, general = make_pools()
-        mixed, report = mix(domain, general, MixPlan(ratio_general=k, mode="dapt", seed=42))
+        mixed, report = mix(domain, general, MixPlan(seed=42, ratio=f"1:{k}", mode="dapt"))
         max_item = max(record_tokens(r) for r in general)
         assert abs(report.achieved_ratio - k) <= max_item / report.domain_tokens
         if k == 0:
@@ -77,30 +93,30 @@ class TestMix:
 
     def test_domain_completeness(self):
         domain, general = make_pools()
-        mixed, _ = mix(domain, general, MixPlan(ratio_general=2, mode="dapt", seed=1))
+        mixed, _ = mix(domain, general, MixPlan(seed=1, ratio="1:2", mode="dapt"))
         mixed_ids = [record_id(r) for r in mixed]
         for rec in domain:
             assert mixed_ids.count(record_id(rec)) == 1
 
     def test_general_sampled_without_replacement(self):
         domain, general = make_pools()
-        mixed, _ = mix(domain, general, MixPlan(ratio_general=5, mode="dapt", seed=3))
+        mixed, _ = mix(domain, general, MixPlan(seed=3, ratio="1:5", mode="dapt"))
         general_ids = [record_id(r) for r in mixed if r["source_kind"] == "general"]
         assert len(general_ids) == len(set(general_ids))
 
     def test_seed_determinism(self):
         domain, general = make_pools()
-        plan = MixPlan(ratio_general=2, mode="dapt", seed=99)
+        plan = MixPlan(seed=99, ratio="1:2", mode="dapt")
         m1, r1 = mix(domain, general, plan)
-        m2, r2 = mix(domain, general, MixPlan(ratio_general=2, mode="dapt", seed=99))
+        m2, r2 = mix(domain, general, MixPlan(seed=99, ratio="1:2", mode="dapt"))
         assert m1 == m2
         assert r1.to_dict() == r2.to_dict()
 
     def test_different_seed_different_shuffle_same_multiset_when_pool_consumed(self):
         domain = [doc_rec(i, 100) for i in range(5)]
         general = [doc_rec(i, 50, "general") for i in range(10)]  # exactly 500 = 1x500
-        plan_a = MixPlan(ratio_general=1, mode="dapt", seed=1)
-        plan_b = MixPlan(ratio_general=1, mode="dapt", seed=2)
+        plan_a = MixPlan(seed=1, ratio="1:1", mode="dapt")
+        plan_b = MixPlan(seed=2, ratio="1:1", mode="dapt")
         ma, _ = mix(domain, general, plan_a)
         mb, _ = mix(domain, general, plan_b)
         assert ma != mb
@@ -110,24 +126,24 @@ class TestMix:
         domain = [doc_rec(0, 1000)]
         general = [doc_rec(0, 100, "general")]
         with pytest.raises(InsufficientGeneralData) as err:
-            mix(domain, general, MixPlan(ratio_general=2, mode="dapt", seed=0))
+            mix(domain, general, MixPlan(seed=0, ratio="1:2", mode="dapt"))
         assert err.value.shortfall == 1900
 
     def test_allow_short_proceeds(self):
         domain = [doc_rec(0, 1000)]
         general = [doc_rec(0, 100, "general")]
-        mixed, report = mix(domain, general, MixPlan(ratio_general=2, mode="dapt", seed=0), allow_short=True)
+        mixed, report = mix(domain, general, MixPlan(seed=0, ratio="1:2", mode="dapt", allow_short=True))
         assert report.shortfall == 1900
         assert len(mixed) == 2
 
     def test_empty_domain(self):
         with pytest.raises(EmptyDomain):
-            mix([], [doc_rec(0, 10, "general")], MixPlan(ratio_general=1, mode="dapt", seed=0))
+            mix([], [doc_rec(0, 10, "general")], MixPlan(seed=0, ratio="1:1", mode="dapt"))
 
     def test_examples_unit_exact_count(self):
         domain = [doc_rec(i, 100) for i in range(10)]
         general = [doc_rec(i, 7, "general") for i in range(100)]
-        plan = MixPlan(ratio_general=2, mode="sft", seed=5, unit="examples")
+        plan = MixPlan(seed=5, ratio="1:2", mode="sft", unit="examples")
         mixed, report = mix(domain, general, plan)
         assert report.general_count == 20
         assert report.achieved_ratio == 2.0
@@ -149,9 +165,13 @@ class TestMip:
     def test_union_count(self):
         docs = [doc_rec(i, 50) for i in range(100)]
         samples = [self.sample(i) for i in range(50)]
-        records = build_mip(docs, samples, seed=9)
+        records, report = build_mip(docs, samples, seed=9)
         assert len(records) == 150
         assert sum(1 for r in records if r["origin"] == "instruction") == 50
+        assert (report.pretrain_count, report.instruction_count) == (100, 50)
+        assert report.total_tokens == 100 * 50 + sum(record_tokens({"text": r["text"]}) for r in records
+                                                     if r["origin"] == "instruction")
+        assert [MipRecord.from_dict(r).to_dict() for r in records] == records
 
     def test_requires_both_parts(self):
         with pytest.raises(EmptyInput):
@@ -167,7 +187,7 @@ class TestMip:
         docs = [doc_rec(i, 50) for i in range(10)]
         general = [doc_rec(i, 50, "general") for i in range(10)]
         general_ids = {record_id(r) for r in general}
-        records = build_mip(docs, [self.sample(i) for i in range(5)], seed=1)
+        records, _ = build_mip(docs, [self.sample(i) for i in range(5)], seed=1)
         assert not ({r["id"] for r in records} & general_ids)
 
     def test_shuffle_deterministic(self):
@@ -216,7 +236,7 @@ class TestRecordHelpers:
 
 def test_mix_output_serializes_identically(tmp_path):
     domain, general = make_pools(domain_tokens=2000, general_items=100)
-    plan = MixPlan(ratio_general=1, mode="dapt", seed=8)
+    plan = MixPlan(seed=8, ratio="1:1", mode="dapt")
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_jsonl(out1, mix(domain, general, plan)[0])
     write_jsonl(out2, mix(domain, general, plan)[0])
@@ -225,6 +245,6 @@ def test_mix_output_serializes_identically(tmp_path):
 
 def test_shuffle_actually_interleaves():
     domain, general = make_pools(domain_tokens=3000, general_items=200)
-    mixed, _ = mix(domain, general, MixPlan(ratio_general=1, mode="dapt", seed=2))
+    mixed, _ = mix(domain, general, MixPlan(seed=2, ratio="1:1", mode="dapt"))
     kinds = [r["source_kind"] for r in mixed]
     assert kinds != sorted(kinds)

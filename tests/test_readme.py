@@ -12,12 +12,13 @@ from pathlib import Path
 from renokit.dedup import DedupConfig
 from renokit.filters import FilterConfig
 from renokit.jsonl import _field_table, config_from_dict
-from renokit.pipeline import EvalSection, GenSection, IngestInput, IngestSection, MixSection, RunConfig
+from renokit.mixer import MixPlan
+from renokit.pipeline import EvalSection, GenSection, IngestInput, IngestSection, RunConfig
 
 _SECTION = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8") \
     .split("\n## Pipeline config\n", 1)[1].split("\n## ", 1)[0]
 _CLASSES = {"run": RunConfig, "ingest": IngestSection, "ingest input": IngestInput, "filters": FilterConfig,
-            "dedup": DedupConfig, "mix": MixSection, "gen": GenSection, "eval": EvalSection}
+            "dedup": DedupConfig, "mix": MixPlan, "gen": GenSection, "eval": EvalSection}
 _JSON_NAMES = {"int": "int", "float": "number", "bool": "bool", "str": "string", "None": "null", "list": "list",
                "dict": "object"}
 
@@ -30,7 +31,7 @@ def test_readme_config_examples_build():
         config_from_dict(IngestInput, spec, "README ingest input")
     config_from_dict(FilterConfig, run.filters, "README filters section")
     config_from_dict(DedupConfig, run.dedup, "README dedup section")
-    config_from_dict(MixSection, {"seed": run.seed, **run.mix}, "README mix section")
+    config_from_dict(MixPlan, {"seed": run.seed, **run.mix}, "README mix section")
     config_from_dict(GenSection, run.gen, "README gen section")
     config_from_dict(EvalSection, run.eval, "README eval section")
 

@@ -21,7 +21,7 @@ from renokit.evalharness import EvalReport, load_dataset
 from renokit.filters import FilterReport
 from renokit.ingest import Document, PipelineStats, read_documents
 from renokit.jsonl import Record, _field_table, read_records, write_jsonl
-from renokit.mixer import MipReport, MixReport, TrainerConfig, read_mix_records
+from renokit.mixer import MipRecord, MipReport, MixReport, TrainerConfig, read_mix_records
 from renokit.pipeline import _REPORT_SUMMARIES, PipelineManifest, StageRecord
 from renokit.sftgen import GenReport, InstructionSample, MCQItem
 
@@ -56,6 +56,7 @@ _RECORDS = [
       "achieved_ratio", "tokenizer", "shortfall"]),
     (MipReport(mode="mip", seed=0, pretrain_count=1, instruction_count=1, total_tokens=2),
      ["mode", "seed", "pretrain_count", "instruction_count", "total_tokens", "tokenizer"]),
+    (MipRecord(id="r", text="t", origin="pretrain"), ["id", "text", "origin"]),
     (PipelineStats(), ["tokenizer", "documents", "tokens", "failures", "total_documents", "total_tokens"]),
     (PipelineManifest(), ["version", "stages"]),
 ]
@@ -83,6 +84,7 @@ _READ_BACK = [
                 finished="f"),
     TrainerConfig(precision="bf16", epochs=2, learning_rate=2e-5, max_length=1536),
     EndpointConfig(base_url="http://localhost:9", model_name="m", temperature=0.5, max_retries=0, backoff=(0.5, 1)),
+    MipRecord(id="r", text="t", origin="instruction"),
 ]
 
 
@@ -93,6 +95,7 @@ def test_from_dict_reads_back_to_dict(record):
 
 _DOC = {"doc_id": "d", "text": "t", "source_kind": "domain_book", "token_count": 1, "char_count": 1}
 _SAMPLE = {"kind": "one_turn", "turns": _TURNS, "knowledge_id": "k"}
+_MIP_ROW = {"id": "r", "text": "t", "origin": "pretrain"}
 _MCQ = {"question": "q", "question_type": "judgment", "options": {"A": "是", "B": "否"}, "correct_option": "A"}
 _MISSING = object()  # the key is left out of the row
 
@@ -107,6 +110,10 @@ def _read_mix(path):
 
 def _read_mip(path):
     return list(read_mix_records(path, needs_text=True))
+
+
+def _read_mip_rows(path):
+    return read_records(MipRecord, path)
 
 
 # (reader, a valid row, key, the value that breaks it)
@@ -135,6 +142,8 @@ _MISTYPED = [
     (_read_mix, {"id": "s"}, "turns", [{"content": 5}]),
     (_read_mix, {"id": "s"}, "text", 5),
     (_read_mip, _DOC, "text", _MISSING),
+    (_read_mip_rows, _MIP_ROW, "text", 5),
+    (_read_mip_rows, _MIP_ROW, "origin", "general"),
 ]
 
 
