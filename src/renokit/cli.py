@@ -23,10 +23,10 @@ from .errors import (
     StageFailure,
     UnknownSchema,
 )
-from .evalharness import load_dataset, sweep_report
+from .evalharness import EvalReport, load_dataset, sweep_report
 from .filters import FilterConfig
 from .ingest import SOURCE_KINDS
-from .jsonl import config_from_json, read_json, read_jsonl
+from .jsonl import config_from_json, read_json, read_jsonl, record_from_dict
 from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config
 from .pipeline import (
     run_dedup_stage,
@@ -206,26 +206,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep_report(args) -> int:
-    rows = []
-    for path in args.runs:
-        obj = read_json(path)
-        if (not isinstance(obj, dict) or not {"dataset", "overall_micro"} <= obj.keys()
-                or not all(isinstance(obj.get(key, {}), dict) for key in ("labels", "config"))):
-            raise SchemaError(f"{path}: an eval report needs 'dataset' and 'overall_micro', "
-                              "and its 'labels' and 'config' must be objects")
-        rows.append({
-            "model_label": obj.get("labels", {}).get("model") or obj.get("config", {}).get("model") or "model",
-            "ratio_label": obj.get("labels", {}).get("ratio") or "-",
-            "scores": {obj["dataset"]: obj["overall_micro"]},
-        })
-    merged: dict[tuple[str, str], dict] = {}
-    for row in rows:
-        key = (row["model_label"], row["ratio_label"])
-        if key in merged:
-            merged[key]["scores"].update(row["scores"])
-        else:
-            merged[key] = row
-    out_rows, text = sweep_report(list(merged.values()))
+    out_rows, text = sweep_report([record_from_dict(EvalReport, read_json(path), path) for path in args.runs])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .endpoint import ChatClient, EndpointConfig, Transport
 from .errors import (
@@ -90,12 +90,13 @@ class MCQDataset:
         }
 
 
-def load_dataset(path: str | Path) -> MCQDataset:
-    """Load and validate an MCQ JSONL file; a bad row raises SchemaError with its line number."""
+def load_dataset(path: str | Path, rows: Iterable[tuple[int, dict]] | None = None) -> MCQDataset:
+    """Load and validate an MCQ JSONL file; a bad row raises SchemaError with its line number.
+    `rows`, the file's rows as read_jsonl yields them, saves parsing the file again."""
     path = Path(path)
     entries: list[DatasetEntry] = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path) if rows is None else rows:
         try:
             item = MCQItem.from_dict(obj)
         except (SchemaError, ArityError, OptionMismatch) as exc:
@@ -214,6 +215,14 @@ class EvalReport(Record):
     per_category: dict[str, dict]
     per_item: list[dict]
 
+    def validate(self) -> "EvalReport":
+        # sweep tables label rows with these values
+        if not all(type(v) is str for v in self.labels.values()):
+            raise SchemaError(f"label values must be strings, got {self.labels!r}")
+        if type(self.config.get("model", "")) not in (str, type(None)):
+            raise SchemaError(f"config model must be a string or null, got {self.config['model']!r}")
+        return self
+
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
 
@@ -305,33 +314,30 @@ def best_of_settings(reports: Sequence[EvalReport]) -> EvalReport:
 # --- sweep tables ------------------------------------------------------------------
 
 
-def sweep_report(rows: Sequence[dict]) -> tuple[list[dict], str]:
-    """Render ratio-sweep rows into CSV-ready dicts and an aligned text table.
+def sweep_report(reports: Sequence[EvalReport]) -> tuple[list[dict], str]:
+    """Tabulate eval reports into CSV-ready dicts and an aligned text table.
 
-    Each row: {"model_label", "ratio_label", "scores": {dataset: value}}.
-    Within a model group the per-dataset maximum is flagged; ties flag all.
+    A report's row is labelled by labels.model (else config.model, else
+    "model") and labels.ratio (else "-"); reports with the same labels share a
+    row, and a later score of a dataset replaces an earlier one. Within a model
+    group the per-dataset maximum is flagged; ties flag all.
     """
-    if not rows:
-        raise ValueError("sweep needs at least one row")
-    datasets: list[str] = []
-    for row in rows:
-        for ds in row["scores"]:
-            if ds not in datasets:
-                datasets.append(ds)
-    groups: dict[str, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(row["model_label"], []).append(row)
+    if not reports:
+        raise ValueError("sweep needs at least one report")
+    rows: dict[tuple[str, str], dict[str, float]] = {}
+    for rep in reports:
+        key = (rep.labels.get("model") or rep.config.get("model") or "model", rep.labels.get("ratio") or "-")
+        rows.setdefault(key, {})[rep.dataset] = rep.overall_micro
+    datasets = list(dict.fromkeys(ds for scores in rows.values() for ds in scores))
 
     out_rows: list[dict] = []
-    for model, members in groups.items():
-        maxima = {
-            ds: max((m["scores"][ds] for m in members if ds in m["scores"]), default=None)
-            for ds in datasets
-        }
-        for m in members:
-            rec: dict = {"model": model, "ratio": m["ratio_label"]}
+    for model in dict.fromkeys(model for model, _ in rows):
+        members = [(ratio, scores) for (m, ratio), scores in rows.items() if m == model]
+        maxima = {ds: max((scores[ds] for _, scores in members if ds in scores), default=None) for ds in datasets}
+        for ratio, scores in members:
+            rec: dict = {"model": model, "ratio": ratio}
             for ds in datasets:
-                value = m["scores"].get(ds)
+                value = scores.get(ds)
                 rec[ds] = value
                 rec[f"{ds}_best"] = value is not None and value == maxima[ds]
             out_rows.append(rec)

@@ -292,11 +292,13 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
                 text = obj.get("text")
                 if not isinstance(text, str):
                     raise line_error(file, lineno, "missing 'text'")
-                yield RawRecord(
-                    source_id=str(obj.get("id") or f"{file.name}:{lineno}"),
-                    source_kind=obj.get("kind") or kind,
-                    payload=text.encode("utf-8"),
-                )
+                try:  # a lone surrogate survives the encoding and fails extract_text's decode
+                    record = RawRecord(source_id=str(obj.get("id") or f"{file.name}:{lineno}"),
+                                       source_kind=obj.get("kind") or kind,
+                                       payload=text.encode("utf-8", "surrogatepass"))
+                except ValueError as exc:
+                    raise line_error(file, lineno, exc) from None
+                yield record
         else:
             yield RawRecord(source_id=file.name, source_kind=kind, payload=file.read_bytes())
 

@@ -58,16 +58,27 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def read_records(cls: type[Record], path: str | Path) -> list:
+def read_records(cls: type[Record], path: str | Path, rows: Iterable[tuple[int, dict]] | None = None) -> list:
     """Read every row of a JSONL file through cls.from_dict; a row it refuses
-    raises SchemaError with the row's line number."""
+    raises SchemaError with the row's line number. `rows`, the file's rows as
+    read_jsonl yields them, saves parsing the file again."""
     records = []
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path) if rows is None else rows:
         try:
             records.append(cls.from_dict(obj))
         except SchemaError as exc:
             raise line_error(path, lineno, exc) from None
     return records
+
+
+def record_from_dict(cls: type[Record], obj: Any, path: str | Path):
+    """cls.from_dict on `obj`, the JSON value of the file at `path`; every error names the file."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    try:
+        return cls.from_dict(obj)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .dedup import DedupConfig, DedupReport, DupPair, run_dedup
-from .errors import BudgetExhausted, ConfigError, SchemaError, StageFailure, UnknownSchema
+from .errors import BudgetExhausted, ConfigError, StageFailure, UnknownSchema
 from .endpoint import ChatClient, EndpointConfig, ResponseArchive, utc_now_iso
 from .evalharness import EvalReport, EvalRunConfig, MCQDataset, best_of_settings, check_shots, load_dataset, run_eval
 from .filters import FilterConfig, FilterReport, run_filters
@@ -36,14 +36,12 @@ from .ingest import (
     source_files,
     write_documents,
 )
-from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records, write_json,
-                    write_jsonl)
+from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records,
+                    record_from_dict, write_json, write_jsonl)
 from .mixer import (MODE_MIP, MipRecord, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config,
                     mix, read_mix_records)
 from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
 from .tokenizers import TOKENIZER
-
-STAGES = ("ingest", "filter", "dedup", "mix", "gen", "eval")
 
 
 def file_digest(path: str | Path) -> str:
@@ -248,6 +246,10 @@ class EvalSection:
     endpoint: str
     shots: list[int] = field(default_factory=lambda: [0, 5])
     labels: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not all(type(v) is str for v in self.labels.values()):
+            raise ValueError(f"label values must be strings, got {self.labels!r}")
 
 
 class PipelineRunner:
@@ -550,26 +552,27 @@ _REPORT_CLASSES = {frozenset(f.name for f in fields(cls)): cls for cls in _REPOR
 
 
 def summarize_artifact(path: str | Path) -> str:
-    """Human-readable summary of any toolkit artifact file."""
+    """Human-readable summary of any toolkit artifact file; a JSONL file's schema is
+    chosen by the keys that every row holds."""
     path = Path(path)
     if path.suffix == ".jsonl":
-        rows = [obj for _, obj in read_jsonl(path)]
+        rows = list(read_jsonl(path))
         if not rows:
             raise UnknownSchema(f"{path}: empty file")
-        first = rows[0]
-        if {"doc_id", "text", "source_kind"} <= first.keys():
-            return _summarize_documents(read_documents(path))
-        if {"question", "options", "correct_option"} <= first.keys():
-            return _summarize_mcq(load_dataset(path))
-        if {"kind", "turns"} <= first.keys():
-            return _summarize_instructions(read_records(InstructionSample, path))
-        if {"a", "b", "jaccard"} <= first.keys():
-            return f"duplicate pairs: {len(read_records(DupPair, path))}"
-        if "origin" in first:
-            return f"training records: {len(read_records(MipRecord, path))}"
-        if {"id", "text"} <= first.keys():
+        keys = frozenset(rows[0][1]).intersection(*(obj for _, obj in rows[1:]))
+        if {"doc_id", "text", "source_kind"} <= keys:
+            return _summarize_documents(read_records(Document, path, rows))
+        if {"question", "options", "correct_option"} <= keys:
+            return _summarize_mcq(load_dataset(path, rows))
+        if {"kind", "turns"} <= keys:
+            return _summarize_instructions(read_records(InstructionSample, path, rows))
+        if {"a", "b", "jaccard"} <= keys:
+            return f"duplicate pairs: {len(read_records(DupPair, path, rows))}"
+        if "origin" in keys:
+            return f"training records: {len(read_records(MipRecord, path, rows))}"
+        if "text" in keys or "turns" in keys:
             return f"training records: {len(rows)}"
-        raise UnknownSchema(f"{path}: unrecognized JSONL schema (keys: {sorted(first)})")
+        raise UnknownSchema(f"{path}: unrecognized JSONL schema (keys every row holds: {sorted(keys)})")
     if path.suffix == ".json":
         obj = read_json(path)
         if not isinstance(obj, dict):
@@ -577,9 +580,5 @@ def summarize_artifact(path: str | Path) -> str:
         cls = _REPORT_CLASSES.get(frozenset(obj))
         if cls is None:
             raise UnknownSchema(f"{path}: unrecognized JSON schema (keys: {sorted(obj)})")
-        try:
-            report = cls.from_dict(obj)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
-        return _REPORT_SUMMARIES[cls](report)
+        return _REPORT_SUMMARIES[cls](record_from_dict(cls, obj, path))
     raise UnknownSchema(f"{path}: expected .json or .jsonl")

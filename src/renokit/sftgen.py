@@ -533,11 +533,11 @@ _TERM_RE = re.compile(r"[A-Za-z0-9_]+|[㐀-䶿一-鿿豈-﫿]+")
 
 
 def term_frequency_report(
-    samples: Sequence[InstructionSample | dict],
+    samples: Sequence[dict],
     stopwords: Sequence[str] = (),
     top_k: int = 50,
 ) -> list[tuple[str, int]]:
-    """Top-k terms over instruction turn contents, after stop-word removal."""
+    """Top-k terms over the turn contents of instruction rows, after stop-word removal."""
     if not samples:
         raise ValueError("term frequency needs a non-empty dataset")
     if top_k < 1:
@@ -545,7 +545,7 @@ def term_frequency_report(
     stop = set(stopwords)
     counts: dict[str, int] = {}
     for sample in samples:
-        turns = sample.turns if isinstance(sample, InstructionSample) else sample.get("turns", [])
+        turns = sample.get("turns", [])
         if not text_turns(turns):
             raise SchemaError(f"turns must be a list of objects with string content, got {turns!r}")
         for turn in turns:

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+import renokit.jsonl
+import renokit.pipeline
 from renokit.cli import main
 from renokit.endpoint import EndpointConfig
+from renokit.evalharness import EvalReport
 from renokit.jsonl import read_json, read_jsonl, write_json, write_jsonl
 from renokit.mixer import MODES, MixPlan
 from renokit.pipeline import PipelineManifest, PipelineRunner, run_pipeline, summarize_artifact
@@ -117,6 +120,41 @@ class TestStatsCommand:
             f"{'expertise':<20}{1:>12}{1:>12}", f"{'TOTAL':<20}{1:>12}{1:>12}", "question types: judgment=1"]
         write_jsonl(tmp_path / "bad.jsonl", [{**minimal, "correct_option": "C"}])
         assert run_cli("stats", tmp_path / "bad.jsonl") == 2
+
+    def test_mixed_training_file_at_any_seed(self, tmp_path, capsys):
+        """`mix --general` shuffles document rows and plain general rows together;
+        the keys every row holds, not the first row's, choose how `stats` reads them."""
+        domain, general = tmp_path / "unique.jsonl", tmp_path / "general.jsonl"
+        write_jsonl(domain, [{"doc_id": f"d{i}", "text": "领域语料内容" * 10, "source_kind": "domain_book",
+                              "token_count": 60, "char_count": 60, "status": "retained", "reason": None}
+                             for i in range(6)])
+        write_jsonl(general, [{"id": f"g{i}", "text": "通用内容样例" * 10, "source_kind": "general"} for i in range(20)])
+        first_is_document, summaries = set(), set()
+        for seed in range(6):
+            train = tmp_path / f"train{seed}.jsonl"
+            assert run_cli("mix", "--domain", domain, "--general", general, "--ratio", "1:1", "--seed", seed,
+                           "--out", train) == 0
+            first_is_document.add("doc_id" in next(read_jsonl(train))[1])
+            capsys.readouterr()
+            assert run_cli("stats", train) == 0
+            summaries.add(capsys.readouterr().out)
+        assert first_is_document == {True, False}
+        assert summaries == {"training records: 12\n"}
+
+    def test_document_file_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, [{"doc_id": f"d{i}", "text": "知识内容样例。", "source_kind": "domain_book",
+                            "token_count": 6, "char_count": 7} for i in range(2)])
+        calls = []
+
+        def counting_read_jsonl(path):
+            calls.append(path)
+            return read_jsonl(path)
+
+        for module in (renokit.jsonl, renokit.pipeline):
+            monkeypatch.setattr(module, "read_jsonl", counting_read_jsonl)
+        assert summarize_artifact(path).startswith("documents: 2\n")
+        assert calls == [path]
 
     def test_unknown_schema_exit_code(self, tmp_path):
         weird = tmp_path / "w.jsonl"
@@ -425,6 +463,13 @@ class TestCliMatchesRun:
             assert (cli / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
+def _eval_report(**fields) -> dict:
+    """A whole eval report, as `eval` and `run` write it, with `fields` replaced."""
+    report = EvalReport(dataset="evalhome", items_total=1, config={"shots": 0, "model": "m"}, overall_micro=100.0,
+                        overall_macro=100.0, per_category={}, per_item=[])
+    return {**report.to_dict(), **fields}
+
+
 def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "docs.jsonl", [{
         "doc_id": "k1", "text": "知识内容样例。", "source_kind": "domain_book",
@@ -451,6 +496,12 @@ def _exit_code_inputs(tmp_path):
     (tmp_path / "report_no_dataset.json").write_text('{"overall_micro": 50.0}', encoding="utf-8")
     (tmp_path / "report_labels_list.json").write_text('{"dataset": "e", "overall_micro": 50.0, "labels": ["base"]}',
                                                       encoding="utf-8")
+    write_json(tmp_path / "report_whole.json", _eval_report(labels={"ratio": "1:0"}))
+    write_json(tmp_path / "report_micro_str.json", _eval_report(overall_micro="50", labels={"ratio": "1:1"}))
+    write_json(tmp_path / "report_dataset_list.json", _eval_report(dataset=["x"]))
+    write_json(tmp_path / "report_label_list.json", _eval_report(labels={"model": ["a"]}))
+    (tmp_path / "raw_surrogate.jsonl").write_text('{"text": "装修知识很重要。\\ud800"}\n{"text": "防水施工要点"}\n',
+                                                  encoding="utf-8")
     doc = {"doc_id": "d1", "text": "知识内容样例。", "source_kind": "domain_book", "token_count": 6, "char_count": 7}
     write_jsonl(tmp_path / "doc_no_status.jsonl", [doc])
     write_jsonl(tmp_path / "doc_tokens_null.jsonl", [{**doc, "token_count": None, "status": "retained"}])
@@ -494,6 +545,8 @@ _RUN_CONFIG_ERRORS = {
     # evalhome.jsonl has no dev items, so it can serve no exemplar
     "run-eval-shots-shortfall": {"eval": {**_EVAL, "shots": [0, 5]}},
     "run-eval-labels-list": {"eval": {**_EVAL, "labels": ["base"]}},
+    # sweep tables label rows with these values
+    "run-eval-label-list": {"eval": {**_EVAL, "labels": {"model": ["a"]}}},
     "run-gen-kind": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": "poem"}},
     # `run` takes one spelling per kind; only the CLI's --kind maps one-turn
     "run-gen-kind-dash": {"gen": {"endpoint": "ep.json", "budget": 1, "kind": "one-turn"}},
@@ -596,6 +649,11 @@ _TERM_FREQ = ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv"
     (_GEN + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
     (("sweep-report", "--runs", "{tmp}/report_no_dataset.json", "--out", "{tmp}/sweep.csv"), 2),
     (("sweep-report", "--runs", "{tmp}/report_labels_list.json", "--out", "{tmp}/sweep.csv"), 2),
+    (("sweep-report", "--runs", "{tmp}/report_whole.json", "{tmp}/report_micro_str.json", "--out", "{tmp}/sweep.csv"),
+     2),
+    (("sweep-report", "--runs", "{tmp}/report_dataset_list.json", "--out", "{tmp}/sweep.csv"), 2),
+    (("sweep-report", "--runs", "{tmp}/report_label_list.json", "--out", "{tmp}/sweep.csv"), 2),
+    (("ingest", "--in", "{tmp}/raw_surrogate.jsonl", "--kind", "domain_book", "--out", "{tmp}/d.jsonl"), 0),
     # a document row without a status reads as ingested, as in every stage
     (("stats", "{tmp}/doc_no_status.jsonl"), 0),
     (("stats", "{tmp}/doc_tokens_null.jsonl"), 2),
@@ -628,6 +686,7 @@ _TERM_FREQ = ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv"
         "ingest-missing-input", "mix-domain-part", "endpoint-config-typo", "endpoint-missing-model",
         "run-config-typo", "run-other-tokenizer", *_RUN_CONFIG_ERRORS,
         "run-stage-failure", "gen-budget-exhausted", "sweep-report-no-dataset", "sweep-report-labels-list",
+        "sweep-report-micro-str", "sweep-report-dataset-list", "sweep-report-label-list", "ingest-raw-surrogate",
         "stats-doc-no-status",
         "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str", *_PARTIAL_REPORTS, *_BAD_MANIFESTS,
         "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated", "stats-mcq-question-int",
@@ -685,12 +744,7 @@ class TestEvalAndSweepCommands:
         runs = []
         for i, (ratio, score) in enumerate([("1:0", 47.79), ("1:1", 50.44), ("1:10", 53.98)]):
             path = tmp_path / f"run{i}.json"
-            path.write_text(json.dumps({
-                "dataset": "evalhome",
-                "overall_micro": score,
-                "labels": {"model": "base", "ratio": ratio},
-                "config": {"model": "m"},
-            }), encoding="utf-8")
+            write_json(path, _eval_report(overall_micro=score, labels={"model": "base", "ratio": ratio}))
             runs.append(path)
         out_csv = tmp_path / "table.csv"
         out_txt = tmp_path / "table.txt"

@@ -13,6 +13,7 @@ from renokit.errors import (
     SchemaError,
 )
 from renokit.evalharness import (
+    EvalReport,
     EvalRunConfig,
     best_of_settings,
     build_prompt,
@@ -215,13 +216,20 @@ class TestBestOfSettings:
             best_of_settings([r0, other])
 
 
+def sweep_entry(model: str, ratio: str, scores: dict[str, float]) -> list[EvalReport]:
+    """One whole eval report per dataset, labelled like a run of the ratio sweep."""
+    return [EvalReport(dataset=ds, items_total=1, config={"shots": 0, "model": "m"},
+                       labels={"model": model, "ratio": ratio}, overall_micro=score, overall_macro=score,
+                       per_category={}, per_item=[]) for ds, score in scores.items()]
+
+
 class TestSweepReport:
     ROWS = [
-        {"model_label": "base", "ratio_label": "1:0", "scores": {"evalhome": 47.79}},
-        {"model_label": "base", "ratio_label": "1:1", "scores": {"evalhome": 50.44}},
-        {"model_label": "base", "ratio_label": "1:2", "scores": {"evalhome": 44.24}},
-        {"model_label": "base", "ratio_label": "1:5", "scores": {"evalhome": 36.28}},
-        {"model_label": "base", "ratio_label": "1:10", "scores": {"evalhome": 53.98}},
+        *sweep_entry("base", "1:0", {"evalhome": 47.79}),
+        *sweep_entry("base", "1:1", {"evalhome": 50.44}),
+        *sweep_entry("base", "1:2", {"evalhome": 44.24}),
+        *sweep_entry("base", "1:5", {"evalhome": 36.28}),
+        *sweep_entry("base", "1:10", {"evalhome": 53.98}),
     ]
 
     def test_max_flag_on_best_row(self):
@@ -236,19 +244,44 @@ class TestSweepReport:
 
     def test_ties_all_flagged(self):
         rows = [
-            {"model_label": "m", "ratio_label": "1:0", "scores": {"ds": 50.0}},
-            {"model_label": "m", "ratio_label": "1:5", "scores": {"ds": 50.0}},
+            *sweep_entry("m", "1:0", {"ds": 50.0}),
+            *sweep_entry("m", "1:5", {"ds": 50.0}),
         ]
         out_rows, _ = sweep_report(rows)
         assert all(r["ds_best"] for r in out_rows)
 
     def test_groups_scoped_per_model(self):
-        rows = self.ROWS + [{"model_label": "chat", "ratio_label": "1:5", "scores": {"evalhome": 60.17}}]
+        rows = self.ROWS + sweep_entry("chat", "1:5", {"evalhome": 60.17})
         out_rows, _ = sweep_report(rows)
         base_best = [r for r in out_rows if r["model"] == "base" and r["evalhome_best"]]
         chat_best = [r for r in out_rows if r["model"] == "chat" and r["evalhome_best"]]
         assert [r["ratio"] for r in base_best] == ["1:10"]
         assert [r["ratio"] for r in chat_best] == ["1:5"]
+
+    def test_reports_with_the_same_labels_share_a_row(self):
+        reports = sweep_entry("base", "1:0", {"a": 40.0, "b": 30.0}) + sweep_entry("base", "1:1", {"a": 45.0})
+        out_rows, text = sweep_report(reports)
+        assert out_rows == [
+            {"model": "base", "ratio": "1:0", "a": 40.0, "a_best": False, "b": 30.0, "b_best": True},
+            {"model": "base", "ratio": "1:1", "a": 45.0, "a_best": True, "b": None, "b_best": False},
+        ]
+        assert text.splitlines()[-1].split() == ["base", "1:1", "*45.00", "-"]
+
+    def test_label_fallbacks(self):
+        (unlabelled,) = sweep_entry("x", "y", {"ds": 50.0})
+        unlabelled.labels = {}
+        out_rows, _ = sweep_report([unlabelled])
+        assert (out_rows[0]["model"], out_rows[0]["ratio"]) == ("m", "-")
+        unlabelled.config = {"shots": 0, "model": None}
+        out_rows, _ = sweep_report([unlabelled])
+        assert out_rows[0]["model"] == "model"
+
+    def test_read_back_refuses_labels_that_are_not_strings(self):
+        report = json.loads(json.dumps(sweep_entry("base", "1:0", {"ds": 50.0})[0].to_dict()))
+        with pytest.raises(SchemaError, match="label values must be strings"):
+            EvalReport.from_dict({**report, "labels": {"model": ["a"]}})
+        with pytest.raises(SchemaError, match="config model must be a string or null"):
+            EvalReport.from_dict({**report, "config": {"model": 5}})
 
 
 def test_report_json_roundtrip(evalhome, tmp_path):

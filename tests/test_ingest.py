@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from renokit.errors import DecodeError, EmptyAfterExtraction
+from renokit.errors import DecodeError, EmptyAfterExtraction, SchemaError
 from renokit.ingest import (
     Document,
     RawRecord,
@@ -151,6 +151,22 @@ class TestFiles:
         )
         records = list(records_from_path(path, "domain_book"))
         assert [r.source_kind for r in records] == ["general", "domain_book"]
+
+    def test_lone_surrogate_row_is_a_decode_error(self, tmp_path):
+        # JSON can escape a lone surrogate, which no UTF-8 byte string holds
+        path = tmp_path / "raw.jsonl"
+        path.write_text('{"id": "x", "text": "装修知识很重要。\\ud800"}\n{"id": "y", "text": "防水施工要点"}\n',
+                        encoding="utf-8")
+        docs, stats = ingest_stream(list(records_from_path(path, "domain_book")))
+        assert stats.failures == {"decode_error": 1}
+        assert [d.text for d in docs] == ["防水施工要点"]
+
+    @pytest.mark.parametrize("kind", ['"blog"', "5"])
+    def test_bad_row_kind_names_the_file_and_line(self, tmp_path, kind):
+        path = tmp_path / "raw.jsonl"
+        path.write_text(f'{{"id": "x", "text": "书籍内容", "kind": {kind}}}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="raw.jsonl: line 1: source_kind must be one of"):
+            list(records_from_path(path, "domain_book"))
 
     def test_txt_file_single_record(self, tmp_path):
         path = tmp_path / "a.txt"
