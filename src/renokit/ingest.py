@@ -8,6 +8,7 @@ makes downstream content hashes stable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import html
 import re
@@ -77,6 +78,15 @@ def doc_id_for(text: str, source_kind: str) -> str:
 _MARKUP_ACTIVE = "<>&"
 
 
+def _entity_text(raw: str) -> str:
+    """The text of an entity or character reference `raw`, e.g. "&nbsp;". It is
+    kept escaped when unknown or when its text would hold a markup-active
+    character, so that cleaning remains a fixpoint; html.unescape also reads a
+    legacy entity glued to more letters, e.g. "&ltp;" as "<p;"."""
+    decoded = html.unescape(raw)
+    return raw if any(ch in decoded for ch in _MARKUP_ACTIVE) else decoded
+
+
 class _MarkupStripper(HTMLParser):
     """Collects prose text, skipping regions whose content is never prose."""
 
@@ -117,27 +127,102 @@ class _MarkupStripper(HTMLParser):
         if not self._drop_depth:
             self._chunks.append(data)
 
-    # Entities are unescaped except when they would decode to a markup-active
-    # character; those stay escaped so that cleaning remains a fixpoint.
     def handle_entityref(self, name):
-        if self._drop_depth:
-            return
-        raw = f"&{name};"
-        decoded = html.unescape(raw)
-        self._chunks.append(raw if (decoded == raw or decoded in _MARKUP_ACTIVE) else decoded)
+        if not self._drop_depth:
+            self._chunks.append(_entity_text(f"&{name};"))
 
     def handle_charref(self, name):
-        if self._drop_depth:
-            return
-        raw = f"&#{name};"
-        decoded = html.unescape(raw)
-        self._chunks.append(raw if (decoded == raw or decoded in _MARKUP_ACTIVE) else decoded)
+        if not self._drop_depth:
+            self._chunks.append(_entity_text(f"&#{name};"))
 
     def text(self) -> str:
         return "".join(self._chunks)
 
 
+def _any_case(names: str) -> str:
+    """A regex matching each of the |-separated ASCII `names` in any letter case;
+    unlike re.IGNORECASE, it matches no non-ASCII letter."""
+    return "|".join("".join(f"[{c}{c.upper()}]" for c in name) for name in names.split("|"))
+
+
+# The markup subset that strip_markup reads without HTMLParser, one token per
+# match, chosen so that every HTMLParser version reads each token the same
+# way: tag and attribute names are ASCII, attribute values are quoted or bare
+# and hold no "<" or ">", an entity ends in ";", and a comment holds no "--".
+# An element whose body HTMLParser reads as raw text is one token: script and
+# style with a body free of "<", and the elements that newer versions also read
+# so with a body free of "<" and "&". A start tag of any of them alone is no
+# token, nor is plaintext, whose body runs to the end of the input.
+_SPACE = r"[ \t\n\r\f]"
+_TAG_NAME = r"[a-zA-Z][-:a-zA-Z0-9]*"
+_ATTRS = (rf"(?:{_SPACE}+[a-zA-Z_:][-.:a-zA-Z0-9_]*"
+          rf"(?:{_SPACE}*={_SPACE}*(?:\"[^\"<>]*\"|'[^'<>]*'|[^\s\"'<>=`/]+(?=[ \t\n\r\f>])))?)*{_SPACE}*")
+
+
+@functools.cache
+def _markup_token_re() -> re.Pattern:
+    """The token regex, compiled on first use: compiling it takes milliseconds,
+    which importing the module for a command that reads no markup should not pay."""
+    script = _any_case("script|style")
+    raw_text = _any_case("title|textarea|xmp|iframe|noembed|noframes|noscript")
+    return re.compile(
+        r"(?P<text>[^<&]+)"
+        r"|(?P<entity>&(?:[a-zA-Z][-.a-zA-Z0-9]*|#[0-9]+|#[xX][0-9a-fA-F]+);)"
+        rf"|<(?P<start>(?!(?:{script}|{raw_text}|{_any_case('plaintext')})[ \t\n\r\f/>]){_TAG_NAME})"
+        rf"{_ATTRS}(?P<selfclose>/?)>"
+        rf"|</(?P<end>{_TAG_NAME}){_SPACE}*>"
+        rf"|<(?P<element>{raw_text}){_ATTRS}>(?P<body>[^<&]*)</(?P=element){_SPACE}*>"
+        rf"|(?P<skip><!--(?!-?>)[^-]*(?:-[^-]+)*-->|<(?P<script>{script}){_ATTRS}>[^<]*</(?P=script){_SPACE}*>)"
+    )
+
+
+def _strip_tokens(text: str) -> str | None:
+    """strip_markup for text made of _markup_token_re() tokens only, applying
+    _MarkupStripper's rules to each; None if any position starts no token."""
+    drop, block = _MarkupStripper.DROP, _MarkupStripper.BLOCK
+    chunks: list[str] = []
+    depth = 0
+    pos = 0
+    for m in _markup_token_re().finditer(text):
+        if m.start() != pos:
+            return None
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "text":
+            if not depth:
+                chunks.append(m[0])
+        elif kind == "entity":
+            if not depth:
+                chunks.append(_entity_text(m[0]))
+        elif kind == "selfclose":  # a start tag; self-closing is a start then an end
+            tag = m["start"].lower()
+            if tag == "br":
+                if not depth:
+                    chunks.append("\n")
+            elif tag in drop:
+                if not m["selfclose"]:
+                    depth += 1
+            elif tag in block and not depth:
+                chunks.append("\n\n" if m["selfclose"] else "\n")
+        elif kind == "end":
+            tag = m["end"].lower()
+            if tag in drop:
+                depth = max(0, depth - 1)
+            elif tag in block and not depth:
+                chunks.append("\n")
+        elif kind == "body":  # none of these elements is a block; a drop one adds nothing
+            if not depth and m["element"].lower() not in drop:
+                chunks.append(m["body"])
+    return "".join(chunks) if pos == len(text) else None
+
+
 def strip_markup(text: str) -> str:
+    """The prose of `text` with its markup removed. Text made only of the
+    tokens of _markup_token_re() is read by one regex scan; anything else goes
+    whole to HTMLParser (_MarkupStripper), which gives the same result."""
+    stripped = _strip_tokens(text)
+    if stripped is not None:
+        return stripped
     parser = _MarkupStripper()
     parser.feed(text)
     parser.close()
@@ -155,19 +240,21 @@ _URL_RE = re.compile(
 
 _MD_IMAGE_RE = re.compile(r"!\[[^\]\n]*\]\([^)\n]*\)")
 
-_PIPE_SEPARATORS = "|│║┃"
 _WS_RUN_RE = re.compile(r"[ \t 　]+")
-_NON_WS_RE = re.compile(r"\S")
+_SPACE_RUN_RE = re.compile(r"\s+")
 
 
 def _is_table_line(line: str) -> bool:
+    # Both verdicts need two separators, so most lines stop at the counts.
     # Density is measured over non-whitespace characters so the verdict does
     # not change once whitespace runs have been collapsed.
-    non_ws = len(_NON_WS_RE.findall(line))
-    pipes = sum(line.count(ch) for ch in _PIPE_SEPARATORS)
+    pipes = line.count("|") + line.count("│") + line.count("║") + line.count("┃")
+    tabs = line.count("\t")
+    if pipes < 2 and tabs < 2:
+        return False
+    non_ws = len(_SPACE_RUN_RE.sub("", line))
     if pipes >= 2 and pipes / max(1, non_ws) > 0.30:
         return True
-    tabs = line.count("\t")
     return tabs >= 2 and tabs / max(1, tabs + non_ws) > 0.30
 
 

@@ -109,8 +109,13 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
 
 
 def read_json(path: str | Path) -> Any:
+    """The JSON value of the file at `path`. A file that is not UTF-8 JSON raises a
+    ValueError that names the file, as line_error does for a bad row."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_json(path: str | Path, obj: Any) -> None:

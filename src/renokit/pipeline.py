@@ -463,7 +463,7 @@ def run_pipeline(
     try:
         config = read_json(config_path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read pipeline config {config_path}: {exc}") from None
+        raise ConfigError(f"cannot read pipeline config: {exc}") from None  # both errors name the file
     runner = PipelineRunner(
         config,
         config_path.parent,

@@ -483,6 +483,7 @@ def _exit_code_inputs(tmp_path):
     (tmp_path / "ep_backoff_nested.json").write_text(json.dumps({**ep, "backoff": [[1]]}), encoding="utf-8")
     (tmp_path / "ep_retries_negative.json").write_text(json.dumps({**ep, "max_retries": -1}), encoding="utf-8")
     (tmp_path / "dedup_typo.json").write_text('{"ngrams": 5}', encoding="utf-8")
+    (tmp_path / "truncated.json").write_text('{"dataset": "e",\n', encoding="utf-8")
     (tmp_path / "dedup_ngram_str.json").write_text('{"ngram": "5"}', encoding="utf-8")
     (tmp_path / "dedup_seed_str.json").write_text('{"seed": "1"}', encoding="utf-8")
     mcq = {"question": "台面高度合适吗？", "question_type": "judgment", "options": {"A": "是", "B": "否"},
@@ -715,6 +716,18 @@ def test_config_file_error_names_the_file(tmp_path, capsys, argv, path):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert str(tmp_path / path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "{tmp}/truncated.json"),
+    ("sweep-report", "--runs", "{tmp}/report_whole.json", "{tmp}/truncated.json", "--out", "{tmp}/t.csv"),
+    _DEDUP + ("--config", "{tmp}/truncated.json"),
+    ("run", "--config", "{tmp}/truncated.json", "--out-dir", "{tmp}/out"),
+], ids=["stats", "sweep-report", "dedup-config", "run-config"])
+def test_invalid_json_names_the_file(tmp_path, capsys, argv):
+    _exit_code_inputs(tmp_path)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert f"{tmp_path / 'truncated.json'}: invalid JSON: Expecting" in capsys.readouterr().err
 
 
 def test_mix_mode_error_names_the_modes(tmp_path, capsys):

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from renokit import ingest
 from renokit.errors import DecodeError, EmptyAfterExtraction, SchemaError
 from renokit.ingest import (
     Document,
     RawRecord,
+    _is_table_line,
+    _MarkupStripper,
+    _strip_tokens,
     clean_text,
     extract_text,
     ingest_stream,
     read_documents,
     records_from_path,
+    strip_markup,
     write_documents,
 )
 from renokit.jsonl import write_jsonl
@@ -86,6 +92,188 @@ class TestExtractText:
             raw = snippets[i % len(snippets)].format(body)
             once = clean_text(raw)
             assert clean_text(once) == once
+
+
+# --- markup: the regex scan against HTMLParser ------------------------------------
+
+
+def html_parser_text(text: str) -> str:
+    """What _MarkupStripper, the HTMLParser reading, makes of `text`."""
+    parser = _MarkupStripper()
+    parser.feed(text)
+    parser.close()
+    return parser.text()
+
+
+TAGS = ["p", "div", "span", "a", "b", "li", "ul", "h1", "td", "th", "section", "br", "wbr", "img", "hr", "meta",
+        "input", "table", "tr", "tbody", "head", "figure", "svg", "picture", "my-widget", "o:p"]
+SPACES = [" ", "\n", "\t", "  ", "\r\n"]
+ENTITIES = ["&amp;", "&lt;", "&gt;", "&nbsp;", "&quot;", "&copy;", "&#65;", "&#x4E2D;", "&#X4e2d;", "&#60;",
+            "&#x26;", "&#0;", "&foo;", "&amp.x;", "&a-b;", "&ltp;", "&ltbr;", "&gtx;", "&ampx;", "&copyx;"]
+
+
+def any_case(rng: random.Random, name: str) -> str:
+    return rng.choice([name, name.upper(), name.capitalize()])
+
+
+def prose(rng: random.Random) -> str:
+    words = [cjk_text(rng, rng.randint(1, 12)), "design", "a > b", "'q'", '"r"', "x|y", "\t", "\n", " ", "=",
+             "http://a.example.com/x?q=1", "。", "\u3000", "\xa0"]
+    return "".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
+
+
+def attributes(rng: random.Random) -> str:
+    out = ""
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(["class", "id", "data-x", "href", "alt", "disabled", "xml:lang", "CLASS"])
+        value = rng.choice([
+            "", '="{}"'.format(rng.choice(["", "a b", "中文", "/img/1.png", "x&amp;y", "a=b", "it's"])),
+            "='{}'".format(rng.choice(["", "a b", 'say "hi"', "x&y"])),
+            # a bare value that "/" follows is outside the subset: HTMLParser reads the "/" into it
+            "={}{}".format(rng.choice(["x", "12", "a-b", "中文", "a.b"]), rng.choice(SPACES)),
+            ' = "spaced"',
+        ])
+        out += rng.choice(SPACES) + name + value
+    return out + rng.choice(["", "", " ", "\n"])
+
+
+def token(rng: random.Random) -> str:
+    """One piece of the markup subset the regex scan reads."""
+    kind = rng.randrange(9)
+    if kind <= 2:
+        return prose(rng)
+    if kind == 3:
+        return rng.choice(ENTITIES)
+    if kind in (4, 5):
+        name = any_case(rng, rng.choice(TAGS))
+        return f"<{name}{attributes(rng)}{rng.choice(['>', '>', '/>', ' />'])}"
+    if kind == 6:
+        return f"</{any_case(rng, rng.choice(TAGS))}{rng.choice(['', ' ', chr(10)])}>"
+    if kind == 7:
+        return rng.choice(["<!-- 注释 <p> -->", "<!---->", "<!-- a - b -->", "<!---x-->"])
+    name = any_case(rng, rng.choice(["script", "style", "title", "textarea", "xmp", "iframe", "noscript"]))
+    body = prose(rng).replace("&", "")
+    if name.lower() in ("script", "style"):
+        body += rng.choice(["", "if (a && b) { go(); }", "x = '&amp;';"])
+    return f"<{name}{attributes(rng)}>{body}</{name}>"
+
+
+# Each is outside the subset, so a document holding one goes to HTMLParser.
+FALLBACK_TRIGGERS = [
+    "3 < 5", "A & B", "<!DOCTYPE html>", "<?xml version=\"1.0\"?>", "&amp x", "&#65x", "&#x;", "&nbsp",
+    '<a title="a>b">', "<script>if (a<b) go();</script>", "<style>p<a</style>", "<![CDATA[x<y]]>",
+    "<SCRIPT>x</script>", "<script/>", "<!-- a -- b -->", "<!-->x-->", "<!--->x-->", "<title>a &amp; b</title>",
+    "<title>a<b>c</title>", "<plaintext>x", "</ p>", "<p\v>", "<a href=x/>", '<p a="b"c>', "<p/ >", "<ſcript>",
+    "& ", "< ", "</ ", "&ltp>", "&ltdiv x",
+]
+AT_END_TRIGGERS = ['<p class="x', "<script>var a;", "<!-- open", "<div", "&#12"]
+
+
+def subset_document(rng: random.Random) -> list[str]:
+    pieces = [token(rng) for _ in range(rng.randint(1, 25))]
+    if rng.random() < 0.3:  # nested drop regions
+        at = rng.randrange(len(pieces) + 1)
+        pieces[at:at] = ["<head><table><tr><td>", token(rng), "</td></tr></table>", token(rng), "</head>"]
+    return pieces
+
+
+class TestMarkupScan:
+    SEED_DOCS = 400
+
+    def documents(self):
+        rng = random.Random(15)
+        # One document with every piece the scan must read, then seeded ones.
+        every = ["<P>", "大写标签", "</P>", "<p/>", "甲<br/>乙<BR>", *ENTITIES, "<Head><TABLE>", "表", "</table>",
+                 "</HEAD>", "混合 CJK text"]
+        yield "".join(every), True
+        for _ in range(self.SEED_DOCS):
+            pieces = subset_document(rng)
+            yield "".join(pieces), True
+            at = rng.randrange(len(pieces) + 1)
+            yield "".join(pieces[:at] + [rng.choice(FALLBACK_TRIGGERS)] + pieces[at:]), False
+            yield "".join(pieces + [rng.choice(AT_END_TRIGGERS)]), False
+
+    def test_matches_html_parser_on_generated_markup(self):
+        for text, in_subset in self.documents():
+            expected = html_parser_text(text)
+            assert (_strip_tokens(text) is not None) == in_subset, text
+            assert strip_markup(text) == expected, text
+
+    @pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS + AT_END_TRIGGERS)
+    def test_each_trigger_goes_to_html_parser(self, trigger):
+        text = f"<p>正文</p>{trigger}"
+        assert _strip_tokens(text) is None
+        assert strip_markup(text) == html_parser_text(text)
+
+    def test_cleaning_is_idempotent_on_generated_markup(self):
+        for text, _ in self.documents():
+            once = clean_text(text)
+            assert clean_text(once) == once, text
+
+    def test_bench_shaped_page_takes_the_scan(self, monkeypatch):
+        page = ('<html><head><title>瓷砖铺贴</title>'
+                '<script>var page = "7"; track(page);</script></head>\n'
+                '<body><h1>瓷砖铺贴 第00007号</h1>\n'
+                '<p>先清理基层，再弹线定位。</p>\n'
+                '<img src="/img/7.png" alt="瓷砖铺贴"/>'
+                '<p>铺贴后养护七天 详见 https://www.example.com/item/7.html 。</p>\n'
+                '<table><tr><td>规格</td><td>600x600</td></tr></table>\n'
+                '<p>本站内容仅供参考。</p></body></html>')
+        plain = "第一段没有任何标记的中文内容。\n\n第二段 design 内容。"
+
+        def refuse(self, data):
+            raise AssertionError("HTMLParser was used")
+
+        monkeypatch.setattr(_MarkupStripper, "feed", refuse)
+        assert clean_text(page) == ("瓷砖铺贴 第00007号\n\n先清理基层，再弹线定位。\n\n"
+                                    "铺贴后养护七天 详见 。\n\n本站内容仅供参考。")
+        assert clean_text(plain) == plain
+
+
+# --- table lines: the pre-check against the formula it guards -----------------------
+
+
+def oracle_is_table_line(line: str) -> bool:
+    """_is_table_line as it was before the separator pre-check."""
+    non_ws = len(re.findall(r"\S", line))
+    pipes = sum(line.count(ch) for ch in "|│║┃")
+    if pipes >= 2 and pipes / max(1, non_ws) > 0.30:
+        return True
+    tabs = line.count("\t")
+    return tabs >= 2 and tabs / max(1, tabs + non_ws) > 0.30
+
+
+class TestTableLines:
+    ALPHABET = ["|", "│", "║", "┃", "\t", " ", "\u3000", "\xa0", "甲", "乙", "a", "Z", "9"]
+
+    def lines(self):
+        rng = random.Random(6)
+        for _ in range(3000):
+            yield "".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 20)))
+        # exactly one and exactly two separators, among a varying number of other characters
+        for sep in "|│║┃\t":
+            for n in range(1, 3):
+                for others in range(0, 12):
+                    chars = [sep] * n + [rng.choice(["甲", "a", " ", "\u3000"]) for _ in range(others)]
+                    rng.shuffle(chars)
+                    yield "".join(chars)
+
+    def test_matches_the_old_formula(self):
+        verdicts = set()
+        for line in self.lines():
+            verdict = oracle_is_table_line(line)
+            assert _is_table_line(line) == verdict, repr(line)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_lines_with_fewer_than_two_separators_skip_the_count(self, monkeypatch):
+        class Unused:
+            def sub(self, *args):
+                raise AssertionError("counted the non-whitespace characters")
+
+        monkeypatch.setattr(ingest, "_SPACE_RUN_RE", Unused())
+        assert not _is_table_line("甲|乙\t丙")
+        assert not _is_table_line("")
 
 
 class TestTokenizer:

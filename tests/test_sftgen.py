@@ -352,6 +352,7 @@ class TestBatchGenerate:
         assert [i.to_dict() for i in items2] == [i.to_dict() for i in items1]
         assert sum(r.requests_sent for r in reports2) == 2
         assert sum("treating it as missing" in r.getMessage() for r in caplog.records) == 2
+        assert any(f"{archive.root / first}.json: invalid JSON" in r.getMessage() for r in caplog.records)
         # offline, the two are sent, fail and are rejected; replay does not crash
         corrupt()
         items3, reports3, _ = self.run_batch(tmp_path / "arch", transport=OfflineTransport())
