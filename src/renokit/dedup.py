@@ -4,6 +4,8 @@ Article level runs in two passes: exact duplicates on whitespace-normalized
 text, then near-duplicates found by MinHash + LSH banding. Every LSH candidate
 pair is verified with the exact Jaccard similarity of the full shingle sets
 before anything is collapsed, so reported pairs are never false positives.
+Signatures are built from every gram hash, repeats included; the sorted,
+unique shingle sets are built only for the documents of candidate pairs.
 Survivors are always the lexicographically smallest doc_id of a duplicate
 group, which makes the output independent of input order.
 
@@ -32,12 +34,11 @@ REASON_SENTENCE = "sentence"
 # splitmix64's increment; also the (odd) base of the shingle polynomial
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _EMPTY_BIN = np.uint64((1 << 64) - 1)
-_WS_RE = re.compile(r"\s+")
 
 
 def normalize_for_dedup(text: str) -> str:
     """Collapse all whitespace runs so spacing variants compare equal."""
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 @dataclass
@@ -52,6 +53,9 @@ class DedupConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("num_perm", "lsh_bands", "lsh_rows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lsh_bands * self.lsh_rows != self.num_perm:
             raise ValueError(
                 f"lsh_bands * lsh_rows must equal num_perm "
@@ -88,15 +92,15 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
-    """Sorted, unique uint64 hashes of the character n-grams of the
-    whitespace-normalized text.
+def gram_hashes(doc: Document, ngram: int = 5) -> np.ndarray:
+    """uint64 hashes of the character n-grams of the whitespace-normalized
+    text, one per position, repeats kept.
 
     Each gram is a polynomial in its code points, evaluated at all positions
     at once, then finished with splitmix64. The polynomial starts from the
-    gram width, so a leading U+0000 still changes the hash. Texts shorter
-    than the n-gram width contribute a single whole-text shingle so any
-    non-empty document always has a non-empty array.
+    gram width, so a leading U+0000 still changes the hash. A text shorter
+    than the n-gram width gives a single whole-text hash, so any non-empty
+    document always has a non-empty array.
     """
     codes = np.frombuffer(normalize_for_dedup(doc.text).encode("utf-32-le"), np.uint32).astype(np.uint64)
     width = min(ngram, len(codes))
@@ -105,7 +109,12 @@ def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
     for k in range(width):
         hashes *= _GAMMA
         hashes += codes[k : k + grams]
-    return np.unique(_mix64(hashes))
+    return _mix64(hashes)
+
+
+def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
+    """The shingle set: sorted, unique `gram_hashes`."""
+    return np.unique(gram_hashes(doc, ngram))
 
 
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -148,6 +157,8 @@ def compute_signatures(shingle_sets: Sequence[np.ndarray], cfg: DedupConfig) -> 
     once with the seed; the high 32 bits pick its bin by multiply-shift and
     the low 32 bits are its value, and each bin keeps its minimum. Empty bins
     are then filled by rotation (Shrivastava & Li, 2014; see `_densify`).
+    A bin keeps a minimum, so neither order nor repeats change a row, and an
+    array of `gram_hashes` signs as its `shingle` set does.
     """
     key = _mix64(np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
     signatures = np.full((len(shingle_sets), cfg.num_perm), _EMPTY_BIN, dtype=np.uint64)
@@ -216,12 +227,15 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
     threshold; duplicate groups are the connected components of kept pairs.
     """
     docs = sorted(docs, key=lambda d: d.doc_id)
-    shingle_sets = {d.doc_id: shingle(d, cfg.ngram) for d in docs}
-    usable = [doc_id for doc_id, shingles in shingle_sets.items() if shingles.size]
-    signatures = compute_signatures([shingle_sets[doc_id] for doc_id in usable], cfg)
+    hashes = [gram_hashes(d, cfg.ngram) for d in docs]
+    usable = [d for d, h in zip(docs, hashes) if h.size]
+    signatures = compute_signatures([h for h in hashes if h.size], cfg)
+    del hashes
+    candidates = _lsh_candidates([d.doc_id for d in usable], signatures, cfg)
+    members = {doc_id for pair in candidates for doc_id in pair}
+    shingle_sets = {d.doc_id: shingle(d, cfg.ngram) for d in usable if d.doc_id in members}
     pairs: list[DupPair] = []
     uf = _UnionFind()
-    candidates = _lsh_candidates(usable, signatures, cfg)
     for a, b in sorted(candidates):
         j = jaccard(shingle_sets[a], shingle_sets[b])
         if j >= cfg.jaccard_threshold:
@@ -250,26 +264,29 @@ def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPai
 
 # --- sentence pass -------------------------------------------------------------
 
-_SENTENCE_BOUNDARY = re.compile(r"(?<=[。！？!?.])|(?<=\n)")
+_SENTENCE_RE = re.compile(r"[^。！？!?.\n]*[。！？!?.\n]|[^。！？!?.\n]+")
 
 
 def split_sentences(text: str) -> list[str]:
     """Split after terminal punctuation or newlines, losslessly."""
-    return [part for part in _SENTENCE_BOUNDARY.split(text) if part]
+    return _SENTENCE_RE.findall(text)
 
 
 def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]:
     """Cap repeats of a normalized sentence across (or within) documents.
 
     Documents are walked in doc_id order; occurrences of a sentence beyond
-    sentence_max_repeats are deleted. Rewritten docs are re-counted; docs
-    emptied by deletion are marked deduped_out(sentence).
+    sentence_max_repeats are deleted. Rewritten docs are re-counted and keep
+    their doc_id; docs emptied by deletion, and docs whose text a rewrite made
+    equal (after whitespace normalization) to that of a smaller doc_id, are
+    marked deduped_out(sentence).
     """
     if cfg.sentence_max_repeats is None:
         return sorted(docs, key=lambda d: d.doc_id)
     cap = cfg.sentence_max_repeats
     seen: dict[str, int] = {}
     survivors: list[Document] = []
+    rewritten = False
     for doc in sorted(docs, key=lambda d: d.doc_id):
         if cfg.sentence_scope == "document":
             seen = {}
@@ -286,6 +303,7 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
             else:
                 kept_parts.append(part)
         if changed:
+            rewritten = True
             doc.text = normalize_whitespace("".join(kept_parts))
             doc.char_count = len(doc.text)
             doc.token_count = count_tokens(doc.text)
@@ -293,7 +311,19 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
             doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)
         else:
             survivors.append(doc)
-    return survivors
+    if not rewritten:
+        return survivors
+    # The exact pass left no two equal texts, but a rewrite can make one.
+    texts: set[str] = set()
+    distinct: list[Document] = []
+    for doc in survivors:
+        key = normalize_for_dedup(doc.text)
+        if key in texts:
+            doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)
+        else:
+            texts.add(key)
+            distinct.append(doc)
+    return distinct
 
 
 # --- full stage ----------------------------------------------------------------

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,6 +47,14 @@ class EndpointConfig(Record):
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not all(type(x) in (int, float) for x in self.backoff):
             raise ValueError(f"every backoff entry must be a number, got {list(self.backoff)!r}")
+        # TIMEOUT_MAX is the longest wait sockets and time.sleep take; NaN fails every comparison
+        longest = threading.TIMEOUT_MAX
+        if not all(0 <= x <= longest for x in self.backoff):
+            raise ValueError(f"every backoff entry must be in [0, {longest:g}] seconds, got {list(self.backoff)!r}")
+        if not 0 < self.timeout <= longest:
+            raise ValueError(f"timeout must be in (0, {longest:g}] seconds, got {self.timeout}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         self.backoff = tuple(float(x) for x in self.backoff)
 
     @classmethod

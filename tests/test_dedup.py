@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from renokit import dedup
 from renokit.dedup import (
     DedupConfig,
     _lsh_candidates,
@@ -13,12 +14,14 @@ from renokit.dedup import (
     exact_dedup,
     jaccard,
     near_dedup,
+    normalize_for_dedup,
     run_dedup,
     sentence_dedup,
     shingle,
     split_sentences,
 )
 from renokit.errors import EmptyShingleSet
+from renokit.ingest import doc_id_for
 
 from fixture_data import build_dedup_docs, cjk_text, make_doc
 
@@ -287,6 +290,28 @@ class TestNearDedup:
         survivors, _, _ = near_dedup(docs, DedupConfig())
         assert [d.doc_id for d in survivors] == [docs[0].doc_id]
 
+    def test_exact_sets_only_for_candidates(self, monkeypatch):
+        docs, _ = build_dedup_docs(n_docs=120, n_pairs=12)
+        shingled: list[str] = []
+        found: list[set] = []
+        shingle_fn, candidates_fn = dedup.shingle, dedup._lsh_candidates
+
+        def counting_shingle(doc, ngram=5):
+            shingled.append(doc.doc_id)
+            return shingle_fn(doc, ngram)
+
+        def recorded_candidates(*args):
+            found.append(candidates_fn(*args))
+            return found[-1]
+
+        monkeypatch.setattr(dedup, "shingle", counting_shingle)
+        monkeypatch.setattr(dedup, "_lsh_candidates", recorded_candidates)
+        _, pairs, n_candidates = near_dedup(docs, DedupConfig())
+        members = {doc_id for pair in found[0] for doc_id in pair}
+        assert len(pairs) == 12 and n_candidates == len(found[0])
+        assert sorted(shingled) == sorted(members)  # each candidate once, nothing else
+        assert len(shingled) < len(docs) / 4
+
     def test_permutation_invariant(self):
         docs, _ = build_dedup_docs(n_docs=60, n_pairs=6)
         s1, p1, _ = near_dedup(list(docs), DedupConfig())
@@ -352,6 +377,38 @@ class TestSentenceDedup:
 
 
 class TestRunDedup:
+    def test_rewrites_that_collide_keep_the_smallest_doc_id(self):
+        # a = p q x and b = q p y come first, so c = p s and d = q s both lose
+        # their first sentence and are left as s
+        p, q, s, x, y = "第一句关于防水。", "第二句关于地板。", "第五句关于瓷砖。", "第三句关于吊顶。", "第四句关于水电。"
+        docs = [make_doc(t) for t in (p + q + x, q + p + y, p + s, q + s)]
+        a, b, c, d = docs
+        assert max(a.doc_id, b.doc_id) < min(c.doc_id, d.doc_id)
+        survivors, _, report = run_dedup(docs, DedupConfig())
+        kept, dropped = sorted((c, d), key=lambda doc: doc.doc_id)
+        assert survivors == sorted((a, b, kept), key=lambda doc: doc.doc_id)
+        # the rewritten survivor keeps its ingest doc_id
+        assert (kept.text, kept.doc_id) == (s, min(doc_id_for(p + s, "domain_book"), doc_id_for(q + s, "domain_book")))
+        assert (dropped.status, dropped.reason, dropped.text) == ("deduped_out", "sentence", s)
+        assert report.dropped == {"exact": 0, "near": 0, "sentence": 1}
+
+    @pytest.mark.parametrize("scope", ["corpus", "document"])
+    def test_retained_texts_distinct_and_drops_partition(self, scope):
+        rng = random.Random(31)
+        for trial in range(150):
+            pool = ["句子" + cjk_text(rng, rng.randint(1, 3)) + rng.choice("。！？\n") for _ in range(rng.randint(2, 6))]
+            texts = ["".join(rng.choice(pool) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(2, 14))]
+            docs = [make_doc(t, kind=rng.choice(("domain_book", "general"))) for t in texts]
+            cfg = DedupConfig(sentence_max_repeats=rng.choice((1, 2)), sentence_scope=scope)
+            survivors, _, report = run_dedup(docs, cfg)
+            keys = [normalize_for_dedup(d.text) for d in survivors]
+            assert len(set(keys)) == len(keys), trial
+            assert all(keys)
+            assert report.retained == len(survivors) == sum(d.status == "retained" for d in docs)
+            for reason, count in report.dropped.items():
+                assert count == sum(d.status == "deduped_out" and d.reason == reason for d in docs), (trial, reason)
+            assert report.retained + sum(report.dropped.values()) == report.input == len(docs)
+
     def test_monotone_token_shrinkage_and_statuses(self):
         docs, _ = build_dedup_docs(n_docs=80, n_pairs=8)
         docs.append(make_doc(docs[0].text))  # exact dup
