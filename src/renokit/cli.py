@@ -29,6 +29,7 @@ from .ingest import SOURCE_KINDS
 from .jsonl import config_from_json, read_json, read_jsonl, record_from_dict
 from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config
 from .pipeline import (
+    check_budget,
     run_dedup_stage,
     run_eval_stage,
     run_filter_stage,
@@ -179,6 +180,7 @@ def _cmd_emit_config(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    check_budget(args.budget)
     template = load_template(args.kind.replace("-", "_"), body_path=args.template, categories_path=args.categories)
     report = run_gen_stage(args.knowledge, template, EndpointConfig.from_json(args.endpoint),
                            OfflineTransport() if args.replay_only else None, args.budget,

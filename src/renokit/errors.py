@@ -105,10 +105,6 @@ class ExemplarShortfall(RenokitError):
     """Fewer exemplars available than the requested shot count."""
 
 
-class ExemplarLeakage(RenokitError):
-    """The scored item appeared among its own exemplars."""
-
-
 class DatasetMismatch(RenokitError):
     """Reports being compared were not produced from the same dataset."""
 

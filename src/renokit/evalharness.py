@@ -1,7 +1,8 @@
 """Multi-choice evaluation: prompt building, answer extraction, accuracy reports.
 
 Items are prompted exactly once, zero- or few-shot, with exemplars drawn from
-the dev split in dataset order and never from the scored item itself.
+the dev split in dataset order, skipping every dev item whose question and
+options are the scored item's.
 Abstentions (no option letter found) score as incorrect so denominators stay
 equal to the dataset counts. Reported percentages are always
 round(10000 * correct / total) / 100.
@@ -9,9 +10,11 @@ round(10000 * correct / total) / 100.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,7 +24,6 @@ from .errors import (
     ConfigError,
     DatasetMismatch,
     EndpointError,
-    ExemplarLeakage,
     ExemplarShortfall,
     OptionMismatch,
     SchemaError,
@@ -106,7 +108,7 @@ def load_dataset(path: str | Path, rows: Iterable[tuple[int, dict]] | None = Non
             raise line_error(path, lineno, f"bad split {split!r}")
         item_id = str(obj.get("id") or f"{path.stem}-{lineno:04d}")
         if item_id in seen:
-            # an item is never its own exemplar by id, so ids must be unique
+            # per-item report rows and the category map are keyed by id
             raise line_error(path, lineno, f"duplicate id {item_id!r}")
         seen.add(item_id)
         entries.append(DatasetEntry(item_id=item_id, item=item, split=split))
@@ -124,39 +126,42 @@ def format_item_block(item: MCQItem, answer: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def build_prompt(item: MCQItem, exemplars: Sequence[MCQItem], k: int) -> list[dict]:
-    """Instruction header, k worked exemplar blocks, then the target block."""
-    if k < 0:
-        raise ValueError("shot count must be >= 0")
-    if len(exemplars) < k:
-        raise ExemplarShortfall(f"need {k} exemplars, have {len(exemplars)}")
-    chosen = list(exemplars[:k])
-    for ex in chosen:
-        if ex.question == item.question and ex.options == item.options:
-            raise ExemplarLeakage(f"scored item appears among exemplars: {item.question[:40]!r}")
+def build_prompt(item: MCQItem, exemplars: Sequence[MCQItem]) -> list[dict]:
+    """Instruction header, one worked block per exemplar, then the target block."""
     blocks = [HEADER]
-    blocks.extend(format_item_block(ex, ex.correct_option) for ex in chosen)
+    blocks.extend(format_item_block(ex, ex.correct_option) for ex in exemplars)
     blocks.append(format_item_block(item))
     return [{"role": "user", "content": "\n\n".join(blocks)}]
 
 
+def _content_key(item: MCQItem) -> tuple:
+    """What makes two items the same question: an exemplar never shares it with the scored item."""
+    return item.question, tuple(sorted(item.options.items()))
+
+
 def check_shots(shots: Sequence[int], dataset: MCQDataset) -> None:
-    """Raise ConfigError unless `shots` is a non-empty list of ints >= 0 that
-    the dev pool can serve at every count. Dev items are scored too and are
-    never their own exemplar, so k shots need k + 1 dev items when k > 0."""
+    """Raise ConfigError unless `shots` is a non-empty list of ints >= 0 that every
+    item can be served: an item draws on every dev item but those with its content
+    key (itself included), so the limit is the dev count less the largest such group."""
     if not shots or not all(type(k) is int and k >= 0 for k in shots):
         raise ConfigError(f"shots must be a non-empty list of ints >= 0, got {shots!r}")
-    dev = len(dataset.split_entries(SPLIT_DEV))
-    if max(shots) > max(dev - 1, 0):
-        raise ConfigError(f"{max(shots)} shots need {max(shots) + 1} dev items; dataset {dataset.name!r} has {dev}")
+    dev = Counter(_content_key(e.item) for e in dataset.split_entries(SPLIT_DEV))
+    limit = dev.total() - max(dev[_content_key(e.item)] for e in dataset.entries)
+    if max(shots) > limit:
+        raise ConfigError(f"dataset {dataset.name!r} can give every item {limit} exemplars, not {max(shots)}")
 
 
 def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:
-    """First k dev-split items in dataset order, skipping the scored item."""
-    pool = [e.item for e in dataset.split_entries(SPLIT_DEV) if e.item_id != entry.item_id]
-    if len(pool) < k:
-        raise ExemplarShortfall(f"dev pool has {len(pool)} items, need {k}")
-    return pool[:k]
+    """First k dev-split items in dataset order whose question and options differ from the scored item's."""
+    return _exemplars(dataset.split_entries(SPLIT_DEV), entry.item, k)
+
+
+def _exemplars(dev: Sequence[DatasetEntry], item: MCQItem, k: int) -> list[MCQItem]:
+    key = _content_key(item)
+    chosen = list(islice((e.item for e in dev if _content_key(e.item) != key), k))
+    if len(chosen) < k:
+        raise ExemplarShortfall(f"{len(chosen)} dev items differ from the scored item, need {k}")
+    return chosen
 
 
 # --- answer extraction -----------------------------------------------------------
@@ -182,11 +187,11 @@ def extract_answer(raw: str, options: dict[str, str]) -> str | None:
 # --- evaluation run ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EvalRunConfig:
+    endpoint: EndpointConfig
     shots: int = 5
     seed: int = 0
-    endpoint: EndpointConfig | None = None
 
     def __post_init__(self):
         if self.shots < 0:
@@ -198,7 +203,7 @@ class EvalRunConfig:
             "exemplar_source": SPLIT_DEV,
             "extraction": EXTRACT_LETTER,
             "seed": self.seed,
-            "model": self.endpoint.model_name if self.endpoint else None,
+            "model": self.endpoint.model_name,
         }
 
 
@@ -264,17 +269,15 @@ def run_eval(
 ) -> EvalReport:
     """Prompt every item once and aggregate micro/macro accuracies.
 
-    Endpoint failures that survive retries mark the item as an abstention and
-    flag the report as degraded instead of aborting the run.
+    Every prompt is built before the first request, so an exemplar shortfall
+    sends none. Endpoint failures that survive retries mark the item as an
+    abstention and flag the report as degraded instead of aborting the run.
     """
-    if cfg.endpoint is None:
-        raise ValueError("run_eval needs cfg.endpoint")
+    dev = dataset.split_entries(SPLIT_DEV)
+    prompts = [build_prompt(e.item, _exemplars(dev, e.item, cfg.shots)) for e in dataset.entries]
 
-    def score(entry: DatasetEntry) -> dict:
-        exemplars = select_exemplars(dataset, entry, cfg.shots) if cfg.shots else []
-        messages = build_prompt(entry.item, exemplars, cfg.shots)
-        error = None
-        extracted = None
+    def score(entry: DatasetEntry, messages: list[dict]) -> dict:
+        error = extracted = None
         try:
             raw = client.complete(messages).text
             extracted = extract_answer(raw, entry.item.options)
@@ -291,7 +294,7 @@ def run_eval(
 
     with closing(ChatClient(cfg.endpoint, transport)) as client, \
             ThreadPoolExecutor(max_workers=cfg.endpoint.concurrency_limit) as pool:
-        rows = list(pool.map(score, dataset.entries))
+        rows = list(pool.map(score, dataset.entries, prompts))
     degraded = any(r["error"] is not None for r in rows)
     for row in rows:
         row.pop("error")

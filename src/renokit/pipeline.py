@@ -63,9 +63,9 @@ def config_digest(obj) -> str:
 
 
 def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path, stats_path) -> PipelineStats:
-    """Ingest (path, kind) sources into one document file sorted by doc_id."""
-    records = [r for path, kind in sources for r in records_from_path(path, kind)]
-    docs, stats = ingest_stream(records)
+    """Ingest (path, kind) sources into one document file sorted by doc_id; records are
+    read as they are extracted, and a bad row raises before any file is written."""
+    docs, stats = ingest_stream(r for path, kind in sources for r in records_from_path(path, kind))
     write_documents(docs_path, docs)
     if stats_path:
         write_json(stats_path, stats.to_dict())
@@ -112,6 +112,12 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
     if report_path:
         write_json(report_path, report.to_dict())
     return report
+
+
+def check_budget(budget: int) -> None:
+    """The request budget rule of `run` and `gen`: 0 sends nothing and replays a full archive."""
+    if budget < 0:
+        raise ConfigError(f"generation budget must be >= 0, got {budget}")
 
 
 def run_gen_stage(knowledge_path, template: PromptTemplate, endpoint: EndpointConfig, transport, budget: int,
@@ -238,6 +244,9 @@ class GenSection:
     template: str | None = None
     categories: str | None = None
     lenient: bool = False
+
+    def __post_init__(self):
+        check_budget(self.budget)
 
 
 @dataclass
@@ -452,27 +461,15 @@ class PipelineRunner:
         return self.manifest
 
 
-def run_pipeline(
-    config_path: str | Path,
-    out_dir: str | Path,
-    resume: bool = False,
-    gen_transport=None,
-    eval_transport=None,
-) -> PipelineManifest:
+def run_pipeline(config_path: str | Path, out_dir: str | Path, resume: bool = False, gen_transport=None,
+                 eval_transport=None) -> PipelineManifest:
     config_path = Path(config_path)
     try:
         config = read_json(config_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read pipeline config: {exc}") from None  # both errors name the file
-    runner = PipelineRunner(
-        config,
-        config_path.parent,
-        Path(out_dir),
-        resume=resume,
-        gen_transport=gen_transport,
-        eval_transport=eval_transport,
-    )
-    return runner.run()
+    return PipelineRunner(config, config_path.parent, Path(out_dir), resume=resume, gen_transport=gen_transport,
+                          eval_transport=eval_transport).run()
 
 
 # --- artifact summaries -------------------------------------------------------

@@ -26,6 +26,9 @@ class ScriptedTransport:
         self.calls += 1
         return Completion(text=self.script(messages), timestamp=stable_timestamp(messages))
 
+    def close(self) -> None:
+        """Nothing to release; here so that a client may own this transport."""
+
 
 class FailingTransport:
     def __init__(self, message: str = "boom"):

@@ -223,7 +223,7 @@ def test_c7_generation_validation(tmp_path):
 def test_c8_prompt_construction(evalhome):
     for entry in evalhome.entries:
         exemplars = select_exemplars(evalhome, entry, 5)
-        (msg,) = build_prompt(entry.item, exemplars, 5)
+        (msg,) = build_prompt(entry.item, exemplars)
         blocks = msg["content"].split("\n\n")
         exemplar_blocks = [b for b in blocks[1:] if not b.rstrip().endswith("答案：")]
         target_blocks = [b for b in blocks[1:] if b.rstrip().endswith("答案：")]
@@ -233,7 +233,7 @@ def test_c8_prompt_construction(evalhome):
         for block in exemplar_blocks:
             assert entry.item.question not in block, "scored item leaked into exemplars"
 
-        (zero,) = build_prompt(entry.item, [], 0)
+        (zero,) = build_prompt(entry.item, [])
         zero_blocks = zero["content"].split("\n\n")
         assert len(zero_blocks) == 2  # header + target only
         assert zero_blocks[1].rstrip().endswith("答案：")

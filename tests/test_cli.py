@@ -538,6 +538,8 @@ _RUN_CONFIG_ERRORS = {
     "run-allow-short-str": {"mix": {"allow_short": "no"}},
     "run-gen-budget-str": {"gen": {"endpoint": "ep.json", "budget": "many"}},
     "run-gen-no-budget": {"gen": {"endpoint": "ep.json"}},
+    # 0 replays a full archive; below that no budget is a count of requests
+    "run-gen-budget-negative": {"gen": {"endpoint": "ep.json", "budget": -1}},
     "run-eval-no-dataset": {"eval": {"endpoint": "ep.json"}},
     "run-eval-shots-int": {"eval": {**_EVAL, "shots": 5}},
     "run-eval-shots-negative": {"eval": {**_EVAL, "shots": [0, -5]}},

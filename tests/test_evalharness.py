@@ -4,17 +4,20 @@ import json
 
 import pytest
 
+import renokit.endpoint
+from renokit.cli import main
 from renokit.endpoint import EndpointConfig
 from renokit.errors import (
     ConfigError,
     DatasetMismatch,
-    ExemplarLeakage,
     ExemplarShortfall,
     SchemaError,
 )
 from renokit.evalharness import (
+    SPLIT_DEV,
     EvalReport,
     EvalRunConfig,
+    MCQDataset,
     best_of_settings,
     build_prompt,
     check_shots,
@@ -25,7 +28,7 @@ from renokit.evalharness import (
     select_exemplars,
     sweep_report,
 )
-from renokit.jsonl import write_jsonl
+from renokit.jsonl import write_json, write_jsonl
 from renokit.pipeline import run_eval_stage
 
 from fixture_data import build_evalhome_rows
@@ -38,6 +41,17 @@ def endpoint_cfg(concurrency: int = 4) -> EndpointConfig:
 
 def eval_cfg(shots: int = 0, **kwargs) -> EvalRunConfig:
     return EvalRunConfig(shots=shots, endpoint=endpoint_cfg(), **kwargs)
+
+
+def write_repeated(path):
+    """Four dev items, the third repeating the first's question and options under
+    its own id, then four test items."""
+    rows = build_evalhome_rows()[:8]
+    for i, row in enumerate(rows):
+        row["split"] = "dev" if i < 4 else "test"
+    rows[2].update({key: rows[0][key] for key in ("question", "question_type", "options", "correct_option")})
+    write_jsonl(path, rows)
+    return path
 
 
 class TestLoadDataset:
@@ -76,28 +90,39 @@ class TestLoadDataset:
 class TestBuildPrompt:
     def test_zero_shot_single_block(self, evalhome):
         entry = evalhome.entries[10]
-        (msg,) = build_prompt(entry.item, [], 0)
+        (msg,) = build_prompt(entry.item, [])
         assert msg["content"].count("答案：") == 1
         assert msg["content"].rstrip().endswith("答案：")
 
     def test_five_shot_blocks(self, evalhome):
         entry = evalhome.entries[10]
         exemplars = select_exemplars(evalhome, entry, 5)
-        (msg,) = build_prompt(entry.item, exemplars, 5)
+        (msg,) = build_prompt(entry.item, exemplars)
         # 5 worked exemplars with answers, one open target
         assert msg["content"].count("答案：") == 6
         for ex in exemplars:
             assert f"答案：{ex.correct_option}" in msg["content"]
 
-    def test_leakage_detected(self, evalhome):
-        entry = evalhome.entries[0]
-        with pytest.raises(ExemplarLeakage):
-            build_prompt(entry.item, [entry.item], 1)
+    def test_select_exemplars_skips_a_repeated_item(self, tmp_path):
+        # dev items 0 and 2 share question and options under different ids
+        dataset = load_dataset(write_repeated(tmp_path / "repeated.jsonl"))
+        first, _, repeat, other = dataset.entries[:4]
+        for entry in (first, repeat):
+            assert select_exemplars(dataset, entry, 2) == [dataset.entries[1].item, other.item]
+        assert select_exemplars(dataset, dataset.entries[1], 2) == [first.item, repeat.item]
 
     def test_shortfall(self, evalhome):
+        # evalhome has 6 dev items and entry 0 is one of them
         entry = evalhome.entries[0]
+        assert len(select_exemplars(evalhome, entry, 5)) == 5
         with pytest.raises(ExemplarShortfall):
-            build_prompt(entry.item, [], 3)
+            select_exemplars(evalhome, entry, 6)
+
+    def test_exemplars_match_the_item_id_rule_without_repeats(self, evalhome):
+        dev = evalhome.split_entries(SPLIT_DEV)
+        for entry in evalhome.entries:
+            by_id = [e.item for e in dev if e.item_id != entry.item_id][:5]
+            assert select_exemplars(evalhome, entry, 5) == by_id, entry.item_id
 
     def test_select_exemplars_skips_scored_item(self, evalhome):
         dev_entry = evalhome.entries[0]
@@ -160,6 +185,18 @@ class TestRunEval:
         r1 = run_eval(evalhome, cfg, transport=transport)
         r2 = run_eval(evalhome, cfg, transport=transport)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_dev_list_is_built_once_per_run(self, evalhome, monkeypatch):
+        calls = []
+        split_entries = MCQDataset.split_entries
+
+        def counting(dataset, split):
+            calls.append(split)
+            return split_entries(dataset, split)
+
+        monkeypatch.setattr(MCQDataset, "split_entries", counting)
+        run_eval(evalhome, eval_cfg(shots=5), transport=ConstantTransport("A"))
+        assert calls == [SPLIT_DEV]
 
     def test_endpoint_failure_degrades_not_aborts(self, evalhome):
         report = run_eval(evalhome, eval_cfg(), transport=FailingTransport("down"))
@@ -315,9 +352,22 @@ def test_check_shots_limit_is_dev_items_minus_one(evalhome, tmp_path):
         check_shots([1], load_dataset(path))
 
 
+# The repeated dev question leaves every item 2 exemplars, one less than
+# max(dev - 1, 0): 2 shots evaluate every item at each count, 3 send nothing.
+@pytest.mark.parametrize("shots, code, requests", [("0,2", 0, 8 * 2), ("0,3", 2, 0)], ids=["at-limit", "over-limit"])
+def test_cli_eval_with_a_repeated_dev_question(tmp_path, monkeypatch, shots, code, requests):
+    transport = ScriptedTransport(lambda messages: "答案：A")
+    monkeypatch.setattr(renokit.endpoint, "HttpTransport", lambda cfg: transport)
+    write_json(tmp_path / "ep.json", endpoint_cfg(concurrency=1).to_dict())
+    out = tmp_path / "report.json"
+    assert main(["eval", "--dataset", str(write_repeated(tmp_path / "repeated.jsonl")), "--endpoint",
+                 str(tmp_path / "ep.json"), "--shots", shots, "--out", str(out)]) == code
+    assert transport.calls == requests
+    assert out.exists() == (code == 0)
+
+
 def test_load_dataset_rejects_repeated_id(tmp_path):
-    # a dev item skips every exemplar that shares its id, so a repeated dev id
-    # would pass the up-front shot check and fall short mid-run
+    # per-item report rows and the category map are keyed by id
     row = {**build_evalhome_rows()[0], "split": "dev", "id": "dup"}
     path = tmp_path / "dup.jsonl"
     write_jsonl(path, [row, {**row, "question": "另一道题？"}])

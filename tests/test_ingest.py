@@ -22,6 +22,7 @@ from renokit.ingest import (
     write_documents,
 )
 from renokit.jsonl import write_jsonl
+from renokit.pipeline import run_ingest_stage
 from renokit.tokenizers import count_tokens
 
 from fixture_data import cjk_text
@@ -375,3 +376,36 @@ class TestFiles:
             write_jsonl(path, rows())
         assert path.read_text(encoding="utf-8") == '{"n": 0}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+
+
+class TestIngestStage:
+    def write_raw(self, tmp_path, bad_row: bool = False):
+        path = tmp_path / "raw.jsonl"
+        rows = [{"id": f"r{i}", "text": f"第{i}篇装修知识内容。"} for i in range(3)]
+        write_jsonl(path, rows + [{"id": "bad"}] * bad_row)
+        return path
+
+    def test_records_are_extracted_as_they_are_read(self, tmp_path, monkeypatch):
+        events = []
+        read, extract = ingest.read_jsonl, ingest.extract_text
+
+        def reading(path):
+            for row in read(path):
+                events.append("read")
+                yield row
+
+        def extracting(record):
+            events.append("extract")
+            return extract(record)
+
+        monkeypatch.setattr(ingest, "read_jsonl", reading)
+        monkeypatch.setattr(ingest, "extract_text", extracting)
+        stats = run_ingest_stage([(self.write_raw(tmp_path), "domain_book")], tmp_path / "docs.jsonl", None)
+        assert stats.total_documents == 3
+        assert events == ["read", "extract"] * 3
+
+    def test_bad_row_raises_before_any_file_is_written(self, tmp_path):
+        raw = self.write_raw(tmp_path, bad_row=True)
+        with pytest.raises(SchemaError, match="raw.jsonl: line 4: missing 'text'"):
+            run_ingest_stage([(raw, "domain_book")], tmp_path / "docs.jsonl", tmp_path / "stats.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.jsonl"]
