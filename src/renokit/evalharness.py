@@ -220,16 +220,15 @@ class EvalReport(Record):
     per_category: dict[str, dict]
     per_item: list[dict]
 
-    def validate(self) -> "EvalReport":
+    def __post_init__(self):
         # sweep tables label rows with these values
         if not all(type(v) is str for v in self.labels.values()):
             raise SchemaError(f"label values must be strings, got {self.labels!r}")
         if type(self.config.get("model", "")) not in (str, type(None)):
             raise SchemaError(f"config model must be a string or null, got {self.config['model']!r}")
-        return self
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, self)
 
 
 def _assemble_report(dataset: MCQDataset, cfg: EvalRunConfig, rows: list[dict], degraded: bool, labels: dict) -> EvalReport:

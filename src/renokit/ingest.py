@@ -15,10 +15,10 @@ import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DecodeError, EmptyAfterExtraction, SchemaError
-from .jsonl import Record, line_error, read_jsonl, read_records, write_jsonl
+from .jsonl import Record, line_error, read_jsonl, read_records
 from .tokenizers import TOKENIZER, count_tokens
 
 SOURCE_KINDS = ("national_standard", "domain_book", "domain_website", "general")
@@ -53,18 +53,17 @@ class Document(Record):
     status: str = STATUS_INGESTED
     reason: str | None = None
 
+    def __post_init__(self):
+        if self.source_kind not in SOURCE_KINDS:
+            raise SchemaError(f"document {self.doc_id}: bad source_kind {self.source_kind!r}")
+        if self.status not in _STATUSES:
+            raise SchemaError(f"document {self.doc_id}: bad status {self.status!r}")
+
     def mark(self, status: str, reason: str | None = None) -> None:
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
         self.status = status
         self.reason = reason
-
-    def validate(self) -> "Document":
-        if self.source_kind not in SOURCE_KINDS:
-            raise SchemaError(f"document {self.doc_id}: bad source_kind {self.source_kind!r}")
-        if self.status not in _STATUSES:
-            raise SchemaError(f"document {self.doc_id}: bad status {self.status!r}")
-        return self
 
 
 def doc_id_for(text: str, source_kind: str) -> str:
@@ -232,9 +231,10 @@ def strip_markup(text: str) -> str:
 # --- cleaning rules ---------------------------------------------------------
 
 # Scheme-prefixed URLs plus bare www. hosts; charset kept ASCII so adjacent
-# CJK text is never swallowed.
+# CJK text is never swallowed. Every alternative starts with h, f or w, and the
+# lookahead lets the scan skip any other position before trying them.
 _URL_RE = re.compile(
-    r"(?:(?:https?|ftp)://|(?<![A-Za-z0-9.])www\.)"
+    r"(?=[hfw])(?:(?:https?|ftp)://|(?<![A-Za-z0-9.])www\.)"
     r"[A-Za-z0-9._~:/?#@!$&'()*+;=%\[\]-]*"
 )
 
@@ -355,7 +355,7 @@ def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], Pipelin
     return docs, stats
 
 
-# --- file readers / writers --------------------------------------------------
+# --- file readers -----------------------------------------------------------
 
 
 def source_files(path: str | Path) -> list[Path]:
@@ -388,10 +388,6 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
                 yield record
         else:
             yield RawRecord(source_id=file.name, source_kind=kind, payload=file.read_bytes())
-
-
-def write_documents(path: str | Path, docs: Sequence[Document]) -> int:
-    return write_jsonl(path, (d.to_dict() for d in docs))
 
 
 def read_documents(path: str | Path) -> list[Document]:

@@ -17,24 +17,23 @@ from .errors import ConfigError, SchemaError
 class Record:
     """Mixin for a dataclass whose artifact is its fields in declaration order:
     to_dict() maps each field name to its value, without copying the value,
-    and from_dict() reads such an object back."""
+    and from_dict() reads such an object back. A record checks in its
+    constructor what the JSON types of its fields do not, so one that exists is valid."""
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, obj: dict):
-        """The record built from the keys named like its fields (others are ignored), then
-        validated; a missing required key or a value of the wrong JSON type raises SchemaError."""
-        return _build(cls, obj, cls.__name__, SchemaError).validate()
-
-    def validate(self):
-        """Check what the JSON types of the fields do not; returns self."""
-        return self
+        """The record built from the keys named like its fields (others are ignored); a missing
+        required key or a value of the wrong JSON type raises SchemaError, and a value the
+        constructor refuses raises the constructor's error."""
+        return _build(cls, obj, cls.__name__, SchemaError)
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+    """`obj` as one line of JSON; a Record in it is written as its to_dict()."""
+    return json.dumps(obj, ensure_ascii=False, default=Record.to_dict)
 
 
 def line_error(path: str | Path, lineno: int, problem: Any) -> SchemaError:
@@ -98,7 +97,7 @@ def _atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+def write_jsonl(path: str | Path, rows: Iterable[dict | Record]) -> int:
     n = 0
     with _atomic_write(path) as fh:
         for row in rows:

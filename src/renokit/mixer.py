@@ -218,10 +218,9 @@ class MipRecord(Record):
     text: str
     origin: str
 
-    def validate(self) -> "MipRecord":
+    def __post_init__(self):
         if self.origin not in MIP_ORIGINS:
             raise SchemaError(f"record {self.id}: origin must be one of {MIP_ORIGINS}, got {self.origin!r}")
-        return self
 
 
 def build_mip(
@@ -271,5 +270,5 @@ def trainer_config_for_mode(mode: str) -> TrainerConfig:
 
 def emit_trainer_config(mode: str, path: str | Path) -> TrainerConfig:
     cfg = trainer_config_for_mode(mode)
-    write_json(path, cfg.to_dict())
+    write_json(path, cfg)
     return cfg

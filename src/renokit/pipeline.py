@@ -4,9 +4,10 @@ implementation of each stage that both the runner and the CLI call.
 Each stage records the sha256 of its inputs, outputs, and config in an
 append-only manifest. A resumed run re-verifies those digests: a matching
 stage is skipped, and a changed source file, or a file that a later run of
-an earlier stage rewrote, is stale and recomputed. A file the pipeline wrote
-that matches no digest recorded for it is an error rather than a silent
-recompute.
+an earlier stage rewrote, is stale and recomputed. A stage whose attempt was
+cut short is recorded unfinished and reruns, and a file it may have written
+is stale too. A file the pipeline wrote that matches no digest recorded for
+it is an error rather than a silent recompute.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .ingest import (
     read_documents,
     records_from_path,
     source_files,
-    write_documents,
 )
 from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records,
                     record_from_dict, write_json, write_jsonl)
@@ -66,25 +66,25 @@ def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path, stats
     """Ingest (path, kind) sources into one document file sorted by doc_id; records are
     read as they are extracted, and a bad row raises before any file is written."""
     docs, stats = ingest_stream(r for path, kind in sources for r in records_from_path(path, kind))
-    write_documents(docs_path, docs)
+    write_jsonl(docs_path, docs)
     if stats_path:
-        write_json(stats_path, stats.to_dict())
+        write_json(stats_path, stats)
     return stats
 
 
 def run_filter_stage(docs_path, cfg: FilterConfig, kept_path, report_path) -> FilterReport:
     kept, report = run_filters(read_documents(docs_path), cfg)
-    write_documents(kept_path, kept)
-    write_json(report_path, report.to_dict())
+    write_jsonl(kept_path, kept)
+    write_json(report_path, report)
     return report
 
 
 def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report_path) -> DedupReport:
     unique, pairs, report = run_dedup(read_documents(kept_path), cfg)
-    write_documents(unique_path, unique)
-    write_jsonl(pairs_path, (p.to_dict() for p in pairs))
+    write_jsonl(unique_path, unique)
+    write_jsonl(pairs_path, pairs)
     if report_path:
-        write_json(report_path, report.to_dict())
+        write_json(report_path, report)
     return report
 
 
@@ -110,7 +110,7 @@ def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, genera
         mixed, report = mix(domain, general, plan)
     write_jsonl(train_path, mixed)
     if report_path:
-        write_json(report_path, report.to_dict())
+        write_json(report_path, report)
     return report
 
 
@@ -133,9 +133,9 @@ def run_gen_stage(knowledge_path, template: PromptTemplate, endpoint: EndpointCo
         items, report = batch_generate(docs, [template.kind], client, budget=budget,
                                        archive=ResponseArchive(archive_dir), templates={template.kind: template},
                                        lenient=lenient)
-    write_jsonl(sft_path, (it.to_dict() for it in items))
+    write_jsonl(sft_path, items)
     if report_path:
-        write_json(report_path, report.to_dict())
+        write_json(report_path, report)
     return report
 
 
@@ -163,7 +163,7 @@ class StageRecord(Record):
     inputs: dict[str, str]
     outputs: dict[str, str]
     started: str
-    finished: str
+    finished: str  # "" while the attempt is unfinished; its outputs then carry no digests
 
 
 @dataclass
@@ -351,14 +351,17 @@ class PipelineRunner:
 
     def _can_skip(self, stage: str, digest: str, inputs: Sequence[str | Path]) -> bool:
         """On resume, skip a stage whose config, input files and recorded digests
-        are unchanged. A changed file is stale, and the stage reruns, when no
-        record lists it as an output (a source file) or when it holds the latest
-        output recorded for its path (an earlier stage's rerun rewrote it). A
-        file the pipeline wrote that matches neither is refused."""
+        are unchanged; a stage whose latest attempt did not finish reruns. A
+        changed file is stale, and the stage reruns, when no record lists it as
+        an output (a source file), when it holds the latest output recorded for
+        its path (an earlier stage's rerun rewrote it), or when the latest
+        record naming it is an unfinished attempt, which may have rewritten it.
+        A file the pipeline wrote that matches none of these is refused."""
         if not self.resume:
             return False
         record = self.manifest.latest(stage)
-        if record is None or record.config_digest != digest or set(record.inputs) != {str(p) for p in inputs}:
+        if (record is None or not record.finished or record.config_digest != digest
+                or set(record.inputs) != {str(p) for p in inputs}):
             return False
         written = self.manifest.output_digests()
         fresh = True
@@ -369,35 +372,32 @@ class PipelineRunner:
             have = file_digest(path)
             if have == want:
                 continue
-            if path_str in written and have != written[path_str]:
+            if written.get(path_str, "") not in ("", have):
                 raise StageFailure(stage, f"digest mismatch for {path} (file changed since last run)")
             fresh = False
         return fresh
 
     def _run_stage(self, stage: str, inputs: Sequence[str | Path], outputs: Sequence[Path],
                    action: Callable[[], object]) -> None:
+        """Run `action` unless the stage can be skipped. The attempt is recorded before
+        `action` runs and gets its digests and `finished` time once `action` returns."""
         digest = self._stage_digest(stage)
         if self._can_skip(stage, digest, inputs):
             return
-        started = utc_now_iso()
+        record = StageRecord(stage=stage, config_digest=digest, seed=self.seed, inputs={},
+                             outputs=dict.fromkeys(map(str, outputs), ""), started=utc_now_iso(), finished="")
+        self.manifest.stages.append(record)
+        write_json(self.manifest_path, self.manifest)
         try:
             action()
         except (StageFailure, BudgetExhausted):
             raise
         except Exception as exc:
             raise StageFailure(stage, str(exc)) from exc
-        self.manifest.stages.append(
-            StageRecord(
-                stage=stage,
-                config_digest=digest,
-                seed=self.seed,
-                inputs={str(p): file_digest(p) for p in inputs},
-                outputs={str(p): file_digest(p) for p in outputs},
-                started=started,
-                finished=utc_now_iso(),
-            )
-        )
-        write_json(self.manifest_path, self.manifest.to_dict())
+        record.inputs = {str(p): file_digest(p) for p in inputs}
+        record.outputs = {str(p): file_digest(p) for p in outputs}
+        record.finished = utc_now_iso()
+        write_json(self.manifest_path, self.manifest)
 
     # --- stages -----------------------------------------------------------
 

@@ -16,14 +16,14 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from threading import Event, Lock
+from threading import Lock
 from typing import Callable, Sequence
 
-from .endpoint import ChatClient, Completion, ResponseArchive, request_id
+from .endpoint import ChatClient, Completion, OfflineTransport, ResponseArchive, request_id
 from .errors import (
     ArityError,
     BudgetExhausted,
@@ -122,7 +122,7 @@ class InstructionSample(Record):
     knowledge_id: str
     gen_meta: dict = field(default_factory=dict)
 
-    def validate(self) -> "InstructionSample":
+    def __post_init__(self):
         if self.kind not in (KIND_ONE_TURN, KIND_MULTI_TURN):
             raise SchemaError(f"bad sample kind {self.kind!r}")
         if not all(isinstance(t, dict) for t in self.turns):
@@ -138,7 +138,6 @@ class InstructionSample(Record):
             raise SchemaError("one-turn samples have exactly 2 turns")
         if self.kind == KIND_MULTI_TURN and len(self.turns) < 4:
             raise SchemaError("multi-turn samples have at least 4 turns")
-        return self
 
 
 @dataclass
@@ -152,7 +151,7 @@ class MCQItem(Record):
     subclass: str = "未分类"
     difficulty: str = "expertise"
 
-    def validate(self) -> "MCQItem":
+    def __post_init__(self):
         if not self.question.strip():
             raise SchemaError("question must be non-empty")
         if self.question_type == QUESTION_SINGLE:
@@ -171,7 +170,6 @@ class MCQItem(Record):
             raise OptionMismatch(f"correct option {self.correct_option!r} not in {sorted(self.options)}")
         if self.difficulty not in DIFFICULTIES:
             raise SchemaError(f"difficulty must be one of {DIFFICULTIES}")
-        return self
 
 
 # --- response parsing -----------------------------------------------------------
@@ -291,7 +289,7 @@ def parse_mcq_response(raw: str) -> MCQItem:
     if not isinstance(options_raw, dict):
         raise MalformedResponse("candidate_options must be an object")
     options = {str(k).strip().upper(): str(v) for k, v in options_raw.items()}
-    item = MCQItem(
+    return MCQItem(
         question=str(question),
         question_type=qtype,
         options=options,
@@ -301,7 +299,6 @@ def parse_mcq_response(raw: str) -> MCQItem:
         subclass=str(value.get("subclass", "未分类")),
         difficulty=str(value.get("difficulty", "expertise")),
     )
-    return item.validate()
 
 
 # --- generation ops --------------------------------------------------------------
@@ -327,7 +324,7 @@ def gen_one_turn(
     samples: list[InstructionSample] = []
     for entry in items:
         step2 = complete([{"role": "user", "content": entry["question"]}])
-        sample = InstructionSample(
+        samples.append(InstructionSample(
             kind=KIND_ONE_TURN,
             turns=[
                 {"role": "user", "content": entry["question"]},
@@ -336,8 +333,7 @@ def gen_one_turn(
             category=entry["category"],
             knowledge_id=knowledge.doc_id,
             gen_meta=_meta(model_name, step2.timestamp, step1.text, step2.text),
-        )
-        samples.append(sample.validate())
+        ))
     return samples
 
 
@@ -349,13 +345,12 @@ def gen_multi_turn(
 ) -> InstructionSample:
     resp = complete([{"role": "user", "content": template.render(knowledge.text)}])
     turns = parse_multi_turn_response(resp.text)
-    sample = InstructionSample(
+    return InstructionSample(
         kind=KIND_MULTI_TURN,
         turns=turns,
         knowledge_id=knowledge.doc_id,
         gen_meta=_meta(model_name, resp.timestamp, resp.text),
     )
-    return sample.validate()
 
 
 def gen_mcq(knowledge: Document, complete: Completer, template: PromptTemplate, model_name: str) -> MCQItem:
@@ -371,23 +366,27 @@ class ArchivedCompleter:
 
     Archived entries are replayed without consuming budget; fresh requests
     take one of `budget` requests, hit the client, and are written back as
-    either a response or a classified endpoint error. A request whose id is
-    already in flight on another thread waits for that entry and counts as
-    replayed, so identical concurrent requests are sent and paid for once.
-    Replayed errors re-raise, so a replayed run reproduces the original
-    accept/reject decisions exactly. An entry that does not parse, or holds
-    neither a response nor an error, counts as missing: a warning is logged,
-    the request is sent again and its new entry replaces the old one.
+    either a response or a classified endpoint error. Over an
+    OfflineTransport nothing is written back: its refusal is no answer of
+    the endpoint, so a later online run sends the request. A request whose
+    id is already in flight on another thread gets that request's entry, or
+    its exception, from the sender and counts as replayed, so identical
+    concurrent requests are sent and paid for once. Replayed errors
+    re-raise, so a replayed run reproduces the original accept/reject
+    decisions exactly. An entry that does not parse, or holds neither a
+    response nor an error, counts as missing: a warning is logged, the
+    request is sent again and its new entry replaces the old one.
     """
 
     def __init__(self, client: ChatClient, archive: ResponseArchive, budget: int):
         self.client = client
         self.archive = archive
         self.budget = budget
+        self.offline = isinstance(client.transport, OfflineTransport)
         self.sent = 0
         self.replayed = 0
         self._lock = Lock()
-        self._in_flight: dict[str, Event] = {}
+        self._in_flight: dict[str, Future] = {}
 
     def __call__(self, messages: Sequence[dict]) -> Completion:
         rid = request_id(self.client.cfg.model_name, messages, self.client.cfg.temperature)
@@ -401,17 +400,21 @@ class ArchivedCompleter:
                 raise BudgetExhausted(f"request budget of {self.budget} exhausted")
             else:
                 self.sent += 1
-                self._in_flight[rid] = Event()
+                self._in_flight[rid] = sending = Future()
         if fresh:
             try:
                 entry = self._send(rid, messages)
-                self.archive.store(rid, entry)
+                if not self.offline:
+                    self.archive.store(rid, entry)
+                sending.set_result(entry)
+            except BaseException as exc:
+                sending.set_exception(exc)
+                raise
             finally:
                 with self._lock:
-                    self._in_flight.pop(rid).set()
+                    del self._in_flight[rid]
         elif pending is not None:
-            pending.wait()
-            entry = self.archive.load(rid)
+            entry = pending.result()
         if entry.get("error") is not None:
             raise EndpointError(entry["error"])
         return Completion(text=entry["response"], timestamp=entry.get("timestamp") or "")
@@ -492,12 +495,16 @@ def batch_generate(
     jobs = [(doc, kind) for doc in usable for kind in kinds]
 
     def run_job(job):
+        """The job's samples or item; one that fails its schema rejects the whole job as malformed."""
         doc, kind = job
-        if kind == KIND_ONE_TURN:
-            return gen_one_turn(doc, completer, templates[kind], client.cfg.model_name, lenient=lenient)
-        if kind == KIND_MULTI_TURN:
-            return [gen_multi_turn(doc, completer, templates[kind], client.cfg.model_name)]
-        return [gen_mcq(doc, completer, templates[kind], client.cfg.model_name)]
+        try:
+            if kind == KIND_ONE_TURN:
+                return gen_one_turn(doc, completer, templates[kind], client.cfg.model_name, lenient=lenient)
+            if kind == KIND_MULTI_TURN:
+                return [gen_multi_turn(doc, completer, templates[kind], client.cfg.model_name)]
+            return [gen_mcq(doc, completer, templates[kind], client.cfg.model_name)]
+        except SchemaError as exc:
+            raise MalformedResponse(str(exc)) from None
 
     # Futures are read in job order, so the output is in (doc_id, kind) order
     # whatever order the jobs finish in.

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
+import shutil
 
 import pytest
 
@@ -296,6 +299,29 @@ class TestPipelineRun:
         for name in ("kept.jsonl", "filter_report.json", "unique.jsonl", "train.jsonl"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
+    def test_gen_rejects_a_reply_that_fails_its_schema(self, tmp_path):
+        """An MCQ reply with an unknown difficulty is one MalformedResponse rejection, not a stage
+        failure; a second run into the same out dir replays it from the run's archive."""
+        def reply(messages):
+            difficulty = "easy" if "指南" in messages[0]["content"] else "expertise"  # one web page's doc
+            return json.dumps({**_MCQ_REPLY, "difficulty": difficulty}, ensure_ascii=False)
+
+        config = _full_config(tmp_path)
+        _mock_run(config, tmp_path / "out", reply)
+        report = read_json(tmp_path / "out" / "gen_report.json")
+        assert (report["accepted"], report["rejected"], report["requests_sent"]) == (9, {"MalformedResponse": 1}, 10)
+        sft = (tmp_path / "out" / "sft.jsonl").read_bytes()
+        assert len(sft.splitlines()) == 9
+
+        def refuse(messages):
+            raise AssertionError("sent a request the archive holds")
+
+        _mock_run(config, tmp_path / "out", refuse)
+        replay = read_json(tmp_path / "out" / "gen_report.json")
+        assert (replay["requests_sent"], replay["replayed"]) == (0, 10)
+        assert replay["rejected"] == {"MalformedResponse": 1}
+        assert (tmp_path / "out" / "sft.jsonl").read_bytes() == sft
+
     def test_cli_run_and_exit_codes(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
         assert run_cli("run", "--config", config, "--out-dir", tmp_path / "out") == 0
@@ -354,18 +380,106 @@ def _full_config(tmp_path):
     return config_path
 
 
-def _gen_and_eval_run(tmp_path):
-    """_full_config run into tmp_path/out, gen and eval answered by the test mocks."""
+_MCQ_REPLY = {
+    "question": "知识点判断？",
+    "question_type": "单选",
+    "candidate_options": {k: f"选{k}" for k in "ABCD"},
+    "answer": {"correct_option": "A", "reason": "依据"},
+}
+
+
+def _mock_run(config_path, out, reply=lambda messages: json.dumps(_MCQ_REPLY, ensure_ascii=False), resume=False):
+    """run_pipeline with gen answered by `reply` and eval by a constant answer, through the test mocks."""
     from mocks import ConstantTransport, ScriptedTransport
 
-    mcq = json.dumps({
-        "question": "知识点判断？",
-        "question_type": "单选",
-        "candidate_options": {k: f"选{k}" for k in "ABCD"},
-        "answer": {"correct_option": "A", "reason": "依据"},
-    }, ensure_ascii=False)
-    return run_pipeline(_full_config(tmp_path), tmp_path / "out", gen_transport=ScriptedTransport(lambda m: mcq),
+    return run_pipeline(config_path, out, resume=resume, gen_transport=ScriptedTransport(reply),
                         eval_transport=ConstantTransport("答案：A"))
+
+
+def _gen_and_eval_run(tmp_path):
+    """_full_config run into tmp_path/out, gen and eval answered by the test mocks."""
+    return _mock_run(_full_config(tmp_path), tmp_path / "out")
+
+
+def _artifacts(out):
+    """Every file of a run's out dir but the manifest, by name; gen_report.json's count of
+    requests is summed over sent and replayed, which a resume splits differently."""
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file() and p.name != "manifest.json"}
+    gen = json.loads(files.pop("gen_report.json"))
+    gen["requests"] = gen.pop("requests_sent") + gen.pop("replayed")
+    return files, gen
+
+
+def _cut_at(k):
+    """An _atomic_write that raises KeyboardInterrupt at its k-th call, before it writes anything."""
+    real = renokit.jsonl._atomic_write
+    calls = itertools.count(1)
+
+    @contextlib.contextmanager
+    def atomic_write(path):
+        if next(calls) == k:
+            raise KeyboardInterrupt(f"write {k}: {path}")
+        with real(path) as fh:
+            yield fh
+
+    return atomic_write
+
+
+def _restore(saved, out):
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(saved, out)
+
+
+class TestInterruptedRun:
+    """A run cut short at any file write leaves nothing that poisons a resume: resumed with
+    its own config or with the one before it, it ends with the artifacts of a clean run."""
+
+    @pytest.fixture()
+    def configs(self, tmp_path):
+        config_a = _full_config(tmp_path)
+        config = json.loads(config_a.read_text(encoding="utf-8"))
+        config["filters"]["min_effective_chars"] = 160
+        config_b = tmp_path / "pipeline_b.json"
+        config_b.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        clean = {}
+        for config_path in (config_a, config_b):
+            _mock_run(config_path, tmp_path / f"clean_{config_path.stem}")
+            clean[config_path] = _artifacts(tmp_path / f"clean_{config_path.stem}")
+        assert clean[config_a] != clean[config_b]
+        return config_a, config_b, clean
+
+    def cut_every_write(self, tmp_path, monkeypatch, configs, start) -> int:
+        """From the out dir saved at `start`, cut a resumed run of config B at each of its writes in
+        turn, then resume with B and with A; returns the number of writes of the whole run."""
+        config_a, config_b, clean = configs
+        out, cut = tmp_path / "out", tmp_path / "cut"
+        for k in itertools.count(1):
+            _restore(start, out)
+            with monkeypatch.context() as m:
+                m.setattr(renokit.jsonl, "_atomic_write", _cut_at(k))
+                try:
+                    _mock_run(config_b, out, resume=True)
+                except KeyboardInterrupt:
+                    pass
+                else:
+                    return k - 1
+            _restore(out, cut)
+            for config_path in (config_b, config_a):
+                _restore(cut, out)
+                _mock_run(config_path, out, resume=True)
+                assert _artifacts(out) == clean[config_path], (k, config_path.name)
+
+    def test_cut_after_a_finished_run_of_other_config(self, tmp_path, monkeypatch, configs):
+        _mock_run(configs[0], tmp_path / "out")
+        _restore(tmp_path / "out", tmp_path / "start")
+        # filter 4 writes (the unfinished record, two files, the finished record), dedup and mix 5,
+        # gen 4 (every request is in the archive); ingest and eval are skipped
+        assert self.cut_every_write(tmp_path, monkeypatch, configs, tmp_path / "start") == 18
+
+    def test_cut_in_a_first_run(self, tmp_path, monkeypatch, configs):
+        (tmp_path / "start").mkdir()
+        # the 18 above, ingest 4, eval 3 and 8 archive entries
+        assert self.cut_every_write(tmp_path, monkeypatch, configs, tmp_path / "start") == 33
 
 
 def _mip_run(tmp_path):

@@ -19,7 +19,6 @@ from renokit.ingest import (
     read_documents,
     records_from_path,
     strip_markup,
-    write_documents,
 )
 from renokit.jsonl import write_jsonl
 from renokit.pipeline import run_ingest_stage
@@ -277,6 +276,47 @@ class TestTableLines:
         assert not _is_table_line("")
 
 
+# The URL pattern before the (?=[hfw]) lookahead, kept as the oracle.
+OLD_URL_RE = re.compile(
+    r"(?:(?:https?|ftp)://|(?<![A-Za-z0-9.])www\.)"
+    r"[A-Za-z0-9._~:/?#@!$&'()*+;=%\[\]-]*"
+)
+
+
+class TestUrlPattern:
+    URL_CHARS = "abcfhtpwxyzABFHW019._~:/?#@!$&'()*+;=%[]-"
+    FRAGMENTS = ["www.", "://", "http", "https://", "ftp://", "www", "wWw.", "hfw", ".", "地板", "防水施工", " ",
+                 "\n", "<p>", "。", "详见 "]
+
+    def strings(self):
+        rng = random.Random(21)
+        for _ in range(20000):
+            parts = []
+            for _ in range(rng.randint(0, 12)):
+                if rng.random() < 0.4:
+                    parts.append(rng.choice(self.FRAGMENTS))
+                else:
+                    parts.append("".join(rng.choice(self.URL_CHARS) for _ in range(rng.randint(1, 5))))
+            yield "".join(parts)
+
+    def pages(self):
+        """Web pages shaped like the benchmark's: a URL among CJK prose, in and out of markup."""
+        rng = random.Random(22)
+        for n in range(200):
+            body = cjk_text(rng, 120)
+            yield (f"<html><head><title>{body[:6]}</title></head><body><p>{body[:60]}</p>"
+                   f"<img src=\"/img/{n}.png\"/><p>{body[60:]} 详见 https://www.example.com/item/{n}.html 。"
+                   f"或 www.example.cn/{n}，ftp://files.example.com/{n}.pdf</p></body></html>")
+
+    def test_matches_the_old_pattern(self):
+        removed = 0
+        for text in [*self.strings(), *self.pages()]:
+            expected = OLD_URL_RE.sub("", text)
+            assert ingest._URL_RE.sub("", text) == expected, repr(text)
+            removed += expected != text
+        assert removed > 2000
+
+
 class TestTokenizer:
     def test_empty(self):
         assert count_tokens("") == 0
@@ -327,7 +367,7 @@ class TestFiles:
     def test_document_roundtrip(self, tmp_path):
         docs, _ = ingest_stream([rec("地板安装流程说明", sid="a"), rec("防水施工要点", sid="b")])
         path = tmp_path / "docs.jsonl"
-        write_documents(path, docs)
+        write_jsonl(path, docs)
         loaded = read_documents(path)
         assert [d.to_dict() for d in loaded] == [d.to_dict() for d in docs]
 

@@ -16,7 +16,7 @@ import pytest
 import renokit
 from renokit.dedup import DedupReport, DupPair
 from renokit.endpoint import EndpointConfig
-from renokit.errors import SchemaError
+from renokit.errors import ArityError, OptionMismatch, SchemaError
 from renokit.evalharness import EvalReport, load_dataset
 from renokit.filters import FilterReport
 from renokit.ingest import Document, PipelineStats, read_documents
@@ -37,7 +37,8 @@ _RECORDS = [
     (MCQItem(question="q", question_type="judgment", options={"A": "是", "B": "否"}, correct_option="A",
              reason="", category="c", subclass="s", difficulty="expertise"),
      ["question", "question_type", "options", "correct_option", "reason", "category", "subclass", "difficulty"]),
-    (InstructionSample(kind="one_turn", turns=[], knowledge_id="k"),
+    (InstructionSample(kind="one_turn", turns=[{"role": "user", "content": "问？"}, {"role": "assistant", "content": "答。"}],
+                       knowledge_id="k"),
      ["kind", "turns", "category", "knowledge_id", "gen_meta"]),
     (EvalReport(dataset="e", items_total=0, config={}, per_item=[], per_category={}, overall_micro=0.0,
                 overall_macro=0.0),
@@ -177,3 +178,41 @@ def test_every_record_reads_back_through_from_dict():
         assert _field_table(cls)
     with pytest.raises(SchemaError, match="missing required key"):
         EvalReport.from_dict({"dataset": "e"})
+
+
+
+# A valid constructor call per record class with checks of its own, and the changes that break it.
+_VALID = {
+    Document: _DOC,
+    InstructionSample: _SAMPLE,
+    MCQItem: _MCQ,
+    MipRecord: _MIP_ROW,
+    EvalReport: {"dataset": "e", "items_total": 0, "config": {}, "per_item": [], "per_category": {},
+                 "overall_micro": 0.0, "overall_macro": 0.0},
+}
+_REFUSED = [
+    (Document, {"source_kind": "blog"}, SchemaError, "document d: bad source_kind 'blog'"),
+    (Document, {"status": "gone"}, SchemaError, "document d: bad status 'gone'"),
+    (InstructionSample, {"turns": _TURNS[:1]}, SchemaError, "one-turn samples have exactly 2 turns"),
+    (InstructionSample, {"turns": [_TURNS[0], {"role": "assistant", "content": " "}]}, SchemaError,
+     "every turn needs non-empty content"),
+    (MCQItem, {"difficulty": "easy"}, SchemaError,
+     "difficulty must be one of ('fundamentals', 'expertise', 'innovative_design')"),
+    (MCQItem, {"options": {"A": "是", "B": "否", "C": "或"}}, ArityError,
+     "judgment needs options ('A', 'B'), got ['A', 'B', 'C']"),
+    (MCQItem, {"correct_option": "C"}, OptionMismatch, "correct option 'C' not in ['A', 'B']"),
+    (MipRecord, {"origin": "general"}, SchemaError,
+     "record r: origin must be one of ('pretrain', 'instruction'), got 'general'"),
+    (EvalReport, {"labels": {"model": 1}}, SchemaError, "label values must be strings, got {'model': 1}"),
+    (EvalReport, {"config": {"model": 5}}, SchemaError, "config model must be a string or null, got 5"),
+]
+
+
+@pytest.mark.parametrize("cls, changes, error, message", _REFUSED,
+                         ids=[f"{cls.__name__}-{key}" for cls, changes, *_ in _REFUSED for key in changes])
+def test_constructor_refuses_a_bad_value(cls, changes, error, message):
+    """A record checks itself when built, so no invalid record exists to be written."""
+    cls(**_VALID[cls])
+    with pytest.raises(error) as info:
+        cls(**{**_VALID[cls], **changes})
+    assert type(info.value) is error and str(info.value) == message

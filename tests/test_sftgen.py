@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from renokit.errors import (
     ArityError,
     CategoryOutOfSet,
     CountOutOfRange,
+    EndpointError,
     MalformedResponse,
     OptionMismatch,
     RoleOrderViolation,
@@ -211,13 +213,13 @@ class TestSchemas:
             knowledge_id="k1",
             category="行业标准",
             gen_meta={"model_name": "m", "timestamp": "t", "raw_response_hash": "abc123"},
-        ).validate()
+        )
         again = InstructionSample.from_dict(json.loads(json.dumps(sample.to_dict(), ensure_ascii=False)))
         assert again.to_dict() == sample.to_dict()
 
     def test_one_turn_needs_two_turns(self):
         with pytest.raises(SchemaError):
-            InstructionSample(kind="one_turn", turns=[{"role": "user", "content": "只有问"}], knowledge_id="k").validate()
+            InstructionSample(kind="one_turn", turns=[{"role": "user", "content": "只有问"}], knowledge_id="k")
 
     def test_multi_turn_minimum_four(self):
         with pytest.raises(SchemaError):
@@ -225,7 +227,7 @@ class TestSchemas:
                 kind="multi_turn",
                 turns=[{"role": "user", "content": "a"}, {"role": "assistant", "content": "b"}],
                 knowledge_id="k",
-            ).validate()
+            )
 
     def test_mcq_reload_fixpoint(self):
         item = MCQItem(
@@ -237,7 +239,7 @@ class TestSchemas:
             category="fundamentals",
             subclass="子类",
             difficulty="fundamentals",
-        ).validate()
+        )
         assert MCQItem.from_dict(item.to_dict()).to_dict() == item.to_dict()
 
 
@@ -387,6 +389,49 @@ class TestBatchGenerate:
         assert [i.to_dict() for i in items1] == [i.to_dict() for i in items2]
 
 
+class TestSchemaFailureIsRejection:
+    """A reply whose sample or item fails its schema rejects its job as MalformedResponse; the batch goes on."""
+
+    @staticmethod
+    def script(messages):
+        content = messages[0]["content"]
+        marker = re.search(r"G\d{3}", content).group(0)
+        if "单选题或判断题" in content:
+            return json.dumps({
+                "question": f"[{marker}] 正确的说法是？",
+                "question_type": "单选",
+                "candidate_options": {k: f"{marker}选项{k}" for k in "ABCD"},
+                "answer": {"correct_option": "A", "reason": "依据"},
+                "difficulty": "easy" if marker == "G001" else "fundamentals",
+            }, ensure_ascii=False)
+        if "出5至20道题" in content:
+            return json.dumps([{"question": f"[{marker}] 问题{j}？", "answer": "短答", "category": CATEGORIES[0]}
+                               for j in range(5)], ensure_ascii=False)
+        return "  " if content == "[G002] 问题3？" else "详细答案。"  # a blank step-2 answer for G002
+
+    def run(self, archive_dir, transport=None):
+        cfg = EndpointConfig(base_url="http://mock.invalid", model_name="mock-model")
+        client = ChatClient(cfg, transport or ScriptedTransport(self.script))
+        return batch_generate(build_gen_docs()[:3], ["mcq", "one_turn"], client, budget=100,
+                              archive=ResponseArchive(archive_dir))
+
+    def test_rejected_as_malformed(self, tmp_path):
+        items, report = self.run(tmp_path / "arch")
+        assert report.rejected == {"MalformedResponse": 2}
+        assert report.jobs_accepted == 4
+        assert report.jobs_accepted + report.rejected_total == report.jobs_total == 6
+        assert report.accepted_per_kind == {"mcq": 2, "one_turn": 10}
+        assert "[G001]" not in "".join(getattr(i, "question", "") for i in items)
+        assert not any(i.knowledge_id == build_gen_docs()[1].doc_id for i in items if hasattr(i, "turns"))
+
+    def test_replay_rejects_the_same(self, tmp_path):
+        items1, report1 = self.run(tmp_path / "arch")
+        items2, report2 = self.run(tmp_path / "arch", transport=OfflineTransport())
+        assert [i.to_dict() for i in items2] == [i.to_dict() for i in items1]
+        assert (report2.requests_sent, report2.replayed) == (0, report1.requests_sent)
+        assert report2.rejected == report1.rejected
+
+
 class TestArchivedCompleter:
     def test_identical_concurrent_requests_spend_budget_once(self, tmp_path):
         def held_reply(messages):
@@ -406,6 +451,37 @@ class TestArchivedCompleter:
         assert [r.text for r in replies] == ["答复", "答复"]
         assert transport.calls == 1
         assert (completer.sent, completer.replayed) == (1, 1)
+
+    def test_offline_refusal_is_not_archived(self, tmp_path):
+        """Offline, a request missing from the archive is rejected as EndpointError and nothing is
+        stored, so a later online run sends it."""
+        docs = build_gen_docs()[:3]
+        archive = ResponseArchive(tmp_path / "arch")
+        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), OfflineTransport())
+        items, report = batch_generate(docs, ["mcq"], client, budget=100, archive=archive)
+        assert (items, report.rejected) == ([], {"EndpointError": 3})
+        assert len(archive) == 0
+        items, report = batch_generate(docs, ["mcq"], make_client(gen_script(CATEGORIES)), budget=100, archive=archive)
+        assert (report.requests_sent, report.accepted, report.rejected_total) == (3, 3, 0)
+
+    def test_waiter_gets_the_senders_refusal(self, tmp_path):
+        class HeldOffline(OfflineTransport):
+            def complete(self, model, messages, temperature):
+                # hold the refusal until the identical second request waits on it
+                deadline = time.monotonic() + 5
+                while completer.replayed == 0 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return super().complete(model, messages, temperature)
+
+        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), HeldOffline())
+        archive = ResponseArchive(tmp_path / "arch")
+        completer = ArchivedCompleter(client, archive, budget=1)
+        messages = [{"role": "user", "content": "同一个问题"}]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(completer, messages) for _ in range(2)]
+            errors = [f.exception(timeout=10) for f in futures]
+        assert [(type(e), str(e)) for e in errors] == [(EndpointError, "network disabled")] * 2
+        assert (completer.sent, completer.replayed, len(archive)) == (1, 1, 0)
 
     def test_many_threads_send_each_request_once(self, tmp_path):
         def slow_echo(messages):
