@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EmptyShingleSet
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
 from .jsonl import Record
-from .tokenizers import count_tokens
+from .tokenizers import count_tokens_batch
 
 REASON_EXACT = "exact"
 REASON_NEAR = "near"
@@ -114,7 +114,12 @@ def gram_hashes(doc: Document, ngram: int = 5) -> np.ndarray:
 
 def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
     """The shingle set: sorted, unique `gram_hashes`."""
-    return np.unique(gram_hashes(doc, ngram))
+    # Not np.unique, whose first call imports numpy.ma.
+    hashes = np.sort(gram_hashes(doc, ngram))
+    first = np.empty(hashes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(hashes[1:], hashes[:-1], out=first[1:])
+    return hashes[first]
 
 
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -286,7 +291,7 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
     cap = cfg.sentence_max_repeats
     seen: dict[str, int] = {}
     survivors: list[Document] = []
-    rewritten = False
+    rewritten: list[Document] = []
     for doc in sorted(docs, key=lambda d: d.doc_id):
         if cfg.sentence_scope == "document":
             seen = {}
@@ -303,16 +308,17 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
             else:
                 kept_parts.append(part)
         if changed:
-            rewritten = True
+            rewritten.append(doc)
             doc.text = normalize_whitespace("".join(kept_parts))
             doc.char_count = len(doc.text)
-            doc.token_count = count_tokens(doc.text)
         if not doc.text:
             doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)
         else:
             survivors.append(doc)
     if not rewritten:
         return survivors
+    for doc, tokens in zip(rewritten, count_tokens_batch([d.text for d in rewritten])):
+        doc.token_count = tokens
     # The exact pass left no two equal texts, but a rewrite can make one.
     texts: set[str] = set()
     distinct: list[Document] = []

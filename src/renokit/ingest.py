@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import DecodeError, EmptyAfterExtraction, SchemaError
 from .jsonl import Record, line_error, read_jsonl, read_records
-from .tokenizers import TOKENIZER, count_tokens
+from .tokenizers import TOKENIZER, count_tokens, count_tokens_batch
 
 SOURCE_KINDS = ("national_standard", "domain_book", "domain_website", "general")
 DOMAIN_KINDS = ("national_standard", "domain_book", "domain_website")
@@ -283,8 +283,8 @@ def clean_text(text: str) -> str:
     return normalize_whitespace(text)
 
 
-def extract_text(record: RawRecord) -> Document:
-    """Extract the clean article text of one raw record.
+def clean_record(record: RawRecord) -> str:
+    """The clean article text of one raw record.
 
     Raises DecodeError for invalid UTF-8 and EmptyAfterExtraction when no
     text survives cleaning.
@@ -296,14 +296,24 @@ def extract_text(record: RawRecord) -> Document:
     text = clean_text(raw)
     if not text:
         raise EmptyAfterExtraction(record.source_id)
+    return text
+
+
+def _document(text: str, source_kind: str, token_count: int) -> Document:
     return Document(
-        doc_id=doc_id_for(text, record.source_kind),
+        doc_id=doc_id_for(text, source_kind),
         text=text,
-        source_kind=record.source_kind,
-        token_count=count_tokens(text),
+        source_kind=source_kind,
+        token_count=token_count,
         char_count=len(text),
         status=STATUS_INGESTED,
     )
+
+
+def extract_text(record: RawRecord) -> Document:
+    """The document of one raw record; raises as `clean_record` does."""
+    text = clean_record(record)
+    return _document(text, record.source_kind, count_tokens(text))
 
 
 # --- streaming ingestion ----------------------------------------------------
@@ -329,23 +339,27 @@ class PipelineStats(Record):
 
 
 def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], PipelineStats]:
-    """Extract every record, collecting per-record failures instead of raising.
+    """Clean each record as it is read, collecting per-record failures
+    instead of raising, then count the tokens of every text in one batch.
 
     Output is sorted by doc_id, so the result is identical for any input
     order of the same record multiset.
     """
     stats = PipelineStats()
-    docs: list[Document] = []
+    texts: list[str] = []
+    kinds: list[str] = []
     for record in records:
         try:
-            doc = extract_text(record)
+            texts.append(clean_record(record))
         except DecodeError:
             stats.add_failure("decode_error")
             continue
         except EmptyAfterExtraction:
             stats.add_failure("empty_after_extraction")
             continue
-        docs.append(doc)
+        kinds.append(record.source_kind)
+    docs = [_document(*doc) for doc in zip(texts, kinds, count_tokens_batch(texts))]
+    for doc in docs:
         stats.add_document(doc)
     docs.sort(key=lambda d: d.doc_id)
     stats.documents, stats.tokens, stats.failures = (
@@ -379,7 +393,7 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
                 text = obj.get("text")
                 if not isinstance(text, str):
                     raise line_error(file, lineno, "missing 'text'")
-                try:  # a lone surrogate survives the encoding and fails extract_text's decode
+                try:  # a lone surrogate survives the encoding and fails clean_record's decode
                     record = RawRecord(source_id=str(obj.get("id") or f"{file.name}:{lineno}"),
                                        source_kind=obj.get("kind") or kind,
                                        payload=text.encode("utf-8", "surrogatepass"))

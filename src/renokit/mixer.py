@@ -15,11 +15,12 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData, SchemaError
 from .jsonl import Record, line_error, read_jsonl, write_json
-from .tokenizers import TOKENIZER, count_tokens
+from .tokenizers import TOKENIZER, count_tokens_batch
 
 MODE_DAPT = "dapt"
 MODE_SFT = "sft"
@@ -72,14 +73,34 @@ def record_id(rec: dict) -> str:
     return hashlib.md5(canonical.encode("utf-8")).hexdigest()
 
 
-def record_tokens(rec: dict) -> int:
-    if "token_count" in rec:
-        return int(rec["token_count"])
-    if "turns" in rec:
-        return sum(count_tokens(t.get("content", "")) for t in rec["turns"])
-    if "text" in rec:
-        return count_tokens(rec["text"])
-    return 0
+def records_tokens(recs: Sequence[dict]) -> list[int]:
+    """The tokens of each record: its `token_count`, else those of its turns'
+    contents or of its text, counted as one batch; 0 when it has none."""
+    tokens = [0] * len(recs)
+    texts: list[str] = []
+    owners: list[int] = []
+    for i, rec in enumerate(recs):
+        if "token_count" in rec:
+            tokens[i] = int(rec["token_count"])
+            continue
+        parts = [t.get("content", "") for t in rec["turns"]] if "turns" in rec else [rec.get("text", "")]
+        texts += parts
+        owners += [i] * len(parts)
+    for i, n in zip(owners, count_tokens_batch(texts)):
+        tokens[i] += n
+    return tokens
+
+
+# General records are counted a block at a time, in the order they are drawn,
+# so that a pool far larger than the target is not counted whole.
+_DRAW_BLOCK = 1024
+
+
+def _counted(recs: Iterable[dict]) -> Iterator[tuple[dict, int]]:
+    """Each record of `recs` with its tokens."""
+    it = iter(recs)
+    while block := list(islice(it, _DRAW_BLOCK)):
+        yield from zip(block, records_tokens(block))
 
 
 def text_turns(turns) -> bool:
@@ -88,7 +109,7 @@ def text_turns(turns) -> bool:
 
 
 def read_mix_records(path: str | Path, needs_text: bool = False) -> Iterator[dict]:
-    """Yield the rows of a JSONL file, each checked for what record_tokens reads and, with
+    """Yield the rows of a JSONL file, each checked for what records_tokens reads and, with
     `needs_text` (MIP mode), for the string `text` that build_mip reads; a bad row raises SchemaError."""
     for lineno, rec in read_jsonl(path):
         if "token_count" in rec:
@@ -144,7 +165,7 @@ def mix(
         raise InsufficientGeneralData("general pool is empty but ratio requires general data")
 
     rng = random.Random(plan.seed)
-    domain_tokens = sum(record_tokens(r) for r in domain)
+    domain_tokens = sum(records_tokens(domain))
 
     if plan.unit == UNIT_TOKENS:
         target = k * domain_tokens
@@ -155,12 +176,13 @@ def mix(
     rng.shuffle(order)
     picked: list[dict] = []
     general_total = 0
-    for idx in order:
+    general_token_sum = 0
+    for rec, tokens in _counted(general[idx] for idx in order) if target > 0 else ():
+        picked.append(rec)
+        general_token_sum += tokens
+        general_total += tokens if plan.unit == UNIT_TOKENS else 1
         if general_total >= target:
             break
-        rec = general[idx]
-        picked.append(rec)
-        general_total += record_tokens(rec) if plan.unit == UNIT_TOKENS else 1
 
     shortfall = max(0, target - general_total)
     if shortfall and not plan.allow_short:
@@ -172,7 +194,6 @@ def mix(
     combined = list(domain) + picked
     rng.shuffle(combined)
 
-    general_token_sum = sum(record_tokens(r) for r in picked)
     if plan.unit == UNIT_TOKENS:
         achieved = general_token_sum / domain_tokens if domain_tokens else 0.0
     else:
@@ -236,7 +257,7 @@ def build_mip(
                     for rec in domain_instructions]
     # The pretrain records carry their token counts; only the rendered
     # instructions are counted here.
-    total_tokens = sum(record_tokens(r) for r in domain_pretrain) + sum(count_tokens(r.text) for r in instructions)
+    total_tokens = sum(records_tokens(domain_pretrain)) + sum(count_tokens_batch([r.text for r in instructions]))
     records = [r.to_dict() for r in pretrain + instructions]
     random.Random(seed).shuffle(records)
     report = MipReport(mode=MODE_MIP, seed=seed, pretrain_count=len(pretrain), instruction_count=len(instructions),

@@ -367,15 +367,17 @@ class ArchivedCompleter:
     Archived entries are replayed without consuming budget; fresh requests
     take one of `budget` requests, hit the client, and are written back as
     either a response or a classified endpoint error. Over an
-    OfflineTransport nothing is written back: its refusal is no answer of
-    the endpoint, so a later online run sends the request. A request whose
-    id is already in flight on another thread gets that request's entry, or
-    its exception, from the sender and counts as replayed, so identical
-    concurrent requests are sent and paid for once. Replayed errors
-    re-raise, so a replayed run reproduces the original accept/reject
-    decisions exactly. An entry that does not parse, or holds neither a
-    response nor an error, counts as missing: a warning is logged, the
-    request is sent again and its new entry replaces the old one.
+    OfflineTransport a missing entry is refused as an endpoint error without
+    being sent: it takes no budget, is not counted as sent, and is not
+    written back, since the refusal is no answer of the endpoint and a later
+    online run sends the request. A request whose id is already in flight on
+    another thread gets that request's entry, or its exception, from the
+    sender and counts as replayed, so identical concurrent requests are sent
+    and paid for once. Replayed errors re-raise, so a replayed run
+    reproduces the original accept/reject decisions exactly. An entry that
+    does not parse, or holds neither a response nor an error, counts as
+    missing: a warning is logged, the request is sent again and its new
+    entry replaces the old one.
     """
 
     def __init__(self, client: ChatClient, archive: ResponseArchive, budget: int):
@@ -393,19 +395,19 @@ class ArchivedCompleter:
         with self._lock:
             pending = self._in_flight.get(rid)
             entry = self._archived(rid) if pending is None else None
-            fresh = pending is None and entry is None
-            if not fresh:
+            missing = pending is None and entry is None
+            fresh = missing and not self.offline  # offline, nothing is sent, so nothing is charged
+            if not missing:
                 self.replayed += 1
-            elif self.sent >= self.budget:
-                raise BudgetExhausted(f"request budget of {self.budget} exhausted")
-            else:
+            elif fresh:
+                if self.sent >= self.budget:
+                    raise BudgetExhausted(f"request budget of {self.budget} exhausted")
                 self.sent += 1
                 self._in_flight[rid] = sending = Future()
         if fresh:
             try:
                 entry = self._send(rid, messages)
-                if not self.offline:
-                    self.archive.store(rid, entry)
+                self.archive.store(rid, entry)
                 sending.set_result(entry)
             except BaseException as exc:
                 sending.set_exception(exc)
@@ -415,6 +417,8 @@ class ArchivedCompleter:
                     del self._in_flight[rid]
         elif pending is not None:
             entry = pending.result()
+        elif missing:
+            entry = self._send(rid, messages)  # the transport's refusal
         if entry.get("error") is not None:
             raise EndpointError(entry["error"])
         return Completion(text=entry["response"], timestamp=entry.get("timestamp") or "")

@@ -18,7 +18,7 @@ from renokit.endpoint import ChatClient, EndpointConfig, OfflineTransport, Respo
 from renokit.evalharness import EvalRunConfig, build_prompt, load_dataset, run_eval, select_exemplars
 from renokit.filters import FilterConfig, run_filters
 from renokit.jsonl import config_from_json, write_jsonl
-from renokit.mixer import MixPlan, TrainerConfig, emit_trainer_config, mix, record_tokens
+from renokit.mixer import MixPlan, TrainerConfig, emit_trainer_config, mix, records_tokens
 from renokit.pipeline import PipelineManifest
 from renokit.sftgen import batch_generate, load_categories
 
@@ -94,7 +94,7 @@ def test_c3_mix_ratios(tmp_path):
          "token_count": 80 + i % 41}
         for i in range(1200)
     ]
-    max_item = max(record_tokens(r) for r in general)
+    max_item = max(records_tokens(general))
     for k in (0, 1, 2, 5, 10):
         plan = MixPlan(seed=42, ratio=f"1:{k}", mode="dapt")
         mixed, report = mix(domain, general, plan)

@@ -1,4 +1,4 @@
-"""The compiled character classes of `tokenizers` and `filters` against the
+"""The class table of `tokenizers` and its batch kernel against the
 per-character loops they replaced, kept here as oracles."""
 
 from __future__ import annotations
@@ -9,17 +9,18 @@ import unicodedata
 
 import pytest
 
-from renokit import filters
-from renokit.filters import FilterConfig, Lexicon, filter_language, filter_sensitive
-from renokit.tokenizers import _WORD_RE, char_class, count_cjk, count_tokens
+from renokit import filters, tokenizers
+from renokit.filters import FilterConfig, Lexicon, filter_language, filter_sensitive, run_filters
+from renokit.tokenizers import CHUNK, char_counts, count_tokens, count_tokens_batch
 
 from fixture_data import make_doc
 
-# --- oracles: the per-character bodies the classes replaced -------------------------
+# --- oracles: the per-character bodies the table replaced ----------------------------
 
 # The ideograph ranges of tokenizer approx-cjk-v1, restated so that the oracle
 # does not read them from the code it checks.
 CJK_RANGES = ((0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF), (0x20000, 0x2FA1F))
+WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def is_cjk(ch: str) -> bool:
@@ -40,7 +41,7 @@ def oracle_count_tokens(text: str) -> int:
             rest.append(" ")
         else:
             rest.append(ch)
-    return cjk + len(_WORD_RE.findall("".join(rest)))
+    return cjk + len(WORD_RE.findall("".join(rest)))
 
 
 def oracle_language_ratio(text: str, target_language: str) -> float | None:
@@ -70,16 +71,11 @@ def noncount_ranges_from_unicodedata() -> list[tuple[int, int]]:
     return ranges
 
 
-def committed_noncount_ranges() -> list[tuple[int, int]]:
-    body = filters._NONCOUNT_BMP + filters._NONCOUNT_ASTRAL
-    return [(int(lo, 16), int(hi, 16)) for lo, hi in re.findall(r"\\[uU]([0-9a-f]+)-\\[uU]([0-9a-f]+)", body)]
-
-
-# The oracle reads the running interpreter's Unicode tables; the committed class
-# is those of NONCOUNT_UNICODE_VERSION. They can agree only on that version.
+# The oracle reads the running interpreter's Unicode tables; the committed ranges
+# are those of NONCOUNT_UNICODE_VERSION. They can agree only on that version.
 same_unicode = pytest.mark.skipif(
-    unicodedata.unidata_version != filters.NONCOUNT_UNICODE_VERSION,
-    reason=f"committed table is Unicode {filters.NONCOUNT_UNICODE_VERSION}, "
+    unicodedata.unidata_version != tokenizers.NONCOUNT_UNICODE_VERSION,
+    reason=f"committed table is Unicode {tokenizers.NONCOUNT_UNICODE_VERSION}, "
            f"this interpreter has {unicodedata.unidata_version}",
 )
 
@@ -91,6 +87,9 @@ def edge_chars(ranges) -> list[str]:
 
 ASTRAL = ["\U00020000", "\U0002A6DF", "\U0002FA1F", "\U0002FA20", "\U0001F600", "\U0001F3E0", "\U00010100",
           "\U0001E95F", "\U000E0020"]
+# Lone, as a JSON escape can make them. make_doc cannot hash them, so only the
+# kernel's own tests use them.
+SURROGATES = ["\ud800", "\udbff", "\udc00", "\udfff"]
 
 
 def assert_language_matches(text: str) -> None:
@@ -107,6 +106,18 @@ def assert_language_matches(text: str) -> None:
             assert not filter_language(make_doc(text), above), (text, target, ratio)
 
 
+def assert_batch_matches(texts: list[str]) -> None:
+    """Every count of one kernel call over `texts` equals the oracles' for each text alone."""
+    counts = char_counts(texts)
+    assert count_tokens_batch(texts) == [oracle_count_tokens(t) for t in texts]
+    for i, text in enumerate(texts):
+        countable = int(counts.countable[i])
+        assert countable == sum(map(is_countable, text)), ascii(text[:80])
+        for target, hits in (("zh", counts.cjk[i]), ("en", counts.ascii_alpha[i])):
+            ratio = int(hits) / countable if countable else None
+            assert ratio == oracle_language_ratio(text, target), (ascii(text[:80]), target)
+
+
 # --- tests ----------------------------------------------------------------------
 
 
@@ -114,51 +125,102 @@ def assert_language_matches(text: str) -> None:
 def test_committed_noncount_table_matches_unicodedata():
     rebuilt = noncount_ranges_from_unicodedata()
     assert len(rebuilt) == 193
-    assert committed_noncount_ranges() == rebuilt
-    assert char_class(r for r in rebuilt if r[1] <= 0xFFFF) == f"[{filters._NONCOUNT_BMP}]"
-    assert char_class(r for r in rebuilt if r[0] > 0xFFFF) == f"[{filters._NONCOUNT_ASTRAL}]"
+    assert list(tokenizers._NONCOUNT_RANGES) == rebuilt
 
 
 def test_cjk_range_edges():
     for ch in edge_chars(CJK_RANGES) + ASTRAL:
-        assert count_cjk(ch) == int(is_cjk(ch)), hex(ord(ch))
+        assert char_counts([ch]).cjk.tolist() == [int(is_cjk(ch))], hex(ord(ch))
         for text in (ch, f"ab{ch}cd", f"{ch}{ch} x1_{ch}", f"word{ch}"):
             assert count_tokens(text) == oracle_count_tokens(text), ascii(text)
 
 
 @same_unicode
 def test_noncount_range_edges():
-    pattern = filters._noncount_re()
-    chars = edge_chars(committed_noncount_ranges()) + edge_chars(CJK_RANGES) + ASTRAL
-    for ch in chars:
-        assert (pattern.fullmatch(ch) is None) == is_countable(ch), hex(ord(ch))
+    table = tokenizers._class_table()
+    chars = edge_chars(tokenizers._NONCOUNT_RANGES) + edge_chars(CJK_RANGES) + ASTRAL
+    for ch in chars + SURROGATES:
+        assert (table[ord(ch)] & tokenizers._NONCOUNT == 0) == is_countable(ch), hex(ord(ch))
     for ch in chars:
         assert_language_matches(f"家装{ch}")
         assert_language_matches(f"abc{ch}{ch}")
     assert_language_matches("".join(chars))
 
 
-def _random_text(rng: random.Random, alphabet: list[str]) -> str:
-    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+def _random_text(rng: random.Random, alphabet: list[str], longest: int = 60) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
+
+def _alphabet(rng: random.Random) -> list[str]:
+    return (
+        [chr(rng.randint(0x4E00, 0x9FFF)) for _ in range(20)]
+        + [chr(rng.randint(0x3400, 0x4DBF)) for _ in range(3)]
+        + list("abcXYZ019_")
+        + list("，。！？、；：“”（）《》…—,.!?;:'\"()-[]{}#%&*@/\\")
+        + [" ", "\t", "\n", "\r", "　", "\xa0", "\x1c", "\x85", " "]
+        + list("ぁアｶ한€$+=<>|~^`") + ASTRAL
+        + edge_chars(tokenizers._NONCOUNT_RANGES)[:40]
+    )
 
 
 @same_unicode
 def test_random_mixed_texts():
     rng = random.Random(20231)
-    alphabet = (
-        [chr(rng.randint(0x4E00, 0x9FFF)) for _ in range(20)]
-        + [chr(rng.randint(0x3400, 0x4DBF)) for _ in range(3)]
-        + list("abcXYZ019_")
-        + list("，。！？、；：“”（）《》…—,.!?;:'\"()-[]{}#%&*@/\\")
-        + [" ", "\t", "\n", "\r", "　", "\xa0", "\x1c", "\x85", " "]
-        + list("ぁアｶ한€$+=<>|~^`") + ASTRAL
-        + edge_chars(committed_noncount_ranges())[:40]
-    )
+    alphabet = _alphabet(rng)
     for _ in range(2000):
         text = _random_text(rng, alphabet)
         assert count_tokens(text) == oracle_count_tokens(text), ascii(text)
-        assert count_cjk(text) == sum(map(is_cjk, text))
+        assert char_counts([text]).cjk.tolist() == [sum(map(is_cjk, text))]
         assert_language_matches(text)
+
+
+@same_unicode
+def test_random_batches():
+    rng = random.Random(419)
+    alphabet = _alphabet(rng) + SURROGATES
+    for _ in range(200):
+        texts = [_random_text(rng, alphabet, longest=rng.choice((1, 8, 400))) for _ in range(rng.randint(1, 40))]
+        assert_batch_matches(texts)
+
+
+@same_unicode
+def test_batch_edges():
+    assert char_counts([]).tokens.tolist() == []
+    assert_batch_matches([""])
+    assert_batch_matches(["", "", ""])
+    assert_batch_matches(["a", "家", "。", " ", "_", "\ud800", "\U00020000", "\U00010100", "9"])
+    assert count_tokens_batch(["ab", "cd"]) == [1, 1]  # a word never runs across two texts
+    assert_batch_matches(["ab", "cd", "", "ef", "g", "h家i"])
+    assert_batch_matches(["a\ud800b", "\udfffc", "d\U00020000e", "\U00010100f\U00010100"])
+
+
+@same_unicode
+def test_texts_longer_than_a_chunk():
+    rng = random.Random(5)
+    alphabet = _alphabet(rng) + SURROGATES
+    # words run across the cut between a long text's pieces, and a text may end on one
+    assert count_tokens("a" * (2 * CHUNK + 3)) == 1
+    assert count_tokens_batch(["x" * (CHUNK - 1), "y" * 2, "z" * CHUNK, "w"]) == [1, 1, 1, 1]
+    cut = "家" * (CHUNK - 2) + "ab" + "cd" + "家"
+    assert count_tokens(cut) == CHUNK - 2 + 1 + 1
+    long = _random_text(rng, alphabet, longest=10) + "".join(rng.choice(alphabet) for _ in range(CHUNK + 77))
+    assert_batch_matches(["ab", long, "cd", "", long[: CHUNK - 1], "x" * CHUNK, "y", long + "z" * 3])
+    texts = ["w" * (CHUNK - 3), "q" * 5, "v" * (CHUNK + 1)] + [_random_text(rng, alphabet, 3000) for _ in range(60)]
+    assert_batch_matches(texts)
+    # no chunk holds more than CHUNK code points, so the kernel's arrays stay that small
+    assert max(sum(len(piece) for _, piece, _ in chunk) for chunk in tokenizers._chunks(texts)) == CHUNK
+
+
+def test_run_filters_gives_each_document_its_own_language_verdict():
+    rng = random.Random(3)
+    alphabet = _alphabet(rng)
+    docs = [make_doc(_random_text(rng, alphabet, 200)) for _ in range(300)] + [make_doc(""), make_doc("abc")]
+    for target in ("zh", "en"):
+        cfg = FilterConfig(target_language=target, min_language_ratio=0.3, min_effective_chars=0)
+        alone = [filter_language(d, cfg) for d in docs]
+        retained, report = run_filters(docs, cfg, lexicon=())
+        assert [d for d, v in zip(docs, alone) if v] == retained
+        assert report.dropped["language"] == alone.count(filters.Verdict(False, "language"))
 
 
 def test_lexicon_index_matches_plain_scan():

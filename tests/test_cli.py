@@ -763,7 +763,8 @@ _TERM_FREQ = ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv"
     (("run", "--config", "{tmp}/run_tokenizer.json", "--out-dir", "{tmp}/out"), 2),
     *((("run", "--config", f"{{tmp}}/{name}.json", "--out-dir", "{tmp}/out"), 2) for name in _RUN_CONFIG_ERRORS),
     (("run", "--config", "{tmp}/run_missing.json", "--out-dir", "{tmp}/out"), 3),
-    (_GEN + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
+    # online, without --replay-only: budget 0 stops the first request before it is sent
+    (_GEN[:-1] + ("--endpoint", "{tmp}/ep.json", "--budget", "0"), 4),
     (("sweep-report", "--runs", "{tmp}/report_no_dataset.json", "--out", "{tmp}/sweep.csv"), 2),
     (("sweep-report", "--runs", "{tmp}/report_labels_list.json", "--out", "{tmp}/sweep.csv"), 2),
     (("sweep-report", "--runs", "{tmp}/report_whole.json", "{tmp}/report_micro_str.json", "--out", "{tmp}/sweep.csv"),
@@ -883,7 +884,8 @@ class TestEvalAndSweepCommands:
 
 
 class TestGenCommand:
-    def test_replay_only_without_archive_classifies_endpoint_errors(self, tmp_path):
+    @pytest.mark.parametrize("budget", [5, 0])  # a missing entry is refused, not sent: it takes no budget
+    def test_replay_only_without_archive_classifies_endpoint_errors(self, tmp_path, budget):
         docs = tmp_path / "docs.jsonl"
         write_jsonl(docs, [{
             "doc_id": "k1", "text": "知识内容样例。", "source_kind": "domain_book",
@@ -894,7 +896,7 @@ class TestGenCommand:
         out = tmp_path / "sft.jsonl"
         report_path = tmp_path / "gen_report.json"
         assert run_cli("gen", "--kind", "mcq", "--knowledge", docs, "--endpoint", ep,
-                       "--out", out, "--budget", 5, "--replay-only", "--report", report_path) == 0
+                       "--out", out, "--budget", budget, "--replay-only", "--report", report_path) == 0
         report = read_json(report_path)
         assert report["rejected"] == {"EndpointError": 1}
-        assert report["accepted"] == 0
+        assert (report["accepted"], report["requests_sent"], report["budget_exhausted"]) == (0, 0, False)

@@ -4,7 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def test_light_modules_load_neither_numpy_nor_requests():
@@ -16,3 +17,22 @@ def test_light_modules_load_neither_numpy_nor_requests():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_pipeline_run_does_not_load_numpy_ma(tmp_path):
+    """The first np.unique of a process imports numpy.ma, which costs a fresh process about 15 ms."""
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(SRC)!r}, {str(TESTS)!r}]\n"
+        "from pathlib import Path\n"
+        "from fixture_data import write_pipeline_fixture\n"
+        "from renokit.filters import INDEX_MIN_WORDS, Lexicon\n"
+        "from renokit.pipeline import run_pipeline\n"
+        f"root = Path({str(tmp_path)!r})\n"
+        "run_pipeline(write_pipeline_fixture(root), root / 'out')\n"
+        "words = [chr(0x4E00 + i) + chr(0x4E01 + i) for i in range(INDEX_MIN_WORDS)]\n"
+        "assert Lexicon(words).find(words[0] + words[1][1] + words[0]) == tuple(sorted(words[:2]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

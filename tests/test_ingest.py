@@ -427,7 +427,7 @@ class TestIngestStage:
 
     def test_records_are_extracted_as_they_are_read(self, tmp_path, monkeypatch):
         events = []
-        read, extract = ingest.read_jsonl, ingest.extract_text
+        read, extract = ingest.read_jsonl, ingest.clean_record
 
         def reading(path):
             for row in read(path):
@@ -439,7 +439,7 @@ class TestIngestStage:
             return extract(record)
 
         monkeypatch.setattr(ingest, "read_jsonl", reading)
-        monkeypatch.setattr(ingest, "extract_text", extracting)
+        monkeypatch.setattr(ingest, "clean_record", extracting)
         stats = run_ingest_stage([(self.write_raw(tmp_path), "domain_book")], tmp_path / "docs.jsonl", None)
         assert stats.total_documents == 3
         assert events == ["read", "extract"] * 3

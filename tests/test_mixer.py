@@ -4,6 +4,7 @@ import pytest
 
 from renokit.errors import EmptyDomain, EmptyInput, InsufficientGeneralData
 from renokit.jsonl import config_from_json, write_jsonl
+from renokit.tokenizers import count_tokens
 from renokit.mixer import (
     ASSISTANT_MARKER,
     USER_MARKER,
@@ -14,7 +15,7 @@ from renokit.mixer import (
     emit_trainer_config,
     mix,
     record_id,
-    record_tokens,
+    records_tokens,
     render_instruction_text,
     trainer_config_for_mode,
 )
@@ -81,11 +82,24 @@ class TestMixPlan:
 
 
 class TestMix:
+    def test_general_pool_counted_over_many_blocks(self):
+        general = [{"id": f"g{i}", "text": "字" * (i % 7 + 1) + " word" * (i % 3)} for i in range(5000)]
+        # the draw stops at the first record that brings the general tokens to 5 x 2000
+        mixed, report = mix([{"id": "d", "token_count": 2000}], general, MixPlan(seed=3, ratio="1:5"))
+        tokens = [count_tokens(r["text"]) for r in mixed if r["id"] != "d"]
+        assert len(tokens) > 1024  # past the first block
+        assert report.general_tokens == sum(tokens)
+        assert sum(tokens) - max(tokens) < 10_000 <= sum(tokens)
+        domain = [{"id": f"d{i}", "token_count": 1} for i in range(400)]
+        mixed, report = mix(domain, general, MixPlan(seed=3, ratio="1:5", unit="examples"))
+        tokens = [count_tokens(r["text"]) for r in mixed if r["id"].startswith("g")]
+        assert (len(tokens), report.general_tokens) == (2000, sum(tokens))
+
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 10])
     def test_token_ratio_within_one_item(self, k):
         domain, general = make_pools()
         mixed, report = mix(domain, general, MixPlan(seed=42, ratio=f"1:{k}", mode="dapt"))
-        max_item = max(record_tokens(r) for r in general)
+        max_item = max(records_tokens(general))
         assert abs(report.achieved_ratio - k) <= max_item / report.domain_tokens
         if k == 0:
             assert report.general_count == 0
@@ -169,7 +183,7 @@ class TestMip:
         assert len(records) == 150
         assert sum(1 for r in records if r["origin"] == "instruction") == 50
         assert (report.pretrain_count, report.instruction_count) == (100, 50)
-        assert report.total_tokens == 100 * 50 + sum(record_tokens({"text": r["text"]}) for r in records
+        assert report.total_tokens == 100 * 50 + sum(count_tokens(r["text"]) for r in records
                                                      if r["origin"] == "instruction")
         assert [MipRecord.from_dict(r).to_dict() for r in records] == records
 
@@ -223,11 +237,18 @@ class TestTrainerConfig:
 
 class TestRecordHelpers:
     def test_token_count_priority(self):
-        assert record_tokens({"token_count": 7, "text": "字字"}) == 7
+        assert records_tokens([{"token_count": 7, "text": "字字"}]) == [7]
 
     def test_turn_tokens(self):
         rec = {"turns": [{"role": "user", "content": "厨房"}, {"role": "assistant", "content": "design"}]}
-        assert record_tokens(rec) == 3
+        assert records_tokens([rec]) == [3]
+
+    def test_batch_counts_each_record_alone(self):
+        recs = [{"token_count": 7, "text": "字字"},
+                {"turns": [{"role": "user", "content": "厨房ab"}, {"role": "assistant", "content": "cd"}]},
+                {"text": "ab cd"}, {"id": "x"}, {"turns": []}, {"text": ""}, {"turns": [{"role": "user"}]}]
+        assert records_tokens(recs) == [7, 4, 2, 0, 0, 0, 0] == [records_tokens([r])[0] for r in recs]
+        assert records_tokens([]) == []
 
     def test_record_id_stable_without_explicit_id(self):
         rec = {"text": "无显式id的记录", "x": 1}

@@ -39,7 +39,7 @@ from renokit.sftgen import (
 )
 
 from fixture_data import build_gen_docs, gen_script, make_doc
-from mocks import ScriptedTransport
+from mocks import FailingTransport, ScriptedTransport
 
 
 def make_client(script, concurrency: int = 4) -> ChatClient:
@@ -465,7 +465,7 @@ class TestArchivedCompleter:
         assert (report.requests_sent, report.accepted, report.rejected_total) == (3, 3, 0)
 
     def test_waiter_gets_the_senders_refusal(self, tmp_path):
-        class HeldOffline(OfflineTransport):
+        class HeldFailing(FailingTransport):
             def complete(self, model, messages, temperature):
                 # hold the refusal until the identical second request waits on it
                 deadline = time.monotonic() + 5
@@ -473,15 +473,25 @@ class TestArchivedCompleter:
                     time.sleep(0.01)
                 return super().complete(model, messages, temperature)
 
-        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), HeldOffline())
+        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), HeldFailing())
         archive = ResponseArchive(tmp_path / "arch")
         completer = ArchivedCompleter(client, archive, budget=1)
         messages = [{"role": "user", "content": "同一个问题"}]
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [pool.submit(completer, messages) for _ in range(2)]
             errors = [f.exception(timeout=10) for f in futures]
-        assert [(type(e), str(e)) for e in errors] == [(EndpointError, "network disabled")] * 2
-        assert (completer.sent, completer.replayed, len(archive)) == (1, 1, 0)
+        assert [(type(e), str(e)) for e in errors] == [(EndpointError, "boom")] * 2
+        assert (completer.sent, completer.replayed, len(archive)) == (1, 1, 1)
+
+    def test_offline_misses_take_no_budget(self, tmp_path):
+        """Offline, a request missing from the archive is refused without being sent: it takes no
+        budget, so a budget of 0 rejects every job as EndpointError and skips none."""
+        client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), OfflineTransport())
+        items, report = batch_generate(build_gen_docs()[:3], ["mcq"], client, budget=0,
+                                       archive=ResponseArchive(tmp_path / "arch"))
+        assert items == []
+        assert (report.requests_sent, report.budget_exhausted, report.jobs_skipped) == (0, False, 0)
+        assert report.rejected == {"EndpointError": 3}
 
     def test_many_threads_send_each_request_once(self, tmp_path):
         def slow_echo(messages):
