@@ -25,9 +25,9 @@ from .errors import (
 )
 from .evalharness import EvalReport, load_dataset, sweep_report
 from .filters import FilterConfig
-from .ingest import SOURCE_KINDS
+from .ingest import SOURCE_KINDS, read_documents
 from .jsonl import config_from_json, read_json, read_jsonl, record_from_dict
-from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config
+from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config, read_mix_records
 from .pipeline import (
     check_budget,
     run_dedup_stage,
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    stats = run_ingest_stage([(path, args.kind) for path in args.inputs], args.out, args.stats)
+    _, stats = run_ingest_stage([(path, args.kind) for path in args.inputs], args.out, args.stats)
     print(f"ingested {stats.total_documents} docs, {stats.total_tokens} tokens ({TOKENIZER}); "
           f"failures: {sum(stats.failures.values())}")
     return EXIT_OK
@@ -144,7 +144,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_filter(args) -> int:
     cfg = config_from_json(FilterConfig, args.config, "filter config") if args.config else FilterConfig()
-    report = run_filter_stage(args.input, cfg, args.out, args.report)
+    _, report = run_filter_stage(read_documents(args.input), cfg, args.out, args.report)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops})")
     return EXIT_OK
@@ -152,7 +152,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_dedup(args) -> int:
     cfg = config_from_json(DedupConfig, args.config, "dedup config") if args.config else DedupConfig()
-    report = run_dedup_stage(args.input, cfg, args.out, args.pairs, None)
+    _, report = run_dedup_stage(read_documents(args.input), cfg, args.out, args.pairs, None)
     drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
     print(f"retained {report.retained}/{report.input} (dropped: {drops}); {report.pairs} near-dup pairs")
     return EXIT_OK
@@ -163,8 +163,9 @@ def _cmd_mix(args) -> int:
         raise ConfigError("mip mode takes no general data")
     plan = MixPlan(seed=args.seed, ratio=args.ratio, mode=args.mode, unit=args.unit,
                    instructions=args.instructions, allow_short=args.allow_short)
-    report = run_mix_stage(args.domain, plan, args.out, args.report, general_path=args.general,
-                           instructions_path=args.instructions)
+    general = read_mix_records(args.general) if args.general else ()
+    _, report = run_mix_stage(read_mix_records(args.domain, needs_text=plan.mode == MODE_MIP), plan, args.out,
+                              args.report, general=general, instructions_path=args.instructions)
     if plan.mode == MODE_MIP:
         print(f"mip set: {report.pretrain_count + report.instruction_count} records")
     else:
@@ -182,7 +183,8 @@ def _cmd_emit_config(args) -> int:
 def _cmd_gen(args) -> int:
     check_budget(args.budget)
     template = load_template(args.kind.replace("-", "_"), body_path=args.template, categories_path=args.categories)
-    report = run_gen_stage(args.knowledge, template, EndpointConfig.from_json(args.endpoint),
+    endpoint = EndpointConfig.from_json(args.endpoint)
+    report = run_gen_stage(read_documents(args.knowledge), template, endpoint,
                            OfflineTransport() if args.replay_only else None, args.budget,
                            args.archive or f"{args.out}.archive", args.out, args.report, lenient=args.lenient)
     print(f"accepted {report.accepted}, rejected {report.rejected_total}, "

@@ -295,19 +295,16 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
     for doc in sorted(docs, key=lambda d: d.doc_id):
         if cfg.sentence_scope == "document":
             seen = {}
+        parts = split_sentences(doc.text)
         kept_parts: list[str] = []
-        changed = False
-        for part in split_sentences(doc.text):
-            key = normalize_for_dedup(part)
-            if not key:
-                kept_parts.append(part)
-                continue
-            seen[key] = seen.get(key, 0) + 1
-            if seen[key] > cap:
-                changed = True
-            else:
-                kept_parts.append(part)
-        if changed:
+        # Each key is normalize_for_dedup of its part, without a Python call per sentence.
+        for part, key in zip(parts, map(" ".join, map(str.split, parts))):
+            if key:
+                count = seen[key] = seen.get(key, 0) + 1
+                if count > cap:
+                    continue
+            kept_parts.append(part)
+        if len(kept_parts) < len(parts):
             rewritten.append(doc)
             doc.text = normalize_whitespace("".join(kept_parts))
             doc.char_count = len(doc.text)

@@ -21,7 +21,7 @@ class Record:
     constructor what the JSON types of its fields do not, so one that exists is valid."""
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: getattr(self, name) for name in _field_names(type(self))}
 
     @classmethod
     def from_dict(cls, obj: dict):
@@ -31,9 +31,13 @@ class Record:
         return _build(cls, obj, cls.__name__, SchemaError)
 
 
-def dumps(obj: Any) -> str:
-    """`obj` as one line of JSON; a Record in it is written as its to_dict()."""
-    return json.dumps(obj, ensure_ascii=False, default=Record.to_dict)
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+# json.dumps builds an encoder per call when given any option; rows share this one.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, default=Record.to_dict)
 
 
 def line_error(path: str | Path, lineno: int, problem: Any) -> SchemaError:
@@ -98,10 +102,17 @@ def _atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict | Record]) -> int:
+    """Write each row as one line of JSON, a Record as its to_dict(), atomically, and
+    return the number of rows.
+
+    Within a `run` each file is written once and never read back: the stages
+    that read it are handed the rows in memory.
+    """
+    encode = _ENCODER.encode
     n = 0
     with _atomic_write(path) as fh:
         for row in rows:
-            fh.write(dumps(row))
+            fh.write(encode(row))
             fh.write("\n")
             n += 1
     return n

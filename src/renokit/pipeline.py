@@ -18,7 +18,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
 from .dedup import DedupConfig, DedupReport, DupPair, run_dedup
@@ -39,9 +39,12 @@ from .ingest import (
 from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records,
                     record_from_dict, write_json, write_jsonl)
 from .mixer import (MODE_MIP, MipRecord, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config,
-                    mix, read_mix_records)
+                    mix)
 from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
 from .tokenizers import TOKENIZER
+
+
+T = TypeVar("T")
 
 
 def file_digest(path: str | Path) -> str:
@@ -59,59 +62,63 @@ def config_digest(obj) -> str:
 
 # --- stages -------------------------------------------------------------------
 # PipelineRunner.stage_<x> and the CLI subcommand <x> both call run_<x>_stage:
-# it reads the inputs, calls the layer, writes the artifacts, returns the report.
+# it takes the input records, calls the layer, writes the artifacts, and
+# returns the records it wrote with the report. The CLI reads its input files;
+# the runner hands each stage the records of the one before it.
 
 
-def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path, stats_path) -> PipelineStats:
+def run_ingest_stage(sources: Sequence[tuple[str | Path, str]], docs_path,
+                     stats_path) -> tuple[list[Document], PipelineStats]:
     """Ingest (path, kind) sources into one document file sorted by doc_id; records are
     read as they are extracted, and a bad row raises before any file is written."""
     docs, stats = ingest_stream(r for path, kind in sources for r in records_from_path(path, kind))
     write_jsonl(docs_path, docs)
     if stats_path:
         write_json(stats_path, stats)
-    return stats
+    return docs, stats
 
 
-def run_filter_stage(docs_path, cfg: FilterConfig, kept_path, report_path) -> FilterReport:
-    kept, report = run_filters(read_documents(docs_path), cfg)
+def run_filter_stage(docs: Iterable[Document], cfg: FilterConfig, kept_path,
+                     report_path) -> tuple[list[Document], FilterReport]:
+    kept, report = run_filters(docs, cfg)
     write_jsonl(kept_path, kept)
     write_json(report_path, report)
-    return report
+    return kept, report
 
 
-def run_dedup_stage(kept_path, cfg: DedupConfig, unique_path, pairs_path, report_path) -> DedupReport:
-    unique, pairs, report = run_dedup(read_documents(kept_path), cfg)
+def run_dedup_stage(kept: Sequence[Document], cfg: DedupConfig, unique_path, pairs_path,
+                    report_path) -> tuple[list[Document], DedupReport]:
+    unique, pairs, report = run_dedup(kept, cfg)
     write_jsonl(unique_path, unique)
     write_jsonl(pairs_path, pairs)
     if report_path:
         write_json(report_path, report)
-    return report
+    return unique, report
 
 
-def run_mix_stage(domain_path, plan: MixPlan, train_path, report_path, *, general_path=None,
-                  instructions_path=None) -> MixReport | MipReport:
-    """Build one training set and return its report.
+def run_mix_stage(records: Iterable[dict], plan: MixPlan, train_path, report_path, *,
+                  general: Iterable[dict] = (), instructions_path=None) -> tuple[list[dict], MixReport | MipReport]:
+    """Build one training set and return it with its report.
 
-    Records of `domain_path` with source_kind "general" join the general pool,
-    followed by every record of `general_path`; all others are domain data.
-    MIP mode unions the domain records with the instruction samples and uses
-    no general data.
+    `records` with source_kind "general" join the general pool, followed by
+    every record of `general`; all others are domain data. MIP mode unions
+    the domain records with the instruction samples of `instructions_path`
+    and uses no general data.
     """
     domain: list[dict] = []
-    general: list[dict] = []
-    for rec in read_mix_records(domain_path, needs_text=plan.mode == MODE_MIP):
-        (general if rec.get("source_kind") == "general" else domain).append(rec)
+    pool: list[dict] = []
+    for rec in records:
+        (pool if rec.get("source_kind") == "general" else domain).append(rec)
     if plan.mode == MODE_MIP:
         instructions = [s.to_dict() for s in read_records(InstructionSample, instructions_path)]
         mixed, report = build_mip(domain, instructions, seed=plan.seed)
     else:
-        if general_path:
-            general.extend(read_mix_records(general_path))
-        mixed, report = mix(domain, general, plan)
+        pool.extend(general)
+        mixed, report = mix(domain, pool, plan)
     write_jsonl(train_path, mixed)
     if report_path:
         write_json(report_path, report)
-    return report
+    return mixed, report
 
 
 def check_budget(budget: int) -> None:
@@ -120,15 +127,15 @@ def check_budget(budget: int) -> None:
         raise ConfigError(f"generation budget must be >= 0, got {budget}")
 
 
-def run_gen_stage(knowledge_path, template: PromptTemplate, endpoint: EndpointConfig, transport, budget: int,
-                  archive_dir, sft_path, report_path, *, lenient: bool = False) -> GenReport:
-    """Generate `template.kind` samples from the domain documents of `knowledge_path`.
+def run_gen_stage(knowledge: Iterable[Document], template: PromptTemplate, endpoint: EndpointConfig, transport,
+                  budget: int, archive_dir, sft_path, report_path, *, lenient: bool = False) -> GenReport:
+    """Generate `template.kind` samples from the domain documents of `knowledge`.
 
     With `transport` None requests go over HTTP. On budget exhaustion the
     partial output is still written and the report has `budget_exhausted`
     set; the caller decides how to fail.
     """
-    docs = [d for d in read_documents(knowledge_path) if d.source_kind in DOMAIN_KINDS]
+    docs = [d for d in knowledge if d.source_kind in DOMAIN_KINDS]
     with closing(ChatClient(endpoint, transport)) as client:
         items, report = batch_generate(docs, [template.kind], client, budget=budget,
                                        archive=ResponseArchive(archive_dir), templates={template.kind: template},
@@ -314,6 +321,7 @@ class PipelineRunner:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out_dir / "manifest.json"
         self.manifest = PipelineManifest.load_or_create(self.manifest_path)
+        self._digests: dict[str, str] = {}  # path -> sha256, for each file hashed in this run
 
     def _endpoint(self, rel: str, what: str) -> tuple[str, EndpointConfig]:
         """The endpoint file that `rel` names, and its config."""
@@ -349,6 +357,14 @@ class PipelineRunner:
         }
         return config_digest(scoped)
 
+    def _digest(self, path: str | Path) -> str:
+        """The sha256 of the file at `path`, hashed once per run: a file an earlier
+        stage wrote or checked in this run keeps the digest it got then."""
+        key = str(path)
+        if key not in self._digests:
+            self._digests[key] = file_digest(path)
+        return self._digests[key]
+
     def _can_skip(self, stage: str, digest: str, inputs: Sequence[str | Path]) -> bool:
         """On resume, skip a stage whose config, input files and recorded digests
         are unchanged; a stage whose latest attempt did not finish reruns. A
@@ -369,7 +385,7 @@ class PipelineRunner:
             path = Path(path_str)
             if not path.exists():
                 return False
-            have = file_digest(path)
+            have = self._digest(path)
             if have == want:
                 continue
             if written.get(path_str, "") not in ("", have):
@@ -378,69 +394,79 @@ class PipelineRunner:
         return fresh
 
     def _run_stage(self, stage: str, inputs: Sequence[str | Path], outputs: Sequence[Path],
-                   action: Callable[[], object]) -> None:
-        """Run `action` unless the stage can be skipped. The attempt is recorded before
-        `action` runs and gets its digests and `finished` time once `action` returns."""
+                   action: Callable[[], T]) -> T | None:
+        """Run `action` unless the stage can be skipped, and return what it returns, None
+        when skipped. The attempt is recorded before `action` runs and gets its digests
+        and `finished` time once `action` returns."""
         digest = self._stage_digest(stage)
         if self._can_skip(stage, digest, inputs):
-            return
+            return None
         record = StageRecord(stage=stage, config_digest=digest, seed=self.seed, inputs={},
                              outputs=dict.fromkeys(map(str, outputs), ""), started=utc_now_iso(), finished="")
         self.manifest.stages.append(record)
         write_json(self.manifest_path, self.manifest)
+        for path in outputs:
+            self._digests.pop(str(path), None)
         try:
-            action()
+            result = action()
         except (StageFailure, BudgetExhausted):
             raise
         except Exception as exc:
             raise StageFailure(stage, str(exc)) from exc
-        record.inputs = {str(p): file_digest(p) for p in inputs}
-        record.outputs = {str(p): file_digest(p) for p in outputs}
+        record.inputs = {str(p): self._digest(p) for p in inputs}
+        record.outputs = {str(p): self._digest(p) for p in outputs}
         record.finished = utc_now_iso()
         write_json(self.manifest_path, self.manifest)
+        return result
 
     # --- stages -----------------------------------------------------------
+    # Ingest, filter and dedup return the documents they wrote, None when
+    # skipped; a stage handed None reads the file back.
 
-    def stage_ingest(self) -> None:
+    def stage_ingest(self) -> list[Document] | None:
         files = [f for path, _ in self.sources for f in source_files(path)]
         docs, stats = outputs = self._out("docs.jsonl", "ingest_stats.json")
-        self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(self.sources, docs, stats))
+        return self._run_stage("ingest", files, outputs, lambda: run_ingest_stage(self.sources, docs, stats)[0])
 
-    def stage_filter(self) -> None:
-        docs, kept, report = self._out("docs.jsonl", "kept.jsonl", "filter_report.json")
+    def stage_filter(self, docs: list[Document] | None) -> list[Document] | None:
+        docs_path, kept, report = self._out("docs.jsonl", "kept.jsonl", "filter_report.json")
         lexicon = self.filter_cfg.sensitive_word_list
-        self._run_stage("filter", [docs, lexicon] if lexicon else [docs], [kept, report],
-                        lambda: run_filter_stage(docs, self.filter_cfg, kept, report))
+        return self._run_stage("filter", [docs_path, lexicon] if lexicon else [docs_path], [kept, report],
+                               lambda: run_filter_stage(_handed(docs, docs_path), self.filter_cfg, kept, report)[0])
 
-    def stage_dedup(self) -> None:
-        kept, *outputs = self._out("kept.jsonl", "unique.jsonl", "dup_pairs.jsonl", "dedup_report.json")
-        self._run_stage("dedup", [kept], outputs, lambda: run_dedup_stage(kept, self.dedup_cfg, *outputs))
+    def stage_dedup(self, kept: list[Document] | None) -> list[Document] | None:
+        kept_path, *outputs = self._out("kept.jsonl", "unique.jsonl", "dup_pairs.jsonl", "dedup_report.json")
+        return self._run_stage("dedup", [kept_path], outputs,
+                               lambda: run_dedup_stage(_handed(kept, kept_path), self.dedup_cfg, *outputs)[0])
 
-    def stage_mix(self) -> None:
+    def stage_mix(self, unique: list[Document] | None) -> None:
         if self.mix is None:
             return
-        unique, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json", "trainer_config.json")
-        inputs = [unique, self.instructions] if self.instructions else [unique]
+        unique_path, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json",
+                                                        "trainer_config.json")
+        inputs = [unique_path, self.instructions] if self.instructions else [unique_path]
 
         def action() -> None:
-            run_mix_stage(unique, self.mix, train, report, instructions_path=self.instructions)
+            records = (d.to_dict() for d in _handed(unique, unique_path))
+            run_mix_stage(records, self.mix, train, report, instructions_path=self.instructions)
             emit_trainer_config(self.mix.mode, trainer)
 
         self._run_stage("mix", inputs, [train, report, trainer], action)
 
-    def stage_gen(self) -> None:
+    def stage_gen(self, unique: list[Document] | None) -> None:
         if self.gen is None:
             return
         endpoint_path, endpoint = self.gen_endpoint
-        unique, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
+        unique_path, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
 
         def action() -> None:
-            gen_report = run_gen_stage(unique, self.gen_template, endpoint, self.gen_transport, self.gen.budget,
-                                       self.out_dir / "gen_archive", sft, report, lenient=self.gen.lenient)
+            gen_report = run_gen_stage(_handed(unique, unique_path), self.gen_template, endpoint, self.gen_transport,
+                                       self.gen.budget, self.out_dir / "gen_archive", sft, report,
+                                       lenient=self.gen.lenient)
             if gen_report.budget_exhausted:
                 raise BudgetExhausted("generation budget exhausted; partial sft.jsonl written, archive is resumable")
 
-        self._run_stage("gen", [unique, endpoint_path, *self.gen_files], [sft, report], action)
+        self._run_stage("gen", [unique_path, endpoint_path, *self.gen_files], [sft, report], action)
 
     def stage_eval(self) -> None:
         if self.eval is None:
@@ -452,13 +478,19 @@ class PipelineRunner:
             transport=self.eval_transport, labels=self.eval.labels))
 
     def run(self) -> PipelineManifest:
-        self.stage_ingest()
-        self.stage_filter()
-        self.stage_dedup()
-        self.stage_mix()
-        self.stage_gen()
+        # A list is referenced only until the last stage that reads it returns.
+        unique = self.stage_dedup(self.stage_filter(self.stage_ingest()))
+        self.stage_mix(unique)
+        self.stage_gen(unique)
+        del unique
         self.stage_eval()
         return self.manifest
+
+
+def _handed(docs: list[Document] | None, path: Path) -> list[Document]:
+    """The documents an earlier stage of this run handed over, or, when that stage
+    was skipped on resume, those of the file it wrote at `path`."""
+    return read_documents(path) if docs is None else docs
 
 
 def run_pipeline(config_path: str | Path, out_dir: str | Path, resume: bool = False, gen_transport=None,

@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -550,8 +552,10 @@ def test_stats_golden(tmp_path, run):
 
 
 class TestCliMatchesRun:
-    def test_stage_commands_write_what_run_writes(self, tmp_path):
-        config_path = _directory_config(tmp_path)
+    """The stage commands read each input file back; `run` hands the records over in
+    memory. Both must write the same bytes."""
+
+    def run_both(self, tmp_path, config_path, *mix_args):
         config = json.loads(config_path.read_text(encoding="utf-8"))
         run_pipeline(config_path, tmp_path / "run")
 
@@ -562,19 +566,86 @@ class TestCliMatchesRun:
                            encoding="utf-8")
         dedup = tmp_path / "dedup.json"
         dedup.write_text(json.dumps(config["dedup"]), encoding="utf-8")
-        mix = config["mix"]
         assert run_cli("ingest", "--in", tmp_path / "raw", "--kind", "domain_book", "--out", cli / "docs.jsonl",
                        "--stats", cli / "ingest_stats.json") == 0
         assert run_cli("filter", "--in", cli / "docs.jsonl", "--out", cli / "kept.jsonl",
                        "--report", cli / "filter_report.json", "--config", filters) == 0
         assert run_cli("dedup", "--in", cli / "kept.jsonl", "--out", cli / "unique.jsonl",
                        "--pairs", cli / "dup_pairs.jsonl", "--config", dedup) == 0
-        assert run_cli("mix", "--domain", cli / "unique.jsonl", "--ratio", mix["ratio"], "--mode", mix["mode"],
-                       "--unit", mix["unit"], "--seed", mix["seed"],
+        assert run_cli("mix", "--domain", cli / "unique.jsonl", *mix_args,
                        "--out", cli / "train.jsonl", "--report", cli / "mix_report.json") == 0
         for name in ("docs.jsonl", "ingest_stats.json", "kept.jsonl", "filter_report.json", "unique.jsonl",
                      "dup_pairs.jsonl", "train.jsonl", "mix_report.json"):
             assert (cli / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    def test_stage_commands_write_what_run_writes(self, tmp_path):
+        config_path = _directory_config(tmp_path)
+        mix = json.loads(config_path.read_text(encoding="utf-8"))["mix"]
+        self.run_both(tmp_path, config_path, "--ratio", mix["ratio"], "--mode", mix["mode"], "--unit", mix["unit"],
+                      "--seed", mix["seed"])
+
+    def test_mip_stage_commands_write_what_run_writes(self, tmp_path):
+        config_path = _directory_config(tmp_path)
+        turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+        write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": turns, "knowledge_id": f"k{i}"}
+                                             for i in range(3)])
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["mix"] = {"mode": "mip", "instructions": "sft.jsonl"}
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        self.run_both(tmp_path, config_path, "--mode", "mip", "--instructions", tmp_path / "sft.jsonl",
+                      "--seed", config["seed"])
+        assert "\"origin\": \"instruction\"" in (tmp_path / "run" / "train.jsonl").read_text(encoding="utf-8")
+
+
+def _spy(monkeypatch, module, name: str, paths: list) -> None:
+    """Note the path that each call of `module.name` gets, wherever a renokit module holds the function."""
+    original = getattr(module, name)
+
+    def spy(path, *args, **kwargs):
+        paths.append(Path(path))
+        return original(path, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("renokit") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+
+
+class TestStageHandoff:
+    """Within one run each stage hands its records to the next in memory: a file the run
+    wrote is read back only for a stage skipped on resume, and no file is hashed twice."""
+
+    @pytest.mark.parametrize("make_config", [write_pipeline_fixture, _full_config], ids=["fixture", "gen-and-eval"])
+    def test_fresh_run_reads_nothing_back_and_hashes_each_file_once(self, tmp_path, monkeypatch, make_config):
+        reads, digests = [], []
+        _spy(monkeypatch, renokit.jsonl, "read_jsonl", reads)
+        _spy(monkeypatch, renokit.pipeline, "file_digest", digests)
+        out = tmp_path / "out"
+        manifest = _mock_run(make_config(tmp_path), out)
+        assert [p for p in reads if out in p.parents] == []
+        assert sorted(digests) == sorted(set(digests))
+        recorded = {path for record in manifest.stages for path in {**record.inputs, **record.outputs}}
+        assert {str(p) for p in digests} == recorded
+
+    def test_resume_after_a_dedup_change_reads_kept_back(self, tmp_path, monkeypatch):
+        config_path = write_pipeline_fixture(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(config_path, out)
+        unique = (out / "unique.jsonl").read_bytes()
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["dedup"]["sentence_max_repeats"] = 1
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        reads = []
+        with monkeypatch.context() as m:
+            _spy(m, renokit.jsonl, "read_jsonl", reads)
+            resumed = run_pipeline(config_path, out, resume=True)
+        assert [r.stage for r in resumed.stages][4:] == ["dedup", "mix"]
+        assert [p for p in reads if out in p.parents] == [out / "kept.jsonl"]
+        assert (out / "unique.jsonl").read_bytes() != unique
+        run_pipeline(config_path, tmp_path / "fresh")
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def _eval_report(**fields) -> dict:
@@ -623,6 +694,11 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "sft_turns_str.jsonl", [{"kind": "one_turn", "turns": "地板", "knowledge_id": "k"}])
     write_jsonl(tmp_path / "doc_text_int.jsonl", [doc, {**doc, "text": 5}])
     write_jsonl(tmp_path / "doc_no_text.jsonl", [doc, {k: v for k, v in doc.items() if k != "text"}])
+    # a row that passes every filter, but whose text ends in an escaped lone surrogate
+    row = json.dumps({**doc, "text": "装修知识很重要，施工前要核对图纸。" * 8, "token_count": 128, "char_count": 137},
+                     ensure_ascii=False)
+    (tmp_path / "doc_surrogate.jsonl").write_text(
+        json.dumps(doc, ensure_ascii=False) + "\n" + row.replace('。"', '。\\ud800"') + "\n", encoding="utf-8")
     write_jsonl(tmp_path / "doc_tokens_null_mix.jsonl", [doc, {**doc, "token_count": None}])
     write_jsonl(tmp_path / "turns_not_objects.jsonl", [doc, {"id": "s1", "turns": ["地板"]}])
     turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
@@ -789,6 +865,8 @@ _TERM_FREQ = ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv"
     (("eval", "--dataset", "{tmp}/mcq_correct_option_list.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0",
       "--out", "{tmp}/report.json"), 2),
     (("filter", "--in", "{tmp}/doc_text_int.jsonl", "--out", "{tmp}/kept.jsonl", "--report", "{tmp}/f.json"), 2),
+    (("filter", "--in", "{tmp}/doc_surrogate.jsonl", "--out", "{tmp}/kept.jsonl", "--report", "{tmp}/f.json"), 2),
+    (("dedup", "--in", "{tmp}/doc_surrogate.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl"), 2),
     (_GEN + ("--endpoint", "{tmp}/ep_backoff_nested.json", "--budget", "1"), 2),
     (_GEN + ("--endpoint", "{tmp}/ep_retries_negative.json", "--budget", "1"), 2),
     (_MIX + ("{tmp}/doc_no_text.jsonl", "--mode", "mip", "--instructions", "{tmp}/sft.jsonl"), 2),
@@ -809,7 +887,8 @@ _TERM_FREQ = ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv"
         "stats-doc-tokens-null", "stats-turns-str", "term-freq-turns-str", *_PARTIAL_REPORTS, *_BAD_MANIFESTS,
         "run-manifest-list-resume", "eval-shots-shortfall", "eval-dev-id-repeated", "stats-mcq-question-int",
         "stats-pair-jaccard-str",
-        "eval-mcq-correct-option-list", "filter-doc-text-int", "gen-endpoint-backoff-nested",
+        "eval-mcq-correct-option-list", "filter-doc-text-int", "filter-doc-lone-surrogate",
+        "dedup-doc-lone-surrogate", "gen-endpoint-backoff-nested",
         "gen-endpoint-retries-negative", "mix-mip-text-missing", "mix-turns-not-objects", "mix-token-count-null",
         "mix-dapt-instructions", "stats-mip-row-text-int", "term-freq-top-negative", "term-freq-top-zero",
         "term-freq-top-one"])
@@ -833,6 +912,16 @@ def test_config_file_error_names_the_file(tmp_path, capsys, argv, path):
     _exit_code_inputs(tmp_path)
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert str(tmp_path / path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["filter", "dedup"])
+def test_lone_surrogate_names_the_line(tmp_path, capsys, command):
+    _exit_code_inputs(tmp_path)
+    outputs = ("--report", tmp_path / "f.json") if command == "filter" else ("--pairs", tmp_path / "p.jsonl")
+    assert run_cli(command, "--in", tmp_path / "doc_surrogate.jsonl", "--out", tmp_path / "o.jsonl", *outputs) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'doc_surrogate.jsonl'}: line 2: text holds a lone surrogate '\\ud800' at position 136\n"
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -440,7 +440,7 @@ class TestIngestStage:
 
         monkeypatch.setattr(ingest, "read_jsonl", reading)
         monkeypatch.setattr(ingest, "clean_record", extracting)
-        stats = run_ingest_stage([(self.write_raw(tmp_path), "domain_book")], tmp_path / "docs.jsonl", None)
+        _, stats = run_ingest_stage([(self.write_raw(tmp_path), "domain_book")], tmp_path / "docs.jsonl", None)
         assert stats.total_documents == 3
         assert events == ["read", "extract"] * 3
 
