@@ -4,10 +4,18 @@ Article level runs in two passes: exact duplicates on whitespace-normalized
 text, then near-duplicates found by MinHash + LSH banding. Every LSH candidate
 pair is verified with the exact Jaccard similarity of the full shingle sets
 before anything is collapsed, so reported pairs are never false positives.
-Signatures are built from every gram hash, repeats included; the sorted,
-unique shingle sets are built only for the documents of candidate pairs.
 Survivors are always the lexicographically smallest doc_id of a duplicate
 group, which makes the output independent of input order.
+
+The near-dup pass hashes and signs documents in doc_id order, a batch at a
+time: each batch of at most _BATCH_CODE_POINTS code points is one UTF-32
+array, hashed at every position by `gram_hashes_batch` and signed by one
+`compute_signatures` call from every gram hash, repeats included. Batches are
+sized in code points, not documents, so that a batch of long chapters keeps
+its temporaries in cache as a batch of short pages does. LSH bucketing sorts
+each band's rows by a 64-bit key folded from the band and compares whole
+bands only within runs of equal keys. The sorted, unique shingle sets are
+built only for the documents of candidate pairs.
 
 `brute_force_pairs` is the O(n^2) oracle used to measure the recall of the
 LSH path on small corpora.
@@ -17,8 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Sequence
+from itertools import accumulate, combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +42,10 @@ REASON_SENTENCE = "sentence"
 # splitmix64's increment; also the (odd) base of the shingle polynomial
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _EMPTY_BIN = np.uint64((1 << 64) - 1)
+# Near-dup hashing and signing take documents in batches of at most this many
+# code points, so that a batch's temporaries stay in cache: a few times this
+# size, or a count of documents, made long chapters slower (see README).
+_BATCH_CODE_POINTS = 16384
 
 
 def normalize_for_dedup(text: str) -> str:
@@ -87,29 +99,56 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 of each value, in wrapping uint64 arithmetic: a bijection
     whose every output bit depends on every input bit."""
     z = x + _GAMMA
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    return z ^ (z >> 31)
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def gram_hashes_batch(texts: Sequence[str], ngram: int = 5) -> tuple[np.ndarray, list[int]]:
+    """uint64 hashes of the character n-grams of texts already passed through
+    `normalize_for_dedup`, one per position, repeats kept, text after text;
+    and how many each text has.
+
+    The texts are encoded as one UTF-32 array, and each gram, a polynomial in
+    its code points, is evaluated at every position at once, then finished
+    with splitmix64; a gram that runs past the end of its own text is dropped.
+    The polynomial starts from the gram width, so a leading U+0000 still
+    changes the hash. A text shorter than the n-gram width gives a single
+    whole-text hash, so only an empty text has none.
+    """
+    lengths = [len(text) for text in texts]
+    total = sum(lengths)
+    # When no text is as long as a gram, no position keeps one to compute.
+    width = ngram if ngram <= max(lengths, default=0) else 0
+    # width - 1 padding code points let every position start a whole gram
+    codes = np.frombuffer(("".join(texts) + "\0" * (width - 1)).encode("utf-32-le"), np.uint32).astype(np.uint64)
+    sums = np.full(total, width, dtype=np.uint64)
+    for k in range(width):
+        sums *= _GAMMA
+        sums += codes[k : k + total]
+    starts = list(accumulate(lengths, initial=0))
+    for text, start in zip(texts, starts):
+        if 0 < len(text) < ngram:
+            sums[start] = _polynomial(text)
+    counts = [max(n - ngram + 1, int(n > 0)) for n in lengths]
+    hashes = _mix64(sums)
+    return np.concatenate([hashes[:0], *(hashes[s : s + c] for s, c in zip(starts, counts))]), counts
+
+
+def _polynomial(gram: str) -> int:
+    """A gram's polynomial in its code points, started from its width, in uint64 arithmetic."""
+    value = len(gram)
+    for ch in gram:
+        value = (value * int(_GAMMA) + ord(ch)) & 0xFFFFFFFFFFFFFFFF
+    return value
 
 
 def gram_hashes(doc: Document, ngram: int = 5) -> np.ndarray:
-    """uint64 hashes of the character n-grams of the whitespace-normalized
-    text, one per position, repeats kept.
-
-    Each gram is a polynomial in its code points, evaluated at all positions
-    at once, then finished with splitmix64. The polynomial starts from the
-    gram width, so a leading U+0000 still changes the hash. A text shorter
-    than the n-gram width gives a single whole-text hash, so any non-empty
-    document always has a non-empty array.
-    """
-    codes = np.frombuffer(normalize_for_dedup(doc.text).encode("utf-32-le"), np.uint32).astype(np.uint64)
-    width = min(ngram, len(codes))
-    grams = len(codes) - width + 1 if width else 0
-    hashes = np.full(grams, width, dtype=np.uint64)
-    for k in range(width):
-        hashes *= _GAMMA
-        hashes += codes[k : k + grams]
-    return _mix64(hashes)
+    """The `gram_hashes_batch` of one document's text."""
+    return gram_hashes_batch([normalize_for_dedup(doc.text)], ngram)[0]
 
 
 def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
@@ -155,24 +194,37 @@ def exact_dedup(docs: Sequence[Document]) -> list[Document]:
 # --- MinHash / LSH pass --------------------------------------------------------
 
 
-def compute_signatures(shingle_sets: Sequence[np.ndarray], cfg: DedupConfig) -> np.ndarray:
+def compute_signatures(hashes: Sequence[np.ndarray] | np.ndarray, cfg: DedupConfig,
+                       counts: Sequence[int] | None = None) -> np.ndarray:
     """MinHash signatures: one row of cfg.num_perm values per shingle array.
+
+    `hashes` is one array per row or, given `counts`, one flat array that
+    holds the first row's `counts[0]` values, then the next row's, and so on.
 
     One-permutation hashing (Li, Owen & Zhang, 2012): each shingle is hashed
     once with the seed; the high 32 bits pick its bin by multiply-shift and
-    the low 32 bits are its value, and each bin keeps its minimum. Empty bins
-    are then filled by rotation (Shrivastava & Li, 2014; see `_densify`).
+    the low 32 bits are its value, and each bin keeps its minimum. All rows
+    are signed by one `np.minimum.at` into the flat signature block. Empty
+    bins are then filled by rotation (Shrivastava & Li, 2014; see `_densify`).
     A bin keeps a minimum, so neither order nor repeats change a row, and an
     array of `gram_hashes` signs as its `shingle` set does.
     """
+    if counts is None:
+        counts = [len(xs) for xs in hashes]
+        hashes = np.concatenate(hashes) if counts else np.empty(0, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=np.intp)
+    if not counts.all():
+        raise EmptyShingleSet("cannot sign an empty shingle array")
     key = _mix64(np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-    signatures = np.full((len(shingle_sets), cfg.num_perm), _EMPTY_BIN, dtype=np.uint64)
-    for row, xs in zip(signatures, shingle_sets):
-        if not xs.size:
-            raise EmptyShingleSet("cannot sign an empty shingle array")
-        hashes = _mix64(xs ^ key)
-        np.minimum.at(row, ((hashes >> 32) * cfg.num_perm) >> 32, hashes & 0xFFFFFFFF)
-    return _densify(signatures)
+    mixed = _mix64(hashes ^ key)
+    slots = mixed >> 32
+    slots *= cfg.num_perm
+    slots >>= 32
+    slots += np.repeat(np.arange(counts.size, dtype=np.uint64) * np.uint64(cfg.num_perm), counts)
+    mixed &= 0xFFFFFFFF
+    signatures = np.full(counts.size * cfg.num_perm, _EMPTY_BIN, dtype=np.uint64)
+    np.minimum.at(signatures, slots, mixed)
+    return _densify(signatures.reshape(counts.size, cfg.num_perm))
 
 
 def _densify(signatures: np.ndarray) -> np.ndarray:
@@ -190,16 +242,66 @@ def _densify(signatures: np.ndarray) -> np.ndarray:
     return np.take_along_axis(signatures, source % num_bins, axis=1) + (distance << 32)
 
 
+def _batches(docs: Sequence[Document]) -> Iterator[list[tuple[Document, str]]]:
+    """The documents with their `normalize_for_dedup` texts, in runs of at
+    most _BATCH_CODE_POINTS code points; a longer text is a run of its own."""
+    batch: list[tuple[Document, str]] = []
+    size = 0
+    for doc in docs:
+        text = normalize_for_dedup(doc.text)
+        if batch and size + len(text) > _BATCH_CODE_POINTS:
+            yield batch
+            batch, size = [], 0
+        batch.append((doc, text))
+        size += len(text)
+    if batch:
+        yield batch
+
+
+def _sign_in_batches(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], np.ndarray]:
+    """The documents that have gram hashes, in the given order, and their
+    signature rows: each batch is hashed by one `gram_hashes_batch` call and
+    signed by one `compute_signatures` call."""
+    usable: list[Document] = []
+    blocks = [np.empty((0, cfg.num_perm), dtype=np.uint64)]
+    for batch in _batches(docs):
+        hashes, counts = gram_hashes_batch([text for _, text in batch], cfg.ngram)
+        usable.extend(doc for (doc, _), count in zip(batch, counts) if count)
+        blocks.append(compute_signatures(hashes, cfg, counts=[count for count in counts if count]))
+    return usable, np.concatenate(blocks)
+
+
+def _band_keys(signatures: np.ndarray, cfg: DedupConfig) -> np.ndarray:
+    """One uint64 key per row and band, shape (rows, lsh_bands): the band's
+    columns folded by splitmix64, so equal band rows have equal keys."""
+    bands = signatures.reshape(len(signatures), cfg.lsh_bands, cfg.lsh_rows)
+    keys = _mix64(bands[:, :, 0])
+    for col in range(1, cfg.lsh_rows):
+        keys = _mix64(keys ^ bands[:, :, col])
+    return keys
+
+
 def _lsh_candidates(doc_ids: Sequence[str], signatures: np.ndarray, cfg: DedupConfig) -> set[tuple[str, str]]:
-    """Pairs of the sorted `doc_ids`, which name the signature rows, that share a whole band."""
-    candidates: set[tuple[str, str]] = set()
-    for band in np.hsplit(signatures, cfg.lsh_bands):
-        buckets: dict[bytes, list[str]] = {}
-        for doc_id, row in zip(doc_ids, band):
-            buckets.setdefault(row.tobytes(), []).append(doc_id)
-        for members in buckets.values():
-            candidates.update(combinations(members, 2))
-    return candidates
+    """Pairs of the sorted `doc_ids`, which name the signature rows, that share a whole band.
+
+    Each band's rows are sorted by their `_band_keys`, so rows with equal
+    bands lie in runs of equal keys. Pairs within a run, found as equal keys
+    `gap` places apart for growing gaps, are compared on the whole band, so
+    keys that collide never make a candidate.
+    """
+    bands = signatures.reshape(len(signatures), cfg.lsh_bands, cfg.lsh_rows)
+    keys = _band_keys(signatures, cfg)
+    order = np.argsort(keys, axis=0)
+    keys = np.take_along_axis(keys, order, axis=0)
+    pairs: set[tuple[int, int]] = set()
+    for gap in range(1, len(keys)):
+        at, band = np.nonzero(keys[gap:] == keys[:-gap])
+        if not at.size:
+            break  # no run is longer than gap
+        a, b = order[at, band], order[at + gap, band]
+        same = (bands[a, band] == bands[b, band]).all(axis=1)
+        pairs.update(zip(np.minimum(a, b)[same].tolist(), np.maximum(a, b)[same].tolist()))
+    return {(doc_ids[a], doc_ids[b]) for a, b in pairs}
 
 
 class _UnionFind:
@@ -232,10 +334,7 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
     threshold; duplicate groups are the connected components of kept pairs.
     """
     docs = sorted(docs, key=lambda d: d.doc_id)
-    hashes = [gram_hashes(d, cfg.ngram) for d in docs]
-    usable = [d for d, h in zip(docs, hashes) if h.size]
-    signatures = compute_signatures([h for h in hashes if h.size], cfg)
-    del hashes
+    usable, signatures = _sign_in_batches(docs, cfg)
     candidates = _lsh_candidates([d.doc_id for d in usable], signatures, cfg)
     members = {doc_id for pair in candidates for doc_id in pair}
     shingle_sets = {d.doc_id: shingle(d, cfg.ngram) for d in usable if d.doc_id in members}

@@ -244,11 +244,15 @@ _WS_RUN_RE = re.compile(r"[ \t 　]+")
 _SPACE_RUN_RE = re.compile(r"\s+")
 
 
+def _pipe_count(text: str) -> int:
+    return text.count("|") + text.count("│") + text.count("║") + text.count("┃")
+
+
 def _is_table_line(line: str) -> bool:
     # Both verdicts need two separators, so most lines stop at the counts.
     # Density is measured over non-whitespace characters so the verdict does
     # not change once whitespace runs have been collapsed.
-    pipes = line.count("|") + line.count("│") + line.count("║") + line.count("┃")
+    pipes = _pipe_count(line)
     tabs = line.count("\t")
     if pipes < 2 and tabs < 2:
         return False
@@ -259,6 +263,10 @@ def _is_table_line(line: str) -> bool:
 
 
 def _drop_table_lines(text: str) -> str:
+    # Every table line holds two pipes or two tabs, so a text with fewer of
+    # both holds none.
+    if _pipe_count(text) < 2 and text.count("\t") < 2:
+        return text
     return "\n".join(line for line in text.split("\n") if not _is_table_line(line))
 
 

@@ -12,6 +12,7 @@ it is an error rather than a silent recompute.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -421,7 +422,8 @@ class PipelineRunner:
 
     # --- stages -----------------------------------------------------------
     # Ingest, filter and dedup return the documents they wrote, None when
-    # skipped; a stage handed None reads the file back.
+    # skipped; a stage handed None reads the file back. Mix and gen are handed
+    # a function that returns dedup's documents.
 
     def stage_ingest(self) -> list[Document] | None:
         files = [f for path, _ in self.sources for f in source_files(path)]
@@ -439,7 +441,7 @@ class PipelineRunner:
         return self._run_stage("dedup", [kept_path], outputs,
                                lambda: run_dedup_stage(_handed(kept, kept_path), self.dedup_cfg, *outputs)[0])
 
-    def stage_mix(self, unique: list[Document] | None) -> None:
+    def stage_mix(self, unique: Callable[[], list[Document]]) -> None:
         if self.mix is None:
             return
         unique_path, train, report, trainer = self._out("unique.jsonl", "train.jsonl", "mix_report.json",
@@ -447,20 +449,20 @@ class PipelineRunner:
         inputs = [unique_path, self.instructions] if self.instructions else [unique_path]
 
         def action() -> None:
-            records = (d.to_dict() for d in _handed(unique, unique_path))
+            records = (d.to_dict() for d in unique())
             run_mix_stage(records, self.mix, train, report, instructions_path=self.instructions)
             emit_trainer_config(self.mix.mode, trainer)
 
         self._run_stage("mix", inputs, [train, report, trainer], action)
 
-    def stage_gen(self, unique: list[Document] | None) -> None:
+    def stage_gen(self, unique: Callable[[], list[Document]]) -> None:
         if self.gen is None:
             return
         endpoint_path, endpoint = self.gen_endpoint
         unique_path, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
 
         def action() -> None:
-            gen_report = run_gen_stage(_handed(unique, unique_path), self.gen_template, endpoint, self.gen_transport,
+            gen_report = run_gen_stage(unique(), self.gen_template, endpoint, self.gen_transport,
                                        self.gen.budget, self.out_dir / "gen_archive", sft, report,
                                        lenient=self.gen.lenient)
             if gen_report.budget_exhausted:
@@ -480,9 +482,13 @@ class PipelineRunner:
     def run(self) -> PipelineManifest:
         # A list is referenced only until the last stage that reads it returns.
         unique = self.stage_dedup(self.stage_filter(self.stage_ingest()))
-        self.stage_mix(unique)
-        self.stage_gen(unique)
+        # When dedup was skipped, the first of mix and gen that runs reads its
+        # file back, and the other reuses what it read.
+        handed = functools.cache(functools.partial(_handed, unique, self.out_dir / "unique.jsonl"))
         del unique
+        self.stage_mix(handed)
+        self.stage_gen(handed)
+        del handed
         self.stage_eval()
         return self.manifest
 

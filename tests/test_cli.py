@@ -647,6 +647,32 @@ class TestStageHandoff:
         for name in names:
             assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
+    def test_resume_with_dedup_skipped_reads_unique_once(self, tmp_path, monkeypatch):
+        config_path = _full_config(tmp_path)
+        out = tmp_path / "out"
+        _mock_run(config_path, out)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["mix"]["ratio"] = "1:0"
+        config["gen"]["budget"] = 99
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        reads = []
+        with monkeypatch.context() as m:
+            _spy(m, renokit.jsonl, "read_jsonl", reads)
+            resumed = _mock_run(config_path, out, resume=True)
+        assert [r.stage for r in resumed.stages][6:] == ["mix", "gen"]
+        assert [p.name for p in reads if out in p.parents] == ["unique.jsonl"]
+
+    def test_resume_with_nothing_to_rerun_reads_nothing_back(self, tmp_path, monkeypatch):
+        config_path = _full_config(tmp_path)
+        out = tmp_path / "out"
+        _mock_run(config_path, out)
+        reads = []
+        with monkeypatch.context() as m:
+            _spy(m, renokit.jsonl, "read_jsonl", reads)
+            resumed = _mock_run(config_path, out, resume=True)
+        assert len(resumed.stages) == 6
+        assert [p for p in reads if out in p.parents] == []
+
 
 def _eval_report(**fields) -> dict:
     """A whole eval report, as `eval` and `run` write it, with `fields` replaced."""

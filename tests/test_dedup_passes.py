@@ -1,14 +1,19 @@
-"""The text passes of `dedup` against the regex bodies they replaced, kept
-here as oracles, and signing raw gram hashes against signing shingle sets."""
+"""The text passes of `dedup` against the regex bodies they replaced, the
+batched hashing, signing and LSH bucketing against the per-document and
+per-row bodies they replaced, kept here as oracles, and signing raw gram
+hashes against signing shingle sets."""
 
 from __future__ import annotations
 
 import random
 import re
+from itertools import combinations
 
 import numpy as np
 
-from renokit.dedup import DedupConfig, compute_signatures, gram_hashes, normalize_for_dedup, shingle, split_sentences
+from renokit import dedup
+from renokit.dedup import (DedupConfig, _densify, _lsh_candidates, _mix64, _sign_in_batches, compute_signatures,
+                           gram_hashes, gram_hashes_batch, normalize_for_dedup, shingle, split_sentences)
 
 from fixture_data import cjk_text, make_doc
 
@@ -24,6 +29,42 @@ def oracle_normalize(text: str) -> str:
 
 def oracle_split(text: str) -> list[str]:
     return [part for part in _SENTENCE_BOUNDARY.split(text) if part]
+
+
+# --- oracles: the per-document and per-row bodies the batch kernels replaced --------
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def oracle_gram_hashes(text: str, ngram: int) -> np.ndarray:
+    codes = np.frombuffer(normalize_for_dedup(text).encode("utf-32-le"), np.uint32).astype(np.uint64)
+    width = min(ngram, len(codes))
+    grams = len(codes) - width + 1 if width else 0
+    hashes = np.full(grams, width, dtype=np.uint64)
+    for k in range(width):
+        hashes *= _GAMMA
+        hashes += codes[k : k + grams]
+    return _mix64(hashes)
+
+
+def oracle_signatures(shingle_sets: list[np.ndarray], cfg: DedupConfig) -> np.ndarray:
+    key = _mix64(np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+    signatures = np.full((len(shingle_sets), cfg.num_perm), np.uint64((1 << 64) - 1), dtype=np.uint64)
+    for row, xs in zip(signatures, shingle_sets):
+        hashes = _mix64(xs ^ key)
+        np.minimum.at(row, ((hashes >> 32) * cfg.num_perm) >> 32, hashes & 0xFFFFFFFF)
+    return _densify(signatures)
+
+
+def oracle_lsh_candidates(doc_ids: list[str], signatures: np.ndarray, cfg: DedupConfig) -> set[tuple[str, str]]:
+    candidates: set[tuple[str, str]] = set()
+    for band in np.hsplit(signatures, cfg.lsh_bands):
+        buckets: dict[bytes, list[str]] = {}
+        for doc_id, row in zip(doc_ids, band):
+            buckets.setdefault(row.tobytes(), []).append(doc_id)
+        for members in buckets.values():
+            candidates.update(combinations(members, 2))
+    return candidates
 
 
 # --- tests ----------------------------------------------------------------------
@@ -72,3 +113,100 @@ def test_raw_gram_hashes_sign_as_their_shingle_set():
         assert any(len(raw[i]) > len(sets[i]) for i in signable), "some texts repeat a gram"
         assert np.array_equal(compute_signatures([raw[i] for i in signable], cfg),
                               compute_signatures([sets[i] for i in signable], cfg))
+
+
+def batch_edge_texts(rng: random.Random, ngram: int) -> list[str]:
+    """Texts for the batch kernels: empty, whitespace-only, shorter than the
+    n-gram width, astral, exactly at the batch limit and one past it, and
+    enough short texts to straddle many batch edges."""
+    limit = dedup._BATCH_CODE_POINTS
+    alphabet = [cjk_text(rng, 1) for _ in range(6)] + list("ab \t\n　") + ["\U00020000", "\U0001F600", "\x00"]
+    texts = ["", " ", "\n\t　 ", "\U00020000", "\x00a", "a\U0001F600b"]
+    texts += [cjk_text(rng, n) for n in range(1, ngram)]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3 * ngram))) for _ in range(60)]
+    texts += [cjk_text(rng, limit), "短文", cjk_text(rng, limit + 1), cjk_text(rng, limit - 3), "\U00020000" * 4]
+    texts += [cjk_text(rng, rng.randint(0, 900)) for _ in range(150)]
+    rng.shuffle(texts)
+    return texts
+
+
+def test_batch_kernel_matches_per_document_hashing():
+    rng = random.Random(31)
+    for ngram in (1, 3, 5):
+        texts = batch_edge_texts(rng, ngram)
+        want = [oracle_gram_hashes(t, ngram) for t in texts]
+        hashes, counts = gram_hashes_batch([normalize_for_dedup(t) for t in texts], ngram)
+        assert counts == [len(w) for w in want]
+        assert np.array_equal(hashes, np.concatenate(want))
+        for text, w in zip(texts, want):
+            assert np.array_equal(gram_hashes(make_doc(text), ngram), w), ascii(text[:20])
+    # a width no text reaches: every text is one whole-text hash
+    texts = ["ab", "", "\U00020000", cjk_text(rng, 3000)]
+    hashes, counts = gram_hashes_batch(texts, 10**9)
+    assert counts == [1, 0, 1, 1]
+    assert np.array_equal(hashes, np.concatenate([oracle_gram_hashes(t, 10**9) for t in texts]))
+
+
+def test_batched_signing_matches_per_row_oracle():
+    rng = random.Random(37)
+    limit = dedup._BATCH_CODE_POINTS
+    for ngram, num_perm, bands in ((1, 64, 8), (3, 128, 16), (5, 256, 32)):
+        cfg = DedupConfig(ngram=ngram, num_perm=num_perm, lsh_bands=bands, lsh_rows=num_perm // bands, seed=ngram)
+        docs = [make_doc(t) for t in batch_edge_texts(rng, ngram)]
+        batches = [[len(text) for _, text in batch] for batch in dedup._batches(docs)]
+        assert [n for sizes in batches for n in sizes] == [len(normalize_for_dedup(d.text)) for d in docs]
+        assert all(sum(sizes) <= limit or len(sizes) == 1 for sizes in batches)
+        assert [limit] in batches and [limit + 1] in batches and len(batches) > 8
+        raw = [oracle_gram_hashes(d.text, ngram) for d in docs]
+        usable, signatures = _sign_in_batches(docs, cfg)
+        assert usable == [d for d, r in zip(docs, raw) if r.size]
+        assert np.array_equal(signatures, oracle_signatures([r for r in raw if r.size], cfg))
+
+
+def test_flat_signing_is_the_list_form():
+    cfg = DedupConfig(num_perm=64, lsh_bands=8, lsh_rows=8, seed=5)
+    rows = [np.random.default_rng(i).integers(0, 1 << 63, size=n, dtype=np.uint64) for i, n in enumerate((1, 7, 300))]
+    flat = compute_signatures(np.concatenate(rows), cfg, counts=[1, 7, 300])
+    assert np.array_equal(flat, compute_signatures(rows, cfg))
+    assert np.array_equal(flat, oracle_signatures(rows, cfg))
+    assert compute_signatures([], cfg).shape == (0, 64)
+
+
+def signature_cases(rng: np.random.Generator):
+    """(doc_ids, signatures, cfg): random rows over a small alphabet, so whole
+    bands often agree, and planted rows that copy some bands of another."""
+    for bands, rows, n in ((4, 2, 60), (16, 8, 200), (8, 1, 30), (1, 4, 40), (4, 2, 1), (4, 2, 0)):
+        cfg = DedupConfig(num_perm=bands * rows, lsh_bands=bands, lsh_rows=rows)
+        sigs = rng.integers(0, 3, size=(n, bands * rows), dtype=np.uint64)
+        yield [f"d{i:04d}" for i in range(n)], sigs, cfg
+        planted = rng.integers(0, 1 << 63, size=(n, bands * rows), dtype=np.uint64)
+        for i in range(1, n):
+            if rng.random() < 0.5:
+                source = int(rng.integers(0, i))
+                cols = np.repeat(rng.random(bands) < 0.3, rows)
+                planted[i, cols] = planted[source, cols]
+        yield [f"d{i:04d}" for i in range(n)], planted, cfg
+
+
+def test_lsh_candidates_match_bucket_oracle(monkeypatch):
+    rng = np.random.default_rng(41)
+    cases = list(signature_cases(rng))
+    for ids, sigs, cfg in cases:
+        assert _lsh_candidates(ids, sigs, cfg) == oracle_lsh_candidates(ids, sigs, cfg)
+    # every key collides: only the whole-band compare tells rows apart
+    monkeypatch.setattr(dedup, "_band_keys", lambda sigs, cfg: np.zeros((len(sigs), cfg.lsh_bands), dtype=np.uint64))
+    found = 0
+    for ids, sigs, cfg in cases:
+        want = oracle_lsh_candidates(ids, sigs, cfg)
+        assert _lsh_candidates(ids, sigs, cfg) == want
+        found += len(want)
+    assert found > 100
+
+
+def test_batches_fill_up_to_the_limit():
+    limit = dedup._BATCH_CODE_POINTS
+    rng = random.Random(43)
+    sizes = [limit // 2, limit - limit // 2, 1, limit, 0, limit + 1, 3, limit - 3, 2, 2]
+    docs = [make_doc(cjk_text(rng, n)) for n in sizes]
+    batches = [[len(text) for _, text in batch] for batch in dedup._batches(docs)]
+    assert batches == [[limit // 2, limit - limit // 2], [1], [limit, 0], [limit + 1], [3, limit - 3], [2, 2]]

@@ -10,6 +10,7 @@ from renokit.errors import DecodeError, EmptyAfterExtraction, SchemaError
 from renokit.ingest import (
     Document,
     RawRecord,
+    _drop_table_lines,
     _is_table_line,
     _MarkupStripper,
     _strip_tokens,
@@ -274,6 +275,40 @@ class TestTableLines:
         monkeypatch.setattr(ingest, "_SPACE_RUN_RE", Unused())
         assert not _is_table_line("甲|乙\t丙")
         assert not _is_table_line("")
+
+    def texts(self):
+        """Texts holding exactly one or exactly two of a separator, within one
+        line or split across lines, among short lines of other characters."""
+        rng = random.Random(8)
+        for sep in "|│║┃\t":
+            for n in (1, 2):
+                for _ in range(40):
+                    lines = ["".join(rng.choice(["甲", "a", " ", "\u3000"]) for _ in range(rng.randint(0, 4)))
+                             for _ in range(rng.randint(1, 4))]
+                    for _ in range(n):
+                        at = rng.randrange(len(lines))
+                        pos = rng.randint(0, len(lines[at]))
+                        lines[at] = lines[at][:pos] + sep + lines[at][pos:]
+                    yield "\n".join(lines)
+        yield "甲|乙\t丙\n丁"
+
+    def test_drop_matches_the_line_by_line_verdicts(self):
+        dropped = 0
+        for text in self.texts():
+            want = "\n".join(line for line in text.split("\n") if not oracle_is_table_line(line))
+            assert _drop_table_lines(text) == want, repr(text)
+            dropped += want != text
+        assert dropped
+
+    def test_texts_with_fewer_than_two_separators_skip_the_lines(self, monkeypatch):
+        def unused(line):
+            raise AssertionError("judged a line")
+
+        monkeypatch.setattr(ingest, "_is_table_line", unused)
+        texts = [t for t in self.texts() if sum(t.count(ch) for ch in "|│║┃") < 2 and t.count("\t") < 2]
+        assert len(texts) > 100
+        for text in texts:
+            assert _drop_table_lines(text) is text
 
 
 # The URL pattern before the (?=[hfw]) lookahead, kept as the oracle.
