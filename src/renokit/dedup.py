@@ -15,17 +15,18 @@ sized in code points, not documents, so that a batch of long chapters keeps
 its temporaries in cache as a batch of short pages does. LSH bucketing sorts
 each band's rows by a 64-bit key folded from the band and compares whole
 bands only within runs of equal keys. The sorted, unique shingle sets are
-built only for the documents of candidate pairs.
+built only for the documents of candidate pairs, hashed in batches the same
+way, then split into one set per document.
 
-`brute_force_pairs` is the O(n^2) oracle used to measure the recall of the
-LSH path on small corpora.
+The tests measure the recall of the LSH path against an O(n^2) all-pairs
+oracle on small corpora.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -271,6 +272,26 @@ def _sign_in_batches(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[D
     return usable, np.concatenate(blocks)
 
 
+def _shingle_sets(docs: Sequence[Document], ngram: int) -> dict[str, np.ndarray]:
+    """The `shingle` set of each document by doc_id, for documents that have
+    gram hashes. Each batch is hashed by one `gram_hashes_batch` call, each
+    document's slice is sorted in place, and one pass drops the repeats of
+    the whole batch; the sets are views of that one array."""
+    sets: dict[str, np.ndarray] = {}
+    for batch in _batches(docs):
+        hashes, counts = gram_hashes_batch([text for _, text in batch], ngram)
+        starts = list(accumulate(counts, initial=0))
+        for start, end in zip(starts, starts[1:]):
+            hashes[start:end].sort()
+        first = np.empty(hashes.size, dtype=bool)
+        np.not_equal(hashes[1:], hashes[:-1], out=first[1:])
+        first[starts[:-1]] = True  # a document's smallest hash is kept even if the one before ends with it
+        kept_by_end = np.cumsum(first)[np.asarray(starts[1:]) - 1]
+        for (doc, _), shingles in zip(batch, np.split(hashes[first], kept_by_end[:-1])):
+            sets[doc.doc_id] = shingles
+    return sets
+
+
 def _band_keys(signatures: np.ndarray, cfg: DedupConfig) -> np.ndarray:
     """One uint64 key per row and band, shape (rows, lsh_bands): the band's
     columns folded by splitmix64, so equal band rows have equal keys."""
@@ -337,7 +358,7 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
     usable, signatures = _sign_in_batches(docs, cfg)
     candidates = _lsh_candidates([d.doc_id for d in usable], signatures, cfg)
     members = {doc_id for pair in candidates for doc_id in pair}
-    shingle_sets = {d.doc_id: shingle(d, cfg.ngram) for d in usable if d.doc_id in members}
+    shingle_sets = _shingle_sets([d for d in usable if d.doc_id in members], cfg.ngram)
     pairs: list[DupPair] = []
     uf = _UnionFind()
     for a, b in sorted(candidates):
@@ -353,17 +374,6 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
         else:
             survivors.append(doc)
     return survivors, pairs, len(candidates)
-
-
-def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPair]:
-    """All-pairs exact-Jaccard oracle; quadratic, for verification only."""
-    shingle_sets = [(d.doc_id, shingle(d, cfg.ngram)) for d in sorted(docs, key=lambda d: d.doc_id)]
-    pairs: list[DupPair] = []
-    for (id_a, a), (id_b, b) in combinations([(i, s) for i, s in shingle_sets if s.size], 2):
-        j = jaccard(a, b)
-        if j >= cfg.jaccard_threshold:
-            pairs.append(DupPair(id_a, id_b, j))
-    return pairs
 
 
 # --- sentence pass -------------------------------------------------------------

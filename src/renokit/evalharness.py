@@ -151,12 +151,8 @@ def check_shots(shots: Sequence[int], dataset: MCQDataset) -> None:
         raise ConfigError(f"dataset {dataset.name!r} can give every item {limit} exemplars, not {max(shots)}")
 
 
-def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:
-    """First k dev-split items in dataset order whose question and options differ from the scored item's."""
-    return _exemplars(dataset.split_entries(SPLIT_DEV), entry.item, k)
-
-
 def _exemplars(dev: Sequence[DatasetEntry], item: MCQItem, k: int) -> list[MCQItem]:
+    """The first k of the `dev` items, in order, whose question and options differ from `item`'s."""
     key = _content_key(item)
     chosen = list(islice((e.item for e in dev if _content_key(e.item) != key), k))
     if len(chosen) < k:

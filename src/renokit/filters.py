@@ -7,6 +7,7 @@ partition the input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -75,16 +76,19 @@ class Lexicon:
     """Sensitive words and the lookup that suits their number.
 
     `find(text)` gives the sorted words that occur in `text` as substrings.
-    Below INDEX_MIN_WORDS words every word is tested. From there on, words
-    are indexed by their first two code points and only those whose prefix
-    occurs among the text's bigrams are tested; words shorter than two code
-    points are always tested.
+    Below INDEX_MIN_WORDS words every word is scanned for. From there on,
+    words are indexed by their first two code points and only those whose
+    prefix occurs among the text's bigrams are tested; words shorter than two
+    code points are always scanned for. The scanned words are first sought
+    together, by one regex alternation that skips in C every position no word
+    starts at, and tested one by one only when it finds any of them.
     """
 
     def __init__(self, words: Collection[str]):
         self.words = frozenset(words)
         indexed = len(self.words) >= INDEX_MIN_WORDS
-        self._scanned = [w for w in self.words if not indexed or len(w) < 2]
+        self._scanned = sorted(w for w in self.words if not indexed or len(w) < 2)
+        self._any_scanned = re.compile("|".join(map(re.escape, self._scanned))).search if self._scanned else None
         by_code: dict[int, list[str]] = {}
         for w in self.words:
             if indexed and len(w) >= 2:
@@ -94,7 +98,7 @@ class Lexicon:
         self._by_code = [by_code[c] for c in codes]
 
     def find(self, text: str) -> tuple[str, ...]:
-        found = [w for w in self._scanned if w in text]
+        found = [w for w in self._scanned if w in text] if self._any_scanned and self._any_scanned(text) else []
         if len(self._codes):
             # surrogatepass: a lone surrogate from a JSON escape is a code point too
             cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.uint64)

@@ -231,16 +231,19 @@ def strip_markup(text: str) -> str:
 # --- cleaning rules ---------------------------------------------------------
 
 # Scheme-prefixed URLs plus bare www. hosts; charset kept ASCII so adjacent
-# CJK text is never swallowed. Every alternative starts with h, f or w, and the
-# lookahead lets the scan skip any other position before trying them.
+# CJK text is never swallowed. The pattern starts with the class [hfw], which
+# lets the regex engine skip every other position in C; each alternative then
+# checks which letter it began with. A bare www. host must not follow an ASCII
+# letter, digit or dot, hence the two-character lookbehind over the first w.
 _URL_RE = re.compile(
-    r"(?=[hfw])(?:(?:https?|ftp)://|(?<![A-Za-z0-9.])www\.)"
+    r"[hfw](?:(?<=h)ttps?://|(?<=f)tp://|(?<![A-Za-z0-9.]w)(?<=w)ww\.)"
     r"[A-Za-z0-9._~:/?#@!$&'()*+;=%\[\]-]*"
 )
 
 _MD_IMAGE_RE = re.compile(r"!\[[^\]\n]*\]\([^)\n]*\)")
 
-_WS_RUN_RE = re.compile(r"[ \t 　]+")
+_SPACES_RE = re.compile("  +")
+_BLANK_LINES_RE = re.compile("\n\n\n+")
 _SPACE_RUN_RE = re.compile(r"\s+")
 
 
@@ -271,22 +274,22 @@ def _drop_table_lines(text: str) -> str:
 
 
 def normalize_whitespace(text: str) -> str:
-    """Collapse space runs within lines and runs of blank lines to one."""
-    lines = [_WS_RUN_RE.sub(" ", line).strip() for line in text.split("\n")]
-    out: list[str] = []
-    for line in lines:
-        if line == "" and (not out or out[-1] == ""):
-            continue
-        out.append(line)
-    while out and out[-1] == "":
-        out.pop()
-    return "\n".join(out)
+    """Collapse space runs within lines and runs of blank lines to one.
+
+    Tabs, U+00A0 and U+3000 count as spaces; each line loses its leading and
+    trailing whitespace (str.strip), and the text its leading and trailing
+    blank lines. Every step is one pass in C over the whole text.
+    """
+    text = text.replace("\t", " ").replace("\u00a0", " ").replace("\u3000", " ")
+    text = "\n".join(map(str.strip, _SPACES_RE.sub(" ", text).split("\n")))
+    return _BLANK_LINES_RE.sub("\n\n", text).strip()
 
 
 def clean_text(text: str) -> str:
     text = _MD_IMAGE_RE.sub(" ", text)
     text = strip_markup(text)
-    text = _URL_RE.sub("", text)
+    if "://" in text or "www." in text:  # every URL holds one of them
+        text = _URL_RE.sub("", text)
     text = _drop_table_lines(text)
     return normalize_whitespace(text)
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import time
 
 from renokit.cli import main as cli_main
-from renokit.dedup import DedupConfig, brute_force_pairs, jaccard, near_dedup, shingle
+from renokit.dedup import DedupConfig, jaccard, near_dedup, shingle
 from renokit.endpoint import ChatClient, EndpointConfig, OfflineTransport, ResponseArchive
-from renokit.evalharness import EvalRunConfig, build_prompt, load_dataset, run_eval, select_exemplars
+from renokit.evalharness import EvalRunConfig, build_prompt, load_dataset, run_eval
 from renokit.filters import FilterConfig, run_filters
 from renokit.jsonl import config_from_json, write_jsonl
 from renokit.mixer import MixPlan, TrainerConfig, emit_trainer_config, mix, records_tokens
@@ -31,6 +31,7 @@ from fixture_data import (
     write_pipeline_fixture,
 )
 from mocks import GoldAnswerTransport, ScriptedTransport
+from oracles import brute_force_pairs, select_exemplars
 
 
 def _report(cid: str, text: str) -> None:

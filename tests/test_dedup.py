@@ -9,7 +9,6 @@ from renokit import dedup
 from renokit.dedup import (
     DedupConfig,
     _lsh_candidates,
-    brute_force_pairs,
     compute_signatures,
     exact_dedup,
     jaccard,
@@ -24,6 +23,7 @@ from renokit.errors import EmptyShingleSet
 from renokit.ingest import doc_id_for
 
 from fixture_data import build_dedup_docs, cjk_text, make_doc
+from oracles import brute_force_pairs
 
 
 def estimate_recall(found, oracle) -> float:
@@ -291,26 +291,77 @@ class TestNearDedup:
         assert [d.doc_id for d in survivors] == [docs[0].doc_id]
 
     def test_exact_sets_only_for_candidates(self, monkeypatch):
+        # Candidate sets are hashed by gram_hashes_batch after _lsh_candidates
+        # has returned; signing calls it only before.
         docs, _ = build_dedup_docs(n_docs=120, n_pairs=12)
-        shingled: list[str] = []
+        by_text = {normalize_for_dedup(d.text): d.doc_id for d in docs}
+        hashed: list[str] = []
         found: list[set] = []
-        shingle_fn, candidates_fn = dedup.shingle, dedup._lsh_candidates
+        hash_fn, candidates_fn = dedup.gram_hashes_batch, dedup._lsh_candidates
 
-        def counting_shingle(doc, ngram=5):
-            shingled.append(doc.doc_id)
-            return shingle_fn(doc, ngram)
+        def recorded_hashing(texts, ngram=5):
+            if found:
+                hashed.extend(by_text[text] for text in texts)
+            return hash_fn(texts, ngram)
 
         def recorded_candidates(*args):
             found.append(candidates_fn(*args))
             return found[-1]
 
-        monkeypatch.setattr(dedup, "shingle", counting_shingle)
+        monkeypatch.setattr(dedup, "gram_hashes_batch", recorded_hashing)
         monkeypatch.setattr(dedup, "_lsh_candidates", recorded_candidates)
         _, pairs, n_candidates = near_dedup(docs, DedupConfig())
         members = {doc_id for pair in found[0] for doc_id in pair}
         assert len(pairs) == 12 and n_candidates == len(found[0])
-        assert sorted(shingled) == sorted(members)  # each candidate once, nothing else
-        assert len(shingled) < len(docs) / 4
+        assert sorted(hashed) == sorted(members)  # each candidate once, nothing else
+        assert len(hashed) < len(docs) / 4
+
+    def test_batched_sets_split_at_every_document(self):
+        # The first four texts have one distinct gram each, the same one, so
+        # each set starts with the hash the set before it ends with.
+        texts = ["甲甲甲甲甲", "甲甲甲甲甲甲", "甲甲甲甲甲甲甲", "甲甲甲甲甲甲甲甲", "甲乙", "乙甲乙甲乙甲", "甲", "乙甲乙甲乙甲乙"]
+        docs = [make_doc(t) for t in texts]
+        sets = dedup._shingle_sets(docs, 5)
+        assert list(sets) == [d.doc_id for d in docs]
+        for doc in docs:
+            assert np.array_equal(sets[doc.doc_id], shingle(doc)), doc.text
+        assert [len(sets[d.doc_id]) for d in docs] == [1, 1, 1, 1, 1, 2, 1, 2]
+
+    def test_batched_sets_equal_shingle_across_a_batch_edge(self, monkeypatch):
+        # Planted pairs of about 1,900 code points fill several batches; a
+        # short text and one longer than a batch sit among them.
+        rng = random.Random(41)
+        texts = []
+        for _ in range(12):
+            base = cjk_text(rng, 1900)
+            texts += [base, base[:950] + "改" + base[951:]]
+        short, long_text = cjk_text(rng, 40), cjk_text(rng, dedup._BATCH_CODE_POINTS + 500)
+        texts += [short, short + "尾", long_text, long_text[:-1] + "末"]
+        docs = sorted((make_doc(t) for t in texts), key=lambda d: d.doc_id)
+        found: list[set] = []
+        verified: list[tuple[np.ndarray, np.ndarray]] = []
+        candidates_fn, jaccard_fn = dedup._lsh_candidates, dedup.jaccard
+
+        def recorded_candidates(*args):
+            found.append(candidates_fn(*args))
+            return found[-1]
+
+        def recorded_jaccard(a, b):
+            verified.append((a, b))
+            return jaccard_fn(a, b)
+
+        monkeypatch.setattr(dedup, "_lsh_candidates", recorded_candidates)
+        monkeypatch.setattr(dedup, "jaccard", recorded_jaccard)
+        near_dedup(docs, DedupConfig())
+        by_id = {d.doc_id: d for d in docs}
+        members = sorted({doc_id for pair in found[0] for doc_id in pair})
+        batches = [[doc.doc_id for doc, _ in batch] for batch in dedup._batches([by_id[i] for i in members])]
+        assert len(batches) >= 3 and [long_text] in [[by_id[i].text for i in b] for b in batches]
+        edge_pairs = [(a, b) for a, b in found[0] if not any(a in batch and b in batch for batch in batches)]
+        assert edge_pairs, "some candidate pair is hashed in two batches"
+        assert len(verified) == len(found[0])
+        for (a, b), (set_a, set_b) in zip(sorted(found[0]), verified):
+            assert np.array_equal(set_a, shingle(by_id[a])) and np.array_equal(set_b, shingle(by_id[b]))
 
     def test_permutation_invariant(self):
         docs, _ = build_dedup_docs(n_docs=60, n_pairs=6)

@@ -25,7 +25,6 @@ from renokit.evalharness import (
     load_dataset,
     round_pct,
     run_eval,
-    select_exemplars,
     sweep_report,
 )
 from renokit.jsonl import write_json, write_jsonl
@@ -33,6 +32,7 @@ from renokit.pipeline import run_eval_stage
 
 from fixture_data import build_evalhome_rows
 from mocks import ConstantTransport, FailingTransport, GoldAnswerTransport, ScriptedTransport
+from oracles import select_exemplars
 
 
 def endpoint_cfg(concurrency: int = 4) -> EndpointConfig:

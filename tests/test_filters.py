@@ -6,7 +6,9 @@ import pytest
 
 from renokit.errors import LexiconMissing
 from renokit.filters import (
+    INDEX_MIN_WORDS,
     FilterConfig,
+    Lexicon,
     filter_language,
     filter_length,
     filter_sensitive,
@@ -141,3 +143,100 @@ class TestLexicon:
 
     def test_none_is_empty(self):
         assert load_lexicon(None) == frozenset()
+
+
+def word_by_word(words, text: str) -> tuple[str, ...]:
+    """The lookup before the regex pre-check: every word tested as a substring."""
+    return tuple(sorted(w for w in words if w in text))
+
+
+class TestLexiconPreCheck:
+    """A lexicon below INDEX_MIN_WORDS is sought by one regex alternation
+    first; the words are tested one by one only when it finds one of them."""
+
+    METACHARS = [".", "*", "+", "?", "^", "$", "|", "\\", "(", ")", "[", "]", "{", "}", "-", "#", " ", "\n"]
+
+    def test_overlapping_words(self):
+        lexicon = Lexicon({"aba", "bab", "abab"})
+        assert lexicon.find("xababx") == ("aba", "abab", "bab")
+        assert lexicon.find("xabax") == ("aba",)
+        assert lexicon.find("xbabx") == ("bab",)
+
+    def test_word_that_prefixes_another(self):
+        lexicon = Lexicon({"水电", "水电改造", "电改"})
+        assert lexicon.find("做水电改造") == ("水电", "水电改造", "电改")
+        assert lexicon.find("交水电费") == ("水电",)
+        assert lexicon.find("水 电改造") == ("电改",)
+
+    def test_regex_metacharacters_are_literal(self):
+        words = {"a.b", "(x)", "*", "[", "\\d", "^$", "x|y", "a+?", "{2}", "\n"}
+        lexicon = Lexicon(words)
+        assert lexicon.find("axb (y) d x y a b ab") == ()
+        assert lexicon.find("a.b") == ("a.b",)
+        assert lexicon.find("x|y and *") == ("*", "x|y")
+        assert lexicon.find("\\d{2}\n") == ("\n", "\\d", "{2}")
+        assert lexicon.find("^$(x)[a+?") == ("(x)", "[", "^$", "a+?")
+
+    def test_one_character_words(self):
+        lexicon = Lexicon({"装", "a", "\U00020001", "."})
+        assert lexicon.find("装修") == ("装",)
+        assert lexicon.find("末尾\U00020001") == ("\U00020001",)
+        assert lexicon.find("bcd") == ()
+        assert lexicon.find("x.y") == (".",)
+
+    def test_empty_lexicon(self):
+        lexicon = Lexicon(())
+        assert lexicon.find("") == () and lexicon.find("任何内容") == ()
+
+    def test_filter_sensitive_given_a_plain_set(self):
+        words = {"赌博", "a.b", "诈"}
+        verdict = filter_sensitive(make_doc("含赌博与诈骗内容 a.b"), words)
+        assert not verdict and verdict.reason == "sensitive"
+        assert verdict.matched_words == ("a.b", "诈", "赌博")
+        assert filter_sensitive(make_doc("含赌 博内容 axb"), words)
+
+    def test_no_word_is_tested_unless_the_alternation_hits(self, monkeypatch):
+        lexicon = Lexicon({"赌博", "诈骗"})
+        tested: list[str] = []
+
+        class Spy(list):
+            def __iter__(self):
+                tested.append("scan")
+                return super().__iter__()
+
+        monkeypatch.setattr(lexicon, "_scanned", Spy(lexicon._scanned))
+        assert lexicon.find("普通装修流程" * 50) == ()
+        assert tested == []
+        assert lexicon.find("含赌博内容") == ("赌博",)
+        assert tested == ["scan"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_word_by_word_scan_on_generated_corpora(self, seed):
+        rng = random.Random(seed)
+        alphabet = [chr(cp) for cp in range(0x4E00, 0x4E10)] + list("ab") + self.METACHARS + ["\U00020001"]
+        for _ in range(60):
+            size = rng.randint(0, INDEX_MIN_WORDS - 1)
+            words = {"".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(size)}
+            lexicon = Lexicon(words)
+            assert not len(lexicon._codes), "below INDEX_MIN_WORDS every word is scanned"
+            hits = 0
+            for _ in range(30):
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+                want = word_by_word(words, text)
+                assert lexicon.find(text) == want, (sorted(words), text)
+                assert filter_sensitive(make_doc(text or "空"), words).matched_words == word_by_word(words, text or "空")
+                hits += bool(want)
+            assert hits or len(words) < 5
+
+    def test_matches_the_word_by_word_scan_on_filter_docs(self):
+        docs = build_filter_docs(n=300)
+        rng = random.Random(4)
+        texts = [d.text for d in docs]
+        # words cut from the texts themselves, so that many of them hit
+        words = {t[i : i + rng.randint(1, 3)] for t in rng.sample(texts, 20) for i in [rng.randrange(len(t))]}
+        words |= set(SENSITIVE_WORDS)
+        lexicon = Lexicon(words)
+        assert len(words) < INDEX_MIN_WORDS
+        assert sum(bool(lexicon.find(t)) for t in texts) > 20
+        for text in texts:
+            assert lexicon.find(text) == word_by_word(words, text)

@@ -352,6 +352,83 @@ class TestUrlPattern:
         assert removed > 2000
 
 
+class TestCleanTextUrlSkip:
+    """clean_text runs the URL pattern only on a text holding "://" or "www.";
+    every text must come out as from the old cleaning, which always ran it."""
+
+    @staticmethod
+    def old_clean_text(text: str) -> str:
+        text = strip_markup(ingest._MD_IMAGE_RE.sub(" ", text))
+        return oracle_normalize_whitespace(ingest._drop_table_lines(OLD_URL_RE.sub("", text)))
+
+    def test_texts_without_a_url_mark_skip_the_pattern(self, monkeypatch):
+        class Unused:
+            def sub(self, repl, text):
+                raise AssertionError(f"URL pattern ran on {text!r}")
+
+        texts = [t for t in TestUrlPattern().strings()
+                 if not any(mark in strip_markup(ingest._MD_IMAGE_RE.sub(" ", t)) for mark in ("://", "www."))]
+        assert len(texts) > 5000
+        assert sum(any(frag in t for frag in ("http", "ftp", "www")) for t in texts) > 1000
+        expected = [self.old_clean_text(t) for t in texts]
+        monkeypatch.setattr(ingest, "_URL_RE", Unused())
+        for text, want in zip(texts, expected):
+            assert clean_text(text) == want, repr(text)
+
+    def test_every_text_matches_the_old_cleaning(self):
+        for text in [*TestUrlPattern().strings(), *TestUrlPattern().pages()]:
+            assert clean_text(text) == self.old_clean_text(text), repr(text)
+
+
+# normalize_whitespace before it became whole-text passes, kept as the oracle.
+_OLD_WS_RUN_RE = re.compile("[ \t\u00a0\u3000]+")
+
+
+def oracle_normalize_whitespace(text: str) -> str:
+    lines = [_OLD_WS_RUN_RE.sub(" ", line).strip() for line in text.split("\n")]
+    out: list[str] = []
+    for line in lines:
+        if line == "" and (not out or out[-1] == ""):
+            continue
+        out.append(line)
+    while out and out[-1] == "":
+        out.pop()
+    return "\n".join(out)
+
+
+# Every str.isspace character: \t-\r, \x1c-\x1f, space, \x85, U+00A0, U+1680, U+2000-U+200A,
+# U+2028, U+2029, U+202F, U+205F and U+3000, the last of them.
+ISSPACE = [chr(cp) for cp in range(0x3001) if chr(cp).isspace()]
+
+
+class TestNormalizeWhitespace:
+    def texts(self):
+        rng = random.Random(31)
+        alphabet = [*ISSPACE, "\r\n", "\n\n", "\n\n\n", "\n \n", "  ", "\u3000\u3000", "甲", "乙", "a", "b", "。"]
+        for _ in range(20000):
+            yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+        yield from ("", "\n", "\n\n\n", " \n \n ", "甲\r\n\r\n\r\n乙", "\u3000甲\u00a0\t乙\u3000", "\x85甲\x85",
+                    "\u2028\n\u2029", "甲\n\x0b\n\x0c\n乙", "\n\n甲\n\n\n\n\n乙\n\n")
+
+    def test_matches_the_per_line_oracle(self):
+        changed = 0
+        for text in self.texts():
+            want = oracle_normalize_whitespace(text)
+            assert ingest.normalize_whitespace(text) == want, ascii(text)
+            changed += want != text
+        assert changed > 10000
+
+    def test_every_isspace_character_alone_and_in_runs(self):
+        for ch in ISSPACE:
+            for text in (ch, f"甲{ch}乙", f"{ch}甲{ch}{ch}乙{ch}", f"甲\n{ch}\n\n{ch}\n乙", f"{ch}\n甲"):
+                assert ingest.normalize_whitespace(text) == oracle_normalize_whitespace(text), ascii(text)
+
+    def test_is_a_fixpoint(self):
+        for text in self.texts():
+            once = ingest.normalize_whitespace(text)
+            assert ingest.normalize_whitespace(once) == once, ascii(text)
+
+
 class TestTokenizer:
     def test_empty(self):
         assert count_tokens("") == 0
