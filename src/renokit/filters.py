@@ -7,6 +7,7 @@ partition the input.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +70,7 @@ def load_lexicon(path: str | Path | None) -> frozenset[str]:
 # A lexicon this large is looked up through its two-character prefixes; a
 # smaller one is scanned word by word, which then costs less than encoding
 # each document (measured crossover: README, "Sensitive-word lookup").
-INDEX_MIN_WORDS = 80
+INDEX_MIN_WORDS = 40
 
 
 class Lexicon:
@@ -79,7 +80,10 @@ class Lexicon:
     Below INDEX_MIN_WORDS words every word is scanned for. From there on,
     words are indexed by their first two code points and only those whose
     prefix occurs among the text's bigrams are tested; words shorter than two
-    code points are always scanned for. The scanned words are first sought
+    code points are always scanned for. Bigrams are formed only at the
+    positions whose code point starts an indexed word, found through a boolean
+    table over the span of those first code points, and a text without such a
+    position is not looked up at all. The scanned words are first sought
     together, by one regex alternation that skips in C every position no word
     starts at, and tested one by one only when it finds any of them.
     """
@@ -96,24 +100,43 @@ class Lexicon:
         codes = sorted(by_code)
         self._codes = np.array(codes, dtype=np.uint64)
         self._by_code = [by_code[c] for c in codes]
+        # Whether each code point from the lowest first code point of an
+        # indexed word up to the highest starts one; the last entry, False,
+        # stands for every code point outside that span.
+        firsts = (self._codes >> np.uint64(21)).astype(np.uint32)
+        lo, hi = (int(firsts[0]), int(firsts[-1])) if len(firsts) else (0, -1)
+        self._first_lo = np.uint32(lo)
+        self._starts = np.zeros(hi - lo + 2, dtype=bool)
+        self._starts[firsts - self._first_lo] = True
 
     def find(self, text: str) -> tuple[str, ...]:
         found = [w for w in self._scanned if w in text] if self._any_scanned and self._any_scanned(text) else []
         if len(self._codes):
             # surrogatepass: a lone surrogate from a JSON escape is a code point too
-            cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.uint64)
-            bigrams = cps[:-1] << np.uint64(21) | cps[1:]
-            pos = np.minimum(np.searchsorted(self._codes, bigrams), len(self._codes) - 1)
-            # the distinct hit prefixes, without np.unique (which imports numpy.ma)
-            for i in np.flatnonzero(np.bincount(pos[self._codes[pos] == bigrams])).tolist():
-                found.extend(w for w in self._by_code[i] if w in text)
+            cps = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+            # Below the span the difference wraps round to a large index, so
+            # "clip" sends both sides of the span to the last, False entry.
+            at = np.flatnonzero(self._starts.take(cps[:-1] - self._first_lo, mode="clip"))
+            if len(at):
+                bigrams = cps[at].astype(np.uint64) << np.uint64(21) | cps[at + 1]
+                pos = np.minimum(np.searchsorted(self._codes, bigrams), len(self._codes) - 1)
+                # the distinct hit prefixes, without np.unique (which imports numpy.ma)
+                for i in np.flatnonzero(np.bincount(pos[self._codes[pos] == bigrams])).tolist():
+                    found.extend(w for w in self._by_code[i] if w in text)
         return tuple(sorted(found))
+
+
+@functools.lru_cache(maxsize=8)
+def _lexicon_of(words: frozenset[str]) -> Lexicon:
+    """One Lexicon per distinct word set passed to filter_sensitive as a plain
+    collection, instead of one per call."""
+    return Lexicon(words)
 
 
 def filter_sensitive(doc: Document, lexicon: Lexicon | Collection[str]) -> Verdict:
     # Plain substring match; word boundaries do not exist in Chinese.
     if not isinstance(lexicon, Lexicon):
-        lexicon = Lexicon(lexicon)
+        lexicon = _lexicon_of(frozenset(lexicon))
     matched = lexicon.find(doc.text)
     if matched:
         return Verdict(False, REASON_SENSITIVE, matched)

@@ -216,9 +216,13 @@ def _strip_tokens(text: str) -> str | None:
 
 
 def strip_markup(text: str) -> str:
-    """The prose of `text` with its markup removed. Text made only of the
-    tokens of _markup_token_re() is read by one regex scan; anything else goes
-    whole to HTMLParser (_MarkupStripper), which gives the same result."""
+    """The prose of `text` with its markup removed. Text holding neither "<"
+    nor "&" is one text token and comes back unchanged, without compiling the
+    token regex. Text made only of the tokens of _markup_token_re() is read by
+    one regex scan; anything else goes whole to HTMLParser (_MarkupStripper),
+    which gives the same result."""
+    if "<" not in text and "&" not in text:
+        return text
     stripped = _strip_tokens(text)
     if stripped is not None:
         return stripped

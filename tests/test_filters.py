@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from renokit import filters
 from renokit.errors import LexiconMissing
 from renokit.filters import (
     INDEX_MIN_WORDS,
@@ -240,3 +242,90 @@ class TestLexiconPreCheck:
         assert sum(bool(lexicon.find(t)) for t in texts) > 20
         for text in texts:
             assert lexicon.find(text) == word_by_word(words, text)
+
+
+def test_filter_sensitive_builds_one_lexicon_per_word_set(monkeypatch):
+    built: list[frozenset[str]] = []
+
+    class Counting(Lexicon):
+        def __init__(self, words):
+            built.append(frozenset(words))
+            super().__init__(words)
+
+    monkeypatch.setattr(filters, "Lexicon", Counting)
+    filters._lexicon_of.cache_clear()
+    words = {"赌博", "诈骗", "违"}
+    first = filter_sensitive(make_doc("含赌博与违规内容"), words)
+    second = filter_sensitive(make_doc("含赌博与违规内容"), list(words))
+    assert built == [frozenset(words)]
+    assert first == second and first.matched_words == ("赌博", "违")
+    filters._lexicon_of.cache_clear()
+
+
+class TestLexiconStartTable:
+    """An indexed lexicon forms bigrams only where a code point starts an
+    indexed word, found through a table over the span of those code points;
+    `find` must give what the word-by-word scan gives."""
+
+    FILLER = ["a", "。", " ", "\n", "\x00", "￿", "\U0010ffff"] + [chr(cp) for cp in range(0x4E00, 0x4E08)]
+
+    def lexicon(self, rng, firsts, seconds, one_char=()):
+        words = set(one_char)
+        while len(words) < INDEX_MIN_WORDS + len(one_char):
+            words.add(rng.choice(firsts) + "".join(rng.choice(seconds) for _ in range(rng.randint(1, 4))))
+        lexicon = Lexicon(words)
+        assert len(lexicon._codes), "the lexicon is indexed"
+        return words, lexicon
+
+    def check(self, words, lexicon, texts):
+        for text in texts:
+            assert lexicon.find(text) == word_by_word(words, text), ascii(text)
+
+    @pytest.mark.parametrize("firsts", [
+        ["龠", "龥", "\U00020001"],
+        ["\U00010000", "\U0010fffe", "\U00020001"],
+        ["\ud800", "\udbff", "\udfff"],
+        ["\U00020001"],
+    ], ids=["bmp-and-astral", "astral", "lone-surrogates", "one-code-point"])
+    def test_matches_the_word_by_word_scan(self, firsts):
+        rng = random.Random(7)
+        seconds = ["b", "龠", "\udc00", "\U00020002"]
+        words, lexicon = self.lexicon(rng, firsts, seconds)
+        if len(firsts) == 1:
+            assert len(lexicon._starts) == 2, "one code point plus the entry outside the span"
+
+        def filler(n):
+            return "".join(rng.choice(self.FILLER) for _ in range(n))
+
+        texts = ["", firsts[0], firsts[0] + seconds[0]]
+        for _ in range(300):
+            start, second = rng.choice(firsts), rng.choice(seconds)
+            texts += [
+                filler(rng.randint(0, 40)) + start,  # a start code point only at the last position
+                filler(rng.randint(0, 20)) + start + filler(rng.randint(1, 20)),  # without its second
+                "".join(rng.choice(self.FILLER + firsts + seconds) for _ in range(rng.randint(0, 60))),
+                filler(rng.randint(0, 20)) + start + second + filler(rng.randint(0, 20)),
+            ]
+        self.check(words, lexicon, texts)
+        assert sum(bool(lexicon.find(t)) for t in texts) > 100
+
+    def test_one_character_words_mixed_with_indexed_ones(self):
+        rng = random.Random(8)
+        firsts, seconds = ["龠", "龣"], ["b", "c", "龠"]
+        words, lexicon = self.lexicon(rng, firsts, seconds, one_char=["a", "龠", "\U00020001", "\ud800"])
+        assert {"a", "龠", "\U00020001", "\ud800"} <= set(lexicon._scanned)
+        alphabet = self.FILLER + firsts + seconds + ["\U00020001", "\ud800"]
+        texts = ["a", "龠", "x龠", "龠b"]
+        texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))) for _ in range(1000)]
+        self.check(words, lexicon, texts)
+
+    def test_text_without_a_start_code_point_is_not_looked_up(self, monkeypatch):
+        rng = random.Random(9)
+        words, lexicon = self.lexicon(rng, ["龠"], ["b", "c", "d", "e"], one_char=["a"])
+        looked_up = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: looked_up.append(1) or searchsorted(*a, **k))
+        assert lexicon.find("普通装修流程 a" * 50 + "龠") == ("a",)
+        assert looked_up == []
+        assert lexicon.find("龠bcde") == word_by_word(words, "龠bcde")
+        assert looked_up == [1]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -22,10 +23,10 @@ from renokit.ingest import (
     strip_markup,
 )
 from renokit.jsonl import write_jsonl
-from renokit.pipeline import run_ingest_stage
+from renokit.pipeline import run_ingest_stage, run_pipeline
 from renokit.tokenizers import count_tokens
 
-from fixture_data import cjk_text
+from fixture_data import cjk_text, write_pipeline_fixture
 
 
 def rec(text: str, kind: str = "domain_website", sid: str = "r1") -> RawRecord:
@@ -229,6 +230,58 @@ class TestMarkupScan:
         assert clean_text(page) == ("瓷砖铺贴 第00007号\n\n先清理基层，再弹线定位。\n\n"
                                     "铺贴后养护七天 详见 。\n\n本站内容仅供参考。")
         assert clean_text(plain) == plain
+
+
+class TestPlainTextBypass:
+    """Text holding neither "<" nor "&" is one text token, so strip_markup
+    gives it back unchanged without compiling the token regex."""
+
+    def plain_texts(self):
+        rng = random.Random(23)
+        pieces = ["design", "a > b", "x;y", "#65", "amp", "lt;", "'q'", '"r"', "=", "/", "!--", "-->", "]]>",
+                  "http://a.example.com/x?q=1", "。", "\U00020001", *ISSPACE]
+        yield ""
+        yield "".join(ISSPACE)
+        yield from ISSPACE
+        for _ in range(600):
+            yield "".join(rng.choice([cjk_text(rng, rng.randint(1, 12)), *pieces])
+                          for _ in range(rng.randint(1, 20)))
+
+    def test_equals_the_token_scan_and_html_parser(self):
+        for text in self.plain_texts():
+            assert _strip_tokens(text) == text == html_parser_text(text), ascii(text)
+            assert strip_markup(text) == text, ascii(text)
+
+    def test_never_compiles_the_token_regex(self, monkeypatch):
+        want = [clean_text(text) for text in self.plain_texts()]
+
+        def refuse():
+            raise AssertionError("the token regex was compiled for plain text")
+
+        monkeypatch.setattr(ingest, "_markup_token_re", refuse)
+        for text, cleaned in zip(self.plain_texts(), want):
+            assert strip_markup(text) == text, ascii(text)
+            assert clean_text(text) == cleaned, ascii(text)
+
+    def test_text_with_markup_still_equals_html_parser(self):
+        rng = random.Random(24)
+        marks = ["<p>", "</p>", "&amp;", "&", "<", "3 < 5", "A & B", "<br/>", "&#65;", "<!-- x -->"]
+        for text in self.plain_texts():
+            at = rng.randrange(len(text) + 1)
+            marked = text[:at] + rng.choice(marks) + text[at:]
+            assert strip_markup(marked) == html_parser_text(marked), ascii(marked)
+
+    def test_a_plain_text_run_never_compiles_the_token_regex(self, tmp_path):
+        config_path = write_pipeline_fixture(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        inputs = config["ingest"]["inputs"]
+        config["ingest"]["inputs"] = [i for i in inputs if not i["path"].endswith(".html")]
+        assert len(config["ingest"]["inputs"]) == len(inputs) - 2
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        ingest._markup_token_re.cache_clear()
+        manifest = run_pipeline(config_path, tmp_path / "out")
+        assert [s.stage for s in manifest.stages] == ["ingest", "filter", "dedup", "mix"]
+        assert ingest._markup_token_re.cache_info().currsize == 0
 
 
 # --- table lines: the pre-check against the formula it guards -----------------------
