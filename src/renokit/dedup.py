@@ -7,16 +7,16 @@ before anything is collapsed, so reported pairs are never false positives.
 Survivors are always the lexicographically smallest doc_id of a duplicate
 group, which makes the output independent of input order.
 
-The near-dup pass hashes and signs documents in doc_id order, a batch at a
-time: each batch of at most _BATCH_CODE_POINTS code points is one UTF-32
-array, hashed at every position by `gram_hashes_batch` and signed by one
-`compute_signatures` call from every gram hash, repeats included. Batches are
-sized in code points, not documents, so that a batch of long chapters keeps
-its temporaries in cache as a batch of short pages does. LSH bucketing sorts
-each band's rows by a 64-bit key folded from the band and compares whole
-bands only within runs of equal keys. The sorted, unique shingle sets are
-built only for the documents of candidate pairs, hashed in batches the same
-way, then split into one set per document.
+Each step has one implementation. `_hashed_batches` hashes documents in
+doc_id order, at most _BATCH_CODE_POINTS code points at a time, as one UTF-32
+array (`gram_hashes_batch`): sized in code points, not documents, a batch of
+long chapters keeps its temporaries in cache as one of short pages does. Each
+batch is signed from every gram hash, repeats included, by one
+`compute_signatures` call. LSH bucketing sorts each band's rows by a 64-bit
+key folded from the band and compares whole bands only within runs of equal
+keys. `_sets` builds a batch's sorted, unique shingle sets, for the documents
+of candidate pairs and for `shingle`. `_keep_first` keeps the smallest doc_id
+of each text in the exact pass and after sentence rewrites.
 
 The tests measure the recall of the LSH path against an O(n^2) all-pairs
 oracle on small corpora.
@@ -147,19 +147,27 @@ def _polynomial(gram: str) -> int:
     return value
 
 
-def gram_hashes(doc: Document, ngram: int = 5) -> np.ndarray:
-    """The `gram_hashes_batch` of one document's text."""
-    return gram_hashes_batch([normalize_for_dedup(doc.text)], ngram)[0]
+def _sets(hashes: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    """The shingle set of each text from the flat output of
+    `gram_hashes_batch`: each text's slice is sorted in place, one pass over
+    the whole array drops the repeats within each text, and every set is a
+    view of one array; a text with no hashes has an empty set."""
+    starts = list(accumulate(counts, initial=0))
+    for start, end in zip(starts, starts[1:]):
+        hashes[start:end].sort()
+    # Repeats are neighbours once sorted (not np.unique, whose first call
+    # imports numpy.ma). first[i]: hashes[i] is kept; the extra last entry
+    # stands for the end, so that texts with no hashes at the end have a start.
+    first = np.empty(hashes.size + 1, dtype=bool)
+    np.not_equal(hashes[1:], hashes[:-1], out=first[1:-1])
+    first[starts] = True  # a text's smallest hash is kept even if the text before ends with it
+    kept, bounds = hashes[first[:-1]], (np.cumsum(first)[starts] - 1).tolist()
+    return [kept[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def shingle(doc: Document, ngram: int = 5) -> np.ndarray:
-    """The shingle set: sorted, unique `gram_hashes`."""
-    # Not np.unique, whose first call imports numpy.ma.
-    hashes = np.sort(gram_hashes(doc, ngram))
-    first = np.empty(hashes.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(hashes[1:], hashes[:-1], out=first[1:])
-    return hashes[first]
+    """The shingle set: the sorted, unique gram hashes of one document."""
+    return _sets(*gram_hashes_batch([normalize_for_dedup(doc.text)], ngram))[0]
 
 
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -173,12 +181,10 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
 # --- exact pass ---------------------------------------------------------------
 
 
-def exact_dedup(docs: Sequence[Document]) -> list[Document]:
-    """Collapse byte-equal (after whitespace normalization) duplicates.
-
-    Dropped docs are marked deduped_out(exact) in place; survivors are
-    returned sorted by doc_id.
-    """
+def _keep_first(docs: Sequence[Document], reason: str) -> list[Document]:
+    """Keep the smallest doc_id of each text, compared after whitespace
+    normalization; the others are marked deduped_out(`reason`) in place.
+    Survivors are returned sorted by doc_id."""
     groups: dict[str, list[Document]] = {}
     for doc in docs:
         groups.setdefault(normalize_for_dedup(doc.text), []).append(doc)
@@ -187,32 +193,36 @@ def exact_dedup(docs: Sequence[Document]) -> list[Document]:
         members.sort(key=lambda d: d.doc_id)
         survivors.append(members[0])
         for doc in members[1:]:
-            doc.mark(STATUS_DEDUPED_OUT, REASON_EXACT)
+            doc.mark(STATUS_DEDUPED_OUT, reason)
     survivors.sort(key=lambda d: d.doc_id)
     return survivors
+
+
+def exact_dedup(docs: Sequence[Document]) -> list[Document]:
+    """Collapse byte-equal (after whitespace normalization) duplicates.
+
+    Dropped docs are marked deduped_out(exact) in place; survivors are
+    returned sorted by doc_id.
+    """
+    return _keep_first(docs, REASON_EXACT)
 
 
 # --- MinHash / LSH pass --------------------------------------------------------
 
 
-def compute_signatures(hashes: Sequence[np.ndarray] | np.ndarray, cfg: DedupConfig,
-                       counts: Sequence[int] | None = None) -> np.ndarray:
-    """MinHash signatures: one row of cfg.num_perm values per shingle array.
-
-    `hashes` is one array per row or, given `counts`, one flat array that
-    holds the first row's `counts[0]` values, then the next row's, and so on.
+def compute_signatures(hashes: np.ndarray, cfg: DedupConfig, counts: Sequence[int]) -> np.ndarray:
+    """MinHash signatures: one row of cfg.num_perm values per row of `hashes`,
+    a flat array that holds the first row's `counts[0]` values, then the next
+    row's, and so on.
 
     One-permutation hashing (Li, Owen & Zhang, 2012): each shingle is hashed
     once with the seed; the high 32 bits pick its bin by multiply-shift and
     the low 32 bits are its value, and each bin keeps its minimum. All rows
     are signed by one `np.minimum.at` into the flat signature block. Empty
     bins are then filled by rotation (Shrivastava & Li, 2014; see `_densify`).
-    A bin keeps a minimum, so neither order nor repeats change a row, and an
-    array of `gram_hashes` signs as its `shingle` set does.
+    A bin keeps a minimum, so neither order nor repeats change a row, and a
+    text's raw gram hashes sign as its `shingle` set does.
     """
-    if counts is None:
-        counts = [len(xs) for xs in hashes]
-        hashes = np.concatenate(hashes) if counts else np.empty(0, dtype=np.uint64)
     counts = np.asarray(counts, dtype=np.intp)
     if not counts.all():
         raise EmptyShingleSet("cannot sign an empty shingle array")
@@ -243,53 +253,40 @@ def _densify(signatures: np.ndarray) -> np.ndarray:
     return np.take_along_axis(signatures, source % num_bins, axis=1) + (distance << 32)
 
 
-def _batches(docs: Sequence[Document]) -> Iterator[list[tuple[Document, str]]]:
-    """The documents with their `normalize_for_dedup` texts, in runs of at
-    most _BATCH_CODE_POINTS code points; a longer text is a run of its own."""
-    batch: list[tuple[Document, str]] = []
+def _hashed_batches(docs: Sequence[Document], ngram: int) -> Iterator[tuple[list[Document], np.ndarray, list[int]]]:
+    """The documents in runs of at most _BATCH_CODE_POINTS code points of
+    `normalize_for_dedup` text, a longer text a run of its own, each run with
+    the `gram_hashes_batch` hashes and counts of its texts."""
+    batch: list[Document] = []
+    texts: list[str] = []
     size = 0
     for doc in docs:
         text = normalize_for_dedup(doc.text)
-        if batch and size + len(text) > _BATCH_CODE_POINTS:
-            yield batch
-            batch, size = [], 0
-        batch.append((doc, text))
+        if texts and size + len(text) > _BATCH_CODE_POINTS:
+            yield batch, *gram_hashes_batch(texts, ngram)
+            batch, texts, size = [], [], 0
+        batch.append(doc)
+        texts.append(text)
         size += len(text)
-    if batch:
-        yield batch
+    if texts:
+        yield batch, *gram_hashes_batch(texts, ngram)
 
 
 def _sign_in_batches(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], np.ndarray]:
     """The documents that have gram hashes, in the given order, and their
-    signature rows: each batch is hashed by one `gram_hashes_batch` call and
-    signed by one `compute_signatures` call."""
+    signature rows, one `compute_signatures` call per batch."""
     usable: list[Document] = []
     blocks = [np.empty((0, cfg.num_perm), dtype=np.uint64)]
-    for batch in _batches(docs):
-        hashes, counts = gram_hashes_batch([text for _, text in batch], cfg.ngram)
-        usable.extend(doc for (doc, _), count in zip(batch, counts) if count)
+    for batch, hashes, counts in _hashed_batches(docs, cfg.ngram):
+        usable.extend(doc for doc, count in zip(batch, counts) if count)
         blocks.append(compute_signatures(hashes, cfg, counts=[count for count in counts if count]))
     return usable, np.concatenate(blocks)
 
 
 def _shingle_sets(docs: Sequence[Document], ngram: int) -> dict[str, np.ndarray]:
-    """The `shingle` set of each document by doc_id, for documents that have
-    gram hashes. Each batch is hashed by one `gram_hashes_batch` call, each
-    document's slice is sorted in place, and one pass drops the repeats of
-    the whole batch; the sets are views of that one array."""
-    sets: dict[str, np.ndarray] = {}
-    for batch in _batches(docs):
-        hashes, counts = gram_hashes_batch([text for _, text in batch], ngram)
-        starts = list(accumulate(counts, initial=0))
-        for start, end in zip(starts, starts[1:]):
-            hashes[start:end].sort()
-        first = np.empty(hashes.size, dtype=bool)
-        np.not_equal(hashes[1:], hashes[:-1], out=first[1:])
-        first[starts[:-1]] = True  # a document's smallest hash is kept even if the one before ends with it
-        kept_by_end = np.cumsum(first)[np.asarray(starts[1:]) - 1]
-        for (doc, _), shingles in zip(batch, np.split(hashes[first], kept_by_end[:-1])):
-            sets[doc.doc_id] = shingles
-    return sets
+    """The `shingle` set of each document by doc_id, built in batches."""
+    return {doc.doc_id: shingles for batch, hashes, counts in _hashed_batches(docs, ngram)
+            for doc, shingles in zip(batch, _sets(hashes, counts))}
 
 
 def _band_keys(signatures: np.ndarray, cfg: DedupConfig) -> np.ndarray:
@@ -426,16 +423,7 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
     for doc, tokens in zip(rewritten, count_tokens_batch([d.text for d in rewritten])):
         doc.token_count = tokens
     # The exact pass left no two equal texts, but a rewrite can make one.
-    texts: set[str] = set()
-    distinct: list[Document] = []
-    for doc in survivors:
-        key = normalize_for_dedup(doc.text)
-        if key in texts:
-            doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)
-        else:
-            texts.add(key)
-            distinct.append(doc)
-    return distinct
+    return _keep_first(survivors, REASON_SENTENCE)
 
 
 # --- full stage ----------------------------------------------------------------

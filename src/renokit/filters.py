@@ -7,7 +7,6 @@ partition the input.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,17 +125,8 @@ class Lexicon:
         return tuple(sorted(found))
 
 
-@functools.lru_cache(maxsize=8)
-def _lexicon_of(words: frozenset[str]) -> Lexicon:
-    """One Lexicon per distinct word set passed to filter_sensitive as a plain
-    collection, instead of one per call."""
-    return Lexicon(words)
-
-
-def filter_sensitive(doc: Document, lexicon: Lexicon | Collection[str]) -> Verdict:
+def filter_sensitive(doc: Document, lexicon: Lexicon) -> Verdict:
     # Plain substring match; word boundaries do not exist in Chinese.
-    if not isinstance(lexicon, Lexicon):
-        lexicon = _lexicon_of(frozenset(lexicon))
     matched = lexicon.find(doc.text)
     if matched:
         return Verdict(False, REASON_SENSITIVE, matched)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import DecodeError, EmptyAfterExtraction, SchemaError
 from .jsonl import Record, line_error, read_jsonl, read_records
-from .tokenizers import TOKENIZER, count_tokens, count_tokens_batch
+from .tokenizers import TOKENIZER, count_tokens_batch
 
 SOURCE_KINDS = ("national_standard", "domain_book", "domain_website", "general")
 DOMAIN_KINDS = ("national_standard", "domain_book", "domain_website")
@@ -323,12 +323,6 @@ def _document(text: str, source_kind: str, token_count: int) -> Document:
         char_count=len(text),
         status=STATUS_INGESTED,
     )
-
-
-def extract_text(record: RawRecord) -> Document:
-    """The document of one raw record; raises as `clean_record` does."""
-    text = clean_record(record)
-    return _document(text, record.source_kind, count_tokens(text))
 
 
 # --- streaming ingestion ----------------------------------------------------

@@ -1,14 +1,18 @@
-"""Reference implementations the tests check the program against. None of
-them is called by renokit itself."""
+"""Reference implementations the tests check the program against, and the
+one-item forms of batch calls that only the tests use. None of them is called
+by renokit itself."""
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Sequence
 
-from renokit.dedup import DedupConfig, DupPair, jaccard, shingle
+import numpy as np
+
+from renokit.dedup import DedupConfig, DupPair, compute_signatures, jaccard, shingle
 from renokit.evalharness import SPLIT_DEV, DatasetEntry, MCQDataset, MCQItem, _exemplars
-from renokit.ingest import Document
+from renokit.ingest import Document, RawRecord, _document, clean_record
+from renokit.tokenizers import count_tokens
 
 
 def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPair]:
@@ -25,3 +29,14 @@ def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPai
 def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:
     """First k dev-split items in dataset order whose question and options differ from the scored item's."""
     return _exemplars(dataset.split_entries(SPLIT_DEV), entry.item, k)
+
+
+def sign_rows(rows: Sequence[np.ndarray], cfg: DedupConfig) -> np.ndarray:
+    """`compute_signatures` of one hash array per row."""
+    return compute_signatures(np.concatenate([np.empty(0, dtype=np.uint64), *rows]), cfg, [len(r) for r in rows])
+
+
+def extract_text(record: RawRecord) -> Document:
+    """The document of one raw record, as `ingest_stream` makes it; raises as `clean_record` does."""
+    text = clean_record(record)
+    return _document(text, record.source_kind, count_tokens(text))

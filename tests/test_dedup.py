@@ -9,7 +9,6 @@ from renokit import dedup
 from renokit.dedup import (
     DedupConfig,
     _lsh_candidates,
-    compute_signatures,
     exact_dedup,
     jaccard,
     near_dedup,
@@ -23,7 +22,7 @@ from renokit.errors import EmptyShingleSet
 from renokit.ingest import doc_id_for
 
 from fixture_data import build_dedup_docs, cjk_text, make_doc
-from oracles import brute_force_pairs
+from oracles import brute_force_pairs, sign_rows
 
 
 def estimate_recall(found, oracle) -> float:
@@ -179,34 +178,34 @@ class TestSignatures:
         docs = [make_doc(cjk_text(random.Random(1), 100)) for _ in range(3)]
         cfg = DedupConfig(seed=5)
         sets = [shingle(d) for d in docs]
-        sigs = compute_signatures(sets, cfg)
+        sigs = sign_rows(sets, cfg)
         assert sigs.shape == (3, cfg.num_perm)
         assert sigs.dtype == np.uint64
-        assert np.array_equal(sigs, compute_signatures(sets, cfg))
+        assert np.array_equal(sigs, sign_rows(sets, cfg))
 
     def test_matches_python_reference(self):
         # short texts leave most of the 256 bins empty, the long one few
         cfg = DedupConfig(seed=9)
         sets = [shingle(make_doc(cjk_text(random.Random(i), n))) for i, n in enumerate((3, 40, 40, 2000))]
         want = [reference_signature(s.tolist(), cfg.num_perm, cfg.seed) for s in sets]
-        assert compute_signatures(sets, cfg).tolist() == want
+        assert sign_rows(sets, cfg).tolist() == want
 
     def test_one_shingle_fills_every_bin(self):
         # 100 bins, not a power of two: multiply-shift still spreads the bins
         cfg = DedupConfig(num_perm=100, lsh_bands=10, lsh_rows=10, seed=4)
         one = shingle(make_doc("短文"))
-        sig = compute_signatures([one], cfg)
+        sig = sign_rows([one], cfg)
         assert len(one) == 1
         assert sig.tolist() == [reference_signature(one.tolist(), cfg.num_perm, cfg.seed)]
         assert len(set(sig[0].tolist())) == cfg.num_perm  # each bin borrows from its own distance
-        assert np.array_equal(sig, compute_signatures([one.copy()], cfg))
+        assert np.array_equal(sig, sign_rows([one.copy()], cfg))
 
     def test_independent_of_shingle_order(self):
         cfg = DedupConfig(seed=2)
         s = shingle(make_doc(cjk_text(random.Random(5), 300)))
         shuffled = np.random.default_rng(0).permutation(s)
         assert not np.array_equal(s, shuffled)
-        assert np.array_equal(compute_signatures([s], cfg), compute_signatures([shuffled], cfg))
+        assert np.array_equal(sign_rows([s], cfg), sign_rows([shuffled], cfg))
 
     def test_agreement_approximates_jaccard(self):
         # overlapping shingle sets at several target similarities
@@ -217,7 +216,7 @@ class TestSignatures:
             common = {rng.randrange(1 << 62) for _ in range(shared)}
             a = shingles(*common, *(rng.randrange(1 << 62) for _ in range(total - shared)))
             b = shingles(*common, *(rng.randrange(1 << 62) for _ in range(total - shared)))
-            sig_a, sig_b = compute_signatures([a, b], cfg)
+            sig_a, sig_b = sign_rows([a, b], cfg)
             agreement = np.count_nonzero(sig_a == sig_b) / cfg.num_perm
             assert abs(agreement - jaccard(a, b)) <= 0.1
 
@@ -278,7 +277,7 @@ class TestNearDedup:
             assert 0.80 <= jaccard(arrays[a], arrays[b]) < 0.82
             planted.append((a, b))
         ids = sorted(arrays)
-        candidates = _lsh_candidates(ids, compute_signatures([arrays[i] for i in ids], cfg), cfg)
+        candidates = _lsh_candidates(ids, sign_rows([arrays[i] for i in ids], cfg), cfg)
         recall = len(candidates & set(planted)) / len(planted)
         assert recall >= 0.95
 
@@ -355,7 +354,7 @@ class TestNearDedup:
         near_dedup(docs, DedupConfig())
         by_id = {d.doc_id: d for d in docs}
         members = sorted({doc_id for pair in found[0] for doc_id in pair})
-        batches = [[doc.doc_id for doc, _ in batch] for batch in dedup._batches([by_id[i] for i in members])]
+        batches = [[doc.doc_id for doc in batch] for batch, _, _ in dedup._hashed_batches([by_id[i] for i in members], 5)]
         assert len(batches) >= 3 and [long_text] in [[by_id[i].text for i in b] for b in batches]
         edge_pairs = [(a, b) for a, b in found[0] if not any(a in batch and b in batch for batch in batches)]
         assert edge_pairs, "some candidate pair is hashed in two batches"
@@ -369,6 +368,17 @@ class TestNearDedup:
         s2, p2, _ = near_dedup(list(reversed(docs)), DedupConfig())
         assert [d.doc_id for d in s1] == [d.doc_id for d in s2]
         assert [(p.a, p.b) for p in p1] == [(p.a, p.b) for p in p2]
+
+
+def colliding_rewrites() -> tuple[list, str]:
+    """Documents a = p q x and b = q p y, which come first, and c = p s and
+    d = q s, which lose their first sentence to a cap of two and are left
+    as s; and s."""
+    p, q, s, x, y = "第一句关于防水。", "第二句关于地板。", "第五句关于瓷砖。", "第三句关于吊顶。", "第四句关于水电。"
+    docs = [make_doc(t) for t in (p + q + x, q + p + y, p + s, q + s)]
+    a, b, c, d = docs
+    assert max(a.doc_id, b.doc_id) < min(c.doc_id, d.doc_id)
+    return docs, s
 
 
 class TestSentenceDedup:
@@ -405,6 +415,19 @@ class TestSentenceDedup:
         assert doc.text.count("重复句子在文内出现。") == 2
         assert other.text.count("重复句子在文内出现。") == 1
 
+    def test_rewrite_collision_is_dropped_without_the_exact_pass(self, monkeypatch):
+        # a traced exact_dedup must time only the exact pass
+        def exact_dedup(docs):
+            raise AssertionError("the sentence pass called exact_dedup")
+
+        monkeypatch.setattr(dedup, "exact_dedup", exact_dedup)
+        docs, s = colliding_rewrites()
+        a, b, c, d = docs
+        kept, dropped = sorted((c, d), key=lambda doc: doc.doc_id)
+        assert sentence_dedup(docs, DedupConfig(sentence_max_repeats=2)) == sorted((a, b, kept), key=lambda doc: doc.doc_id)
+        assert (dropped.status, dropped.reason) == ("deduped_out", "sentence")
+        assert dropped.text == kept.text == s
+
     def test_emptied_doc_marked(self):
         a = make_doc("只有一句话。")
         b = make_doc("只有一句话。 ")
@@ -429,17 +452,14 @@ class TestSentenceDedup:
 
 class TestRunDedup:
     def test_rewrites_that_collide_keep_the_smallest_doc_id(self):
-        # a = p q x and b = q p y come first, so c = p s and d = q s both lose
-        # their first sentence and are left as s
-        p, q, s, x, y = "第一句关于防水。", "第二句关于地板。", "第五句关于瓷砖。", "第三句关于吊顶。", "第四句关于水电。"
-        docs = [make_doc(t) for t in (p + q + x, q + p + y, p + s, q + s)]
+        docs, s = colliding_rewrites()
         a, b, c, d = docs
-        assert max(a.doc_id, b.doc_id) < min(c.doc_id, d.doc_id)
+        ingest_ids = {doc_id_for(doc.text, "domain_book") for doc in (c, d)}
         survivors, _, report = run_dedup(docs, DedupConfig())
         kept, dropped = sorted((c, d), key=lambda doc: doc.doc_id)
         assert survivors == sorted((a, b, kept), key=lambda doc: doc.doc_id)
         # the rewritten survivor keeps its ingest doc_id
-        assert (kept.text, kept.doc_id) == (s, min(doc_id_for(p + s, "domain_book"), doc_id_for(q + s, "domain_book")))
+        assert (kept.text, kept.doc_id) == (s, min(ingest_ids))
         assert (dropped.status, dropped.reason, dropped.text) == ("deduped_out", "sentence", s)
         assert report.dropped == {"exact": 0, "near": 0, "sentence": 1}
 

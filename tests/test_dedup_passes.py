@@ -12,10 +12,11 @@ from itertools import combinations
 import numpy as np
 
 from renokit import dedup
-from renokit.dedup import (DedupConfig, _densify, _lsh_candidates, _mix64, _sign_in_batches, compute_signatures,
-                           gram_hashes, gram_hashes_batch, normalize_for_dedup, shingle, split_sentences)
+from renokit.dedup import (DedupConfig, _densify, _lsh_candidates, _mix64, _sets, _sign_in_batches, compute_signatures,
+                           gram_hashes_batch, normalize_for_dedup, shingle, split_sentences)
 
 from fixture_data import cjk_text, make_doc
+from oracles import sign_rows
 
 # --- oracles: the regex bodies the one-call passes replaced -------------------------
 
@@ -103,16 +104,15 @@ def test_raw_gram_hashes_sign_as_their_shingle_set():
     texts += [cjk_text(rng, n) for n in (200, 2000)]
     for ngram in (1, 3, 5):
         docs = [make_doc(t) for t in texts]
-        raw = [gram_hashes(d, ngram) for d in docs]
+        raw = [gram_hashes_batch([normalize_for_dedup(d.text)], ngram)[0] for d in docs]
         sets = [shingle(d, ngram) for d in docs]
         for text, r, s in zip(texts, raw, sets):
-            assert np.array_equal(np.unique(r), s), ascii(text)
-            assert (r.size == 0) == (not text.split()), ascii(text)
+            assert s.dtype == np.uint64 and np.array_equal(np.unique(r), s), ascii(text)
+            assert (s.size == 0) == (r.size == 0) == (not text.split()), ascii(text)
         cfg = DedupConfig(ngram=ngram, seed=ngram)
         signable = [i for i, r in enumerate(raw) if r.size]
         assert any(len(raw[i]) > len(sets[i]) for i in signable), "some texts repeat a gram"
-        assert np.array_equal(compute_signatures([raw[i] for i in signable], cfg),
-                              compute_signatures([sets[i] for i in signable], cfg))
+        assert np.array_equal(sign_rows([raw[i] for i in signable], cfg), sign_rows([sets[i] for i in signable], cfg))
 
 
 def batch_edge_texts(rng: random.Random, ngram: int) -> list[str]:
@@ -139,7 +139,7 @@ def test_batch_kernel_matches_per_document_hashing():
         assert counts == [len(w) for w in want]
         assert np.array_equal(hashes, np.concatenate(want))
         for text, w in zip(texts, want):
-            assert np.array_equal(gram_hashes(make_doc(text), ngram), w), ascii(text[:20])
+            assert np.array_equal(gram_hashes_batch([normalize_for_dedup(text)], ngram)[0], w), ascii(text[:20])
     # a width no text reaches: every text is one whole-text hash
     texts = ["ab", "", "\U00020000", cjk_text(rng, 3000)]
     hashes, counts = gram_hashes_batch(texts, 10**9)
@@ -153,23 +153,48 @@ def test_batched_signing_matches_per_row_oracle():
     for ngram, num_perm, bands in ((1, 64, 8), (3, 128, 16), (5, 256, 32)):
         cfg = DedupConfig(ngram=ngram, num_perm=num_perm, lsh_bands=bands, lsh_rows=num_perm // bands, seed=ngram)
         docs = [make_doc(t) for t in batch_edge_texts(rng, ngram)]
-        batches = [[len(text) for _, text in batch] for batch in dedup._batches(docs)]
-        assert [n for sizes in batches for n in sizes] == [len(normalize_for_dedup(d.text)) for d in docs]
-        assert all(sum(sizes) <= limit or len(sizes) == 1 for sizes in batches)
-        assert [limit] in batches and [limit + 1] in batches and len(batches) > 8
         raw = [oracle_gram_hashes(d.text, ngram) for d in docs]
+        batches = list(dedup._hashed_batches(docs, ngram))
+        assert [doc for batch, _, _ in batches for doc in batch] == docs
+        sizes = [[len(normalize_for_dedup(d.text)) for d in batch] for batch, _, _ in batches]
+        assert all(sum(run) <= limit or len(run) == 1 for run in sizes)
+        assert [limit] in sizes and [limit + 1] in sizes and len(sizes) > 8
+        assert np.array_equal(np.concatenate([hashes for _, hashes, _ in batches]), np.concatenate(raw))
+        assert [count for _, _, counts in batches for count in counts] == [len(r) for r in raw]
         usable, signatures = _sign_in_batches(docs, cfg)
         assert usable == [d for d, r in zip(docs, raw) if r.size]
         assert np.array_equal(signatures, oracle_signatures([r for r in raw if r.size], cfg))
 
 
-def test_flat_signing_is_the_list_form():
+def test_flat_signing_matches_the_per_row_oracle():
     cfg = DedupConfig(num_perm=64, lsh_bands=8, lsh_rows=8, seed=5)
     rows = [np.random.default_rng(i).integers(0, 1 << 63, size=n, dtype=np.uint64) for i, n in enumerate((1, 7, 300))]
-    flat = compute_signatures(np.concatenate(rows), cfg, counts=[1, 7, 300])
-    assert np.array_equal(flat, compute_signatures(rows, cfg))
-    assert np.array_equal(flat, oracle_signatures(rows, cfg))
-    assert compute_signatures([], cfg).shape == (0, 64)
+    assert np.array_equal(compute_signatures(np.concatenate(rows), cfg, counts=[1, 7, 300]), oracle_signatures(rows, cfg))
+    assert compute_signatures(np.empty(0, dtype=np.uint64), cfg, counts=[]).shape == (0, 64)
+
+
+def test_sets_match_per_text_unique():
+    # Texts with no hashes lead, trail, sit between others and make up whole
+    # batches; repeated grams, and texts that begin with the hash the one
+    # before ends with, test the split between texts.
+    rng = random.Random(47)
+    alphabet = list("甲乙丙") + [" ", "\U00020000"]
+    base = ["甲甲甲甲甲甲", "甲甲甲甲甲", "乙甲乙甲乙甲乙", "丙"]
+    batches = [[], [""], ["", "", ""], base]
+    batches += [base[:i] + [""] * k + base[i:] for i in range(len(base) + 1) for k in (1, 2)]
+    for _ in range(300):
+        texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 3)):
+            texts.insert(rng.randint(0, len(texts)), rng.choice(["", " ", "\n　"]))
+        batches.append([normalize_for_dedup(t) for t in texts])
+    for ngram in (1, 3, 5):
+        for texts in batches:
+            hashes, counts = gram_hashes_batch(texts, ngram)
+            sets = _sets(hashes.copy(), counts)
+            assert len(sets) == len(texts)
+            starts = np.cumsum([0, *counts])
+            for got, start, end in zip(sets, starts, starts[1:]):
+                assert got.dtype == np.uint64 and np.array_equal(got, np.unique(hashes[start:end])), (ngram, texts)
 
 
 def signature_cases(rng: np.random.Generator):
@@ -208,5 +233,5 @@ def test_batches_fill_up_to_the_limit():
     rng = random.Random(43)
     sizes = [limit // 2, limit - limit // 2, 1, limit, 0, limit + 1, 3, limit - 3, 2, 2]
     docs = [make_doc(cjk_text(rng, n)) for n in sizes]
-    batches = [[len(text) for _, text in batch] for batch in dedup._batches(docs)]
+    batches = [[len(d.text) for d in batch] for batch, _, _ in dedup._hashed_batches(docs, 5)]
     assert batches == [[limit // 2, limit - limit // 2], [1], [limit, 0], [limit + 1], [3, limit - 3], [2, 2]]

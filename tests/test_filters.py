@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from renokit import filters
 from renokit.errors import LexiconMissing
 from renokit.filters import (
     INDEX_MIN_WORDS,
@@ -23,18 +22,18 @@ from fixture_data import SENSITIVE_WORDS, build_filter_docs, make_doc
 
 class TestSensitive:
     def test_no_match_passes(self):
-        assert filter_sensitive(make_doc("普通装修流程"), frozenset({"赌博"}))
+        assert filter_sensitive(make_doc("普通装修流程"), Lexicon({"赌博"}))
 
     def test_match_fails_with_words(self):
-        verdict = filter_sensitive(make_doc("含赌博内容"), frozenset({"赌博"}))
+        verdict = filter_sensitive(make_doc("含赌博内容"), Lexicon({"赌博"}))
         assert not verdict
         assert verdict.matched_words == ("赌博",)
 
     def test_empty_lexicon_always_passes(self):
-        assert filter_sensitive(make_doc("任何内容"), frozenset())
+        assert filter_sensitive(make_doc("任何内容"), Lexicon(()))
 
     def test_substring_not_word_boundary(self):
-        assert not filter_sensitive(make_doc("xx赌博xx"), frozenset({"赌博"}))
+        assert not filter_sensitive(make_doc("xx赌博xx"), Lexicon({"赌博"}))
 
 
 class TestLanguage:
@@ -190,12 +189,12 @@ class TestLexiconPreCheck:
         lexicon = Lexicon(())
         assert lexicon.find("") == () and lexicon.find("任何内容") == ()
 
-    def test_filter_sensitive_given_a_plain_set(self):
-        words = {"赌博", "a.b", "诈"}
-        verdict = filter_sensitive(make_doc("含赌博与诈骗内容 a.b"), words)
+    def test_filter_sensitive_given_a_scanned_lexicon(self):
+        lexicon = Lexicon({"赌博", "a.b", "诈"})
+        verdict = filter_sensitive(make_doc("含赌博与诈骗内容 a.b"), lexicon)
         assert not verdict and verdict.reason == "sensitive"
         assert verdict.matched_words == ("a.b", "诈", "赌博")
-        assert filter_sensitive(make_doc("含赌 博内容 axb"), words)
+        assert filter_sensitive(make_doc("含赌 博内容 axb"), lexicon)
 
     def test_no_word_is_tested_unless_the_alternation_hits(self, monkeypatch):
         lexicon = Lexicon({"赌博", "诈骗"})
@@ -226,7 +225,7 @@ class TestLexiconPreCheck:
                 text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
                 want = word_by_word(words, text)
                 assert lexicon.find(text) == want, (sorted(words), text)
-                assert filter_sensitive(make_doc(text or "空"), words).matched_words == word_by_word(words, text or "空")
+                assert filter_sensitive(make_doc(text or "空"), lexicon).matched_words == word_by_word(words, text or "空")
                 hits += bool(want)
             assert hits or len(words) < 5
 
@@ -242,24 +241,6 @@ class TestLexiconPreCheck:
         assert sum(bool(lexicon.find(t)) for t in texts) > 20
         for text in texts:
             assert lexicon.find(text) == word_by_word(words, text)
-
-
-def test_filter_sensitive_builds_one_lexicon_per_word_set(monkeypatch):
-    built: list[frozenset[str]] = []
-
-    class Counting(Lexicon):
-        def __init__(self, words):
-            built.append(frozenset(words))
-            super().__init__(words)
-
-    monkeypatch.setattr(filters, "Lexicon", Counting)
-    filters._lexicon_of.cache_clear()
-    words = {"赌博", "诈骗", "违"}
-    first = filter_sensitive(make_doc("含赌博与违规内容"), words)
-    second = filter_sensitive(make_doc("含赌博与违规内容"), list(words))
-    assert built == [frozenset(words)]
-    assert first == second and first.matched_words == ("赌博", "违")
-    filters._lexicon_of.cache_clear()
 
 
 class TestLexiconStartTable:

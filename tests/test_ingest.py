@@ -16,7 +16,6 @@ from renokit.ingest import (
     _MarkupStripper,
     _strip_tokens,
     clean_text,
-    extract_text,
     ingest_stream,
     read_documents,
     records_from_path,
@@ -27,6 +26,7 @@ from renokit.pipeline import run_ingest_stage, run_pipeline
 from renokit.tokenizers import count_tokens
 
 from fixture_data import cjk_text, write_pipeline_fixture
+from oracles import extract_text
 
 
 def rec(text: str, kind: str = "domain_website", sid: str = "r1") -> RawRecord:

@@ -1,22 +1,27 @@
 """The README's "Pipeline config" section against the run config dataclasses:
 its JSON examples must build, and its key table must list each section's
-fields in order, with their JSON types, required keys and defaults."""
+fields in order, with their JSON types, required keys and defaults. Every
+renokit name its "Design notes" section spells as `module.name` must exist."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import renokit
 from renokit.dedup import DedupConfig
 from renokit.filters import FilterConfig
 from renokit.jsonl import _field_table, config_from_dict
 from renokit.mixer import MixPlan
 from renokit.pipeline import EvalSection, GenSection, IngestInput, IngestSection, RunConfig
 
-_SECTION = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8") \
-    .split("\n## Pipeline config\n", 1)[1].split("\n## ", 1)[0]
+_README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+_SECTION = _README.split("\n## Pipeline config\n", 1)[1].split("\n## ", 1)[0]
+_DESIGN_NOTES = _README.split("\n## Design notes\n", 1)[1].split("\n## ", 1)[0]
 _CLASSES = {"run": RunConfig, "ingest": IngestSection, "ingest input": IngestInput, "filters": FilterConfig,
             "dedup": DedupConfig, "mix": MixPlan, "gen": GenSection, "eval": EvalSection}
 _JSON_NAMES = {"int": "int", "float": "number", "bool": "bool", "str": "string", "None": "null", "list": "list",
@@ -51,3 +56,14 @@ def test_readme_key_table_matches_the_fields():
                 field = fields[name]
                 value = field.default if field.default_factory is dataclasses.MISSING else field.default_factory()
                 assert json.loads(default.split("`")[1]) == value, (section, key)
+
+
+def test_design_notes_name_only_what_exists():
+    # `renokit.dedup.shingle` or `dedup.shingle`; not a file name such as `pipeline.py`
+    modules = {info.name for info in pkgutil.iter_modules(renokit.__path__)}
+    names = [(module, name) for module, name in re.findall(r"`(?:renokit\.)?(\w+)\.(\w+)`", _DESIGN_NOTES)
+             if module in modules and name != "py"]
+    assert len(names) > 10
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"renokit.{module}"), name)]
+    assert not missing
