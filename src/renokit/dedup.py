@@ -8,9 +8,10 @@ Survivors are always the lexicographically smallest doc_id of a duplicate
 group, which makes the output independent of input order.
 
 Each step has one implementation. `_hashed_batches` hashes documents in
-doc_id order, at most _BATCH_CODE_POINTS code points at a time, as one UTF-32
-array (`gram_hashes_batch`): sized in code points, not documents, a batch of
-long chapters keeps its temporaries in cache as one of short pages does. Each
+doc_id order, in `tokenizers.runs` of at most _BATCH_CODE_POINTS code points,
+as one UTF-32 array (`gram_hashes_batch`): sized in code points, not
+documents, a batch of long chapters keeps its temporaries in cache as one of
+short pages does. Each
 batch is signed from every gram hash, repeats included, by one
 `compute_signatures` call. LSH bucketing sorts each band's rows by a 64-bit
 key folded from the band and compares whole bands only within runs of equal
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import EmptyShingleSet
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
 from .jsonl import Record
-from .tokenizers import count_tokens_batch
+from .tokenizers import count_tokens_batch, runs
 
 REASON_EXACT = "exact"
 REASON_NEAR = "near"
@@ -254,22 +255,16 @@ def _densify(signatures: np.ndarray) -> np.ndarray:
 
 
 def _hashed_batches(docs: Sequence[Document], ngram: int) -> Iterator[tuple[list[Document], np.ndarray, list[int]]]:
-    """The documents in runs of at most _BATCH_CODE_POINTS code points of
-    `normalize_for_dedup` text, a longer text a run of its own, each run with
-    the `gram_hashes_batch` hashes and counts of its texts."""
-    batch: list[Document] = []
-    texts: list[str] = []
-    size = 0
-    for doc in docs:
-        text = normalize_for_dedup(doc.text)
-        if texts and size + len(text) > _BATCH_CODE_POINTS:
-            yield batch, *gram_hashes_batch(texts, ngram)
-            batch, texts, size = [], [], 0
-        batch.append(doc)
-        texts.append(text)
-        size += len(text)
-    if texts:
-        yield batch, *gram_hashes_batch(texts, ngram)
+    """The documents in `runs` of at most _BATCH_CODE_POINTS code points of
+    `normalize_for_dedup` text, each run with the `gram_hashes_batch` hashes
+    and counts of its texts. `map` keeps no run once hashed, so one run of
+    normalized text is alive at a time."""
+
+    def hashed(run):
+        return [doc for doc, _ in run], *gram_hashes_batch([text for _, text in run], ngram)
+
+    pairs = ((doc, normalize_for_dedup(doc.text)) for doc in docs)
+    return map(hashed, runs(pairs, lambda pair: len(pair[1]), _BATCH_CODE_POINTS))
 
 
 def _sign_in_batches(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], np.ndarray]:

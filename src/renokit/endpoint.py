@@ -2,8 +2,9 @@
 
 The wire format is the common chat-completions POST: {"model", "messages",
 "temperature"} against {base_url}/chat/completions with a bearer token taken
-from the environment. Transports are pluggable so tests and offline replays
-never touch the network.
+from the environment. `ChatClient.request` builds that dict once; transports
+POST it as it is, `request_id` hashes it and the archive stores it. Transports
+are pluggable so tests and offline replays never touch the network.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class Completion:
 
 
 class Transport(Protocol):
-    def complete(self, model: str, messages: Sequence[Message], temperature: float) -> Completion: ...
+    def complete(self, request: dict) -> Completion: ...
 
 
 def utc_now_iso() -> str:
@@ -107,13 +108,12 @@ class HttpTransport:
             return 0.0
         return self.cfg.backoff[min(attempt, len(self.cfg.backoff) - 1)]
 
-    def complete(self, model: str, messages: Sequence[Message], temperature: float) -> Completion:
+    def complete(self, request: dict) -> Completion:
         url = self.cfg.base_url.rstrip("/") + "/chat/completions"
-        payload = {"model": model, "messages": list(messages), "temperature": temperature}
         last_error = "no attempt made"
         for attempt in range(self.cfg.max_retries + 1):
             try:
-                resp = self.session.post(url, json=payload, headers=self._headers(), timeout=self.cfg.timeout)
+                resp = self.session.post(url, json=request, headers=self._headers(), timeout=self.cfg.timeout)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = f"transport: {exc}"
             else:
@@ -136,7 +136,7 @@ class HttpTransport:
 class OfflineTransport:
     """Refuses all network work; use together with a fully populated archive."""
 
-    def complete(self, model: str, messages: Sequence[Message], temperature: float) -> Completion:
+    def complete(self, request: dict) -> Completion:
         raise EndpointError("network disabled")
 
 
@@ -151,17 +151,17 @@ class ChatClient:
         if self._owns_transport:
             self.transport.close()
 
+    def request(self, messages: Sequence[Message]) -> dict:
+        """The chat request for `messages` under this client's model and temperature."""
+        return {"model": self.cfg.model_name, "messages": list(messages), "temperature": self.cfg.temperature}
+
     def complete(self, messages: Sequence[Message]) -> Completion:
-        return self.transport.complete(self.cfg.model_name, messages, self.cfg.temperature)
+        return self.transport.complete(self.request(messages))
 
 
-def request_id(model: str, messages: Sequence[Message], temperature: float) -> str:
-    """Deterministic id of a logical request; identical requests share one."""
-    canonical = json.dumps(
-        {"model": model, "messages": list(messages), "temperature": temperature},
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+def request_id(request: dict) -> str:
+    """Deterministic id of a chat request; identical requests share one."""
+    canonical = json.dumps(request, sort_keys=True, ensure_ascii=False)
     return hashlib.md5(canonical.encode("utf-8")).hexdigest()
 
 

@@ -93,7 +93,6 @@ class _MarkupStripper(HTMLParser):
         "table", "thead", "tbody", "tfoot", "tr", "script", "style",
         "figure", "svg", "picture", "head", "iframe", "noscript",
     }
-    VOID = {"img", "hr", "meta", "link", "input", "source", "area", "base", "col", "embed", "track", "wbr"}
     BLOCK = {
         "p", "div", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5", "h6",
         "section", "article", "blockquote", "pre", "td", "th",
@@ -108,8 +107,6 @@ class _MarkupStripper(HTMLParser):
         if tag == "br":
             if not self._drop_depth:
                 self._chunks.append("\n")
-            return
-        if tag in self.VOID:
             return
         if tag in self.DROP:
             self._drop_depth += 1

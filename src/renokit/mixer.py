@@ -15,12 +15,11 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData, SchemaError
 from .jsonl import Record, line_error, read_jsonl, write_json
-from .tokenizers import TOKENIZER, count_tokens_batch
+from .tokenizers import TOKENIZER, count_tokens_batch, runs
 
 MODE_DAPT = "dapt"
 MODE_SFT = "sft"
@@ -98,8 +97,7 @@ _DRAW_BLOCK = 1024
 
 def _counted(recs: Iterable[dict]) -> Iterator[tuple[dict, int]]:
     """Each record of `recs` with its tokens."""
-    it = iter(recs)
-    while block := list(islice(it, _DRAW_BLOCK)):
+    for block in runs(recs, lambda rec: 1, _DRAW_BLOCK):
         yield from zip(block, records_tokens(block))
 
 

@@ -6,8 +6,8 @@ One-turn generation is two-step: the first response proposes question/answer
 pairs, then each question is re-asked standalone and the short answer is
 replaced by the detailed one.
 
-Every request is archived keyed by a deterministic request id, so a run can
-be replayed offline and reproduces the identical dataset.
+Every request is archived, as the dict that was sent, under its hash, so a
+run can be replayed offline and reproduces the identical dataset.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     RoleOrderViolation,
     SchemaError,
 )
-from .ingest import Document
+from .ingest import STATUS_INGESTED, STATUS_RETAINED, Document
 from .jsonl import Record
 from .mixer import text_turns
 
@@ -365,9 +365,9 @@ class ArchivedCompleter:
     """Completer that consults the archive first and records every outcome.
 
     Archived entries are replayed without consuming budget; fresh requests
-    take one of `budget` requests, hit the client, and are written back as
-    either a response or a classified endpoint error. Over an
-    OfflineTransport a missing entry is refused as an endpoint error without
+    take one of `budget` requests, go to the client's transport, and are
+    written back as either a response or a classified endpoint error. Over
+    an OfflineTransport a missing entry is refused as an endpoint error without
     being sent: it takes no budget, is not counted as sent, and is not
     written back, since the refusal is no answer of the endpoint and a later
     online run sends the request. A request whose id is already in flight on
@@ -377,7 +377,8 @@ class ArchivedCompleter:
     reproduces the original accept/reject decisions exactly. An entry that
     does not parse, or holds neither a response nor an error, counts as
     missing: a warning is logged, the request is sent again and its new
-    entry replaces the old one.
+    entry replaces the old one. A call builds its request once
+    (`ChatClient.request`), files it under its `request_id` and sends it.
     """
 
     def __init__(self, client: ChatClient, archive: ResponseArchive, budget: int):
@@ -391,7 +392,8 @@ class ArchivedCompleter:
         self._in_flight: dict[str, Future] = {}
 
     def __call__(self, messages: Sequence[dict]) -> Completion:
-        rid = request_id(self.client.cfg.model_name, messages, self.client.cfg.temperature)
+        request = self.client.request(messages)
+        rid = request_id(request)
         with self._lock:
             pending = self._in_flight.get(rid)
             entry = self._archived(rid) if pending is None else None
@@ -406,7 +408,7 @@ class ArchivedCompleter:
                 self._in_flight[rid] = sending = Future()
         if fresh:
             try:
-                entry = self._send(rid, messages)
+                entry = self._send(rid, request)
                 self.archive.store(rid, entry)
                 sending.set_result(entry)
             except BaseException as exc:
@@ -418,7 +420,7 @@ class ArchivedCompleter:
         elif pending is not None:
             entry = pending.result()
         elif missing:
-            entry = self._send(rid, messages)  # the transport's refusal
+            entry = self._send(rid, request)  # the transport's refusal
         if entry.get("error") is not None:
             raise EndpointError(entry["error"])
         return Completion(text=entry["response"], timestamp=entry.get("timestamp") or "")
@@ -438,14 +440,10 @@ class ArchivedCompleter:
             return None
         return entry
 
-    def _send(self, rid: str, messages: Sequence[dict]) -> dict:
-        cfg = self.client.cfg
-        entry = {
-            "request_id": rid,
-            "request": {"model": cfg.model_name, "messages": list(messages), "temperature": cfg.temperature},
-        }
+    def _send(self, rid: str, request: dict) -> dict:
+        entry = {"request_id": rid, "request": request}
         try:
-            completion = self.client.complete(messages)
+            completion = self.client.transport.complete(request)
             entry.update(response=completion.text, timestamp=completion.timestamp, error=None)
         except EndpointError as exc:
             entry.update(response=None, timestamp=None, error=str(exc))
@@ -495,7 +493,7 @@ def batch_generate(
 
     completer = ArchivedCompleter(client, archive, budget)
     report = GenReport()
-    usable = [d for d in sorted(docs, key=lambda d: d.doc_id) if d.status in ("ingested", "retained")]
+    usable = [d for d in sorted(docs, key=lambda d: d.doc_id) if d.status in (STATUS_INGESTED, STATUS_RETAINED)]
     jobs = [(doc, kind) for doc in usable for kind in kinds]
 
     def run_job(job):

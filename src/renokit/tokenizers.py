@@ -8,14 +8,15 @@ label TOKENIZER.
 Every class is a set of code point ranges, looked up through one table of
 class bits (`_class_table`); `char_counts` counts whole batches of texts with
 it, and `count_tokens` is that count on one text. numpy is imported, and the
-table built, on first use, so importing this module costs neither.
+table built, on first use, so importing this module costs neither. `runs`
+packs every batch walk: these chunks, dedup's batches and mixer's blocks.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,22 +108,30 @@ class CharCounts(NamedTuple):
     countable: np.ndarray  # code points that are neither whitespace nor punctuation
 
 
-def _chunks(texts: Sequence[str]):
+def runs(items: Iterable, size: Callable[..., int], limit: int) -> Iterator[list]:
+    """The items in order, in runs whose sizes sum to at most `limit`; an item
+    larger than `limit` is a run of its own. A run closes when its next item
+    would overflow it, so at most one item past the run yielded is pulled."""
+    run = []
+    total = 0
+    for item in items:
+        n = size(item)
+        if run and total + n > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
+
+
+def _chunks(texts: Sequence[str]) -> Iterator[list[tuple[int, str, bool]]]:
     """Lists of (text index, piece, first piece of its text) that hold at most
     CHUNK code points each. An empty text gives no piece, and a text longer
     than CHUNK is cut into pieces of CHUNK, each a chunk of its own."""
-    chunk: list[tuple[int, str, bool]] = []
-    size = 0
-    for i, text in enumerate(texts):
-        for lo in range(0, len(text), CHUNK):
-            piece = text[lo : lo + CHUNK]
-            if size + len(piece) > CHUNK:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append((i, piece, lo == 0))
-            size += len(piece)
-    if chunk:
-        yield chunk
+    pieces = ((i, text[lo : lo + CHUNK], lo == 0)
+              for i, text in enumerate(texts) for lo in range(0, len(text), CHUNK))
+    return runs(pieces, lambda piece: len(piece[1]), CHUNK)
 
 
 def char_counts(texts: Sequence[str]) -> CharCounts:

@@ -22,8 +22,9 @@ class ScriptedTransport:
         self.script = script
         self.calls = 0
 
-    def complete(self, model: str, messages: Sequence[dict], temperature: float) -> Completion:
+    def complete(self, request: dict) -> Completion:
         self.calls += 1
+        messages = request["messages"]
         return Completion(text=self.script(messages), timestamp=stable_timestamp(messages))
 
     def close(self) -> None:
@@ -34,7 +35,7 @@ class FailingTransport:
     def __init__(self, message: str = "boom"):
         self.message = message
 
-    def complete(self, model, messages, temperature) -> Completion:
+    def complete(self, request) -> Completion:
         raise EndpointError(self.message)
 
 
@@ -62,7 +63,8 @@ class GoldAnswerTransport:
             raise AssertionError("no dataset question found in prompt")
         return best
 
-    def complete(self, model: str, messages: Sequence[dict], temperature: float) -> Completion:
+    def complete(self, request: dict) -> Completion:
+        messages = request["messages"]
         entry = self._target_entry(messages[-1]["content"])
         gold = entry.item.correct_option
         if entry.item_id in self.correct_ids:
@@ -79,5 +81,5 @@ class ConstantTransport:
     def __init__(self, text: str):
         self.text = text
 
-    def complete(self, model, messages, temperature) -> Completion:
-        return Completion(text=self.text, timestamp=stable_timestamp(messages))
+    def complete(self, request) -> Completion:
+        return Completion(text=self.text, timestamp=stable_timestamp(request["messages"]))

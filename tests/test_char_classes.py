@@ -211,6 +211,31 @@ def test_texts_longer_than_a_chunk():
     assert max(sum(len(piece) for _, piece, _ in chunk) for chunk in tokenizers._chunks(texts)) == CHUNK
 
 
+def test_runs_pack_in_order_greedily_and_lazily():
+    assert list(tokenizers.runs([], len, 5)) == []
+    rng = random.Random(17)
+    for _ in range(500):
+        limit = rng.randint(1, 20)
+        sizes = [rng.choice((0, rng.randint(1, limit), rng.randint(limit + 1, 3 * limit)))
+                 for _ in range(rng.randint(0, 30))]
+        items = list(enumerate(sizes))
+        pulled = []
+
+        def source():
+            for item in items:
+                pulled.append(item)
+                yield item
+
+        out = []
+        for run in tokenizers.runs(source(), lambda item: item[1], limit):
+            out.append(run)
+            assert len(pulled) <= sum(map(len, out)) + 1, "pulled more than one item past the run"
+        assert [item for run in out for item in run] == items
+        totals = [sum(size for _, size in run) for run in out]
+        assert all(run and (total <= limit or len(run) == 1) for run, total in zip(out, totals))
+        assert all(total + after[0][1] > limit for total, after in zip(totals, out[1:])), "a run closed early"
+
+
 def test_run_filters_gives_each_document_its_own_language_verdict():
     rng = random.Random(3)
     alphabet = _alphabet(rng)

@@ -177,7 +177,8 @@ def test_endpoint_value_is_refused_up_front_or_runs(tmp_path, capsys, busy_once_
 
     transport = HttpTransport(cfg, sleep=sleep)
     try:
-        assert transport.complete("m", [{"role": "user", "content": "q"}], cfg.temperature).text == "ok"
+        request = {"model": "m", "messages": [{"role": "user", "content": "q"}], "temperature": cfg.temperature}
+        assert transport.complete(request).text == "ok"
     finally:
         transport.close()
     assert slept == [cfg.backoff[0]]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 from contextlib import closing
 
@@ -10,11 +11,14 @@ from renokit.endpoint import (
     ChatClient,
     EndpointConfig,
     HttpTransport,
+    OfflineTransport,
     ResponseArchive,
+    Transport,
     request_id,
 )
 from renokit.errors import EndpointError
 
+import mocks
 from mocks import ScriptedTransport
 
 
@@ -58,6 +62,11 @@ def test_config_refuses_a_schedule_that_cannot_run(kwargs):
         cfg(**kwargs)
 
 
+def chat(messages=(), model: str = "m1", temperature: float = 0.0) -> dict:
+    """A chat request as `ChatClient.request` builds it."""
+    return {"model": model, "messages": list(messages), "temperature": temperature}
+
+
 def ok_response(text: str = "回答") -> FakeResponse:
     return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 
@@ -67,7 +76,7 @@ class TestHttpTransport:
         monkeypatch.setenv("TEST_KEY_ENV", "sk-secret")
         session = FakeSession([ok_response("你好")])
         transport = HttpTransport(cfg(api_key_env="TEST_KEY_ENV"), session=session, sleep=lambda s: None)
-        completion = transport.complete("m1", [{"role": "user", "content": "问"}], 0.0)
+        completion = transport.complete(chat([{"role": "user", "content": "问"}]))
         assert completion.text == "你好"
         call = session.calls[0]
         assert call["url"] == "http://api.example/v1/chat/completions"
@@ -78,41 +87,41 @@ class TestHttpTransport:
         session = FakeSession([requests.ConnectionError("refused"), ok_response()])
         sleeps = []
         transport = HttpTransport(cfg(backoff=(0.5, 1.0)), session=session, sleep=sleeps.append)
-        assert transport.complete("m1", [], 0.0).text == "回答"
+        assert transport.complete(chat()).text == "回答"
         assert sleeps == [0.5]
 
     def test_retries_on_429_and_5xx(self):
         session = FakeSession([FakeResponse(429, {}), FakeResponse(503, {}), ok_response()])
         transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
-        assert transport.complete("m1", [], 0.0).text == "回答"
+        assert transport.complete(chat()).text == "回答"
         assert len(session.calls) == 3
 
     def test_no_retry_on_400(self):
         session = FakeSession([FakeResponse(400, {}, text="bad request"), ok_response()])
         transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
         with pytest.raises(EndpointError, match="HTTP 400"):
-            transport.complete("m1", [], 0.0)
+            transport.complete(chat())
         assert len(session.calls) == 1
 
     def test_gives_up_after_max_retries(self):
         session = FakeSession([requests.ConnectionError("x")] * 3)
         transport = HttpTransport(cfg(max_retries=2), session=session, sleep=lambda s: None)
         with pytest.raises(EndpointError, match="gave up"):
-            transport.complete("m1", [], 0.0)
+            transport.complete(chat())
         assert len(session.calls) == 3
 
     def test_backoff_schedule_clamps_to_last(self):
         session = FakeSession([FakeResponse(500, {})] * 4 + [ok_response()])
         sleeps = []
         transport = HttpTransport(cfg(max_retries=4, backoff=(1.0, 2.0)), session=session, sleep=sleeps.append)
-        transport.complete("m1", [], 0.0)
+        transport.complete(chat())
         assert sleeps == [1.0, 2.0, 2.0, 2.0]
 
     def test_malformed_payload(self):
         session = FakeSession([FakeResponse(200, {"weird": True})])
         transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
         with pytest.raises(EndpointError, match="malformed"):
-            transport.complete("m1", [], 0.0)
+            transport.complete(chat())
 
 
 class TestChatClient:
@@ -131,10 +140,29 @@ class TestChatClient:
 class TestRequestId:
     def test_deterministic_and_content_sensitive(self):
         msgs = [{"role": "user", "content": "a"}]
-        assert request_id("m", msgs, 0.0) == request_id("m", msgs, 0.0)
-        assert request_id("m", msgs, 0.0) != request_id("m", msgs, 0.5)
-        assert request_id("m", msgs, 0.0) != request_id("m2", msgs, 0.0)
-        assert request_id("m", [{"role": "user", "content": "b"}], 0.0) != request_id("m", msgs, 0.0)
+        assert request_id(chat(msgs, "m")) == request_id(chat(msgs, "m"))
+        assert request_id(chat(msgs, "m")) != request_id(chat(msgs, "m", 0.5))
+        assert request_id(chat(msgs, "m")) != request_id(chat(msgs, "m2"))
+        assert request_id(chat([{"role": "user", "content": "b"}], "m")) != request_id(chat(msgs, "m"))
+
+
+    def test_request_hashes_as_before(self):
+        """Archives written when request_id took (model, messages, temperature) still replay."""
+        with closing(ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"))) as client:
+            request = client.request([{"role": "user", "content": "问"}])
+        assert request_id(request) == "b8fbcd3d54e27706deb31f9d7ff53bf7"
+
+
+def test_every_transport_takes_one_request():
+    """A transport on another signature fails only inside a generation worker thread."""
+    want = list(inspect.signature(Transport.complete).parameters)
+    assert want == ["self", "request"]
+    transports = [HttpTransport, OfflineTransport]
+    transports += [cls for _, cls in inspect.getmembers(mocks, inspect.isclass)
+                   if cls.__module__ == mocks.__name__ and hasattr(cls, "complete")]
+    assert len(transports) >= 6
+    for cls in transports:
+        assert list(inspect.signature(cls.complete).parameters) == want, cls.__name__
 
 
 class TestResponseArchive:
@@ -174,7 +202,7 @@ def test_http_transport_against_local_server():
     thread.start()
     try:
         with closing(HttpTransport(cfg(base_url=f"http://127.0.0.1:{server.server_port}"))) as transport:
-            completion = transport.complete("m1", [{"role": "user", "content": "问题"}], 0.0)
+            completion = transport.complete(chat([{"role": "user", "content": "问题"}]))
         assert completion.text == "服务端回答"
         assert seen["path"] == "/chat/completions"
         assert seen["body"]["messages"] == [{"role": "user", "content": "问题"}]

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from renokit.endpoint import ChatClient, EndpointConfig, OfflineTransport, ResponseArchive
+from renokit.endpoint import ChatClient, EndpointConfig, OfflineTransport, ResponseArchive, request_id
 from renokit.errors import (
     ArityError,
     CategoryOutOfSet,
@@ -452,6 +452,24 @@ class TestArchivedCompleter:
         assert transport.calls == 1
         assert (completer.sent, completer.replayed) == (1, 1)
 
+    def test_entry_stores_the_request_sent(self, tmp_path):
+        """The archived "request" is the dict the transport received, filed under its request_id."""
+        received = []
+
+        class Recording(ScriptedTransport):
+            def complete(self, request):
+                received.append(request)
+                return super().complete(request)
+
+        cfg = EndpointConfig(base_url="http://mock.invalid", model_name="mock-model", temperature=0.2)
+        archive = ResponseArchive(tmp_path / "arch")
+        completer = ArchivedCompleter(ChatClient(cfg, Recording(lambda messages: "答复")), archive, budget=1)
+        assert completer([{"role": "user", "content": "问"}]).text == "答复"
+        [request] = received
+        assert request == {"model": "mock-model", "messages": [{"role": "user", "content": "问"}], "temperature": 0.2}
+        assert archive.ids() == [request_id(request)]
+        assert archive.load(request_id(request))["request"] == request
+
     def test_offline_refusal_is_not_archived(self, tmp_path):
         """Offline, a request missing from the archive is rejected as EndpointError and nothing is
         stored, so a later online run sends it."""
@@ -466,12 +484,12 @@ class TestArchivedCompleter:
 
     def test_waiter_gets_the_senders_refusal(self, tmp_path):
         class HeldFailing(FailingTransport):
-            def complete(self, model, messages, temperature):
+            def complete(self, request):
                 # hold the refusal until the identical second request waits on it
                 deadline = time.monotonic() + 5
                 while completer.replayed == 0 and time.monotonic() < deadline:
                     time.sleep(0.01)
-                return super().complete(model, messages, temperature)
+                return super().complete(request)
 
         client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), HeldFailing())
         archive = ResponseArchive(tmp_path / "arch")
