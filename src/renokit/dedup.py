@@ -8,12 +8,12 @@ Survivors are always the lexicographically smallest doc_id of a duplicate
 group, which makes the output independent of input order.
 
 Each step has one implementation. `_hashed_batches` hashes documents in
-doc_id order, in `tokenizers.runs` of at most _BATCH_CODE_POINTS code points,
-as one UTF-32 array (`gram_hashes_batch`): sized in code points, not
-documents, a batch of long chapters keeps its temporaries in cache as one of
-short pages does. Each
-batch is signed from every gram hash, repeats included, by one
-`compute_signatures` call. LSH bucketing sorts each band's rows by a 64-bit
+doc_id order, in `tokenizers.runs` of at most `tokenizers.BATCH_CODE_POINTS`
+code points, as one UTF-32 array (`gram_hashes_batch`): sized in code points,
+not documents, a batch of long chapters keeps its temporaries in cache as one
+of short pages does. Each batch is signed from every gram hash, repeats
+included, by one `compute_signatures` call, whose rows go into one block
+allocated once per pass. LSH bucketing sorts each band's rows by a 64-bit
 key folded from the band and compares whole bands only within runs of equal
 keys. `_sets` builds a batch's sorted, unique shingle sets, for the documents
 of candidate pairs and for `shingle`. `_keep_first` keeps the smallest doc_id
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import EmptyShingleSet
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
 from .jsonl import Record
-from .tokenizers import count_tokens_batch, runs
+from .tokenizers import BATCH_CODE_POINTS, count_tokens_batch, runs
 
 REASON_EXACT = "exact"
 REASON_NEAR = "near"
@@ -44,10 +44,6 @@ REASON_SENTENCE = "sentence"
 # splitmix64's increment; also the (odd) base of the shingle polynomial
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _EMPTY_BIN = np.uint64((1 << 64) - 1)
-# Near-dup hashing and signing take documents in batches of at most this many
-# code points, so that a batch's temporaries stay in cache: a few times this
-# size, or a count of documents, made long chapters slower (see README).
-_BATCH_CODE_POINTS = 16384
 
 
 def normalize_for_dedup(text: str) -> str:
@@ -99,13 +95,14 @@ class DupPair(Record):
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 of each value, in wrapping uint64 arithmetic: a bijection
-    whose every output bit depends on every input bit."""
+    whose every output bit depends on every input bit; the shifts share one scratch array."""
     z = x + _GAMMA
-    z ^= z >> 30
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, 30, out=shifted)
     z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=shifted)
     z *= 0x94D049BB133111EB
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=shifted)
     return z
 
 
@@ -255,7 +252,7 @@ def _densify(signatures: np.ndarray) -> np.ndarray:
 
 
 def _hashed_batches(docs: Sequence[Document], ngram: int) -> Iterator[tuple[list[Document], np.ndarray, list[int]]]:
-    """The documents in `runs` of at most _BATCH_CODE_POINTS code points of
+    """The documents in `runs` of at most BATCH_CODE_POINTS code points of
     `normalize_for_dedup` text, each run with the `gram_hashes_batch` hashes
     and counts of its texts. `map` keeps no run once hashed, so one run of
     normalized text is alive at a time."""
@@ -264,18 +261,20 @@ def _hashed_batches(docs: Sequence[Document], ngram: int) -> Iterator[tuple[list
         return [doc for doc, _ in run], *gram_hashes_batch([text for _, text in run], ngram)
 
     pairs = ((doc, normalize_for_dedup(doc.text)) for doc in docs)
-    return map(hashed, runs(pairs, lambda pair: len(pair[1]), _BATCH_CODE_POINTS))
+    return map(hashed, runs(pairs, lambda pair: len(pair[1]), BATCH_CODE_POINTS))
 
 
 def _sign_in_batches(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Document], np.ndarray]:
     """The documents that have gram hashes, in the given order, and their
-    signature rows, one `compute_signatures` call per batch."""
+    signature rows, one `compute_signatures` call per batch, written into one
+    block that has a row for every document."""
     usable: list[Document] = []
-    blocks = [np.empty((0, cfg.num_perm), dtype=np.uint64)]
+    signatures = np.empty((len(docs), cfg.num_perm), dtype=np.uint64)
     for batch, hashes, counts in _hashed_batches(docs, cfg.ngram):
+        start = len(usable)
         usable.extend(doc for doc, count in zip(batch, counts) if count)
-        blocks.append(compute_signatures(hashes, cfg, counts=[count for count in counts if count]))
-    return usable, np.concatenate(blocks)
+        signatures[start : len(usable)] = compute_signatures(hashes, cfg, counts=[count for count in counts if count])
+    return usable, signatures[: len(usable)]
 
 
 def _shingle_sets(docs: Sequence[Document], ngram: int) -> dict[str, np.ndarray]:
@@ -349,6 +348,7 @@ def near_dedup(docs: Sequence[Document], cfg: DedupConfig) -> tuple[list[Documen
     docs = sorted(docs, key=lambda d: d.doc_id)
     usable, signatures = _sign_in_batches(docs, cfg)
     candidates = _lsh_candidates([d.doc_id for d in usable], signatures, cfg)
+    del signatures  # freed first, so that the shingle sets can take its memory
     members = {doc_id for pair in candidates for doc_id in pair}
     shingle_sets = _shingle_sets([d for d in usable if d.doc_id in members], cfg.ngram)
     pairs: list[DupPair] = []

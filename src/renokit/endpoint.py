@@ -183,9 +183,3 @@ class ResponseArchive:
 
     def store(self, rid: str, entry: dict) -> None:
         write_json(self._path(rid), entry)
-
-    def ids(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.json"))
-
-    def __len__(self) -> int:
-        return len(self.ids())

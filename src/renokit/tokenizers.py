@@ -9,7 +9,8 @@ Every class is a set of code point ranges, looked up through one table of
 class bits (`_class_table`); `char_counts` counts whole batches of texts with
 it, and `count_tokens` is that count on one text. numpy is imported, and the
 table built, on first use, so importing this module costs neither. `runs`
-packs every batch walk: these chunks, dedup's batches and mixer's blocks.
+packs every batch walk: these chunks and dedup's batches, both of at most
+BATCH_CODE_POINTS code points, and mixer's blocks.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ _ASCII_ALPHA_RANGES = ((0x41, 0x5A), (0x61, 0x7A))
 # Class bits of a code point.
 _NONCOUNT, _CJK, _ALPHA, _WORD = 1, 2, 4, 8
 
-# Code points encoded and classified at once; a longer text is cut into pieces.
-CHUNK = 1 << 16
+# Code points classified here, or hashed and signed by dedup, at once: few enough
+# that the allocator reuses a batch's temporaries instead of mapping them afresh.
+BATCH_CODE_POINTS = 1 << 14
 
 
 @functools.cache
@@ -127,16 +129,16 @@ def runs(items: Iterable, size: Callable[..., int], limit: int) -> Iterator[list
 
 def _chunks(texts: Sequence[str]) -> Iterator[list[tuple[int, str, bool]]]:
     """Lists of (text index, piece, first piece of its text) that hold at most
-    CHUNK code points each. An empty text gives no piece, and a text longer
-    than CHUNK is cut into pieces of CHUNK, each a chunk of its own."""
-    pieces = ((i, text[lo : lo + CHUNK], lo == 0)
-              for i, text in enumerate(texts) for lo in range(0, len(text), CHUNK))
-    return runs(pieces, lambda piece: len(piece[1]), CHUNK)
+    BATCH_CODE_POINTS code points each. An empty text gives no piece, and a
+    longer text is cut into pieces of BATCH_CODE_POINTS, each a chunk of its own."""
+    pieces = ((i, text[lo : lo + BATCH_CODE_POINTS], lo == 0)
+              for i, text in enumerate(texts) for lo in range(0, len(text), BATCH_CODE_POINTS))
+    return runs(pieces, lambda piece: len(piece[1]), BATCH_CODE_POINTS)
 
 
 def char_counts(texts: Sequence[str]) -> CharCounts:
     """Count the classes of every text of `texts` with one table lookup per
-    code point, a chunk of at most CHUNK code points at a time.
+    code point, a chunk of at most BATCH_CODE_POINTS code points at a time.
 
     A word run starts at an ASCII word character that does not follow another
     in the same text, so an ideograph ends a word as a space would, and two

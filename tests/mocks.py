@@ -1,4 +1,5 @@
-"""Deterministic endpoint transports for tests; no network anywhere."""
+"""Deterministic endpoint transports for tests, and the ids a response
+archive holds; no network anywhere."""
 
 from __future__ import annotations
 
@@ -6,8 +7,13 @@ import hashlib
 import json
 from typing import Callable, Sequence
 
-from renokit.endpoint import Completion
+from renokit.endpoint import Completion, ResponseArchive
 from renokit.errors import EndpointError
+
+
+def archive_ids(archive: ResponseArchive) -> list[str]:
+    """The request ids of every entry stored in `archive`, sorted."""
+    return sorted(p.stem for p in archive.root.glob("*.json"))
 
 
 def stable_timestamp(messages: Sequence[dict]) -> str:

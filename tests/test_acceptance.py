@@ -30,7 +30,7 @@ from fixture_data import (
     gen_script,
     write_pipeline_fixture,
 )
-from mocks import GoldAnswerTransport, ScriptedTransport
+from mocks import GoldAnswerTransport, ScriptedTransport, archive_ids
 from oracles import brute_force_pairs, select_exemplars
 
 
@@ -194,7 +194,7 @@ def test_c7_generation_validation(tmp_path):
         return items, reports
 
     items, reports = run(ScriptedTransport(gen_script(categories)))
-    assert len(archive) == 100, "archive must hold exactly the 100 responses"
+    assert len(archive_ids(archive)) == 100, "archive must hold exactly the 100 responses"
     assert sum(r.accepted for r in reports) == 90
     assert sum(r.rejected_total for r in reports) == 10
     merged: dict[str, int] = {}

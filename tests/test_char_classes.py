@@ -11,7 +11,7 @@ import pytest
 
 from renokit import filters, tokenizers
 from renokit.filters import FilterConfig, Lexicon, filter_language, filter_sensitive, run_filters
-from renokit.tokenizers import CHUNK, char_counts, count_tokens, count_tokens_batch
+from renokit.tokenizers import BATCH_CODE_POINTS, char_counts, count_tokens, count_tokens_batch
 
 from fixture_data import make_doc
 
@@ -197,18 +197,19 @@ def test_batch_edges():
 @same_unicode
 def test_texts_longer_than_a_chunk():
     rng = random.Random(5)
+    limit = BATCH_CODE_POINTS
     alphabet = _alphabet(rng) + SURROGATES
     # words run across the cut between a long text's pieces, and a text may end on one
-    assert count_tokens("a" * (2 * CHUNK + 3)) == 1
-    assert count_tokens_batch(["x" * (CHUNK - 1), "y" * 2, "z" * CHUNK, "w"]) == [1, 1, 1, 1]
-    cut = "家" * (CHUNK - 2) + "ab" + "cd" + "家"
-    assert count_tokens(cut) == CHUNK - 2 + 1 + 1
-    long = _random_text(rng, alphabet, longest=10) + "".join(rng.choice(alphabet) for _ in range(CHUNK + 77))
-    assert_batch_matches(["ab", long, "cd", "", long[: CHUNK - 1], "x" * CHUNK, "y", long + "z" * 3])
-    texts = ["w" * (CHUNK - 3), "q" * 5, "v" * (CHUNK + 1)] + [_random_text(rng, alphabet, 3000) for _ in range(60)]
+    assert count_tokens("a" * (2 * limit + 3)) == 1
+    assert count_tokens_batch(["x" * (limit - 1), "y" * 2, "z" * limit, "w"]) == [1, 1, 1, 1]
+    cut = "家" * (limit - 2) + "ab" + "cd" + "家"
+    assert count_tokens(cut) == limit - 2 + 1 + 1
+    long = _random_text(rng, alphabet, longest=10) + "".join(rng.choice(alphabet) for _ in range(limit + 77))
+    assert_batch_matches(["ab", long, "cd", "", long[: limit - 1], "x" * limit, "y", long + "z" * 3])
+    texts = ["w" * (limit - 3), "q" * 5, "v" * (limit + 1)] + [_random_text(rng, alphabet, 3000) for _ in range(60)]
     assert_batch_matches(texts)
-    # no chunk holds more than CHUNK code points, so the kernel's arrays stay that small
-    assert max(sum(len(piece) for _, piece, _ in chunk) for chunk in tokenizers._chunks(texts)) == CHUNK
+    # no chunk holds more than BATCH_CODE_POINTS code points, so the kernel's arrays stay that small
+    assert max(sum(len(piece) for _, piece, _ in chunk) for chunk in tokenizers._chunks(texts)) == limit
 
 
 def test_runs_pack_in_order_greedily_and_lazily():

@@ -20,6 +20,7 @@ from renokit.dedup import (
 )
 from renokit.errors import EmptyShingleSet
 from renokit.ingest import doc_id_for
+from renokit.tokenizers import BATCH_CODE_POINTS
 
 from fixture_data import build_dedup_docs, cjk_text, make_doc
 from oracles import brute_force_pairs, sign_rows
@@ -221,6 +222,39 @@ class TestSignatures:
             assert abs(agreement - jaccard(a, b)) <= 0.1
 
 
+class TestInPlaceKernels:
+    def test_mix64_matches_python_splitmix64(self):
+        edges = [0, 1, 1 << 63, M64]
+        assert dedup._mix64(np.array(edges, dtype=np.uint64)).tolist() == [reference_mix64(x) for x in edges]
+        values = np.random.default_rng(7).integers(0, M64, size=10_000, dtype=np.uint64, endpoint=True)
+        want = [reference_mix64(x) for x in values.tolist()]
+        kept = values.copy()
+        assert dedup._mix64(values).tolist() == want
+        # the first column of every band of (1250, 8 bands x 2 rows) signatures, as _band_keys reads it
+        signatures = np.zeros((1250, 16), dtype=np.uint64)
+        band_view = signatures.reshape(1250, 8, 2)[:, :, 0]
+        band_view[...] = values.reshape(1250, 8)
+        assert not band_view.flags.c_contiguous
+        mixed = dedup._mix64(band_view)
+        assert mixed.shape == (1250, 8) and mixed.ravel().tolist() == want
+        # the input is read, never written
+        assert np.array_equal(values, kept) and np.array_equal(band_view, kept.reshape(1250, 8))
+        assert not signatures[:, 1::2].any()
+
+    def test_signing_in_batches_matches_signing_each_document_alone(self):
+        rng = random.Random(53)
+        cfg = DedupConfig(num_perm=64, lsh_bands=8, lsh_rows=8, seed=6)
+        docs = [make_doc(cjk_text(rng, rng.randint(2000, 6000))) for _ in range(12)]
+        docs.insert(6, make_doc(" \n\t　 "))  # normalizes to nothing, so it has no gram hashes
+        batches = [batch for batch, _, _ in dedup._hashed_batches(docs, cfg.ngram)]
+        assert len(batches) >= 3
+        assert docs[6] not in batches[0] + batches[-1]
+        usable, signatures = dedup._sign_in_batches(docs, cfg)
+        assert usable == docs[:6] + docs[7:]
+        alone = np.concatenate([sign_rows([shingle(doc, cfg.ngram)], cfg) for doc in usable])
+        assert signatures.shape == (12, 64) and np.array_equal(signatures, alone)
+
+
 class TestNearDedup:
     def test_appended_sentence_detected(self):
         rng = random.Random(2)
@@ -334,7 +368,7 @@ class TestNearDedup:
         for _ in range(12):
             base = cjk_text(rng, 1900)
             texts += [base, base[:950] + "改" + base[951:]]
-        short, long_text = cjk_text(rng, 40), cjk_text(rng, dedup._BATCH_CODE_POINTS + 500)
+        short, long_text = cjk_text(rng, 40), cjk_text(rng, BATCH_CODE_POINTS + 500)
         texts += [short, short + "尾", long_text, long_text[:-1] + "末"]
         docs = sorted((make_doc(t) for t in texts), key=lambda d: d.doc_id)
         found: list[set] = []

@@ -14,6 +14,7 @@ import numpy as np
 from renokit import dedup
 from renokit.dedup import (DedupConfig, _densify, _lsh_candidates, _mix64, _sets, _sign_in_batches, compute_signatures,
                            gram_hashes_batch, normalize_for_dedup, shingle, split_sentences)
+from renokit.tokenizers import BATCH_CODE_POINTS
 
 from fixture_data import cjk_text, make_doc
 from oracles import sign_rows
@@ -119,7 +120,7 @@ def batch_edge_texts(rng: random.Random, ngram: int) -> list[str]:
     """Texts for the batch kernels: empty, whitespace-only, shorter than the
     n-gram width, astral, exactly at the batch limit and one past it, and
     enough short texts to straddle many batch edges."""
-    limit = dedup._BATCH_CODE_POINTS
+    limit = BATCH_CODE_POINTS
     alphabet = [cjk_text(rng, 1) for _ in range(6)] + list("ab \t\n　") + ["\U00020000", "\U0001F600", "\x00"]
     texts = ["", " ", "\n\t　 ", "\U00020000", "\x00a", "a\U0001F600b"]
     texts += [cjk_text(rng, n) for n in range(1, ngram)]
@@ -149,7 +150,7 @@ def test_batch_kernel_matches_per_document_hashing():
 
 def test_batched_signing_matches_per_row_oracle():
     rng = random.Random(37)
-    limit = dedup._BATCH_CODE_POINTS
+    limit = BATCH_CODE_POINTS
     for ngram, num_perm, bands in ((1, 64, 8), (3, 128, 16), (5, 256, 32)):
         cfg = DedupConfig(ngram=ngram, num_perm=num_perm, lsh_bands=bands, lsh_rows=num_perm // bands, seed=ngram)
         docs = [make_doc(t) for t in batch_edge_texts(rng, ngram)]
@@ -229,7 +230,7 @@ def test_lsh_candidates_match_bucket_oracle(monkeypatch):
 
 
 def test_batches_fill_up_to_the_limit():
-    limit = dedup._BATCH_CODE_POINTS
+    limit = BATCH_CODE_POINTS
     rng = random.Random(43)
     sizes = [limit // 2, limit - limit // 2, 1, limit, 0, limit + 1, 3, limit - 3, 2, 2]
     docs = [make_doc(cjk_text(rng, n)) for n in sizes]

@@ -19,7 +19,7 @@ from renokit.endpoint import (
 from renokit.errors import EndpointError
 
 import mocks
-from mocks import ScriptedTransport
+from mocks import ScriptedTransport, archive_ids
 
 
 class FakeResponse:
@@ -172,8 +172,8 @@ class TestResponseArchive:
         archive.store("abc", entry)
         assert archive.has("abc")
         assert archive.load("abc") == entry
-        assert archive.ids() == ["abc"]
-        assert len(archive) == 1
+        assert archive_ids(archive) == ["abc"]
+        assert len(archive_ids(archive)) == 1
 
 
 def test_http_transport_against_local_server():

@@ -39,7 +39,7 @@ from renokit.sftgen import (
 )
 
 from fixture_data import build_gen_docs, gen_script, make_doc
-from mocks import FailingTransport, ScriptedTransport
+from mocks import FailingTransport, ScriptedTransport, archive_ids
 
 
 def make_client(script, concurrency: int = 4) -> ChatClient:
@@ -324,7 +324,7 @@ class TestBatchGenerate:
 
     def test_archive_completeness(self, tmp_path):
         _, reports, archive = self.run_batch(tmp_path / "arch")
-        assert len(archive) == sum(r.requests_sent for r in reports) == 100
+        assert len(archive_ids(archive)) == sum(r.requests_sent for r in reports) == 100
 
     def test_job_conservation(self, tmp_path):
         _, reports, _ = self.run_batch(tmp_path / "arch")
@@ -342,7 +342,7 @@ class TestBatchGenerate:
 
     def test_unreadable_archive_entries_count_as_missing(self, tmp_path, caplog):
         items1, _, archive = self.run_batch(tmp_path / "arch")
-        first, second = archive.ids()[:2]
+        first, second = archive_ids(archive)[:2]
 
         def corrupt():
             (archive.root / f"{first}.json").write_text('{"response": "cut sho', encoding="utf-8")
@@ -467,7 +467,7 @@ class TestArchivedCompleter:
         assert completer([{"role": "user", "content": "问"}]).text == "答复"
         [request] = received
         assert request == {"model": "mock-model", "messages": [{"role": "user", "content": "问"}], "temperature": 0.2}
-        assert archive.ids() == [request_id(request)]
+        assert archive_ids(archive) == [request_id(request)]
         assert archive.load(request_id(request))["request"] == request
 
     def test_offline_refusal_is_not_archived(self, tmp_path):
@@ -478,7 +478,7 @@ class TestArchivedCompleter:
         client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), OfflineTransport())
         items, report = batch_generate(docs, ["mcq"], client, budget=100, archive=archive)
         assert (items, report.rejected) == ([], {"EndpointError": 3})
-        assert len(archive) == 0
+        assert len(archive_ids(archive)) == 0
         items, report = batch_generate(docs, ["mcq"], make_client(gen_script(CATEGORIES)), budget=100, archive=archive)
         assert (report.requests_sent, report.accepted, report.rejected_total) == (3, 3, 0)
 
@@ -499,7 +499,7 @@ class TestArchivedCompleter:
             futures = [pool.submit(completer, messages) for _ in range(2)]
             errors = [f.exception(timeout=10) for f in futures]
         assert [(type(e), str(e)) for e in errors] == [(EndpointError, "boom")] * 2
-        assert (completer.sent, completer.replayed, len(archive)) == (1, 1, 1)
+        assert (completer.sent, completer.replayed, len(archive_ids(archive))) == (1, 1, 1)
 
     def test_offline_misses_take_no_budget(self, tmp_path):
         """Offline, a request missing from the archive is refused without being sent: it takes no
