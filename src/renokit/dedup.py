@@ -120,7 +120,9 @@ def gram_hashes_batch(texts: Sequence[str], ngram: int = 5) -> tuple[np.ndarray,
     """
     lengths = [len(text) for text in texts]
     total = sum(lengths)
-    # When no text is as long as a gram, no position keeps one to compute.
+    # When no text is as long as a gram, no position keeps one, so nothing is
+    # padded or looped over. That also bounds the work by the batch: a valid
+    # but huge `ngram` (10**9) would otherwise pad and loop `ngram` times.
     width = ngram if ngram <= max(lengths, default=0) else 0
     # width - 1 padding code points let every position start a whole gram
     codes = np.frombuffer(("".join(texts) + "\0" * (width - 1)).encode("utf-32-le"), np.uint32).astype(np.uint64)

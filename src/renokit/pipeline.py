@@ -133,8 +133,7 @@ def run_gen_stage(knowledge: Iterable[Document], template: PromptTemplate, endpo
     """Generate `template.kind` samples from the domain documents of `knowledge`.
 
     With `transport` None requests go over HTTP. On budget exhaustion the
-    partial output is still written and the report has `budget_exhausted`
-    set; the caller decides how to fail.
+    partial output and the report are written, then BudgetExhausted is raised.
     """
     docs = [d for d in knowledge if d.source_kind in DOMAIN_KINDS]
     with closing(ChatClient(endpoint, transport)) as client:
@@ -144,6 +143,10 @@ def run_gen_stage(knowledge: Iterable[Document], template: PromptTemplate, endpo
     write_jsonl(sft_path, items)
     if report_path:
         write_json(report_path, report)
+    if report.budget_exhausted:
+        raise BudgetExhausted(f"request budget of {budget} exhausted after {report.requests_sent} requests sent; "
+                              f"{report.accepted} items accepted into partial {sft_path}; "
+                              "a rerun with the same archive resumes the run")
     return report
 
 
@@ -460,15 +463,9 @@ class PipelineRunner:
             return
         endpoint_path, endpoint = self.gen_endpoint
         unique_path, sft, report = self._out("unique.jsonl", "sft.jsonl", "gen_report.json")
-
-        def action() -> None:
-            gen_report = run_gen_stage(unique(), self.gen_template, endpoint, self.gen_transport,
-                                       self.gen.budget, self.out_dir / "gen_archive", sft, report,
-                                       lenient=self.gen.lenient)
-            if gen_report.budget_exhausted:
-                raise BudgetExhausted("generation budget exhausted; partial sft.jsonl written, archive is resumable")
-
-        self._run_stage("gen", [unique_path, endpoint_path, *self.gen_files], [sft, report], action)
+        self._run_stage("gen", [unique_path, endpoint_path, *self.gen_files], [sft, report], lambda: run_gen_stage(
+            unique(), self.gen_template, endpoint, self.gen_transport, self.gen.budget, self.out_dir / "gen_archive",
+            sft, report, lenient=self.gen.lenient))
 
     def stage_eval(self) -> None:
         if self.eval is None:

@@ -9,8 +9,9 @@ Every class is a set of code point ranges, looked up through one table of
 class bits (`_class_table`); `char_counts` counts whole batches of texts with
 it, and `count_tokens` is that count on one text. numpy is imported, and the
 table built, on first use, so importing this module costs neither. `runs`
-packs every batch walk: these chunks and dedup's batches, both of at most
-BATCH_CODE_POINTS code points, and mixer's blocks.
+packs every batch walk: `char_counts`' batches and dedup's, both of whole
+texts and at most BATCH_CODE_POINTS code points unless one text is longer,
+and mixer's blocks.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ _NONCOUNT, _CJK, _ALPHA, _WORD = 1, 2, 4, 8
 
 # Code points classified here, or hashed and signed by dedup, at once: few enough
 # that the allocator reuses a batch's temporaries instead of mapping them afresh.
+# A longer text is a batch of its own in both; signing it takes more memory
+# than counting it, so signing sets the peak.
 BATCH_CODE_POINTS = 1 << 14
 
 
@@ -127,18 +130,10 @@ def runs(items: Iterable, size: Callable[..., int], limit: int) -> Iterator[list
         yield run
 
 
-def _chunks(texts: Sequence[str]) -> Iterator[list[tuple[int, str, bool]]]:
-    """Lists of (text index, piece, first piece of its text) that hold at most
-    BATCH_CODE_POINTS code points each. An empty text gives no piece, and a
-    longer text is cut into pieces of BATCH_CODE_POINTS, each a chunk of its own."""
-    pieces = ((i, text[lo : lo + BATCH_CODE_POINTS], lo == 0)
-              for i, text in enumerate(texts) for lo in range(0, len(text), BATCH_CODE_POINTS))
-    return runs(pieces, lambda piece: len(piece[1]), BATCH_CODE_POINTS)
-
-
 def char_counts(texts: Sequence[str]) -> CharCounts:
     """Count the classes of every text of `texts` with one table lookup per
-    code point, a chunk of at most BATCH_CODE_POINTS code points at a time.
+    code point, a batch at a time: the non-empty texts in `runs` of at most
+    BATCH_CODE_POINTS code points, a longer text a batch of its own.
 
     A word run starts at an ASCII word character that does not follow another
     in the same text, so an ideograph ends a word as a space would, and two
@@ -149,22 +144,20 @@ def char_counts(texts: Sequence[str]) -> CharCounts:
 
     table = _class_table()
     sums = np.zeros((4, len(texts)), dtype=np.int64)  # non-countable, CJK, ASCII letters, word runs
-    carry = False  # the chunk before ended on a word character
-    for chunk in _chunks(texts):
-        owners, pieces, firsts = zip(*chunk)
-        codes = np.frombuffer("".join(pieces).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    # an empty text stays out: np.add.reduceat gives an empty segment the value at its start
+    pairs = ((i, text) for i, text in enumerate(texts) if text)
+    for run in runs(pairs, lambda pair: len(pair[1]), BATCH_CODE_POINTS):
+        owners, batch = zip(*run)
+        codes = np.frombuffer("".join(batch).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         classes = table.take(codes)
-        starts = np.array(list(accumulate(map(len, pieces[:-1]), initial=0)))
+        starts = np.array(list(accumulate(map(len, batch[:-1]), initial=0)))
         word = (classes & _WORD).astype(bool)
         follows_word = np.empty_like(word)
-        follows_word[0] = carry  # only a continued piece opens a chunk without being first
         follows_word[1:] = word[:-1]
-        follows_word[starts[list(firsts)]] = False
-        carry = bool(word[-1])
+        follows_word[starts] = False
         masks = ((classes & _NONCOUNT).astype(bool), (classes & _CJK).astype(bool),
                  (classes & _ALPHA).astype(bool), word & ~follows_word)
-        # a text's pieces lie in different chunks, so `owners` repeats no index here
-        sums[:, list(owners)] += [np.add.reduceat(mask, starts, dtype=np.int64) for mask in masks]
+        sums[:, list(owners)] = [np.add.reduceat(mask, starts, dtype=np.int64) for mask in masks]
     noncount, cjk, alpha, words = sums
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     return CharCounts(tokens=cjk + words, cjk=cjk, ascii_alpha=alpha, countable=lengths - noncount)

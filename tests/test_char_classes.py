@@ -199,7 +199,7 @@ def test_texts_longer_than_a_chunk():
     rng = random.Random(5)
     limit = BATCH_CODE_POINTS
     alphabet = _alphabet(rng) + SURROGATES
-    # words run across the cut between a long text's pieces, and a text may end on one
+    # words run across multiples of BATCH_CODE_POINTS, and a text may end on one
     assert count_tokens("a" * (2 * limit + 3)) == 1
     assert count_tokens_batch(["x" * (limit - 1), "y" * 2, "z" * limit, "w"]) == [1, 1, 1, 1]
     cut = "家" * (limit - 2) + "ab" + "cd" + "家"
@@ -208,8 +208,6 @@ def test_texts_longer_than_a_chunk():
     assert_batch_matches(["ab", long, "cd", "", long[: limit - 1], "x" * limit, "y", long + "z" * 3])
     texts = ["w" * (limit - 3), "q" * 5, "v" * (limit + 1)] + [_random_text(rng, alphabet, 3000) for _ in range(60)]
     assert_batch_matches(texts)
-    # no chunk holds more than BATCH_CODE_POINTS code points, so the kernel's arrays stay that small
-    assert max(sum(len(piece) for _, piece, _ in chunk) for chunk in tokenizers._chunks(texts)) == limit
 
 
 def test_runs_pack_in_order_greedily_and_lazily():
