@@ -19,6 +19,16 @@ keys. `_sets` builds a batch's sorted, unique shingle sets, for the documents
 of candidate pairs and for `shingle`. `_keep_first` keeps the smallest doc_id
 of each text in the exact pass and after sentence rewrites.
 
+The sentence pass holds numbers per sentence, never strings: `_sentences`
+splits the documents, in doc_id order and in the same `runs`, and keeps the
+`hash` of each sentence's whitespace-normalized key, whether the key is
+empty, and the sentence's length. A key whose hash occurs at most
+sentence_max_repeats times is kept unread; only the occurrences of the other
+hashes are sliced out of their texts and counted exactly by their strings
+(CCNet, Wenzek et al., 2020, likewise keeps hashes of normalized lines).
+Python salts `str` hashes per process, but a hash only picks what is read,
+so the output is the same in every process, even if all hashes collide.
+
 The tests measure the recall of the LSH path against an O(n^2) all-pairs
 oracle on small corpora.
 """
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -125,17 +135,21 @@ def gram_hashes_batch(texts: Sequence[str], ngram: int = 5) -> tuple[np.ndarray,
     # but huge `ngram` (10**9) would otherwise pad and loop `ngram` times.
     width = ngram if ngram <= max(lengths, default=0) else 0
     # width - 1 padding code points let every position start a whole gram
-    codes = np.frombuffer(("".join(texts) + "\0" * (width - 1)).encode("utf-32-le"), np.uint32).astype(np.uint64)
+    codes = np.frombuffer(("".join(texts) + "\0" * (width - 1)).encode("utf-32-le"), np.uint32)
     sums = np.full(total, width, dtype=np.uint64)
     for k in range(width):
         sums *= _GAMMA
         sums += codes[k : k + total]
+    del codes  # freed before splitmix64, whose input, output and scratch are then the only full-size arrays
     starts = list(accumulate(lengths, initial=0))
     for text, start in zip(texts, starts):
         if 0 < len(text) < ngram:
             sums[start] = _polynomial(text)
     counts = [max(n - ngram + 1, int(n > 0)) for n in lengths]
     hashes = _mix64(sums)
+    del sums
+    if len(texts) == 1:
+        return hashes[: counts[0]], counts
     return np.concatenate([hashes[:0], *(hashes[s : s + c] for s, c in zip(starts, counts))]), counts
 
 
@@ -380,6 +394,52 @@ def split_sentences(text: str) -> list[str]:
     return _SENTENCE_RE.findall(text)
 
 
+def _sentences(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sentences of `docs`, text after text, as numbers: the `hash` of
+    each one's key (its `normalize_for_dedup` text) as int64, whether the key
+    is non-empty, the part's length; and how many parts each document has.
+    Texts are split in `runs` of at most BATCH_CODE_POINTS code points, and
+    no part or key outlives its run."""
+    hashes, filled, lengths = [np.empty(0, np.int64)], [np.empty(0, bool)], [np.empty(0, np.int64)]
+    counts: list[int] = []
+    empty = hash("")
+    for run in runs(docs, lambda doc: len(doc.text), BATCH_CODE_POINTS):
+        split = [split_sentences(doc.text) for doc in run]
+        parts = list(chain.from_iterable(split))
+        # Each key is normalize_for_dedup of its part, without a Python call per sentence.
+        keys = list(map(" ".join, map(str.split, parts)))
+        counts.extend(map(len, split))
+        hashes.append(np.fromiter(map(hash, keys), np.int64, len(keys)))
+        # An empty key hashes to `empty`; unless another key does too, that finds the empty ones.
+        filled.append(hashes[-1] != empty)
+        if keys.count("") != len(keys) - np.count_nonzero(filled[-1]):
+            filled[-1] = np.fromiter(map(bool, keys), bool, len(keys))
+        lengths.append(np.fromiter(map(len, parts), np.int64, len(parts)))
+    return np.concatenate(hashes), np.concatenate(filled), np.concatenate(lengths), np.array(counts, dtype=np.int64)
+
+
+def _over_cap(keys: np.ndarray, cap: int) -> np.ndarray:
+    """Whether each value of `keys` occurs more than `cap` times in it: once
+    sorted, such a value equals the value `cap` places on."""
+    ranked = np.sort(keys)
+    common = ranked[cap:][ranked[cap:] == ranked[:-cap]]
+    if not common.size:
+        return np.zeros(keys.size, dtype=bool)
+    common = np.append(common[:-1][common[1:] != common[:-1]], common[-1])  # each value once
+    return common.take(np.searchsorted(common, keys), mode="clip") == keys
+
+
+def _without(text: str, spans: Sequence[tuple[int, int]]) -> str:
+    """`text` with the sorted, disjoint `(start, end)` spans cut out."""
+    kept: list[str] = []
+    end = 0
+    for start, stop in spans:
+        kept.append(text[end:start])
+        end = stop
+    kept.append(text[end:])
+    return "".join(kept)
+
+
 def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]:
     """Cap repeats of a normalized sentence across (or within) documents.
 
@@ -388,28 +448,48 @@ def sentence_dedup(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]
     their doc_id; docs emptied by deletion, and docs whose text a rewrite made
     equal (after whitespace normalization) to that of a smaller doc_id, are
     marked deduped_out(sentence).
+
+    Sentences are held as numbers (`_sentences`), never as strings. A key
+    whose hash occurs at most sentence_max_repeats times (per document, with
+    sentence_scope "document") occurs no more often itself, so it is kept
+    unread. Only the occurrences of the other hashes are sliced out of their
+    texts again, in order, and counted exactly by their key strings; the hash
+    decides what is read, the strings what is cut, so colliding or
+    per-process salted hashes cannot change the output.
     """
+    docs = sorted(docs, key=lambda d: d.doc_id)
     if cfg.sentence_max_repeats is None:
-        return sorted(docs, key=lambda d: d.doc_id)
+        return docs
     cap = cfg.sentence_max_repeats
+    hashes, filled, lengths, counts = _sentences(docs)
+    by_document = cfg.sentence_scope == "document"
+    if by_document:
+        # Each document's keys apart; a collision across documents only adds reads.
+        hashes ^= _mix64(np.repeat(np.arange(len(docs), dtype=np.uint64), counts)).view(np.int64)
+    visit = np.flatnonzero(_over_cap(hashes, cap) & filled)
+    del hashes
+    owners = np.searchsorted(np.cumsum(counts), visit, side="right")
+    # Where each visited part lies in its text: its end among the texts laid
+    # end to end, less the end of the texts before its own.
+    text_lengths = np.fromiter((len(doc.text) for doc in docs), np.int64, len(docs))
+    ends = np.cumsum(lengths)[visit] - (np.cumsum(text_lengths) - text_lengths)[owners]
+    starts = ends - lengths[visit]
+    cuts: dict[int, list[tuple[int, int]]] = {}
     seen: dict[str, int] = {}
+    last = -1
+    for owner, start, end in zip(owners.tolist(), starts.tolist(), ends.tolist()):
+        if by_document and owner != last:
+            seen, last = {}, owner
+        key = " ".join(docs[owner].text[start:end].split())
+        count = seen[key] = seen.get(key, 0) + 1
+        if count > cap:
+            cuts.setdefault(owner, []).append((start, end))
     survivors: list[Document] = []
     rewritten: list[Document] = []
-    for doc in sorted(docs, key=lambda d: d.doc_id):
-        if cfg.sentence_scope == "document":
-            seen = {}
-        parts = split_sentences(doc.text)
-        kept_parts: list[str] = []
-        # Each key is normalize_for_dedup of its part, without a Python call per sentence.
-        for part, key in zip(parts, map(" ".join, map(str.split, parts))):
-            if key:
-                count = seen[key] = seen.get(key, 0) + 1
-                if count > cap:
-                    continue
-            kept_parts.append(part)
-        if len(kept_parts) < len(parts):
+    for i, doc in enumerate(docs):
+        if i in cuts:
             rewritten.append(doc)
-            doc.text = normalize_whitespace("".join(kept_parts))
+            doc.text = normalize_whitespace(_without(doc.text, cuts[i]))
             doc.char_count = len(doc.text)
         if not doc.text:
             doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)

@@ -7,6 +7,7 @@ partition the input.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +72,8 @@ def load_lexicon(path: str | Path | None) -> frozenset[str]:
 # each document (measured crossover: README, "Sensitive-word lookup").
 INDEX_MIN_WORDS = 40
 
+_HEAD = operator.itemgetter(slice(2))  # a word's first two code points
+
 
 class Lexicon:
     """Sensitive words and the lookup that suits their number.
@@ -92,13 +95,21 @@ class Lexicon:
         indexed = len(self.words) >= INDEX_MIN_WORDS
         self._scanned = sorted(w for w in self.words if not indexed or len(w) < 2)
         self._any_scanned = re.compile("|".join(map(re.escape, self._scanned))).search if self._scanned else None
-        by_code: dict[int, list[str]] = {}
-        for w in self.words:
-            if indexed and len(w) >= 2:
-                by_code.setdefault(ord(w[0]) << 21 | ord(w[1]), []).append(w)
-        codes = sorted(by_code)
-        self._codes = np.array(codes, dtype=np.uint64)
-        self._by_code = [by_code[c] for c in codes]
+        # The indexed words sorted by the code of their first two code points,
+        # encoded together; the words of the i-th distinct code `_codes[i]`
+        # are `_indexed[_bounds[i] : _bounds[i + 1]]`.
+        indexed_words = [w for w in self.words if indexed and len(w) >= 2]
+        heads = "".join(map(_HEAD, indexed_words)).encode("utf-32-le", "surrogatepass")
+        pairs = np.frombuffer(heads, np.uint32).reshape(-1, 2)
+        codes = pairs[:, 0].astype(np.uint64) << np.uint64(21) | pairs[:, 1]
+        order = np.argsort(codes)
+        codes = codes[order]
+        first = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        self._codes = codes[first]
+        self._indexed = list(map(indexed_words.__getitem__, order.tolist()))
+        self._bounds = [*first.tolist(), len(indexed_words)]
         # Whether each code point from the lowest first code point of an
         # indexed word up to the highest starts one; the last entry, False,
         # stands for every code point outside that span.
@@ -121,7 +132,7 @@ class Lexicon:
                 pos = np.minimum(np.searchsorted(self._codes, bigrams), len(self._codes) - 1)
                 # the distinct hit prefixes, without np.unique (which imports numpy.ma)
                 for i in np.flatnonzero(np.bincount(pos[self._codes[pos] == bigrams])).tolist():
-                    found.extend(w for w in self._by_code[i] if w in text)
+                    found.extend(w for w in self._indexed[self._bounds[i] : self._bounds[i + 1]] if w in text)
         return tuple(sorted(found))
 
 

@@ -9,10 +9,11 @@ from typing import Sequence
 
 import numpy as np
 
-from renokit.dedup import DedupConfig, DupPair, compute_signatures, jaccard, shingle
+from renokit.dedup import (REASON_SENTENCE, DedupConfig, DupPair, _keep_first, compute_signatures, jaccard, shingle,
+                           split_sentences)
 from renokit.evalharness import SPLIT_DEV, DatasetEntry, MCQDataset, MCQItem, _exemplars
-from renokit.ingest import Document, RawRecord, _document, clean_record
-from renokit.tokenizers import count_tokens
+from renokit.ingest import STATUS_DEDUPED_OUT, Document, RawRecord, _document, clean_record, normalize_whitespace
+from renokit.tokenizers import count_tokens, count_tokens_batch
 
 
 def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPair]:
@@ -24,6 +25,41 @@ def brute_force_pairs(docs: Sequence[Document], cfg: DedupConfig) -> list[DupPai
         if j >= cfg.jaccard_threshold:
             pairs.append(DupPair(id_a, id_b, j))
     return pairs
+
+
+def sentence_dedup_by_strings(docs: Sequence[Document], cfg: DedupConfig) -> list[Document]:
+    """`sentence_dedup` as a count of every normalized sentence string in one
+    dict, walked in doc_id order: the body the hashed pass replaced."""
+    if cfg.sentence_max_repeats is None:
+        return sorted(docs, key=lambda d: d.doc_id)
+    cap = cfg.sentence_max_repeats
+    seen: dict[str, int] = {}
+    survivors: list[Document] = []
+    rewritten: list[Document] = []
+    for doc in sorted(docs, key=lambda d: d.doc_id):
+        if cfg.sentence_scope == "document":
+            seen = {}
+        parts = split_sentences(doc.text)
+        kept_parts: list[str] = []
+        for part, key in zip(parts, map(" ".join, map(str.split, parts))):
+            if key:
+                count = seen[key] = seen.get(key, 0) + 1
+                if count > cap:
+                    continue
+            kept_parts.append(part)
+        if len(kept_parts) < len(parts):
+            rewritten.append(doc)
+            doc.text = normalize_whitespace("".join(kept_parts))
+            doc.char_count = len(doc.text)
+        if not doc.text:
+            doc.mark(STATUS_DEDUPED_OUT, REASON_SENTENCE)
+        else:
+            survivors.append(doc)
+    if not rewritten:
+        return survivors
+    for doc, tokens in zip(rewritten, count_tokens_batch([d.text for d in rewritten])):
+        doc.token_count = tokens
+    return _keep_first(survivors, REASON_SENTENCE)
 
 
 def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:

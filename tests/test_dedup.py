@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ class TestInPlaceKernels:
         # the input is read, never written
         assert np.array_equal(values, kept) and np.array_equal(band_view, kept.reshape(1250, 8))
         assert not signatures[:, 1::2].any()
+
+    def test_gram_hashes_hold_three_arrays_at_most(self):
+        # The code points are freed before splitmix64, whose input, output
+        # and scratch are then the only full-size arrays.
+        n = 200_000
+        for texts in ([cjk_text(random.Random(3), n)], [cjk_text(random.Random(4), n // 2)] * 2):
+            tracemalloc.start()
+            try:
+                hashes, counts = dedup.gram_hashes_batch(texts, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(counts) == n - 4 * len(texts) and peak < 3 * 8 * n + 100_000, peak
 
     def test_signing_in_batches_matches_signing_each_document_alone(self):
         rng = random.Random(53)

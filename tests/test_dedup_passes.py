@@ -1,23 +1,26 @@
 """The text passes of `dedup` against the regex bodies they replaced, the
 batched hashing, signing and LSH bucketing against the per-document and
-per-row bodies they replaced, kept here as oracles, and signing raw gram
-hashes against signing shingle sets."""
+per-row bodies they replaced, kept here as oracles, signing raw gram
+hashes against signing shingle sets, and the hashed sentence pass against
+the string-counting one."""
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from renokit import dedup
 from renokit.dedup import (DedupConfig, _densify, _lsh_candidates, _mix64, _sets, _sign_in_batches, compute_signatures,
-                           gram_hashes_batch, normalize_for_dedup, shingle, split_sentences)
+                           gram_hashes_batch, normalize_for_dedup, sentence_dedup, shingle, split_sentences)
 from renokit.tokenizers import BATCH_CODE_POINTS
 
 from fixture_data import cjk_text, make_doc
-from oracles import sign_rows
+from oracles import sentence_dedup_by_strings, sign_rows
 
 # --- oracles: the regex bodies the one-call passes replaced -------------------------
 
@@ -236,3 +239,54 @@ def test_batches_fill_up_to_the_limit():
     docs = [make_doc(cjk_text(rng, n)) for n in sizes]
     batches = [[len(d.text) for d in batch] for batch, _, _ in dedup._hashed_batches(docs, 5)]
     assert batches == [[limit // 2, limit - limit // 2], [1], [limit, 0], [limit + 1], [3, limit - 3], [2, 2]]
+
+
+# --- the sentence pass against the string-counting oracle ----------------------------
+
+# Sentences whose keys repeat: the same key with other whitespace, parts that
+# are whitespace only, and pieces without a terminator that run into the next.
+_SENTENCE_POOL = ["甲乙丙。", "甲乙丙。", "甲 乙丙。", " 甲乙丙 。", "甲\t乙丙。", "甲乙丙", "丁戊！", "丁戊!", "丁戊?",
+                  "\n", " \n", "\u3000\n", "  ", "ab cd.", "ab  cd.", "ab\u00a0cd.", "己。\n", "己。 \n", "庚辛？", "\n\n"]
+
+
+def sentence_corpus(rng: random.Random) -> list[str]:
+    """Distinct texts of 0-12 pieces of a small pool, so keys repeat within
+    and across texts, with a unique sentence in some; and now and then a text
+    longer than a batch, so that its sentences span several runs' worth."""
+    texts = {"".join(rng.choice(_SENTENCE_POOL) for _ in range(rng.randint(0, 12)))
+             + (cjk_text(rng, 3) + "。" if rng.random() < 0.3 else "") for _ in range(rng.randint(1, 25))}
+    if rng.random() < 0.02:
+        texts.add("甲乙丙。" * (BATCH_CODE_POINTS // 4 + 2))
+    return sorted(texts)
+
+
+def assert_sentence_pass_matches_oracle(texts: list[str], cfg: DedupConfig) -> None:
+    docs = [make_doc(t) for t in texts]
+    rng = random.Random(len(texts))
+    rng.shuffle(docs)
+    want_docs, got_docs = copy.deepcopy(docs), copy.deepcopy(docs)
+    want = sentence_dedup_by_strings(want_docs, cfg)
+    got = sentence_dedup(got_docs, cfg)
+    assert [d.doc_id for d in got] == [d.doc_id for d in want], (texts, cfg)
+    # every input document: text, status, reason, token_count and char_count
+    assert [d.to_dict() for d in got_docs] == [d.to_dict() for d in want_docs], (texts, cfg)
+
+
+@pytest.mark.parametrize("scope", ["corpus", "document"])
+def test_sentence_pass_matches_the_string_oracle(scope):
+    rng = random.Random(53)
+    for trial in range(400):
+        cap = (1, 2, 3, None)[trial % 4]
+        cfg = DedupConfig(sentence_max_repeats=cap, sentence_scope=scope)
+        assert_sentence_pass_matches_oracle(sentence_corpus(rng), cfg)
+
+
+@pytest.mark.parametrize("scope", ["corpus", "document"])
+def test_sentence_pass_is_exact_when_every_hash_collides(monkeypatch, scope):
+    # Module globals shadow builtins: every key of the pass now hashes alike.
+    monkeypatch.setattr(dedup, "hash", lambda key: 7, raising=False)
+    rng = random.Random(59)
+    for trial in range(150):
+        cap = (1, 2, 3)[trial % 3]
+        cfg = DedupConfig(sentence_max_repeats=cap, sentence_scope=scope)
+        assert_sentence_pass_matches_oracle(sentence_corpus(rng), cfg)

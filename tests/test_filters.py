@@ -300,6 +300,21 @@ class TestLexiconStartTable:
         texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))) for _ in range(1000)]
         self.check(words, lexicon, texts)
 
+    def test_lexicons_of_every_size_match_the_plain_scan(self):
+        # Few first and second code points, so that many words share one
+        # two-code-point prefix, and lexicons of every size across the cutoff.
+        rng = random.Random(10)
+        alphabet = ["龠", "b", "\ud800", "\U00020001", "。", "龣"]
+        for size in [*range(INDEX_MIN_WORDS - 2, INDEX_MIN_WORDS + 3), 100, 300]:
+            words = {"".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))) for _ in range(3 * size)}
+            words = set(rng.sample(sorted(words), min(size, len(words))))
+            lexicon = Lexicon(words)
+            assert bool(len(lexicon._codes)) == (len(words) >= INDEX_MIN_WORDS)
+            texts = ["".join(rng.choice(alphabet + self.FILLER) for _ in range(rng.randint(0, 50))) for _ in range(200)]
+            texts += [rng.choice(self.FILLER) + word + rng.choice(self.FILLER) for word in words]  # every word occurs
+            self.check(words, lexicon, texts)
+            assert sum(len(lexicon.find(t)) > 1 for t in texts) > 20
+
     def test_text_without_a_start_code_point_is_not_looked_up(self, monkeypatch):
         rng = random.Random(9)
         words, lexicon = self.lexicon(rng, ["龠"], ["b", "c", "d", "e"], one_char=["a"])
