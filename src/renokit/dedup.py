@@ -147,9 +147,6 @@ def gram_hashes_batch(texts: Sequence[str], ngram: int = 5) -> tuple[np.ndarray,
             sums[start] = _polynomial(text)
     counts = [max(n - ngram + 1, int(n > 0)) for n in lengths]
     hashes = _mix64(sums)
-    del sums
-    if len(texts) == 1:
-        return hashes[: counts[0]], counts
     return np.concatenate([hashes[:0], *(hashes[s : s + c] for s, c in zip(starts, counts))]), counts
 
 
@@ -402,7 +399,6 @@ def _sentences(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.nda
     no part or key outlives its run."""
     hashes, filled, lengths = [np.empty(0, np.int64)], [np.empty(0, bool)], [np.empty(0, np.int64)]
     counts: list[int] = []
-    empty = hash("")
     for run in runs(docs, lambda doc: len(doc.text), BATCH_CODE_POINTS):
         split = [split_sentences(doc.text) for doc in run]
         parts = list(chain.from_iterable(split))
@@ -410,10 +406,7 @@ def _sentences(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.nda
         keys = list(map(" ".join, map(str.split, parts)))
         counts.extend(map(len, split))
         hashes.append(np.fromiter(map(hash, keys), np.int64, len(keys)))
-        # An empty key hashes to `empty`; unless another key does too, that finds the empty ones.
-        filled.append(hashes[-1] != empty)
-        if keys.count("") != len(keys) - np.count_nonzero(filled[-1]):
-            filled[-1] = np.fromiter(map(bool, keys), bool, len(keys))
+        filled.append(np.fromiter(map(bool, keys), bool, len(keys)))
         lengths.append(np.fromiter(map(len, parts), np.int64, len(parts)))
     return np.concatenate(hashes), np.concatenate(filled), np.concatenate(lengths), np.array(counts, dtype=np.int64)
 
@@ -425,7 +418,9 @@ def _over_cap(keys: np.ndarray, cap: int) -> np.ndarray:
     common = ranked[cap:][ranked[cap:] == ranked[:-cap]]
     if not common.size:
         return np.zeros(keys.size, dtype=bool)
-    common = np.append(common[:-1][common[1:] != common[:-1]], common[-1])  # each value once
+    first = np.ones(common.size, dtype=bool)  # each value once
+    np.not_equal(common[1:], common[:-1], out=first[1:])
+    common = common[first]
     return common.take(np.searchsorted(common, keys), mode="clip") == keys
 
 

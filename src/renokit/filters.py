@@ -7,7 +7,6 @@ partition the input.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,9 +71,6 @@ def load_lexicon(path: str | Path | None) -> frozenset[str]:
 # each document (measured crossover: README, "Sensitive-word lookup").
 INDEX_MIN_WORDS = 40
 
-_HEAD = operator.itemgetter(slice(2))  # a word's first two code points
-
-
 class Lexicon:
     """Sensitive words and the lookup that suits their number.
 
@@ -99,7 +95,7 @@ class Lexicon:
         # encoded together; the words of the i-th distinct code `_codes[i]`
         # are `_indexed[_bounds[i] : _bounds[i + 1]]`.
         indexed_words = [w for w in self.words if indexed and len(w) >= 2]
-        heads = "".join(map(_HEAD, indexed_words)).encode("utf-32-le", "surrogatepass")
+        heads = "".join(w[:2] for w in indexed_words).encode("utf-32-le", "surrogatepass")
         pairs = np.frombuffer(heads, np.uint32).reshape(-1, 2)
         codes = pairs[:, 0].astype(np.uint64) << np.uint64(21) | pairs[:, 1]
         order = np.argsort(codes)
@@ -108,7 +104,7 @@ class Lexicon:
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         first = np.flatnonzero(first)
         self._codes = codes[first]
-        self._indexed = list(map(indexed_words.__getitem__, order.tolist()))
+        self._indexed = [indexed_words[i] for i in order.tolist()]
         self._bounds = [*first.tolist(), len(indexed_words)]
         # Whether each code point from the lowest first code point of an
         # indexed word up to the highest starts one; the last entry, False,
