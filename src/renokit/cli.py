@@ -164,8 +164,8 @@ def _cmd_mix(args) -> int:
     plan = MixPlan(seed=args.seed, ratio=args.ratio, mode=args.mode, unit=args.unit,
                    instructions=args.instructions, allow_short=args.allow_short)
     general = read_mix_records(args.general) if args.general else ()
-    _, report = run_mix_stage(read_mix_records(args.domain, needs_text=plan.mode == MODE_MIP), plan, args.out,
-                              args.report, general=general, instructions_path=args.instructions)
+    report = run_mix_stage(read_mix_records(args.domain, needs_text=plan.mode == MODE_MIP), plan, args.out,
+                           args.report, general=general, instructions_path=args.instructions)
     if plan.mode == MODE_MIP:
         print(f"mip set: {report.pretrain_count + report.instruction_count} records")
     else:

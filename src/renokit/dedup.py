@@ -408,20 +408,33 @@ def _sentences(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.nda
         hashes.append(np.fromiter(map(hash, keys), np.int64, len(keys)))
         filled.append(np.fromiter(map(bool, keys), bool, len(keys)))
         lengths.append(np.fromiter(map(len, parts), np.int64, len(parts)))
-    return np.concatenate(hashes), np.concatenate(filled), np.concatenate(lengths), np.array(counts, dtype=np.int64)
+    return _joined(hashes), _joined(filled), _joined(lengths), np.array(counts, dtype=np.int64)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated; the list is emptied, so that its arrays are
+    freed as soon as they are copied and one column at a time is held twice."""
+    whole = np.concatenate(arrays)
+    arrays.clear()
+    return whole
 
 
 def _over_cap(keys: np.ndarray, cap: int) -> np.ndarray:
     """Whether each value of `keys` occurs more than `cap` times in it: once
-    sorted, such a value equals the value `cap` places on."""
+    sorted, such a value equals the value `cap` places on. Besides `keys`, at
+    most one int64 array of its size is alive at a time."""
     ranked = np.sort(keys)
-    common = ranked[cap:][ranked[cap:] == ranked[:-cap]]
+    # Each such value once, at the start of its run of equals.
+    over = ranked[:-cap] == ranked[cap:]
+    over[1:] &= ranked[1:-cap] != ranked[: -cap - 1]
+    common = ranked[:-cap][over]
+    del ranked, over  # freed before the lookup below makes its index array
     if not common.size:
         return np.zeros(keys.size, dtype=bool)
-    first = np.ones(common.size, dtype=bool)  # each value once
-    np.not_equal(common[1:], common[:-1], out=first[1:])
-    common = common[first]
-    return common.take(np.searchsorted(common, keys), mode="clip") == keys
+    # The looked-up values overwrite their own index array: in clip mode,
+    # take reads each index before it writes that index's slot.
+    at = np.searchsorted(common, keys)
+    return common.take(at, out=at, mode="clip") == keys
 
 
 def _without(text: str, spans: Sequence[tuple[int, int]]) -> str:

@@ -1,7 +1,11 @@
 """Raw-record ingestion: text extraction, cleaning, and corpus accounting.
 
 Extraction strips markup, drops regions that carry no prose (tables, figures,
-scripts), removes URLs, and normalizes whitespace. Cleaning is a fixpoint:
+scripts), removes URLs, and normalizes whitespace. Markup is read by one token
+scan, or, for text outside the scan's subset, by the HTMLParser reading
+(`_markup_stripper`); the html package loads on the first entity reference
+and html.parser on the first text the scan refuses, so plain text and
+entity-free pages load neither. Cleaning is a fixpoint:
 running it on already-clean text returns the text unchanged, which is what
 makes downstream content hashes stable.
 """
@@ -10,10 +14,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import html
 import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -81,58 +83,71 @@ def _entity_text(raw: str) -> str:
     """The text of an entity or character reference `raw`, e.g. "&nbsp;". It is
     kept escaped when unknown or when its text would hold a markup-active
     character, so that cleaning remains a fixpoint; html.unescape also reads a
-    legacy entity glued to more letters, e.g. "&ltp;" as "<p;"."""
+    legacy entity glued to more letters, e.g. "&ltp;" as "<p;". The html
+    package and its entity tables load here, on the first entity read."""
+    import html
+
     decoded = html.unescape(raw)
     return raw if any(ch in decoded for ch in _MARKUP_ACTIVE) else decoded
 
 
-class _MarkupStripper(HTMLParser):
-    """Collects prose text, skipping regions whose content is never prose."""
+# Elements whose content is never prose, and elements that end a line.
+_DROP = frozenset({
+    "table", "thead", "tbody", "tfoot", "tr", "script", "style",
+    "figure", "svg", "picture", "head", "iframe", "noscript",
+})
+_BLOCK = frozenset({
+    "p", "div", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5", "h6",
+    "section", "article", "blockquote", "pre", "td", "th",
+})
 
-    DROP = {
-        "table", "thead", "tbody", "tfoot", "tr", "script", "style",
-        "figure", "svg", "picture", "head", "iframe", "noscript",
-    }
-    BLOCK = {
-        "p", "div", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5", "h6",
-        "section", "article", "blockquote", "pre", "td", "th",
-    }
 
-    def __init__(self):
-        super().__init__(convert_charrefs=False)
-        self._chunks: list[str] = []
-        self._drop_depth = 0
+@functools.cache
+def _markup_stripper() -> type:
+    """_MarkupStripper, the HTMLParser reading of markup, defined on first use:
+    html.parser loads only for a text that leaves the token scan."""
+    from html.parser import HTMLParser
 
-    def handle_starttag(self, tag, attrs):
-        if tag == "br":
-            if not self._drop_depth:
+    class _MarkupStripper(HTMLParser):
+        """Collects prose text, skipping regions whose content is never prose."""
+
+        def __init__(self):
+            super().__init__(convert_charrefs=False)
+            self._chunks: list[str] = []
+            self._drop_depth = 0
+
+        def handle_starttag(self, tag, attrs):
+            if tag == "br":
+                if not self._drop_depth:
+                    self._chunks.append("\n")
+                return
+            if tag in _DROP:
+                self._drop_depth += 1
+            elif tag in _BLOCK and not self._drop_depth:
                 self._chunks.append("\n")
-            return
-        if tag in self.DROP:
-            self._drop_depth += 1
-        elif tag in self.BLOCK and not self._drop_depth:
-            self._chunks.append("\n")
 
-    def handle_endtag(self, tag):
-        if tag in self.DROP:
-            self._drop_depth = max(0, self._drop_depth - 1)
-        elif tag in self.BLOCK and not self._drop_depth:
-            self._chunks.append("\n")
+        def handle_endtag(self, tag):
+            if tag in _DROP:
+                self._drop_depth = max(0, self._drop_depth - 1)
+            elif tag in _BLOCK and not self._drop_depth:
+                self._chunks.append("\n")
 
-    def handle_data(self, data):
-        if not self._drop_depth:
-            self._chunks.append(data)
+        def handle_data(self, data):
+            if not self._drop_depth:
+                self._chunks.append(data)
 
-    def handle_entityref(self, name):
-        if not self._drop_depth:
-            self._chunks.append(_entity_text(f"&{name};"))
+        def handle_entityref(self, name):
+            if not self._drop_depth:
+                self._chunks.append(_entity_text(f"&{name};"))
 
-    def handle_charref(self, name):
-        if not self._drop_depth:
-            self._chunks.append(_entity_text(f"&#{name};"))
+        def handle_charref(self, name):
+            if not self._drop_depth:
+                self._chunks.append(_entity_text(f"&#{name};"))
 
-    def text(self) -> str:
-        return "".join(self._chunks)
+        def text(self) -> str:
+            return "".join(self._chunks)
+
+    return _MarkupStripper
 
 
 def _any_case(names: str) -> str:
@@ -175,7 +190,6 @@ def _markup_token_re() -> re.Pattern:
 def _strip_tokens(text: str) -> str | None:
     """strip_markup for text made of _markup_token_re() tokens only, applying
     _MarkupStripper's rules to each; None if any position starts no token."""
-    drop, block = _MarkupStripper.DROP, _MarkupStripper.BLOCK
     chunks: list[str] = []
     depth = 0
     pos = 0
@@ -195,19 +209,19 @@ def _strip_tokens(text: str) -> str | None:
             if tag == "br":
                 if not depth:
                     chunks.append("\n")
-            elif tag in drop:
+            elif tag in _DROP:
                 if not m["selfclose"]:
                     depth += 1
-            elif tag in block and not depth:
+            elif tag in _BLOCK and not depth:
                 chunks.append("\n\n" if m["selfclose"] else "\n")
         elif kind == "end":
             tag = m["end"].lower()
-            if tag in drop:
+            if tag in _DROP:
                 depth = max(0, depth - 1)
-            elif tag in block and not depth:
+            elif tag in _BLOCK and not depth:
                 chunks.append("\n")
         elif kind == "body":  # none of these elements is a block; a drop one adds nothing
-            if not depth and m["element"].lower() not in drop:
+            if not depth and m["element"].lower() not in _DROP:
                 chunks.append(m["body"])
     return "".join(chunks) if pos == len(text) else None
 
@@ -216,14 +230,14 @@ def strip_markup(text: str) -> str:
     """The prose of `text` with its markup removed. Text holding neither "<"
     nor "&" is one text token and comes back unchanged, without compiling the
     token regex. Text made only of the tokens of _markup_token_re() is read by
-    one regex scan; anything else goes whole to HTMLParser (_MarkupStripper),
-    which gives the same result."""
+    one regex scan; anything else goes whole to HTMLParser (_MarkupStripper,
+    from _markup_stripper()), which gives the same result."""
     if "<" not in text and "&" not in text:
         return text
     stripped = _strip_tokens(text)
     if stripped is not None:
         return stripped
-    parser = _MarkupStripper()
+    parser = _markup_stripper()()
     parser.feed(text)
     parser.close()
     return parser.text()

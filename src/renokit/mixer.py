@@ -246,21 +246,33 @@ def build_mip(
     domain_pretrain: Sequence[dict],
     domain_instructions: Sequence[dict],
     seed: int,
-) -> tuple[list[dict], MipReport]:
-    """Union pretrain text with rendered instruction text; no general data."""
+) -> tuple[Iterator[dict], MipReport]:
+    """Union pretrain text with rendered instruction text; no general data.
+
+    The rows come lazily, in an order shuffled by `random.Random(seed)`, and
+    each is made as it is read: one `MipRecord` row (`id`, `text`, `origin`)
+    per pretrain record, then per instruction sample, before the shuffle."""
     if not domain_pretrain or not domain_instructions:
         raise EmptyInput("instruction pretraining needs both pretrain docs and instruction samples")
-    pretrain = [MipRecord(record_id(rec), rec["text"], "pretrain") for rec in domain_pretrain]
-    instructions = [MipRecord(record_id(rec), render_instruction_text(rec["turns"]), "instruction")
-                    for rec in domain_instructions]
     # The pretrain records carry their token counts; only the rendered
     # instructions are counted here.
-    total_tokens = sum(records_tokens(domain_pretrain)) + sum(count_tokens_batch([r.text for r in instructions]))
-    records = [r.to_dict() for r in pretrain + instructions]
-    random.Random(seed).shuffle(records)
-    report = MipReport(mode=MODE_MIP, seed=seed, pretrain_count=len(pretrain), instruction_count=len(instructions),
-                       total_tokens=total_tokens)
-    return records, report
+    total_tokens = sum(records_tokens(domain_pretrain)) + sum(
+        count_tokens_batch([render_instruction_text(rec["turns"]) for rec in domain_instructions]))
+    order = list(range(len(domain_pretrain) + len(domain_instructions)))
+    random.Random(seed).shuffle(order)  # the permutation a shuffle of the rows themselves makes
+
+    def rows() -> Iterator[dict]:
+        for i in order:
+            if i < len(domain_pretrain):
+                rec = domain_pretrain[i]
+                yield {"id": record_id(rec), "text": rec["text"], "origin": "pretrain"}
+            else:
+                rec = domain_instructions[i - len(domain_pretrain)]
+                yield {"id": record_id(rec), "text": render_instruction_text(rec["turns"]), "origin": "instruction"}
+
+    report = MipReport(mode=MODE_MIP, seed=seed, pretrain_count=len(domain_pretrain),
+                       instruction_count=len(domain_instructions), total_tokens=total_tokens)
+    return rows(), report
 
 
 # --- trainer configuration -------------------------------------------------------

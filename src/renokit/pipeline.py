@@ -98,8 +98,8 @@ def run_dedup_stage(kept: Sequence[Document], cfg: DedupConfig, unique_path, pai
 
 
 def run_mix_stage(records: Iterable[dict], plan: MixPlan, train_path, report_path, *,
-                  general: Iterable[dict] = (), instructions_path=None) -> tuple[list[dict], MixReport | MipReport]:
-    """Build one training set and return it with its report.
+                  general: Iterable[dict] = (), instructions_path=None) -> MixReport | MipReport:
+    """Build one training set, write it, and return its report.
 
     `records` with source_kind "general" join the general pool, followed by
     every record of `general`; all others are domain data. MIP mode unions
@@ -119,7 +119,7 @@ def run_mix_stage(records: Iterable[dict], plan: MixPlan, train_path, report_pat
     write_jsonl(train_path, mixed)
     if report_path:
         write_json(report_path, report)
-    return mixed, report
+    return report
 
 
 def check_budget(budget: int) -> None:

@@ -4,6 +4,7 @@ by renokit itself."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from typing import Sequence
 
@@ -12,7 +13,9 @@ import numpy as np
 from renokit.dedup import (REASON_SENTENCE, DedupConfig, DupPair, _keep_first, compute_signatures, jaccard, shingle,
                            split_sentences)
 from renokit.evalharness import SPLIT_DEV, DatasetEntry, MCQDataset, MCQItem, _exemplars
+from renokit.errors import EmptyInput
 from renokit.ingest import STATUS_DEDUPED_OUT, Document, RawRecord, _document, clean_record, normalize_whitespace
+from renokit.mixer import MODE_MIP, MipRecord, MipReport, record_id, records_tokens, render_instruction_text
 from renokit.tokenizers import count_tokens, count_tokens_batch
 
 
@@ -76,3 +79,22 @@ def extract_text(record: RawRecord) -> Document:
     """The document of one raw record, as `ingest_stream` makes it; raises as `clean_record` does."""
     text = clean_record(record)
     return _document(text, record.source_kind, count_tokens(text))
+
+
+def build_mip_held(
+    domain_pretrain: Sequence[dict],
+    domain_instructions: Sequence[dict],
+    seed: int,
+) -> tuple[list[dict], MipReport]:
+    """`build_mip` with every row built up front, as a `MipRecord` and its dict, then shuffled."""
+    if not domain_pretrain or not domain_instructions:
+        raise EmptyInput("instruction pretraining needs both pretrain docs and instruction samples")
+    pretrain = [MipRecord(record_id(rec), rec["text"], "pretrain") for rec in domain_pretrain]
+    instructions = [MipRecord(record_id(rec), render_instruction_text(rec["turns"]), "instruction")
+                    for rec in domain_instructions]
+    total_tokens = sum(records_tokens(domain_pretrain)) + sum(count_tokens_batch([r.text for r in instructions]))
+    records = [r.to_dict() for r in pretrain + instructions]
+    random.Random(seed).shuffle(records)
+    report = MipReport(mode=MODE_MIP, seed=seed, pretrain_count=len(pretrain), instruction_count=len(instructions),
+                       total_tokens=total_tokens)
+    return records, report

@@ -255,6 +255,33 @@ class TestInPlaceKernels:
                 tracemalloc.stop()
             assert sum(counts) == n - 4 * len(texts) and peak < 3 * 8 * n + 100_000, peak
 
+    def test_sentence_pass_holds_one_more_int64_array_at_most(self):
+        # The pass keeps 17 bytes per sentence (hash, non-empty flag, length).
+        # Joining a column, and _over_cap's sorted copy or lookup index, each
+        # add one int64 array at a time, with a bool mask or two beside it.
+        rng = random.Random(5)
+        n = 200_000
+        repeated = [cjk_text(rng, 4) + "。" for _ in range(50)]
+        docs = [make_doc("".join(rng.choice(repeated) if rng.random() < 0.5 else cjk_text(rng, 4) + "。"
+                                 for _ in range(20))) for _ in range(n // 20)]
+        tracemalloc.start()
+        try:
+            hashes, filled, lengths, counts = dedup._sentences(docs)
+            over = dedup._over_cap(hashes, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hashes.size == n and 0 < over.sum() < n
+        assert peak < (17 + 8 + 2) * n + 300_000, peak
+
+    def test_over_cap_counts_each_value(self):
+        rng = random.Random(61)
+        for _ in range(3000):
+            keys = np.array([rng.randint(-3, 3) for _ in range(rng.randint(0, 12))], dtype=np.int64)
+            cap = rng.randint(1, 5)
+            want = [keys.tolist().count(key) > cap for key in keys.tolist()]
+            assert dedup._over_cap(keys, cap).tolist() == want, (keys, cap)
+
     def test_signing_in_batches_matches_signing_each_document_alone(self):
         rng = random.Random(53)
         cfg = DedupConfig(num_perm=64, lsh_bands=8, lsh_rows=8, seed=6)

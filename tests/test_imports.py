@@ -36,3 +36,39 @@ def test_pipeline_run_does_not_load_numpy_ma(tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+HTML_MODULES = "print(sorted(m for m in ('html', 'html.parser', 'html.entities') if m in sys.modules))\n"
+
+
+def test_commands_load_no_html_parser_on_import():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import renokit.ingest, renokit.pipeline, renokit.sftgen, renokit.evalharness, renokit.endpoint\n"
+        + HTML_MODULES
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_html_loads_only_for_markup_that_needs_it(tmp_path):
+    """Plain text and markup the token scan reads without an entity load no html
+    module; an entity loads html and its tables, and markup outside the scan html.parser."""
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(SRC)!r}, {str(TESTS)!r}]\n"
+        "from pathlib import Path\n"
+        "from fixture_data import write_pipeline_fixture\n"
+        "from renokit.ingest import clean_text\n"
+        "from renokit.pipeline import run_pipeline\n"
+        f"root = Path({str(tmp_path)!r})\n"
+        "run_pipeline(write_pipeline_fixture(root), root / 'out')\n"
+        + HTML_MODULES +
+        "assert clean_text('<p>甲 &amp; 乙</p>') == '甲 &amp; 乙'\n"
+        + HTML_MODULES +
+        "assert clean_text('<!DOCTYPE html><p>甲 &lt; 乙</p>') == '甲 &lt; 乙'\n"
+        + HTML_MODULES
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split("\n")[:3] == ["[]", "['html', 'html.entities']", "['html', 'html.entities', 'html.parser']"]

@@ -13,7 +13,7 @@ from renokit.ingest import (
     RawRecord,
     _drop_table_lines,
     _is_table_line,
-    _MarkupStripper,
+    _markup_stripper,
     _strip_tokens,
     clean_text,
     ingest_stream,
@@ -101,7 +101,7 @@ class TestExtractText:
 
 def html_parser_text(text: str) -> str:
     """What _MarkupStripper, the HTMLParser reading, makes of `text`."""
-    parser = _MarkupStripper()
+    parser = _markup_stripper()()
     parser.feed(text)
     parser.close()
     return parser.text()
@@ -226,7 +226,7 @@ class TestMarkupScan:
         def refuse(self, data):
             raise AssertionError("HTMLParser was used")
 
-        monkeypatch.setattr(_MarkupStripper, "feed", refuse)
+        monkeypatch.setattr(_markup_stripper(), "feed", refuse)
         assert clean_text(page) == ("瓷砖铺贴 第00007号\n\n先清理基层，再弹线定位。\n\n"
                                     "铺贴后养护七天 详见 。\n\n本站内容仅供参考。")
         assert clean_text(plain) == plain

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from renokit.errors import EmptyDomain, EmptyInput, InsufficientGeneralData
@@ -19,6 +21,8 @@ from renokit.mixer import (
     render_instruction_text,
     trainer_config_for_mode,
 )
+
+from oracles import build_mip_held
 
 
 def parse_rendered_text(text: str) -> list[dict]:
@@ -179,7 +183,8 @@ class TestMip:
     def test_union_count(self):
         docs = [doc_rec(i, 50) for i in range(100)]
         samples = [self.sample(i) for i in range(50)]
-        records, report = build_mip(docs, samples, seed=9)
+        rows, report = build_mip(docs, samples, seed=9)
+        records = list(rows)
         assert len(records) == 150
         assert sum(1 for r in records if r["origin"] == "instruction") == 50
         assert (report.pretrain_count, report.instruction_count) == (100, 50)
@@ -201,13 +206,32 @@ class TestMip:
         docs = [doc_rec(i, 50) for i in range(10)]
         general = [doc_rec(i, 50, "general") for i in range(10)]
         general_ids = {record_id(r) for r in general}
-        records, _ = build_mip(docs, [self.sample(i) for i in range(5)], seed=1)
+        rows, _ = build_mip(docs, [self.sample(i) for i in range(5)], seed=1)
+        records = list(rows)
         assert not ({r["id"] for r in records} & general_ids)
 
     def test_shuffle_deterministic(self):
         docs = [doc_rec(i, 50) for i in range(20)]
         samples = [self.sample(i) for i in range(10)]
-        assert build_mip(docs, samples, seed=4) == build_mip(docs, samples, seed=4)
+        (rows_a, report_a), (rows_b, report_b) = build_mip(docs, samples, seed=4), build_mip(docs, samples, seed=4)
+        assert (list(rows_a), report_a) == (list(rows_b), report_b)
+
+    def test_rows_and_report_match_the_held_oracle(self):
+        rng = random.Random(29)
+        for trial in range(200):
+            docs = [doc_rec(i, rng.randint(0, 60)) for i in range(rng.randint(1, 30))]
+            for rec in rng.sample(docs, len(docs) // 3):  # ids from other keys, or from the content
+                del rec["doc_id"]
+                rec.update(rng.choice([{"id": f"x{rng.randrange(99)}"}, {"sample_id": "s"}, {}]))
+            samples = [self.sample(rng.randrange(1000)) for _ in range(rng.randint(1, 30))]
+            for sample in rng.sample(samples, len(samples) // 4):
+                sample["turns"] = sample["turns"] * rng.randint(0, 2)
+            seed = rng.randrange(2**32)
+            rows, report = build_mip(docs, samples, seed=seed)
+            want_rows, want_report = build_mip_held(docs, samples, seed=seed)
+            # items, not dicts, so that the key order train.jsonl is written in counts too
+            assert ([list(row.items()) for row in rows], report) == (
+                [list(row.items()) for row in want_rows], want_report), trial
 
 
 class TestTrainerConfig:
