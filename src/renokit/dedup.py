@@ -16,8 +16,9 @@ included, by one `compute_signatures` call, whose rows go into one block
 allocated once per pass. LSH bucketing sorts each band's rows by a 64-bit
 key folded from the band and compares whole bands only within runs of equal
 keys. `_sets` builds a batch's sorted, unique shingle sets, for the documents
-of candidate pairs and for `shingle`. `_keep_first` keeps the smallest doc_id
-of each text in the exact pass and after sentence rewrites.
+of candidate pairs and for `shingle`. `_keep_first` walks the documents once in
+doc_id order and keeps the first of each text, in the exact pass and after
+sentence rewrites.
 
 The sentence pass holds numbers per sentence, never strings: `_sentences`
 splits the documents, in doc_id order and in the same `runs`, and keeps the
@@ -193,19 +194,18 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _keep_first(docs: Sequence[Document], reason: str) -> list[Document]:
-    """Keep the smallest doc_id of each text, compared after whitespace
-    normalization; the others are marked deduped_out(`reason`) in place.
-    Survivors are returned sorted by doc_id."""
-    groups: dict[str, list[Document]] = {}
-    for doc in docs:
-        groups.setdefault(normalize_for_dedup(doc.text), []).append(doc)
+    """Walk `docs` in doc_id order and keep the first of each text, compared
+    after whitespace normalization; the others are marked deduped_out(`reason`)
+    in place. Survivors are returned sorted by doc_id."""
+    seen: set[str] = set()
     survivors: list[Document] = []
-    for members in groups.values():
-        members.sort(key=lambda d: d.doc_id)
-        survivors.append(members[0])
-        for doc in members[1:]:
+    for doc in sorted(docs, key=lambda d: d.doc_id):
+        text = normalize_for_dedup(doc.text)
+        if text in seen:
             doc.mark(STATUS_DEDUPED_OUT, reason)
-    survivors.sort(key=lambda d: d.doc_id)
+        else:
+            seen.add(text)
+            survivors.append(doc)
     return survivors
 
 

@@ -10,7 +10,6 @@ are pluggable so tests and offline replays never touch the network.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import threading
@@ -23,7 +22,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .errors import EndpointError
-from .jsonl import Record, config_from_json, read_json, write_json
+from .jsonl import Record, canonical_json, config_from_json, read_json, write_json
 
 Message = dict  # {"role": ..., "content": ...}
 
@@ -161,8 +160,7 @@ class ChatClient:
 
 def request_id(request: dict) -> str:
     """Deterministic id of a chat request; identical requests share one."""
-    canonical = json.dumps(request, sort_keys=True, ensure_ascii=False)
-    return hashlib.md5(canonical.encode("utf-8")).hexdigest()
+    return hashlib.md5(canonical_json(request)).hexdigest()
 
 
 class ResponseArchive:

@@ -69,9 +69,6 @@ class MCQDataset:
         if not self.entries:
             raise SchemaError(f"dataset {self.name!r} has no items")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def split_entries(self, split: str) -> list[DatasetEntry]:
         return [e for e in self.entries if e.split == split]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -150,12 +151,6 @@ def _markup_stripper() -> type:
     return _MarkupStripper
 
 
-def _any_case(names: str) -> str:
-    """A regex matching each of the |-separated ASCII `names` in any letter case;
-    unlike re.IGNORECASE, it matches no non-ASCII letter."""
-    return "|".join("".join(f"[{c}{c.upper()}]" for c in name) for name in names.split("|"))
-
-
 # The markup subset that strip_markup reads without HTMLParser, one token per
 # match, chosen so that every HTMLParser version reads each token the same
 # way: tag and attribute names are ASCII, attribute values are quoted or bare
@@ -174,12 +169,13 @@ _ATTRS = (rf"(?:{_SPACE}+[a-zA-Z_:][-.:a-zA-Z0-9_]*"
 def _markup_token_re() -> re.Pattern:
     """The token regex, compiled on first use: compiling it takes milliseconds,
     which importing the module for a command that reads no markup should not pay."""
-    script = _any_case("script|style")
-    raw_text = _any_case("title|textarea|xmp|iframe|noembed|noframes|noscript")
+    # (?ai:...) folds ASCII letter case only, so "ſ" and the Kelvin sign spell no tag name.
+    script = "(?ai:script|style)"
+    raw_text = "(?ai:title|textarea|xmp|iframe|noembed|noframes|noscript)"
     return re.compile(
         r"(?P<text>[^<&]+)"
         r"|(?P<entity>&(?:[a-zA-Z][-.a-zA-Z0-9]*|#[0-9]+|#[xX][0-9a-fA-F]+);)"
-        rf"|<(?P<start>(?!(?:{script}|{raw_text}|{_any_case('plaintext')})[ \t\n\r\f/>]){_TAG_NAME})"
+        rf"|<(?P<start>(?!(?:{script}|{raw_text}|(?ai:plaintext))[ \t\n\r\f/>]){_TAG_NAME})"
         rf"{_ATTRS}(?P<selfclose>/?)>"
         rf"|</(?P<end>{_TAG_NAME}){_SPACE}*>"
         rf"|<(?P<element>{raw_text}){_ATTRS}>(?P<body>[^<&]*)</(?P=element){_SPACE}*>"
@@ -350,13 +346,6 @@ class PipelineStats(Record):
     total_documents: int = 0
     total_tokens: int = 0
 
-    def add_document(self, doc: Document) -> None:
-        self.documents[doc.source_kind] = self.documents.get(doc.source_kind, 0) + 1
-        self.tokens[doc.source_kind] = self.tokens.get(doc.source_kind, 0) + doc.token_count
-
-    def add_failure(self, reason: str) -> None:
-        self.failures[reason] = self.failures.get(reason, 0) + 1
-
 
 def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], PipelineStats]:
     """Clean each record as it is read, collecting per-record failures
@@ -365,28 +354,29 @@ def ingest_stream(records: Iterable[RawRecord]) -> tuple[list[Document], Pipelin
     Output is sorted by doc_id, so the result is identical for any input
     order of the same record multiset.
     """
-    stats = PipelineStats()
     texts: list[str] = []
     kinds: list[str] = []
+    failures: Counter[str] = Counter()
     for record in records:
         try:
             texts.append(clean_record(record))
         except DecodeError:
-            stats.add_failure("decode_error")
+            failures["decode_error"] += 1
             continue
         except EmptyAfterExtraction:
-            stats.add_failure("empty_after_extraction")
+            failures["empty_after_extraction"] += 1
             continue
         kinds.append(record.source_kind)
-    docs = [_document(*doc) for doc in zip(texts, kinds, count_tokens_batch(texts))]
-    for doc in docs:
-        stats.add_document(doc)
-    docs.sort(key=lambda d: d.doc_id)
-    stats.documents, stats.tokens, stats.failures = (
-        dict(sorted(counts.items())) for counts in (stats.documents, stats.tokens, stats.failures))
-    stats.total_documents = sum(stats.documents.values())
-    stats.total_tokens = sum(stats.tokens.values())
-    return docs, stats
+    token_counts = count_tokens_batch(texts)
+    documents: Counter[str] = Counter()
+    tokens: Counter[str] = Counter()
+    for kind, n in zip(kinds, token_counts):
+        documents[kind] += 1
+        tokens[kind] += n
+    docs = sorted(map(_document, texts, kinds, token_counts), key=lambda d: d.doc_id)
+    return docs, PipelineStats(documents=dict(sorted(documents.items())), tokens=dict(sorted(tokens.items())),
+                               failures=dict(sorted(failures.items())), total_documents=len(docs),
+                               total_tokens=sum(token_counts))
 
 
 # --- file readers -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """JSON / JSONL file helpers with stable, byte-deterministic serialization,
-atomic writes, and checked construction of records and config objects from JSON."""
+atomic writes, and checked construction of records and config objects from JSON.
+`canonical_json` is the one byte form that ids and digests hash."""
 
 from __future__ import annotations
 
@@ -38,6 +39,13 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 # json.dumps builds an encoder per call when given any option; rows share this one.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, default=Record.to_dict)
+
+
+def canonical_json(obj: Any) -> bytes:
+    """`obj` as UTF-8 JSON with sorted keys, non-ASCII kept as is and any
+    other value (a path) as its str: the bytes that request ids, record ids
+    and config digests hash, so the same object always has the same id."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, default=str).encode("utf-8")
 
 
 def line_error(path: str | Path, lineno: int, problem: Any) -> SchemaError:

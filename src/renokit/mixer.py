@@ -10,7 +10,6 @@ byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData, SchemaError
-from .jsonl import Record, line_error, read_jsonl, write_json
+from .jsonl import Record, canonical_json, line_error, read_jsonl, write_json
 from .tokenizers import TOKENIZER, count_tokens_batch, runs
 
 MODE_DAPT = "dapt"
@@ -68,8 +67,7 @@ def record_id(rec: dict) -> str:
     for key in ("doc_id", "id", "sample_id"):
         if rec.get(key):
             return str(rec[key])
-    canonical = json.dumps(rec, sort_keys=True, ensure_ascii=False)
-    return hashlib.md5(canonical.encode("utf-8")).hexdigest()
+    return hashlib.md5(canonical_json(rec)).hexdigest()
 
 
 def records_tokens(recs: Sequence[dict]) -> list[int]:

@@ -37,7 +37,7 @@ from .ingest import (
     records_from_path,
     source_files,
 )
-from .jsonl import (Record, config_from_dict, config_from_json, read_json, read_jsonl, read_records,
+from .jsonl import (Record, canonical_json, config_from_dict, config_from_json, read_json, read_jsonl, read_records,
                     record_from_dict, write_json, write_jsonl)
 from .mixer import (MODE_MIP, MipRecord, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config,
                     mix)
@@ -58,7 +58,7 @@ def file_digest(path: str | Path) -> str:
 
 def config_digest(obj) -> str:
     """sha256 of `obj` as canonical JSON; a path in it is hashed as its string."""
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, ensure_ascii=False, default=str).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(obj)).hexdigest()
 
 
 # --- stages -------------------------------------------------------------------

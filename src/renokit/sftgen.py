@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import re
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -463,9 +464,6 @@ class GenReport(Record):
     jobs_skipped: int = 0  # jobs curtailed by budget exhaustion, neither accepted nor classified
     budget_exhausted: bool = False
 
-    def reject(self, error_class: str) -> None:
-        self.rejected[error_class] = self.rejected.get(error_class, 0) + 1
-
 
 def batch_generate(
     docs: Sequence[Document],
@@ -473,10 +471,11 @@ def batch_generate(
     client: ChatClient,
     budget: int,
     archive: ResponseArchive,
-    templates: dict[str, PromptTemplate] | None = None,
+    templates: dict[str, PromptTemplate],
     lenient: bool = False,
 ) -> tuple[list, GenReport]:
-    """Generate for every (doc, kind) job under the endpoint's concurrency limit.
+    """Generate for every (doc, kind) job under the endpoint's concurrency limit,
+    with the prompt template `templates` maps each kind to.
 
     Returns samples/items sorted by (knowledge_id, kind, index) regardless of
     completion order, plus a report of accepted and per-class rejected counts.
@@ -486,13 +485,10 @@ def batch_generate(
     for kind in kinds:
         if kind not in GEN_KINDS:
             raise ValueError(f"unknown generation kind {kind!r}")
-    templates = dict(templates or {})
-    for kind in kinds:
         if kind not in templates:
-            templates[kind] = load_template(kind)
+            raise ValueError(f"no template for generation kind {kind!r}")
 
     completer = ArchivedCompleter(client, archive, budget)
-    report = GenReport()
     usable = [d for d in sorted(docs, key=lambda d: d.doc_id) if d.status in (STATUS_INGESTED, STATUS_RETAINED)]
     jobs = [(doc, kind) for doc in usable for kind in kinds]
 
@@ -511,29 +507,30 @@ def batch_generate(
     # Futures are read in job order, so the output is in (doc_id, kind) order
     # whatever order the jobs finish in.
     ordered: list = []
-    report.jobs_total = len(jobs)
+    rejected: Counter[str] = Counter()
+    accepted_per_kind: Counter[str] = Counter()
+    jobs_accepted = 0
+    budget_exhausted = False
     with ThreadPoolExecutor(max_workers=client.cfg.concurrency_limit) as pool:
         futures = [(pool.submit(run_job, job), job[1]) for job in jobs]
         for future, kind in futures:
             try:
                 produced = future.result()
             except BudgetExhausted:
-                report.budget_exhausted = True
+                budget_exhausted = True
             except GenerationError as exc:
-                report.reject(type(exc).__name__)
+                rejected[type(exc).__name__] += 1
             else:
                 ordered.extend(produced)
-                report.jobs_accepted += 1
-                report.accepted += len(produced)
-                report.accepted_per_kind[kind] = report.accepted_per_kind.get(kind, 0) + len(produced)
+                jobs_accepted += 1
+                accepted_per_kind[kind] += len(produced)
 
-    report.requests_sent = completer.sent
-    report.replayed = completer.replayed
-    report.rejected = dict(sorted(report.rejected.items()))
-    report.accepted_per_kind = dict(sorted(report.accepted_per_kind.items()))
-    report.rejected_total = sum(report.rejected.values())
-    report.jobs_skipped = report.jobs_total - report.jobs_accepted - report.rejected_total
-    return ordered, report
+    rejected_total = sum(rejected.values())
+    return ordered, GenReport(
+        requests_sent=completer.sent, replayed=completer.replayed, accepted=len(ordered),
+        rejected=dict(sorted(rejected.items())), rejected_total=rejected_total,
+        accepted_per_kind=dict(sorted(accepted_per_kind.items())), jobs_total=len(jobs), jobs_accepted=jobs_accepted,
+        jobs_skipped=len(jobs) - jobs_accepted - rejected_total, budget_exhausted=budget_exhausted)
 
 
 # --- term frequency ----------------------------------------------------------------
@@ -552,15 +549,12 @@ def term_frequency_report(
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     stop = set(stopwords)
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for sample in samples:
         turns = sample.get("turns", [])
         if not text_turns(turns):
             raise SchemaError(f"turns must be a list of objects with string content, got {turns!r}")
         for turn in turns:
-            for term in _TERM_RE.findall(turn.get("content", "")):
-                if term in stop:
-                    continue
-                counts[term] = counts.get(term, 0) + 1
+            counts.update(term for term in _TERM_RE.findall(turn.get("content", "")) if term not in stop)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_k]

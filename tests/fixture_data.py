@@ -12,6 +12,7 @@ from pathlib import Path
 
 from renokit.ingest import Document, doc_id_for
 from renokit.jsonl import write_jsonl
+from renokit.sftgen import PromptTemplate, load_template
 
 # --- small text helpers -------------------------------------------------------
 
@@ -227,6 +228,11 @@ def write_pipeline_fixture(root: Path, seed: int = 42) -> Path:
 
 
 # --- generation fixture ---------------------------------------------------------------
+
+
+def packaged_templates(*kinds: str) -> dict[str, PromptTemplate]:
+    """The packaged prompt template of each generation kind, as batch_generate takes them."""
+    return {kind: load_template(kind) for kind in kinds}
 
 
 def build_gen_docs() -> list[Document]:

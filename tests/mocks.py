@@ -4,11 +4,11 @@ archive holds; no network anywhere."""
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Callable, Sequence
 
 from renokit.endpoint import Completion, ResponseArchive
 from renokit.errors import EndpointError
+from renokit.jsonl import canonical_json
 
 
 def archive_ids(archive: ResponseArchive) -> list[str]:
@@ -17,7 +17,7 @@ def archive_ids(archive: ResponseArchive) -> list[str]:
 
 
 def stable_timestamp(messages: Sequence[dict]) -> str:
-    digest = hashlib.md5(json.dumps(list(messages), sort_keys=True, ensure_ascii=False).encode()).hexdigest()
+    digest = hashlib.md5(canonical_json(list(messages))).hexdigest()
     return f"1970-01-01T00:00:00.{int(digest[:6], 16) % 1000000:06d}+00:00"
 
 

@@ -10,8 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from renokit.dedup import (REASON_SENTENCE, DedupConfig, DupPair, _keep_first, compute_signatures, jaccard, shingle,
-                           split_sentences)
+from renokit.dedup import (REASON_SENTENCE, DedupConfig, DupPair, compute_signatures, jaccard, normalize_for_dedup,
+                           shingle, split_sentences)
 from renokit.evalharness import SPLIT_DEV, DatasetEntry, MCQDataset, MCQItem, _exemplars
 from renokit.errors import EmptyInput
 from renokit.ingest import STATUS_DEDUPED_OUT, Document, RawRecord, _document, clean_record, normalize_whitespace
@@ -62,7 +62,23 @@ def sentence_dedup_by_strings(docs: Sequence[Document], cfg: DedupConfig) -> lis
         return survivors
     for doc, tokens in zip(rewritten, count_tokens_batch([d.text for d in rewritten])):
         doc.token_count = tokens
-    return _keep_first(survivors, REASON_SENTENCE)
+    return keep_first_by_groups(survivors, REASON_SENTENCE)
+
+
+def keep_first_by_groups(docs: Sequence[Document], reason: str) -> list[Document]:
+    """`dedup._keep_first` as one list of documents per normalized text, each
+    sorted by doc_id, whose first survives: the body the single walk replaced."""
+    groups: dict[str, list[Document]] = {}
+    for doc in docs:
+        groups.setdefault(normalize_for_dedup(doc.text), []).append(doc)
+    survivors: list[Document] = []
+    for members in groups.values():
+        members.sort(key=lambda d: d.doc_id)
+        survivors.append(members[0])
+        for doc in members[1:]:
+            doc.mark(STATUS_DEDUPED_OUT, reason)
+    survivors.sort(key=lambda d: d.doc_id)
+    return survivors
 
 
 def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[MCQItem]:

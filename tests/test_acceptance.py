@@ -28,6 +28,7 @@ from fixture_data import (
     build_filter_docs,
     build_gen_docs,
     gen_script,
+    packaged_templates,
     write_pipeline_fixture,
 )
 from mocks import GoldAnswerTransport, ScriptedTransport, archive_ids
@@ -188,7 +189,8 @@ def test_c7_generation_validation(tmp_path):
         client = ChatClient(mock_endpoint(), transport)
         items, reports = [], []
         for subset, kind in ((docs[:50], "mcq"), (docs[50:97], "multi_turn"), (docs[97:], "one_turn")):
-            got, report = batch_generate(subset, [kind], client, budget=1000, archive=archive)
+            got, report = batch_generate(subset, [kind], client, budget=1000, archive=archive,
+                                          templates=packaged_templates(kind))
             items.extend(got)
             reports.append(report)
         return items, reports

@@ -17,7 +17,7 @@ from renokit.endpoint import EndpointConfig
 from renokit.evalharness import EvalReport
 from renokit.jsonl import read_json, read_jsonl, write_json, write_jsonl
 from renokit.mixer import MODES, MixPlan
-from renokit.pipeline import PipelineManifest, PipelineRunner, run_pipeline, summarize_artifact
+from renokit.pipeline import PipelineManifest, PipelineRunner, config_digest, run_pipeline, summarize_artifact
 from renokit.errors import StageFailure, UnknownSchema
 
 from fixture_data import write_evalhome, write_pipeline_fixture
@@ -277,6 +277,11 @@ class TestPipelineRun:
             assert isinstance(runner.mix, MixPlan)
             assert list(dataclasses.asdict(runner.mix)) == ["seed", "ratio", "mode", "unit", "instructions",
                                                             "allow_short"]
+
+    def test_config_digest_hashes_as_before(self):
+        """Resume keys written by earlier versions still match: sorted keys, non-ASCII kept, a path as its str."""
+        config = {"seed": 42, "inputs": [{"path": Path("raw/书.txt"), "kind": "domain_book"}]}
+        assert config_digest(config) == "d6430694ed2e852cd93afa3043063ed19fa28042c5bf87ebf8c20fc2ccf36624"
 
     def test_resume_reruns_after_source_edit(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)

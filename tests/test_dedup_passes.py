@@ -2,7 +2,7 @@
 batched hashing, signing and LSH bucketing against the per-document and
 per-row bodies they replaced, kept here as oracles, signing raw gram
 hashes against signing shingle sets, and the hashed sentence pass against
-the string-counting one."""
+the string-counting one, and the survivor walk against grouping by text."""
 
 from __future__ import annotations
 
@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from renokit import dedup
-from renokit.dedup import (DedupConfig, _densify, _lsh_candidates, _mix64, _sets, _sign_in_batches, compute_signatures,
-                           gram_hashes_batch, normalize_for_dedup, sentence_dedup, shingle, split_sentences)
+from renokit.dedup import (REASON_EXACT, DedupConfig, _densify, _lsh_candidates, _mix64, _sets, _sign_in_batches,
+                           compute_signatures, exact_dedup, gram_hashes_batch, normalize_for_dedup, sentence_dedup,
+                           shingle, split_sentences)
 from renokit.tokenizers import BATCH_CODE_POINTS
 
 from fixture_data import cjk_text, make_doc
-from oracles import sentence_dedup_by_strings, sign_rows
+from oracles import keep_first_by_groups, sentence_dedup_by_strings, sign_rows
 
 # --- oracles: the regex bodies the one-call passes replaced -------------------------
 
@@ -290,3 +291,59 @@ def test_sentence_pass_is_exact_when_every_hash_collides(monkeypatch, scope):
         cap = (1, 2, 3)[trial % 3]
         cfg = DedupConfig(sentence_max_repeats=cap, sentence_scope=scope)
         assert_sentence_pass_matches_oracle(sentence_corpus(rng), cfg)
+
+
+# --- the survivor walk against grouping by text --------------------------------------
+
+_SPACING = [" ", "  ", "\n", " \n ", "\t", "\n\n", "\u3000"]
+
+
+def spacing_variant(rng: random.Random, sentences: list[str]) -> str:
+    """The sentences joined, and wrapped, by random runs of whitespace and newlines."""
+    return "".join(rng.choice(_SPACING + [""]) + part for part in sentences) + rng.choice(_SPACING + [""])
+
+
+def survivor_corpus(rng: random.Random) -> list:
+    """Texts of a few sentences from a small pool, so that sentence cuts can
+    leave two texts equal, each under several spacings; some documents twice
+    under their doc_id, once with another spacing (a doc_id names one text up
+    to whitespace, as doc_id_for makes it); shuffled or reversed."""
+    pool = ["甲乙。", "丙丁！", "戊己？", "庚辛。", "ab cd.", "壬癸"]
+    docs = []
+    for _ in range(rng.randint(1, 8)):
+        sentences = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        docs += [make_doc(spacing_variant(rng, sentences)) for _ in range(rng.randint(1, 3))]
+    for doc in rng.sample(docs, rng.randint(0, len(docs))):
+        twin = copy.deepcopy(doc)
+        if rng.random() < 0.5:
+            twin.text = " \n".join(twin.text.split())
+        docs.append(twin)
+    if rng.random() < 0.5:
+        rng.shuffle(docs)
+    else:
+        docs.sort(key=lambda d: d.doc_id, reverse=True)
+    return docs
+
+
+def assert_same_survivors(docs: list, got_pass, want_pass) -> list:
+    """Run both passes on copies of `docs`; the survivors, as input positions
+    in order, and every document's fields must match. Returns the oracle's copies."""
+    got_docs, want_docs = copy.deepcopy(docs), copy.deepcopy(docs)
+    got, want = got_pass(got_docs), want_pass(want_docs)
+    position = {id(doc): i for copies in (got_docs, want_docs) for i, doc in enumerate(copies)}
+    assert [position[id(d)] for d in got] == [position[id(d)] for d in want], [d.text for d in docs]
+    assert [d.to_dict() for d in got_docs] == [d.to_dict() for d in want_docs], [d.text for d in docs]
+    return want_docs
+
+
+def test_survivor_walk_matches_grouping_by_text():
+    rng = random.Random(61)
+    made_equal = 0
+    for trial in range(600):
+        docs = survivor_corpus(rng)
+        assert_same_survivors(docs, exact_dedup, lambda d: keep_first_by_groups(d, REASON_EXACT))
+        cfg = DedupConfig(sentence_max_repeats=(1, 2)[trial % 2], sentence_scope=("corpus", "document")[trial // 2 % 2])
+        want_docs = assert_same_survivors(docs, lambda d: sentence_dedup(d, cfg),
+                                          lambda d: sentence_dedup_by_strings(d, cfg))
+        made_equal += sum(d.reason == "sentence" and bool(d.text) for d in want_docs)
+    assert made_equal > 100

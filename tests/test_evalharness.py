@@ -67,7 +67,7 @@ class TestLoadDataset:
         row = build_evalhome_rows()[0]
         path = tmp_path / "one.jsonl"
         write_jsonl(path, [row])
-        assert len(load_dataset(path)) == 1
+        assert len(load_dataset(path).entries) == 1
 
     def test_missing_gold_is_schema_error_with_line(self, tmp_path):
         rows = build_evalhome_rows()[:3]

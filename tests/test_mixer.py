@@ -278,6 +278,11 @@ class TestRecordHelpers:
         rec = {"text": "无显式id的记录", "x": 1}
         assert record_id(rec) == record_id(dict(reversed(list(rec.items()))))
 
+    def test_record_id_hashes_as_before(self):
+        """A row without an id hashes its canonical JSON: sorted keys, non-ASCII kept as is."""
+        rec = {"text": "无显式id的记录", "x": 1, "turns": [{"role": "user", "content": "é"}]}
+        assert record_id(rec) == "a73edd4b7d9aba2a3895555a0d7fb8ec"
+
 
 def test_mix_output_serializes_identically(tmp_path):
     domain, general = make_pools(domain_tokens=2000, general_items=100)

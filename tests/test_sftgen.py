@@ -38,7 +38,7 @@ from renokit.sftgen import (
     term_frequency_report,
 )
 
-from fixture_data import build_gen_docs, gen_script, make_doc
+from fixture_data import build_gen_docs, gen_script, make_doc, packaged_templates
 from mocks import FailingTransport, ScriptedTransport, archive_ids
 
 
@@ -289,7 +289,8 @@ class TestBatchGenerate:
         mcq_docs, multi_docs, one_docs = docs[:50], docs[50:97], docs[97:]
         all_items, reports = [], []
         for subset, kind in ((mcq_docs, "mcq"), (multi_docs, "multi_turn"), (one_docs, "one_turn")):
-            items, report = batch_generate(subset, [kind], client, budget=budget, archive=archive)
+            items, report = batch_generate(subset, [kind], client, budget=budget, archive=archive,
+                                           templates=packaged_templates(kind))
             all_items.extend(items)
             reports.append(report)
         return all_items, reports, archive
@@ -321,6 +322,14 @@ class TestBatchGenerate:
         _, report = batch_generate(build_gen_docs()[:2], ["mcq", "multi_turn"], client, budget=100,
                                    archive=ResponseArchive(tmp_path / "arch"), templates=templates)
         assert report.jobs_total == 4
+
+    @pytest.mark.parametrize("kinds", [["poem"], ["mcq", "multi_turn"]])
+    def test_kind_without_a_template_is_refused(self, tmp_path, kinds):
+        client = make_client(gen_script(CATEGORIES))
+        with pytest.raises(ValueError):
+            batch_generate(build_gen_docs()[:2], kinds, client, budget=100, archive=ResponseArchive(tmp_path / "arch"),
+                           templates=packaged_templates("mcq"))
+        assert client.transport.calls == 0
 
     def test_archive_completeness(self, tmp_path):
         _, reports, archive = self.run_batch(tmp_path / "arch")
@@ -368,11 +377,13 @@ class TestBatchGenerate:
         cfg = EndpointConfig(base_url="http://mock.invalid", model_name="mock-model", concurrency_limit=1)
         client = ChatClient(cfg, ScriptedTransport(script))
         archive = ResponseArchive(tmp_path / "arch")
-        items, report = batch_generate(docs, ["mcq"], client, budget=7, archive=archive)
+        items, report = batch_generate(docs, ["mcq"], client, budget=7, archive=archive,
+                                       templates=packaged_templates("mcq"))
         assert report.budget_exhausted
         assert len(items) == 7
         # resume with a bigger budget; archived responses are free
-        items2, report2 = batch_generate(docs, ["mcq"], client, budget=1000, archive=archive)
+        items2, report2 = batch_generate(docs, ["mcq"], client, budget=1000, archive=archive,
+                                         templates=packaged_templates("mcq"))
         assert len(items2) == 20
         assert report2.replayed == 7
         assert report2.requests_sent == 13
@@ -413,7 +424,7 @@ class TestSchemaFailureIsRejection:
         cfg = EndpointConfig(base_url="http://mock.invalid", model_name="mock-model")
         client = ChatClient(cfg, transport or ScriptedTransport(self.script))
         return batch_generate(build_gen_docs()[:3], ["mcq", "one_turn"], client, budget=100,
-                              archive=ResponseArchive(archive_dir))
+                              archive=ResponseArchive(archive_dir), templates=packaged_templates("mcq", "one_turn"))
 
     def test_rejected_as_malformed(self, tmp_path):
         items, report = self.run(tmp_path / "arch")
@@ -476,10 +487,12 @@ class TestArchivedCompleter:
         docs = build_gen_docs()[:3]
         archive = ResponseArchive(tmp_path / "arch")
         client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), OfflineTransport())
-        items, report = batch_generate(docs, ["mcq"], client, budget=100, archive=archive)
+        items, report = batch_generate(docs, ["mcq"], client, budget=100, archive=archive,
+                                       templates=packaged_templates("mcq"))
         assert (items, report.rejected) == ([], {"EndpointError": 3})
         assert len(archive_ids(archive)) == 0
-        items, report = batch_generate(docs, ["mcq"], make_client(gen_script(CATEGORIES)), budget=100, archive=archive)
+        items, report = batch_generate(docs, ["mcq"], make_client(gen_script(CATEGORIES)), budget=100, archive=archive,
+                                       templates=packaged_templates("mcq"))
         assert (report.requests_sent, report.accepted, report.rejected_total) == (3, 3, 0)
 
     def test_waiter_gets_the_senders_refusal(self, tmp_path):
@@ -506,7 +519,7 @@ class TestArchivedCompleter:
         budget, so a budget of 0 rejects every job as EndpointError and skips none."""
         client = ChatClient(EndpointConfig(base_url="http://mock.invalid", model_name="mock-model"), OfflineTransport())
         items, report = batch_generate(build_gen_docs()[:3], ["mcq"], client, budget=0,
-                                       archive=ResponseArchive(tmp_path / "arch"))
+                                       archive=ResponseArchive(tmp_path / "arch"), templates=packaged_templates("mcq"))
         assert items == []
         assert (report.requests_sent, report.budget_exhausted, report.jobs_skipped) == (0, False, 0)
         assert report.rejected == {"EndpointError": 3}
