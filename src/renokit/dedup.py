@@ -18,7 +18,7 @@ key folded from the band and compares whole bands only within runs of equal
 keys. `_sets` builds a batch's sorted, unique shingle sets, for the documents
 of candidate pairs and for `shingle`. `_keep_first` walks the documents once in
 doc_id order and keeps the first of each text, in the exact pass and after
-sentence rewrites.
+sentence rewrites; in the exact pass it refuses a doc_id that names two texts.
 
 The sentence pass holds numbers per sentence, never strings: `_sentences`
 splits the documents, in doc_id order and in the same `runs`, and keeps the
@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyShingleSet
+from .errors import EmptyShingleSet, SchemaError
 from .ingest import Document, STATUS_DEDUPED_OUT, STATUS_RETAINED, normalize_whitespace
 from .jsonl import Record
 from .tokenizers import BATCH_CODE_POINTS, count_tokens_batch, runs
@@ -196,11 +196,20 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
 def _keep_first(docs: Sequence[Document], reason: str) -> list[Document]:
     """Walk `docs` in doc_id order and keep the first of each text, compared
     after whitespace normalization; the others are marked deduped_out(`reason`)
-    in place. Survivors are returned sorted by doc_id."""
+    in place. Survivors are returned sorted by doc_id.
+
+    In the exact pass a doc_id must name one text. The sort is stable, so the
+    documents that share a doc_id are adjacent, and two of them with different
+    texts would survive in input order: that raises SchemaError. A sentence
+    rewrite keeps the doc_id of the text before it, so that pass is not checked."""
     seen: set[str] = set()
     survivors: list[Document] = []
+    last_id = last_text = None
     for doc in sorted(docs, key=lambda d: d.doc_id):
         text = normalize_for_dedup(doc.text)
+        if reason == REASON_EXACT and doc.doc_id == last_id and text != last_text:
+            raise SchemaError(f"doc_id {doc.doc_id} names two different texts")
+        last_id, last_text = doc.doc_id, text
         if text in seen:
             doc.mark(STATUS_DEDUPED_OUT, reason)
         else:

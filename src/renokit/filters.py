@@ -68,7 +68,8 @@ def load_lexicon(path: str | Path | None) -> frozenset[str]:
 
 # A lexicon this large is looked up through its two-character prefixes; a
 # smaller one is scanned word by word, which then costs less than encoding
-# each document (measured crossover: README, "Sensitive-word lookup").
+# each document (measured crossover table: CHANGES.md, the entry "The README
+# states each mechanism and contract once").
 INDEX_MIN_WORDS = 40
 
 class Lexicon:

@@ -138,9 +138,9 @@ def read_json(path: str | Path) -> Any:
 
 def write_json(path: str | Path, obj: Any) -> None:
     """Write `obj` as indented JSON; a Record nested in it is written as its to_dict()."""
+    text = json.dumps(obj, ensure_ascii=False, indent=2, default=Record.to_dict) + "\n"
     with _atomic_write(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2, default=Record.to_dict)
-        fh.write("\n")
+        fh.write(text)
 
 
 # --- checked construction -------------------------------------------------------

@@ -161,6 +161,19 @@ class TestStatsCommand:
         assert summarize_artifact(path).startswith("documents: 2\n")
         assert calls == [path]
 
+    def test_instruction_summary(self, tmp_path, capsys):
+        turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+        write_jsonl(tmp_path / "sft.jsonl", [
+            {"kind": "one_turn", "turns": turns, "category": "材料", "knowledge_id": "k1"},
+            {"kind": "multi_turn", "turns": turns * 2, "category": "材料", "knowledge_id": "k1"},
+            {"kind": "one_turn", "turns": turns, "category": "施工", "knowledge_id": "k2"},
+            {"kind": "one_turn", "turns": turns, "knowledge_id": "k2"},
+        ])
+        assert run_cli("stats", tmp_path / "sft.jsonl") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "instruction samples: 4", "  multi_turn: 1", "  one_turn: 3", "turns total: 10",
+            "top categories: 材料=2, 施工=1"]
+
     def test_unknown_schema_exit_code(self, tmp_path):
         weird = tmp_path / "w.jsonl"
         write_jsonl(weird, [{"mystery": 1}])
@@ -196,6 +209,16 @@ class TestTermFreqCommand:
         out = tmp_path / "terms.csv"
         assert run_cli("term-freq", "--in", sft, "--out", out) == 0
         assert out.read_text(encoding="utf-8").splitlines()[1] == "地板,2"
+
+    def test_stopwords_are_dropped(self, tmp_path):
+        sft = tmp_path / "sft.jsonl"
+        write_jsonl(sft, [{"kind": "one_turn", "turns": [{"role": "user", "content": "地板 地板 水电"}],
+                           "knowledge_id": "k"}])
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text(" 地板 \n\n", encoding="utf-8")
+        out = tmp_path / "terms.csv"
+        assert run_cli("term-freq", "--in", sft, "--out", out, "--stopwords", stopwords) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == ["term,count", "水电,1"]
 
 
 class TestPipelineRun:
@@ -737,6 +760,13 @@ def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "mip_text_int.jsonl", [{"id": "r1", "text": 5, "origin": 7}])
     write_jsonl(tmp_path / "pair_jaccard_str.jsonl", [{"a": "d1", "b": "d2", "jaccard": 0.9},
                                                       {"a": "d1", "b": "d3", "jaccard": "0.9"}])
+    (tmp_path / "row_not_json.jsonl").write_text(json.dumps(doc) + '\n{"doc_id": "d2",\n', encoding="utf-8")
+    (tmp_path / "row_not_object.jsonl").write_text('["d1"]\n', encoding="utf-8")
+    (tmp_path / "report_array.json").write_text(json.dumps([_eval_report()]), encoding="utf-8")
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("装修笔记", encoding="utf-8")
+    write_jsonl(tmp_path / "doc_id_two_texts.jsonl", [{**doc, "doc_id": doc_id, "text": text}
+                                                      for doc_id, text in (("e", "乙文"), ("d", "甲文"), ("d", "乙文"))])
     for name, report in _PARTIAL_REPORTS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
     for name, manifest in _BAD_MANIFESTS.items():
@@ -967,6 +997,31 @@ def test_invalid_json_names_the_file(tmp_path, capsys, argv):
     assert f"{tmp_path / 'truncated.json'}: invalid JSON: Expecting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("stats", "{tmp}/row_not_json.jsonl"), "{tmp}/row_not_json.jsonl: line 2: invalid JSON: Expecting"),
+    (("dedup", "--in", "{tmp}/row_not_object.jsonl", "--out", "{tmp}/u.jsonl", "--pairs", "{tmp}/p.jsonl"),
+     "{tmp}/row_not_object.jsonl: line 1: expected a JSON object\n"),
+    (("sweep-report", "--runs", "{tmp}/report_array.json", "--out", "{tmp}/sweep.csv"),
+     "{tmp}/report_array.json: expected a JSON object, got list\n"),
+    (("stats", "{tmp}/empty.jsonl"), "{tmp}/empty.jsonl: empty file\n"),
+    (("stats", "{tmp}/report_array.json"), "{tmp}/report_array.json: expected a JSON object\n"),
+    (("stats", "{tmp}/notes.txt"), "{tmp}/notes.txt: expected .json or .jsonl\n"),
+], ids=["row-not-json", "row-not-object", "sweep-report-array", "stats-empty-jsonl", "stats-json-array",
+        "stats-txt"])
+def test_malformed_file_is_named(tmp_path, capsys, argv, message):
+    _exit_code_inputs(tmp_path)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message.replace("{tmp}", str(tmp_path)))
+
+
+def test_dedup_refuses_a_doc_id_naming_two_texts(tmp_path, capsys):
+    _exit_code_inputs(tmp_path)
+    assert run_cli("dedup", "--in", tmp_path / "doc_id_two_texts.jsonl", "--out", tmp_path / "u.jsonl",
+                   "--pairs", tmp_path / "p.jsonl") == 2
+    assert capsys.readouterr().err == "error: doc_id d names two different texts\n"
+    assert not (tmp_path / "u.jsonl").exists()
+
+
 def test_mix_mode_error_names_the_modes(tmp_path, capsys):
     _exit_code_inputs(tmp_path)
     assert main(["run", "--config", str(tmp_path / "run-mix-mode-upper.json"), "--out-dir", str(tmp_path / "out")]) == 2
@@ -989,6 +1044,13 @@ class TestEvalAndSweepCommands:
         report = read_json(out)
         assert report["degraded"] is True
         assert report["overall_micro"] == 0.0
+
+    def test_eval_labels_reach_the_report(self, tmp_path):
+        _exit_code_inputs(tmp_path)
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--dataset", tmp_path / "evalhome.jsonl", "--endpoint", tmp_path / "ep.json",
+                       "--shots", "0", "--out", out, "--label-model", "base", "--label-ratio", "1:5") == 0
+        assert read_json(out)["labels"] == {"model": "base", "ratio": "1:5"}
 
     def test_sweep_report_from_run_files(self, tmp_path):
         runs = []

@@ -19,8 +19,8 @@ from renokit.dedup import (
     shingle,
     split_sentences,
 )
-from renokit.errors import EmptyShingleSet
-from renokit.ingest import doc_id_for
+from renokit.errors import EmptyShingleSet, SchemaError
+from renokit.ingest import Document, doc_id_for
 from renokit.tokenizers import BATCH_CODE_POINTS
 
 from fixture_data import build_dedup_docs, cjk_text, make_doc
@@ -525,6 +525,11 @@ class TestSentenceDedup:
         assert "".join(split_sentences(text)) == text
 
 
+def named_doc(doc_id: str, text: str) -> Document:
+    """A document under a doc_id that doc_id_for did not make."""
+    return Document(doc_id=doc_id, text=text, source_kind="domain_book", token_count=len(text), char_count=len(text))
+
+
 class TestRunDedup:
     def test_rewrites_that_collide_keep_the_smallest_doc_id(self):
         docs, s = colliding_rewrites()
@@ -537,6 +542,18 @@ class TestRunDedup:
         assert (kept.text, kept.doc_id) == (s, min(ingest_ids))
         assert (dropped.status, dropped.reason, dropped.text) == ("deduped_out", "sentence", s)
         assert report.dropped == {"exact": 0, "near": 0, "sentence": 1}
+
+    def test_a_doc_id_naming_two_texts_is_refused(self):
+        # sorted by doc_id alone, d/甲文 and d/乙文 would survive in input order
+        docs = [named_doc(doc_id, text) for doc_id, text in (("e", "乙文"), ("d", "甲文"), ("d", "乙文"))]
+        with pytest.raises(SchemaError, match="^doc_id d names two different texts$"):
+            run_dedup(docs, DedupConfig())
+
+    def test_a_doc_id_repeated_with_its_text_is_kept_once(self):
+        docs = [named_doc("e", "乙文"), named_doc("d", "甲文"), named_doc("d", "甲文")]
+        survivors, _, report = run_dedup(docs, DedupConfig())
+        assert [(d.doc_id, d.text) for d in survivors] == [("d", "甲文"), ("e", "乙文")]
+        assert report.dropped == {"exact": 1, "near": 0, "sentence": 0}
 
     @pytest.mark.parametrize("scope", ["corpus", "document"])
     def test_retained_texts_distinct_and_drops_partition(self, scope):

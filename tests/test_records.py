@@ -20,7 +20,7 @@ from renokit.errors import ArityError, OptionMismatch, SchemaError
 from renokit.evalharness import EvalReport, load_dataset
 from renokit.filters import FilterReport
 from renokit.ingest import Document, PipelineStats, read_documents
-from renokit.jsonl import Record, _field_table, read_records, write_jsonl
+from renokit.jsonl import Record, _field_table, read_records, write_json, write_jsonl
 from renokit.mixer import MipRecord, MipReport, MixReport, TrainerConfig, read_mix_records
 from renokit.pipeline import _REPORT_SUMMARIES, PipelineManifest, StageRecord
 from renokit.sftgen import GenReport, InstructionSample, MCQItem
@@ -92,6 +92,16 @@ _READ_BACK = [
 @pytest.mark.parametrize("record", _READ_BACK, ids=[type(r).__name__ for r in _READ_BACK])
 def test_from_dict_reads_back_to_dict(record):
     assert type(record).from_dict(json.loads(json.dumps(record.to_dict(), ensure_ascii=False))) == record
+
+
+def test_write_json_bytes(tmp_path):
+    """Indented by two, non-ASCII as UTF-8, a nested Record as its fields, one closing newline."""
+    path = tmp_path / "report.json"
+    write_json(path, {"name": "装修", "pair": DupPair(a="d1", b="d2", jaccard=0.875), "shots": [0, 5], "labels": {},
+                      "none": None})
+    assert path.read_bytes() == (
+        '{\n  "name": "装修",\n  "pair": {\n    "a": "d1",\n    "b": "d2",\n    "jaccard": 0.875\n  },\n'
+        '  "shots": [\n    0,\n    5\n  ],\n  "labels": {},\n  "none": null\n}\n').encode()
 
 
 _DOC = {"doc_id": "d", "text": "t", "source_kind": "domain_book", "token_count": 1, "char_count": 1}
