@@ -26,7 +26,7 @@ from .errors import (
 from .evalharness import EvalReport, load_dataset, sweep_report
 from .filters import FilterConfig
 from .ingest import SOURCE_KINDS, read_documents
-from .jsonl import config_from_json, read_json, read_jsonl, record_from_dict
+from .jsonl import _atomic_write, config_from_json, read_json, read_jsonl, record_from_dict
 from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config, read_mix_records
 from .pipeline import (
     check_budget,
@@ -209,14 +209,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_report(args) -> int:
     out_rows, text = sweep_report([record_from_dict(EvalReport, read_json(path), path) for path in args.runs])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(args.out) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(out_rows[0]))
         writer.writeheader()
         writer.writerows(out_rows)
     if args.text:
-        Path(args.text).write_text(text, encoding="utf-8")
+        with _atomic_write(args.text) as fh:
+            fh.write(text)
     print(text, end="")
     return EXIT_OK
 
@@ -229,9 +228,7 @@ def _cmd_term_freq(args) -> int:
             w.strip() for w in Path(args.stopwords).read_text(encoding="utf-8").splitlines() if w.strip()
         )
     ranked = term_frequency_report(samples, stopwords=stopwords, top_k=args.top)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "count"])
         writer.writerows(ranked)

@@ -198,18 +198,20 @@ def _keep_first(docs: Sequence[Document], reason: str) -> list[Document]:
     after whitespace normalization; the others are marked deduped_out(`reason`)
     in place. Survivors are returned sorted by doc_id.
 
-    In the exact pass a doc_id must name one text. The sort is stable, so the
-    documents that share a doc_id are adjacent, and two of them with different
-    texts would survive in input order: that raises SchemaError. A sentence
-    rewrite keeps the doc_id of the text before it, so that pass is not checked."""
+    In the exact pass a doc_id must name one text, byte for byte, as
+    `doc_id_for` hashes it. The sort is stable, so the documents that share a
+    doc_id are adjacent, and two of them with different texts, even texts that
+    differ only in whitespace, would survive in input order: that raises
+    SchemaError. A sentence rewrite keeps the doc_id of the text before it, so
+    that pass is not checked."""
     seen: set[str] = set()
     survivors: list[Document] = []
     last_id = last_text = None
     for doc in sorted(docs, key=lambda d: d.doc_id):
-        text = normalize_for_dedup(doc.text)
-        if reason == REASON_EXACT and doc.doc_id == last_id and text != last_text:
+        if reason == REASON_EXACT and doc.doc_id == last_id and doc.text != last_text:
             raise SchemaError(f"doc_id {doc.doc_id} names two different texts")
-        last_id, last_text = doc.doc_id, text
+        last_id, last_text = doc.doc_id, doc.text
+        text = normalize_for_dedup(doc.text)
         if text in seen:
             doc.mark(STATUS_DEDUPED_OUT, reason)
         else:

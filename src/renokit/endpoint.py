@@ -22,7 +22,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .errors import EndpointError
-from .jsonl import Record, canonical_json, config_from_json, read_json, write_json
+from .jsonl import Record, canonical_json, config_from_json, lone_surrogate, read_json, write_json
 
 Message = dict  # {"role": ..., "content": ...}
 
@@ -123,6 +123,8 @@ class HttpTransport:
                         raise EndpointError(f"malformed completion payload: {exc}") from None
                     if not isinstance(text, str):
                         raise EndpointError("completion content is not a string")
+                    if problem := lone_surrogate(text):  # the archive could not store it
+                        raise EndpointError(f"completion content {problem}")
                     return Completion(text=text, timestamp=utc_now_iso())
                 if resp.status_code not in _RETRYABLE_STATUS:
                     raise EndpointError(f"HTTP {resp.status_code}: {resp.text[:200]}")

@@ -121,8 +121,6 @@ class StageFailure(RenokitError):
 
     def __init__(self, stage: str, cause: str):
         super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 class UnknownSchema(RenokitError):

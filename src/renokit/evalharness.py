@@ -48,8 +48,6 @@ _CONVENTION_NOTES = (
 
 def round_pct(correct: int, total: int) -> float:
     """Percentage with the documented rounding rule: round(10000*c/t)/100."""
-    if total == 0:
-        return 0.0
     return round(10000 * correct / total) / 100
 
 
@@ -186,10 +184,6 @@ class EvalRunConfig:
     shots: int = 5
     seed: int = 0
 
-    def __post_init__(self):
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0")
-
     def echo(self) -> dict:
         return {
             "shots": self.shots,
@@ -295,8 +289,6 @@ def run_eval(
 
 def best_of_settings(reports: Sequence[EvalReport]) -> EvalReport:
     """Report with the highest overall micro accuracy; ties go to fewer shots."""
-    if not reports:
-        raise ValueError("need at least one report")
     first = reports[0]
     for rep in reports[1:]:
         if rep.dataset != first.dataset or rep.items_total != first.items_total:
@@ -317,8 +309,6 @@ def sweep_report(reports: Sequence[EvalReport]) -> tuple[list[dict], str]:
     row, and a later score of a dataset replaces an earlier one. Within a model
     group the per-dataset maximum is flagged; ties flag all.
     """
-    if not reports:
-        raise ValueError("sweep needs at least one report")
     rows: dict[tuple[str, str], dict[str, float]] = {}
     for rep in reports:
         key = (rep.labels.get("model") or rep.config.get("model") or "model", rep.labels.get("ratio") or "-")

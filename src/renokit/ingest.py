@@ -63,8 +63,6 @@ class Document(Record):
             raise SchemaError(f"document {self.doc_id}: bad status {self.status!r}")
 
     def mark(self, status: str, reason: str | None = None) -> None:
-        if status not in _STATUSES:
-            raise ValueError(f"unknown status {status!r}")
         self.status = status
         self.reason = reason
 
@@ -414,18 +412,5 @@ def records_from_path(path: str | Path, kind: str) -> Iterator[RawRecord]:
             yield RawRecord(source_id=file.name, source_kind=kind, payload=file.read_bytes())
 
 
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
-
-
-def _encodable_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """The rows of a JSONL file, refusing one whose string value holds a lone surrogate:
-    JSON can spell one as an escape such as \\ud800, but no stage could write or hash it."""
-    for lineno, obj in read_jsonl(path):
-        for key, value in obj.items():
-            if type(value) is str and (m := _SURROGATE_RE.search(value)):
-                raise line_error(path, lineno, f"{key} holds a lone surrogate {m.group()!r} at position {m.start()}")
-        yield lineno, obj
-
-
 def read_documents(path: str | Path) -> list[Document]:
-    return read_records(Document, path, _encodable_rows(path))
+    return read_records(Document, path)

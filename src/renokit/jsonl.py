@@ -8,7 +8,9 @@ import dataclasses
 import functools
 import json
 import os
+import re
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -69,12 +71,36 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(text: str) -> str | None:
+    """What is wrong with `text` if it holds a lone surrogate, else None: JSON can
+    spell one as an escape such as \\ud800, but UTF-8 cannot hold it, so no stage
+    could write or hash it."""
+    m = _SURROGATE_RE.search(text)
+    return m and f"holds a lone surrogate {m.group()!r} at position {m.start()}"
+
+
+def encodable_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """read_jsonl's rows, refusing one where a string value, or one of an object in
+    its `turns` list, holds a lone surrogate; the error names the file, line and key."""
+    for lineno, obj in read_jsonl(path):
+        turns = obj.get("turns")
+        nested = (((f"turns[{i}].{key}", value) for i, turn in enumerate(turns) if type(turn) is dict
+                   for key, value in turn.items()) if type(turns) is list else ())
+        for key, value in chain(obj.items(), nested):
+            if type(value) is str and (problem := lone_surrogate(value)):
+                raise line_error(path, lineno, f"{key} {problem}")
+        yield lineno, obj
+
+
 def read_records(cls: type[Record], path: str | Path, rows: Iterable[tuple[int, dict]] | None = None) -> list:
-    """Read every row of a JSONL file through cls.from_dict; a row it refuses
-    raises SchemaError with the row's line number. `rows`, the file's rows as
-    read_jsonl yields them, saves parsing the file again."""
+    """Read every row of a JSONL file, by encodable_rows, through cls.from_dict; a row
+    it refuses raises SchemaError with the row's line number. `rows`, the file's rows
+    as read_jsonl yields them, saves parsing the file again."""
     records = []
-    for lineno, obj in read_jsonl(path) if rows is None else rows:
+    for lineno, obj in encodable_rows(path) if rows is None else rows:
         try:
             records.append(cls.from_dict(obj))
         except SchemaError as exc:
@@ -95,13 +121,14 @@ def record_from_dict(cls: type[Record], obj: Any, path: str | Path):
 @contextmanager
 def _atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Write a temp file beside `path`, then rename it over `path`: readers see
-    the old or the whole new file. The temp name is unique per call, so
-    concurrent writers cannot collide, and it is removed if the write fails."""
+    the old or the whole new file. Newlines are written as given, on every
+    platform. The temp name is unique per call, so concurrent writers cannot
+    collide, and it is removed if the write fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -109,21 +136,17 @@ def _atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict | Record]) -> int:
-    """Write each row as one line of JSON, a Record as its to_dict(), atomically, and
-    return the number of rows.
+def write_jsonl(path: str | Path, rows: Iterable[dict | Record]) -> None:
+    """Write each row as one line of JSON, a Record as its to_dict(), atomically.
 
     Within a `run` each file is written once and never read back: the stages
     that read it are handed the rows in memory.
     """
     encode = _ENCODER.encode
-    n = 0
     with _atomic_write(path) as fh:
         for row in rows:
             fh.write(encode(row))
             fh.write("\n")
-            n += 1
-    return n
 
 
 def read_json(path: str | Path) -> Any:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDomain, EmptyInput, InsufficientGeneralData, SchemaError
-from .jsonl import Record, canonical_json, line_error, read_jsonl, write_json
+from .jsonl import Record, canonical_json, encodable_rows, line_error, write_json
 from .tokenizers import TOKENIZER, count_tokens_batch, runs
 
 MODE_DAPT = "dapt"
@@ -105,9 +105,10 @@ def text_turns(turns) -> bool:
 
 
 def read_mix_records(path: str | Path, needs_text: bool = False) -> Iterator[dict]:
-    """Yield the rows of a JSONL file, each checked for what records_tokens reads and, with
-    `needs_text` (MIP mode), for the string `text` that build_mip reads; a bad row raises SchemaError."""
-    for lineno, rec in read_jsonl(path):
+    """Yield the rows of a JSONL file, read by encodable_rows, each checked for what
+    records_tokens reads and, with `needs_text` (MIP mode), for the string `text` that
+    build_mip reads; a bad row raises SchemaError."""
+    for lineno, rec in encodable_rows(path):
         if "token_count" in rec:
             if type(rec["token_count"]) is not int:
                 raise line_error(path, lineno, f"token_count must be an int, got {rec['token_count']!r}")
@@ -291,8 +292,6 @@ class TrainerConfig(Record):
 
 
 def trainer_config_for_mode(mode: str) -> TrainerConfig:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     max_length = MAX_LENGTH_SFT if mode == MODE_SFT else MAX_LENGTH_PRETRAIN
     return TrainerConfig(max_length=max_length)
 

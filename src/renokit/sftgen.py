@@ -86,8 +86,6 @@ class PromptTemplate:
     category_list: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in GEN_KINDS:
-            raise ValueError(f"kind must be one of {GEN_KINDS}")
         if self.body.count(KNOWLEDGE_SLOT) != 1:
             raise ValueError(f"template body must contain exactly one {KNOWLEDGE_SLOT} slot")
         if self.kind == KIND_ONE_TURN and len(self.category_list) != 40:

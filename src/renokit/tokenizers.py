@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 TOKENIZER = "approx-cjk-v1"
 

@@ -4,8 +4,11 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import runpy
 import shutil
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -101,6 +104,15 @@ class TestStageCommands:
         rows = [obj for _, obj in read_jsonl(out)]
         assert {r["origin"] for r in rows} == {"pretrain", "instruction"}
 
+    def test_mix_sft_mode_takes_instruction_rows(self, tmp_path):
+        turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+        rows = [{"sample_id": f"s{i}", "kind": "one_turn", "turns": turns, "knowledge_id": "k1"} for i in range(3)]
+        write_jsonl(tmp_path / "sft.jsonl", rows)
+        assert run_cli("mix", "--mode", "sft", "--domain", tmp_path / "sft.jsonl", "--out", tmp_path / "t.jsonl",
+                       "--report", tmp_path / "r.json") == 0
+        assert sorted((obj for _, obj in read_jsonl(tmp_path / "t.jsonl")), key=lambda r: r["sample_id"]) == rows
+        assert read_json(tmp_path / "r.json")["domain_tokens"] == 3 * 8
+
     def test_mix_mip_rejects_general(self, tmp_path):
         domain = tmp_path / "d.jsonl"
         write_jsonl(domain, [{"id": "d1", "text": "x", "source_kind": "domain_book"}])
@@ -174,6 +186,12 @@ class TestStatsCommand:
             "instruction samples: 4", "  multi_turn: 1", "  one_turn: 3", "turns total: 10",
             "top categories: 材料=2, 施工=1"]
 
+    def test_instruction_summary_without_categories(self, tmp_path, capsys):
+        turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+        write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": turns, "knowledge_id": "k1"}] * 2)
+        assert run_cli("stats", tmp_path / "sft.jsonl") == 0
+        assert capsys.readouterr().out.splitlines() == ["instruction samples: 2", "  one_turn: 2", "turns total: 4"]
+
     def test_unknown_schema_exit_code(self, tmp_path):
         weird = tmp_path / "w.jsonl"
         write_jsonl(weird, [{"mystery": 1}])
@@ -206,9 +224,11 @@ class TestTermFreqCommand:
             "turns": [{"role": "user", "content": "地板 地板 水电"}],
             "knowledge_id": "k",
         }])
-        out = tmp_path / "terms.csv"
+        out = tmp_path / "new" / "terms.csv"
         assert run_cli("term-freq", "--in", sft, "--out", out) == 0
         assert out.read_text(encoding="utf-8").splitlines()[1] == "地板,2"
+        assert out.read_bytes() == "term,count\r\n地板,2\r\n水电,1\r\n".encode()
+        assert [p.name for p in out.parent.iterdir()] == ["terms.csv"]  # written atomically, no temp file left
 
     def test_stopwords_are_dropped(self, tmp_path):
         sft = tmp_path / "sft.jsonl"
@@ -246,6 +266,27 @@ class TestPipelineRun:
         m2 = run_pipeline(config, tmp_path / "out", resume=True)
         assert len(m2.stages) == n_records
         assert m2.output_digests() == m1.output_digests()
+
+    def test_resume_reruns_a_stage_whose_output_is_gone(self, tmp_path):
+        config = write_pipeline_fixture(tmp_path)
+        m1 = run_pipeline(config, tmp_path / "out")
+        kept = tmp_path / "out" / "kept.jsonl"
+        before = kept.read_bytes()
+        kept.unlink()
+        m2 = run_pipeline(config, tmp_path / "out", resume=True)
+        assert [r.stage for r in m2.stages] == [r.stage for r in m1.stages] + ["filter"]
+        assert kept.read_bytes() == before
+        assert m2.output_digests() == m1.output_digests()
+
+    def test_run_without_a_mix_section(self, tmp_path):
+        config_path = write_pipeline_fixture(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        del config["mix"]
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        assert run_cli("run", "--config", config_path, "--out-dir", tmp_path / "out") == 0
+        assert [r.stage for r in PipelineManifest.load_or_create(tmp_path / "out" / "manifest.json").stages] == [
+            "ingest", "filter", "dedup"]
+        assert not (tmp_path / "out" / "train.jsonl").exists()
 
     def test_tampered_intermediate_detected_on_resume(self, tmp_path):
         config = write_pipeline_fixture(tmp_path)
@@ -1022,6 +1063,92 @@ def test_dedup_refuses_a_doc_id_naming_two_texts(tmp_path, capsys):
     assert not (tmp_path / "u.jsonl").exists()
 
 
+@pytest.mark.parametrize("texts", [("甲  文", "甲\n文"), ("甲\n文", "甲  文")], ids=["spaces-first", "newline-first"])
+def test_dedup_refuses_a_doc_id_on_two_spacings(tmp_path, capsys, texts):
+    """Texts that differ only in whitespace are two texts; kept, the survivor would follow the input order."""
+    doc = {"doc_id": "d", "source_kind": "domain_book", "token_count": 2, "char_count": 4}
+    write_jsonl(tmp_path / "twins.jsonl", [{**doc, "text": text} for text in texts])
+    assert run_cli("dedup", "--in", tmp_path / "twins.jsonl", "--out", tmp_path / "u.jsonl",
+                   "--pairs", tmp_path / "p.jsonl") == 2
+    assert capsys.readouterr().err == "error: doc_id d names two different texts\n"
+    assert not (tmp_path / "u.jsonl").exists()
+
+
+def _escaped_jsonl(path, rows) -> None:
+    """Write `rows` with every non-ASCII character escaped, so that a lone surrogate
+    becomes the escape that JSON allows and UTF-8 cannot hold."""
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _refusal_inputs(tmp_path):
+    """_exit_code_inputs, plus one input for each check that test_refusal_names_its_cause runs."""
+    _exit_code_inputs(tmp_path)
+    (tmp_path / "dedup_scope.json").write_text('{"sentence_scope": "page"}', encoding="utf-8")
+    (tmp_path / "filter_language.json").write_text('{"target_language": "fr"}', encoding="utf-8")
+    turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+    sample = {"kind": "one_turn", "turns": turns, "knowledge_id": "k1"}
+    write_jsonl(tmp_path / "sft_kind.jsonl", [{**sample, "kind": "poem"}])
+    write_jsonl(tmp_path / "sft_roles.jsonl", [{**sample, "turns": turns[::-1]}])
+    _escaped_jsonl(tmp_path / "sft_surrogate.jsonl",
+                   [{**sample, "turns": [turns[0], {"role": "assistant", "content": "看用途\ud800。"}]}])
+    mcq = {"question": "台面高度合适吗？", "question_type": "judgment", "options": {"A": "是", "B": "否"},
+           "correct_option": "A"}
+    write_jsonl(tmp_path / "mcq_question_blank.jsonl", [{**mcq, "question": " "}])
+    write_jsonl(tmp_path / "mcq_type.jsonl", [{**mcq, "question_type": "essay"}])
+    row = {"id": "d1", "text": "领域语料内容。", "source_kind": "domain_book"}
+    _escaped_jsonl(tmp_path / "mix_surrogate.jsonl", [row, {**row, "id": "d2", "text": "领域语料\ud800内容。"}])
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (_DEDUP + ("--config", "{tmp}/dedup_scope.json"), 2,
+     "dedup config {tmp}/dedup_scope.json: unknown sentence_scope 'page'"),
+    (("filter", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/k.jsonl", "--report", "{tmp}/f.json",
+      "--config", "{tmp}/filter_language.json"), 2,
+     "filter config {tmp}/filter_language.json: unsupported target_language 'fr'"),
+    (("eval", "--dataset", "{tmp}/empty.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0",
+      "--out", "{tmp}/r.json"), 2, "dataset 'empty' has no items"),
+    (("stats", "{tmp}/sft_kind.jsonl"), 2, "{tmp}/sft_kind.jsonl: line 1: bad sample kind 'poem'"),
+    (("stats", "{tmp}/sft_roles.jsonl"), 2,
+     "{tmp}/sft_roles.jsonl: line 1: turn roles must alternate user/assistant starting with user"),
+    (("stats", "{tmp}/mcq_question_blank.jsonl"), 2, "{tmp}/mcq_question_blank.jsonl: line 1: question must be non-empty"),
+    (("stats", "{tmp}/mcq_type.jsonl"), 2, "{tmp}/mcq_type.jsonl: line 1: bad question_type 'essay'"),
+    # a ratio that asks for general data, and no --general
+    (_MIX + ("{tmp}/docs.jsonl", "--ratio", "1:1"), 3, "general pool is empty but ratio requires general data"),
+    (_MIX + ("{tmp}/mix_surrogate.jsonl",), 2,
+     "{tmp}/mix_surrogate.jsonl: line 2: text holds a lone surrogate '\\ud800' at position 4"),
+    (_MIX + ("{tmp}/sft_surrogate.jsonl", "--mode", "sft"), 2,
+     "{tmp}/sft_surrogate.jsonl: line 1: turns[1].content holds a lone surrogate '\\ud800' at position 3"),
+    (_MIX + ("{tmp}/docs.jsonl", "--mode", "mip", "--instructions", "{tmp}/sft_surrogate.jsonl"), 2,
+     "{tmp}/sft_surrogate.jsonl: line 1: turns[1].content holds a lone surrogate '\\ud800' at position 3"),
+], ids=["dedup-sentence-scope", "filter-target-language", "eval-empty-dataset", "stats-sample-kind",
+        "stats-sample-roles", "stats-mcq-question-blank", "stats-mcq-question-type", "mix-general-empty",
+        "mix-row-lone-surrogate", "mix-sft-turn-lone-surrogate", "mix-mip-instruction-lone-surrogate"])
+def test_refusal_names_its_cause(tmp_path, capsys, argv, code, message):
+    _refusal_inputs(tmp_path)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_blank_lines_are_skipped(tmp_path, capsys):
+    doc = {"doc_id": "d1", "text": "知识内容样例。", "source_kind": "domain_book", "token_count": 6, "char_count": 7}
+    rows = [json.dumps({**doc, "doc_id": doc_id}, ensure_ascii=False) for doc_id in ("d1", "d2")]
+    (tmp_path / "docs.jsonl").write_text("\n" + rows[0] + "\n \t\n\n" + rows[1] + "\n\n", encoding="utf-8")
+    assert run_cli("stats", tmp_path / "docs.jsonl") == 0
+    assert capsys.readouterr().out.startswith("documents: 2\n")
+
+
+def test_python_m_runs_the_cli(tmp_path, monkeypatch):
+    """`python -m renokit.cli` is `renokit`; run here, in this process, by runpy."""
+    out = tmp_path / "trainer.json"
+    monkeypatch.setattr(sys, "argv", ["renokit", "emit-config", "--mode", "sft", "--out", str(out)])
+    monkeypatch.delitem(sys.modules, "renokit.cli")  # so that runpy runs it afresh, as -m does
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("renokit.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert read_json(out)["max_length"] == 1536
+
+
 def test_mix_mode_error_names_the_modes(tmp_path, capsys):
     _exit_code_inputs(tmp_path)
     assert main(["run", "--config", str(tmp_path / "run-mix-mode-upper.json"), "--out-dir", str(tmp_path / "out")]) == 2
@@ -1064,8 +1191,83 @@ class TestEvalAndSweepCommands:
         assert "*53.98" in out_txt.read_text(encoding="utf-8")
         assert "True" in out_csv.read_text(encoding="utf-8")
 
+    def test_sweep_report_bytes(self, tmp_path, capsys):
+        runs = []
+        for i, (ratio, score) in enumerate([("1:0", 47.79), ("1:1", 50.44), ("1:10", 53.98)]):
+            runs.append(tmp_path / f"run{i}.json")
+            write_json(runs[-1], _eval_report(overall_micro=score, labels={"model": "base", "ratio": ratio}))
+        csv_bytes = ("model,ratio,evalhome,evalhome_best\r\nbase,1:0,47.79,False\r\nbase,1:1,50.44,False\r\n"
+                     "base,1:10,53.98,True\r\n").encode()
+        table = ("model  ratio  evalhome\n-----  -----  --------\nbase   1:0    47.79\nbase   1:1    50.44\n"
+                 "base   1:10   *53.98\n")
+        out = tmp_path / "tables"
+        assert run_cli("sweep-report", "--runs", *runs, "--out", out / "table.csv", "--text", out / "table.txt") == 0
+        assert (out / "table.csv").read_bytes() == csv_bytes
+        assert (out / "table.txt").read_bytes() == table.encode()
+        assert capsys.readouterr().out == table
+        assert run_cli("sweep-report", "--runs", *runs, "--out", tmp_path / "only.csv") == 0
+        assert (tmp_path / "only.csv").read_bytes() == csv_bytes
+        assert capsys.readouterr().out == table
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == ["only.csv", "tables"]
+        assert sorted(p.name for p in out.iterdir()) == ["table.csv", "table.txt"]
+
+
+@contextlib.contextmanager
+def _chat_server(reply):
+    """A loopback chat endpoint that answers each request with `reply(prompt)`,
+    sent as JSON with every non-ASCII character escaped; yields its base URL."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            payload = json.dumps({"choices": [{"message": {"content": reply(request["messages"][0]["content"])}}]})
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload.encode("ascii"))
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
 
 class TestGenCommand:
+    def test_reply_with_a_lone_surrogate_rejects_one_job(self, tmp_path):
+        """JSON can escape a lone surrogate that no file can hold: that reply is an
+        endpoint error, archived and replayed as one, and the other job is kept."""
+        doc = {"source_kind": "domain_book", "token_count": 6, "char_count": 7, "status": "retained"}
+        write_jsonl(tmp_path / "docs.jsonl", [{**doc, "doc_id": "k1", "text": "知识内容样例。"},
+                                              {**doc, "doc_id": "k2", "text": "防水施工要点。"}])
+        mcq = json.dumps({"question": "台面高度合适吗？", "question_type": "判断", "candidate_options": {"A": "是", "B": "否"},
+                          "answer": {"correct_option": "A"}}, ensure_ascii=False)
+
+        def reply(prompt):
+            return "防水\ud800" if "防水施工要点" in prompt else mcq
+
+        gen = ("gen", "--kind", "mcq", "--knowledge", tmp_path / "docs.jsonl", "--endpoint", tmp_path / "ep.json",
+               "--out", tmp_path / "sft.jsonl", "--budget", 5, "--report", tmp_path / "report.json")
+        with _chat_server(reply) as url:
+            write_json(tmp_path / "ep.json", EndpointConfig(base_url=url, model_name="m", max_retries=0).to_dict())
+            assert run_cli(*gen) == 0
+        report, sft = read_json(tmp_path / "report.json"), (tmp_path / "sft.jsonl").read_bytes()
+        assert (report["rejected"], report["accepted"], report["requests_sent"]) == ({"EndpointError": 1}, 1, 2)
+        errors = [entry["error"] for entry in map(read_json, (tmp_path / "sft.jsonl.archive").glob("*.json"))]
+        assert sorted(errors, key=str) == [None, "completion content holds a lone surrogate '\\ud800' at position 2"]
+        assert run_cli(*gen, "--replay-only") == 0
+        replayed = read_json(tmp_path / "report.json")
+        assert (replayed["rejected"], replayed["requests_sent"], replayed["replayed"]) == ({"EndpointError": 1}, 0, 2)
+        assert (tmp_path / "sft.jsonl").read_bytes() == sft
+
     @pytest.mark.parametrize("budget", [5, 0])  # a missing entry is refused, not sent: it takes no budget
     def test_replay_only_without_archive_classifies_endpoint_errors(self, tmp_path, budget):
         docs = tmp_path / "docs.jsonl"

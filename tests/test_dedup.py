@@ -10,6 +10,7 @@ from renokit import dedup
 from renokit.dedup import (
     DedupConfig,
     _lsh_candidates,
+    compute_signatures,
     exact_dedup,
     jaccard,
     near_dedup,
@@ -154,6 +155,11 @@ class TestJaccard:
     def test_empty_raises(self):
         with pytest.raises(EmptyShingleSet):
             jaccard(shingles(), shingles(1))
+
+    def test_signing_refuses_an_empty_row(self):
+        # every row has at least one bin to fill; run_dedup signs only texts with gram hashes
+        with pytest.raises(EmptyShingleSet, match="^cannot sign an empty shingle array$"):
+            compute_signatures(shingles(1, 2), DedupConfig(), counts=[2, 0])
 
     def test_short_text_still_shingles(self):
         doc = make_doc("短文")

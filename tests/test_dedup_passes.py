@@ -305,19 +305,16 @@ def spacing_variant(rng: random.Random, sentences: list[str]) -> str:
 
 def survivor_corpus(rng: random.Random) -> list:
     """Texts of a few sentences from a small pool, so that sentence cuts can
-    leave two texts equal, each under several spacings; some documents twice
-    under their doc_id, once with another spacing (a doc_id names one text up
-    to whitespace, as doc_id_for makes it); shuffled or reversed."""
+    leave two texts equal, each under several spacings; some documents twice,
+    under their doc_id, or re-spaced under the doc_id of the new text (a doc_id
+    names one text, as doc_id_for makes it); shuffled or reversed."""
     pool = ["甲乙。", "丙丁！", "戊己？", "庚辛。", "ab cd.", "壬癸"]
     docs = []
     for _ in range(rng.randint(1, 8)):
         sentences = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         docs += [make_doc(spacing_variant(rng, sentences)) for _ in range(rng.randint(1, 3))]
     for doc in rng.sample(docs, rng.randint(0, len(docs))):
-        twin = copy.deepcopy(doc)
-        if rng.random() < 0.5:
-            twin.text = " \n".join(twin.text.split())
-        docs.append(twin)
+        docs.append(make_doc(" \n".join(doc.text.split())) if rng.random() < 0.5 else copy.deepcopy(doc))
     if rng.random() < 0.5:
         rng.shuffle(docs)
     else:

@@ -123,6 +123,37 @@ class TestHttpTransport:
         with pytest.raises(EndpointError, match="malformed"):
             transport.complete(chat())
 
+    @pytest.mark.parametrize("content, message", [
+        (5, "completion content is not a string"),
+        # JSON can escape a lone surrogate; the archive could not store it
+        ("回答\ud800", "completion content holds a lone surrogate '\\ud800' at position 2"),
+    ], ids=["not-a-string", "lone-surrogate"])
+    def test_content_that_is_no_text(self, content, message):
+        session = FakeSession([ok_response(content), ok_response()])
+        transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
+        with pytest.raises(EndpointError) as excinfo:
+            transport.complete(chat())
+        assert str(excinfo.value) == message
+        assert len(session.calls) == 1  # not retried
+
+    def test_empty_backoff_retries_without_waiting(self):
+        session = FakeSession([FakeResponse(503, {}), FakeResponse(429, {}), ok_response()])
+        sleeps = []
+        transport = HttpTransport(cfg(backoff=()), session=session, sleep=sleeps.append)
+        assert transport.complete(chat()).text == "回答"
+        assert sleeps == [0.0, 0.0]
+
+    def test_close_leaves_a_callers_session_open(self):
+        class Session(FakeSession):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        session = Session([])
+        HttpTransport(cfg(), session=session).close()
+        assert not session.closed
+
 
 class TestChatClient:
     def test_uses_config_model_and_temperature(self):

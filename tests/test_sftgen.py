@@ -132,6 +132,20 @@ class TestOneTurnParsing:
         with pytest.raises(MalformedResponse):
             parse_one_turn_response('{"not": "an array"}', CATEGORIES)
 
+    @pytest.mark.parametrize("raw, message", [
+        ('["问？"]', "array entries must be objects"),
+        ('[{"question": "问？", "answer": " ", "category": "行业标准"}]',
+         "entries need non-empty question/answer/category strings"),
+        ('[{"question": "问？", "answer": "答", "category": 5}]', "entries need non-empty question/answer/category strings"),
+    ], ids=["entry-not-object", "answer-blank", "category-not-string"])
+    def test_malformed_entry(self, raw, message):
+        with pytest.raises(MalformedResponse, match=f"^{message}$"):
+            parse_one_turn_response(raw, CATEGORIES, lenient=True)
+
+    def test_lenient_with_every_category_outside_the_list(self):
+        with pytest.raises(MalformedResponse, match="^no valid items in response$"):
+            parse_one_turn_response(self.payload(6, category="烹饪"), CATEGORIES, lenient=True)
+
 
 class TestMultiTurnParsing:
     def test_well_formed_six_turns(self):
@@ -158,6 +172,15 @@ class TestMultiTurnParsing:
     def test_no_markers(self):
         with pytest.raises(MalformedResponse):
             parse_multi_turn_response("一整段没有角色的文本。")
+
+    def test_trailing_question_is_dropped(self):
+        # an unanswered last question carries no training signal
+        turns = parse_multi_turn_response("user: 一？\nassistant: 答一。\nuser: 二？\nassistant: 答二。\nuser: 三？")
+        assert [t["content"] for t in turns] == ["一？", "答一。", "二？", "答二。"]
+
+    def test_empty_turn(self):
+        with pytest.raises(MalformedResponse, match="^dialogue contains an empty turn$"):
+            parse_multi_turn_response("user: 一？\nassistant:\nuser: 二？\nassistant: 答二。")
 
     def test_multiline_content_kept(self):
         raw = "user: 问？\nassistant: 第一行。\n第二行。\nuser: 再问？\nassistant: 收尾。"
@@ -198,6 +221,18 @@ class TestMcqParsing:
     def test_missing_field_malformed(self):
         with pytest.raises(MalformedResponse):
             parse_mcq_response('{"question": "缺字段"}')
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"qtype": "填空"}, "unknown question_type '填空'"),
+        ({"options": ["A", "B", "C", "D"]}, "candidate_options must be an object"),
+    ], ids=["question-type", "options-list"])
+    def test_malformed_fields(self, kwargs, message):
+        with pytest.raises(MalformedResponse, match=f"^{message}$"):
+            parse_mcq_response(self.payload(**kwargs))
+
+    def test_array_is_malformed(self):
+        with pytest.raises(MalformedResponse, match="^expected a JSON object$"):
+            parse_mcq_response("[" + self.payload() + "]")
 
     def test_defaults_applied(self):
         item = parse_mcq_response(self.payload())
