@@ -26,7 +26,7 @@ from .errors import (
 from .evalharness import EvalReport, load_dataset, sweep_report
 from .filters import FilterConfig
 from .ingest import SOURCE_KINDS, read_documents
-from .jsonl import _atomic_write, config_from_json, read_json, read_jsonl, record_from_dict
+from .jsonl import _atomic_write, config_from_json, encodable_rows, read_json, record_from_dict
 from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config, read_mix_records
 from .pipeline import (
     check_budget,
@@ -221,7 +221,7 @@ def _cmd_sweep_report(args) -> int:
 
 
 def _cmd_term_freq(args) -> int:
-    samples = [obj for _, obj in read_jsonl(args.input)]
+    samples = [obj for _, obj in encodable_rows(args.input)]
     stopwords = ()
     if args.stopwords:
         stopwords = tuple(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -41,6 +42,13 @@ class EndpointConfig(Record):
     timeout: float = 60.0
 
     def __post_init__(self):
+        try:  # the parse that sending makes: host, port and IDNA labels
+            requests.PreparedRequest().prepare_url(self.base_url, None)
+            scheme = urlsplit(self.base_url).scheme
+        except ValueError as exc:
+            raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
+        if scheme not in ("http", "https"):  # requests parses no other scheme, and has no adapter for it
+            raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
         if self.concurrency_limit < 1:
             raise ValueError("concurrency_limit must be >= 1")
         if self.max_retries < 0:
@@ -77,7 +85,14 @@ def utc_now_iso() -> str:
 
 
 class HttpTransport:
-    """Real HTTP transport; retries transport failures, 429 and 5xx only."""
+    """Real HTTP transport; retries transport failures, 429 and 5xx only.
+
+    The request is prepared once, when the transport is built: its URL, its
+    headers with the bearer token, the session's headers, auth and cookies,
+    and the proxy and TLS settings of the session and the environment. Each
+    request is a copy of it with the request's JSON body, sent as is on every
+    attempt.
+    """
 
     def __init__(
         self,
@@ -89,18 +104,18 @@ class HttpTransport:
         self._owns_session = session is None
         self.session = session or requests.Session()
         self.sleep = sleep
+        headers = {"Content-Type": "application/json"}
+        if key := os.environ.get(cfg.api_key_env, ""):
+            headers["Authorization"] = f"Bearer {key}"
+        url = cfg.base_url.rstrip("/") + "/chat/completions"
+        # What session.post would work out again for every request, worked out once
+        self._template = self.session.prepare_request(requests.Request("POST", url, headers=headers))
+        self._settings = self.session.merge_environment_settings(self._template.url, {}, None, None, None)
 
     def close(self) -> None:
         """Close the session if this transport created it; a caller's session stays open."""
         if self._owns_session:
             self.session.close()
-
-    def _headers(self) -> dict:
-        key = os.environ.get(self.cfg.api_key_env, "")
-        headers = {"Content-Type": "application/json"}
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def _delay(self, attempt: int) -> float:
         if not self.cfg.backoff:
@@ -108,11 +123,13 @@ class HttpTransport:
         return self.cfg.backoff[min(attempt, len(self.cfg.backoff) - 1)]
 
     def complete(self, request: dict) -> Completion:
-        url = self.cfg.base_url.rstrip("/") + "/chat/completions"
+        # the bytes that session.post(url, json=request, headers=...) would send
+        prepared = self._template.copy()
+        prepared.prepare_body(None, None, json=request)
         last_error = "no attempt made"
         for attempt in range(self.cfg.max_retries + 1):
             try:
-                resp = self.session.post(url, json=request, headers=self._headers(), timeout=self.cfg.timeout)
+                resp = self.session.send(prepared, timeout=self.cfg.timeout, **self._settings)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = f"transport: {exc}"
             else:

@@ -28,7 +28,7 @@ from .errors import (
     OptionMismatch,
     SchemaError,
 )
-from .jsonl import Record, line_error, read_jsonl, write_json
+from .jsonl import Record, encodable_rows, line_error, write_json
 from .sftgen import MCQItem
 
 EXTRACT_LETTER = "letter_regex"
@@ -63,10 +63,6 @@ class MCQDataset:
     name: str
     entries: list[DatasetEntry]
 
-    def __post_init__(self):
-        if not self.entries:
-            raise SchemaError(f"dataset {self.name!r} has no items")
-
     def split_entries(self, split: str) -> list[DatasetEntry]:
         return [e for e in self.entries if e.split == split]
 
@@ -88,12 +84,13 @@ class MCQDataset:
 
 
 def load_dataset(path: str | Path, rows: Iterable[tuple[int, dict]] | None = None) -> MCQDataset:
-    """Load and validate an MCQ JSONL file; a bad row raises SchemaError with its line number.
-    `rows`, the file's rows as read_jsonl yields them, saves parsing the file again."""
+    """Load and validate an MCQ JSONL file; a bad row raises SchemaError with its line
+    number, and a file with no rows one that names the file. `rows`, the file's rows
+    as encodable_rows yields them, saves parsing the file again."""
     path = Path(path)
     entries: list[DatasetEntry] = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path) if rows is None else rows:
+    for lineno, obj in encodable_rows(path) if rows is None else rows:
         try:
             item = MCQItem.from_dict(obj)
         except (SchemaError, ArityError, OptionMismatch) as exc:
@@ -107,6 +104,8 @@ def load_dataset(path: str | Path, rows: Iterable[tuple[int, dict]] | None = Non
             raise line_error(path, lineno, f"duplicate id {item_id!r}")
         seen.add(item_id)
         entries.append(DatasetEntry(item_id=item_id, item=item, split=split))
+    if not entries:
+        raise SchemaError(f"{path}: dataset has no items")
     return MCQDataset(name=path.stem, entries=entries)
 
 

@@ -98,7 +98,7 @@ def encodable_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
 def read_records(cls: type[Record], path: str | Path, rows: Iterable[tuple[int, dict]] | None = None) -> list:
     """Read every row of a JSONL file, by encodable_rows, through cls.from_dict; a row
     it refuses raises SchemaError with the row's line number. `rows`, the file's rows
-    as read_jsonl yields them, saves parsing the file again."""
+    as encodable_rows yields them, saves parsing the file again."""
     records = []
     for lineno, obj in encodable_rows(path) if rows is None else rows:
         try:

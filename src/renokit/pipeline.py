@@ -37,8 +37,8 @@ from .ingest import (
     records_from_path,
     source_files,
 )
-from .jsonl import (Record, canonical_json, config_from_dict, config_from_json, read_json, read_jsonl, read_records,
-                    record_from_dict, write_json, write_jsonl)
+from .jsonl import (Record, canonical_json, config_from_dict, config_from_json, encodable_rows, read_json,
+                    read_records, record_from_dict, write_json, write_jsonl)
 from .mixer import (MODE_MIP, MipRecord, MipReport, MixPlan, MixReport, TrainerConfig, build_mip, emit_trainer_config,
                     mix)
 from .sftgen import DIFFICULTIES, GenReport, InstructionSample, PromptTemplate, batch_generate, load_template
@@ -152,12 +152,12 @@ def run_gen_stage(knowledge: Iterable[Document], template: PromptTemplate, endpo
 
 def run_eval_stage(dataset: MCQDataset, endpoint: EndpointConfig, shots: Sequence[int], seed: int, report_path, *,
                    transport=None, labels: dict | None = None) -> tuple[EvalReport, list[EvalReport]]:
-    """Evaluate at each shot count and save the best report; returns it and the per-setting reports."""
+    """Evaluate at each shot count, over one transport, and save the best report; returns
+    it and the per-setting reports. With `transport` None requests go over HTTP."""
     check_shots(shots, dataset)
-    reports = [
-        run_eval(dataset, EvalRunConfig(shots=k, seed=seed, endpoint=endpoint), transport=transport, labels=labels)
-        for k in shots
-    ]
+    with closing(ChatClient(endpoint, transport)) as client:
+        reports = [run_eval(dataset, EvalRunConfig(shots=k, seed=seed, endpoint=endpoint), transport=client.transport,
+                            labels=labels) for k in shots]
     best = best_of_settings(reports)
     best.save(report_path)
     return best, reports
@@ -588,7 +588,7 @@ def summarize_artifact(path: str | Path) -> str:
     chosen by the keys that every row holds."""
     path = Path(path)
     if path.suffix == ".jsonl":
-        rows = list(read_jsonl(path))
+        rows = list(encodable_rows(path))
         if not rows:
             raise UnknownSchema(f"{path}: empty file")
         keys = frozenset(rows[0][1]).intersection(*(obj for _, obj in rows[1:]))

@@ -8,7 +8,7 @@ import runpy
 import shutil
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -168,8 +168,7 @@ class TestStatsCommand:
             calls.append(path)
             return read_jsonl(path)
 
-        for module in (renokit.jsonl, renokit.pipeline):
-            monkeypatch.setattr(module, "read_jsonl", counting_read_jsonl)
+        monkeypatch.setattr(renokit.jsonl, "read_jsonl", counting_read_jsonl)
         assert summarize_artifact(path).startswith("documents: 2\n")
         assert calls == [path]
 
@@ -436,6 +435,27 @@ class TestPipelineRun:
         # unreachable endpoint is irrelevant: budget dies first on fresh requests
         assert run_cli("run", "--config", config_path, "--out-dir", tmp_path / "out") == 4
         assert (tmp_path / "out" / "sft.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["run-gen", "run-eval", "eval"])
+def test_a_base_url_that_is_no_http_url_is_refused_up_front(tmp_path, capsys, command):
+    """requests would refuse it only at the first request: `run` after ingest,
+    filter, dedup and mix had run, exiting 3."""
+    config_path = _full_config(tmp_path)
+    endpoint = tmp_path / "ep_no_scheme.json"
+    endpoint.write_text(json.dumps({"base_url": "localhost:9/v1", "model_name": "m"}), encoding="utf-8")
+    if command == "eval":
+        argv = ("eval", "--dataset", tmp_path / "evalhome.jsonl", "--endpoint", endpoint, "--shots", "0",
+                "--out", tmp_path / "out" / "report.json")
+    else:
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config[command.removeprefix("run-")]["endpoint"] = endpoint.name
+        config_path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        argv = ("run", "--config", config_path, "--out-dir", tmp_path / "out")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (f"error: endpoint config {endpoint}: base_url must be an http or https URL "
+                                       "with a host, got 'localhost:9/v1'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _full_config(tmp_path):
@@ -1095,6 +1115,8 @@ def _refusal_inputs(tmp_path):
            "correct_option": "A"}
     write_jsonl(tmp_path / "mcq_question_blank.jsonl", [{**mcq, "question": " "}])
     write_jsonl(tmp_path / "mcq_type.jsonl", [{**mcq, "question_type": "essay"}])
+    _escaped_jsonl(tmp_path / "mcq_id_surrogate.jsonl", [{**mcq, "id": "q\ud800"}])
+    _escaped_jsonl(tmp_path / "sft_category_surrogate.jsonl", [{**sample, "category": "材\ud800"}])
     row = {"id": "d1", "text": "领域语料内容。", "source_kind": "domain_book"}
     _escaped_jsonl(tmp_path / "mix_surrogate.jsonl", [row, {**row, "id": "d2", "text": "领域语料\ud800内容。"}])
 
@@ -1106,7 +1128,16 @@ def _refusal_inputs(tmp_path):
       "--config", "{tmp}/filter_language.json"), 2,
      "filter config {tmp}/filter_language.json: unsupported target_language 'fr'"),
     (("eval", "--dataset", "{tmp}/empty.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0",
-      "--out", "{tmp}/r.json"), 2, "dataset 'empty' has no items"),
+      "--out", "{tmp}/r.json"), 2, "{tmp}/empty.jsonl: dataset has no items"),
+    # refused as the dataset is read, before any request is sent
+    (("eval", "--dataset", "{tmp}/mcq_id_surrogate.jsonl", "--endpoint", "{tmp}/ep.json", "--shots", "0",
+      "--out", "{tmp}/r.json"), 2, "{tmp}/mcq_id_surrogate.jsonl: line 1: id holds a lone surrogate '\\ud800' at position 1"),
+    (("stats", "{tmp}/mcq_id_surrogate.jsonl"), 2,
+     "{tmp}/mcq_id_surrogate.jsonl: line 1: id holds a lone surrogate '\\ud800' at position 1"),
+    (("stats", "{tmp}/sft_category_surrogate.jsonl"), 2,
+     "{tmp}/sft_category_surrogate.jsonl: line 1: category holds a lone surrogate '\\ud800' at position 1"),
+    (_TERM_FREQ[:2] + ("{tmp}/sft_surrogate.jsonl",) + _TERM_FREQ[3:], 2,
+     "{tmp}/sft_surrogate.jsonl: line 1: turns[1].content holds a lone surrogate '\\ud800' at position 3"),
     (("stats", "{tmp}/sft_kind.jsonl"), 2, "{tmp}/sft_kind.jsonl: line 1: bad sample kind 'poem'"),
     (("stats", "{tmp}/sft_roles.jsonl"), 2,
      "{tmp}/sft_roles.jsonl: line 1: turn roles must alternate user/assistant starting with user"),
@@ -1120,7 +1151,9 @@ def _refusal_inputs(tmp_path):
      "{tmp}/sft_surrogate.jsonl: line 1: turns[1].content holds a lone surrogate '\\ud800' at position 3"),
     (_MIX + ("{tmp}/docs.jsonl", "--mode", "mip", "--instructions", "{tmp}/sft_surrogate.jsonl"), 2,
      "{tmp}/sft_surrogate.jsonl: line 1: turns[1].content holds a lone surrogate '\\ud800' at position 3"),
-], ids=["dedup-sentence-scope", "filter-target-language", "eval-empty-dataset", "stats-sample-kind",
+], ids=["dedup-sentence-scope", "filter-target-language", "eval-empty-dataset", "eval-mcq-id-lone-surrogate",
+        "stats-mcq-id-lone-surrogate", "stats-sample-category-lone-surrogate", "term-freq-turn-lone-surrogate",
+        "stats-sample-kind",
         "stats-sample-roles", "stats-mcq-question-blank", "stats-mcq-question-type", "mix-general-empty",
         "mix-row-lone-surrogate", "mix-sft-turn-lone-surrogate", "mix-mip-instruction-lone-surrogate"])
 def test_refusal_names_its_cause(tmp_path, capsys, argv, code, message):
@@ -1172,6 +1205,18 @@ class TestEvalAndSweepCommands:
         assert report["degraded"] is True
         assert report["overall_micro"] == 0.0
 
+    def test_eval_sends_every_shot_count_over_one_connection(self, tmp_path):
+        mcq = {"question_type": "judgment", "options": {"A": "是", "B": "否"}, "correct_option": "A"}
+        write_jsonl(tmp_path / "evalhome.jsonl", [{**mcq, "question": f"第{i}题？", "split": split}
+                                                  for i, split in enumerate(["dev", "dev", "test"])])
+        connections = []
+        with _chat_server(lambda prompt: "答案：A", connections) as url:
+            write_json(tmp_path / "ep.json", EndpointConfig(base_url=url, model_name="m", concurrency_limit=1).to_dict())
+            assert run_cli("eval", "--dataset", tmp_path / "evalhome.jsonl", "--endpoint", tmp_path / "ep.json",
+                           "--shots", "0,1", "--out", tmp_path / "report.json") == 0
+        assert len(connections) == 1
+        assert read_json(tmp_path / "report.json")["overall_micro"] == 100.0
+
     def test_eval_labels_reach_the_report(self, tmp_path):
         _exit_code_inputs(tmp_path)
         out = tmp_path / "report.json"
@@ -1213,11 +1258,20 @@ class TestEvalAndSweepCommands:
 
 
 @contextlib.contextmanager
-def _chat_server(reply):
+def _chat_server(reply, connections: list | None = None):
     """A loopback chat endpoint that answers each request with `reply(prompt)`,
-    sent as JSON with every non-ASCII character escaped; yields its base URL."""
+    sent as JSON with every non-ASCII character escaped; yields its base URL.
+    It keeps each connection open for further requests and appends the client
+    address of every connection it accepts to `connections`."""
+    connections = [] if connections is None else connections
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def handle(self):
+            connections.append(self.client_address)
+            super().handle()
+
         def do_POST(self):
             request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             payload = json.dumps({"choices": [{"message": {"content": reply(request["messages"][0]["content"])}}]})
@@ -1230,7 +1284,7 @@ def _chat_server(reply):
         def log_message(self, *args):
             pass
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
