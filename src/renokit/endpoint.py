@@ -10,6 +10,7 @@ are pluggable so tests and offline replays never touch the network.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import threading
@@ -21,6 +22,8 @@ from typing import Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 import requests
+import urllib3
+from requests.adapters import HTTPAdapter
 
 from .errors import EndpointError
 from .jsonl import Record, canonical_json, config_from_json, lone_surrogate, read_json, write_json
@@ -43,12 +46,18 @@ class EndpointConfig(Record):
 
     def __post_init__(self):
         try:  # the parse that sending makes: host, port and IDNA labels
-            requests.PreparedRequest().prepare_url(self.base_url, None)
-            scheme = urlsplit(self.base_url).scheme
+            prepared = requests.PreparedRequest()
+            prepared.prepare_url(self.base_url, None)
+            parts = urlsplit(prepared.url)
         except ValueError as exc:
             raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
-        if scheme not in ("http", "https"):  # requests parses no other scheme, and has no adapter for it
+        if parts.scheme not in ("http", "https"):  # requests parses no other scheme, and has no adapter for it
             raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
+        try:  # the check urllib3 makes only when it connects
+            parts.hostname.encode("idna")
+        except UnicodeError:
+            host = parts.hostname
+            raise ValueError(f"base_url {self.base_url!r}: host {host!r} has an empty or too long label") from None
         if self.concurrency_limit < 1:
             raise ValueError("concurrency_limit must be >= 1")
         if self.max_retries < 0:
@@ -87,11 +96,13 @@ def utc_now_iso() -> str:
 class HttpTransport:
     """Real HTTP transport; retries transport failures, 429 and 5xx only.
 
-    The request is prepared once, when the transport is built: its URL, its
-    headers with the bearer token, the session's headers, auth and cookies,
-    and the proxy and TLS settings of the session and the environment. Each
-    request is a copy of it with the request's JSON body, sent as is on every
-    attempt.
+    Everything but the body is worked out once, when the transport is built:
+    the request's URL, its headers with the bearer token, the session's
+    headers, auth and cookies, the proxy and TLS settings of the session and
+    the environment, and the urllib3 connection pool of the session's adapter
+    that sends it. Each request is its JSON body with its Content-Length,
+    sent as is on every attempt with one `urlopen` on that pool; a redirect
+    is not followed, and a cookie that a reply sets is not kept.
     """
 
     def __init__(
@@ -109,13 +120,28 @@ class HttpTransport:
             headers["Authorization"] = f"Bearer {key}"
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         # What session.post would work out again for every request, worked out once
-        self._template = self.session.prepare_request(requests.Request("POST", url, headers=headers))
-        self._settings = self.session.merge_environment_settings(self._template.url, {}, None, None, None)
+        template = self.session.prepare_request(requests.Request("POST", url, headers=headers))
+        if template.hooks["response"]:  # session.send would run them on every reply
+            raise ValueError("HttpTransport runs no response hooks; the session or its auth registers some")
+        adapter = self.session.get_adapter(template.url)
+        # only HTTPAdapter's own send is what the pool below replaces
+        if not isinstance(adapter, HTTPAdapter) or type(adapter).send is not HTTPAdapter.send:
+            raise ValueError(f"HttpTransport sends through a requests HTTPAdapter's pool, "
+                             f"but the session mounts a {type(adapter).__name__} for {template.url}")
+        settings = self.session.merge_environment_settings(template.url, {}, None, None, None)
+        verify, cert, proxies = settings["verify"], settings["cert"], settings["proxies"]
+        self._pool = adapter.get_connection_with_tls_context(template, verify, proxies, cert)
+        adapter.cert_verify(self._pool, template.url, verify, cert)
+        self._url = adapter.request_url(template, proxies)  # the full URL when sent through an HTTP proxy
+        self._headers = dict(template.headers)
+        self._timeout = urllib3.Timeout(connect=cfg.timeout, read=cfg.timeout)
+        self._retries = adapter.max_retries
 
     def close(self) -> None:
-        """Close the session if this transport created it; a caller's session stays open."""
+        """Close the session and its pool if this transport created them; a caller's stay open."""
         if self._owns_session:
             self.session.close()
+            self._pool.close()  # closing the session drops the pool without closing it
 
     def _delay(self, attempt: int) -> float:
         if not self.cfg.backoff:
@@ -123,19 +149,21 @@ class HttpTransport:
         return self.cfg.backoff[min(attempt, len(self.cfg.backoff) - 1)]
 
     def complete(self, request: dict) -> Completion:
-        # the bytes that session.post(url, json=request, headers=...) would send
-        prepared = self._template.copy()
-        prepared.prepare_body(None, None, json=request)
+        # the body and headers that session.post(url, json=request, headers=...) would send
+        body = json.dumps(request, allow_nan=False).encode("utf-8")
+        headers = {**self._headers, "Content-Length": str(len(body))}
         last_error = "no attempt made"
         for attempt in range(self.cfg.max_retries + 1):
             try:
-                resp = self.session.send(prepared, timeout=self.cfg.timeout, **self._settings)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                resp = self._pool.urlopen("POST", self._url, body, headers, redirect=False, assert_same_host=False,
+                                          preload_content=True, decode_content=True, retries=self._retries,
+                                          timeout=self._timeout)
+            except (urllib3.exceptions.HTTPError, OSError) as exc:
                 last_error = f"transport: {exc}"
             else:
-                if resp.status_code == 200:
+                if resp.status == 200:
                     try:
-                        text = resp.json()["choices"][0]["message"]["content"]
+                        text = json.loads(resp.data)["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise EndpointError(f"malformed completion payload: {exc}") from None
                     if not isinstance(text, str):
@@ -143,9 +171,9 @@ class HttpTransport:
                     if problem := lone_surrogate(text):  # the archive could not store it
                         raise EndpointError(f"completion content {problem}")
                     return Completion(text=text, timestamp=utc_now_iso())
-                if resp.status_code not in _RETRYABLE_STATUS:
-                    raise EndpointError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                last_error = f"HTTP {resp.status_code}"
+                if resp.status not in _RETRYABLE_STATUS:
+                    raise EndpointError(f"HTTP {resp.status}: {resp.data.decode('utf-8', 'replace')[:200]}")
+                last_error = f"HTTP {resp.status}"
             if attempt < self.cfg.max_retries:
                 self.sleep(self._delay(attempt))
         raise EndpointError(f"gave up after {self.cfg.max_retries} retries ({last_error})")

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import gzip
 import inspect
-import io
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 import requests
+import urllib3
+from urllib3.exceptions import MaxRetryError, NewConnectionError, ProtocolError
 
 from renokit.endpoint import (
     ChatClient,
@@ -35,30 +39,42 @@ class FakeResponse:
     text: str = ""
 
 
-class ScriptedAdapter(requests.adapters.BaseAdapter):
-    """Answers each request a session sends through it with the next scripted
-    outcome, a FakeResponse or an exception to raise, and records the request."""
+class ScriptedPool:
+    """The connection pool a ScriptedAdapter hands out: answers each urlopen
+    with the adapter's next scripted outcome, a FakeResponse as a urllib3
+    HTTPResponse or a urllib3 exception to raise, and records the call."""
+
+    def __init__(self, adapter: ScriptedAdapter, origin: str):
+        self.adapter, self.origin = adapter, origin
+
+    def urlopen(self, method, url, body, headers, **kwargs):
+        self.adapter.calls.append({"url": self.origin + url, "json": json.loads(body), "headers": headers})
+        outcome = self.adapter.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return urllib3.HTTPResponse((outcome.text or json.dumps(outcome.payload)).encode(),
+                                    status=outcome.status_code)
+
+
+class ScriptedAdapter(requests.adapters.HTTPAdapter):
+    """An HTTPAdapter whose pool for every request is a ScriptedPool of
+    `outcomes`; counts its pool lookups."""
 
     def __init__(self, outcomes):
         super().__init__()
         self.outcomes = list(outcomes)
         self.calls = []
+        self.lookups = 0
         self.closed = False
 
-    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        self.calls.append({"url": request.url, "json": json.loads(request.body), "headers": request.headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        response = requests.Response()
-        response.status_code = outcome.status_code
-        response.raw = io.BytesIO((outcome.text or json.dumps(outcome.payload)).encode())
-        response.encoding = "utf-8"
-        response.request, response.url = request, request.url
-        return response
+    def get_connection_with_tls_context(self, request, verify, proxies=None, cert=None):
+        self.lookups += 1
+        host_params, _ = self.build_connection_pool_key_attributes(request, verify, cert)
+        return ScriptedPool(self, urllib3.util.Url(**host_params).url)
 
     def close(self):
         self.closed = True
+        super().close()
 
 
 def scripted(outcomes, session: requests.Session | None = None) -> tuple[requests.Session, ScriptedAdapter]:
@@ -67,6 +83,11 @@ def scripted(outcomes, session: requests.Session | None = None) -> tuple[request
     adapter = ScriptedAdapter(outcomes)
     session.mount("http://", adapter)
     return session, adapter
+
+
+def refused() -> MaxRetryError:
+    """What the pool raises when the endpoint refuses the connection."""
+    return MaxRetryError(None, "/v1/chat/completions", NewConnectionError(None, "Connection refused"))
 
 
 def cfg(**kwargs) -> EndpointConfig:
@@ -89,7 +110,8 @@ def test_config_refuses_a_schedule_that_cannot_run(kwargs):
     ("http://api.example:x/v1", "base_url 'http://api.example:x/v1': Failed to parse: http://api.example:x/v1"),
     ("http://[::1/v1", "base_url 'http://[::1/v1': Failed to parse: http://[::1/v1"),
     ("http://.example/v1", "base_url 'http://.example/v1': URL has an invalid label."),
-], ids=["no-scheme", "ftp", "no-host", "port-not-a-number", "ipv6-unclosed", "empty-label"])
+    ("http://a..b:9/v1", "base_url 'http://a..b:9/v1': host 'a..b' has an empty or too long label"),
+], ids=["no-scheme", "ftp", "no-host", "port-not-a-number", "ipv6-unclosed", "empty-label", "empty-inner-label"])
 def test_config_refuses_a_base_url_that_is_no_http_url(base_url, message):
     """requests would refuse each of these only when the first request is sent."""
     with pytest.raises(ValueError) as excinfo:
@@ -120,7 +142,7 @@ class TestHttpTransport:
         assert call["headers"]["Authorization"] == "Bearer sk-secret"
 
     def test_retries_on_transport_error_then_succeeds(self):
-        session, adapter = scripted([requests.ConnectionError("refused"), ok_response()])
+        session, adapter = scripted([refused(), ok_response()])
         sleeps = []
         transport = HttpTransport(cfg(backoff=(0.5, 1.0)), session=session, sleep=sleeps.append)
         assert transport.complete(chat()).text == "回答"
@@ -140,11 +162,21 @@ class TestHttpTransport:
         assert len(adapter.calls) == 1
 
     def test_gives_up_after_max_retries(self):
-        session, adapter = scripted([requests.ConnectionError("x")] * 3)
+        session, adapter = scripted([refused()] * 3)
         transport = HttpTransport(cfg(max_retries=2), session=session, sleep=lambda s: None)
         with pytest.raises(EndpointError, match="gave up"):
             transport.complete(chat())
         assert len(adapter.calls) == 3
+
+    def test_a_protocol_error_is_retried_until_the_transport_gives_up(self):
+        """A urllib3 error other than a refused connection, here a dropped
+        connection, is a transport failure too: it ends as an EndpointError."""
+        session, adapter = scripted([ProtocolError("Connection aborted.")] * 2)
+        transport = HttpTransport(cfg(max_retries=1), session=session, sleep=lambda s: None)
+        with pytest.raises(EndpointError) as excinfo:
+            transport.complete(chat())
+        assert str(excinfo.value) == "gave up after 1 retries (transport: Connection aborted.)"
+        assert len(adapter.calls) == 2
 
     def test_backoff_schedule_clamps_to_last(self):
         session, adapter = scripted([FakeResponse(500, {})] * 4 + [ok_response()])
@@ -185,8 +217,8 @@ class TestHttpTransport:
         assert not adapter.closed
 
     def test_request_is_prepared_once_per_transport(self):
-        """However many requests and retries it sends, a transport prepares its request
-        and merges the session's and the environment's settings once."""
+        """However many requests and retries it sends, a transport prepares its request,
+        merges the session's and the environment's settings and looks its pool up once."""
 
         class CountingSession(requests.Session):
             prepared = merged = 0
@@ -199,14 +231,14 @@ class TestHttpTransport:
                 self.merged += 1
                 return super().merge_environment_settings(*args)
 
-        outcomes = [FakeResponse(503, {}), ok_response("一"), requests.ConnectionError("x"), ok_response("二"),
+        outcomes = [FakeResponse(503, {}), ok_response("一"), ConnectionResetError("x"), ok_response("二"),
                     ok_response("三")]
         session, adapter = scripted(outcomes, CountingSession())
         transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
         texts = [transport.complete(chat([{"role": "user", "content": q}])).text for q in "甲乙丙"]
         assert texts == ["一", "二", "三"]
         assert [call["json"]["messages"][0]["content"] for call in adapter.calls] == list("甲甲乙乙丙")
-        assert (session.prepared, session.merged, len(adapter.calls)) == (1, 1, 5)
+        assert (session.prepared, session.merged, adapter.lookups, len(adapter.calls)) == (1, 1, 1, 5)
 
 
 class TestChatClient:
@@ -261,19 +293,22 @@ class TestResponseArchive:
         assert len(archive_ids(archive)) == 1
 
 
+COMPLETION = json.dumps({"choices": [{"message": {"content": "服务端回答"}}]}).encode()
+
+
 @contextmanager
-def loopback(seen: list):
-    """A local chat endpoint, or HTTP proxy, that answers every POST with a
-    completion and appends its request line, headers and body to `seen`;
-    yields its base URL."""
+def loopback(seen: list, status: int = 200, headers: dict | None = None, payload: bytes = COMPLETION):
+    """A local chat endpoint, or HTTP proxy, that answers every POST with
+    `status`, `headers` and `payload`, by default a completion, and appends
+    its request line, headers and body to `seen`; yields its base URL."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = self.rfile.read(int(self.headers["Content-Length"]))
             seen.append({"line": self.requestline, "path": self.path, "headers": self.headers.items(), "body": body})
-            payload = json.dumps({"choices": [{"message": {"content": "服务端回答"}}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+            self.send_response(status)
+            for name, value in {"Content-Type": "application/json", **(headers or {})}.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
@@ -341,3 +376,128 @@ def test_a_trust_env_session_goes_through_the_environments_proxy(monkeypatch):
         with closing(HttpTransport(cfg(base_url="http://127.0.0.2:9/v1", max_retries=0))) as transport:
             assert transport.complete(chat()).text == "服务端回答"
     assert [request["line"] for request in seen] == ["POST http://127.0.0.2:9/v1/chat/completions HTTP/1.1"]
+
+
+def test_a_redirect_is_an_endpoint_error_and_not_followed():
+    seen = []
+    with loopback(seen, status=307, headers={"Location": "/v1/chat/completions"}, payload=b"moved") as url, \
+            closing(HttpTransport(cfg(base_url=url + "/v1"))) as transport:
+        with pytest.raises(EndpointError) as excinfo:
+            transport.complete(chat())
+    assert str(excinfo.value) == "HTTP 307: moved"
+    assert len(seen) == 1
+
+
+def test_a_gzip_reply_is_decoded():
+    seen = []
+    with loopback(seen, headers={"Content-Encoding": "gzip"}, payload=gzip.compress(COMPLETION)) as url, \
+            closing(HttpTransport(cfg(base_url=url))) as transport:
+        assert transport.complete(chat()).text == "服务端回答"
+
+
+def test_a_transport_keeps_sending_after_its_caller_closes_the_session():
+    """Closing a session drops its pools without closing them; the transport holds its own."""
+    seen = []
+    with loopback(seen) as url:
+        session = requests.Session()
+        transport = HttpTransport(cfg(base_url=url), session=session)
+        assert transport.complete(chat()).text == "服务端回答"
+        session.close()
+        assert transport.complete(chat()).text == "服务端回答"
+    assert len(seen) == 2
+
+
+def test_close_closes_the_pool_of_a_session_it_made():
+    """Closing a session drops its pools without closing them, so the transport closes its own."""
+    with loopback([]) as url:
+        transport = HttpTransport(cfg(base_url=url, max_retries=0))
+        assert transport.complete(chat()).text == "服务端回答"
+        transport.close()
+        with pytest.raises(EndpointError) as excinfo:
+            transport.complete(chat())
+    assert str(excinfo.value) == "gave up after 0 retries (transport: HTTPConnectionPool(host='127.0.0.1', " \
+                                 f"port={url.rsplit(':', 1)[1]}): Pool is closed.)"
+
+
+def test_threads_share_one_transports_pool():
+    """Eight threads, more than the cores, send through one transport over
+    keep-alive connections with a short switch interval: each gets the reply
+    to its own request."""
+
+    class Echo(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            content = request["messages"][0]["content"]
+            payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    questions = [f"问题{i}" for i in range(200)]
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        endpoint = cfg(base_url=f"http://127.0.0.1:{server.server_port}", timeout=10.0)
+        with closing(HttpTransport(endpoint)) as transport, ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(transport.complete, chat([{"role": "user", "content": q}])) for q in questions]
+            texts = [future.result(timeout=30).text for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert texts == questions
+
+
+class ForeignAdapter(requests.adapters.BaseAdapter):
+    """An adapter that is no HTTPAdapter, and so has no pool to send through."""
+
+    def close(self):
+        pass
+
+
+class SendingAdapter(requests.adapters.HTTPAdapter):
+    """An HTTPAdapter with a send of its own, which the transport would bypass."""
+
+    def send(self, request, **kwargs):
+        return super().send(request, **kwargs)
+
+
+@pytest.mark.parametrize("adapter", [ForeignAdapter(), SendingAdapter()], ids=["base-adapter", "own-send"])
+def test_an_adapter_that_the_pool_would_bypass_is_refused(adapter):
+    with closing(requests.Session()) as session:
+        session.mount("http://", adapter)
+        with pytest.raises(ValueError) as excinfo:
+            HttpTransport(cfg(), session=session)
+    assert str(excinfo.value) == (f"HttpTransport sends through a requests HTTPAdapter's pool, but the session "
+                                  f"mounts a {type(adapter).__name__} for http://api.example/v1/chat/completions")
+
+
+def _session_with_hook() -> requests.Session:
+    session = requests.Session()
+    session.hooks["response"].append(lambda response, **kwargs: response)
+    return session
+
+
+def _session_with_digest_auth() -> requests.Session:
+    session = requests.Session()
+    session.auth = requests.auth.HTTPDigestAuth("user", "pw")  # it answers a 401 from a response hook
+    return session
+
+
+@pytest.mark.parametrize("make_session", [_session_with_hook, _session_with_digest_auth], ids=["hook", "digest-auth"])
+def test_a_session_with_response_hooks_is_refused(make_session):
+    with closing(make_session()) as session, pytest.raises(ValueError) as excinfo:
+        HttpTransport(cfg(), session=session)
+    assert str(excinfo.value) == "HttpTransport runs no response hooks; the session or its auth registers some"
