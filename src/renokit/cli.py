@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from . import __version__
 from .dedup import DedupConfig
@@ -17,19 +16,19 @@ from .endpoint import EndpointConfig, OfflineTransport
 from .errors import (
     BudgetExhausted,
     ConfigError,
-    LexiconMissing,
     RenokitError,
     SchemaError,
     StageFailure,
     UnknownSchema,
 )
 from .evalharness import EvalReport, load_dataset, sweep_report
-from .filters import FilterConfig
+from .filters import FilterConfig, load_lexicon
 from .ingest import SOURCE_KINDS, read_documents
 from .jsonl import _atomic_write, config_from_json, encodable_rows, read_json, record_from_dict
 from .mixer import MODE_MIP, MODES, UNITS, MixPlan, emit_trainer_config, read_mix_records
 from .pipeline import (
     check_budget,
+    describe,
     run_dedup_stage,
     run_eval_stage,
     run_filter_stage,
@@ -40,7 +39,6 @@ from .pipeline import (
     summarize_artifact,
 )
 from .sftgen import load_template, term_frequency_report
-from .tokenizers import TOKENIZER
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,7 +47,7 @@ EXIT_BUDGET = 4
 
 # OSError covers unreadable input and config files named on the command line;
 # inside `run` those surface as StageFailure instead.
-_VALIDATION_ERRORS = (ConfigError, SchemaError, UnknownSchema, LexiconMissing, ValueError, OSError)
+_VALIDATION_ERRORS = (ConfigError, SchemaError, UnknownSchema, ValueError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,24 +135,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args) -> int:
     _, stats = run_ingest_stage([(path, args.kind) for path in args.inputs], args.out, args.stats)
-    print(f"ingested {stats.total_documents} docs, {stats.total_tokens} tokens ({TOKENIZER}); "
-          f"failures: {sum(stats.failures.values())}")
+    print(describe(stats))
     return EXIT_OK
 
 
 def _cmd_filter(args) -> int:
     cfg = config_from_json(FilterConfig, args.config, "filter config") if args.config else FilterConfig()
     _, report = run_filter_stage(read_documents(args.input), cfg, args.out, args.report)
-    drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
-    print(f"retained {report.retained}/{report.input} (dropped: {drops})")
+    print(describe(report))
     return EXIT_OK
 
 
 def _cmd_dedup(args) -> int:
     cfg = config_from_json(DedupConfig, args.config, "dedup config") if args.config else DedupConfig()
     _, report = run_dedup_stage(read_documents(args.input), cfg, args.out, args.pairs, None)
-    drops = ", ".join(f"{k}={v}" for k, v in report.dropped.items())
-    print(f"retained {report.retained}/{report.input} (dropped: {drops}); {report.pairs} near-dup pairs")
+    print(describe(report))
     return EXIT_OK
 
 
@@ -166,17 +161,12 @@ def _cmd_mix(args) -> int:
     general = read_mix_records(args.general) if args.general else ()
     report = run_mix_stage(read_mix_records(args.domain, needs_text=plan.mode == MODE_MIP), plan, args.out,
                            args.report, general=general, instructions_path=args.instructions)
-    if plan.mode == MODE_MIP:
-        print(f"mip set: {report.pretrain_count + report.instruction_count} records")
-    else:
-        print(f"mixed {report.domain_count} domain + {report.general_count} general "
-              f"(achieved ratio {report.achieved_ratio:.4f}, target 1:{report.ratio_general})")
+    print(describe(report))
     return EXIT_OK
 
 
 def _cmd_emit_config(args) -> int:
-    cfg = emit_trainer_config(args.mode, args.out)
-    print(f"trainer config for {args.mode}: max_length={cfg.max_length}")
+    print(describe(emit_trainer_config(args.mode, args.out)))
     return EXIT_OK
 
 
@@ -187,8 +177,7 @@ def _cmd_gen(args) -> int:
     report = run_gen_stage(read_documents(args.knowledge), template, endpoint,
                            OfflineTransport() if args.replay_only else None, args.budget,
                            args.archive or f"{args.out}.archive", args.out, args.report, lenient=args.lenient)
-    print(f"accepted {report.accepted}, rejected {report.rejected_total}, "
-          f"sent {report.requests_sent}, replayed {report.replayed}")
+    print(describe(report))
     return EXIT_OK
 
 
@@ -201,9 +190,8 @@ def _cmd_eval(args) -> int:
     shots = [int(text) for text in args.shots.split(",")]
     best, reports = run_eval_stage(load_dataset(args.dataset), EndpointConfig.from_json(args.endpoint), shots,
                                    args.seed, args.out, labels=labels)
-    for report in reports:
-        print(f"shots={report.config['shots']}: micro={report.overall_micro} macro={report.overall_macro}")
-    print(f"best setting: shots={best.config['shots']} micro={best.overall_micro}")
+    for report in (*reports, best):
+        print(describe(report))
     return EXIT_OK
 
 
@@ -222,12 +210,7 @@ def _cmd_sweep_report(args) -> int:
 
 def _cmd_term_freq(args) -> int:
     samples = [obj for _, obj in encodable_rows(args.input)]
-    stopwords = ()
-    if args.stopwords:
-        stopwords = tuple(
-            w.strip() for w in Path(args.stopwords).read_text(encoding="utf-8").splitlines() if w.strip()
-        )
-    ranked = term_frequency_report(samples, stopwords=stopwords, top_k=args.top)
+    ranked = term_frequency_report(samples, stopwords=load_lexicon(args.stopwords), top_k=args.top)
     with _atomic_write(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "count"])
@@ -243,8 +226,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    manifest = run_pipeline(args.config, args.out_dir, resume=args.resume)
-    print(f"pipeline complete: {len(manifest.stages)} stage records in {Path(args.out_dir) / 'manifest.json'}")
+    print(describe(run_pipeline(args.config, args.out_dir, resume=args.resume)))
     return EXIT_OK
 
 

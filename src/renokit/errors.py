@@ -18,13 +18,6 @@ class EmptyAfterExtraction(RenokitError):
     """Record carries no usable text once markup, tables, and URLs are gone."""
 
 
-# --- filters --------------------------------------------------------------
-
-
-class LexiconMissing(RenokitError):
-    """Configured sensitive-word lexicon file does not exist."""
-
-
 # --- dedup ----------------------------------------------------------------
 
 
@@ -99,10 +92,6 @@ class SchemaError(RenokitError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
-
-
-class ExemplarShortfall(RenokitError):
-    """Fewer exemplars available than the requested shot count."""
 
 
 class DatasetMismatch(RenokitError):

@@ -10,13 +10,14 @@ round(10000 * correct / total) / 100.
 
 from __future__ import annotations
 
+import functools
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .endpoint import ChatClient, EndpointConfig, Transport
 from .errors import (
@@ -24,7 +25,6 @@ from .errors import (
     ConfigError,
     DatasetMismatch,
     EndpointError,
-    ExemplarShortfall,
     OptionMismatch,
     SchemaError,
 )
@@ -133,45 +133,42 @@ def _content_key(item: MCQItem) -> tuple:
     return item.question, tuple(sorted(item.options.items()))
 
 
-def check_shots(shots: Sequence[int], dataset: MCQDataset) -> None:
+def check_shots(shots: Sequence[int], dataset: MCQDataset) -> list[DatasetEntry]:
     """Raise ConfigError unless `shots` is a non-empty list of ints >= 0 that every
     item can be served: an item draws on every dev item but those with its content
-    key (itself included), so the limit is the dev count less the largest such group."""
+    key (itself included), so the limit is the dev count less the largest such group.
+    Returns the dev items, which the exemplars are drawn from."""
     if not shots or not all(type(k) is int and k >= 0 for k in shots):
         raise ConfigError(f"shots must be a non-empty list of ints >= 0, got {shots!r}")
-    dev = Counter(_content_key(e.item) for e in dataset.split_entries(SPLIT_DEV))
-    limit = dev.total() - max(dev[_content_key(e.item)] for e in dataset.entries)
+    dev = dataset.split_entries(SPLIT_DEV)
+    groups = Counter(_content_key(e.item) for e in dev)
+    limit = len(dev) - max(groups[_content_key(e.item)] for e in dataset.entries)
     if max(shots) > limit:
         raise ConfigError(f"dataset {dataset.name!r} can give every item {limit} exemplars, not {max(shots)}")
+    return dev
 
 
 def _exemplars(dev: Sequence[DatasetEntry], item: MCQItem, k: int) -> list[MCQItem]:
-    """The first k of the `dev` items, in order, whose question and options differ from `item`'s."""
+    """The first k of the `dev` items, in order, whose question and options differ
+    from `item`'s; check_shots has made sure that there are k."""
     key = _content_key(item)
-    chosen = list(islice((e.item for e in dev if _content_key(e.item) != key), k))
-    if len(chosen) < k:
-        raise ExemplarShortfall(f"{len(chosen)} dev items differ from the scored item, need {k}")
-    return chosen
+    return list(islice((e.item for e in dev if _content_key(e.item) != key), k))
 
 
 # --- answer extraction -----------------------------------------------------------
 
 
-def _standalone_at(raw: str, i: int) -> bool:
-    prev = raw[i - 1] if i > 0 else ""
-    nxt = raw[i + 1] if i + 1 < len(raw) else ""
-    embedded = (prev.isascii() and prev.isalnum()) or (nxt.isascii() and nxt.isalnum())
-    return not embedded
+@functools.cache
+def _answer_search(keys: str) -> Callable[[str], re.Match | None]:
+    """The search for the first of the one-letter `keys` that no ASCII letter or digit touches."""
+    return re.compile(rf"(?<![0-9A-Za-z])[{re.escape(keys)}](?![0-9A-Za-z])").search
 
 
 def extract_answer(raw: str, options: dict[str, str]) -> str | None:
     """Option letter or None (abstain): the first option-key letter scanning
     left to right that is not embedded in a longer ASCII word."""
-    keys = set(options)
-    for i, ch in enumerate(raw):
-        if ch in keys and _standalone_at(raw, i):
-            return ch
-    return None
+    found = _answer_search("".join(sorted(options)))(raw)
+    return found.group() if found else None
 
 
 # --- evaluation run ----------------------------------------------------------------
@@ -249,16 +246,16 @@ def _assemble_report(dataset: MCQDataset, cfg: EvalRunConfig, rows: list[dict], 
 def run_eval(
     dataset: MCQDataset,
     cfg: EvalRunConfig,
-    transport: Transport | None = None,
+    transport: Transport,
     labels: dict | None = None,
 ) -> EvalReport:
-    """Prompt every item once and aggregate micro/macro accuracies.
+    """Prompt every item once, over `transport`, and aggregate micro/macro accuracies.
 
-    Every prompt is built before the first request, so an exemplar shortfall
-    sends none. Endpoint failures that survive retries mark the item as an
+    A shot count that some item cannot be served is a ConfigError before the
+    first request. Endpoint failures that survive retries mark the item as an
     abstention and flag the report as degraded instead of aborting the run.
     """
-    dev = dataset.split_entries(SPLIT_DEV)
+    dev = check_shots([cfg.shots], dataset)
     prompts = [build_prompt(e.item, _exemplars(dev, e.item, cfg.shots)) for e in dataset.entries]
 
     def score(entry: DatasetEntry, messages: list[dict]) -> dict:
@@ -277,8 +274,8 @@ def run_eval(
             "error": error,
         }
 
-    with closing(ChatClient(cfg.endpoint, transport)) as client, \
-            ThreadPoolExecutor(max_workers=cfg.endpoint.concurrency_limit) as pool:
+    client = ChatClient(cfg.endpoint, transport)
+    with ThreadPoolExecutor(max_workers=cfg.endpoint.concurrency_limit) as pool:
         rows = list(pool.map(score, dataset.entries, prompts))
     degraded = any(r["error"] is not None for r in rows)
     for row in rows:

@@ -14,7 +14,6 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .errors import LexiconMissing
 from .ingest import Document, STATUS_FILTERED_OUT
 from .jsonl import Record
 from .tokenizers import char_counts
@@ -57,12 +56,11 @@ _LANGUAGE_FAIL = Verdict(False, REASON_LANGUAGE)
 
 
 def load_lexicon(path: str | Path | None) -> frozenset[str]:
+    """The words of a word list file, one stripped entry per non-blank line; none for
+    no path. A sensitive-word lexicon and a stop-word list are both read here."""
     if path is None:
         return frozenset()
-    path = Path(path)
-    if not path.exists():
-        raise LexiconMissing(str(path))
-    words = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+    words = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
     return frozenset(w for w in words if w)
 
 

@@ -553,12 +553,14 @@ def _counts(counts: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in counts.items())
 
 
-# What `stats` prints for each JSON report; a file is read through from_dict of
-# the one class whose field names are exactly its keys.
+# The line for each report: `stats` prints it for the report's file, and the
+# command that made the report prints it on success. A file is read through
+# from_dict of the one class whose field names are exactly its keys.
 _REPORT_SUMMARIES: dict[type[Record], Callable] = {
     PipelineManifest: lambda m: f"manifest: {len(m.stages)} stage records ({', '.join(r.stage for r in m.stages)})",
     EvalReport: lambda r: (
-        f"eval report: {r.dataset} items={r.items_total} micro={r.overall_micro} macro={r.overall_macro}"
+        f"eval report: {r.dataset} shots={r.config.get('shots')} items={r.items_total} micro={r.overall_micro} "
+        f"macro={r.overall_macro}"
     ),
     DedupReport: lambda r: (
         f"dedup report: input={r.input} retained={r.retained} dropped: {_counts(r.dropped)}; "
@@ -571,7 +573,8 @@ _REPORT_SUMMARIES: dict[type[Record], Callable] = {
         f"sent={r.requests_sent} replayed={r.replayed}"
     ),
     MixReport: lambda r: (
-        f"mix report: mode={r.mode} ratio=1:{r.ratio_general} achieved={r.achieved_ratio:.4f} seed={r.seed}"
+        f"mix report: mode={r.mode} domain={r.domain_count} general={r.general_count} ratio=1:{r.ratio_general} "
+        f"achieved={r.achieved_ratio:.4f} seed={r.seed}"
     ),
     MipReport: lambda r: (
         f"mix report: mode={r.mode} pretrain={r.pretrain_count} instructions={r.instruction_count} "
@@ -583,11 +586,18 @@ _REPORT_SUMMARIES: dict[type[Record], Callable] = {
 _REPORT_CLASSES = {frozenset(f.name for f in fields(cls)): cls for cls in _REPORT_SUMMARIES}
 
 
+def describe(report: Record) -> str:
+    """The line that `stats` prints for the file of `report`: a stage's report, the
+    run's manifest or a trainer config."""
+    return _REPORT_SUMMARIES[type(report)](report)
+
+
 def summarize_artifact(path: str | Path) -> str:
     """Human-readable summary of any toolkit artifact file; a JSONL file's schema is
     chosen by the keys that every row holds."""
     path = Path(path)
-    if path.suffix == ".jsonl":
+    suffix = path.suffix.lower()
+    if suffix == ".jsonl":
         rows = list(encodable_rows(path))
         if not rows:
             raise UnknownSchema(f"{path}: empty file")
@@ -605,12 +615,12 @@ def summarize_artifact(path: str | Path) -> str:
         if "text" in keys or "turns" in keys:
             return f"training records: {len(rows)}"
         raise UnknownSchema(f"{path}: unrecognized JSONL schema (keys every row holds: {sorted(keys)})")
-    if path.suffix == ".json":
+    if suffix == ".json":
         obj = read_json(path)
         if not isinstance(obj, dict):
             raise UnknownSchema(f"{path}: expected a JSON object")
         cls = _REPORT_CLASSES.get(frozenset(obj))
         if cls is None:
             raise UnknownSchema(f"{path}: unrecognized JSON schema (keys: {sorted(obj)})")
-        return _REPORT_SUMMARIES[cls](record_from_dict(cls, obj, path))
+        return describe(record_from_dict(cls, obj, path))
     raise UnknownSchema(f"{path}: expected .json or .jsonl")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from threading import Lock
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .endpoint import ChatClient, Completion, OfflineTransport, ResponseArchive, request_id
 from .errors import (
@@ -538,7 +538,7 @@ _TERM_RE = re.compile(r"[A-Za-z0-9_]+|[㐀-䶿一-鿿豈-﫿]+")
 
 def term_frequency_report(
     samples: Sequence[dict],
-    stopwords: Sequence[str] = (),
+    stopwords: Collection[str] = (),
     top_k: int = 50,
 ) -> list[tuple[str, int]]:
     """Top-k terms over the turn contents of instruction rows, after stop-word removal."""

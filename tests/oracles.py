@@ -86,6 +86,19 @@ def select_exemplars(dataset: MCQDataset, entry: DatasetEntry, k: int) -> list[M
     return _exemplars(dataset.split_entries(SPLIT_DEV), entry.item, k)
 
 
+def extract_answer_by_scan(raw: str, options: dict[str, str]) -> str | None:
+    """`extract_answer` as a walk over `raw` that tests each option letter's
+    neighbours for ASCII letters and digits: the body the one regex replaced."""
+    keys = set(options)
+    for i, ch in enumerate(raw):
+        prev = raw[i - 1] if i > 0 else ""
+        nxt = raw[i + 1] if i + 1 < len(raw) else ""
+        embedded = (prev.isascii() and prev.isalnum()) or (nxt.isascii() and nxt.isalnum())
+        if ch in keys and not embedded:
+            return ch
+    return None
+
+
 def sign_rows(rows: Sequence[np.ndarray], cfg: DedupConfig) -> np.ndarray:
     """`compute_signatures` of one hash array per row."""
     return compute_signatures(np.concatenate([np.empty(0, dtype=np.uint64), *rows]), cfg, [len(r) for r in rows])

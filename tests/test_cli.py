@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import runpy
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import renokit.endpoint
 import renokit.jsonl
 import renokit.pipeline
 from renokit.cli import main
@@ -214,6 +216,16 @@ class TestStatsCommand:
         with pytest.raises(UnknownSchema):
             summarize_artifact(path)
 
+    def test_upper_case_suffixes(self, tmp_path, corpus_dir, capsys):
+        """`stats` reads a file by its suffix in any case, as `ingest` does."""
+        assert run_cli("ingest", "--in", corpus_dir, "--kind", "domain_book", "--out", tmp_path / "docs.JSONL",
+                       "--stats", tmp_path / "stats.JSON") == 0
+        for name, lower in (("docs.JSONL", "docs.jsonl"), ("stats.JSON", "stats.json")):
+            shutil.copy(tmp_path / name, tmp_path / lower)
+            capsys.readouterr()
+            assert run_cli("stats", tmp_path / name) == 0
+            assert capsys.readouterr().out == summarize_artifact(tmp_path / lower) + "\n"
+
 
 class TestTermFreqCommand:
     def test_writes_csv(self, tmp_path):
@@ -238,6 +250,22 @@ class TestTermFreqCommand:
         out = tmp_path / "terms.csv"
         assert run_cli("term-freq", "--in", sft, "--out", out, "--stopwords", stopwords) == 0
         assert out.read_text(encoding="utf-8").splitlines() == ["term,count", "水电,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("term-freq", "--in", "{tmp}/sft.jsonl", "--out", "{tmp}/terms.csv", "--stopwords", "{tmp}/missing_words.txt"),
+    ("filter", "--in", "{tmp}/docs.jsonl", "--out", "{tmp}/kept.jsonl", "--report", "{tmp}/f.json",
+     "--config", "{tmp}/filter_missing_words.json"),
+], ids=["term-freq-stopwords", "filter-lexicon"])
+def test_a_missing_word_list_is_a_missing_input(tmp_path, capsys, argv):
+    """A stop-word list and a sensitive-word lexicon are read by one reader: a missing
+    one is exit 2 with the message of any other missing input, and nothing is written."""
+    _exit_code_inputs(tmp_path)
+    write_json(tmp_path / "filter_missing_words.json", {"sensitive_word_list": str(tmp_path / "missing_words.txt")})
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    missing = tmp_path / "missing_words.txt"
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not any((tmp_path / name).exists() for name in ("terms.csv", "kept.jsonl", "f.json"))
 
 
 class TestPipelineRun:
@@ -613,12 +641,12 @@ _STATS_GOLDEN = {
     _gen_and_eval_run: {
         **_STATS_COMMON,
         "train.jsonl": _documents((15, 3284), (4, 668), (4, 598), (5, 1680), (2, 338), "retained"),
-        "mix_report.json": "mix report: mode=dapt ratio=1:1 achieved=1.0474 seed=42",
+        "mix_report.json": "mix report: mode=dapt domain=10 general=5 ratio=1:1 achieved=1.0474 seed=42",
         "sft.jsonl": "\n".join([f"{'category':<20}{'subclasses':>12}{'questions':>12}",
                                 f"{'expertise':<20}{1:>12}{10:>12}", f"{'TOTAL':<20}{1:>12}{10:>12}",
                                 "question types: single_choice=10"]),
         "gen_report.json": "generation report: accepted=10 rejected: none; sent=10 replayed=0",
-        "eval_report.json": "eval report: evalhome items=113 micro=27.43 macro=26.62",
+        "eval_report.json": "eval report: evalhome shots=0 items=113 micro=27.43 macro=26.62",
         "manifest.json": "manifest: 6 stage records (ingest, filter, dedup, mix, gen, eval)",
     },
     _mip_run: {
@@ -684,6 +712,64 @@ class TestCliMatchesRun:
         self.run_both(tmp_path, config_path, "--mode", "mip", "--instructions", tmp_path / "sft.jsonl",
                       "--seed", config["seed"])
         assert "\"origin\": \"instruction\"" in (tmp_path / "run" / "train.jsonl").read_text(encoding="utf-8")
+
+
+class TestCommandsPrintTheStatsLine:
+    """A command that makes a report prints the line that `stats` prints for the report's file."""
+
+    def stdout(self, capsys, *argv) -> str:
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        return capsys.readouterr().out
+
+    def test_each_command(self, tmp_path, capsys, monkeypatch):
+        from mocks import ScriptedTransport
+
+        config_path = write_pipeline_fixture(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        run, cli = tmp_path / "run", tmp_path / "cli"
+        cli.mkdir()
+        (tmp_path / "filters.json").write_text(json.dumps(
+            {**config["filters"], "sensitive_word_list": str(tmp_path / "lexicon.txt")}), encoding="utf-8")
+        write_json(tmp_path / "dedup.json", config["dedup"])
+        turns = [{"role": "user", "content": "地板怎么选？"}, {"role": "assistant", "content": "看用途。"}]
+        write_jsonl(tmp_path / "sft.jsonl", [{"kind": "one_turn", "turns": turns, "knowledge_id": "k"}])
+        write_json(tmp_path / "ep.json", EndpointConfig(base_url="http://mock.invalid", model_name="m").to_dict())
+        stats = functools.partial(self.stdout, capsys, "stats")
+
+        assert self.stdout(capsys, "run", "--config", config_path, "--out-dir", run) == stats(run / "manifest.json")
+        commands = [
+            (("ingest", "--in", tmp_path / "raw", "--kind", "domain_book", "--out", cli / "docs.jsonl",
+              "--stats", cli / "ingest_stats.json"), cli / "ingest_stats.json"),
+            (("filter", "--in", run / "docs.jsonl", "--out", cli / "kept.jsonl", "--report", cli / "filter.json",
+              "--config", tmp_path / "filters.json"), cli / "filter.json"),
+            # dedup writes no report: it prints the line of the one `run` wrote from the same input
+            (("dedup", "--in", run / "kept.jsonl", "--out", cli / "unique.jsonl", "--pairs", cli / "pairs.jsonl",
+              "--config", tmp_path / "dedup.json"), run / "dedup_report.json"),
+            (("mix", "--domain", run / "unique.jsonl", "--ratio", "1:1", "--out", cli / "train.jsonl",
+              "--report", cli / "mix.json"), cli / "mix.json"),
+            (("mix", "--domain", run / "unique.jsonl", "--mode", "mip", "--instructions", tmp_path / "sft.jsonl",
+              "--out", cli / "mip.jsonl", "--report", cli / "mip.json"), cli / "mip.json"),
+            (("emit-config", "--mode", "sft", "--out", cli / "trainer.json"), cli / "trainer.json"),
+        ]
+        for argv, report in commands:
+            assert self.stdout(capsys, *argv) == stats(report), argv[0]
+
+        gen = ScriptedTransport(lambda messages: json.dumps(_MCQ_REPLY, ensure_ascii=False))
+        monkeypatch.setattr(renokit.endpoint, "HttpTransport", lambda cfg: gen)
+        assert self.stdout(capsys, "gen", "--kind", "mcq", "--knowledge", run / "unique.jsonl", "--endpoint",
+                           tmp_path / "ep.json", "--out", cli / "mcq.jsonl", "--budget", 100,
+                           "--report", cli / "gen.json") == stats(cli / "gen.json")
+        assert gen.calls > 0
+
+        monkeypatch.setattr(renokit.endpoint, "HttpTransport", lambda cfg: ScriptedTransport(lambda m: "答案：A"))
+        printed = self.stdout(capsys, "eval", "--dataset", write_evalhome(tmp_path / "evalhome.jsonl"),
+                              "--endpoint", tmp_path / "ep.json", "--shots", "0,5", "--out", cli / "eval.json")
+        # one line per shot count, then the saved best: the same answer at both counts ties, and ties go to 0
+        *settings, best = printed.splitlines()
+        assert [line.split()[3] for line in settings] == ["shots=0", "shots=5"]
+        assert best == settings[0]
+        assert best + "\n" == stats(cli / "eval.json")
 
 
 def _spy(monkeypatch, module, name: str, paths: list) -> None:

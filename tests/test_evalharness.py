@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import string
 
 import pytest
 
@@ -10,7 +12,6 @@ from renokit.endpoint import EndpointConfig
 from renokit.errors import (
     ConfigError,
     DatasetMismatch,
-    ExemplarShortfall,
     SchemaError,
 )
 from renokit.evalharness import (
@@ -32,7 +33,7 @@ from renokit.pipeline import run_eval_stage
 
 from fixture_data import build_evalhome_rows
 from mocks import ConstantTransport, FailingTransport, GoldAnswerTransport, ScriptedTransport
-from oracles import select_exemplars
+from oracles import extract_answer_by_scan, select_exemplars
 
 
 def endpoint_cfg(concurrency: int = 4) -> EndpointConfig:
@@ -115,8 +116,10 @@ class TestBuildPrompt:
         # evalhome has 6 dev items and entry 0 is one of them
         entry = evalhome.entries[0]
         assert len(select_exemplars(evalhome, entry, 5)) == 5
-        with pytest.raises(ExemplarShortfall):
-            select_exemplars(evalhome, entry, 6)
+        transport = ScriptedTransport(lambda messages: "答案：A")
+        with pytest.raises(ConfigError, match="can give every item 5 exemplars, not 6"):
+            run_eval(evalhome, eval_cfg(shots=6), transport=transport)
+        assert transport.calls == 0
 
     def test_exemplars_match_the_item_id_rule_without_repeats(self, evalhome):
         dev = evalhome.split_entries(SPLIT_DEV)
@@ -152,6 +155,14 @@ class TestExtractAnswer:
 
     def test_restricted_key_set(self):
         assert extract_answer("C还是A？", {"A": "对", "B": "错"}) == "A"
+
+    def test_agrees_with_the_scanner_on_fuzzed_replies(self):
+        rng = random.Random(11)
+        alphabet = string.ascii_letters + string.digits + "_ \t\n" + "答案选项是的" + "ＡＢＣａｂ" + "Àéß"
+        for _ in range(20000):
+            raw = "".join(rng.choices(alphabet, k=rng.randrange(12)))
+            for options in (self.OPTS, {"A": "对", "B": "错"}):
+                assert extract_answer(raw, options) == extract_answer_by_scan(raw, options), (raw, sorted(options))
 
 
 class TestRunEval:

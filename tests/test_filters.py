@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from renokit.errors import LexiconMissing
 from renokit.filters import (
     INDEX_MIN_WORDS,
     FilterConfig,
@@ -134,7 +133,7 @@ class TestRunFilters:
 
 class TestLexicon:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(LexiconMissing):
+        with pytest.raises(FileNotFoundError, match="nope.txt"):
             load_lexicon(tmp_path / "nope.txt")
 
     def test_loads_words(self, tmp_path):
