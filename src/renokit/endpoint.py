@@ -9,12 +9,18 @@ are pluggable so tests and offline replays never touch the network.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
+import http.client
 import json
 import math
 import os
+import select
+import ssl
 import threading
 import time
+import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,8 +28,8 @@ from typing import Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 import requests
-import urllib3
-from requests.adapters import HTTPAdapter
+from requests.adapters import HTTPAdapter, Retry
+from requests.utils import DEFAULT_CA_BUNDLE_PATH, prepend_scheme_if_needed, select_proxy
 
 from .errors import EndpointError
 from .jsonl import Record, canonical_json, config_from_json, lone_surrogate, read_json, write_json
@@ -53,7 +59,7 @@ class EndpointConfig(Record):
             raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
         if parts.scheme not in ("http", "https"):  # requests parses no other scheme, and has no adapter for it
             raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
-        try:  # the check urllib3 makes only when it connects
+        try:  # the check that connecting makes
             parts.hostname.encode("idna")
         except UnicodeError:
             host = parts.hostname
@@ -96,13 +102,16 @@ def utc_now_iso() -> str:
 class HttpTransport:
     """Real HTTP transport; retries transport failures, 429 and 5xx only.
 
-    Everything but the body is worked out once, when the transport is built:
-    the request's URL, its headers with the bearer token, the session's
-    headers, auth and cookies, the proxy and TLS settings of the session and
-    the environment, and the urllib3 connection pool of the session's adapter
-    that sends it. Each request is its JSON body with its Content-Length,
-    sent as is on every attempt with one `urlopen` on that pool; a redirect
-    is not followed, and a cookie that a reply sets is not kept.
+    Everything but the body is worked out once, when the transport is built,
+    through `requests` and the session: the request's URL, its headers with
+    the bearer token, the session's headers, auth and cookies, and the proxy
+    and TLS settings of the session and the environment. From them it builds
+    the request head, byte for byte what `session.post` sends, and the
+    connections it sends on: `http.client` connections to the endpoint, or
+    to its HTTP proxy, over one TLS context for an https URL. Each attempt is
+    one write of that head, the body's Content-Length and the JSON body on an
+    idle keep-alive connection (or a new one), and one reply read on it; a
+    redirect is not followed, and a cookie that a reply sets is not kept.
     """
 
     def __init__(
@@ -112,36 +121,101 @@ class HttpTransport:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
-        self._owns_session = session is None
-        self.session = session or requests.Session()
         self.sleep = sleep
         headers = {"Content-Type": "application/json"}
         if key := os.environ.get(cfg.api_key_env, ""):
             headers["Authorization"] = f"Bearer {key}"
         url = cfg.base_url.rstrip("/") + "/chat/completions"
-        # What session.post would work out again for every request, worked out once
-        template = self.session.prepare_request(requests.Request("POST", url, headers=headers))
-        if template.hooks["response"]:  # session.send would run them on every reply
-            raise ValueError("HttpTransport runs no response hooks; the session or its auth registers some")
-        adapter = self.session.get_adapter(template.url)
-        # only HTTPAdapter's own send is what the pool below replaces
-        if not isinstance(adapter, HTTPAdapter) or type(adapter).send is not HTTPAdapter.send:
-            raise ValueError(f"HttpTransport sends through a requests HTTPAdapter's pool, "
-                             f"but the session mounts a {type(adapter).__name__} for {template.url}")
-        settings = self.session.merge_environment_settings(template.url, {}, None, None, None)
-        verify, cert, proxies = settings["verify"], settings["cert"], settings["proxies"]
-        self._pool = adapter.get_connection_with_tls_context(template, verify, proxies, cert)
-        adapter.cert_verify(self._pool, template.url, verify, cert)
-        self._url = adapter.request_url(template, proxies)  # the full URL when sent through an HTTP proxy
-        self._headers = dict(template.headers)
-        self._timeout = urllib3.Timeout(connect=cfg.timeout, read=cfg.timeout)
-        self._retries = adapter.max_retries
+        # a session made here is needed only to work out the request
+        with requests.Session() if session is None else nullcontext(session) as session:
+            template = session.prepare_request(requests.Request("POST", url, headers=headers))
+            if template.hooks["response"]:  # session.send would run them on every reply
+                raise ValueError("HttpTransport runs no response hooks; the session or its auth registers some")
+            adapter = session.get_adapter(template.url)
+            # the retries, pool and TLS settings of any other adapter would not take effect
+            if type(adapter) is not HTTPAdapter or vars(adapter.max_retries) != vars(Retry(0, read=False)):
+                raise ValueError(f"HttpTransport takes only a plain requests HTTPAdapter with its default "
+                                 f"max_retries, but the session mounts a {type(adapter).__name__} with max_retries "
+                                 f"{getattr(adapter, 'max_retries', None)} for {template.url}")
+            settings = session.merge_environment_settings(template.url, {}, None, None, None)
+        # where session.post puts each body's length: the template, prepared without a body, says 0 there
+        template.headers["Content-Length"] = "0"
+        target = urlsplit(template.url)
+        https = target.scheme == "https"
+        headers = dict(template.headers)
+        self._address = (target.hostname.rstrip("."), target.port)
+        self._tunnel = None
+        if proxy := select_proxy(template.url, settings["proxies"]):
+            proxy = prepend_scheme_if_needed(proxy, "http")
+            via = urlsplit(proxy)
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError(f"HttpTransport sends through an http:// proxy with a host only, "
+                                 f"but the proxy for {template.url} is {via.scheme}://{via.hostname or ''}")
+            if https:  # through a CONNECT tunnel, which the proxy's headers open
+                self._tunnel = (*self._address, adapter.proxy_headers(proxy))
+            else:  # to the proxy, which takes the full URL and the proxy's headers
+                headers.update(adapter.proxy_headers(proxy))
+            self._address = (via.hostname, via.port or 80)
+        self._tls = {"context": _tls_context(settings["verify"], settings["cert"])} if https else {}
+        self._connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        # The head as http.client writes it for urllib3, which requests sends through
+        probe, sent = self._connection(), []
+        probe.send = sent.append  # endheaders hands the head to send, which here keeps it
+        names = {name.lower() for name in headers}
+        probe.putrequest("POST", adapter.request_url(template, settings["proxies"]),
+                         skip_host="host" in names, skip_accept_encoding="accept-encoding" in names)
+        for name, value in headers.items():
+            probe.putheader(name, value)
+        probe.endheaders()
+        head, _, tail = sent[0].partition(b"\r\nContent-Length: 0\r\n")
+        self._head, self._tail = head + b"\r\nContent-Length: ", b"\r\n" + tail
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """A new, unconnected connection to the endpoint or its proxy."""
+        conn = self._connection_class(*self._address, timeout=self.cfg.timeout, **self._tls)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _idle_connection(self) -> http.client.HTTPConnection | None:
+        """The last idle connection that its peer has not closed, or None."""
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                # a zero-timeout poll finds an idle connection readable once its peer closed it
+                if not select.select([conn.sock], [], [], 0)[0]:
+                    return conn
+                conn.close()
+        return None
 
     def close(self) -> None:
-        """Close the session and its pool if this transport created them; a caller's stay open."""
-        if self._owns_session:
-            self.session.close()
-            self._pool.close()  # closing the session drops the pool without closing it
+        """Close the transport's idle connections; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _exchange(self, message: bytes) -> tuple[int, bytes]:
+        """Send `message` in one write and read the reply: its status and its decoded body."""
+        conn = self._idle_connection() or self._connection()
+        try:
+            if conn.sock is None:
+                conn.connect()
+            conn.sock.sendall(message)
+            reply = http.client.HTTPResponse(conn.sock, method="POST")
+            reply.begin()
+            data = reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        if reply.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return reply.status, _decoded(data, reply.getheader("Content-Encoding", ""))
 
     def _delay(self, attempt: int) -> float:
         if not self.cfg.backoff:
@@ -149,21 +223,19 @@ class HttpTransport:
         return self.cfg.backoff[min(attempt, len(self.cfg.backoff) - 1)]
 
     def complete(self, request: dict) -> Completion:
-        # the body and headers that session.post(url, json=request, headers=...) would send
+        # the body that session.post(url, json=request, headers=...) would send, after its head
         body = json.dumps(request, allow_nan=False).encode("utf-8")
-        headers = {**self._headers, "Content-Length": str(len(body))}
+        message = b"%b%d%b%b" % (self._head, len(body), self._tail, body)
         last_error = "no attempt made"
         for attempt in range(self.cfg.max_retries + 1):
             try:
-                resp = self._pool.urlopen("POST", self._url, body, headers, redirect=False, assert_same_host=False,
-                                          preload_content=True, decode_content=True, retries=self._retries,
-                                          timeout=self._timeout)
-            except (urllib3.exceptions.HTTPError, OSError) as exc:
+                status, data = self._exchange(message)
+            except (http.client.HTTPException, OSError, EOFError, zlib.error) as exc:
                 last_error = f"transport: {exc}"
             else:
-                if resp.status == 200:
+                if status == 200:
                     try:
-                        text = json.loads(resp.data)["choices"][0]["message"]["content"]
+                        text = json.loads(data)["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise EndpointError(f"malformed completion payload: {exc}") from None
                     if not isinstance(text, str):
@@ -171,12 +243,48 @@ class HttpTransport:
                     if problem := lone_surrogate(text):  # the archive could not store it
                         raise EndpointError(f"completion content {problem}")
                     return Completion(text=text, timestamp=utc_now_iso())
-                if resp.status not in _RETRYABLE_STATUS:
-                    raise EndpointError(f"HTTP {resp.status}: {resp.data.decode('utf-8', 'replace')[:200]}")
-                last_error = f"HTTP {resp.status}"
+                if status not in _RETRYABLE_STATUS:
+                    raise EndpointError(f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}")
+                last_error = f"HTTP {status}"
             if attempt < self.cfg.max_retries:
                 self.sleep(self._delay(attempt))
         raise EndpointError(f"gave up after {self.cfg.max_retries} retries ({last_error})")
+
+
+def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.SSLContext:
+    """The TLS context requests would verify with: the CA bundle it would use
+    (its default, or a file or directory named by `verify`), or no
+    verification when `verify` is false; with the client certificate `cert`."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    if verify:
+        bundle = DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+        context.load_verify_locations(**{"capath" if os.path.isdir(bundle) else "cafile": bundle})
+    else:
+        context.check_hostname, context.verify_mode = False, ssl.CERT_NONE
+    if cert:
+        context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
+    return context
+
+
+def _inflate(data: bytes) -> bytes:
+    try:
+        return zlib.decompress(data)
+    except zlib.error:  # raw deflate, which some servers send for "deflate"
+        return zlib.decompress(data, -zlib.MAX_WBITS)
+
+
+_DECODERS = {"gzip": gzip.decompress, "deflate": _inflate}
+
+
+def _decoded(data: bytes, codings: str) -> bytes:
+    """`data` with its Content-Encoding `codings` undone, the last applied
+    first, up to the first coding that is not gzip or deflate."""
+    for coding in reversed(codings.split(",")):
+        decode = _DECODERS.get(coding.strip().lower())
+        if decode is None:
+            break
+        data = decode(data)
+    return data
 
 
 class OfflineTransport:

@@ -209,6 +209,9 @@ class EvalReport(Record):
             raise SchemaError(f"label values must be strings, got {self.labels!r}")
         if type(self.config.get("model", "")) not in (str, type(None)):
             raise SchemaError(f"config model must be a string or null, got {self.config['model']!r}")
+        # best_of_settings breaks ties on it, and the stats line prints it
+        if type(shots := self.config.get("shots")) is not int or shots < 0:
+            raise SchemaError(f"config shots must be an int >= 0, got {shots!r}")
 
     def save(self, path: str | Path) -> None:
         write_json(path, self)
@@ -291,7 +294,7 @@ def best_of_settings(reports: Sequence[EvalReport]) -> EvalReport:
             raise DatasetMismatch(
                 f"{rep.dataset}({rep.items_total}) vs {first.dataset}({first.items_total})"
             )
-    return max(reports, key=lambda r: (r.overall_micro, -r.config.get("shots", 0)))
+    return max(reports, key=lambda r: (r.overall_micro, -r.config["shots"]))
 
 
 # --- sweep tables ------------------------------------------------------------------

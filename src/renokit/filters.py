@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .ingest import Document, STATUS_FILTERED_OUT
-from .jsonl import Record
+from .jsonl import Record, word_list
 from .tokenizers import char_counts
 
 REASON_SENSITIVE = "sensitive"
@@ -56,12 +56,11 @@ _LANGUAGE_FAIL = Verdict(False, REASON_LANGUAGE)
 
 
 def load_lexicon(path: str | Path | None) -> frozenset[str]:
-    """The words of a word list file, one stripped entry per non-blank line; none for
-    no path. A sensitive-word lexicon and a stop-word list are both read here."""
+    """The words of a word list file (`jsonl.word_list`); none for no path. A
+    sensitive-word lexicon and a stop-word list are both read here."""
     if path is None:
         return frozenset()
-    words = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
-    return frozenset(w for w in words if w)
+    return frozenset(word_list(Path(path).read_text(encoding="utf-8")))
 
 
 # A lexicon this large is looked up through its two-character prefixes; a

@@ -1,6 +1,7 @@
 """JSON / JSONL file helpers with stable, byte-deterministic serialization,
 atomic writes, and checked construction of records and config objects from JSON.
-`canonical_json` is the one byte form that ids and digests hash."""
+`canonical_json` is the one byte form that ids and digests hash. `word_list`
+reads the plain one-entry-per-line lists: lexicons, stop words, categories."""
 
 from __future__ import annotations
 
@@ -72,6 +73,13 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def word_list(text: str) -> Iterator[str]:
+    """The entries of a word list in file order: each line stripped, with blank
+    lines and comments, lines whose stripped text starts with '#', left out."""
+    lines = (line.strip() for line in text.splitlines())
+    return (line for line in lines if line and not line.startswith("#"))
 
 
 def lone_surrogate(text: str) -> str | None:

@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
 )
 from .ingest import STATUS_INGESTED, STATUS_RETAINED, Document
-from .jsonl import Record
+from .jsonl import Record, word_list
 from .mixer import text_turns
 
 log = logging.getLogger(__name__)
@@ -71,12 +71,12 @@ def _read_data_file(name: str) -> str:
 
 
 def load_categories(path: str | Path | None = None) -> tuple[str, ...]:
-    """Category list, one per line; '#' lines are comments."""
+    """The category list of a word list file (`jsonl.word_list`), in file order."""
     if path is None:
         text = _read_data_file("categories.txt")
     else:
         text = Path(path).read_text(encoding="utf-8")
-    return tuple(line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#"))
+    return tuple(word_list(text))
 
 
 @dataclass(frozen=True)

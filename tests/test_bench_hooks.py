@@ -2,15 +2,20 @@
 program (perfbench/layers.py:install, through Tracer.patch, which calls
 getattr). Deleting or renaming any of them breaks every traced run, so this
 test reads install's source with ast and checks that each name it reaches
-into renokit for still exists."""
+into renokit for still exists. The scale run (tools/scale.py) reaches into
+perfbench/corpus.py, perfbench/gates.py and renokit's pipeline by name too,
+and is checked the same way."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
+SCALE = ROOT / "tools" / "scale.py"
 
 
 def _install() -> tuple[ast.FunctionDef, dict]:
@@ -79,3 +84,33 @@ def test_every_method_install_wraps_or_overrides_exists():
     assert len(methods) >= 7
     missing = [f"{cls.__name__}.{name}" for cls, name in methods if not callable(getattr(cls, name, None))]
     assert not missing, f"perfbench/layers.py:install wraps methods that are gone: {missing}"
+
+
+def _top_level(path: Path) -> dict[str, ast.AST]:
+    """The names a module defines at its top level, bound to the node that defines each."""
+    names = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            names.update((target.id, node.value) for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_name_the_scale_tool_reaches_for_exists():
+    spec = importlib.util.spec_from_file_location("scale", SCALE)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)  # it imports the benchmark's modules only when it runs
+    perfbench = {module: _top_level(ROOT / "perfbench" / f"{module}.py") for module in ("corpus", "gates")}
+    read = {(node.value.id, node.attr) for node in ast.walk(ast.parse(SCALE.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in perfbench}
+    read |= {("corpus", name) for pair in scale.BUILDERS.values() for name in pair}  # taken with getattr
+    assert ("gates", "check_corpus") in read and ("corpus", "build_books") in read
+    missing = [f"{module}.{name}" for module, name in sorted(read) if name not in perfbench[module]]
+    assert not missing, f"tools/scale.py reads names that perfbench no longer has: {missing}"
+    for counts, key in scale.HELD:
+        assert key in ast.literal_eval(perfbench["corpus"][counts]), f"{counts}[{key!r}]"
+    pipeline = importlib.import_module("renokit.pipeline")
+    assert callable(pipeline.run_pipeline)
+    missing = [name for name in scale.STAGES if not callable(getattr(pipeline.PipelineRunner, f"stage_{name}", None))]
+    assert not missing, f"tools/scale.py times PipelineRunner stages that are gone: {missing}"

@@ -856,6 +856,18 @@ def _eval_report(**fields) -> dict:
     return {**report.to_dict(), **fields}
 
 
+@pytest.mark.parametrize("config", [{"model": "m"}, {"shots": "0", "model": "m"}], ids=["missing", "string"])
+def test_stats_refuses_an_eval_report_without_its_shot_count(tmp_path, capsys, config):
+    """best_of_settings breaks ties on the shot count and the stats line prints
+    it, so a report must hold it."""
+    path = tmp_path / "eval.json"
+    write_json(path, _eval_report(config=config))
+    assert run_cli("stats", path) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"config shots must be an int >= 0, got {config.get('shots')!r}" in err
+
+
 def _exit_code_inputs(tmp_path):
     write_jsonl(tmp_path / "docs.jsonl", [{
         "doc_id": "k1", "text": "知识内容样例。", "source_kind": "domain_book",
@@ -1371,7 +1383,7 @@ def _chat_server(reply, connections: list | None = None):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}"

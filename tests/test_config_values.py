@@ -144,7 +144,7 @@ class _BusyOnce(BaseHTTPRequestHandler):
 @pytest.fixture(scope="module")
 def busy_once_url():
     server = HTTPServer(("127.0.0.1", 0), _BusyOnce)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

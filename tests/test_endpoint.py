@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import base64
 import gzip
 import inspect
 import json
+import select
+import socket
+import ssl
 import sys
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
-import urllib3
-from urllib3.exceptions import MaxRetryError, NewConnectionError, ProtocolError
 
 from renokit.endpoint import (
     ChatClient,
@@ -29,6 +33,12 @@ from renokit.errors import EndpointError
 import mocks
 from mocks import ScriptedTransport, archive_ids
 
+# A self-signed certificate for 127.0.0.1 and its key, made once with
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes -days 36500 \
+#     -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1 -keyout loopback_key.pem -out loopback_cert.pem
+CERT = str(Path(__file__).with_name("loopback_cert.pem"))
+KEY = str(Path(__file__).with_name("loopback_key.pem"))
+
 
 @dataclass
 class FakeResponse:
@@ -39,55 +49,89 @@ class FakeResponse:
     text: str = ""
 
 
-class ScriptedPool:
-    """The connection pool a ScriptedAdapter hands out: answers each urlopen
-    with the adapter's next scripted outcome, a FakeResponse as a urllib3
-    HTTPResponse or a urllib3 exception to raise, and records the call."""
-
-    def __init__(self, adapter: ScriptedAdapter, origin: str):
-        self.adapter, self.origin = adapter, origin
-
-    def urlopen(self, method, url, body, headers, **kwargs):
-        self.adapter.calls.append({"url": self.origin + url, "json": json.loads(body), "headers": headers})
-        outcome = self.adapter.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return urllib3.HTTPResponse((outcome.text or json.dumps(outcome.payload)).encode(),
-                                    status=outcome.status_code)
+COMPLETION = json.dumps({"choices": [{"message": {"content": "服务端回答"}}]}).encode()
+DROP = "drop"  # the connection is closed unanswered, which http.client reports as a reset
+MALFORMED = "malformed"  # the reply's status line is no HTTP status line
+BAD_STATUS_LINE = b"HTTP/1.1 2OO OK\r\n"
 
 
-class ScriptedAdapter(requests.adapters.HTTPAdapter):
-    """An HTTPAdapter whose pool for every request is a ScriptedPool of
-    `outcomes`; counts its pool lookups."""
-
-    def __init__(self, outcomes):
-        super().__init__()
-        self.outcomes = list(outcomes)
-        self.calls = []
-        self.lookups = 0
-        self.closed = False
-
-    def get_connection_with_tls_context(self, request, verify, proxies=None, cert=None):
-        self.lookups += 1
-        host_params, _ = self.build_connection_pool_key_attributes(request, verify, cert)
-        return ScriptedPool(self, urllib3.util.Url(**host_params).url)
-
-    def close(self):
-        self.closed = True
-        super().close()
+@contextmanager
+def serving(handler, tls: ssl.SSLContext | None = None):
+    """Serves `handler` on a loopback port, one thread per connection, over
+    TLS with `tls` if given; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    if tls:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
-def scripted(outcomes, session: requests.Session | None = None) -> tuple[requests.Session, ScriptedAdapter]:
-    """A real requests.Session whose http:// requests go to a ScriptedAdapter of `outcomes`."""
-    session = session or requests.Session()
-    adapter = ScriptedAdapter(outcomes)
-    session.mount("http://", adapter)
-    return session, adapter
+def server_tls(client_cert: bool = False) -> ssl.SSLContext:
+    """The loopback certificate's server context; it requires a client
+    certificate signed by that certificate if `client_cert`."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(CERT, KEY)
+    if client_cert:
+        context.verify_mode = ssl.CERT_REQUIRED
+        context.load_verify_locations(CERT)
+    return context
 
 
-def refused() -> MaxRetryError:
-    """What the pool raises when the endpoint refuses the connection."""
-    return MaxRetryError(None, "/v1/chat/completions", NewConnectionError(None, "Connection refused"))
+@contextmanager
+def scripted(outcomes, tls: ssl.SSLContext | None = None):
+    """A loopback chat endpoint over HTTP/1.1 keep-alive that answers its i-th
+    request with outcomes[i]: a FakeResponse, DROP or MALFORMED. Yields its
+    base URL and the list of requests it received, each with its path, JSON
+    body, headers and the client address of its connection."""
+    outcomes, calls = list(outcomes), []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = 10
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            calls.append({"path": self.path, "json": json.loads(body), "headers": dict(self.headers),
+                          "connection": self.client_address})
+            outcome = outcomes.pop(0)
+            if outcome in (DROP, MALFORMED):
+                self.wfile.write(BAD_STATUS_LINE + b"\r\n" if outcome == MALFORMED else b"")
+                self.close_connection = True
+                return
+            payload = (outcome.text or json.dumps(outcome.payload)).encode()
+            self.send_response(outcome.status_code)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    with serving(Handler, tls) as url:
+        yield url, calls
+
+
+def connections(calls) -> int:
+    """How many connections the requests in `calls` came over."""
+    return len({call["connection"] for call in calls})
+
+
+def plain_session(**settings) -> requests.Session:
+    """A session with `settings` (verify, cert, proxies) set on it that takes
+    nothing from the environment, unless `settings` set trust_env."""
+    session = requests.Session()
+    session.trust_env = False
+    for name, value in settings.items():
+        setattr(session, name, value)
+    return session
 
 
 def cfg(**kwargs) -> EndpointConfig:
@@ -129,67 +173,69 @@ def ok_response(text: str = "回答") -> FakeResponse:
     return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 
 
+def sending(url: str, session: requests.Session | None = None, sleep=lambda seconds: None, **kwargs) -> closing:
+    """An HttpTransport of cfg(**kwargs) to the endpoint at `url`, closed on leaving."""
+    return closing(HttpTransport(cfg(base_url=url + "/v1", **kwargs), session=session, sleep=sleep))
+
+
 class TestHttpTransport:
     def test_wire_format_and_auth(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY_ENV", "sk-secret")
-        session, adapter = scripted([ok_response("你好")])
-        transport = HttpTransport(cfg(api_key_env="TEST_KEY_ENV"), session=session, sleep=lambda s: None)
-        completion = transport.complete(chat([{"role": "user", "content": "问"}]))
+        with scripted([ok_response("你好")]) as (url, calls), sending(url, api_key_env="TEST_KEY_ENV") as transport:
+            completion = transport.complete(chat([{"role": "user", "content": "问"}]))
         assert completion.text == "你好"
-        call = adapter.calls[0]
-        assert call["url"] == "http://api.example/v1/chat/completions"
+        call = calls[0]
+        assert call["path"] == "/v1/chat/completions"
         assert call["json"] == {"model": "m1", "messages": [{"role": "user", "content": "问"}], "temperature": 0.0}
         assert call["headers"]["Authorization"] == "Bearer sk-secret"
 
     def test_retries_on_transport_error_then_succeeds(self):
-        session, adapter = scripted([refused(), ok_response()])
         sleeps = []
-        transport = HttpTransport(cfg(backoff=(0.5, 1.0)), session=session, sleep=sleeps.append)
-        assert transport.complete(chat()).text == "回答"
+        with scripted([DROP, ok_response()]) as (url, calls), \
+                sending(url, backoff=(0.5, 1.0), sleep=sleeps.append) as transport:
+            assert transport.complete(chat()).text == "回答"
         assert sleeps == [0.5]
+        assert connections(calls) == 2
 
     def test_retries_on_429_and_5xx(self):
-        session, adapter = scripted([FakeResponse(429, {}), FakeResponse(503, {}), ok_response()])
-        transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
-        assert transport.complete(chat()).text == "回答"
-        assert len(adapter.calls) == 3
+        with scripted([FakeResponse(429, {}), FakeResponse(503, {}), ok_response()]) as (url, calls), \
+                sending(url) as transport:
+            assert transport.complete(chat()).text == "回答"
+        assert len(calls) == 3
 
     def test_no_retry_on_400(self):
-        session, adapter = scripted([FakeResponse(400, {}, text="bad request"), ok_response()])
-        transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
-        with pytest.raises(EndpointError, match="HTTP 400"):
-            transport.complete(chat())
-        assert len(adapter.calls) == 1
+        with scripted([FakeResponse(400, {}, text="bad request"), ok_response()]) as (url, calls), \
+                sending(url) as transport:
+            with pytest.raises(EndpointError, match="HTTP 400"):
+                transport.complete(chat())
+        assert len(calls) == 1
 
     def test_gives_up_after_max_retries(self):
-        session, adapter = scripted([refused()] * 3)
-        transport = HttpTransport(cfg(max_retries=2), session=session, sleep=lambda s: None)
-        with pytest.raises(EndpointError, match="gave up"):
-            transport.complete(chat())
-        assert len(adapter.calls) == 3
+        with scripted([DROP] * 3) as (url, calls), sending(url, max_retries=2) as transport:
+            with pytest.raises(EndpointError) as excinfo:
+                transport.complete(chat())
+        assert str(excinfo.value) == "gave up after 2 retries (transport: Remote end closed connection without response)"
+        assert len(calls) == 3
 
-    def test_a_protocol_error_is_retried_until_the_transport_gives_up(self):
-        """A urllib3 error other than a refused connection, here a dropped
-        connection, is a transport failure too: it ends as an EndpointError."""
-        session, adapter = scripted([ProtocolError("Connection aborted.")] * 2)
-        transport = HttpTransport(cfg(max_retries=1), session=session, sleep=lambda s: None)
-        with pytest.raises(EndpointError) as excinfo:
-            transport.complete(chat())
-        assert str(excinfo.value) == "gave up after 1 retries (transport: Connection aborted.)"
-        assert len(adapter.calls) == 2
+    def test_a_malformed_status_line_is_retried_until_the_transport_gives_up(self):
+        """A reply that is no HTTP reply is a transport failure too: it ends as an EndpointError."""
+        with scripted([MALFORMED] * 2) as (url, calls), sending(url, max_retries=1) as transport:
+            with pytest.raises(EndpointError) as excinfo:
+                transport.complete(chat())
+        assert str(excinfo.value) == f"gave up after 1 retries (transport: {BAD_STATUS_LINE.decode()})"
+        assert len(calls) == 2
 
     def test_backoff_schedule_clamps_to_last(self):
-        session, adapter = scripted([FakeResponse(500, {})] * 4 + [ok_response()])
         sleeps = []
-        transport = HttpTransport(cfg(max_retries=4, backoff=(1.0, 2.0)), session=session, sleep=sleeps.append)
-        transport.complete(chat())
+        with scripted([FakeResponse(500, {})] * 4 + [ok_response()]) as (url, calls), \
+                sending(url, max_retries=4, backoff=(1.0, 2.0), sleep=sleeps.append) as transport:
+            transport.complete(chat())
         assert sleeps == [1.0, 2.0, 2.0, 2.0]
 
     def test_malformed_payload(self):
-        session, adapter = scripted([FakeResponse(200, {"weird": True})])
-        transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
-        with pytest.raises(EndpointError, match="malformed"):
-            transport.complete(chat())
+        with scripted([FakeResponse(200, {"weird": True})]) as (url, calls), sending(url) as transport:
+            with pytest.raises(EndpointError, match="malformed"):
+                transport.complete(chat())
 
     @pytest.mark.parametrize("content, message", [
         (5, "completion content is not a string"),
@@ -197,48 +243,122 @@ class TestHttpTransport:
         ("回答\ud800", "completion content holds a lone surrogate '\\ud800' at position 2"),
     ], ids=["not-a-string", "lone-surrogate"])
     def test_content_that_is_no_text(self, content, message):
-        session, adapter = scripted([ok_response(content), ok_response()])
-        transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
-        with pytest.raises(EndpointError) as excinfo:
-            transport.complete(chat())
+        with scripted([ok_response(content), ok_response()]) as (url, calls), sending(url) as transport:
+            with pytest.raises(EndpointError) as excinfo:
+                transport.complete(chat())
         assert str(excinfo.value) == message
-        assert len(adapter.calls) == 1  # not retried
+        assert len(calls) == 1  # not retried
 
     def test_empty_backoff_retries_without_waiting(self):
-        session, adapter = scripted([FakeResponse(503, {}), FakeResponse(429, {}), ok_response()])
         sleeps = []
-        transport = HttpTransport(cfg(backoff=()), session=session, sleep=sleeps.append)
-        assert transport.complete(chat()).text == "回答"
+        with scripted([FakeResponse(503, {}), FakeResponse(429, {}), ok_response()]) as (url, calls), \
+                sending(url, backoff=(), sleep=sleeps.append) as transport:
+            assert transport.complete(chat()).text == "回答"
         assert sleeps == [0.0, 0.0]
 
-    def test_close_leaves_a_callers_session_open(self):
-        session, adapter = scripted([])
-        HttpTransport(cfg(), session=session).close()
-        assert not adapter.closed
-
-    def test_request_is_prepared_once_per_transport(self):
-        """However many requests and retries it sends, a transport prepares its request,
-        merges the session's and the environment's settings and looks its pool up once."""
+    def test_a_session_is_closed_only_when_the_transport_made_it(self, monkeypatch):
+        """A caller's session stays open; one the transport made is closed once
+        the request is worked out, since sending takes nothing more from it."""
 
         class CountingSession(requests.Session):
-            prepared = merged = 0
+            closed = 0
+
+            def close(self):
+                type(self).closed += 1
+                super().close()
+
+        HttpTransport(cfg(), session=CountingSession()).close()
+        assert CountingSession.closed == 0
+        monkeypatch.setattr(requests, "Session", CountingSession)
+        HttpTransport(cfg()).close()
+        assert CountingSession.closed == 1
+
+    def test_request_is_prepared_once_and_one_connection_kept_alive(self):
+        """However many requests and retries it sends, a transport prepares its
+        request, looks its adapter up and merges the session's and the
+        environment's settings once, and sends every attempt over one
+        keep-alive connection."""
+
+        class CountingSession(requests.Session):
+            prepared = lookups = merged = 0
 
             def prepare_request(self, request):
                 self.prepared += 1
                 return super().prepare_request(request)
 
+            def get_adapter(self, url):
+                self.lookups += 1
+                return super().get_adapter(url)
+
             def merge_environment_settings(self, *args):
                 self.merged += 1
                 return super().merge_environment_settings(*args)
 
-        outcomes = [FakeResponse(503, {}), ok_response("一"), ConnectionResetError("x"), ok_response("二"),
+        outcomes = [FakeResponse(503, {}), ok_response("一"), FakeResponse(429, {}), ok_response("二"),
                     ok_response("三")]
-        session, adapter = scripted(outcomes, CountingSession())
-        transport = HttpTransport(cfg(), session=session, sleep=lambda s: None)
-        texts = [transport.complete(chat([{"role": "user", "content": q}])).text for q in "甲乙丙"]
+        session = CountingSession()
+        with scripted(outcomes) as (url, calls), sending(url, session=session) as transport:
+            texts = [transport.complete(chat([{"role": "user", "content": q}])).text for q in "甲乙丙"]
         assert texts == ["一", "二", "三"]
-        assert [call["json"]["messages"][0]["content"] for call in adapter.calls] == list("甲甲乙乙丙")
-        assert (session.prepared, session.merged, adapter.lookups, len(adapter.calls)) == (1, 1, 1, 5)
+        assert [call["json"]["messages"][0]["content"] for call in calls] == list("甲甲乙乙丙")
+        assert (session.prepared, session.lookups, session.merged, len(calls), connections(calls)) == (1, 1, 1, 5, 1)
+
+    def test_a_connection_the_server_closed_while_idle_is_not_spent_as_an_attempt(self):
+        """The server answers each request in keep-alive framing, then closes the
+        connection unannounced: the next request finds it closed before sending,
+        and opens a new one without spending an attempt."""
+        closed, seen = threading.Semaphore(0), []
+
+        class AnswerThenClose(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                seen.append(self.client_address)
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(COMPLETION)))
+                self.end_headers()
+                self.wfile.write(COMPLETION)
+                self.connection.shutdown(socket.SHUT_RDWR)
+                self.close_connection = True
+                closed.release()
+
+            def log_message(self, *args):
+                pass
+
+        with serving(AnswerThenClose) as url, sending(url, max_retries=0) as transport:
+            for _ in range(3):
+                assert transport.complete(chat()).text == "服务端回答"
+                assert closed.acquire(timeout=5)
+        assert len(set(seen)) == 3
+
+    def test_close_closes_the_idle_connections(self):
+        """close() ends the transport's idle connections; a later request opens a new one."""
+        ended = threading.Semaphore(0)
+
+        class Counting(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(COMPLETION)))
+                self.end_headers()
+                self.wfile.write(COMPLETION)
+
+            def finish(self):
+                super().finish()
+                ended.release()
+
+            def log_message(self, *args):
+                pass
+
+        with serving(Counting) as url, sending(url, max_retries=0) as transport:
+            assert transport.complete(chat()).text == "服务端回答"
+            assert not ended.acquire(timeout=0.05)  # kept alive
+            transport.close()
+            assert ended.acquire(timeout=5)
+            assert transport.complete(chat()).text == "服务端回答"
 
 
 class TestChatClient:
@@ -293,14 +413,11 @@ class TestResponseArchive:
         assert len(archive_ids(archive)) == 1
 
 
-COMPLETION = json.dumps({"choices": [{"message": {"content": "服务端回答"}}]}).encode()
-
-
 @contextmanager
 def loopback(seen: list, status: int = 200, headers: dict | None = None, payload: bytes = COMPLETION):
-    """A local chat endpoint, or HTTP proxy, that answers every POST with
-    `status`, `headers` and `payload`, by default a completion, and appends
-    its request line, headers and body to `seen`; yields its base URL."""
+    """A local HTTP/1.0 chat endpoint, or HTTP proxy, that answers every POST
+    with `status`, `headers` and `payload`, by default a completion, and
+    appends its request line, headers and body to `seen`; yields its base URL."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -316,16 +433,8 @@ def loopback(seen: list, status: int = 200, headers: dict | None = None, payload
         def log_message(self, *args):
             pass
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+    with serving(Handler) as url:
+        yield url
 
 
 def test_http_transport_against_local_server():
@@ -346,23 +455,48 @@ def _session_with_state() -> requests.Session:
     return session
 
 
+WIRE_REQUEST = chat([{"role": "user", "content": "问题 \"引号\" é"}], temperature=0.5)
+
+
+def _post_both_ways(session: requests.Session, base_url: str, api_key: str) -> None:
+    """Sends WIRE_REQUEST once through an HttpTransport on `session` and once
+    with session.post(url, json=..., headers=...)."""
+    headers = {"Content-Type": "application/json", **({"Authorization": f"Bearer {api_key}"} if api_key else {})}
+    endpoint = cfg(base_url=base_url + "/v1/", api_key_env="TEST_KEY_ENV")
+    with closing(HttpTransport(endpoint, session=session)) as transport:
+        transport.complete(WIRE_REQUEST)
+    session.post(base_url + "/v1/chat/completions", json=WIRE_REQUEST, headers=headers, timeout=endpoint.timeout)
+
+
 @pytest.mark.parametrize("make_session, api_key", [(requests.Session, "sk-wire"), (_session_with_state, "")],
                          ids=["bearer", "session-header-cookie-auth"])
 def test_sends_what_session_post_sends(monkeypatch, make_session, api_key):
-    """The prepared request puts the same request line, headers and body on the
+    """The prebuilt head puts the same request line, headers and body on the
     wire as session.post(url, json=..., headers=...) does."""
     monkeypatch.setenv("TEST_KEY_ENV", api_key)
-    request = chat([{"role": "user", "content": "问题 \"引号\" é"}], temperature=0.5)
-    headers = {"Content-Type": "application/json", **({"Authorization": f"Bearer {api_key}"} if api_key else {})}
     seen = []
     with loopback(seen) as url, closing(make_session()) as session:
-        endpoint = cfg(base_url=url + "/v1/", api_key_env="TEST_KEY_ENV")
-        HttpTransport(endpoint, session=session).complete(request)
-        session.post(url + "/v1/chat/completions", json=request, headers=headers, timeout=endpoint.timeout)
+        _post_both_ways(session, url, api_key)
     assert len(seen) == 2
     assert seen[0] == seen[1]
     assert seen[0]["line"] == "POST /v1/chat/completions HTTP/1.1"
-    assert json.loads(seen[0]["body"]) == request
+    assert json.loads(seen[0]["body"]) == WIRE_REQUEST
+
+
+def test_sends_what_session_post_sends_through_a_proxy(monkeypatch):
+    """Through an HTTP proxy the request line carries the full URL, and the
+    proxy's credentials go last, as Proxy-Authorization."""
+    monkeypatch.setenv("TEST_KEY_ENV", "sk-wire")
+    seen = []
+    with loopback(seen) as proxy:
+        # nothing listens on this loopback address: only the proxy can answer
+        session = plain_session(proxies={"http": proxy.replace("http://", "http://user:pw@")})
+        with closing(session):
+            _post_both_ways(session, "http://127.0.0.2:9", "sk-wire")
+    assert len(seen) == 2
+    assert seen[0] == seen[1]
+    assert seen[0]["line"] == "POST http://127.0.0.2:9/v1/chat/completions HTTP/1.1"
+    assert seen[0]["headers"][-1] == ("Proxy-Authorization", "Basic " + base64.b64encode(b"user:pw").decode())
 
 
 def test_a_trust_env_session_goes_through_the_environments_proxy(monkeypatch):
@@ -388,38 +522,175 @@ def test_a_redirect_is_an_endpoint_error_and_not_followed():
     assert len(seen) == 1
 
 
-def test_a_gzip_reply_is_decoded():
-    seen = []
-    with loopback(seen, headers={"Content-Encoding": "gzip"}, payload=gzip.compress(COMPLETION)) as url, \
+def _raw_deflate(data: bytes) -> bytes:
+    compressor = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    return compressor.compress(data) + compressor.flush()
+
+
+@pytest.mark.parametrize("coding, payload", [
+    ("gzip", gzip.compress(COMPLETION)),
+    ("deflate", zlib.compress(COMPLETION)),
+    ("deflate", _raw_deflate(COMPLETION)),
+    ("gzip, deflate", zlib.compress(gzip.compress(COMPLETION))),
+], ids=["gzip", "deflate", "raw-deflate", "gzip-then-deflate"])
+def test_a_compressed_reply_is_decoded(coding, payload):
+    """requests advertises gzip and deflate; a reply in either, or in both
+    applied in turn, is decoded."""
+    with loopback([], headers={"Content-Encoding": coding}, payload=payload) as url, \
             closing(HttpTransport(cfg(base_url=url))) as transport:
         assert transport.complete(chat()).text == "服务端回答"
 
 
-def test_a_transport_keeps_sending_after_its_caller_closes_the_session():
-    """Closing a session drops its pools without closing them; the transport holds its own."""
+@pytest.mark.parametrize("coding, payload, error", [
+    ("gzip", b"no gzip", "Not a gzipped file (b'no')"),
+    ("gzip", gzip.compress(COMPLETION)[:-12], "Compressed file ended before the end-of-stream marker was reached"),
+    ("deflate", b"not deflate", "Error -3 while decompressing data: invalid block type"),
+], ids=["not-gzip", "truncated-gzip", "not-deflate"])
+def test_a_reply_that_does_not_decode_is_a_transport_failure(coding, payload, error):
     seen = []
-    with loopback(seen) as url:
-        session = requests.Session()
-        transport = HttpTransport(cfg(base_url=url), session=session)
-        assert transport.complete(chat()).text == "服务端回答"
-        session.close()
-        assert transport.complete(chat()).text == "服务端回答"
+    with loopback(seen, headers={"Content-Encoding": coding}, payload=payload) as url, \
+            closing(HttpTransport(cfg(base_url=url, max_retries=1))) as transport:
+        with pytest.raises(EndpointError) as excinfo:
+            transport.complete(chat())
+    assert str(excinfo.value) == f"gave up after 1 retries (transport: {error})"
     assert len(seen) == 2
 
 
-def test_close_closes_the_pool_of_a_session_it_made():
-    """Closing a session drops its pools without closing them, so the transport closes its own."""
-    with loopback([]) as url:
-        transport = HttpTransport(cfg(base_url=url, max_retries=0))
+def test_a_reply_in_another_coding_is_read_as_it_is():
+    with loopback([], headers={"Content-Encoding": "identity"}) as url, \
+            closing(HttpTransport(cfg(base_url=url))) as transport:
         assert transport.complete(chat()).text == "服务端回答"
-        transport.close()
+
+
+@pytest.mark.parametrize("framing", ["chunked", "close"])
+def test_a_chunked_or_connection_close_reply_is_read_whole(framing):
+    """A chunked reply leaves its connection open for the next request; a
+    reply that says Connection: close, its body ending with the connection,
+    does not."""
+    seen = []
+
+    class Framed(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append(self.client_address)
+            self.send_response(200)
+            if framing == "chunked":
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                half = len(COMPLETION) // 2
+                for part in (COMPLETION[:half], COMPLETION[half:], b""):
+                    self.wfile.write(b"%x\r\n%b\r\n" % (len(part), part))
+            else:
+                self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(COMPLETION)
+                self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    with serving(Framed) as url, sending(url, max_retries=0) as transport:
+        assert [transport.complete(chat()).text for _ in range(2)] == ["服务端回答"] * 2
+    assert len(set(seen)) == (1 if framing == "chunked" else 2)
+
+
+def test_a_transport_keeps_sending_after_its_caller_closes_the_session():
+    """The transport takes nothing from the session once it is built."""
+    seen = []
+    with loopback(seen) as url:
+        session = requests.Session()
+        with closing(HttpTransport(cfg(base_url=url), session=session)) as transport:
+            assert transport.complete(chat()).text == "服务端回答"
+            session.close()
+            assert transport.complete(chat()).text == "服务端回答"
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("settings, env", [
+    ({"verify": CERT}, {}),
+    ({"verify": False}, {}),
+    ({"trust_env": True}, {"REQUESTS_CA_BUNDLE": CERT}),
+], ids=["verify-file", "no-verify", "requests-ca-bundle"])
+def test_https_against_a_loopback_tls_server(monkeypatch, settings, env):
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "HTTPS_PROXY", "https_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with scripted([ok_response("加密")] * 2, tls=server_tls()) as (url, calls), \
+            closing(plain_session(**settings)) as session, sending(url, session=session) as transport:
+        assert [transport.complete(chat()).text for _ in range(2)] == ["加密"] * 2
+    assert connections(calls) == 1
+
+
+def test_https_presents_the_sessions_client_certificate():
+    with scripted([ok_response("双向")], tls=server_tls(client_cert=True)) as (url, calls), \
+            closing(plain_session(verify=CERT, cert=(CERT, KEY))) as session, \
+            sending(url, session=session) as transport:
+        assert transport.complete(chat()).text == "双向"
+
+
+def test_https_with_the_default_ca_bundle_refuses_a_self_signed_certificate():
+    """requests' own CA bundle does not hold the loopback certificate: each
+    attempt fails its handshake, as a transport failure."""
+    with scripted([], tls=server_tls()) as (url, calls), closing(plain_session()) as session, \
+            sending(url, session=session, max_retries=1) as transport:
         with pytest.raises(EndpointError) as excinfo:
             transport.complete(chat())
-    assert str(excinfo.value) == "gave up after 0 retries (transport: HTTPConnectionPool(host='127.0.0.1', " \
-                                 f"port={url.rsplit(':', 1)[1]}): Pool is closed.)"
+    assert str(excinfo.value).startswith("gave up after 1 retries (transport: [SSL: CERTIFICATE_VERIFY_FAILED]")
+    assert calls == []
 
 
-def test_threads_share_one_transports_pool():
+@pytest.mark.parametrize("settings", [{"verify": "missing-bundle.pem"}, {"verify": CERT, "cert": "missing.pem"}],
+                         ids=["ca-bundle", "client-cert"])
+def test_a_tls_file_that_cannot_be_read_is_refused_when_built(tmp_path, settings):
+    settings = {name: value if value == CERT else str(tmp_path / value) for name, value in settings.items()}
+    with closing(plain_session(**settings)) as session, pytest.raises(FileNotFoundError):
+        HttpTransport(cfg(base_url="https://api.example/v1"), session=session)
+
+
+@contextmanager
+def tunnel_proxy(seen: list):
+    """A local HTTP proxy that opens a CONNECT tunnel to the host and port it
+    is asked for, and appends each CONNECT's request line and headers to
+    `seen`; yields its URL."""
+
+    class Tunnel(BaseHTTPRequestHandler):
+        def do_CONNECT(self):
+            seen.append({"line": self.requestline, "headers": self.headers.items()})
+            host, port = self.path.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as upstream:
+                self.send_response(200, "Connection established")
+                self.end_headers()
+                ends = {self.connection: upstream, upstream: self.connection}
+                while True:
+                    for end in select.select(list(ends), [], [], 10)[0]:
+                        if not (data := end.recv(65536)):
+                            return
+                        ends[end].sendall(data)
+
+        def log_message(self, *args):
+            pass
+
+    with serving(Tunnel) as url:
+        yield url
+
+
+def test_https_through_an_http_proxys_connect_tunnel():
+    seen = []
+    with scripted([ok_response("隧道")] * 2, tls=server_tls()) as (url, calls), tunnel_proxy(seen) as proxy, \
+            closing(plain_session(verify=CERT, proxies={"https": proxy.replace("http://", "http://user:pw@")})) \
+            as session, sending(url, session=session) as transport:
+        assert [transport.complete(chat()).text for _ in range(2)] == ["隧道"] * 2
+    host_port = url.removeprefix("https://")
+    assert [request["line"] for request in seen] == [f"CONNECT {host_port} HTTP/1.0"]
+    assert ("Proxy-Authorization", "Basic " + base64.b64encode(b"user:pw").decode()) in seen[0]["headers"]
+    assert calls[0]["headers"]["Host"] == host_port
+    assert connections(calls) == 1
+
+
+def test_threads_share_one_transports_connections():
     """Eight threads, more than the cores, send through one transport over
     keep-alive connections with a short switch interval: each gets the reply
     to its own request."""
@@ -440,28 +711,19 @@ def test_threads_share_one_transports_pool():
             pass
 
     questions = [f"问题{i}" for i in range(200)]
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        endpoint = cfg(base_url=f"http://127.0.0.1:{server.server_port}", timeout=10.0)
-        with closing(HttpTransport(endpoint)) as transport, ThreadPoolExecutor(8) as pool:
+        with serving(Echo) as url, sending(url, timeout=10.0) as transport, ThreadPoolExecutor(8) as pool:
             futures = [pool.submit(transport.complete, chat([{"role": "user", "content": q}])) for q in questions]
             texts = [future.result(timeout=30).text for future in futures]
     finally:
         sys.setswitchinterval(interval)
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
     assert texts == questions
 
 
 class ForeignAdapter(requests.adapters.BaseAdapter):
-    """An adapter that is no HTTPAdapter, and so has no pool to send through."""
+    """An adapter that is no HTTPAdapter."""
 
     def close(self):
         pass
@@ -474,14 +736,39 @@ class SendingAdapter(requests.adapters.HTTPAdapter):
         return super().send(request, **kwargs)
 
 
-@pytest.mark.parametrize("adapter", [ForeignAdapter(), SendingAdapter()], ids=["base-adapter", "own-send"])
-def test_an_adapter_that_the_pool_would_bypass_is_refused(adapter):
+@pytest.mark.parametrize("adapter, described", [
+    (ForeignAdapter(), "ForeignAdapter with max_retries None"),
+    (SendingAdapter(), "SendingAdapter with max_retries Retry(total=0, connect=None, read=False, redirect=None, "
+                       "status=None)"),
+    (requests.adapters.HTTPAdapter(max_retries=3), "HTTPAdapter with max_retries Retry(total=3, connect=None, "
+                                                   "read=None, redirect=None, status=None)"),
+], ids=["base-adapter", "own-send", "retries"])
+def test_an_adapter_whose_settings_would_not_take_effect_is_refused(adapter, described):
     with closing(requests.Session()) as session:
         session.mount("http://", adapter)
         with pytest.raises(ValueError) as excinfo:
             HttpTransport(cfg(), session=session)
-    assert str(excinfo.value) == (f"HttpTransport sends through a requests HTTPAdapter's pool, but the session "
-                                  f"mounts a {type(adapter).__name__} for http://api.example/v1/chat/completions")
+    assert str(excinfo.value) == (f"HttpTransport takes only a plain requests HTTPAdapter with its default "
+                                  f"max_retries, but the session mounts a {described} for "
+                                  f"http://api.example/v1/chat/completions")
+
+
+def test_a_plain_adapter_with_no_retries_is_taken():
+    with closing(requests.Session()) as session:
+        session.mount("http://", requests.adapters.HTTPAdapter(max_retries=0, pool_maxsize=2))
+        HttpTransport(cfg(), session=session).close()
+
+
+@pytest.mark.parametrize("proxy, described", [
+    ("socks5://127.0.0.1:1080", "socks5://127.0.0.1"),
+    ("https://user:pw@proxy.example:3128", "https://proxy.example"),
+    ("http://:3128", "http://"),
+], ids=["socks", "https", "no-host"])
+def test_a_proxy_that_is_no_http_proxy_is_refused(proxy, described):
+    with closing(plain_session(proxies={"http": proxy})) as session, pytest.raises(ValueError) as excinfo:
+        HttpTransport(cfg(), session=session)
+    assert str(excinfo.value) == (f"HttpTransport sends through an http:// proxy with a host only, but the proxy "
+                                  f"for http://api.example/v1/chat/completions is {described}")
 
 
 def _session_with_hook() -> requests.Session:

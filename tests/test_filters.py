@@ -141,6 +141,13 @@ class TestLexicon:
         path.write_text("赌博\n\n 诈骗 \n", encoding="utf-8")
         assert load_lexicon(path) == frozenset({"赌博", "诈骗"})
 
+    def test_comment_lines_are_left_out(self, tmp_path):
+        """A line whose stripped text starts with '#' is a comment, indented or not;
+        a '#' inside an entry is part of it."""
+        path = tmp_path / "lex.txt"
+        path.write_text("# 词表\n赌博\n  # 注释\n诈#骗\n赌博\n", encoding="utf-8")
+        assert load_lexicon(path) == frozenset({"赌博", "诈#骗"})
+
     def test_none_is_empty(self):
         assert load_lexicon(None) == frozenset()
 

@@ -40,7 +40,7 @@ _RECORDS = [
     (InstructionSample(kind="one_turn", turns=[{"role": "user", "content": "问？"}, {"role": "assistant", "content": "答。"}],
                        knowledge_id="k"),
      ["kind", "turns", "category", "knowledge_id", "gen_meta"]),
-    (EvalReport(dataset="e", items_total=0, config={}, per_item=[], per_category={}, overall_micro=0.0,
+    (EvalReport(dataset="e", items_total=0, config={"shots": 0}, per_item=[], per_category={}, overall_micro=0.0,
                 overall_macro=0.0),
      ["dataset", "items_total", "config", "labels", "notes", "overall_micro", "overall_macro", "degraded",
       "per_category", "per_item"]),
@@ -197,7 +197,7 @@ _VALID = {
     InstructionSample: _SAMPLE,
     MCQItem: _MCQ,
     MipRecord: _MIP_ROW,
-    EvalReport: {"dataset": "e", "items_total": 0, "config": {}, "per_item": [], "per_category": {},
+    EvalReport: {"dataset": "e", "items_total": 0, "config": {"shots": 0}, "per_item": [], "per_category": {},
                  "overall_micro": 0.0, "overall_macro": 0.0},
 }
 _REFUSED = [
@@ -226,3 +226,12 @@ def test_constructor_refuses_a_bad_value(cls, changes, error, message):
     with pytest.raises(error) as info:
         cls(**{**_VALID[cls], **changes})
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("config, shown", [({}, "None"), ({"shots": -1}, "-1"), ({"shots": True}, "True"),
+                                            ({"shots": 1.0}, "1.0")], ids=["missing", "negative", "bool", "float"])
+def test_eval_report_requires_its_shot_count(config, shown):
+    """best_of_settings breaks ties on the shot count, and the stats line prints it."""
+    with pytest.raises(SchemaError) as info:
+        EvalReport(**{**_VALID[EvalReport], "config": config})
+    assert str(info.value) == f"config shots must be an int >= 0, got {shown}"

@@ -84,6 +84,13 @@ class TestTemplates:
         assert template.category_list == ("行业标准", "安装工程")
         assert [r.getMessage() for r in caplog.records] == ["one-turn template has 2 categories, expected 40"]
 
+    def test_category_list_keeps_file_order_and_skips_comments(self, tmp_path):
+        """Categories are read as a lexicon is (an indented '# 注释' line is a
+        comment there too), but keep their file order."""
+        categories = tmp_path / "categories.txt"
+        categories.write_text("# 类别\n门窗工程\n  # 注释\n\n 安装工程 \n行业标准\n", encoding="utf-8")
+        assert load_categories(categories) == ("门窗工程", "安装工程", "行业标准")
+
 
 class TestJsonExtraction:
     def test_prose_wrapped(self):
