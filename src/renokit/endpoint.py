@@ -9,7 +9,6 @@ are pluggable so tests and offline replays never touch the network.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import http.client
 import json
@@ -143,7 +142,8 @@ class HttpTransport:
         target = urlsplit(template.url)
         https = target.scheme == "https"
         headers = dict(template.headers)
-        self._address = (target.hostname.rstrip("."), target.port)
+        # an explicit port: http.client would read one after the last ':' of an IPv6 host
+        self._address = (target.hostname.rstrip("."), target.port or (443 if https else 80))
         self._tunnel = None
         if proxy := select_proxy(template.url, settings["proxies"]):
             proxy = prepend_scheme_if_needed(proxy, "http")
@@ -157,7 +157,7 @@ class HttpTransport:
                 headers.update(adapter.proxy_headers(proxy))
             self._address = (via.hostname, via.port or 80)
         self._tls = {"context": _tls_context(settings["verify"], settings["cert"])} if https else {}
-        self._connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._connection_class = _HTTPSConnection if https else http.client.HTTPConnection
         # The head as http.client writes it for urllib3, which requests sends through
         probe, sent = self._connection(), []
         probe.send = sent.append  # endheaders hands the head to send, which here keeps it
@@ -231,7 +231,9 @@ class HttpTransport:
             try:
                 status, data = self._exchange(message)
             except (http.client.HTTPException, OSError, EOFError, zlib.error) as exc:
-                last_error = f"transport: {exc}"
+                # one line of at most 200 characters, as an HTTP error body is cut: the
+                # exception may quote what the server sent, CR LF and all
+                last_error = "transport: " + " ".join(str(exc).split())[:200]
             else:
                 if status == 200:
                     try:
@@ -251,6 +253,21 @@ class HttpTransport:
         raise EndpointError(f"gave up after {self.cfg.max_retries} retries ({last_error})")
 
 
+class _HTTPSConnection(http.client.HTTPSConnection):
+    """An HTTPSConnection whose CONNECT request names an IPv6 host in brackets,
+    as the authority form of RFC 9112 and urllib3 do; http.client before
+    Python 3.11.9, and 3.12 before 3.12.3, leaves them out. The TLS handshake
+    still gets the bare host."""
+
+    def _tunnel(self) -> None:
+        host = self._tunnel_host
+        self._tunnel_host = f"[{host}]" if ":" in host else host
+        try:
+            super()._tunnel()
+        finally:
+            self._tunnel_host = host
+
+
 def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.SSLContext:
     """The TLS context requests would verify with: the CA bundle it would use
     (its default, or a file or directory named by `verify`), or no
@@ -266,6 +283,19 @@ def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.
     return context
 
 
+def _gunzip(data: bytes) -> bytes:
+    """Every gzip member of `data` decoded, as `gzip.decompress` does: the
+    null bytes that may pad the members are skipped."""
+    members = []
+    while data:
+        member = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        members.append(member.decompress(data))
+        if not member.eof:
+            raise EOFError("gzip member ended before its end-of-stream marker")
+        data = member.unused_data.lstrip(b"\0")
+    return b"".join(members)
+
+
 def _inflate(data: bytes) -> bytes:
     try:
         return zlib.decompress(data)
@@ -273,7 +303,7 @@ def _inflate(data: bytes) -> bytes:
         return zlib.decompress(data, -zlib.MAX_WBITS)
 
 
-_DECODERS = {"gzip": gzip.decompress, "deflate": _inflate}
+_DECODERS = {"gzip": _gunzip, "deflate": _inflate}
 
 
 def _decoded(data: bytes, codings: str) -> bytes:

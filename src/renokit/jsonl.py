@@ -75,11 +75,10 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
-def word_list(text: str) -> Iterator[str]:
+def word_list(text: str) -> list[str]:
     """The entries of a word list in file order: each line stripped, with blank
     lines and comments, lines whose stripped text starts with '#', left out."""
-    lines = (line.strip() for line in text.splitlines())
-    return (line for line in lines if line and not line.startswith("#"))
+    return [word for line in text.splitlines() if (word := line.strip()) and word[0] != "#"]
 
 
 def lone_surrogate(text: str) -> str | None:

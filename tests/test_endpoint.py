@@ -222,7 +222,8 @@ class TestHttpTransport:
         with scripted([MALFORMED] * 2) as (url, calls), sending(url, max_retries=1) as transport:
             with pytest.raises(EndpointError) as excinfo:
                 transport.complete(chat())
-        assert str(excinfo.value) == f"gave up after 1 retries (transport: {BAD_STATUS_LINE.decode()})"
+        # the status line as one line, without the CR LF that ended it
+        assert str(excinfo.value) == "gave up after 1 retries (transport: HTTP/1.1 2OO OK)"
         assert len(calls) == 2
 
     def test_backoff_schedule_clamps_to_last(self):
@@ -499,6 +500,54 @@ def test_sends_what_session_post_sends_through_a_proxy(monkeypatch):
     assert seen[0]["headers"][-1] == ("Proxy-Authorization", "Basic " + base64.b64encode(b"user:pw").decode())
 
 
+def test_an_ipv6_host_without_a_port_is_dialled_on_the_schemes_port(monkeypatch):
+    """http.client takes what follows the last ':' of a host for its port
+    when given none; the transport gives it the scheme's. The dial is sent
+    on to a loopback endpoint, which sees a Host header with no port."""
+    dialled, real_dial = [], socket.create_connection
+    seen = []
+    with loopback(seen) as url:
+        def dial(to, *args, **kwargs):
+            dialled.append(to)
+            return real_dial(("127.0.0.1", int(url.rsplit(":", 1)[1])), *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", dial)
+        with sending("http://[::1]", max_retries=0) as transport:
+            assert transport.complete(chat()).text == "服务端回答"
+    assert dialled == [("::1", 80)]
+    assert [(request["line"], dict(request["headers"])["Host"]) for request in seen] == [
+        ("POST /v1/chat/completions HTTP/1.1", "[::1]")]
+
+
+@pytest.mark.parametrize("base_url, line", [
+    ("https://[::1]", "CONNECT [::1]:443 HTTP/1.0"),
+    ("https://[::1]:8443", "CONNECT [::1]:8443 HTTP/1.0"),
+], ids=["default-port", "own-port"])
+def test_a_tunnel_to_an_ipv6_host_is_asked_for_as_session_post_asks(base_url, line):
+    """The CONNECT request names the IPv6 host in brackets, with the scheme's
+    port if the URL names none; the proxy here refuses every tunnel."""
+    seen = []
+
+    class Refusing(BaseHTTPRequestHandler):
+        def do_CONNECT(self):
+            seen.append(self.requestline)
+            self.send_response(502)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        def log_message(self, *args):
+            pass
+
+    with serving(Refusing) as proxy, closing(plain_session(proxies={"https": proxy})) as session:
+        with pytest.raises(requests.exceptions.ProxyError):
+            session.post(base_url + "/v1/chat/completions", json=WIRE_REQUEST)
+        with sending(base_url, session=session, max_retries=0) as transport, \
+                pytest.raises(EndpointError) as excinfo:
+            transport.complete(WIRE_REQUEST)
+    assert str(excinfo.value) == "gave up after 0 retries (transport: Tunnel connection failed: 502 Bad Gateway)"
+    assert seen == [line, line]
+
+
 def test_a_trust_env_session_goes_through_the_environments_proxy(monkeypatch):
     seen = []
     with loopback(seen) as proxy:
@@ -532,7 +581,8 @@ def _raw_deflate(data: bytes) -> bytes:
     ("deflate", zlib.compress(COMPLETION)),
     ("deflate", _raw_deflate(COMPLETION)),
     ("gzip, deflate", zlib.compress(gzip.compress(COMPLETION))),
-], ids=["gzip", "deflate", "raw-deflate", "gzip-then-deflate"])
+    ("gzip", gzip.compress(COMPLETION[:9]) + gzip.compress(COMPLETION[9:]) + b"\0\0"),
+], ids=["gzip", "deflate", "raw-deflate", "gzip-then-deflate", "gzip-members-padded"])
 def test_a_compressed_reply_is_decoded(coding, payload):
     """requests advertises gzip and deflate; a reply in either, or in both
     applied in turn, is decoded."""
@@ -542,10 +592,11 @@ def test_a_compressed_reply_is_decoded(coding, payload):
 
 
 @pytest.mark.parametrize("coding, payload, error", [
-    ("gzip", b"no gzip", "Not a gzipped file (b'no')"),
-    ("gzip", gzip.compress(COMPLETION)[:-12], "Compressed file ended before the end-of-stream marker was reached"),
+    ("gzip", b"no gzip", "Error -3 while decompressing data: incorrect header check"),
+    ("gzip", gzip.compress(COMPLETION)[:-12], "gzip member ended before its end-of-stream marker"),
+    ("gzip", gzip.compress(COMPLETION)[:-1] + b"\1", "Error -3 while decompressing data: incorrect length check"),
     ("deflate", b"not deflate", "Error -3 while decompressing data: invalid block type"),
-], ids=["not-gzip", "truncated-gzip", "not-deflate"])
+], ids=["not-gzip", "truncated-gzip", "wrong-gzip-length", "not-deflate"])
 def test_a_reply_that_does_not_decode_is_a_transport_failure(coding, payload, error):
     seen = []
     with loopback(seen, headers={"Content-Encoding": coding}, payload=payload) as url, \

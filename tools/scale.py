@@ -46,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILDERS = {"books": ("BOOKS", "build_books"), "web": ("WEB", "build_web")}
 HELD = {("BOOKS", "short")}  # counts that stay at K = 1
 STAGES = ("ingest", "filter", "dedup", "mix")  # PipelineRunner.stage_<name>
+SEED = 1  # the corpus generator's seed
 
 
 def _peak_rss_mb() -> float:
@@ -78,7 +79,7 @@ def measure(src: str, config: str, out: str) -> None:
     print(json.dumps({"wall_s": round(time.perf_counter() - t0, 4), "peak_rss_mb": _peak_rss_mb(), "stages": stages}))
 
 
-def build(corpus, name: str, k: int, seed: int, root: Path) -> dict:
+def build(corpus, name: str, k: int, root: Path) -> dict:
     """Writes corpus `name` with its counts times `k` under `root`; returns its planted truth."""
     counts_name, builder = BUILDERS[name]
     counts = getattr(corpus, counts_name)
@@ -87,7 +88,7 @@ def build(corpus, name: str, k: int, seed: int, root: Path) -> dict:
         if type(value) is int and (counts_name, key) not in HELD:
             counts[key] = value * k
     try:
-        return getattr(corpus, builder)(root, seed)
+        return getattr(corpus, builder)(root, SEED)
     finally:
         counts.update(saved)
 
@@ -116,8 +117,6 @@ def summary(pairs: list[dict], sides) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description="scale run of the corpus pipeline")
     ap.add_argument("--k", type=int, nargs="+", default=[10], help="count multipliers (default 10)")
-    ap.add_argument("--corpus", nargs="+", choices=sorted(BUILDERS), default=sorted(BUILDERS))
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=1)
     ap.add_argument("--parent", type=Path, help="a checkout of the parent commit; without it only this one runs")
     ap.add_argument("--name", help="the record goes to BENCH_scale_<name>.json")
@@ -142,10 +141,10 @@ def main() -> int:
     }
     bad = False
     with tempfile.TemporaryDirectory(prefix="renokit-scale-") as work:
-        for name in args.corpus:
+        for name in BUILDERS:
             for k in args.k:
                 inputs = Path(work) / f"{name}-k{k}"
-                truth = build(corpus, name, k, args.seed, inputs)
+                truth = build(corpus, name, k, inputs)
                 pairs = []
                 for i in range(args.pairs):
                     order = sides if i % 2 == 0 else sides[::-1]
@@ -162,7 +161,7 @@ def main() -> int:
                         f"{side} {pair[side]['wall_s']:.2f} s {pair[side]['peak_rss_mb']:.1f} MB "
                         f"failed {pair[side]['failed']}" for side in sides), flush=True)
                 record["runs"][f"{name}-k{k}"] = {
-                    "seed": args.seed, "records": truth["records"], "input_bytes": truth["input_bytes"],
+                    "seed": SEED, "records": truth["records"], "input_bytes": truth["input_bytes"],
                     "summary": summary(pairs, sides), "pairs": pairs,
                 }
     path = Path(f"BENCH_scale_{args.name}.json")
