@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import logging
 import math
 import os
 import select
@@ -30,10 +31,12 @@ import requests
 from requests.adapters import HTTPAdapter, Retry
 from requests.utils import DEFAULT_CA_BUNDLE_PATH, prepend_scheme_if_needed, select_proxy
 
-from .errors import EndpointError
-from .jsonl import Record, canonical_json, config_from_json, lone_surrogate, read_json, write_json
+from .errors import ConfigError, EndpointError
+from .jsonl import _ENCODER, Record, canonical_json, config_from_json, lone_surrogate
 
 Message = dict  # {"role": ..., "content": ...}
+
+log = logging.getLogger(__name__)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
@@ -348,21 +351,89 @@ def request_id(request: dict) -> str:
     return hashlib.md5(canonical_json(request)).hexdigest()
 
 
+ARCHIVE_LOG = "responses.jsonl"
+_ENTRY_PREFIX = b'{"request_id": "'  # how _ENCODER begins every entry, so ids are read without parsing
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _append(path: Path, data: bytes) -> int:
+    """Append `data` to the file at `path` with one write on a descriptor opened for
+    this call, creating the file and its directory if need be; returns the file's size
+    after the write. A write that takes only part of `data` raises OSError."""
+    try:
+        fd = os.open(path, _APPEND_FLAGS, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _APPEND_FLAGS, 0o666)
+    try:
+        written = os.write(fd, data)
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
+    if written != len(data):
+        raise OSError(f"{path}: wrote {written} of {len(data)} bytes")
+    return end
+
+
 class ResponseArchive:
-    """One JSON file per request id; the replayable source of truth for runs."""
+    """The replayable source of truth for runs: one append-only log of entries,
+    `<root>/responses.jsonl`, one JSON line each, indexed by request id in memory.
+
+    Opening reads each line's id from its prefix, parsing no entry; a later line
+    for an id replaces an earlier one. A last line without its newline, left by a
+    crash mid-append, is warned about and not indexed, and the next `store` ends
+    it first. The directory is created by the first `store`. One archive object
+    writes to a directory at a time: another's appends reach this index only
+    when it is opened again.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, rid: str) -> Path:
-        return self.root / f"{rid}.json"
+        self.path = self.root / ARCHIVE_LOG
+        self._lock = threading.Lock()
+        self._offsets: dict[str, tuple[int, int]] = {}  # request id -> (offset, length) of its line
+        self._torn = False  # the log ends in a line without its newline
+        try:
+            log_file = open(self.path, "rb")
+        except FileNotFoundError:
+            if any(self.root.glob("*.json")):
+                raise ConfigError(f"{self.root}: archive of one .json file per request, the layout before "
+                                  f"{ARCHIVE_LOG}; it is not read, so every request would be sent again") from None
+            return
+        offset, start = 0, len(_ENTRY_PREFIX)
+        with log_file:
+            for lineno, line in enumerate(log_file, start=1):
+                if not line.endswith(b"\n"):
+                    log.warning("%s: line %d is cut short, treating its entry as missing", self.path, lineno)
+                    self._torn = True
+                elif line.startswith(_ENTRY_PREFIX) and (end := line.find(b'"', start)) > 0:
+                    self._offsets[line[start:end].decode("utf-8", "replace")] = (offset, len(line))
+                offset += len(line)
 
     def has(self, rid: str) -> bool:
-        return self._path(rid).exists()
+        return rid in self._offsets
 
     def load(self, rid: str) -> dict:
-        return read_json(self._path(rid))
+        """The entry stored under `rid`; a line that is not JSON raises a ValueError naming the file and line."""
+        offset, length = self._offsets[rid]
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(offset)
+            line = fh.read(length)
+        try:
+            return json.loads(line)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            with open(self.path, "rb") as fh:
+                lineno = fh.read(offset).count(b"\n") + 1
+            raise ValueError(f"{self.path}: line {lineno}: invalid JSON: {exc}") from None
 
     def store(self, rid: str, entry: dict) -> None:
-        write_json(self._path(rid), entry)
+        """Append `entry`, which must begin with its "request_id", `rid`, as one line of the log."""
+        line = _ENCODER.encode(entry).encode("utf-8") + b"\n"
+        if not line.startswith(_ENTRY_PREFIX + rid.encode("utf-8") + b'"'):
+            raise ValueError(f"archive entry {rid!r} does not begin with its request_id")
+        with self._lock:
+            data = b"\n" + line if self._torn else line
+            self._torn = True  # until the whole line is known to be written
+            end = _append(self.path, data)
+            self._torn = False
+            self._offsets[rid] = (end - len(line), len(line))

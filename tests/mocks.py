@@ -4,16 +4,24 @@ archive holds; no network anywhere."""
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 from typing import Callable, Sequence
 
-from renokit.endpoint import Completion, ResponseArchive
+from renokit.endpoint import ARCHIVE_LOG, Completion, ResponseArchive
 from renokit.errors import EndpointError
 from renokit.jsonl import canonical_json
 
 
+def archive_entries(root: str | Path) -> list[dict]:
+    """Every entry of the archive in directory `root`, one per line of its log, in log order."""
+    path = Path(root) / ARCHIVE_LOG
+    return [json.loads(line) for line in path.read_bytes().splitlines()] if path.exists() else []
+
+
 def archive_ids(archive: ResponseArchive) -> list[str]:
-    """The request ids of every entry stored in `archive`, sorted."""
-    return sorted(p.stem for p in archive.root.glob("*.json"))
+    """The request ids of every entry stored in `archive`, one per line of its log, sorted."""
+    return sorted(entry["request_id"] for entry in archive_entries(archive.root))
 
 
 def stable_timestamp(messages: Sequence[dict]) -> str:

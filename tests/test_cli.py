@@ -26,6 +26,7 @@ from renokit.pipeline import PipelineManifest, PipelineRunner, config_digest, ru
 from renokit.errors import StageFailure, UnknownSchema
 
 from fixture_data import write_evalhome, write_pipeline_fixture
+from mocks import archive_entries
 
 
 def run_cli(*argv) -> int:
@@ -529,19 +530,31 @@ def _artifacts(out):
     return files, gen
 
 
-def _cut_at(k):
-    """An _atomic_write that raises KeyboardInterrupt at its k-th call, before it writes anything."""
-    real = renokit.jsonl._atomic_write
-    calls = itertools.count(1)
+class _Cut:
+    """Replacements for jsonl._atomic_write and the archive's endpoint._append that count
+    their calls together and raise KeyboardInterrupt at the k-th: before it writes anything,
+    or, with `half` and when that call is an append, after the first half of its bytes."""
+
+    def __init__(self, k: int, half: bool):
+        self.k, self.half = k, half
+        self.calls = itertools.count(1)
+        self.appending = False  # the k-th call is an append
+        self.real_write, self.real_append = renokit.jsonl._atomic_write, renokit.endpoint._append
 
     @contextlib.contextmanager
-    def atomic_write(path):
-        if next(calls) == k:
-            raise KeyboardInterrupt(f"write {k}: {path}")
-        with real(path) as fh:
+    def atomic_write(self, path):
+        if next(self.calls) == self.k:
+            raise KeyboardInterrupt(f"write {self.k}: {path}")
+        with self.real_write(path) as fh:
             yield fh
 
-    return atomic_write
+    def append(self, path, data):
+        if next(self.calls) == self.k:
+            self.appending = True
+            if self.half:
+                self.real_append(path, data[:len(data) // 2])
+            raise KeyboardInterrupt(f"append {self.k}: {path}")
+        return self.real_append(path, data)
 
 
 def _restore(saved, out):
@@ -569,24 +582,30 @@ class TestInterruptedRun:
 
     def cut_every_write(self, tmp_path, monkeypatch, configs, start) -> int:
         """From the out dir saved at `start`, cut a resumed run of config B at each of its writes in
-        turn, then resume with B and with A; returns the number of writes of the whole run."""
+        turn, an archive append both before it writes and halfway, then resume with B and with A;
+        returns the number of writes of the whole run."""
         config_a, config_b, clean = configs
         out, cut = tmp_path / "out", tmp_path / "cut"
         for k in itertools.count(1):
-            _restore(start, out)
-            with monkeypatch.context() as m:
-                m.setattr(renokit.jsonl, "_atomic_write", _cut_at(k))
-                try:
-                    _mock_run(config_b, out, resume=True)
-                except KeyboardInterrupt:
-                    pass
-                else:
-                    return k - 1
-            _restore(out, cut)
-            for config_path in (config_b, config_a):
-                _restore(cut, out)
-                _mock_run(config_path, out, resume=True)
-                assert _artifacts(out) == clean[config_path], (k, config_path.name)
+            for half in (False, True):
+                _restore(start, out)
+                with monkeypatch.context() as m:
+                    writes = _Cut(k, half)
+                    m.setattr(renokit.jsonl, "_atomic_write", writes.atomic_write)
+                    m.setattr(renokit.endpoint, "_append", writes.append)
+                    try:
+                        _mock_run(config_b, out, resume=True)
+                    except KeyboardInterrupt:
+                        pass
+                    else:
+                        return k - 1
+                _restore(out, cut)
+                for config_path in (config_b, config_a):
+                    _restore(cut, out)
+                    _mock_run(config_path, out, resume=True)
+                    assert _artifacts(out) == clean[config_path], (k, half, config_path.name)
+                if not writes.appending:
+                    break  # only an append is also cut halfway
 
     def test_cut_after_a_finished_run_of_other_config(self, tmp_path, monkeypatch, configs):
         _mock_run(configs[0], tmp_path / "out")
@@ -597,7 +616,7 @@ class TestInterruptedRun:
 
     def test_cut_in_a_first_run(self, tmp_path, monkeypatch, configs):
         (tmp_path / "start").mkdir()
-        # the 18 above, ingest 4, eval 3 and 8 archive entries
+        # the 18 above, ingest 4, eval 3 and 8 archive appends
         assert self.cut_every_write(tmp_path, monkeypatch, configs, tmp_path / "start") == 33
 
 
@@ -1413,7 +1432,7 @@ class TestGenCommand:
             assert run_cli(*gen) == 0
         report, sft = read_json(tmp_path / "report.json"), (tmp_path / "sft.jsonl").read_bytes()
         assert (report["rejected"], report["accepted"], report["requests_sent"]) == ({"EndpointError": 1}, 1, 2)
-        errors = [entry["error"] for entry in map(read_json, (tmp_path / "sft.jsonl.archive").glob("*.json"))]
+        errors = [entry["error"] for entry in archive_entries(tmp_path / "sft.jsonl.archive")]
         assert sorted(errors, key=str) == [None, "completion content holds a lone surrogate '\\ud800' at position 2"]
         assert run_cli(*gen, "--replay-only") == 0
         replayed = read_json(tmp_path / "report.json")
@@ -1436,3 +1455,20 @@ class TestGenCommand:
         report = read_json(report_path)
         assert report["rejected"] == {"EndpointError": 1}
         assert (report["accepted"], report["requests_sent"], report["budget_exhausted"]) == (0, 0, False)
+        assert not (tmp_path / "sft.jsonl.archive").exists()  # a replay writes nothing to the archive
+
+    def test_an_archive_of_one_file_per_request_is_refused(self, tmp_path, capsys):
+        """The layout before the archive log: read as empty, it would have every request sent again."""
+        doc = {"doc_id": "k1", "text": "知识内容样例。", "source_kind": "domain_book", "token_count": 6, "char_count": 7,
+               "status": "retained"}
+        write_jsonl(tmp_path / "docs.jsonl", [doc])
+        write_json(tmp_path / "ep.json", EndpointConfig(base_url="http://mock.invalid", model_name="m").to_dict())
+        archive = tmp_path / "sft.jsonl.archive"
+        write_json(archive / "0123456789abcdef0123456789abcdef.json", {"request_id": "0123456789abcdef0123456789abcdef",
+                                                                        "response": "旧", "error": None})
+        assert run_cli("gen", "--kind", "mcq", "--knowledge", tmp_path / "docs.jsonl", "--endpoint",
+                       tmp_path / "ep.json", "--out", tmp_path / "sft.jsonl", "--budget", 5) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {archive}: archive of one .json file per request") and err.count("\n") == 1
+        assert sorted(p.name for p in archive.iterdir()) == ["0123456789abcdef0123456789abcdef.json"]
+        assert not (tmp_path / "sft.jsonl").exists()

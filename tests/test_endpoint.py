@@ -4,6 +4,7 @@ import base64
 import gzip
 import inspect
 import json
+import os
 import select
 import socket
 import ssl
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 import requests
 
+import renokit.endpoint
 from renokit.endpoint import (
     ChatClient,
     EndpointConfig,
@@ -412,6 +414,58 @@ class TestResponseArchive:
         assert archive.load("abc") == entry
         assert archive_ids(archive) == ["abc"]
         assert len(archive_ids(archive)) == 1
+
+    def test_concurrent_stores_lose_no_entry(self, tmp_path):
+        archive = ResponseArchive(tmp_path / "arch")
+        entries = {f"{t}-{i}": {"request_id": f"{t}-{i}", "response": "文" * i} for t in range(8) for i in range(50)}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(archive.store, rid, entry) for rid, entry in entries.items()]:
+                    future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        reopened = ResponseArchive(tmp_path / "arch")
+        for rid, entry in entries.items():
+            assert archive.load(rid) == reopened.load(rid) == entry
+        assert sorted(archive_ids(archive)) == sorted(entries)
+
+    def test_an_entry_must_begin_with_its_request_id(self, tmp_path):
+        archive = ResponseArchive(tmp_path / "arch")
+        for rid, entry in (("abc", {"response": "文本", "request_id": "abc"}), ("abd", {"request_id": "abc"})):
+            with pytest.raises(ValueError, match="does not begin with its request_id"):
+                archive.store(rid, entry)
+        assert not (tmp_path / "arch").exists()
+
+    def test_lines_without_an_entry_are_skipped(self, tmp_path):
+        (tmp_path / "arch").mkdir()
+        entry = {"request_id": "abc", "response": "文本", "error": None}
+        (tmp_path / "arch" / "responses.jsonl").write_bytes(
+            b'\n[1]\n{"request_id": "cut\n' + json.dumps(entry, ensure_ascii=False).encode() + b"\n")
+        archive = ResponseArchive(tmp_path / "arch")
+        assert (archive.has("abc"), archive.has("cut"), archive.load("abc")) == (True, False, entry)
+
+    def test_a_short_write_raises_and_the_next_store_ends_its_line(self, tmp_path, monkeypatch):
+        class HalfWrites:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def write(fd, data):
+                return os.write(fd, data[:len(data) // 2])
+
+        archive = ResponseArchive(tmp_path / "arch")
+        with monkeypatch.context() as m:
+            m.setattr(renokit.endpoint, "os", HalfWrites())
+            with pytest.raises(OSError, match="wrote"):
+                archive.store("a", {"request_id": "a", "response": "甲"})
+        archive.store("b", {"request_id": "b", "response": "乙"})
+        assert (archive.has("a"), archive.load("b")) == (False, {"request_id": "b", "response": "乙"})
+        reopened = ResponseArchive(tmp_path / "arch")
+        with pytest.raises(ValueError, match=f"{reopened.path}: line 1: invalid JSON"):
+            reopened.load("a")
+        assert reopened.load("b") == {"request_id": "b", "response": "乙"}
 
 
 @contextmanager

@@ -20,6 +20,7 @@ from renokit.errors import (
     RoleOrderViolation,
     SchemaError,
 )
+from renokit.jsonl import write_jsonl
 from renokit.sftgen import (
     ArchivedCompleter,
     InstructionSample,
@@ -395,23 +396,51 @@ class TestBatchGenerate:
         items1, _, archive = self.run_batch(tmp_path / "arch")
         first, second = archive_ids(archive)[:2]
 
-        def corrupt():
-            (archive.root / f"{first}.json").write_text('{"response": "cut sho', encoding="utf-8")
-            (archive.root / f"{second}.json").write_text('{"request_id": "neither"}', encoding="utf-8")
+        def corrupt() -> int:
+            """Cut every log line of `first` short inside its JSON and leave every line of `second`
+            without a response or an error; returns the line number of the last line of `first`."""
+            bad = {first: f'{{"request_id": "{first}", "response": "cut sho\n', second: f'{{"request_id": "{second}"}}\n'}
+            lines = [next((b for rid, b in bad.items() if line.startswith(f'{{"request_id": "{rid}"')), line)
+                     for line in archive.path.read_text(encoding="utf-8").splitlines(keepends=True)]
+            archive.path.write_text("".join(lines), encoding="utf-8")
+            return max(i for i, line in enumerate(lines, start=1) if line == bad[first])
 
-        corrupt()
+        lineno = corrupt()
         with caplog.at_level(logging.WARNING, logger="renokit.sftgen"):
             items2, reports2, _ = self.run_batch(tmp_path / "arch")
         assert [i.to_dict() for i in items2] == [i.to_dict() for i in items1]
         assert sum(r.requests_sent for r in reports2) == 2
         assert sum("treating it as missing" in r.getMessage() for r in caplog.records) == 2
-        assert any(f"{archive.root / first}.json: invalid JSON" in r.getMessage() for r in caplog.records)
+        assert any(f"{archive.path}: line {lineno}: invalid JSON" in r.getMessage() for r in caplog.records)
         # offline, the two are sent, fail and are rejected; replay does not crash
         corrupt()
         items3, reports3, _ = self.run_batch(tmp_path / "arch", transport=OfflineTransport())
         assert sum(r.replayed for r in reports3) == 98
         assert sum(r.rejected.get("EndpointError", 0) for r in reports3) == 2
         assert len(items3) == len(items1) - 2
+
+    def test_torn_last_line_is_resent_and_ended(self, tmp_path, caplog):
+        """A crash mid-append leaves a last line without its newline: a rerun warns about it,
+        sends its request again and ends the line first; the replay after it is byte-identical."""
+        items1, _, archive = self.run_batch(tmp_path / "arch")
+        log_bytes = archive.path.read_bytes()
+        last = log_bytes.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        torn = log_bytes[:len(log_bytes) - len(last) // 2 - 1]
+        archive.path.write_bytes(torn)
+        with caplog.at_level(logging.WARNING, logger="renokit.endpoint"):
+            items2, reports2, _ = self.run_batch(tmp_path / "arch")
+        assert [r.getMessage() for r in caplog.records] == [f"{archive.path}: line 100 is cut short, treating its "
+                                                            "entry as missing"]
+        assert sum(r.requests_sent for r in reports2) == 1
+        assert archive.path.read_bytes() == torn + b"\n" + last + b"\n"
+        caplog.clear()
+        items3, reports3, _ = self.run_batch(tmp_path / "arch", transport=OfflineTransport())
+        assert (caplog.records, sum(r.replayed for r in reports3)) == ([], 100)
+        assert archive.path.read_bytes() == torn + b"\n" + last + b"\n"
+        write_jsonl(tmp_path / "fresh.jsonl", items1)
+        write_jsonl(tmp_path / "replay.jsonl", items3)
+        assert (tmp_path / "replay.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+        assert [i.to_dict() for i in items2] == [i.to_dict() for i in items1]
 
     def test_budget_exhaustion_flushes_partial(self, tmp_path):
         docs = build_gen_docs()[:20]
