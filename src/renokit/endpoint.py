@@ -20,6 +20,7 @@ import ssl
 import threading
 import time
 import zlib
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -346,6 +347,34 @@ class ChatClient:
         return self.transport.complete(self.request(messages))
 
 
+class JobPool(ThreadPoolExecutor):
+    """The thread pool of a batch of endpoint jobs, which an interrupt stops. A
+    job that raises what is not an Exception (KeyboardInterrupt, SystemExit)
+    makes every job that starts after it raise CancelledError unrun, and
+    leaving the `with` block cancels the jobs still queued, so the rest of the
+    batch is neither sent nor archived."""
+
+    _interrupted = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        return super().submit(self._run, fn, *args, **kwargs)
+
+    def _run(self, fn, *args, **kwargs):
+        if self._interrupted:
+            raise CancelledError
+        try:
+            return fn(*args, **kwargs)
+        except Exception:
+            raise
+        except BaseException:
+            self._interrupted = True
+            raise
+
+    def __exit__(self, *exc_info):
+        self.shutdown(cancel_futures=True)
+        return False
+
+
 def request_id(request: dict) -> str:
     """Deterministic id of a chat request; identical requests share one."""
     return hashlib.md5(canonical_json(request)).hexdigest()
@@ -375,6 +404,15 @@ def _append(path: Path, data: bytes) -> int:
     return end
 
 
+def check_archive_layout(root: Path) -> None:
+    """Refuse an archive directory of one .json file per request and no log,
+    the layout before ARCHIVE_LOG: it is not read, so every request would be
+    sent again."""
+    if not (root / ARCHIVE_LOG).exists() and any(root.glob("*.json")):
+        raise ConfigError(f"{root}: archive of one .json file per request, the layout before "
+                          f"{ARCHIVE_LOG}; it is not read, so every request would be sent again")
+
+
 class ResponseArchive:
     """The replayable source of truth for runs: one append-only log of entries,
     `<root>/responses.jsonl`, one JSON line each, indexed by request id in memory.
@@ -396,9 +434,7 @@ class ResponseArchive:
         try:
             log_file = open(self.path, "rb")
         except FileNotFoundError:
-            if any(self.root.glob("*.json")):
-                raise ConfigError(f"{self.root}: archive of one .json file per request, the layout before "
-                                  f"{ARCHIVE_LOG}; it is not read, so every request would be sent again") from None
+            check_archive_layout(self.root)
             return
         offset, start = 0, len(_ENTRY_PREFIX)
         with log_file:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .endpoint import ChatClient, EndpointConfig, Transport
+from .endpoint import ChatClient, EndpointConfig, JobPool, Transport
 from .errors import (
     ArityError,
     ConfigError,
@@ -278,7 +277,7 @@ def run_eval(
         }
 
     client = ChatClient(cfg.endpoint, transport)
-    with ThreadPoolExecutor(max_workers=cfg.endpoint.concurrency_limit) as pool:
+    with JobPool(max_workers=cfg.endpoint.concurrency_limit) as pool:
         rows = list(pool.map(score, dataset.entries, prompts))
     degraded = any(r["error"] is not None for r in rows)
     for row in rows:

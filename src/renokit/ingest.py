@@ -2,10 +2,10 @@
 
 Extraction strips markup, drops regions that carry no prose (tables, figures,
 scripts), removes URLs, and normalizes whitespace. Markup is read by one token
-scan, or, for text outside the scan's subset, by the HTMLParser reading
-(`_markup_stripper`); the html package loads on the first entity reference
-and html.parser on the first text the scan refuses, so plain text and
-entity-free pages load neither. Cleaning is a fixpoint:
+scan, in time linear in the text, as HTMLParser reads it but for the forms
+README lists (an unended tag or comment, a "<" inside a start tag, two kinds of
+broken "&", an unknown marked section); the html package loads on the first
+entity reference, so plain text and entity-free pages load nothing. Cleaning is a fixpoint:
 running it on already-clean text returns the text unchanged, which is what
 makes downstream content hashes stable.
 """
@@ -101,140 +101,134 @@ _BLOCK = frozenset({
 })
 
 
-@functools.cache
-def _markup_stripper() -> type:
-    """_MarkupStripper, the HTMLParser reading of markup, defined on first use:
-    html.parser loads only for a text that leaves the token scan."""
-    from html.parser import HTMLParser
-
-    class _MarkupStripper(HTMLParser):
-        """Collects prose text, skipping regions whose content is never prose."""
-
-        def __init__(self):
-            super().__init__(convert_charrefs=False)
-            self._chunks: list[str] = []
-            self._drop_depth = 0
-
-        def handle_starttag(self, tag, attrs):
-            if tag == "br":
-                if not self._drop_depth:
-                    self._chunks.append("\n")
-                return
-            if tag in _DROP:
-                self._drop_depth += 1
-            elif tag in _BLOCK and not self._drop_depth:
-                self._chunks.append("\n")
-
-        def handle_endtag(self, tag):
-            if tag in _DROP:
-                self._drop_depth = max(0, self._drop_depth - 1)
-            elif tag in _BLOCK and not self._drop_depth:
-                self._chunks.append("\n")
-
-        def handle_data(self, data):
-            if not self._drop_depth:
-                self._chunks.append(data)
-
-        def handle_entityref(self, name):
-            if not self._drop_depth:
-                self._chunks.append(_entity_text(f"&{name};"))
-
-        def handle_charref(self, name):
-            if not self._drop_depth:
-                self._chunks.append(_entity_text(f"&#{name};"))
-
-        def text(self) -> str:
-            return "".join(self._chunks)
-
-    return _MarkupStripper
-
-
-# The markup subset that strip_markup reads without HTMLParser, one token per
-# match, chosen so that every HTMLParser version reads each token the same
-# way: tag and attribute names are ASCII, attribute values are quoted or bare
-# and hold no "<" or ">", an entity ends in ";", and a comment holds no "--".
-# An element whose body HTMLParser reads as raw text is one token: script and
-# style with a body free of "<", and the elements that newer versions also read
-# so with a body free of "<" and "&". A start tag of any of them alone is no
-# token, nor is plaintext, whose body runs to the end of the input.
-_SPACE = r"[ \t\n\r\f]"
-_TAG_NAME = r"[a-zA-Z][-:a-zA-Z0-9]*"
-_ATTRS = (rf"(?:{_SPACE}+[a-zA-Z_:][-.:a-zA-Z0-9_]*"
-          rf"(?:{_SPACE}*={_SPACE}*(?:\"[^\"<>]*\"|'[^'<>]*'|[^\s\"'<>=`/]+(?=[ \t\n\r\f>])))?)*{_SPACE}*")
+# The token scan reads markup as HTMLParser (Python 3.10 to 3.13.0, convert_charrefs
+# off) reads a whole text; every position starts a token. A start tag is HTMLParser's
+# tolerant one, less any holding a "<" outside its quoted values, so no attempt runs
+# past the next such "<"; the lookahead and backreference make it one atomic piece.
+# The "</…>", "<!…>", "<?…>", "<!--…-->" and "<![…]]>" forms and script and style
+# bodies end at a closer found past the match (_markup_closers). A "<" or "&" that
+# starts no token, or one that never ends, is text. README lists the forms read differently.
+_TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00<]*"
+_ATTR = (r"(?<=['\"\s/])[^\s/><][^\s/=><]*"
+         r"(?:\s*=+\s*(?:'[^']*'|\"[^\"]*\"|(?!['\"])[^>\s<]*)\s*)?(?:\s|/(?!>))*")
 
 
 @functools.cache
 def _markup_token_re() -> re.Pattern:
     """The token regex, compiled on first use: compiling it takes milliseconds,
     which importing the module for a command that reads no markup should not pay."""
-    # (?ai:...) folds ASCII letter case only, so "ſ" and the Kelvin sign spell no tag name.
-    script = "(?ai:script|style)"
-    raw_text = "(?ai:title|textarea|xmp|iframe|noembed|noframes|noscript)"
     return re.compile(
-        r"(?P<text>[^<&]+)"
-        r"|(?P<entity>&(?:[a-zA-Z][-.a-zA-Z0-9]*|#[0-9]+|#[xX][0-9a-fA-F]+);)"
-        rf"|<(?P<start>(?!(?:{script}|{raw_text}|(?ai:plaintext))[ \t\n\r\f/>]){_TAG_NAME})"
-        rf"{_ATTRS}(?P<selfclose>/?)>"
-        rf"|</(?P<end>{_TAG_NAME}){_SPACE}*>"
-        rf"|<(?P<element>{raw_text}){_ATTRS}>(?P<body>[^<&]*)</(?P=element){_SPACE}*>"
-        rf"|(?P<skip><!--(?!-?>)[^-]*(?:-[^-]+)*-->|<(?P<script>{script}){_ATTRS}>[^<]*</(?P=script){_SPACE}*>)"
+        r"[^<&]+"
+        rf"|(?=(?P<tag><(?P<start>{_TAG_NAME})(?:\s|/(?!>))*(?:{_ATTR})*\s*))(?P=tag)(?P<selfclose>/?)>"
+        r"|</\s*(?P<end>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"
+        r"|&(?P<ref>[a-zA-Z][-.a-zA-Z0-9]*(?=[^a-zA-Z0-9])|#(?:[0-9]+|[xX][0-9a-fA-F]+)(?=[^0-9a-fA-F]));?"
+        rf"|<{_TAG_NAME}(?=\x00)"  # HTMLParser reads a tag name that a NUL ends as text
+        r"|(?P<gt></|<\?|<!(?!--|\[))"
+        r"|(?P<comment><!--)"
+        r"|<!\[(?P<section>[a-zA-Z][-_.a-zA-Z0-9]*)(?=\s*\S)"
+        r"|[<&][^<&]*"
     )
 
 
-def _strip_tokens(text: str) -> str | None:
-    """strip_markup for text made of _markup_token_re() tokens only, applying
-    _MarkupStripper's rules to each; None if any position starts no token."""
+@functools.cache
+def _markup_closers() -> dict[str, re.Pattern]:
+    """The closer of each token that ends past its match, by the name of its
+    opening group, a raw-text element or a _SECTIONS value."""
+    return {
+        "gt": re.compile(">"),
+        "comment": re.compile(r"--\s*>"),
+        "script": re.compile(r"</\s*(?ai:script)\s*>"),
+        "style": re.compile(r"</\s*(?ai:style)\s*>"),
+        "]]>": re.compile(r"]\s*]\s*>"),
+        "]>": re.compile(r"]\s*>"),
+    }
+
+
+# The marked-section keywords HTMLParser reads, and their closers; it raises on any other.
+_SECTIONS = {"temp": "]]>", "cdata": "]]>", "ignore": "]]>", "include": "]]>", "rcdata": "]]>",
+             "if": "]>", "else": "]>", "endif": "]>"}
+_END_TAG_NAME = re.compile(r"[a-zA-Z][^\t\n\r\f />\x00]*")
+
+
+def _strip_tokens(text: str) -> str:
+    """strip_markup by the token scan: HTMLParser's start tag, end tag, entity
+    and character reference events, read into drop regions, block newlines and
+    <br>. Each closer is searched for again only once the scan has passed its
+    last hit, so a text of openers that never close costs one search per kind."""
+    scan = _markup_token_re().finditer
+    closers = _markup_closers()
+    found: dict[str, re.Match | None] = {}
+
+    def closer(kind: str, at: int) -> re.Match | None:
+        hit = found.get(kind, False)
+        if hit is False or hit is not None and hit.start() < at:
+            hit = found[kind] = closers[kind].search(text, at)
+        return hit
+
     chunks: list[str] = []
     depth = 0
     pos = 0
-    for m in _markup_token_re().finditer(text):
-        if m.start() != pos:
-            return None
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "text":
-            if not depth:
-                chunks.append(m[0])
-        elif kind == "entity":
-            if not depth:
-                chunks.append(_entity_text(m[0]))
-        elif kind == "selfclose":  # a start tag; self-closing is a start then an end
-            tag = m["start"].lower()
-            if tag == "br":
+    while pos < len(text):
+        for m in scan(text, pos):
+            kind = m.lastgroup
+            if kind is None:  # text, or a "<" or "&" that starts no token and the text after it
                 if not depth:
+                    chunks.append(m[0])
+            elif kind == "selfclose":  # a start tag; self-closing is a start then an end
+                tag = m["start"].lower()
+                if tag == "br":
+                    if not depth:
+                        chunks.append("\n")
+                elif tag in _DROP:
+                    if m["selfclose"]:
+                        continue
+                    if tag != "script" and tag != "style":
+                        depth += 1
+                        continue
+                    close = closer(tag, m.end())  # a script or style body runs to its end tag
+                    if close is None:
+                        return "".join(chunks)
+                    pos = close.end()
+                    break
+                elif tag in _BLOCK and not depth:
+                    chunks.append("\n\n" if m["selfclose"] else "\n")
+            elif kind == "ref":
+                if not depth:
+                    chunks.append(_entity_text(f"&{m['ref']};"))
+            else:  # an end tag, or "</", "<?", "<!", "<!--" or "<![" running to its closer
+                tag = m["end"]
+                if tag is None:
+                    if kind == "section":
+                        kind = _SECTIONS.get(m["section"].lower())
+                    close = kind and closer(kind, m.end())
+                    if not close:  # text: the opening holds no "<" or "&" past its first "<"
+                        if not depth:
+                            chunks.append(m[0])
+                        continue
+                    pos = close.end()
+                    name = m[0] == "</" and _END_TAG_NAME.match(text, m.end())
+                    if not name:
+                        break
+                    tag = name[0]  # an end tag that HTMLParser reads up to the first ">"
+                tag = tag.lower()
+                if tag in _DROP:
+                    depth = max(0, depth - 1)
+                elif tag in _BLOCK and not depth:
                     chunks.append("\n")
-            elif tag in _DROP:
-                if not m["selfclose"]:
-                    depth += 1
-            elif tag in _BLOCK and not depth:
-                chunks.append("\n\n" if m["selfclose"] else "\n")
-        elif kind == "end":
-            tag = m["end"].lower()
-            if tag in _DROP:
-                depth = max(0, depth - 1)
-            elif tag in _BLOCK and not depth:
-                chunks.append("\n")
-        elif kind == "body":  # none of these elements is a block; a drop one adds nothing
-            if not depth and m["element"].lower() not in _DROP:
-                chunks.append(m["body"])
-    return "".join(chunks) if pos == len(text) else None
+                if kind != "end":
+                    break
+        else:
+            break
+    return "".join(chunks)
 
 
 def strip_markup(text: str) -> str:
-    """The prose of `text` with its markup removed. Text holding neither "<"
-    nor "&" is one text token and comes back unchanged, without compiling the
-    token regex. Text made only of the tokens of _markup_token_re() is read by
-    one regex scan; anything else goes whole to HTMLParser (_MarkupStripper,
-    from _markup_stripper()), which gives the same result."""
+    """The prose of `text` with its markup removed, by one token scan. Text
+    holding neither "<" nor "&" is one text token and comes back unchanged,
+    without compiling the token regex."""
     if "<" not in text and "&" not in text:
         return text
-    stripped = _strip_tokens(text)
-    if stripped is not None:
-        return stripped
-    parser = _markup_stripper()()
-    parser.feed(text)
-    parser.close()
-    return parser.text()
+    return _strip_tokens(text)
 
 
 # --- cleaning rules ---------------------------------------------------------
@@ -249,7 +243,10 @@ _URL_RE = re.compile(
     r"[A-Za-z0-9._~:/?#@!$&'()*+;=%\[\]-]*"
 )
 
-_MD_IMAGE_RE = re.compile(r"!\[[^\]\n]*\]\([^)\n]*\)")
+# A Markdown image, "![alt](url)" within one line. A "![" that opens none is
+# matched too, up to where every later "![" fails the same way, and kept as it
+# is, so that no line of such openers is rescanned from each of them.
+_MD_IMAGE_RE = re.compile(r"!\[[^\]\n]*(?:\](?:\([^)\n]*(?P<image>\))?)?)?")
 
 _SPACES_RE = re.compile("  +")
 _BLANK_LINES_RE = re.compile("\n\n\n+")
@@ -295,7 +292,7 @@ def normalize_whitespace(text: str) -> str:
 
 
 def clean_text(text: str) -> str:
-    text = _MD_IMAGE_RE.sub(" ", text)
+    text = _MD_IMAGE_RE.sub(lambda m: " " if m["image"] else m[0], text)
     text = strip_markup(text)
     if "://" in text or "www." in text:  # every URL holds one of them
         text = _URL_RE.sub("", text)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from . import __version__
 from .dedup import DedupConfig, DedupReport, DupPair, run_dedup
 from .errors import BudgetExhausted, ConfigError, StageFailure, UnknownSchema
-from .endpoint import ChatClient, EndpointConfig, ResponseArchive, utc_now_iso
+from .endpoint import ChatClient, EndpointConfig, ResponseArchive, check_archive_layout, utc_now_iso
 from .evalharness import EvalReport, EvalRunConfig, MCQDataset, best_of_settings, check_shots, load_dataset, run_eval
 from .filters import FilterConfig, FilterReport, run_filters
 from .ingest import (
@@ -314,6 +314,7 @@ class PipelineRunner:
             self.gen_files = [p for p in (template, categories) if p]
             self.gen_template = load_template(self.gen.kind, body_path=template, categories_path=categories)
             self.gen_endpoint = self._endpoint(self.gen.endpoint, "gen.endpoint")
+            check_archive_layout(self.out_dir / "gen_archive")
         self.eval = config_from_dict(EvalSection, run.eval, "eval section") if run.eval else None
         if self.eval:
             self.eval_endpoint = self._endpoint(self.eval.endpoint, "eval.endpoint")

@@ -17,14 +17,14 @@ import json
 import logging
 import re
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from threading import Lock
 from typing import Callable, Collection, Sequence
 
-from .endpoint import ChatClient, Completion, OfflineTransport, ResponseArchive, request_id
+from .endpoint import ChatClient, Completion, JobPool, OfflineTransport, ResponseArchive, request_id
 from .errors import (
     ArityError,
     BudgetExhausted,
@@ -509,7 +509,7 @@ def batch_generate(
     accepted_per_kind: Counter[str] = Counter()
     jobs_accepted = 0
     budget_exhausted = False
-    with ThreadPoolExecutor(max_workers=client.cfg.concurrency_limit) as pool:
+    with JobPool(max_workers=client.cfg.concurrency_limit) as pool:
         futures = [(pool.submit(run_job, job), job[1]) for job in jobs]
         for future, kind in futures:
             try:

@@ -53,6 +53,18 @@ class FailingTransport:
         raise EndpointError(self.message)
 
 
+class InterruptingTransport:
+    """Counts the requests sent to it and raises KeyboardInterrupt in each, as
+    a Ctrl-C during a request does."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, request) -> Completion:
+        self.calls += 1
+        raise KeyboardInterrupt
+
+
 class GoldAnswerTransport:
     """Answers the target question of an eval prompt.
 

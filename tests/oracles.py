@@ -5,6 +5,7 @@ by renokit itself."""
 from __future__ import annotations
 
 import random
+from html.parser import HTMLParser
 from itertools import combinations
 from typing import Sequence
 
@@ -14,7 +15,8 @@ from renokit.dedup import (REASON_SENTENCE, DedupConfig, DupPair, compute_signat
                            shingle, split_sentences)
 from renokit.evalharness import SPLIT_DEV, DatasetEntry, MCQDataset, MCQItem, _exemplars
 from renokit.errors import EmptyInput
-from renokit.ingest import STATUS_DEDUPED_OUT, Document, RawRecord, _document, clean_record, normalize_whitespace
+from renokit.ingest import (_BLOCK, _DROP, STATUS_DEDUPED_OUT, Document, RawRecord, _document, _entity_text, clean_record,
+                            normalize_whitespace)
 from renokit.mixer import MODE_MIP, MipRecord, MipReport, record_id, records_tokens, render_instruction_text
 from renokit.tokenizers import count_tokens, count_tokens_batch
 
@@ -102,6 +104,56 @@ def extract_answer_by_scan(raw: str, options: dict[str, str]) -> str | None:
 def sign_rows(rows: Sequence[np.ndarray], cfg: DedupConfig) -> np.ndarray:
     """`compute_signatures` of one hash array per row."""
     return compute_signatures(np.concatenate([np.empty(0, dtype=np.uint64), *rows]), cfg, [len(r) for r in rows])
+
+
+class MarkupStripper(HTMLParser):
+    """The standard library's HTMLParser reading of markup, with the drop
+    regions, block newlines and entity rule of `ingest.strip_markup`: the
+    reading the token scan replaced, and the reference it is compared with."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=False)
+        self._chunks: list[str] = []
+        self._drop_depth = 0
+
+    def handle_starttag(self, tag, attrs):
+        if tag == "br":
+            if not self._drop_depth:
+                self._chunks.append("\n")
+            return
+        if tag in _DROP:
+            self._drop_depth += 1
+        elif tag in _BLOCK and not self._drop_depth:
+            self._chunks.append("\n")
+
+    def handle_endtag(self, tag):
+        if tag in _DROP:
+            self._drop_depth = max(0, self._drop_depth - 1)
+        elif tag in _BLOCK and not self._drop_depth:
+            self._chunks.append("\n")
+
+    def handle_data(self, data):
+        if not self._drop_depth:
+            self._chunks.append(data)
+
+    def handle_entityref(self, name):
+        if not self._drop_depth:
+            self._chunks.append(_entity_text(f"&{name};"))
+
+    def handle_charref(self, name):
+        if not self._drop_depth:
+            self._chunks.append(_entity_text(f"&#{name};"))
+
+    def text(self) -> str:
+        return "".join(self._chunks)
+
+
+def html_parser_text(text: str) -> str:
+    """What MarkupStripper makes of `text`, fed whole and closed."""
+    parser = MarkupStripper()
+    parser.feed(text)
+    parser.close()
+    return parser.text()
 
 
 def extract_text(record: RawRecord) -> Document:

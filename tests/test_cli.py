@@ -455,6 +455,17 @@ class TestPipelineRun:
         report = read_json(tmp_path / "out" / "eval_report.json")
         assert report["items_total"] == 113
 
+    def test_an_archive_of_one_file_per_request_is_refused_before_ingest(self, tmp_path, capsys):
+        config_path = _full_config(tmp_path)
+        archive = tmp_path / "out" / "gen_archive"
+        write_json(archive / "0123456789abcdef0123456789abcdef.json", {"request_id": "0123456789abcdef0123456789abcdef",
+                                                                        "response": "旧", "error": None})
+        assert run_cli("run", "--config", config_path, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {archive}: archive of one .json file per request") and err.count("\n") == 1
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["gen_archive"]
+        assert not (tmp_path / "out" / "docs.jsonl").exists()
+
     def test_gen_budget_exhaustion_exit_code_4(self, tmp_path):
         config_path = _full_config(tmp_path)
         config = json.loads(config_path.read_text(encoding="utf-8"))

@@ -32,7 +32,7 @@ from renokit.jsonl import write_json, write_jsonl
 from renokit.pipeline import run_eval_stage
 
 from fixture_data import build_evalhome_rows
-from mocks import ConstantTransport, FailingTransport, GoldAnswerTransport, ScriptedTransport
+from mocks import ConstantTransport, FailingTransport, GoldAnswerTransport, InterruptingTransport, ScriptedTransport
 from oracles import extract_answer_by_scan, select_exemplars
 
 
@@ -171,6 +171,12 @@ class TestRunEval:
         report = run_eval(evalhome, eval_cfg(), transport=transport)
         assert report.overall_micro == 100.0
         assert report.overall_macro == 100.0
+
+    def test_an_interrupt_stops_the_run(self, evalhome):
+        transport = InterruptingTransport()
+        with pytest.raises(KeyboardInterrupt):
+            run_eval(evalhome, EvalRunConfig(shots=0, endpoint=endpoint_cfg(concurrency=1)), transport=transport)
+        assert transport.calls == 1
 
     def test_always_wrong_letter_is_0(self, evalhome):
         report = run_eval(evalhome, eval_cfg(), transport=ConstantTransport("E选项"))

@@ -53,8 +53,8 @@ def test_commands_load_no_html_parser_on_import():
 
 
 def test_html_loads_only_for_markup_that_needs_it(tmp_path):
-    """Plain text and markup the token scan reads without an entity load no html
-    module; an entity loads html and its tables, and markup outside the scan html.parser."""
+    """No markup loads html.parser, which renokit no longer uses; only an entity
+    loads html and its tables."""
     code = (
         "import sys\n"
         f"sys.path[:0] = [{str(SRC)!r}, {str(TESTS)!r}]\n"
@@ -64,11 +64,12 @@ def test_html_loads_only_for_markup_that_needs_it(tmp_path):
         "from renokit.pipeline import run_pipeline\n"
         f"root = Path({str(tmp_path)!r})\n"
         "run_pipeline(write_pipeline_fixture(root), root / 'out')\n"
+        "assert clean_text('<!DOCTYPE html><!-- a -- b --><script>if (a<b) go();</script><p>甲 乙</p>') == '甲 乙'\n"
         + HTML_MODULES +
         "assert clean_text('<p>甲 &amp; 乙</p>') == '甲 &amp; 乙'\n"
         + HTML_MODULES +
-        "assert clean_text('<!DOCTYPE html><p>甲 &lt; 乙</p>') == '甲 &lt; 乙'\n"
+        "assert clean_text('<!DOCTYPE html><p>甲 &lt; 乙 &nbsp</p>') == '甲 &lt; 乙'\n"
         + HTML_MODULES
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.split("\n")[:3] == ["[]", "['html', 'html.entities']", "['html', 'html.entities', 'html.parser']"]
+    assert result.stdout.split("\n")[:3] == ["[]", "['html', 'html.entities']", "['html', 'html.entities']"]

@@ -40,7 +40,7 @@ from renokit.sftgen import (
 )
 
 from fixture_data import build_gen_docs, gen_script, make_doc, packaged_templates
-from mocks import FailingTransport, ScriptedTransport, archive_ids
+from mocks import FailingTransport, InterruptingTransport, ScriptedTransport, archive_ids
 
 
 def make_client(script, concurrency: int = 4) -> ChatClient:
@@ -373,6 +373,15 @@ class TestBatchGenerate:
             batch_generate(build_gen_docs()[:2], kinds, client, budget=100, archive=ResponseArchive(tmp_path / "arch"),
                            templates=packaged_templates("mcq"))
         assert client.transport.calls == 0
+
+    def test_an_interrupt_stops_the_batch(self, tmp_path):
+        client = make_client(gen_script(CATEGORIES), concurrency=1)
+        client.transport = InterruptingTransport()
+        with pytest.raises(KeyboardInterrupt):
+            batch_generate(build_gen_docs()[:4], ["mcq", "one_turn"], client, budget=100,
+                           archive=ResponseArchive(tmp_path / "arch"), templates=packaged_templates("mcq", "one_turn"))
+        assert client.transport.calls == 1
+        assert not (tmp_path / "arch").exists()
 
     def test_archive_completeness(self, tmp_path):
         _, reports, archive = self.run_batch(tmp_path / "arch")
