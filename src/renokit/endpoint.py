@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import select
+import socket
 import ssl
 import threading
 import time
@@ -113,8 +114,11 @@ class HttpTransport:
     connections it sends on: `http.client` connections to the endpoint, or
     to its HTTP proxy, over one TLS context for an https URL. Each attempt is
     one write of that head, the body's Content-Length and the JSON body on an
-    idle keep-alive connection (or a new one), and one reply read on it; a
-    redirect is not followed, and a cookie that a reply sets is not kept.
+    idle keep-alive connection (or a new one), and one reply read on it by
+    `_read_reply`, from the bytes that connection has received; a redirect is
+    not followed, and a cookie that a reply sets is not kept. A connection
+    is kept for the next attempt only if its reply lets it stay open and no
+    byte was received past the reply.
     """
 
     def __init__(
@@ -173,7 +177,7 @@ class HttpTransport:
         probe.endheaders()
         head, _, tail = sent[0].partition(b"\r\nContent-Length: 0\r\n")
         self._head, self._tail = head + b"\r\nContent-Length: ", b"\r\n" + tail
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[tuple[http.client.HTTPConnection, _Received]] = []
         self._lock = threading.Lock()
 
     def _connection(self) -> http.client.HTTPConnection:
@@ -183,14 +187,15 @@ class HttpTransport:
             conn.set_tunnel(*self._tunnel)
         return conn
 
-    def _idle_connection(self) -> http.client.HTTPConnection | None:
-        """The last idle connection that its peer has not closed, or None."""
+    def _idle_connection(self) -> tuple[http.client.HTTPConnection, _Received] | None:
+        """The last idle connection that its peer has not closed, with its
+        received bytes, or None."""
         with self._lock:
             while self._idle:
-                conn = self._idle.pop()
+                conn, received = self._idle.pop()
                 # a zero-timeout poll finds an idle connection readable once its peer closed it
                 if not select.select([conn.sock], [], [], 0)[0]:
-                    return conn
+                    return conn, received
                 conn.close()
         return None
 
@@ -198,28 +203,28 @@ class HttpTransport:
         """Close the transport's idle connections; a later request opens a new one."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
+        for conn, _ in idle:
             conn.close()
 
     def _exchange(self, message: bytes) -> tuple[int, bytes]:
         """Send `message` in one write and read the reply: its status and its decoded body."""
-        conn = self._idle_connection() or self._connection()
+        conn, received = self._idle_connection() or (self._connection(), None)
         try:
-            if conn.sock is None:
+            if received is None:
                 conn.connect()
+                received = _Received(conn.sock)
             conn.sock.sendall(message)
-            reply = http.client.HTTPResponse(conn.sock, method="POST")
-            reply.begin()
-            data = reply.read()
+            status, fields, body, will_close = _read_reply(received)
         except BaseException:
             conn.close()
             raise
-        if reply.will_close:
+        # bytes past the reply belong to no request this connection sent
+        if will_close or received.pending():
             conn.close()
         else:
             with self._lock:
-                self._idle.append(conn)
-        return reply.status, _decoded(data, reply.getheader("Content-Encoding", ""))
+                self._idle.append((conn, received))
+        return status, _decoded(body, fields.get(b"content-encoding", b"").decode("latin-1"))
 
     def _delay(self, attempt: int) -> float:
         if not self.cfg.backoff:
@@ -285,6 +290,178 @@ def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.
     if cert:
         context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
     return context
+
+
+# http.client's limits on a reply: the longest line of its head, and the most
+# lines in one header block, the blank line that ends it counted
+_MAXLINE = 65536
+_MAXHEADERS = 100
+_RECV_SIZE = 65536  # the most bytes that one receive on a connection takes
+
+
+class _Received:
+    """The bytes received on one connection that no reply has read yet, kept
+    from one reply to the next. It is made when its connection connects and
+    dropped when it closes; one reply is read at a time."""
+
+    def __init__(self, sock: socket.socket):
+        self._recv = sock.recv
+        self._data = bytearray()
+        self._pos = 0  # where the unread bytes begin
+
+    def pending(self) -> bool:
+        """Whether bytes were received that no reply has read."""
+        return self._pos < len(self._data)
+
+    def _fill(self) -> bool:
+        """Receive more bytes after the unread ones; False at the end of the stream."""
+        chunk = self._recv(_RECV_SIZE)
+        del self._data[:self._pos]
+        self._pos = 0
+        self._data += chunk
+        return bool(chunk)
+
+    def readline(self, part: str) -> bytes:
+        """The next line, with its LF, or at the end of the stream the bytes
+        left, b"" if none. A line of more than _MAXLINE bytes raises
+        LineTooLong, which names it `part`."""
+        scanned = 0  # how many unread bytes are known to hold no LF
+        while (end := self._data.find(b"\n", self._pos + scanned, self._pos + _MAXLINE)) < 0:
+            scanned = len(self._data) - self._pos
+            if scanned > _MAXLINE:
+                raise http.client.LineTooLong(part)
+            if not self._fill():
+                end = len(self._data) - 1
+                break
+        line = bytes(self._data[self._pos:end + 1])
+        self._pos = end + 1
+        return line
+
+    def read(self, size: int) -> bytes:
+        """The next `size` bytes, or fewer at the end of the stream."""
+        start = self._pos
+        self._pos = min(start + size, len(self._data))
+        parts = [bytes(self._data[start:self._pos])]
+        missing = size - len(parts[0])
+        while missing and (chunk := self._recv(min(missing, _RECV_SIZE))):
+            parts.append(chunk)
+            missing -= len(chunk)
+        return b"".join(parts)
+
+    def read_to_end(self) -> bytes:
+        """Every byte up to the end of the stream."""
+        parts = [bytes(self._data[self._pos:])]
+        self._pos = len(self._data)
+        while chunk := self._recv(_RECV_SIZE):
+            parts.append(chunk)
+        return b"".join(parts)
+
+
+def _read_reply(received: _Received) -> tuple[int, dict[bytes, bytes], bytes, bool]:
+    """Read one reply to a POST, framed as RFC 9112 section 6 says and read by
+    the rules of http.client's HTTPResponse (Python 3.11): its status, its
+    header fields (see _header_block), its body, and whether its connection
+    closes after it. A 100 Continue before it is skipped. Every reply that
+    cannot be read raises an http.client.HTTPException; that includes a
+    chunk size or Content-Length too large to read, on which HTTPResponse
+    raised OverflowError or MemoryError, and a negative chunk size, which it
+    misread."""
+    version, status = _status_line(received)
+    while status == 100:
+        _header_block(received)
+        version, status = _status_line(received)
+    fields = _header_block(received)
+    connection = fields.get(b"connection", b"").lower()
+    if version in ("HTTP/1.0", "HTTP/0.9"):  # kept open only when the reply asks for it
+        will_close = not (fields.get(b"keep-alive") or b"keep-alive" in connection
+                          or b"keep-alive" in fields.get(b"proxy-connection", b"").lower())
+    elif version.startswith("HTTP/1."):
+        will_close = b"close" in connection
+    else:
+        raise http.client.UnknownProtocol(version)
+    try:
+        length = int(fields[b"content-length"])  # a negative one is ignored below, as a missing one
+    except (KeyError, ValueError):
+        length = -1
+    if status in (204, 304) or status < 200:
+        length = 0
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _chunked_body(received)
+    elif length >= 0:
+        body = received.read(length)
+        if len(body) < length:
+            raise http.client.IncompleteRead(body, length - len(body))
+    else:  # the body ends with the connection
+        body, will_close = received.read_to_end(), True
+    return status, fields, body, will_close
+
+
+def _status_line(received: _Received) -> tuple[str, int]:
+    """Read a status line: its HTTP version and its status code."""
+    line = str(received.readline("status line"), "iso-8859-1")
+    if not line:
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    words = line.split(None, 2)
+    try:
+        version, status = words[0], int(words[1])
+    except (IndexError, ValueError):
+        version, status = "", 0
+    if not version.startswith("HTTP/") or not 100 <= status <= 999:
+        raise http.client.BadStatusLine(line)
+    return version, status
+
+
+def _header_block(received: _Received) -> dict[bytes, bytes]:
+    """Read header fields up to the blank line that ends them: each name,
+    lowercased, to its value, after the spaces and tabs that begin it and up
+    to the end of its line. A line that begins with a space or tab continues
+    the field above (obs-fold), after a space. A repeated name keeps its
+    first value, except that Content-Encoding's are joined with ", ", as
+    http.client's getheader joins them."""
+    fields: dict[bytes, bytes] = {}
+    name = None  # the field that a continuation line goes on, if it is kept
+    for _ in range(_MAXHEADERS):
+        line = received.readline("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        if line[0] in b" \t":
+            if name:
+                fields[name] += b" " + line.strip(b" \t\r\n")
+            continue
+        name, _, value = line.partition(b":")
+        name, value = name.lower(), value.lstrip(b" \t").rstrip(b"\r\n")
+        if name not in fields:
+            fields[name] = value
+        elif name == b"content-encoding":
+            fields[name] += b", " + value
+        else:
+            name = None
+    raise http.client.HTTPException(f"got more than {_MAXHEADERS} headers")
+
+
+def _chunked_body(received: _Received) -> bytes:
+    """Read a chunked body (RFC 9112 section 7.1): each chunk's size line, its
+    extensions ignored, then its data and the CRLF after it, up to the last
+    chunk; then the trailer section, which is dropped."""
+    chunks = []
+    while True:
+        try:
+            size = int(received.readline("chunk size").partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.IncompleteRead(b"".join(chunks))
+        if not size:
+            break
+        chunk = received.read(size)
+        if len(chunk) < size:
+            raise http.client.IncompleteRead(b"".join(chunks))
+        chunks.append(chunk)
+        if len(received.read(2)) < 2:  # the CRLF after the data, which is not checked
+            raise http.client.IncompleteRead(b"".join(chunks))
+    while received.readline("trailer line") not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
 
 
 def _gunzip(data: bytes) -> bytes:

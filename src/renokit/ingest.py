@@ -78,12 +78,15 @@ def doc_id_for(text: str, source_kind: str) -> str:
 _MARKUP_ACTIVE = "<>&"
 
 
+@functools.lru_cache(maxsize=4096)
 def _entity_text(raw: str) -> str:
     """The text of an entity or character reference `raw`, e.g. "&nbsp;". It is
     kept escaped when unknown or when its text would hold a markup-active
     character, so that cleaning remains a fixpoint; html.unescape also reads a
     legacy entity glued to more letters, e.g. "&ltp;" as "<p;". The html
-    package and its entity tables load here, on the first entity read."""
+    package and its entity tables load here, on the first entity read. The
+    text depends on `raw` alone, so the last few thousand are kept: a page
+    repeats the same few references."""
     import html
 
     decoded = html.unescape(raw)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import base64
 import gzip
+import http.client
 import inspect
+import itertools
 import json
 import os
 import select
@@ -699,6 +701,206 @@ def test_a_chunked_or_connection_close_reply_is_read_whole(framing):
     with serving(Framed) as url, sending(url, max_retries=0) as transport:
         assert [transport.complete(chat()).text for _ in range(2)] == ["服务端回答"] * 2
     assert len(set(seen)) == (1 if framing == "chunked" else 2)
+
+
+def head(status_line: bytes, *fields: bytes) -> bytes:
+    """A reply's head: its status line and header fields, and the blank line that ends them."""
+    return b"\r\n".join([status_line, *fields, b"", b""])
+
+
+def sized(body: bytes = COMPLETION, status_line: bytes = b"HTTP/1.1 200 OK", *fields: bytes) -> bytes:
+    """A reply whose body `body` is framed by its Content-Length."""
+    return head(status_line, *fields, b"Content-Length: %d" % len(body)) + body
+
+
+def chunked(*chunks: bytes) -> bytes:
+    """`chunks` in chunked framing, each with its size line, and the last chunk."""
+    return b"".join(b"%x\r\n%b\r\n" % (len(chunk), chunk) for chunk in chunks) + b"0\r\n\r\n"
+
+
+CHUNKED = head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked")
+
+
+@contextmanager
+def raw_replies(replies, close: bool = False):
+    """A loopback endpoint on a bare socket, which neither http.server nor
+    http.client takes part in. It reads each request, its head and its body,
+    and answers the i-th with the bytes replies[i] as they are, then closes
+    the connection if `close`. Yields its base URL and a list that gets, for
+    each request, the number of the connection it came over."""
+    replies, seen = list(replies), []
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve(conn: socket.socket, number: int) -> None:
+        with conn, conn.makefile("rb") as rfile:
+            while True:
+                lines = []
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    lines.append(line.lower())
+                if not line:
+                    return
+                rfile.read(next(int(line[15:]) for line in lines if line.startswith(b"content-length:")))
+                seen.append(number)
+                try:
+                    conn.sendall(replies.pop(0))
+                except OSError:  # the client stopped reading a reply it refused
+                    return
+                if close:
+                    conn.shutdown(socket.SHUT_RDWR)
+                    return
+
+    def accept() -> None:
+        for number in itertools.count():
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # the listener was shut down
+                return
+            threading.Thread(target=serve, args=(conn, number), daemon=True).start()
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", seen
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestReplyFraming:
+    """How each reply is read, framed by RFC 9112 section 6 as http.client
+    reads it, against a server that sends the reply's bytes as they are."""
+
+    @pytest.mark.parametrize("reply, kept", [
+        (sized(), True),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b"Connection: close"), False),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b"Connection: keep-alive", b"Connection: close"), True),
+        (sized(COMPLETION, b"HTTP/1.0 200 OK"), False),
+        (sized(COMPLETION, b"HTTP/1.0 200 OK", b"Connection: Keep-Alive"), True),
+        (sized(COMPLETION, b"HTTP/1.0 200 OK", b"Keep-Alive: timeout=5"), True),
+        (sized(COMPLETION, b"HTTP/1.0 200 OK", b"Proxy-Connection: keep-alive"), True),
+        (sized(COMPLETION, b"HTTP/0.9 200 OK"), False),
+        (head(b"HTTP/1.1 100 Continue") + sized(), True),
+        (head(b"HTTP/1.1 100 Continue", b"X-Note: more to come") + head(b"HTTP/1.1 100 Continue") + sized(), True),
+        (CHUNKED + b"1a;name=value\r\n" + COMPLETION[:26] + b"\r\n%x;x\r\n" % (len(COMPLETION) - 26)
+         + COMPLETION[26:] + b"\r\n0;last\r\nX-Trailer: 1\r\nX-Other: 2\r\n\r\n", True),
+        (head(b"HTTP/1.1 200 OK", b"Content-Length: %d" % len(COMPLETION), b"Content-Length: 1000") + COMPLETION,
+         True),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", *(b"X-Field-%d: %d" % (i, i) for i in range(98))), True),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b"X-Long: " + b"x" * (65536 - 10)), True),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b"Connection: keep-alive,", b" close"), False),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b"Connection: keep-alive", b"Connection: x,", b"\tclose"), True),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b" Connection: close"), True),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", b"X Bad : 1", b"Connection: close"), False),
+    ], ids=["http-1.1", "http-1.1-close", "first-connection-field-counts", "http-1.0", "http-1.0-keep-alive",
+            "http-1.0-keep-alive-field", "http-1.0-proxy-connection", "http-0.9", "100-continue",
+            "two-100-continues", "chunk-extensions-and-trailers", "first-content-length-counts", "99-fields",
+            "longest-line", "folded-field", "folded-repeated-field", "folded-first-line", "field-after-no-field"])
+    def test_a_reply_is_read_and_its_connection_kept_as_it_says(self, reply, kept):
+        """A line that begins with a space or tab continues the field above
+        (obs-fold, RFC 9112 section 5.2). A line that is no field is skipped;
+        http.client dropped every field after it, here `Connection: close`."""
+        with raw_replies([reply] * 2) as (url, seen), sending(url, max_retries=0) as transport:
+            assert [transport.complete(chat()).text for _ in range(2)] == ["服务端回答"] * 2
+        assert seen == ([0, 0] if kept else [0, 1])
+
+    @pytest.mark.parametrize("status_line", [b"HTTP/1.1 204 No Content", b"HTTP/1.1 304 Not Modified",
+                                             b"HTTP/1.1 102 Processing"])
+    def test_a_reply_that_has_no_body_reads_none(self, status_line):
+        """204, 304 and a 1xx other than 100 end at their head, however they
+        are framed, and leave the connection open for the next request."""
+        replies = [head(status_line, b"Content-Length: 5"), sized()]
+        with raw_replies(replies) as (url, seen), sending(url, max_retries=0) as transport:
+            with pytest.raises(EndpointError) as excinfo:
+                transport.complete(chat())
+            assert transport.complete(chat()).text == "服务端回答"
+        assert str(excinfo.value) == f"HTTP {status_line.split()[1].decode()}: "
+        assert seen == [0, 0]
+
+    @pytest.mark.parametrize("reply, error", [
+        (head(b"HTTP/1.1 200 OK", b"Content-Length: 100") + COMPLETION[:10],
+         "IncompleteRead(10 bytes read, 90 more expected)"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5", "IncompleteRead(0 bytes read, 5 more expected)"),
+        (CHUNKED + b"zz\r\n", "IncompleteRead(0 bytes read)"),
+        (CHUNKED + b"5\r\nhello\r\n-5\r\nhello\r\n0\r\n\r\n", "IncompleteRead(5 bytes read)"),
+        (CHUNKED + b"5\r\nhello\r\n", "IncompleteRead(5 bytes read)"),
+        (CHUNKED + b"5\r\nhello\r\n10\r\nhello", "IncompleteRead(5 bytes read)"),
+        (CHUNKED + b"5\r\nhello", "IncompleteRead(5 bytes read)"),
+        (CHUNKED + b"f" * 20 + b"\r\nhello", "IncompleteRead(0 bytes read)"),
+        (head(b"HTTP/1.1 200 OK", b"Content-Length: %d" % 10**30) + COMPLETION,
+         f"IncompleteRead({len(COMPLETION)} bytes read, {10**30 - len(COMPLETION)} more expected)"),
+        (b"HTTP/1.1 200 " + b"O" * 65536 + b"\r\n\r\n", "got more than 65536 bytes when reading status line"),
+        (head(b"HTTP/1.1 200 OK", b"X-Long: " + b"x" * (65536 - 9)),
+         "got more than 65536 bytes when reading header line"),
+        (head(b"HTTP/1.1 100 Continue", b"X-Long: " + b"x" * 65536) + sized(),
+         "got more than 65536 bytes when reading header line"),
+        (CHUNKED + b"5" * 65537 + b"\r\n", "got more than 65536 bytes when reading chunk size"),
+        (CHUNKED + b"0\r\nX-Long: " + b"x" * 65536 + b"\r\n\r\n", "got more than 65536 bytes when reading trailer line"),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", *(b"X-Field-%d: %d" % (i, i) for i in range(99))),
+         "got more than 100 headers"),
+        (sized(COMPLETION, b"HTTP/1.1 200 OK", *(b"X-Field-%d: %d" % (i, i) for i in range(100))),
+         "got more than 100 headers"),
+        (sized(COMPLETION, b"HTTP/2.0 200 OK"), "HTTP/2.0"),
+        (sized(COMPLETION, b"HTTP/1.1 99 Too Low"), "HTTP/1.1 99 Too Low"),
+        (sized(COMPLETION, b"HTTP/1.1"), "HTTP/1.1"),
+        (sized(COMPLETION, b"ICY 200 OK"), "ICY 200 OK"),
+    ], ids=["body-short", "head-cut-short", "chunk-size-not-hex", "chunk-size-negative", "last-chunk-missing",
+            "chunk-short", "chunk-crlf-missing", "chunk-size-too-large", "content-length-too-large", "status-line-too-long", "header-line-too-long",
+            "continue-header-line-too-long", "chunk-size-line-too-long", "trailer-line-too-long",
+            "100-header-fields", "101-header-fields", "unknown-protocol", "status-under-100", "no-status",
+            "no-http-version"])
+    def test_a_reply_that_cannot_be_read_is_a_transport_failure_that_is_retried(self, reply, error):
+        """The failure ends its connection; with no retry left it is the
+        error, and a retry on a new connection reads the next reply."""
+        with raw_replies([reply, reply, sized()], close=True) as (url, seen), \
+                sending(url, max_retries=1) as transport:
+            with pytest.raises(EndpointError) as excinfo:
+                transport.complete(chat())
+            assert transport.complete(chat()).text == "服务端回答"
+        assert str(excinfo.value) == f"gave up after 1 retries (transport: {error})"
+        assert seen == [0, 1, 2]
+
+    @pytest.mark.parametrize("framing", ["sized", "chunked", "close"])
+    def test_a_reply_longer_than_one_receive_is_read_whole(self, framing):
+        text = "长" * 100_000
+        body = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        reply = {"sized": sized(body), "chunked": CHUNKED + chunked(body[:70_000], body[70_000:]),
+                 "close": head(b"HTTP/1.1 200 OK") + body}[framing]
+        with raw_replies([reply] * 2, close=framing == "close") as (url, seen), \
+                sending(url, max_retries=0) as transport:
+            assert [transport.complete(chat()).text for _ in range(2)] == [text] * 2
+        assert seen == ([0, 1] if framing == "close" else [0, 0])
+
+    def test_repeated_content_encodings_are_decoded_in_turn(self):
+        reply = sized(zlib.compress(gzip.compress(COMPLETION)), b"HTTP/1.1 200 OK",
+                      b"Content-Encoding: gzip", b"Content-Encoding: deflate")
+        with raw_replies([reply]) as (url, seen), sending(url, max_retries=0) as transport:
+            assert transport.complete(chat()).text == "服务端回答"
+
+    def test_a_connection_that_received_bytes_past_its_reply_is_not_reused(self):
+        """Bytes after a reply answer no request that was sent, so the
+        connection is closed, and the next request gets its own reply."""
+        second = json.dumps({"choices": [{"message": {"content": "第二"}}]}).encode()
+        replies = [sized() + sized(b'{"stray": true}'), sized(second)]
+        with raw_replies(replies) as (url, seen), sending(url, max_retries=0) as transport:
+            assert [transport.complete(chat()).text for _ in range(2)] == ["服务端回答", "第二"]
+        assert seen == [0, 1]
+
+    def test_http_client_reads_no_reply(self, monkeypatch):
+        """Replies are read by the transport alone: http.client's HTTPResponse
+        and its email-parsed headers stay out of every reply path."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("http.client read a reply")
+
+        monkeypatch.setattr(http.client, "HTTPResponse", refuse)
+        monkeypatch.setattr(http.client, "parse_headers", refuse)
+        replies = [sized(), head(b"HTTP/1.1 100 Continue") + CHUNKED + chunked(COMPLETION),
+                   sized(COMPLETION, b"HTTP/1.1 200 OK", b"Connection: close"), sized(COMPLETION, b"HTTP/1.1 503 x")]
+        with raw_replies(replies + [sized()]) as (url, seen), sending(url, max_retries=1) as transport:
+            assert [transport.complete(chat()).text for _ in range(4)] == ["服务端回答"] * 4
+        assert seen == [0, 0, 0, 1, 1]
 
 
 def test_a_transport_keeps_sending_after_its_caller_closes_the_session():

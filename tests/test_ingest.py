@@ -274,13 +274,23 @@ class TestDeliberateReadings:
 
 class TestLinearTime:
     """Malformed markup that HTMLParser takes quadratic time on: each page of
-    200,000 characters cleans in well under a second, to a fixpoint."""
+    200,000 characters cleans in well under a second, to a fixpoint; and so
+    does a page of 192,000 characters of one entity reference repeated, which
+    is decoded once, not once per occurrence."""
 
     FORMS = ["<a ", "<x yy ", "<a b='", "<![CDATA[", "<!--", "for (i=0; i<n; i++) 计算。", "若a<b且c<d则成立。"]
 
     @pytest.mark.parametrize("form", FORMS)
     def test_one_page_cleans_in_under_a_second(self, form):
         page = (form * (200_000 // len(form) + 1))[:200_000]
+        started = time.perf_counter()
+        once = clean_text(page)
+        assert time.perf_counter() - started < 1.0
+        assert clean_text(once) == once
+
+    @pytest.mark.parametrize("form", ["&a;", "&a", "&amp;"])
+    def test_a_page_of_entities_cleans_in_under_a_second(self, form):
+        page = form * (192_000 // len(form))
         started = time.perf_counter()
         once = clean_text(page)
         assert time.perf_counter() - started < 1.0
